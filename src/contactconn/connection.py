@@ -25,11 +25,12 @@ nabla theta = 0, which the normal form cannot express).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .contact import AdaptedFrame, ContactStructure, adapted_frame
 from .errors import SymmetryError
 from .forms import FormField, VectorValue, apply_vector
-from .jets import Jet
+from .jets import Jet, sum_jets
 
 
 def _val(x) -> float:
@@ -95,6 +96,12 @@ class PartialConnection:
     @property
     def h_dim(self) -> int:
         return 2 * self.frame.n
+
+    @cached_property
+    def promotion_system(self):
+        """(num, den) of the promotion solve, computed once and shared by
+        promote and promotion_residual."""
+        return _promotion_system(self)
 
     def coordinate_action_on_vector(self, vector_jets):
         """Value matrix of the H-derivative of a vector field given by
@@ -174,9 +181,7 @@ class TorsionTensor:
         return self.max_abs(rows=range(1, len(self.comps)))
 
 
-def base_partial_connection(
-    cs: ContactStructure, frame: AdaptedFrame, p, order: int = 2
-) -> PartialConnection:
+def base_partial_connection(frame: AdaptedFrame) -> PartialConnection:
     """The torsion-free reference connection Gamma^b_{ac} = -D^b_{ac}/2.
 
     Any symmetric-in-(a,c) modification is an equally valid base; the
@@ -185,7 +190,7 @@ def base_partial_connection(
     m = 2 * frame.n
     Gamma = tuple(
         tuple(
-            tuple((frame.D[b][a][c] * -0.5).restrict(order) for c in range(m))
+            tuple(frame.D[b][a][c] * -0.5 for c in range(m))
             for b in range(m)
         )
         for a in range(m)
@@ -193,7 +198,7 @@ def base_partial_connection(
     return PartialConnection(frame, Gamma)
 
 
-def partial_torsion(conn: PartialConnection, frame: AdaptedFrame | None = None, p=None) -> TorsionTensor:
+def partial_torsion(conn: PartialConnection) -> TorsionTensor:
     """Antisymmetrized connection action minus the H-restricted exterior
     derivative, per coframe element.
 
@@ -201,7 +206,7 @@ def partial_torsion(conn: PartialConnection, frame: AdaptedFrame | None = None, 
     connection differentiates theta_hat into that 2-form twice, d once);
     the e-rows vanish exactly when the connection is torsion-free.
     """
-    frame = frame or conn.frame
+    frame = conn.frame
     m = 2 * frame.n
     kap = [conn.kappa(a) for a in range(m)]
     rows = []
@@ -219,7 +224,6 @@ def partial_torsion(conn: PartialConnection, frame: AdaptedFrame | None = None, 
 def canonical_partial_connection(
     cs: ContactStructure,
     p,
-    order: int = 2,
     frame: AdaptedFrame | None = None,
     base_perturbation=None,
 ) -> PartialConnection:
@@ -231,9 +235,9 @@ def canonical_partial_connection(
     the sigma_inv-correction that cancels them while preserving zero
     torsion.
     """
-    frame = frame or adapted_frame(cs, p, order=2)
+    frame = frame or adapted_frame(cs, p)
     m = 2 * frame.n
-    base = base_partial_connection(cs, frame, p, order)
+    base = base_partial_connection(frame)
     Gamma = [[[base.Gamma[a][b][c] for c in range(m)] for b in range(m)] for a in range(m)]
     if base_perturbation is not None:
         pert = [
@@ -367,13 +371,6 @@ def nabla_H(conn: PartialConnection, field, p=None):
     raise ValueError(f"unknown section kind {field.kind!r}")
 
 
-def sum_jets(terms):
-    acc = None
-    for t in terms:
-        acc = t if acc is None else acc + t
-    return acc
-
-
 @dataclass(frozen=True)
 class FullConnection:
     """Connection with both H and Reeb direction coefficients.
@@ -458,30 +455,20 @@ def _promotion_system(conn: PartialConnection):
         corr = sum_jets(kap[v][A][E] * kap[u][E][C] for E in range(m + 1))
         return lead + corr
 
-    den = sum_jets(
-        frame.Omega[u][v] * frame.Omega[u][v]
-        for u in range(m)
-        for v in range(u + 1, m)
+    def obstruction(u: int, v: int, A: int, C: int) -> Jet:
+        cc = sum_jets(frame.D[e][u][v] * kap[e][A][C] for e in range(m))
+        return (cc + K(u, v, A, C) - K(v, u, A, C)) * frame.Omega[u][v]
+
+    pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    den = sum_jets(frame.Omega[u][v] * frame.Omega[u][v] for u, v in pairs)
+    num = tuple(
+        tuple(sum_jets(obstruction(u, v, A, C) for u, v in pairs) for C in range(m + 1))
+        for A in range(m + 1)
     )
-    num = []
-    for A in range(m + 1):
-        row = []
-        for C in range(m + 1):
-            acc = None
-            for u in range(m):
-                for v in range(u + 1, m):
-                    cc = sum_jets(
-                        frame.D[e][u][v] * kap[e][A][C] for e in range(m)
-                    )
-                    cc = cc + K(u, v, A, C) - K(v, u, A, C)
-                    term = cc * frame.Omega[u][v]
-                    acc = term if acc is None else acc + term
-            row.append(acc)
-        num.append(row)
     return num, den
 
 
-def promote(conn: PartialConnection, cs: ContactStructure | None = None, p=None) -> FullConnection:
+def promote(conn: PartialConnection) -> FullConnection:
     """Extend a normal-form partial connection to the Reeb direction.
 
     For each coframe element the coupled exterior-derivative-squared has a
@@ -492,7 +479,7 @@ def promote(conn: PartialConnection, cs: ContactStructure | None = None, p=None)
     frame = conn.frame
     m = 2 * frame.n
     kap = [conn.kappa(a) for a in range(m)]
-    num, den = _promotion_system(conn)
+    num, den = conn.promotion_system
     xi = tuple(
         tuple(-(num[A][C] / den) for C in range(m + 1)) for A in range(m + 1)
     )
@@ -510,7 +497,7 @@ def promotion_residual(fc: FullConnection) -> float:
     if fc.partial is None:
         raise ValueError("promotion residual needs the underlying partial connection")
     m = fc.h_dim
-    num, den = _promotion_system(fc.partial)
+    num, den = fc.partial.promotion_system
     dv = den.value
     return max(
         abs(num[A][C].value + dv * fc.xi[A][C].value) / dv
@@ -519,13 +506,13 @@ def promotion_residual(fc: FullConnection) -> float:
     )
 
 
-def full_torsion(fc: FullConnection, frame: AdaptedFrame | None = None, p=None) -> TorsionTensor:
+def full_torsion(fc: FullConnection) -> TorsionTensor:
     """Exterior derivative minus antisymmetrized full covariant
     derivative of each coframe element, in the coframe pair basis.
 
     Index 0 of the input slots is the Reeb direction.
     """
-    frame = frame or fc.frame
+    frame = fc.frame
     m = 2 * frame.n
     d_vals = [frame.dtheta_hat_values()] + [frame.de_values(b) for b in range(m)]
     rows = []

@@ -45,9 +45,13 @@ from .forms import (
     d_from_jets,
     wedge,
 )
-from .jets import Jet, eval_jet, jet_linear_solve
+from .jets import Jet, eval_jet, jet_linear_solve, sum_jets
 
 CONTACT_REL_TOL = 1e-10
+
+# Jet order of every chart-level evaluation; AdaptedFrame's order budget
+# assumes it.
+ORDER = 2
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,11 @@ class ContactStructure:
     def n(self) -> int:
         return self.dim // 2
 
+    @cached_property
+    def dtheta(self) -> FormField:
+        """d(theta), differentiated structurally once per structure."""
+        return self.theta.d()
+
     def metric_at(self, p, order: int) -> list[list[Jet]]:
         return [
             [eval_jet(self.g[i][j], p, order) for j in range(self.dim)]
@@ -107,7 +116,7 @@ def check_contact(cs: ContactStructure, p) -> ContactCheck:
     is scale-invariant under rescaling theta.
     """
     t = cs.theta.eval(p, 0)
-    dt = cs.theta.d().eval(p, 0)
+    dt = cs.dtheta.eval(p, 0)
     top = t
     for _ in range(cs.n):
         top = wedge(top, dt)
@@ -147,7 +156,7 @@ def _reeb_from_values(theta_comps: list[Jet], dt: KFormValue) -> VectorValue:
     return VectorValue(tuple(sol))
 
 
-def reeb_field(cs_or_theta, p, order: int = 2) -> VectorValue:
+def reeb_field(cs_or_theta, p) -> VectorValue:
     """Unique vector with T . theta = 1, T . dtheta = 0.
 
     Accepts a ContactStructure (the raw theta is used, differentiated
@@ -156,10 +165,10 @@ def reeb_field(cs_or_theta, p, order: int = 2) -> VectorValue:
     """
     if isinstance(cs_or_theta, ContactStructure):
         comps = [
-            eval_jet(cs_or_theta.theta.coeff((i,)), p, order)
+            eval_jet(cs_or_theta.theta.coeff((i,)), p, ORDER)
             for i in range(cs_or_theta.dim)
         ]
-        dt = cs_or_theta.theta.d().eval(p, order)
+        dt = cs_or_theta.dtheta.eval(p, ORDER)
         return _reeb_from_values(comps, dt)
     if isinstance(cs_or_theta, KFormValue) and cs_or_theta.degree == 1:
         comps = [cs_or_theta.comp((i,)) for i in range(cs_or_theta.dim)]
@@ -193,13 +202,8 @@ def _project_onto_h(theta_comps: list[Jet], m: int, i: int) -> VectorValue:
 
 
 def _metric_pair(gmat: list[list[Jet]], v: VectorValue, w: VectorValue) -> Jet:
-    acc = None
     d = len(gmat)
-    for i in range(d):
-        for j in range(d):
-            term = gmat[i][j] * v.comps[i] * w.comps[j]
-            acc = term if acc is None else acc + term
-    return acc
+    return sum_jets(gmat[i][j] * v.comps[i] * w.comps[j] for i in range(d) for j in range(d))
 
 
 def _jet_matrix_inverse(M: list[list[Jet]]) -> list[list[Jet]]:
@@ -213,11 +217,11 @@ def _jet_matrix_inverse(M: list[list[Jet]]) -> list[list[Jet]]:
     return [[cols[c][r] for c in range(m)] for r in range(m)]
 
 
-def _h_gram_and_omega(cs: ContactStructure, p, order: int, h_choice=None):
-    """Shared setup: H-projected coordinate basis, its Gram matrix, and
-    the dtheta matrix on that basis, all as jets."""
+def _h_gram_and_omega(cs: ContactStructure, p, h_choice=None):
+    """Shared setup: H-projected coordinate basis, its Gram matrix, dtheta
+    at p, and the dtheta matrix on that basis, all as jets."""
     d = cs.dim
-    theta_comps = [eval_jet(cs.theta.coeff((i,)), p, order) for i in range(d)]
+    theta_comps = [eval_jet(cs.theta.coeff((i,)), p, ORDER) for i in range(d)]
     if h_choice is None:
         kept, m = _select_h_indices(theta_comps)
     else:
@@ -231,7 +235,7 @@ def _h_gram_and_omega(cs: ContactStructure, p, order: int, h_choice=None):
                 "chosen transversal direction has a vanishing theta component"
             )
     basis = [_project_onto_h(theta_comps, m, i) for i in kept]
-    gmat = cs.metric_at(p, order)
+    gmat = cs.metric_at(p, ORDER)
     gram = [[_metric_pair(gmat, u, v) for v in basis] for u in basis]
     vals = np.array([[e.value for e in row] for row in gram])
     eigs = np.linalg.eigvalsh(vals)
@@ -239,30 +243,32 @@ def _h_gram_and_omega(cs: ContactStructure, p, order: int, h_choice=None):
         raise DegenerateMetricError(
             "metric restricted to the contact distribution is not positive definite"
         )
-    dt = cs.theta.d().eval(p, order)
+    dt = cs.dtheta.eval(p, ORDER)
     omega = [[dt.evaluate(u, v) for v in basis] for u in basis]
-    return theta_comps, kept, m, basis, gmat, gram, omega
+    return theta_comps, kept, m, basis, gmat, gram, dt, omega
 
 
-def normalize_theta(cs: ContactStructure, p, order: int = 2) -> Jet:
-    """The positive scale mu with theta_hat = mu * theta normalized.
-
-    mu = sqrt(2n / |dtheta restricted to H|^2), the norm contracting both
-    index pairs of dtheta with the inverse H-Gram matrix of g.
-    """
-    _, _, _, _, _, gram, omega = _h_gram_and_omega(cs, p, order)
+def _mu(gram: list[list[Jet]], omega: list[list[Jet]]) -> Jet:
+    """mu = sqrt(2n / |dtheta restricted to H|^2), the norm contracting
+    both index pairs of dtheta with the inverse H-Gram matrix of g."""
     ginv = _jet_matrix_inverse(gram)
     m = len(gram)
-    norm2 = None
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                for e in range(m):
-                    term = ginv[a][c] * ginv[b][e] * omega[a][b] * omega[c][e]
-                    norm2 = term if norm2 is None else norm2 + term
+    norm2 = sum_jets(
+        ginv[a][c] * ginv[b][e] * omega[a][b] * omega[c][e]
+        for a in range(m)
+        for b in range(m)
+        for c in range(m)
+        for e in range(m)
+    )
     if norm2.value <= 0.0:
         raise NotContactError("dtheta vanishes on the distribution at this point")
-    return (float(2 * cs.n) / norm2).sqrt()
+    return (float(m) / norm2).sqrt()
+
+
+def normalize_theta(cs: ContactStructure, p) -> Jet:
+    """The positive scale mu with theta_hat = mu * theta normalized."""
+    _, _, _, _, _, gram, _, omega = _h_gram_and_omega(cs, p)
+    return _mu(gram, omega)
 
 
 @dataclass(frozen=True)
@@ -407,7 +413,7 @@ class AdaptedFrame:
         return out
 
 
-def adapted_frame(cs: ContactStructure, p, order: int = 2, h_choice=None) -> AdaptedFrame:
+def adapted_frame(cs: ContactStructure, p, h_choice=None) -> AdaptedFrame:
     """Build the adapted orthonormal frame and dual coframe at p.
 
     h_choice optionally overrides which 2n coordinate directions get
@@ -416,22 +422,12 @@ def adapted_frame(cs: ContactStructure, p, order: int = 2, h_choice=None) -> Ada
     """
     d = cs.dim
     n = cs.n
-    theta_comps, kept, m, basis, gmat, gram, omega_raw = _h_gram_and_omega(
-        cs, p, order, h_choice
+    theta_comps, kept, m, basis, gmat, gram, dtheta_val, omega_raw = _h_gram_and_omega(
+        cs, p, h_choice
     )
 
     # mu from the same Gram/omega data, then theta_hat = mu theta.
-    ginv = _jet_matrix_inverse(gram)
-    norm2 = None
-    for a in range(2 * n):
-        for b in range(2 * n):
-            for c_ in range(2 * n):
-                for e_ in range(2 * n):
-                    term = ginv[a][c_] * ginv[b][e_] * omega_raw[a][b] * omega_raw[c_][e_]
-                    norm2 = term if norm2 is None else norm2 + term
-    if norm2.value <= 0.0:
-        raise NotContactError("dtheta vanishes on the distribution at this point")
-    mu = (float(2 * n) / norm2).sqrt()
+    mu = _mu(gram, omega_raw)
 
     theta_hat_comps = [mu * tc for tc in theta_comps]
     theta_hat = KFormValue(d, 1, {(i,): theta_hat_comps[i] for i in range(d)})
@@ -439,7 +435,6 @@ def adapted_frame(cs: ContactStructure, p, order: int = 2, h_choice=None) -> Ada
     # d(theta_hat) = dmu ^ theta + mu dtheta, one order below mu.
     dmu = d_from_jets(KFormValue(d, 0, {(): mu}))
     theta_val = KFormValue(d, 1, {(i,): theta_comps[i] for i in range(d)})
-    dtheta_val = cs.theta.d().eval(p, order)
     dtheta_hat = wedge(dmu, theta_val) + dtheta_val.scale(mu)
 
     T = _reeb_from_values(theta_hat_comps, dtheta_hat)
@@ -519,12 +514,11 @@ def _omega_value_matrix(frame: AdaptedFrame) -> np.ndarray:
     return np.array([[frame.Omega[a][b].value for b in range(m)] for a in range(m)])
 
 
-def lambda_spectrum(cs: ContactStructure, p) -> LambdaSpectrum:
+def lambda_spectrum(frame: AdaptedFrame) -> LambdaSpectrum:
     """Positive invariants of the normalized 2-form in a g-orthonormal
     frame: its singular values come in equal pairs, one per invariant."""
-    frame = adapted_frame(cs, p, order=2)
     s = np.linalg.svd(_omega_value_matrix(frame), compute_uv=False)
-    return LambdaSpectrum(tuple(float(v) for v in s[0::2][: cs.n]))
+    return LambdaSpectrum(tuple(float(v) for v in s[0::2][: frame.n]))
 
 
 def _complex_structure(omega: np.ndarray) -> np.ndarray:
@@ -554,10 +548,9 @@ def classify(cs: ContactStructure, points) -> dict:
         if not check_contact(cs, p).passed:
             contact_ok = False
             continue
-        frame = adapted_frame(cs, p, order=2)
+        frame = adapted_frame(cs, p)
         omega = _omega_value_matrix(frame)
-        s = np.linalg.svd(omega, compute_uv=False)
-        lam = s[0::2][: cs.n]
+        lam = np.array(lambda_spectrum(frame).values)
         spectra.append(lam)
         if np.max(np.abs(lam - 1.0)) >= 1e-8:
             cr = False

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import SingularMatrixError
 from .expressions import Expr, diff, lit
-from .jets import Jet, eval_jet, jet_linear_solve
+from .jets import Jet, eval_jet, jet_linear_solve, sum_jets
 
 
 def increasing_indices(dim: int, k: int):
@@ -177,11 +177,7 @@ def apply_vector(v: VectorValue, f: Jet) -> Jet:
     rule intact, so the result is a jet one order below f (coerced further
     down if the vector components carry less).
     """
-    acc = None
-    for i, vi in enumerate(v.comps):
-        term = vi * f.partial(i)
-        acc = term if acc is None else acc + term
-    return acc
+    return sum_jets(vi * f.partial(i) for i, vi in enumerate(v.comps))
 
 
 @dataclass(frozen=True)

@@ -259,6 +259,14 @@ def _as_value_matrix(rows) -> np.ndarray:
     return np.array([[entry.value for entry in row] for row in rows], dtype=float)
 
 
+def sum_jets(terms):
+    """Left-to-right sum of a nonempty iterable of jets."""
+    acc = None
+    for t in terms:
+        acc = t if acc is None else acc + t
+    return acc
+
+
 def jet_linear_solve(A, b) -> list[Jet]:
     """Solve A x = b where A and b hold Jets, propagating derivatives.
 

@@ -6,11 +6,17 @@ dimension; tw-compare and rotation require dimension 3. Points failing
 the contact or metric-positivity screen are skipped and counted, never
 silently dropped; if nothing survives, the run errors out rather than
 reporting a vacuous pass.
+
+Screening builds one _PointState per usable point. It holds the adapted
+frame and caches what the suites derive from it (spectrum, canonical
+connection, promotion, 3D coframe and structure data), so each is built
+at most once per point and shared by every suite.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from .connection import (
     canonical_partial_connection,
@@ -22,7 +28,9 @@ from .connection import (
     promotion_residual,
 )
 from .contact import (
+    AdaptedFrame,
     ContactStructure,
+    _metric_pair,
     adapted_frame,
     check_contact,
     lambda_spectrum,
@@ -40,12 +48,49 @@ from .jets import Jet
 from .registry import SUITE_NAMES, SUITES_3D_ONLY, ManifoldSpec
 from .report import PointRecord, Report, SuiteResult
 from .sampling import SplitMix64, sample_box
-from .tw3d import check_rotation_covariance, compare_full, compare_partial, tw_coframe
+from .tw3d import (
+    check_rotation_covariance,
+    compare_full,
+    compare_partial,
+    solve_structure_equations,
+    tw_coframe,
+)
 
 # Mixing constant for the rotation suite's angle-coefficient stream: the
 # byte string "rotation" as a 64-bit integer, so the stream is decoupled
 # from the point stream but still fully determined by the seed.
 _ROTATION_STREAM = 0x726F746174696F6E
+
+
+class _PointState:
+    """One usable sample point: its index, coordinates and adapted frame,
+    and everything derived from the frame, each built on first use."""
+
+    def __init__(self, cs: ContactStructure, index: int, p, frame: AdaptedFrame):
+        self.cs = cs
+        self.index = index
+        self.p = p
+        self.frame = frame
+
+    @cached_property
+    def spectrum(self):
+        return lambda_spectrum(self.frame)
+
+    @cached_property
+    def conn(self):
+        return canonical_partial_connection(self.cs, self.p, frame=self.frame)
+
+    @cached_property
+    def promoted(self):
+        return promote(self.conn)
+
+    @cached_property
+    def tw_coframe(self):
+        return tw_coframe(self.cs, self.p, frame=self.frame)
+
+    @cached_property
+    def tw_data(self):
+        return solve_structure_equations(self.tw_coframe)
 
 
 def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
@@ -60,10 +105,11 @@ def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
     lam_res = 0.0
     lam_min = math.inf
     dual_res = 0.0
-    for _, p, frame in usable:
+    for pt in usable:
+        p, frame = pt.p, pt.frame
         T = reeb_field(cs, p)
         theta_val = cs.theta.eval(p, 1)
-        dtheta_val = cs.theta.d().eval(p, 1)
+        dtheta_val = cs.dtheta.eval(p, 1)
         reeb_res = max(reeb_res, abs(theta_val.evaluate(T).value - 1.0))
         for b in basis:
             reeb_res = max(reeb_res, abs(dtheta_val.evaluate(T, b).value))
@@ -73,7 +119,7 @@ def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
         )
         norm_res = max(norm_res, abs(omega_sq - 2 * n))
 
-        lam = lambda_spectrum(cs, p)
+        lam = pt.spectrum
         lam_min = min(lam_min, min(lam))
         lam_res = max(lam_res, abs(sum(v * v for v in lam) - n))
 
@@ -107,9 +153,10 @@ def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
 
 def _suite_canonical(cs: ContactStructure, usable) -> SuiteResult:
     m_res = {"reeb_parallel": 0.0, "levi_parallel": 0.0, "torsion_free": 0.0, "metric_parallel": 0.0}
-    for _, p, frame in usable:
+    for pt in usable:
+        frame = pt.frame
         m = 2 * frame.n
-        conn = canonical_partial_connection(cs, p, frame=frame)
+        conn = pt.conn
 
         t_comps = frame.express_vector(frame.T)
         dT = nabla_H(conn, frame_vector(t_comps))
@@ -138,14 +185,8 @@ def _suite_canonical(cs: ContactStructure, usable) -> SuiteResult:
             ),
         )
 
-        gmat = cs.metric_at(p, 2)
-        gram = [
-            [
-                sum_prod(gmat, frame.X[a], frame.X[b], cs.dim)
-                for b in range(m)
-            ]
-            for a in range(m)
-        ]
+        gmat = cs.metric_at(pt.p, 2)
+        gram = [[_metric_pair(gmat, frame.X[a], frame.X[b]) for b in range(m)] for a in range(m)]
         dg = nabla_H(conn, frame_tensor02(gram))
         m_res["metric_parallel"] = max(
             m_res["metric_parallel"],
@@ -161,22 +202,13 @@ def _suite_canonical(cs: ContactStructure, usable) -> SuiteResult:
     return SuiteResult("canonical", passed, m_res, len(usable))
 
 
-def sum_prod(gmat, va: VectorValue, vb: VectorValue, dim: int) -> Jet:
-    acc = None
-    for i in range(dim):
-        for j in range(dim):
-            term = gmat[i][j] * va.comps[i] * vb.comps[j]
-            acc = term if acc is None else acc + term
-    return acc
-
-
 def _suite_promotion(cs: ContactStructure, usable) -> SuiteResult:
     h_res = 0.0
     ext_res = 0.0
-    for _, p, frame in usable:
-        m = 2 * frame.n
-        conn = canonical_partial_connection(cs, p, frame=frame)
-        fc = promote(conn, cs, p)
+    for pt in usable:
+        m = 2 * pt.frame.n
+        conn = pt.conn
+        fc = pt.promoted
         for a in range(m):
             kap = conn.kappa(a)
             for A in range(m + 1):
@@ -203,9 +235,9 @@ def _suite_tw_compare(cs: ContactStructure, usable) -> SuiteResult:
     )
     agg = {k: 0.0 for k in keys}
     passed = True
-    for _, p, _frame in usable:
-        rp = compare_partial(cs, p)
-        rf = compare_full(cs, p)
+    for pt in usable:
+        rp = compare_partial(pt.tw_coframe, pt.tw_data, pt.conn)
+        rf = compare_full(pt.tw_coframe, pt.tw_data, pt.promoted)
         merged = {**rp, **rf}
         passed = passed and rp["passed"] and rf["passed"]
         for k in keys:
@@ -220,13 +252,12 @@ def _suite_rotation(cs: ContactStructure, usable, seed: int) -> SuiteResult:
     ab_res = 0.0
     r_res = 0.0
     passed = True
-    for _, p, _frame in usable:
+    for pt in usable:
         terms = [f"({coeff()!r})"]
         terms.extend(f"({coeff()!r})*{name}" for name in cs.coords)
         terms.extend(f"({coeff()!r})*{name}^2" for name in cs.coords)
         phi = " + ".join(terms)
-        cf = tw_coframe(cs, p)
-        rep = check_rotation_covariance(cf, phi)
+        rep = check_rotation_covariance(pt.tw_coframe, phi)
         passed = passed and rep["passed"]
         omega_res = max(omega_res, rep["omega_residual"])
         ab_res = max(ab_res, rep["ab_residual"])
@@ -281,17 +312,17 @@ def run_suites(
             )
             continue
         try:
-            frame = adapted_frame(cs, p, order=2)
+            frame = adapted_frame(cs, p)
         except (NotContactError, DegenerateMetricError, DegenerateFrameError) as exc:
             records.append(PointRecord(i, p, skipped=True, reason=str(exc)))
             continue
-        lam = lambda_spectrum(cs, p)
+        pt = _PointState(cs, i, p, frame)
         records.append(
             PointRecord(
-                i, p, skipped=False, mu=frame.mu.value, spectrum=tuple(lam)
+                i, p, skipped=False, mu=frame.mu.value, spectrum=tuple(pt.spectrum)
             )
         )
-        usable.append((i, p, frame))
+        usable.append(pt)
 
     if not usable:
         raise AllPointsSkippedError(

@@ -33,16 +33,11 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .connection import (
-    FullConnection,
-    canonical_partial_connection,
-    full_torsion,
-    promote,
-)
-from .contact import AdaptedFrame, ContactStructure, adapted_frame
+from .connection import FullConnection, PartialConnection, full_torsion
+from .contact import ORDER, AdaptedFrame, ContactStructure, adapted_frame
 from .errors import DegenerateFrameError, InconsistentStructureError
-from .expressions import Expr, parse_expr
-from .forms import KFormValue, VectorValue, apply_vector
+from .expressions import parse_expr
+from .forms import KFormValue, VectorValue, apply_vector, d_from_jets
 from .jets import Jet, eval_jet
 
 STRUCTURE_RESIDUAL_TOL = 1e-9
@@ -95,12 +90,12 @@ class TWData:
     residual: float
 
 
-def tw_coframe(cs: ContactStructure, p, order: int = 2) -> TWCoframe:
+def tw_coframe(cs: ContactStructure, p, frame: AdaptedFrame | None = None) -> TWCoframe:
     """Adapted coframe of a 3-dimensional structure, oriented so that
-    d(theta_hat)(X1, X2) = +1."""
+    d(theta_hat)(X1, X2) = +1. Wraps frame when given, else builds it."""
     if cs.dim != 3:
         raise ValueError(f"requires a 3-dimensional structure, got dim {cs.dim}")
-    frame = adapted_frame(cs, p, order)
+    frame = frame or adapted_frame(cs, p)
     pairing = frame.Omega[0][1].value
     if abs(pairing - 1.0) > 1e-10:
         raise DegenerateFrameError(
@@ -109,7 +104,7 @@ def tw_coframe(cs: ContactStructure, p, order: int = 2) -> TWCoframe:
     return TWCoframe(frame, tuple(cs.coords))
 
 
-def solve_structure_equations(cf: TWCoframe, p=None) -> TWData:
+def solve_structure_equations(cf: TWCoframe) -> TWData:
     """Least-squares solve for (omega, A, B) and the curvature R.
 
     The six scalar equations pair de1, de2 against the basis 2-forms;
@@ -146,20 +141,21 @@ def solve_structure_equations(cf: TWCoframe, p=None) -> TWData:
     return TWData(omega=(w_theta, w1, w2), A=A, B=B, R=R, residual=residual)
 
 
-def tw_connection(td: TWData, cf: TWCoframe) -> FullConnection:
-    """Connection with nabla theta_hat = 0, nabla e1 = omega x e2,
-    nabla e2 = -omega x e1, as coefficient data over the full coframe."""
+def _rotation_connection(cf: TWCoframe, omega, with_levi: bool) -> FullConnection:
+    """Coefficient data over the full coframe of nabla e1 = omega x e2,
+    nabla e2 = -omega x e1, and on H directions nabla theta_hat =
+    e1 x e2 - e2 x e1 when with_levi, else nabla theta_hat = 0."""
     frame = cf.frame
-    dim = frame.dim
-    zero = Jet.constant(0.0, dim, 2)
-    w_theta, w1, w2 = td.omega
-    wH = (w1, w2)
+    zero = Jet.constant(0.0, frame.dim, 2)
+    w_theta, w1, w2 = omega
 
     kappa = [[[zero] * 3 for _ in range(2)] for _ in range(3)]
     xi = [[zero] * 3 for _ in range(3)]
-    for a in range(2):
-        kappa[1][a][2] = wH[a]
-        kappa[2][a][1] = -wH[a]
+    for a, wa in enumerate((w1, w2)):
+        if with_levi:
+            kappa[0][a][1:] = frame.Omega[a]
+        kappa[1][a][2] = wa
+        kappa[2][a][1] = -wa
     xi[1][2] = w_theta
     xi[2][1] = -w_theta
     return FullConnection(
@@ -168,6 +164,12 @@ def tw_connection(td: TWData, cf: TWCoframe) -> FullConnection:
         xi=tuple(tuple(r) for r in xi),
         partial=None,
     )
+
+
+def tw_connection(td: TWData, cf: TWCoframe) -> FullConnection:
+    """Connection with nabla theta_hat = 0, nabla e1 = omega x e2,
+    nabla e2 = -omega x e1, as coefficient data over the full coframe."""
+    return _rotation_connection(cf, td.omega, with_levi=False)
 
 
 def promoted_from_invariants(td: TWData, cf: TWCoframe) -> FullConnection:
@@ -179,38 +181,20 @@ def promoted_from_invariants(td: TWData, cf: TWCoframe) -> FullConnection:
     nabla e1 = (omega - R theta_hat) x e2, nabla e2 the negative mirror.
     Used to cross-check the general promotion against its closed form.
     """
-    frame = cf.frame
-    zero = Jet.constant(0.0, frame.dim, 2)
     w_theta, w1, w2 = td.omega
-    wH = (w1, w2)
-
-    kappa = [[[zero] * 3 for _ in range(2)] for _ in range(3)]
-    xi = [[zero] * 3 for _ in range(3)]
-    for a in range(2):
-        for c in range(2):
-            kappa[0][a][c + 1] = frame.Omega[a][c]
-        kappa[1][a][2] = wH[a]
-        kappa[2][a][1] = -wH[a]
-    xi[1][2] = w_theta - td.R
-    xi[2][1] = -(w_theta - td.R)
-    return FullConnection(
-        frame=frame,
-        kappa=tuple(tuple(tuple(r) for r in rows) for rows in kappa),
-        xi=tuple(tuple(r) for r in xi),
-        partial=None,
-    )
+    return _rotation_connection(cf, (w_theta - td.R, w1, w2), with_levi=True)
 
 
-def _phi_jet(cf: TWCoframe, phi, order: int = 2) -> Jet:
+def _phi_jet(cf: TWCoframe, phi) -> Jet:
     if isinstance(phi, Jet):
         return phi
     if isinstance(phi, (int, float)):
-        return Jet.constant(float(phi), cf.frame.dim, order)
+        return Jet.constant(float(phi), cf.frame.dim, ORDER)
     e = parse_expr(phi, cf.coords) if isinstance(phi, str) else phi
-    return eval_jet(e, cf.p, order)
+    return eval_jet(e, cf.p, ORDER)
 
 
-def rotate_coframe(cf: TWCoframe, phi, p=None) -> TWCoframe:
+def rotate_coframe(cf: TWCoframe, phi) -> TWCoframe:
     """Coframe rotated by the angle function phi:
 
         e1' = cos(phi) e1 - sin(phi) e2,  e2' = sin(phi) e1 + cos(phi) e2
@@ -233,8 +217,6 @@ def rotate_coframe(cf: TWCoframe, phi, p=None) -> TWCoframe:
         frame.X[0].scale(rot[b][0]) + frame.X[1].scale(rot[b][1]) for b in range(2)
     )
 
-    from .forms import d_from_jets
-
     df = tuple(d_from_jets(fb) for fb in f)
     D = tuple(
         tuple(
@@ -250,7 +232,7 @@ def rotate_coframe(cf: TWCoframe, phi, p=None) -> TWCoframe:
     return TWCoframe(new_frame, cf.coords)
 
 
-def check_rotation_covariance(cf: TWCoframe, phi, p=None) -> dict:
+def check_rotation_covariance(cf: TWCoframe, phi) -> dict:
     """Solve the structure equations in the original and phi-rotated
     coframes and compare against the predicted transformation:
 
@@ -298,21 +280,17 @@ def check_rotation_covariance(cf: TWCoframe, phi, p=None) -> dict:
     }
 
 
-def compare_partial(cs: ContactStructure, p) -> dict:
+def compare_partial(cf: TWCoframe, td: TWData, conn: PartialConnection) -> dict:
     """Canonical partial connection against the H-part of the classical
-    one, in the shared adapted coframe.
+    one, in the shared adapted coframe: td solved on cf, conn built on
+    cf.frame.
 
     They must agree on e1, e2 (coefficients omega_1, omega_2); on
     theta_hat the canonical one produces e1 x e2 - e2 x e1 where the
     classical one produces zero, so the difference there is reported
     against that fixed tensor.
     """
-    cf = tw_coframe(cs, p)
-    frame = cf.frame
-    td = solve_structure_equations(cf)
-    conn = canonical_partial_connection(cs, p, frame=frame)
-    w1, w2 = td.omega[1], td.omega[2]
-    wH = (w1, w2)
+    wH = td.omega[1:]
 
     e_agreement = 0.0
     for a in range(2):
@@ -342,8 +320,9 @@ def compare_partial(cs: ContactStructure, p) -> dict:
     }
 
 
-def compare_full(cs: ContactStructure, p) -> dict:
-    """Promoted canonical connection against the classical one.
+def compare_full(cf: TWCoframe, td: TWData, fc: FullConnection) -> dict:
+    """Promoted canonical connection fc against the classical one, td
+    solved on cf and fc promoted from a connection on cf.frame.
 
     Checks, each componentwise:
       - the difference tensor equals R theta_hat x J(sigma) on the
@@ -357,11 +336,7 @@ def compare_full(cs: ContactStructure, p) -> dict:
     Also extracts R from the difference tensor and reports its drift from
     the structure-equation R.
     """
-    cf = tw_coframe(cs, p)
     frame = cf.frame
-    td = solve_structure_equations(cf)
-    conn = canonical_partial_connection(cs, p, frame=frame)
-    fc = promote(conn, cs, p)
     tw = tw_connection(td, cf)
 
     # J on the coframe H-part: J e1 = -e2, J e2 = e1 (matrix of the

@@ -53,6 +53,13 @@ def generic_vector_jets(cs, p):
     return [eval_jet(parse_expr(s, cs.coords), p, 2) for s in comps]
 
 
+def tw_inputs(cs, p):
+    """Oriented coframe, its structure data and the canonical connection
+    on its frame: what the 3D comparisons take."""
+    cf = tw_coframe(cs, p)
+    return cf, solve_structure_equations(cf), canonical_partial_connection(cs, p, frame=cf.frame)
+
+
 def test_criterion_01_canonical_axioms():
     worst = 0.0
     for name in ALL_BUILTINS:
@@ -73,7 +80,7 @@ def test_criterion_02_base_independence():
         cs = spec.build()
         m = cs.dim - 1
         for p in sample_box(spec.box, 25, spec.seed):
-            frame = adapted_frame(cs, p, order=2)
+            frame = adapted_frame(cs, p)
             raw = rng.standard_normal((m, m, m))
             pert = [
                 [
@@ -148,8 +155,8 @@ def test_criterion_04_normalization():
         neg_spec = dataclasses.replace(spec, theta=tuple(f"-({t})" for t in spec.theta))
         cs, neg = spec.build(), neg_spec.build()
         for p in sample_box(spec.box, 3, spec.seed):
-            f_pos = adapted_frame(cs, p, order=2)
-            f_neg = adapted_frame(neg, p, order=2)
+            f_pos = adapted_frame(cs, p)
+            f_neg = adapted_frame(neg, p)
             flip = max(
                 abs((f_pos.theta_hat.comp((i,)) + f_neg.theta_hat.comp((i,))).value)
                 for i in range(cs.dim)
@@ -187,7 +194,7 @@ def test_criterion_05_heisenberg_closed_forms():
                 for c in range(2)
             ),
         )
-        fc = promote(conn, cs, p)
+        fc = promote(conn)
         worst = max(worst, max(abs(fc.xi[A][C].value) for A in range(3) for C in range(3)))
         tw = tw_connection(td, cf)
         worst = max(
@@ -239,7 +246,7 @@ def test_criterion_07_partial_agreement():
         spec = get_manifold(name)
         cs = spec.build()
         for p in sample_box(spec.box, 15, spec.seed):
-            out = compare_partial(cs, p)
+            out = compare_partial(*tw_inputs(cs, p))
             worst_e = max(worst_e, out["e_agreement_residual"])
             worst_theta = max(worst_theta, out["theta_row_difference_residual"])
     ok = worst_e < 1e-9 and worst_theta < 1e-9
@@ -257,7 +264,8 @@ def test_criterion_08_full_comparison():
         spec = get_manifold(name)
         cs = spec.build()
         for p in sample_box(spec.box, 12, spec.seed):
-            out = compare_full(cs, p)
+            cf, td, conn = tw_inputs(cs, p)
+            out = compare_full(cf, td, promote(conn))
             worst_diff = max(worst_diff, out["difference_tensor_residual"])
             worst_torsion = max(worst_torsion, out["torsion_e_rows_residual"])
     ok = worst_diff < 1e-8 and worst_torsion < 1e-8
@@ -276,7 +284,7 @@ def test_criterion_09_promotion_closed_form():
         for p in sample_box(spec.box, 10, spec.seed):
             cf = tw_coframe(cs, p)
             td = solve_structure_equations(cf)
-            fc = promote(canonical_partial_connection(cs, p, frame=cf.frame), cs, p)
+            fc = promote(canonical_partial_connection(cs, p, frame=cf.frame))
             ref = promoted_from_invariants(td, cf)
             worst = max(
                 worst,

@@ -112,7 +112,7 @@ class TestSigmaAlgebra:
 class TestBaseConnection:
     def test_is_half_structure_values(self, heisenberg):
         frame = adapted_frame(heisenberg, P3)
-        base = base_partial_connection(heisenberg, frame, P3)
+        base = base_partial_connection(frame)
         for a in range(2):
             for b in range(2):
                 for c in range(2):
@@ -121,13 +121,13 @@ class TestBaseConnection:
 
     def test_base_is_torsion_free(self, perturbed):
         frame = adapted_frame(perturbed, P3)
-        base = base_partial_connection(perturbed, frame, P3)
+        base = base_partial_connection(frame)
         tor = partial_torsion(base)
         assert tor.max_abs_h_rows() < 1e-12
 
     def test_theta_row_is_levi_form(self, perturbed):
         frame = adapted_frame(perturbed, P3)
-        tor = partial_torsion(base_partial_connection(perturbed, frame, P3))
+        tor = partial_torsion(base_partial_connection(frame))
         for a in range(2):
             for c in range(2):
                 diff = tor.theta_row()[a][c] - frame.Omega[a][c]

@@ -195,24 +195,24 @@ class TestAdaptedFrame:
 
 class TestSpectrum:
     def test_heisenberg_unit(self, heis):
-        lam = lambda_spectrum(heis, P3)
+        lam = lambda_spectrum(adapted_frame(heis, P3))
         assert len(lam) == 1
         assert lam[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_split_values(self):
         cs = get_manifold("n2-split").build()
-        lam = lambda_spectrum(cs, P5)
+        lam = lambda_spectrum(adapted_frame(cs, P5))
         mu = math.sqrt(2.0 / (1.0 + 2.0**-4))
         assert list(lam) == pytest.approx([mu, mu / 4.0], abs=1e-12)
 
     def test_sum_of_squares_is_n(self):
         cs = get_manifold("n2-split").build()
-        lam = lambda_spectrum(cs, (0.4, 0.1, -0.2, 0.3, 0.5))
+        lam = lambda_spectrum(adapted_frame(cs, (0.4, 0.1, -0.2, 0.3, 0.5)))
         assert sum(v * v for v in lam) == pytest.approx(2.0, abs=1e-11)
 
     def test_descending(self):
         cs = get_manifold("n2-split").build()
-        lam = list(lambda_spectrum(cs, P5))
+        lam = list(lambda_spectrum(adapted_frame(cs, P5)))
         assert lam == sorted(lam, reverse=True)
 
 

@@ -2,14 +2,20 @@
 report assembly.
 """
 
+import importlib
+import sys
+from pathlib import Path
+
 import pytest
 
 from contactconn.errors import AllPointsSkippedError, SuiteUnavailableError
-from contactconn.registry import ManifoldSpec, get_manifold
+from contactconn.registry import SUITE_NAMES, SUITES_3D_ONLY, ManifoldSpec, get_manifold
 from contactconn.report import render_report
 from contactconn.suites import run_suites
 
 ALL_3D = ["contact", "canonical", "promotion", "tw-compare", "rotation"]
+CORE = ["contact", "canonical", "promotion"]
+REPORTS_DIR = Path(__file__).parent / "data" / "reports"
 
 
 def half_degenerate_spec():
@@ -149,3 +155,65 @@ class TestFailurePropagation:
         rep = run_suites(get_manifold("heisenberg"), ["contact"], points=2)
         assert rep.passed is False
         assert rep.suites[0].residuals["duality"] == 1.0
+
+
+def count_calls(monkeypatch, dotted_names):
+    """Wrap each "<module>.<function>" in every contactconn module that
+    binds it, so calls through re-exports and from-imports are counted."""
+    counts = {}
+    for dotted in dotted_names:
+        module_name, _, attr = dotted.rpartition(".")
+        original = getattr(importlib.import_module(f"contactconn.{module_name}"), attr)
+        counts[attr] = 0
+
+        def wrapper(*args, _attr=attr, _fn=original, **kwargs):
+            counts[_attr] += 1
+            return _fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "contactconn" or name.startswith("contactconn."):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, wrapper)
+    return counts
+
+
+class TestPerPointState:
+    @pytest.mark.parametrize("name, suites", [("heisenberg", ALL_3D), ("n2-split", CORE)])
+    def test_built_once_per_usable_point(self, monkeypatch, name, suites):
+        counts = count_calls(
+            monkeypatch,
+            [
+                "contact.adapted_frame",
+                "connection.canonical_partial_connection",
+                "connection.promote",
+            ],
+        )
+        rep = run_suites(get_manifold(name), suites, points=2)
+        usable = rep.requested_points - rep.skipped_points
+        assert usable == 2
+        assert counts == {
+            "adapted_frame": usable,
+            "canonical_partial_connection": usable,
+            "promote": usable,
+        }
+
+
+# Reports rendered before the per-point state was shared; every suite the
+# chart's dimension allows, 2 points at the chart's default seed.
+GOLDEN_CASES = [
+    ("heisenberg", None, "heisenberg"),
+    ("heisenberg-aniso", None, "heisenberg-aniso"),
+    ("heisenberg-aniso", {"b": 1e-4}, "heisenberg-aniso-b1e-4"),
+    ("heisenberg-perturbed", None, "heisenberg-perturbed"),
+    ("sphere-chart", None, "sphere-chart"),
+    ("n2-split", None, "n2-split"),
+]
+
+
+@pytest.mark.parametrize("name, params, stem", GOLDEN_CASES)
+def test_golden_report_bytes(name, params, stem):
+    spec = get_manifold(name)
+    suites = [s for s in SUITE_NAMES if spec.dim == 3 or s not in SUITES_3D_ONLY]
+    body = render_report(run_suites(spec, suites, points=2, param_overrides=params))
+    assert body.encode("utf-8") == (REPORTS_DIR / f"{stem}.json").read_bytes()

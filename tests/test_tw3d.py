@@ -31,6 +31,13 @@ from contactconn.tw3d import (
 P3 = (0.3, -0.4, 0.2)
 
 
+def tw_inputs(cs, p):
+    """Oriented coframe, its structure data and the canonical connection
+    on its frame: what the 3D comparisons take."""
+    cf = tw_coframe(cs, p)
+    return cf, solve_structure_equations(cf), canonical_partial_connection(cs, p, frame=cf.frame)
+
+
 def max_coeff(fc):
     vals = [abs(fc.kappa[A][a][C].value) for A in range(3) for a in range(2) for C in range(3)]
     vals += [abs(fc.xi[A][C].value) for A in range(3) for C in range(3)]
@@ -142,7 +149,7 @@ class TestComparisons:
     def test_partial_agreement(self, model):
         spec = get_manifold(model)
         p = tuple(0.4 * lo for lo, _ in spec.box)
-        out = compare_partial(spec.build(), p)
+        out = compare_partial(*tw_inputs(spec.build(), p))
         assert out["passed"]
         assert out["e_agreement_residual"] < 1e-9
         assert out["theta_row_difference_residual"] < 1e-9
@@ -153,7 +160,8 @@ class TestComparisons:
     def test_full_comparison(self, model):
         spec = get_manifold(model)
         p = tuple(0.4 * hi for _, hi in spec.box)
-        out = compare_full(spec.build(), p)
+        cf, td, conn = tw_inputs(spec.build(), p)
+        out = compare_full(cf, td, promote(conn))
         assert out["passed"]
         assert out["difference_tensor_residual"] < 1e-8
         assert out["torsion_e_rows_residual"] < 1e-8
@@ -163,7 +171,8 @@ class TestComparisons:
     def test_theta_rows_really_differ(self, perturbed):
         # the two torsions cannot both be zero on theta_hat: the promoted
         # one pairs H wedge H to minus the nondegenerate 2-form
-        out = compare_full(perturbed, P3)
+        cf, td, conn = tw_inputs(perturbed, P3)
+        out = compare_full(cf, td, promote(conn))
         assert out["torsion_theta_row_vs_zero"] == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize(
@@ -176,7 +185,7 @@ class TestComparisons:
             p = tuple(frac * hi for _, hi in spec.box)
             cf = tw_coframe(cs, p)
             td = solve_structure_equations(cf)
-            fc = promote(canonical_partial_connection(cs, p, frame=cf.frame), cs, p)
+            fc = promote(canonical_partial_connection(cs, p, frame=cf.frame))
             ref = promoted_from_invariants(td, cf)
             diff = max(
                 abs((fc.kappa[A][a][C] - ref.kappa[A][a][C]).value)
