@@ -21,6 +21,22 @@ from .report import render_report
 from .suites import run_suites
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer >= low; out-of-range values are usage
+    errors (exit 2) naming the flag, caught before any sampling."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contactconn",
@@ -37,8 +53,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of {{{','.join(SUITE_NAMES)}}}; "
         "default: all suites available for the dimension",
     )
-    an.add_argument("--points", type=int, help="sample count (default: from the manifold description)")
-    an.add_argument("--seed", type=int, help="sampling seed (default: from the manifold description)")
+    an.add_argument(
+        "--points",
+        type=_int_at_least(1),
+        help="sample count, at least 1 (default: from the manifold description)",
+    )
+    an.add_argument(
+        "--seed",
+        type=_int_at_least(0),
+        help="sampling seed, at least 0 (default: from the manifold description)",
+    )
     an.add_argument("--out", help="write the JSON report here instead of stdout")
     an.add_argument(
         "--param",

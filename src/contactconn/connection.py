@@ -24,13 +24,22 @@ nabla theta = 0, which the normal form cannot express).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .contact import AdaptedFrame, ContactStructure, adapted_frame
+import numpy as np
+
+from .contact import (
+    AdaptedFrame,
+    ContactStructure,
+    _tuples,
+    adapted_frame,
+    frame_pair_matrix,
+)
 from .errors import SymmetryError
 from .forms import FormField, VectorValue, apply_vector
-from .jets import Jet, sum_jets
+from .jets import Jet, JetArray, fold_chunks
 
 
 def _val(x) -> float:
@@ -110,29 +119,34 @@ class PartialConnection:
         direction. Frame-choice independent, so actions of connections
         built from different adapted frames can be compared directly.
         """
-        import numpy as np
-
         frame = self.frame
         m = self.h_dim
         dim = frame.dim
         v = VectorValue(tuple(vector_jets))
         comps = frame.express_vector(v)
-        der = nabla_H(self, frame_vector(comps))
-        vecs = frame.frame_vectors()
-        back = np.array(
-            [
-                [
-                    sum_jets(der[a][B] * vecs[B].comps[j] for B in range(m + 1)).value
-                    for j in range(dim)
-                ]
-                for a in range(m)
-            ]
-        )
+        der = JetArray.from_jets(nabla_H(self, frame_vector(comps)))
+        back = _contract(der.transpose(1, 0)[:, :, None], frame.frame_array[:, None, :]).value
         co = frame.coframe()
         e_vals = np.array(
             [[co[a + 1].comp((i,)).value for i in range(dim)] for a in range(m)]
         )
         return e_vals.T @ back
+
+    @cached_property
+    def gamma_array(self) -> JetArray:
+        """Gamma as one (2n, 2n, 2n) JetArray, entry [a, b, c] = Gamma^b_{ac}."""
+        return JetArray.from_jets(self.Gamma)
+
+    @property
+    def kappa_array(self) -> JetArray:
+        """Every kappa(a) at once: entry [a, A, C] is kappa(a)[A][C].
+        Built on each access (it is cheap and large)."""
+        frame = self.frame
+        m = self.h_dim
+        kap = JetArray.constant(0.0, frame.dim, (m, m + 1, m + 1))
+        kap[:, 0, 1:] = frame.Omega_array
+        kap[:, 1:, 1:] = -self.gamma_array
+        return kap
 
     def kappa(self, a: int):
         """Coefficient matrix of nabla_{X_a} on the coframe:
@@ -140,16 +154,7 @@ class PartialConnection:
         index 0 being theta_hat. Row 0 is the 2-form row; no element ever
         produces a theta_hat component, which is what 'normal form' means.
         """
-        m = self.h_dim
-        dim = self.frame.dim
-        zero = Jet.constant(0.0, dim, 2)
-        out = [[zero for _ in range(m + 1)] for _ in range(m + 1)]
-        for c in range(m):
-            out[0][c + 1] = self.frame.Omega[a][c]
-        for b in range(m):
-            for c in range(m):
-                out[b + 1][c + 1] = -self.Gamma[a][b][c]
-        return out
+        return self.kappa_array[a].jets()
 
 
 @dataclass(frozen=True)
@@ -208,16 +213,13 @@ def partial_torsion(conn: PartialConnection) -> TorsionTensor:
     """
     frame = conn.frame
     m = 2 * frame.n
-    kap = [conn.kappa(a) for a in range(m)]
+    kap = conn.kappa_array[:, :, 1:]
     rows = []
     for A in range(m + 1):
-        mat = [[None] * m for _ in range(m)]
-        for a in range(m):
-            for c in range(m):
-                wedge_part = kap[a][A][c + 1] - kap[c][A][a + 1]
-                d_part = frame.Omega[a][c] if A == 0 else frame.D[A - 1][a][c]
-                mat[a][c] = wedge_part - d_part
-        rows.append(tuple(tuple(r) for r in mat))
+        # row[a, c] = kappa(a)[A][c + 1]; the wedge part is row - row^T.
+        row = kap[:, A]
+        d_part = frame.Omega_array if A == 0 else frame.D_array[A - 1]
+        rows.append(_tuples((row - row.transpose(1, 0) - d_part).jets()))
     return TorsionTensor(tuple(rows), h_inputs_only=True)
 
 
@@ -299,6 +301,24 @@ def _as_jet(x, dim: int) -> Jet:
     return x if isinstance(x, Jet) else Jet.constant(float(x), dim, 2)
 
 
+def _stack(comps, dim: int) -> JetArray:
+    """Section components (Jets or numbers, nested) as a JetArray."""
+
+    def lift(x):
+        return [lift(e) for e in x] if isinstance(x, (list, tuple)) else _as_jet(x, dim)
+
+    return JetArray.from_jets(lift(comps))
+
+
+def _contract(coeffs: JetArray, comps: JetArray) -> JetArray:
+    """Left fold over the shared leading axis of the products
+    coeffs[E] * comps[E]."""
+    per_term = math.prod(np.broadcast_shapes(coeffs.shape[1:], comps.shape[1:]))
+    return fold_chunks(
+        len(coeffs), per_term, coeffs.dim, lambda lo, hi: coeffs[lo:hi] * comps[lo:hi]
+    )
+
+
 def nabla_H(conn: PartialConnection, field, p=None):
     """Covariant derivative along each frame direction X_a.
 
@@ -310,7 +330,7 @@ def nabla_H(conn: PartialConnection, field, p=None):
     frame = conn.frame
     m = 2 * frame.n
     dim = frame.dim
-    kap = [conn.kappa(a) for a in range(m)]
+    kap = conn.kappa_array
 
     if isinstance(field, FormField):
         if field.degree != 1:
@@ -321,29 +341,22 @@ def nabla_H(conn: PartialConnection, field, p=None):
     if not isinstance(field, FrameSection):
         raise TypeError("expected a FormField or a FrameSection")
 
+    X = frame.X_array
+    # Every result adds a derivative, of order at most 1, to products of
+    # kappa; those need no parts above order 1.
+    kap = kap.restrict(1)
     if field.kind == "oneform":
-        alpha = [_as_jet(x, dim) for x in field.comps]
-        return [
-            [
-                apply_vector(frame.X[a], alpha[C])
-                + sum_jets(alpha[A] * kap[a][A][C] for A in range(m + 1))
-                for C in range(m + 1)
-            ]
-            for a in range(m)
-        ]
+        alpha = _stack(field.comps, dim)
+        # alpha[A] * kappa(a)[A][C], folded over A.
+        corr = _contract(alpha[:, None, None].restrict(1), kap.transpose(1, 0, 2))
+        return (apply_vector(X, alpha) + corr).jets()
     if field.kind == "vector":
-        v = [_as_jet(x, dim) for x in field.comps]
-        return [
-            [
-                apply_vector(frame.X[a], v[B])
-                - sum_jets(kap[a][B][C] * v[C] for C in range(m + 1))
-                for B in range(m + 1)
-            ]
-            for a in range(m)
-        ]
+        v = _stack(field.comps, dim)
+        # kappa(a)[B][C] * v[C], folded over C.
+        corr = _contract(kap.transpose(2, 0, 1), v[:, None, None].restrict(1))
+        return (apply_vector(X, v) - corr).jets()
     if field.kind == "tensor02":
-        t = [[_as_jet(x, dim) for x in row] for row in field.comps]
-        size = len(t)
+        size = len(field.comps)
         if size == m:
             # H-only components: shift into the full kappa indexing.
             off = 1
@@ -351,22 +364,16 @@ def nabla_H(conn: PartialConnection, field, p=None):
             off = 0
         else:
             raise ValueError("tensor02 components must be 2n or 2n+1 square")
+        t = _stack(field.comps, dim)
+        t1 = t.restrict(1)
+        tt = t1.transpose(1, 0)
         out = []
         for a in range(m):
-            mat = []
-            for B in range(size):
-                row = []
-                for C in range(size):
-                    term = apply_vector(frame.X[a], t[B][C])
-                    term = term + sum_jets(
-                        kap[a][E + off][B + off] * t[E][C] for E in range(size)
-                    )
-                    term = term + sum_jets(
-                        kap[a][E + off][C + off] * t[B][E] for E in range(size)
-                    )
-                    row.append(term)
-                mat.append(row)
-            out.append(mat)
+            # kk[E, B] = kappa(a)[E + off][B + off]
+            kk = kap[a, off : off + size, off : off + size]
+            first = _contract(kk[:, :, None], t1[:, None, :])
+            second = _contract(kk[:, None, :], tt[:, :, None])
+            out.append((apply_vector(X[a], t) + first + second).jets())
         return out
     raise ValueError(f"unknown section kind {field.kind!r}")
 
@@ -395,24 +402,13 @@ class FullConnection:
         frame direction: out[P][C], P = 0 the Reeb direction."""
         frame = self.frame
         m = self.h_dim
-        dim = frame.dim
-        alpha = [_as_jet(x, dim) for x in alpha_comps]
-        out = [
-            [
-                apply_vector(frame.T, alpha[C])
-                + sum_jets(alpha[A] * self.xi[A][C] for A in range(m + 1))
-                for C in range(m + 1)
-            ]
-        ]
-        for a in range(m):
-            out.append(
-                [
-                    apply_vector(frame.X[a], alpha[C])
-                    + sum_jets(alpha[A] * self.kappa[A][a][C] for A in range(m + 1))
-                    for C in range(m + 1)
-                ]
-            )
-        return out
+        alpha = _stack(alpha_comps, frame.dim)
+        # coeffs[A, P, C]: xi[A][C] for P = 0, kappa[A][P - 1][C] after.
+        coeffs = JetArray.from_jets(
+            [[self.xi[A]] + [self.kappa[A][a] for a in range(m)] for A in range(m + 1)]
+        )
+        corr = _contract(alpha[:, None, None], coeffs)
+        return (apply_vector(frame.frame_array, alpha) + corr).jets()
 
     def coordinate_action(self, alpha: FormField, p):
         """Value matrix of nabla alpha in coordinates, both slots down.
@@ -420,8 +416,6 @@ class FullConnection:
         Contracts the frame derivative back through the coframe so that
         results from differently-framed connections can be compared.
         """
-        import numpy as np
-
         frame = self.frame
         m = self.h_dim
         dim = frame.dim
@@ -441,30 +435,33 @@ def _promotion_system(conn: PartialConnection):
     """Per coframe element and output slot, the pairing of the coupled
     second-derivative obstruction with the nondegenerate 2-form.
 
-    Returns (num, den) with num[A][C] the obstruction pairing and den the
-    squared norm of the 2-form over index pairs; the extension
+    Returns (num, den) as jet arrays, num[A, C] the obstruction pairing
+    and den the squared norm of the 2-form over index pairs; the extension
     coefficient that cancels the obstruction is -num/den.
     """
     frame = conn.frame
     m = 2 * frame.n
-    kap = [conn.kappa(a) for a in range(m)]
+    kap = conn.kappa_array
+    X = frame.X_array
+    D = frame.D_array
+    Om = frame.Omega_array
 
-    # K[u][v][A][C] = X_u(kappa_v[A][C]) + sum_E kappa_v[A][E] kappa_u[E][C]
-    def K(u: int, v: int, A: int, C: int) -> Jet:
-        lead = apply_vector(frame.X[u], kap[v][A][C])
-        corr = sum_jets(kap[v][A][E] * kap[u][E][C] for E in range(m + 1))
-        return lead + corr
+    # Every term below meets a derivative of kappa, of order at most 1, so
+    # the products of kappa need no parts above order 1.
+    kap1 = kap.restrict(1)
 
-    def obstruction(u: int, v: int, A: int, C: int) -> Jet:
-        cc = sum_jets(frame.D[e][u][v] * kap[e][A][C] for e in range(m))
-        return (cc + K(u, v, A, C) - K(v, u, A, C)) * frame.Omega[u][v]
+    # K(u, v)[A, C] = X_u(kappa_v[A][C]) + sum_E kappa_v[A][E] kappa_u[E][C]
+    def K(u: int, v: int) -> JetArray:
+        corr = _contract(kap1[v].transpose(1, 0)[:, :, None], kap1[u][:, None, :])
+        return apply_vector(X[u], kap[v]) + corr
 
-    pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
-    den = sum_jets(frame.Omega[u][v] * frame.Omega[u][v] for u, v in pairs)
-    num = tuple(
-        tuple(sum_jets(obstruction(u, v, A, C) for u, v in pairs) for C in range(m + 1))
-        for A in range(m + 1)
-    )
+    uu, vv = np.triu_indices(m, 1)
+    den = (Om[uu, vv] * Om[uu, vv]).fold()
+    num = None
+    for u, v in zip(uu.tolist(), vv.tolist()):
+        cc = _contract(D[:, u, v][:, None, None], kap1)
+        ob = (cc + K(u, v) - K(v, u)) * Om[u, v]
+        num = ob if num is None else num + ob
     return num, den
 
 
@@ -478,15 +475,10 @@ def promote(conn: PartialConnection) -> FullConnection:
     """
     frame = conn.frame
     m = 2 * frame.n
-    kap = [conn.kappa(a) for a in range(m)]
     num, den = conn.promotion_system
-    xi = tuple(
-        tuple(-(num[A][C] / den) for C in range(m + 1)) for A in range(m + 1)
-    )
-    kappa = tuple(
-        tuple(tuple(kap[a][A][C] for C in range(m + 1)) for a in range(m))
-        for A in range(m + 1)
-    )
+    xi = _tuples((-(num / den)).jets())
+    kap = conn.kappa_array.jets()
+    kappa = tuple(tuple(tuple(kap[a][A]) for a in range(m)) for A in range(m + 1))
     return FullConnection(frame=frame, kappa=kappa, xi=xi, partial=conn)
 
 
@@ -498,9 +490,10 @@ def promotion_residual(fc: FullConnection) -> float:
         raise ValueError("promotion residual needs the underlying partial connection")
     m = fc.h_dim
     num, den = fc.partial.promotion_system
-    dv = den.value
+    nv = num.value.tolist()
+    dv = float(den.value)
     return max(
-        abs(num[A][C].value + dv * fc.xi[A][C].value) / dv
+        abs(nv[A][C] + dv * fc.xi[A][C].value) / dv
         for A in range(m + 1)
         for C in range(m + 1)
     )
@@ -514,23 +507,14 @@ def full_torsion(fc: FullConnection) -> TorsionTensor:
     """
     frame = fc.frame
     m = 2 * frame.n
-    d_vals = [frame.dtheta_hat_values()] + [frame.de_values(b) for b in range(m)]
-    rows = []
-    for A in range(m + 1):
-        mat = [[None] * (m + 1) for _ in range(m + 1)]
-        zero = Jet.constant(0.0, frame.dim, 2)
-        for P in range(m + 1):
-            mat[P][P] = zero
-        for q in range(1, m + 1):
-            nabla_part = fc.xi[A][q] - fc.kappa[A][q - 1][0]
-            val = d_vals[A][0][q] - nabla_part
-            mat[0][q] = val
-            mat[q][0] = -val
-        for p_ in range(1, m + 1):
-            for q in range(p_ + 1, m + 1):
-                nabla_part = fc.kappa[A][p_ - 1][q] - fc.kappa[A][q - 1][p_]
-                val = d_vals[A][p_][q] - nabla_part
-                mat[p_][q] = val
-                mat[q][p_] = -val
-        rows.append(tuple(tuple(r) for r in mat))
-    return TorsionTensor(tuple(rows), h_inputs_only=False)
+    d_vals = frame.d_pairs
+    xi = JetArray.from_jets(fc.xi)
+    kap = JetArray.from_jets(fc.kappa)  # [A, a, C]
+    # Reeb row: d_vals[A][0][q] - (xi[A][q] - kappa[A][q-1][0]).
+    reeb = d_vals[:, 0, 1:] - (xi[:, 1:] - kap[:, :, 0])
+    # H-H: d_vals[A][p][q] - (kappa[A][p-1][q] - kappa[A][q-1][p]), p < q.
+    iu, ju = np.triu_indices(m, 1)
+    hh = JetArray.constant(0.0, frame.dim, (m + 1, m, m))
+    hh[:, iu, ju] = d_vals[:, iu + 1, ju + 1] - (kap[:, iu, ju + 1] - kap[:, ju, iu + 1])
+    comps = frame_pair_matrix(reeb, hh)
+    return TorsionTensor(_tuples(comps.jets()), h_inputs_only=False)

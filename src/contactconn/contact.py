@@ -43,9 +43,10 @@ from .forms import (
     KFormValue,
     VectorValue,
     d_from_jets,
+    evaluate_forms,
     wedge,
 )
-from .jets import Jet, eval_jet, jet_linear_solve, sum_jets
+from .jets import Jet, JetArray, eval_jet, fold_chunks, jet_linear_solve
 
 CONTACT_REL_TOL = 1e-10
 
@@ -177,33 +178,44 @@ def reeb_field(cs_or_theta, p) -> VectorValue:
     raise TypeError("expected a ContactStructure or a 1-form value")
 
 
-def _select_h_indices(theta_comps: list[Jet]) -> tuple[tuple[int, ...], int]:
+def _select_h_indices(theta_values) -> tuple[tuple[int, ...], int]:
     """Pick the 2n coordinate directions to project into H.
 
     Keeps the directions with the smallest |theta| components (maximal
     transversality margin for the dropped one), ties broken by index, and
     returns them in index order plus the excluded index.
     """
-    d = len(theta_comps)
-    ranked = sorted(range(d), key=lambda i: (abs(theta_comps[i].value), i))
+    d = len(theta_values)
+    ranked = sorted(range(d), key=lambda i: (abs(theta_values[i]), i))
     kept = tuple(sorted(ranked[:-1]))
     return kept, ranked[-1]
 
 
-def _project_onto_h(theta_comps: list[Jet], m: int, i: int) -> VectorValue:
-    """P(d_i) = d_i - (theta_i / theta_m) d_m, a projection onto H."""
-    d = len(theta_comps)
-    dim = theta_comps[0].dim
-    order = theta_comps[0].order
-    comps = [Jet.constant(0.0, dim, order) for _ in range(d)]
-    comps[i] = comps[i] + 1.0
-    comps[m] = comps[m] - theta_comps[i] / theta_comps[m]
-    return VectorValue(tuple(comps))
+def _project_onto_h(theta: JetArray, m: int, rows) -> JetArray:
+    """Row r holds P(d_i) = d_i - (theta_i / theta_m) d_m for i = rows[r],
+    a projection onto H."""
+    rows = np.asarray(rows, dtype=np.intp)
+    r = np.arange(len(rows))
+    P = JetArray.constant(0.0, theta.dim, (len(rows), len(theta)))
+    P[r, rows] = P[r, rows] + 1.0
+    P[r, m] = P[r, m] - theta[rows] / theta[m]
+    return P
 
 
-def _metric_pair(gmat: list[list[Jet]], v: VectorValue, w: VectorValue) -> Jet:
-    d = len(gmat)
-    return sum_jets(gmat[i][j] * v.comps[i] * w.comps[j] for i in range(d) for j in range(d))
+def _metric_pairs(G: JetArray, U: JetArray, V: JetArray) -> JetArray:
+    """g(U_u, V_v) for every pair of rows of the vector stacks U and V:
+    the left fold over (i, j), i-major, of (g_ij U_u^i) V_v^j."""
+    d = G.shape[0]
+    g = G.reshape(d * d)
+    Ut = U.transpose(1, 0)
+    Vt = V.transpose(1, 0)
+
+    def terms(lo, hi):
+        k = np.arange(lo, hi)
+        i, j = k // d, k % d
+        return g[k][:, None, None] * Ut[i][:, :, None] * Vt[j][:, None, :]
+
+    return fold_chunks(d * d, len(U) * len(V), G.dim, terms)
 
 
 def _jet_matrix_inverse(M: list[list[Jet]]) -> list[list[Jet]]:
@@ -217,49 +229,57 @@ def _jet_matrix_inverse(M: list[list[Jet]]) -> list[list[Jet]]:
     return [[cols[c][r] for c in range(m)] for r in range(m)]
 
 
+def _form_pairs(form: KFormValue, U: JetArray, V: JetArray) -> JetArray:
+    """A 2-form on every pair of rows of the vector stacks U and V."""
+    return evaluate_forms(form.array, list(form.comps), U, V)
+
+
 def _h_gram_and_omega(cs: ContactStructure, p, h_choice=None):
-    """Shared setup: H-projected coordinate basis, its Gram matrix, dtheta
-    at p, and the dtheta matrix on that basis, all as jets."""
+    """Shared setup, as jet arrays: theta's components, the H-projected
+    coordinate basis (one vector per row), the metric, its Gram matrix on
+    that basis, dtheta at p, and the dtheta matrix on that basis."""
     d = cs.dim
-    theta_comps = [eval_jet(cs.theta.coeff((i,)), p, ORDER) for i in range(d)]
+    theta = JetArray.from_jets([eval_jet(cs.theta.coeff((i,)), p, ORDER) for i in range(d)])
     if h_choice is None:
-        kept, m = _select_h_indices(theta_comps)
+        kept, m = _select_h_indices(theta.value)
     else:
         kept = tuple(sorted(h_choice))
         if len(kept) != d - 1 or len(set(kept)) != d - 1:
             raise ValueError("h_choice must name 2n distinct coordinate indices")
         (m,) = set(range(d)) - set(kept)
-        peak = max(abs(c.value) for c in theta_comps)
-        if abs(theta_comps[m].value) <= 1e-10 * max(peak, 1.0):
+        peak = float(np.max(np.abs(theta.value)))
+        if abs(theta.value[m]) <= 1e-10 * max(peak, 1.0):
             raise DegenerateFrameError(
                 "chosen transversal direction has a vanishing theta component"
             )
-    basis = [_project_onto_h(theta_comps, m, i) for i in kept]
-    gmat = cs.metric_at(p, ORDER)
-    gram = [[_metric_pair(gmat, u, v) for v in basis] for u in basis]
-    vals = np.array([[e.value for e in row] for row in gram])
-    eigs = np.linalg.eigvalsh(vals)
+    basis = _project_onto_h(theta, m, kept)
+    G = JetArray.from_jets(cs.metric_at(p, ORDER))
+    gram = _metric_pairs(G, basis, basis)
+    eigs = np.linalg.eigvalsh(gram.value)
     if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
         raise DegenerateMetricError(
             "metric restricted to the contact distribution is not positive definite"
         )
     dt = cs.dtheta.eval(p, ORDER)
-    omega = [[dt.evaluate(u, v) for v in basis] for u in basis]
-    return theta_comps, kept, m, basis, gmat, gram, dt, omega
+    omega = _form_pairs(dt, basis, basis)
+    return theta, kept, m, basis, G, gram, dt, omega
 
 
-def _mu(gram: list[list[Jet]], omega: list[list[Jet]]) -> Jet:
+def _mu(gram: JetArray, omega: JetArray) -> Jet:
     """mu = sqrt(2n / |dtheta restricted to H|^2), the norm contracting
-    both index pairs of dtheta with the inverse H-Gram matrix of g."""
-    ginv = _jet_matrix_inverse(gram)
+    both index pairs of dtheta with the inverse H-Gram matrix of g: the
+    left fold over (a, b, c, e) of ginv_ac ginv_be omega_ab omega_ce."""
+    ginv = JetArray.from_jets(_jet_matrix_inverse(gram.jets()))
     m = len(gram)
-    norm2 = sum_jets(
-        ginv[a][c] * ginv[b][e] * omega[a][b] * omega[c][e]
-        for a in range(m)
-        for b in range(m)
-        for c in range(m)
-        for e in range(m)
-    )
+    cube = m**3
+
+    def terms(lo, hi):
+        k = np.arange(lo, hi)
+        a, rest = k // cube, k % cube
+        b, c, e = rest // (m * m), (rest // m) % m, rest % m
+        return ginv[a, c] * ginv[b, e] * omega[a, b] * omega[c, e]
+
+    norm2 = fold_chunks(m**4, 1, gram.dim, terms).jets()
     if norm2.value <= 0.0:
         raise NotContactError("dtheta vanishes on the distribution at this point")
     return (float(m) / norm2).sqrt()
@@ -301,6 +321,10 @@ class AdaptedFrame:
 
     The dual coframe element e^b is f[b] + c[b] * theta_hat; the split is
     kept because the H-part alone retains order 2.
+
+    The *_array properties hold the same entries as JetArrays, the form
+    the tensor kernels work on; adapted_frame seeds them with the arrays
+    it computed.
     """
 
     p: tuple[float, ...]
@@ -324,12 +348,43 @@ class AdaptedFrame:
     def n(self) -> int:
         return self.dim // 2
 
+    @cached_property
+    def X_array(self) -> JetArray:
+        """The frame vectors X as one (2n, dim) JetArray."""
+        return JetArray.from_jets([x.comps for x in self.X])
+
+    @cached_property
+    def Omega_array(self) -> JetArray:
+        """Omega as one (2n, 2n) JetArray."""
+        return JetArray.from_jets(self.Omega)
+
+    @cached_property
+    def D_array(self) -> JetArray:
+        """D as one (2n, 2n, 2n) JetArray, entry [b, a, c] = D[b][a][c]."""
+        return JetArray.from_jets(self.D)
+
+    @cached_property
+    def coframe_array(self) -> JetArray:
+        """Components of the full coframe (theta_hat, e^1, ..., e^2n), one
+        1-form per row: shape (2n+1, dim)."""
+        th = self.theta_hat.array
+        f = JetArray.from_jets([list(fb.comps.values()) for fb in self.f])
+        co = JetArray.constant(0.0, self.dim, (2 * self.n + 1, self.dim))
+        co[0] = th
+        co[1:] = f + th[None, :] * JetArray.from_jets(self.c)[:, None]
+        return co
+
+    @cached_property
+    def frame_array(self) -> JetArray:
+        """The full frame (T, X_1, ..., X_2n), one vector per row."""
+        return JetArray.from_jets([v.comps for v in self.frame_vectors()])
+
     def e(self, b: int) -> KFormValue:
         """Full dual coframe 1-form e^b (order capped by c[b])."""
-        return self.f[b] + self.theta_hat.scale(self.c[b])
+        return _one_form(self.coframe_array[b + 1].jets())
 
     def coframe(self) -> list[KFormValue]:
-        return [self.theta_hat] + [self.e(b) for b in range(2 * self.n)]
+        return [_one_form(row) for row in self.coframe_array.jets()]
 
     def frame_vectors(self) -> list[VectorValue]:
         return [self.T] + list(self.X)
@@ -339,27 +394,48 @@ class AdaptedFrame:
         [a(T), a(X_1), ..., a(X_2n)]."""
         if a.degree != 1:
             raise ValueError("express expects a 1-form value")
-        out = [a.evaluate(self.T)]
-        out.extend(a.evaluate(x) for x in self.X)
-        return out
+        return evaluate_forms(a.array, list(a.comps), self.frame_array).jets()
 
     def express_vector(self, v: VectorValue) -> list[Jet]:
         """Frame components of a vector value by coframe pairing:
         [theta_hat(v), e^1(v), ..., e^2n(v)]."""
-        out = [self.theta_hat.evaluate(v)]
-        out.extend(self.e(b).evaluate(v) for b in range(2 * self.n))
-        return out
+        return self.pair_coframe(v.array[None])[:, 0].jets()
+
+    def pair_coframe(self, vectors: JetArray) -> JetArray:
+        """Every coframe element on every vector of a (k, dim) stack:
+        entry [A, j] is sigma^A(vectors[j])."""
+        d = self.dim
+        return evaluate_forms(self.coframe_array, [(i,) for i in range(d)], vectors)
 
     @cached_property
-    def _df(self) -> tuple[KFormValue, ...]:
-        return tuple(d_from_jets(fb) for fb in self.f)
-
-    @cached_property
-    def _dc(self) -> tuple[KFormValue, ...]:
-        dim = self.dim
-        return tuple(
-            d_from_jets(KFormValue(dim, 0, {(): cb})) for cb in self.c
+    def d_pairs(self) -> JetArray:
+        """d(theta_hat) and every d(e^b) on all frame pairs, stacked:
+        entry [0] is dtheta_hat_values, entry [b + 1] is de_values(b)."""
+        m = 2 * self.n
+        T = self.T.array[None]
+        X = self.X_array
+        idx = list(self.dtheta_hat.comps)
+        dth = evaluate_forms(self.dtheta_hat.array, idx, T, X)[0]
+        df = JetArray.from_jets([[d_from_jets(fb).comps[i] for i in idx] for fb in self.f])
+        dc = JetArray.from_jets(
+            [
+                [wedge(d_from_jets(KFormValue(self.dim, 0, {(): cb})), self.theta_hat).comps[i]
+                 for i in idx]
+                for cb in self.c
+            ]
         )
+        reeb = JetArray.constant(0.0, self.dim, (m + 1, m))
+        reeb[0] = dth
+        # d(f + c theta_hat) piecewise at order 0 on (T, X_q).
+        reeb[1:] = (
+            evaluate_forms(df, idx, T, X)[:, 0]
+            + evaluate_forms(dc, idx, T, X)[:, 0]
+            + dth[None, :] * JetArray.from_jets(self.c)[:, None]
+        )
+        hh = JetArray.constant(0.0, self.dim, (m + 1, m, m))
+        hh[0] = self.Omega_array
+        hh[1:] = self.D_array
+        return frame_pair_matrix(reeb, hh)
 
     def de_values(self, b: int) -> list[list[Jet]]:
         """d(e^b) on all frame pairs; entry [P][Q] pairs the P-th and Q-th
@@ -368,27 +444,7 @@ class AdaptedFrame:
         H-H entries reuse the order-1 structure values D; mixed entries
         assemble d(f + c theta_hat) piecewise at order 0.
         """
-        m = 2 * self.n
-        vecs = self.frame_vectors()
-        dc_wedge = wedge(self._dc[b], self.theta_hat)
-        out = [[None] * (m + 1) for _ in range(m + 1)]
-        zero = Jet.constant(0.0, self.dim, 2)
-        for P in range(m + 1):
-            out[P][P] = zero
-        for q in range(1, m + 1):
-            val = (
-                self._df[b].evaluate(vecs[0], vecs[q])
-                + dc_wedge.evaluate(vecs[0], vecs[q])
-                + self.dtheta_hat.evaluate(vecs[0], vecs[q]) * self.c[b]
-            )
-            out[0][q] = val
-            out[q][0] = -val
-        for p_ in range(1, m + 1):
-            for q in range(p_ + 1, m + 1):
-                val = self.D[b][p_ - 1][q - 1]
-                out[p_][q] = val
-                out[q][p_] = -val
-        return out
+        return self.d_pairs[b + 1].jets()
 
     def dtheta_hat_values(self) -> list[list[Jet]]:
         """d(theta_hat) on all frame pairs, same layout as de_values.
@@ -396,21 +452,46 @@ class AdaptedFrame:
         Reeb-H entries are residual-level zeros by the defining property
         of the Reeb field; H-H entries are the order-2 Omega matrix.
         """
-        m = 2 * self.n
-        vecs = self.frame_vectors()
-        out = [[None] * (m + 1) for _ in range(m + 1)]
-        zero = Jet.constant(0.0, self.dim, 2)
-        for P in range(m + 1):
-            out[P][P] = zero
-        for q in range(1, m + 1):
-            val = self.dtheta_hat.evaluate(vecs[0], vecs[q])
-            out[0][q] = val
-            out[q][0] = -val
-        for p_ in range(1, m + 1):
-            for q in range(p_ + 1, m + 1):
-                out[p_][q] = self.Omega[p_ - 1][q - 1]
-                out[q][p_] = -self.Omega[p_ - 1][q - 1]
-        return out
+        return self.d_pairs[0].jets()
+
+
+def frame_pair_matrix(reeb: JetArray, hh: JetArray) -> JetArray:
+    """Antisymmetric matrices over the full frame, index 0 the Reeb
+    direction: entry [..., 0, q] is reeb[..., q - 1], entry [..., p, q]
+    for 0 < p < q is hh[..., p - 1, q - 1], the entries below the
+    diagonal their negatives and the diagonal constant zeros."""
+    m = reeb.shape[-1]
+    lead = reeb.shape[:-1]
+    out = JetArray.constant(0.0, reeb.dim, lead + (m + 1, m + 1))
+    ax = (slice(None),) * len(lead)
+    out[ax + (0, slice(1, None))] = reeb
+    out[ax + (slice(1, None), 0)] = -reeb
+    iu, ju = np.triu_indices(m, 1)
+    upper = hh[ax + (iu, ju)]
+    out[ax + (iu + 1, ju + 1)] = upper
+    out[ax + (ju + 1, iu + 1)] = -upper
+    return out
+
+
+def _one_form(comps) -> KFormValue:
+    return KFormValue(len(comps), 1, {(i,): c for i, c in enumerate(comps)})
+
+
+def _tuples(nested):
+    return tuple(_tuples(x) for x in nested) if isinstance(nested, list) else nested
+
+
+def structure_values(f, c: JetArray, X: JetArray, Omega: JetArray) -> JetArray:
+    """Structure values D[b][a][c] = d(e^b)(X_a, X_c) of the coframe
+    e^b = f^b + c^b theta_hat on frame pairs, as one (2n, 2n, 2n) array:
+    d(f^b)(X_a, X_c) + c^b Omega_ac, the dc ^ theta_hat piece vanishing on
+    H-pairs since theta_hat(X) = 0. f holds the H-part 1-form values, c
+    the Reeb coefficients (2n,), X the frame vectors (2n, dim)."""
+    D = JetArray.constant(0.0, X.dim, (len(f),) + Omega.shape)
+    for b, fb in enumerate(f):
+        D[b] = _form_pairs(d_from_jets(fb), X, X) + c[b] * Omega
+    # d_from_jets leaves order 1: keep no Hessian part.
+    return D.restrict(1)
 
 
 def adapted_frame(cs: ContactStructure, p, h_choice=None) -> AdaptedFrame:
@@ -422,91 +503,77 @@ def adapted_frame(cs: ContactStructure, p, h_choice=None) -> AdaptedFrame:
     """
     d = cs.dim
     n = cs.n
-    theta_comps, kept, m, basis, gmat, gram, dtheta_val, omega_raw = _h_gram_and_omega(
+    theta, kept, m, basis, G, gram, dtheta_val, omega_raw = _h_gram_and_omega(
         cs, p, h_choice
     )
 
     # mu from the same Gram/omega data, then theta_hat = mu theta.
     mu = _mu(gram, omega_raw)
 
-    theta_hat_comps = [mu * tc for tc in theta_comps]
-    theta_hat = KFormValue(d, 1, {(i,): theta_hat_comps[i] for i in range(d)})
+    theta_hat_arr = mu * theta
+    theta_hat_comps = theta_hat_arr.jets()
+    theta_hat = _one_form(theta_hat_comps)
 
     # d(theta_hat) = dmu ^ theta + mu dtheta, one order below mu.
     dmu = d_from_jets(KFormValue(d, 0, {(): mu}))
-    theta_val = KFormValue(d, 1, {(i,): theta_comps[i] for i in range(d)})
+    theta_comps = theta.jets()
+    theta_val = _one_form(theta_comps)
     dtheta_hat = wedge(dmu, theta_val) + dtheta_val.scale(mu)
 
     T = _reeb_from_values(theta_hat_comps, dtheta_hat)
 
-    # Gram-Schmidt with g, entirely in jets. The projected basis from the
-    # shared setup already lies in ker theta = ker theta_hat.
-    X: list[VectorValue] = []
-    for v in basis:
+    # Gram-Schmidt with g, entirely in jets, one frame vector per row. The
+    # projected basis from the shared setup already lies in
+    # ker theta = ker theta_hat.
+    k = len(basis)
+    X = JetArray.constant(0.0, d, (k, d))
+    for r in range(k):
+        v = basis[r]
         u = v
-        for xb in X:
-            u = u - xb.scale(_metric_pair(gmat, v, xb))
-        nrm2 = _metric_pair(gmat, u, u)
+        if r:
+            proj = _metric_pairs(G, basis[r : r + 1], X[:r])[0]
+            for b in range(r):
+                u = u - X[b] * proj[b]
+        nrm2 = _metric_pairs(G, u[None], u[None])[0, 0]
         if nrm2.value <= 1e-12:
             raise DegenerateFrameError(
                 "projected coordinate vectors are dependent; frame collapsed"
             )
-        X.append(u.scale(1.0 / nrm2.sqrt()))
+        X[r] = u * (1.0 / nrm2.sqrt())
 
-    def omega_entry(u: VectorValue, v: VectorValue) -> Jet:
-        # Exact on H-vectors: the dmu ^ theta part dies against theta(X)=0.
-        return dtheta_val.evaluate(u, v) * mu
-
-    if n == 1 and omega_entry(X[0], X[1]).value < 0.0:
-        X = [X[1], X[0]]
-
-    Omega = tuple(
-        tuple(omega_entry(X[a], X[b]) for b in range(2 * n)) for a in range(2 * n)
-    )
+    # Exact on H-vectors: the dmu ^ theta part dies against theta(X)=0.
+    Omega = _form_pairs(dtheta_val, X, X) * mu
+    if n == 1 and Omega.value[0, 1] < 0.0:
+        swap = [1, 0]
+        X = X[swap]
+        Omega = Omega[swap][:, swap]
 
     # Dual coframe split e^b = f^b + c^b theta_hat: the H-part pairs with
     # g against X_b, the Reeb coefficient kills the value on T.
-    projected_all = [_project_onto_h(theta_hat_comps, m, i) for i in range(d)]
-    f_forms = []
-    c_coeffs = []
-    theta_hat_T = theta_hat.evaluate(T)
-    for b in range(2 * n):
-        fb_comps = {
-            (i,): _metric_pair(gmat, X[b], projected_all[i]) for i in range(d)
-        }
-        fb = KFormValue(d, 1, fb_comps)
-        cb = -fb.evaluate(T) / theta_hat_T
-        f_forms.append(fb)
-        c_coeffs.append(cb)
+    F = _metric_pairs(G, X, _project_onto_h(theta_hat_arr, m, range(d)))
+    f_forms = tuple(_one_form(row) for row in F.jets())
+    F_T = evaluate_forms(F, [(i,) for i in range(d)], T.array[None])[:, 0]
+    C = -F_T / theta_hat.evaluate(T)
 
-    # Structure values D[b][a][c] = d(e^b)(X_a, X_c); on H-pairs the
-    # dc ^ theta_hat piece vanishes since theta_hat(X) = 0.
-    dfs = [d_from_jets(fb) for fb in f_forms]
-    D = tuple(
-        tuple(
-            tuple(
-                dfs[b].evaluate(X[a], X[c_]) + c_coeffs[b] * Omega[a][c_]
-                for c_ in range(2 * n)
-            )
-            for a in range(2 * n)
-        )
-        for b in range(2 * n)
-    )
+    D = structure_values(f_forms, C, X, Omega)
 
-    return AdaptedFrame(
+    frame = AdaptedFrame(
         p=tuple(float(x) for x in p),
         mu=mu,
         theta_hat=theta_hat,
         dtheta_hat=dtheta_hat,
         T=T,
-        X=tuple(X),
-        f=tuple(f_forms),
-        c=tuple(c_coeffs),
-        Omega=Omega,
-        D=D,
+        X=tuple(VectorValue(tuple(row)) for row in X.jets()),
+        f=f_forms,
+        c=tuple(C.jets()),
+        Omega=_tuples(Omega.jets()),
+        D=_tuples(D.jets()),
         h_indices=kept,
         transversal_index=m,
     )
+    # Seed the array views with the arrays the Jets above are views of.
+    frame.__dict__.update(X_array=X, Omega_array=Omega, D_array=D)
+    return frame
 
 
 def _omega_value_matrix(frame: AdaptedFrame) -> np.ndarray:

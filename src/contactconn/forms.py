@@ -7,25 +7,30 @@ increasing multi-indices with the determinant convention,
 
 Two exterior-derivative routes coexist on purpose:
 
-- ``exterior_derivative`` / ``FormField.d`` differentiate the coefficient
-  expressions structurally, so the derivative field evaluates to jets of
-  the same order as the original. This is what the main pipeline uses.
+- ``FormField.d`` differentiates the coefficient expressions
+  structurally, so the derivative field evaluates to jets of the same
+  order as the original. This is what the main pipeline uses.
 - ``d_from_jets`` differentiates a k-form *value* whose jets carry one
   order more, losing that order. It exists for jet-backed data that has
   no expression form (the normalized contact form, frame coframes) and as
   an independent cross-check of the symbolic route in tests.
+
+Pairing forms with vectors (evaluate_forms) and differentiating along
+vectors (apply_vector) are array kernels over whole stacks of forms,
+vectors and scalars; the single-value methods call them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularMatrixError
 from .expressions import Expr, diff, lit
-from .jets import Jet, eval_jet, jet_linear_solve, sum_jets
+from .jets import Jet, JetArray, eval_jet, fold_chunks
 
 
 def increasing_indices(dim: int, k: int):
@@ -58,6 +63,11 @@ class VectorValue:
     def values(self) -> np.ndarray:
         return np.array([c.value for c in self.comps])
 
+    @cached_property
+    def array(self) -> JetArray:
+        """The components as a JetArray of shape (dim,)."""
+        return JetArray.from_jets(self.comps)
+
     def __add__(self, other: "VectorValue") -> "VectorValue":
         return VectorValue(tuple(a + b for a, b in zip(self.comps, other.comps)))
 
@@ -75,11 +85,6 @@ class KFormValue:
     dim: int
     degree: int
     comps: dict[tuple[int, ...], Jet]
-
-    @staticmethod
-    def zero(dim: int, degree: int, order: int) -> "KFormValue":
-        z = {idx: Jet.constant(0.0, dim, order) for idx in increasing_indices(dim, degree)}
-        return KFormValue(dim, degree, z)
 
     def comp(self, idx: tuple[int, ...]) -> Jet:
         return self.comps[idx]
@@ -104,32 +109,66 @@ class KFormValue:
     def scale(self, f) -> "KFormValue":
         return self.map(lambda j: j * f)
 
+    @cached_property
+    def array(self) -> JetArray:
+        """The components as a JetArray of shape (K,), in the order of
+        comps."""
+        return JetArray.from_jets(list(self.comps.values()))
+
     def evaluate(self, *vectors: VectorValue) -> Jet:
         """Pair with `degree` vectors, determinant convention."""
         if len(vectors) != self.degree:
             raise ValueError("wrong number of vectors")
-        dim = self.dim
         if self.degree == 0:
             return next(iter(self.comps.values()))
-        total = None
-        for idx, coeff in self.comps.items():
-            # det of the submatrix vectors[s].comps[idx[t]]
-            det = None
-            for perm in itertools.permutations(range(self.degree)):
-                sign = _perm_sign(perm)
-                term = vectors[perm[0]].comps[idx[0]]
-                for t in range(1, self.degree):
-                    term = term * vectors[perm[t]].comps[idx[t]]
-                term = term * float(sign)
-                det = term if det is None else det + term
-            term = coeff * det
-            total = term if total is None else total + term
-        if total is None:
-            total = Jet.constant(0.0, dim, 0)
-        return total
+        if not self.comps:
+            return Jet.constant(0.0, self.dim, 0)
+        stacks = [v.array[None] for v in vectors]
+        out = evaluate_forms(self.array, list(self.comps), *stacks)
+        return out.reshape().jets()
 
     def max_abs_value(self) -> float:
         return max(abs(j.value) for j in self.comps.values())
+
+
+def evaluate_forms(coeffs: JetArray, idx, *vectors: JetArray) -> JetArray:
+    """Pair k-forms with stacks of vectors, every combination at once.
+
+    coeffs holds the components of one or more k-forms on the increasing
+    multi-indices idx, along its last axis: shape S+(K,). Each of the k
+    vector stacks has shape (n_r, dim). Entry [s, u_1, ..., u_k] of the
+    result, of shape S+(n_1, ..., n_k), is form s on (vectors[0][u_1],
+    ..., vectors[k-1][u_k]): the left fold over components, in idx
+    order, of the coefficient times the determinant of the picked vector
+    components. The determinant sums its permutations in itertools order,
+    each a left-to-right product times its sign, so every entry has the
+    bits of the scalar expansion.
+    """
+    k = len(vectors)
+    cols = np.array(idx, dtype=np.intp).reshape(len(idx), k)
+    stack = coeffs.shape[:-1]
+    s = len(stack)
+    sizes = tuple(len(v) for v in vectors)
+    c = coeffs.transpose(s, *range(s))[(slice(None),) * (1 + s) + (None,) * k]
+    vt = [v.transpose(1, 0) for v in vectors]
+    # Stack r's components on result axis r, shaped (K,) + 1s + n_r.
+    place = [
+        (slice(None),) + (None,) * s + tuple(slice(None) if q == r else None for q in range(k))
+        for r in range(k)
+    ]
+
+    def terms(lo, hi):
+        det = None
+        for perm in itertools.permutations(range(k)):
+            term = None
+            for t, r in enumerate(perm):
+                comp = vt[r][cols[lo:hi, t]][place[r]]
+                term = comp if term is None else term * comp
+            term = term * float(_perm_sign(perm))
+            det = term if det is None else det + term
+        return c[lo:hi] * det
+
+    return fold_chunks(len(cols), math.prod(stack) * math.prod(sizes), coeffs.dim, terms)
 
 
 def wedge(a: KFormValue, b: KFormValue) -> KFormValue:
@@ -152,32 +191,33 @@ def wedge(a: KFormValue, b: KFormValue) -> KFormValue:
     return KFormValue(a.dim, k, out)
 
 
-def interior_product(v: VectorValue, a: KFormValue) -> KFormValue:
-    """Contraction in the first slot: (v . a)(w...) = a(v, w...)."""
-    if a.degree < 1:
-        raise ValueError("interior product needs degree >= 1")
-    dim = a.dim
-    order = min(a.order(), min(c.order for c in v.comps))
-    out = {
-        idx: Jet.constant(0.0, dim, order)
-        for idx in increasing_indices(dim, a.degree - 1)
-    }
-    for idx, coeff in a.comps.items():
-        for t, i in enumerate(idx):
-            rest = idx[:t] + idx[t + 1 :]
-            sign = (-1.0) ** t
-            out[rest] = out[rest] + coeff * v.comps[i] * sign
-    return KFormValue(dim, a.degree - 1, out)
-
-
-def apply_vector(v: VectorValue, f: Jet) -> Jet:
-    """Derivative of a jet-valued scalar along a jet-valued vector.
+def apply_vector(v, f):
+    """Derivative of jet-valued scalars along jet-valued vectors.
 
     This is the frame derivative X(f) = sum_i X^i d_i f with the product
-    rule intact, so the result is a jet one order below f (coerced further
-    down if the vector components carry less).
+    rule intact, folded over i, so the result is a jet one order below f
+    (coerced further down if the vector components carry less).
+
+    v is a VectorValue or a JetArray of vectors with the components on
+    its last axis, shape V+(dim,); f is a Jet or a JetArray of shape F.
+    For a VectorValue and a Jet the result is a Jet, otherwise a JetArray
+    of shape V+F holding every vector's derivative of every scalar.
     """
-    return sum_jets(vi * f.partial(i) for i, vi in enumerate(v.comps))
+    va = v.array if isinstance(v, VectorValue) else v
+    fa = JetArray.from_jets(f) if isinstance(f, Jet) else f
+    nv = len(va.shape) - 1
+    nf = len(fa.shape)
+    comps = va.transpose(nv, *range(nv))[(slice(None),) * (1 + nv) + (None,) * nf]
+    parts = fa.partials()[(slice(None),) + (None,) * nv]
+    out = fold_chunks(
+        va.dim,
+        math.prod(va.shape[:-1]) * math.prod(fa.shape),
+        va.dim,
+        lambda lo, hi: comps[lo:hi] * parts[lo:hi],
+    )
+    if isinstance(v, VectorValue) and isinstance(f, Jet):
+        return out.jets()
+    return out
 
 
 @dataclass(frozen=True)
@@ -225,16 +265,6 @@ class FormField:
         return FormField(self.dim, self.degree + 1, out)
 
 
-def exterior_derivative(f: FormField, p, order: int) -> KFormValue:
-    """Evaluate df at p with jets of the requested order.
-
-    Because the coefficients are differentiated structurally, the full
-    order remains available; callers relying on jet-backed inputs must go
-    through d_from_jets and lose one order there.
-    """
-    return f.d().eval(p, order)
-
-
 def d_from_jets(a: KFormValue) -> KFormValue:
     """Exterior derivative of a k-form value, consuming one jet order.
 
@@ -258,52 +288,3 @@ def d_from_jets(a: KFormValue) -> KFormValue:
                 grad = grad + s * c.hess[i]
         out[idx] = Jet(dim, order - 1, float(val), grad, None)
     return KFormValue(dim, a.degree + 1, out)
-
-
-def express_in_coframe(a: KFormValue, coframe: list[KFormValue]):
-    """Components of `a` in the wedge-monomial basis of a 1-form coframe.
-
-    The coframe must consist of dim linearly independent 1-forms. Returns
-    a dict keyed by increasing index tuples into the coframe list. The
-    computation pairs `a` against the dual frame, obtained by a jet-valued
-    solve, so components keep as much jet order as the inputs share.
-    """
-    dim = a.dim
-    if len(coframe) != dim or any(c.degree != 1 for c in coframe):
-        raise ValueError("coframe must be dim one-forms")
-    order = min(min(c.order() for c in coframe), a.order())
-    # Columns of the dual frame solve C X = I where C[r][i] = coframe[r]_i.
-    C = [[coframe[r].comps[(i,)].restrict(order) for i in range(dim)] for r in range(dim)]
-    jet_dim = C[0][0].dim
-    try:
-        duals = []
-        for col in range(dim):
-            rhs = [
-                Jet.constant(1.0 if r == col else 0.0, jet_dim, order)
-                for r in range(dim)
-            ]
-            duals.append(VectorValue(tuple(jet_linear_solve(C, rhs))))
-    except SingularMatrixError:
-        raise SingularMatrixError("coframe value parts are linearly dependent") from None
-    return {
-        idx: a.evaluate(*(duals[i] for i in idx))
-        for idx in increasing_indices(dim, a.degree)
-    }
-
-
-def from_coframe(components, coframe: list[KFormValue], degree: int) -> KFormValue:
-    """Inverse of express_in_coframe: rebuild the form from components."""
-    dim = coframe[0].dim
-    order = min(c.order() for c in coframe)
-    if components:
-        order = min(order, min(j.order for j in components.values()))
-    total = KFormValue.zero(dim, degree, order)
-    for idx, coeff in components.items():
-        if not idx:
-            total = total + KFormValue(dim, 0, {(): coeff})
-            continue
-        mono = coframe[idx[0]]
-        for i in idx[1:]:
-            mono = wedge(mono, coframe[i])
-        total = total + mono.scale(coeff)
-    return total

@@ -30,7 +30,8 @@ from .connection import (
 from .contact import (
     AdaptedFrame,
     ContactStructure,
-    _metric_pair,
+    _form_pairs,
+    _metric_pairs,
     adapted_frame,
     check_contact,
     lambda_spectrum,
@@ -43,8 +44,7 @@ from .errors import (
     NotContactError,
     SuiteUnavailableError,
 )
-from .forms import VectorValue
-from .jets import Jet
+from .jets import Jet, JetArray
 from .registry import SUITE_NAMES, SUITES_3D_ONLY, ManifoldSpec
 from .report import PointRecord, Report, SuiteResult
 from .sampling import SplitMix64, sample_box
@@ -96,10 +96,9 @@ class _PointState:
 def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
     dim = cs.dim
     n = cs.n
-    basis = [
-        VectorValue(tuple(Jet.constant(1.0 if i == j else 0.0, dim, 2) for j in range(dim)))
-        for i in range(dim)
-    ]
+    basis = JetArray.from_jets(
+        [[Jet.constant(1.0 if i == j else 0.0, dim, 2) for j in range(dim)] for i in range(dim)]
+    )
     reeb_res = 0.0
     norm_res = 0.0
     lam_res = 0.0
@@ -111,8 +110,8 @@ def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
         theta_val = cs.theta.eval(p, 1)
         dtheta_val = cs.dtheta.eval(p, 1)
         reeb_res = max(reeb_res, abs(theta_val.evaluate(T).value - 1.0))
-        for b in basis:
-            reeb_res = max(reeb_res, abs(dtheta_val.evaluate(T, b).value))
+        for v in _form_pairs(dtheta_val, T.array[None], basis).value[0].tolist():
+            reeb_res = max(reeb_res, abs(v))
 
         omega_sq = sum(
             frame.Omega[a][c].value ** 2 for a in range(2 * n) for c in range(2 * n)
@@ -123,12 +122,11 @@ def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
         lam_min = min(lam_min, min(lam))
         lam_res = max(lam_res, abs(sum(v * v for v in lam) - n))
 
-        co = frame.coframe()
-        vecs = frame.frame_vectors()
+        pairs = frame.pair_coframe(frame.frame_array).value.tolist()
         for A in range(2 * n + 1):
             for B in range(2 * n + 1):
                 want = 1.0 if A == B else 0.0
-                dual_res = max(dual_res, abs(co[A].evaluate(vecs[B]).value - want))
+                dual_res = max(dual_res, abs(pairs[A][B] - want))
 
     passed = (
         reeb_res < 1e-11
@@ -165,12 +163,13 @@ def _suite_canonical(cs: ContactStructure, usable) -> SuiteResult:
             max(abs(dT[a][B].value) for a in range(m) for B in range(m + 1)),
         )
 
+        X = frame.X_array
+        measured = _form_pairs(frame.dtheta_hat, X, X).value
+        kap = conn.kappa_array.value
         for a in range(m):
-            kap = conn.kappa(a)
             for c in range(m):
-                measured = frame.dtheta_hat.evaluate(frame.X[a], frame.X[c]).value
                 m_res["levi_parallel"] = max(
-                    m_res["levi_parallel"], abs(kap[0][c + 1].value - measured)
+                    m_res["levi_parallel"], abs(kap[a, 0, c + 1] - measured[a, c])
                 )
 
         tor = partial_torsion(conn)
@@ -185,9 +184,8 @@ def _suite_canonical(cs: ContactStructure, usable) -> SuiteResult:
             ),
         )
 
-        gmat = cs.metric_at(pt.p, 2)
-        gram = [[_metric_pair(gmat, frame.X[a], frame.X[b]) for b in range(m)] for a in range(m)]
-        dg = nabla_H(conn, frame_tensor02(gram))
+        G = JetArray.from_jets(cs.metric_at(pt.p, 2))
+        dg = nabla_H(conn, frame_tensor02(_metric_pairs(G, X, X).jets()))
         m_res["metric_parallel"] = max(
             m_res["metric_parallel"],
             max(
@@ -209,11 +207,11 @@ def _suite_promotion(cs: ContactStructure, usable) -> SuiteResult:
         m = 2 * pt.frame.n
         conn = pt.conn
         fc = pt.promoted
+        kap = conn.kappa_array.value
         for a in range(m):
-            kap = conn.kappa(a)
             for A in range(m + 1):
                 for C in range(m + 1):
-                    h_res = max(h_res, abs(fc.kappa[A][a][C].value - kap[A][C].value))
+                    h_res = max(h_res, abs(fc.kappa[A][a][C].value - kap[a, A, C]))
         ext_res = max(ext_res, promotion_residual(fc))
     passed = h_res < 1e-12 and ext_res < 1e-9
     return SuiteResult(
@@ -257,7 +255,7 @@ def _suite_rotation(cs: ContactStructure, usable, seed: int) -> SuiteResult:
         terms.extend(f"({coeff()!r})*{name}" for name in cs.coords)
         terms.extend(f"({coeff()!r})*{name}^2" for name in cs.coords)
         phi = " + ".join(terms)
-        rep = check_rotation_covariance(pt.tw_coframe, phi)
+        rep = check_rotation_covariance(pt.tw_coframe, pt.tw_data, phi)
         passed = passed and rep["passed"]
         omega_res = max(omega_res, rep["omega_residual"])
         ab_res = max(ab_res, rep["ab_residual"])

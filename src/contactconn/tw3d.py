@@ -34,11 +34,18 @@ import math
 from dataclasses import dataclass
 
 from .connection import FullConnection, PartialConnection, full_torsion
-from .contact import ORDER, AdaptedFrame, ContactStructure, adapted_frame
+from .contact import (
+    ORDER,
+    AdaptedFrame,
+    ContactStructure,
+    _tuples,
+    adapted_frame,
+    structure_values,
+)
 from .errors import DegenerateFrameError, InconsistentStructureError
 from .expressions import parse_expr
-from .forms import KFormValue, VectorValue, apply_vector, d_from_jets
-from .jets import Jet, eval_jet
+from .forms import KFormValue, VectorValue, apply_vector
+from .jets import Jet, JetArray, eval_jet
 
 STRUCTURE_RESIDUAL_TOL = 1e-9
 
@@ -217,24 +224,17 @@ def rotate_coframe(cf: TWCoframe, phi) -> TWCoframe:
         frame.X[0].scale(rot[b][0]) + frame.X[1].scale(rot[b][1]) for b in range(2)
     )
 
-    df = tuple(d_from_jets(fb) for fb in f)
-    D = tuple(
-        tuple(
-            tuple(
-                df[b].evaluate(X[a], X[cc]) + c[b] * frame.Omega[a][cc]
-                for cc in range(2)
-            )
-            for a in range(2)
-        )
-        for b in range(2)
-    )
+    X_array = JetArray.from_jets([x.comps for x in X])
+    D = structure_values(f, JetArray.from_jets(c), X_array, frame.Omega_array)
+    D = _tuples(D.jets())
     new_frame = dataclasses.replace(frame, f=f, c=c, X=X, D=D)
     return TWCoframe(new_frame, cf.coords)
 
 
-def check_rotation_covariance(cf: TWCoframe, phi) -> dict:
-    """Solve the structure equations in the original and phi-rotated
-    coframes and compare against the predicted transformation:
+def check_rotation_covariance(cf: TWCoframe, td: TWData, phi) -> dict:
+    """Solve the structure equations in the phi-rotated coframe and
+    compare with td, the solution in the original coframe cf, against
+    the predicted transformation:
 
         omega' = omega - d(phi)      (components taken in each coframe's
                                       own frame vectors)
@@ -243,7 +243,7 @@ def check_rotation_covariance(cf: TWCoframe, phi) -> dict:
     Returns residuals plus the curvature drift |R' - R|, which the
     transformation law leaves invariant.
     """
-    base = solve_structure_equations(cf)
+    base = td
     rotated_cf = rotate_coframe(cf, phi)
     rot = solve_structure_equations(rotated_cf)
 

@@ -225,7 +225,7 @@ def test_criterion_06_rotation_covariance():
             )
             p = tuple(rng.uniform(-0.6, 0.6, size=3))
             cf = tw_coframe(cs, p)
-            out = check_rotation_covariance(cf, phi)
+            out = check_rotation_covariance(cf, solve_structure_equations(cf), phi)
             worst_cov = max(worst_cov, out["omega_residual"], out["ab_residual"])
             rcf = rotate_coframe(cf, phi)
             m1 = tw_connection(solve_structure_equations(cf), cf).coordinate_action(alpha, p)

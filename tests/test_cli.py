@@ -159,6 +159,33 @@ class TestExitCodes:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--points", "0"), ("--points", "-3"), ("--seed", "-1")]
+    )
+    def test_out_of_range_points_or_seed_exit_two_before_sampling(
+        self, capsys, monkeypatch, flag, value
+    ):
+        import contactconn.suites
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled despite an invalid count or seed")
+
+        monkeypatch.setattr(contactconn.suites, "sample_box", refuse)
+        code, out, err = run(capsys, "analyze", "--manifold", "heisenberg", flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}" in err
+        assert f"must be at least {1 if flag == '--points' else 0}" in err
+
+    def test_smallest_points_and_seed_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "analyze", "--manifold", "heisenberg", "--points", "1", "--seed", "0",
+            "--suites", "contact",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["seed"] == 0 and doc["requested_points"] == 1
+
     def test_missing_spec_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", "--spec", str(tmp_path / "nope.json"))
         assert code == 2

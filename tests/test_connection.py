@@ -19,13 +19,12 @@ from contactconn.connection import (
     promotion_residual,
     sigma,
     sigma_inv,
-    sum_jets,
 )
 from contactconn.contact import ContactStructure, adapted_frame
 from contactconn.errors import SymmetryError
 from contactconn.expressions import parse_expr
 from contactconn.forms import FormField
-from contactconn.jets import Jet, eval_jet
+from contactconn.jets import Jet, eval_jet, sum_jets
 
 P3 = (0.3, -0.4, 0.2)
 
@@ -350,3 +349,49 @@ class TestFullTorsion:
         tor = full_torsion(fc)
         for A in (1, 2):
             assert abs(tor.comps[A][1][2].value) < 1e-12
+
+
+def scalar_promotion_system(conn):
+    """The promotion system as the scalar jet loops computed it, kept as
+    the reference the array kernel must match bit for bit."""
+    from contactconn.forms import apply_vector
+
+    frame = conn.frame
+    m = 2 * frame.n
+    kap = [conn.kappa(a) for a in range(m)]
+
+    def K(u, v, A, C):
+        lead = apply_vector(frame.X[u], kap[v][A][C])
+        return lead + sum_jets(kap[v][A][E] * kap[u][E][C] for E in range(m + 1))
+
+    def obstruction(u, v, A, C):
+        cc = sum_jets(frame.D[e][u][v] * kap[e][A][C] for e in range(m))
+        return (cc + K(u, v, A, C) - K(v, u, A, C)) * frame.Omega[u][v]
+
+    pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    den = sum_jets(frame.Omega[u][v] * frame.Omega[u][v] for u, v in pairs)
+    num = [
+        [sum_jets(obstruction(u, v, A, C) for u, v in pairs) for C in range(m + 1)]
+        for A in range(m + 1)
+    ]
+    return num, den
+
+
+@pytest.mark.parametrize("name", ["heisenberg-perturbed", "sphere-chart", "n2-split"])
+def test_promotion_system_matches_scalar_loops(name):
+    from contactconn.registry import get_manifold
+    from contactconn.sampling import sample_box
+
+    spec = get_manifold(name)
+    cs = spec.build()
+    p = sample_box(spec.box, 1, spec.seed)[0]
+    conn = canonical_partial_connection(cs, p)
+    num, den = conn.promotion_system
+    want_num, want_den = scalar_promotion_system(conn)
+    for got, want in [(den.jets(), want_den)] + [
+        (g, w) for grow, wrow in zip(num.jets(), want_num) for g, w in zip(grow, wrow)
+    ]:
+        assert got.order == want.order
+        assert got.value == want.value
+        if want.order >= 1:
+            assert np.array_equal(got.grad, want.grad)

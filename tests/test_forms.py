@@ -7,14 +7,16 @@ from contactconn.forms import (
     KFormValue,
     VectorValue,
     d_from_jets,
+    increasing_indices,
+    wedge,
+)
+from contactconn.jets import Jet, JetArray, eval_jet
+from form_helpers import (
     exterior_derivative,
     express_in_coframe,
     from_coframe,
-    increasing_indices,
     interior_product,
-    wedge,
 )
-from contactconn.jets import Jet, eval_jet
 
 XYZ = ("x", "y", "z")
 
@@ -201,3 +203,77 @@ def test_increasing_indices_count():
     assert len(list(increasing_indices(5, 2))) == 10
     assert list(increasing_indices(3, 3)) == [(0, 1, 2)]
     assert list(increasing_indices(3, 0)) == [()]
+
+
+# -- array kernels against the scalar loops they replaced ----------------------
+
+
+def scalar_evaluate(form, *vectors):
+    """KFormValue.evaluate as a scalar determinant loop, in the term and
+    operand order the kernel must reproduce."""
+    import itertools
+
+    from contactconn.forms import _perm_sign
+
+    total = None
+    for idx, coeff in form.comps.items():
+        det = None
+        for perm in itertools.permutations(range(form.degree)):
+            term = vectors[perm[0]].comps[idx[0]]
+            for t in range(1, form.degree):
+                term = term * vectors[perm[t]].comps[idx[t]]
+            term = term * float(_perm_sign(perm))
+            det = term if det is None else det + term
+        term = coeff * det
+        total = term if total is None else total + term
+    return total
+
+
+def same_jet(a, b):
+    return (
+        a.order == b.order
+        and a.value == b.value
+        and (a.grad is None) == (b.grad is None)
+        and (a.grad is None or np.array_equal(a.grad, b.grad))
+        and (a.hess is None) == (b.hess is None)
+        and (a.hess is None or np.array_equal(a.hess, b.hess))
+    )
+
+
+class TestKernelsBitForBit:
+    P = (0.3, -0.4, 0.8)
+
+    def vectors(self, texts):
+        return [VectorValue(tuple(jet_of(t, self.P) for t in row)) for row in texts]
+
+    def test_evaluate_forms_all_pairs(self):
+        from contactconn.forms import evaluate_forms
+
+        a = wedge(one_form(["y*z", "1 + x", "sin(y)"], self.P), one_form(["x", "z^2", "2"], self.P))
+        vs = self.vectors([("1", "x", "y*y"), ("z", "1 + y", "x*z"), ("2", "0", "cos(x)")])
+        stack = JetArray.from_jets([v.comps for v in vs])
+        got = evaluate_forms(a.array, list(a.comps), stack, stack).jets()
+        for i, u in enumerate(vs):
+            for j, w in enumerate(vs):
+                assert same_jet(got[i][j], scalar_evaluate(a, u, w))
+                assert same_jet(a.evaluate(u, w), scalar_evaluate(a, u, w))
+
+    def test_evaluate_three_form(self):
+        a = d_from_jets(wedge(one_form(["y*z", "x", "1"], self.P), one_form(["z", "x*y", "y"], self.P)))
+        u, v, w = self.vectors([("1", "x", "y"), ("z", "1", "x"), ("y", "z", "1 + x*x")])
+        assert same_jet(a.evaluate(u, v, w), scalar_evaluate(a, u, v, w))
+
+    def test_apply_vector_matches_scalar_fold(self):
+        from contactconn.forms import apply_vector
+        from contactconn.jets import sum_jets
+
+        vs = self.vectors([("1 + y", "x*z", "sin(z)"), ("z", "2", "x")])
+        fs = [jet_of(t, self.P) for t in ("x*y*z", "exp(x) + y", "1/(2 + z)")]
+        got = apply_vector(
+            JetArray.from_jets([v.comps for v in vs]), JetArray.from_jets(fs)
+        ).jets()
+        for i, v in enumerate(vs):
+            for j, f in enumerate(fs):
+                want = sum_jets(vi * f.partial(k) for k, vi in enumerate(v.comps))
+                assert same_jet(got[i][j], want)
+                assert same_jet(apply_vector(v, f), want)

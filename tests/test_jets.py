@@ -5,7 +5,15 @@ import pytest
 
 from contactconn.errors import ExprDomainError, SingularMatrixError
 from contactconn.expressions import parse_expr
-from contactconn.jets import Jet, eval_jet, jet_linear_solve
+from contactconn.jets import (
+    _FOLD_CHUNK,
+    Jet,
+    JetArray,
+    eval_jet,
+    fold_chunks,
+    jet_linear_solve,
+    sum_jets,
+)
 
 XYZ = ("x", "y", "z")
 
@@ -223,3 +231,147 @@ def test_jet_hessians_symmetric_after_solve():
     b = [jet_of("x+y", p), jet_of("1 - z", p)]
     for j in jet_linear_solve(A, b):
         assert np.array_equal(j.hess, j.hess.T)
+
+
+# -- JetArray: the same bits as the scalar rules ------------------------------
+
+D_RAND = 4
+EPS = np.finfo(float).eps
+
+
+def random_jets(rng, n, orders=(2,), positive=False):
+    """n random jets in dimension D_RAND with symmetric Hessians; each
+    jet's order is drawn from `orders`."""
+    out = []
+    for _ in range(n):
+        k = int(rng.choice(orders))
+        v = float(rng.uniform(0.5, 2.0)) if positive else float(rng.normal())
+        if not positive and rng.random() < 0.1:
+            v = 0.0
+        h = rng.normal(size=(D_RAND, D_RAND))
+        out.append(
+            Jet(
+                D_RAND,
+                k,
+                v,
+                rng.normal(size=D_RAND) if k >= 1 else None,
+                h + h.T if k >= 2 else None,
+            )
+        )
+    return out
+
+
+def assert_same_jet(got, want):
+    assert got.order == want.order
+    assert np.array_equal(got.value, want.value)
+    for part in ("grad", "hess"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert np.array_equal(g, w)
+
+
+def exactly_symmetric(j):
+    return j.hess is None or np.array_equal(j.hess, j.hess.T)
+
+
+BINARY_RULES = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "lift_mul": lambda a, b: a * 0.5,
+    "lift_rsub": lambda a, b: 1.0 - a,
+    "lift_rdiv": lambda a, b: 3.0 / b,
+}
+
+
+class TestJetArrayMatchesScalar:
+    @pytest.mark.parametrize("name", sorted(BINARY_RULES))
+    @pytest.mark.parametrize("orders", [(2,), (0, 1, 2)])
+    def test_binary_rule_bit_for_bit(self, name, orders):
+        rule = BINARY_RULES[name]
+        rng = np.random.default_rng([sorted(BINARY_RULES).index(name), len(orders)])
+        a = random_jets(rng, 40, orders)
+        b = random_jets(rng, 40, orders, positive=name.endswith("div"))
+        got = rule(JetArray.from_jets(a), JetArray.from_jets(b)).jets()
+        for g, x, y in zip(got, a, b):
+            assert_same_jet(g, rule(x, y))
+
+    def test_broadcast_pairs_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        a = random_jets(rng, 5)
+        b = random_jets(rng, 6)
+        A, B = JetArray.from_jets(a), JetArray.from_jets(b)
+        got = (A[:, None] * B[None, :]).jets()
+        for i in range(5):
+            for j in range(6):
+                assert_same_jet(got[i][j], a[i] * b[j])
+
+    def test_neg_and_sqrt_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        a = random_jets(rng, 40, (1, 2), positive=True)
+        A = JetArray.from_jets(a)
+        for g, x in zip((-A).jets(), a):
+            assert_same_jet(g, -x)
+        for g, x in zip(A.sqrt().jets(), a):
+            assert_same_jet(g, x.sqrt())
+            assert exactly_symmetric(g)
+
+    def test_domain_errors_match_scalar(self):
+        z = JetArray.from_jets([Jet.constant(1.0, 3, 2), Jet.constant(0.0, 3, 2)])
+        with pytest.raises(ExprDomainError):
+            JetArray.constant(1.0, 3, (2,)) / z
+        with pytest.raises(ExprDomainError):
+            (z - 2.0).sqrt()
+
+    @pytest.mark.parametrize("orders", [(2,), (1, 2), (0, 1, 2)])
+    def test_fold_equals_sum_jets(self, orders):
+        rng = np.random.default_rng(len(orders))
+        terms = random_jets(rng, 37, orders)
+        want = sum_jets(terms)
+        stacked = JetArray.from_jets(terms)
+        assert_same_jet(stacked.fold().jets(), want)
+        # One term per slice: the running sum is carried between slices.
+        sliced = fold_chunks(37, _FOLD_CHUNK, D_RAND, lambda lo, hi: stacked[lo:hi])
+        assert_same_jet(sliced.jets(), want)
+
+    def test_fold_along_stacked_axes(self):
+        rng = np.random.default_rng(9)
+        terms = [random_jets(rng, 3) for _ in range(11)]
+        got = JetArray.from_jets(terms).fold().jets()
+        for i in range(3):
+            assert_same_jet(got[i], sum_jets(t[i] for t in terms))
+
+    def test_hessians_of_sums_and_folds_exactly_symmetric(self):
+        rng = np.random.default_rng(13)
+        A = JetArray.from_jets(random_jets(rng, 30))
+        B = JetArray.from_jets(random_jets(rng, 30))
+        for out in ((A + B).jets(), (A - B).jets(), [A.fold().jets()]):
+            assert all(exactly_symmetric(j) for j in out)
+
+    @pytest.mark.parametrize("name", ["mul", "div"])
+    def test_product_hessians_symmetric_to_rounding(self, name):
+        # The two cross terms are added one after the other, so a product
+        # or quotient Hessian can differ from its transpose in the last
+        # bit, in the scalar rule as in the array one.
+        rng = np.random.default_rng(17)
+        a = random_jets(rng, 200)
+        b = random_jets(rng, 200, positive=True)
+        for j in BINARY_RULES[name](JetArray.from_jets(a), JetArray.from_jets(b)).jets():
+            scale = np.max(np.abs(j.hess)) + 1.0
+            assert np.max(np.abs(j.hess - j.hess.T)) <= 4 * EPS * scale
+
+    def test_partials_match_jet_partial(self):
+        rng = np.random.default_rng(19)
+        a = random_jets(rng, 12, (1, 2))
+        P = JetArray.from_jets(a).partials().jets()
+        for i in range(D_RAND):
+            for g, x in zip(P[i], a):
+                assert_same_jet(g, x.partial(i))
+
+    def test_round_trip_keeps_each_order(self):
+        rng = np.random.default_rng(23)
+        a = random_jets(rng, 20, (0, 1, 2))
+        for g, x in zip(JetArray.from_jets(a).jets(), a):
+            assert_same_jet(g, x)

@@ -9,13 +9,20 @@ from pathlib import Path
 import pytest
 
 from contactconn.errors import AllPointsSkippedError, SuiteUnavailableError
-from contactconn.registry import SUITE_NAMES, SUITES_3D_ONLY, ManifoldSpec, get_manifold
+from contactconn.registry import (
+    SUITE_NAMES,
+    SUITES_3D_ONLY,
+    ManifoldSpec,
+    get_manifold,
+    load_spec,
+)
 from contactconn.report import render_report
 from contactconn.suites import run_suites
 
 ALL_3D = ["contact", "canonical", "promotion", "tw-compare", "rotation"]
 CORE = ["contact", "canonical", "promotion"]
 REPORTS_DIR = Path(__file__).parent / "data" / "reports"
+CHARTS_DIR = Path(__file__).parent / "data" / "charts"
 
 
 def half_degenerate_spec():
@@ -200,7 +207,9 @@ class TestPerPointState:
 
 
 # Reports rendered before the per-point state was shared; every suite the
-# chart's dimension allows, 2 points at the chart's default seed.
+# chart's dimension allows, 2 points at the chart's default seed. The 7D
+# chart (contact, canonical and promotion) was rendered before the jet
+# arithmetic moved to array kernels.
 GOLDEN_CASES = [
     ("heisenberg", None, "heisenberg"),
     ("heisenberg-aniso", None, "heisenberg-aniso"),
@@ -208,12 +217,16 @@ GOLDEN_CASES = [
     ("heisenberg-perturbed", None, "heisenberg-perturbed"),
     ("sphere-chart", None, "sphere-chart"),
     ("n2-split", None, "n2-split"),
+    ("heis7.json", None, "heis7"),
 ]
 
 
 @pytest.mark.parametrize("name, params, stem", GOLDEN_CASES)
 def test_golden_report_bytes(name, params, stem):
-    spec = get_manifold(name)
+    if name.endswith(".json"):
+        spec = load_spec(CHARTS_DIR / name)
+    else:
+        spec = get_manifold(name)
     suites = [s for s in SUITE_NAMES if spec.dim == 3 or s not in SUITES_3D_ONLY]
     body = render_report(run_suites(spec, suites, points=2, param_overrides=params))
     assert body.encode("utf-8") == (REPORTS_DIR / f"{stem}.json").read_bytes()

@@ -121,7 +121,8 @@ class TestRotation:
                 f" + ({coeff[4]})*x^2 + ({coeff[5]})*y*z + ({coeff[6]})*z^2"
             )
             p = tuple(rng.uniform(-0.6, 0.6, size=3))
-            out = check_rotation_covariance(tw_coframe(cs, p), phi)
+            cf = tw_coframe(cs, p)
+            out = check_rotation_covariance(cf, solve_structure_equations(cf), phi)
             assert out["passed"]
             assert out["omega_residual"] < 1e-9
             assert out["ab_residual"] < 1e-9
