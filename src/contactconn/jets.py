@@ -76,6 +76,10 @@ def _add_rule(k, av, ag, ah, bv, bg, bh):
     )
 
 
+def _neg_rule(k, v, g, h):
+    return -v, -g if k >= 1 else None, -h if k >= 2 else None
+
+
 def _sub_rule(k, av, ag, ah, bv, bg, bh):
     return (
         av - bv,
@@ -186,10 +190,12 @@ class Jet:
         k = min(self.order, other.order)
         return self.restrict(k), other.restrict(k)
 
-    def _apply(self, rule, other):
+    def _apply(self, rule, other, swap=False):
         a, b = self._coerce(other)
         if a is NotImplemented:
             return NotImplemented
+        if swap:
+            a, b = b, a
         k = a.order
         return Jet(a.dim, k, *rule(k, a.value, a.grad, a.hess, b.value, b.grad, b.hess))
 
@@ -201,19 +207,14 @@ class Jet:
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(
-            self.dim,
-            self.order,
-            -self.value,
-            None if self.order < 1 else -self.grad,
-            None if self.order < 2 else -self.hess,
-        )
+        parts = _neg_rule(self.order, self.value, self.grad, self.hess)
+        return Jet(self.dim, self.order, *parts)
 
     def __sub__(self, other):
         return self._apply(_sub_rule, other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._apply(_sub_rule, other, swap=True)
 
     def __mul__(self, other):
         return self._apply(_mul_rule, other)
@@ -499,7 +500,8 @@ class JetArray:
         return self._coerce(other) / self
 
     def __neg__(self):
-        return self._map(np.negative, np.negative, np.negative, lambda o: o)
+        parts = _neg_rule(self.top, self.value, self.grad, self.hess)
+        return JetArray(self.dim, *parts, self.order)
 
     def sqrt(self) -> "JetArray":
         if np.any(self.value < 0.0):

@@ -97,7 +97,10 @@ def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
     dim = cs.dim
     n = cs.n
     basis = JetArray.from_jets(
-        [[Jet.constant(1.0 if i == j else 0.0, dim, 2) for j in range(dim)] for i in range(dim)]
+        [
+            [Jet.constant(1.0 if i == j else 0.0, dim, 2) for j in range(dim)]
+            for i in range(dim)
+        ]
     )
     reeb_res = 0.0
     norm_res = 0.0

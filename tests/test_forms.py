@@ -249,7 +249,9 @@ class TestKernelsBitForBit:
     def test_evaluate_forms_all_pairs(self):
         from contactconn.forms import evaluate_forms
 
-        a = wedge(one_form(["y*z", "1 + x", "sin(y)"], self.P), one_form(["x", "z^2", "2"], self.P))
+        a = wedge(
+            one_form(["y*z", "1 + x", "sin(y)"], self.P), one_form(["x", "z^2", "2"], self.P)
+        )
         vs = self.vectors([("1", "x", "y*y"), ("z", "1 + y", "x*z"), ("2", "0", "cos(x)")])
         stack = JetArray.from_jets([v.comps for v in vs])
         got = evaluate_forms(a.array, list(a.comps), stack, stack).jets()
@@ -259,7 +261,9 @@ class TestKernelsBitForBit:
                 assert same_jet(a.evaluate(u, w), scalar_evaluate(a, u, w))
 
     def test_evaluate_three_form(self):
-        a = d_from_jets(wedge(one_form(["y*z", "x", "1"], self.P), one_form(["z", "x*y", "y"], self.P)))
+        a = d_from_jets(
+            wedge(one_form(["y*z", "x", "1"], self.P), one_form(["z", "x*y", "y"], self.P))
+        )
         u, v, w = self.vectors([("1", "x", "y"), ("z", "1", "x"), ("y", "z", "1 + x*x")])
         assert same_jet(a.evaluate(u, v, w), scalar_evaluate(a, u, v, w))
 
