@@ -8,9 +8,9 @@ exact propagation rules; finite differences appear only in test oracles.
 
 Design notes.
 
-- One implementation of each rule. The sum, difference, product,
-  quotient and sqrt rules are broadcasting functions on (value, grad,
-  hess); Jet and JetArray both call them. An entry of a JetArray holds
+- One implementation of each rule. The sum, difference, negation,
+  product, quotient and sqrt rules are broadcasting functions on (value,
+  grad, hess); Jet and JetArray both call them. An entry of a JetArray holds
   exactly the bits the same computation on scalar Jets gives.
 - Fold order. Reductions over a JetArray go through JetArray.fold, a left
   fold along the leading axis (np.add.accumulate, a sequential running
@@ -29,8 +29,8 @@ Design notes.
   order, so mixing orders in one array is exact.
 - Symmetry. Hessians are built from symmetric pieces (outer products
   enter as outer(a, b) plus its transpose), so a Hessian is symmetric up
-  to the rounding of those additions; sums, sqrt and the elementary
-  functions keep it exactly symmetric.
+  to the rounding of those additions; sums, differences, sqrt and the
+  elementary functions keep symmetric Hessians exactly symmetric.
 """
 
 from __future__ import annotations
