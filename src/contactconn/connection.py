@@ -110,7 +110,8 @@ class PartialConnection:
     def promotion_system(self):
         """(num, den) of the promotion solve, computed once and shared by
         promote and promotion_residual."""
-        return _promotion_system(self)
+        num, den = _promotion_system(self)
+        return _tuples(num.jets()), den.jets()
 
     def coordinate_action_on_vector(self, vector_jets):
         """Value matrix of the H-derivative of a vector field given by
@@ -476,7 +477,7 @@ def promote(conn: PartialConnection) -> FullConnection:
     frame = conn.frame
     m = 2 * frame.n
     num, den = conn.promotion_system
-    xi = _tuples((-(num / den)).jets())
+    xi = _tuples((-(JetArray.from_jets(num) / den)).jets())
     kap = conn.kappa_array.jets()
     kappa = tuple(tuple(tuple(kap[a][A]) for a in range(m)) for A in range(m + 1))
     return FullConnection(frame=frame, kappa=kappa, xi=xi, partial=conn)
@@ -490,10 +491,9 @@ def promotion_residual(fc: FullConnection) -> float:
         raise ValueError("promotion residual needs the underlying partial connection")
     m = fc.h_dim
     num, den = fc.partial.promotion_system
-    nv = num.value.tolist()
-    dv = float(den.value)
+    dv = den.value
     return max(
-        abs(nv[A][C] + dv * fc.xi[A][C].value) / dv
+        abs(num[A][C].value + dv * fc.xi[A][C].value) / dv
         for A in range(m + 1)
         for C in range(m + 1)
     )

@@ -388,8 +388,8 @@ def test_promotion_system_matches_scalar_loops(name):
     conn = canonical_partial_connection(cs, p)
     num, den = conn.promotion_system
     want_num, want_den = scalar_promotion_system(conn)
-    for got, want in [(den.jets(), want_den)] + [
-        (g, w) for grow, wrow in zip(num.jets(), want_num) for g, w in zip(grow, wrow)
+    for got, want in [(den, want_den)] + [
+        (g, w) for grow, wrow in zip(num, want_num) for g, w in zip(grow, wrow)
     ]:
         assert got.order == want.order
         assert got.value == want.value
