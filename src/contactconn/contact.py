@@ -571,7 +571,8 @@ def adapted_frame(cs: ContactStructure, p, h_choice=None) -> AdaptedFrame:
         h_indices=kept,
         transversal_index=m,
     )
-    # Seed the array views with the arrays the Jets above are views of.
+    # Seed the *_array views with the arrays just computed; they hold the
+    # same entries as the Jets above, so they need not be rebuilt.
     frame.__dict__.update(X_array=X, Omega_array=Omega, D_array=D)
     return frame
 
