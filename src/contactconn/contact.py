@@ -44,9 +44,10 @@ from .forms import (
     VectorValue,
     d_from_jets,
     evaluate_forms,
+    increasing_indices,
     wedge,
 )
-from .jets import Jet, JetArray, eval_jet, fold_chunks, jet_linear_solve
+from .jets import Jet, JetArray, Tape, fold_chunks, jet_linear_solve
 
 CONTACT_REL_TOL = 1e-10
 
@@ -92,14 +93,51 @@ class ContactStructure:
         """d(theta), differentiated structurally once per structure."""
         return self.theta.d()
 
-    def metric_at(self, p, order: int) -> list[list[Jet]]:
-        return [
-            [eval_jet(self.g[i][j], p, order) for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
+    @cached_property
+    def input_tape(self) -> Tape:
+        """theta's components, dtheta's components and g's entries, in that
+        order, compiled once per structure into one tape."""
+        d = self.dim
+        exprs = [self.theta.coeff((i,)) for i in range(d)]
+        exprs += [self.dtheta.coeff(idx) for idx in increasing_indices(d, 2)]
+        exprs += [self.g[i][j] for i in range(d) for j in range(d)]
+        return Tape(exprs)
+
+    def inputs_at(self, p) -> "PointInputs":
+        """theta, dtheta and g at p as order-ORDER jets, one evaluation of
+        the input tape. Raises ExprDomainError where an input cannot be
+        evaluated to that order."""
+        d = self.dim
+        jets = self.input_tape.eval(p, ORDER)
+        k = d + d * (d - 1) // 2
+        g = jets[k:]
+        return PointInputs(
+            theta=KFormValue(d, 1, {(i,): jets[i] for i in range(d)}),
+            dtheta=KFormValue(d, 2, dict(zip(increasing_indices(d, 2), jets[d:k]))),
+            g=tuple(tuple(g[i * d : (i + 1) * d]) for i in range(d)),
+        )
 
     def with_theta(self, theta: FormField) -> "ContactStructure":
         return ContactStructure(self.coords, theta, self.g, self.box)
+
+
+@dataclass(frozen=True)
+class PointInputs:
+    """The chart's inputs at one point as order-ORDER jets: theta and
+    dtheta as form values and g as a dim x dim matrix of jets. Built once
+    per point by ContactStructure.inputs_at and passed as inputs= to
+    everything that reads them; a reader needing a lower order restricts
+    the jets, which is exact (value and gradient rules read no higher
+    part)."""
+
+    theta: KFormValue
+    dtheta: KFormValue
+    g: tuple[tuple[Jet, ...], ...]
+
+    @cached_property
+    def G(self) -> JetArray:
+        """g as one (dim, dim) JetArray."""
+        return JetArray.from_jets(self.g)
 
 
 @dataclass(frozen=True)
@@ -109,15 +147,17 @@ class ContactCheck:
     scale: float
 
 
-def check_contact(cs: ContactStructure, p) -> ContactCheck:
+def check_contact(cs: ContactStructure, p, inputs: PointInputs | None = None) -> ContactCheck:
     """Evaluate the top form theta ^ (dtheta)^n at p.
 
     Passes when the top coefficient exceeds a relative threshold built
     from the sup norms of theta's and dtheta's components, so the verdict
-    is scale-invariant under rescaling theta.
+    is scale-invariant under rescaling theta. inputs, when given, are the
+    structure's inputs at p; otherwise they are evaluated here.
     """
-    t = cs.theta.eval(p, 0)
-    dt = cs.dtheta.eval(p, 0)
+    inputs = inputs or cs.inputs_at(p)
+    t = inputs.theta.restrict(0)
+    dt = inputs.dtheta.restrict(0)
     top = t
     for _ in range(cs.n):
         top = wedge(top, dt)
@@ -157,20 +197,17 @@ def _reeb_from_values(theta_comps: list[Jet], dt: KFormValue) -> VectorValue:
     return VectorValue(tuple(sol))
 
 
-def reeb_field(cs_or_theta, p) -> VectorValue:
+def reeb_field(cs_or_theta, p, inputs: PointInputs | None = None) -> VectorValue:
     """Unique vector with T . theta = 1, T . dtheta = 0.
 
     Accepts a ContactStructure (the raw theta is used, differentiated
-    structurally at full order) or a jet-backed 1-form value, whose
-    exterior derivative must then come from the jets, costing one order.
+    structurally at full order; inputs, when given, are its inputs at p)
+    or a jet-backed 1-form value, whose exterior derivative must then come
+    from the jets, costing one order.
     """
     if isinstance(cs_or_theta, ContactStructure):
-        comps = [
-            eval_jet(cs_or_theta.theta.coeff((i,)), p, ORDER)
-            for i in range(cs_or_theta.dim)
-        ]
-        dt = cs_or_theta.dtheta.eval(p, ORDER)
-        return _reeb_from_values(comps, dt)
+        inputs = inputs or cs_or_theta.inputs_at(p)
+        return _reeb_from_values(list(inputs.theta.comps.values()), inputs.dtheta)
     if isinstance(cs_or_theta, KFormValue) and cs_or_theta.degree == 1:
         comps = [cs_or_theta.comp((i,)) for i in range(cs_or_theta.dim)]
         dt = d_from_jets(cs_or_theta)
@@ -234,12 +271,12 @@ def _form_pairs(form: KFormValue, U: JetArray, V: JetArray) -> JetArray:
     return evaluate_forms(form.array, list(form.comps), U, V)
 
 
-def _h_gram_and_omega(cs: ContactStructure, p, h_choice=None):
+def _h_gram_and_omega(inputs: PointInputs, h_choice=None):
     """Shared setup, as jet arrays: theta's components, the H-projected
     coordinate basis (one vector per row), the metric, its Gram matrix on
-    that basis, dtheta at p, and the dtheta matrix on that basis."""
-    d = cs.dim
-    theta = JetArray.from_jets([eval_jet(cs.theta.coeff((i,)), p, ORDER) for i in range(d)])
+    that basis, dtheta at the point, and the dtheta matrix on that basis."""
+    theta = inputs.theta.array
+    d = len(theta)
     if h_choice is None:
         kept, m = _select_h_indices(theta.value)
     else:
@@ -253,14 +290,14 @@ def _h_gram_and_omega(cs: ContactStructure, p, h_choice=None):
                 "chosen transversal direction has a vanishing theta component"
             )
     basis = _project_onto_h(theta, m, kept)
-    G = JetArray.from_jets(cs.metric_at(p, ORDER))
+    G = inputs.G
     gram = _metric_pairs(G, basis, basis)
     eigs = np.linalg.eigvalsh(gram.value)
     if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
         raise DegenerateMetricError(
             "metric restricted to the contact distribution is not positive definite"
         )
-    dt = cs.dtheta.eval(p, ORDER)
+    dt = inputs.dtheta
     omega = _form_pairs(dt, basis, basis)
     return theta, kept, m, basis, G, gram, dt, omega
 
@@ -287,7 +324,7 @@ def _mu(gram: JetArray, omega: JetArray) -> Jet:
 
 def normalize_theta(cs: ContactStructure, p) -> Jet:
     """The positive scale mu with theta_hat = mu * theta normalized."""
-    _, _, _, _, _, gram, _, omega = _h_gram_and_omega(cs, p)
+    _, _, _, _, _, gram, _, omega = _h_gram_and_omega(cs.inputs_at(p))
     return _mu(gram, omega)
 
 
@@ -494,17 +531,21 @@ def structure_values(f, c: JetArray, X: JetArray, Omega: JetArray) -> JetArray:
     return D.restrict(1)
 
 
-def adapted_frame(cs: ContactStructure, p, h_choice=None) -> AdaptedFrame:
+def adapted_frame(
+    cs: ContactStructure, p, h_choice=None, inputs: PointInputs | None = None
+) -> AdaptedFrame:
     """Build the adapted orthonormal frame and dual coframe at p.
 
     h_choice optionally overrides which 2n coordinate directions get
     projected into H (any admissible set gives the same geometry in a
     different frame; the default picks the most transversal split).
+    inputs, when given, are the structure's inputs at p; otherwise they
+    are evaluated here.
     """
     d = cs.dim
     n = cs.n
     theta, kept, m, basis, G, gram, dtheta_val, omega_raw = _h_gram_and_omega(
-        cs, p, h_choice
+        inputs or cs.inputs_at(p), h_choice
     )
 
     # mu from the same Gram/omega data, then theta_hat = mu theta.
@@ -613,10 +654,11 @@ def classify(cs: ContactStructure, points) -> dict:
     pint = True
     spectra = []
     for p in points:
-        if not check_contact(cs, p).passed:
+        inputs = cs.inputs_at(p)
+        if not check_contact(cs, p, inputs).passed:
             contact_ok = False
             continue
-        frame = adapted_frame(cs, p)
+        frame = adapted_frame(cs, p, inputs=inputs)
         omega = _omega_value_matrix(frame)
         lam = np.array(lambda_spectrum(frame).values)
         spectra.append(lam)

@@ -95,6 +95,10 @@ class KFormValue:
     def map(self, f) -> "KFormValue":
         return KFormValue(self.dim, self.degree, {i: f(j) for i, j in self.comps.items()})
 
+    def restrict(self, order: int) -> "KFormValue":
+        """Every component cut to order at most order, as Jet.restrict."""
+        return self.map(lambda j: j.restrict(order))
+
     def __add__(self, other: "KFormValue") -> "KFormValue":
         assert self.degree == other.degree
         return KFormValue(

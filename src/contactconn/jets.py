@@ -27,6 +27,10 @@ Design notes.
   an entry's order are never read (value and gradient rules read no
   higher part), and JetArray.jets() restricts every entry to its own
   order, so mixing orders in one array is exact.
+- Expressions. Tape compiles expression trees into one list of slots,
+  one per distinct subexpression, and evaluates them with the Jet rules
+  in the order a tree walk first reaches them; eval_jet is its
+  one-expression case.
 - Symmetry. Hessians are built from symmetric pieces (outer products
   enter as outer(a, b) plus its transpose), so a Hessian is symmetric up
   to the rounding of those additions; sums, differences, sqrt and the
@@ -579,50 +583,97 @@ def fold_chunks(n_terms: int, per_term: int, dim: int, terms) -> JetArray:
     return acc
 
 
-def eval_jet(e: Expr, p, order: int) -> Jet:
-    """Evaluate an expression tree to a jet of the requested order at p.
+class Tape:
+    """Expressions compiled to one straight-line program over jets.
 
-    Domain violations (division by zero, sqrt of a negative) raise
-    ExprDomainError naming the offending subexpression.
+    Every distinct subexpression gets one slot, keyed on its node kind and
+    its child slots (literals on float.hex, so 0.0 and -0.0 stay apart),
+    and is evaluated once per call however often the trees repeat it.
+    Compiling memoizes on node identity, so it takes time linear in the
+    number of distinct node objects. Slots run in the post-order of their
+    first appearance across the expressions, the order a walk of each tree
+    in turn visits them, and every slot applies the Jet rule that walk
+    would; so each output has the bits of evaluating its tree alone, and
+    the first domain error names the subexpression that walk would.
     """
-    d = len(p)
 
-    def go(node: Expr) -> Jet:
-        match node:
-            case Lit(v):
-                return Jet.constant(v, d, order)
-            case Coord(i, _):
-                return Jet.coordinate(p, i, order)
-            case Unary("neg", a):
-                return -go(a)
-            case Unary(op, a):
-                ja = go(a)
-                try:
-                    return getattr(ja, op)()
-                except ExprDomainError as exc:
-                    raise ExprDomainError(str(exc).split(" in ")[0], pretty(node)) from None
-            case Binary(op, a, b):
-                ja, jb = go(a), go(b)
-                if op == "+":
-                    return ja + jb
-                if op == "-":
-                    return ja - jb
+    def __init__(self, exprs):
+        self.code: list[tuple] = []
+        self.nodes: list[Expr] = []
+        slots: dict[tuple, int] = {}
+        seen: dict[int, int] = {}
+
+        def slot(node: Expr) -> int:
+            s = seen.get(id(node))
+            if s is not None:
+                return s
+            kind = type(node)
+            if kind is Binary:
+                key = ins = (node.op, slot(node.lhs), slot(node.rhs))
+            elif kind is Lit:
+                v = float(node.value)
+                key = ("lit", v.hex())
+                ins = ("lit", v, None)
+            elif kind is Coord:
+                key = ("coord", node.index, node.name)
+                ins = ("coord", node.index, None)
+            elif kind is Pow:
+                key = ins = ("pow", slot(node.base), node.exponent)
+            elif kind is Unary:
+                key = ins = (node.op, slot(node.arg), None)
+            else:
+                raise TypeError(f"not an Expr: {node!r}")
+            s = slots.get(key)
+            if s is None:
+                s = slots[key] = len(self.code)
+                self.code.append(ins)
+                self.nodes.append(node)
+            seen[id(node)] = s
+            return s
+
+        self.outputs = [slot(e) for e in exprs]
+
+    def eval(self, p, order: int) -> list[Jet]:
+        """The outputs as jets of the requested order at p.
+
+        Domain violations (division by zero, sqrt of a negative) raise
+        ExprDomainError naming the offending subexpression.
+        """
+        d = len(p)
+        vals: list[Jet] = []
+        push = vals.append
+        i = 0
+        try:
+            for i, (op, a, b) in enumerate(self.code):
                 if op == "*":
-                    return ja * jb
-                if jb.value == 0.0:
-                    raise ExprDomainError("division by zero", pretty(node))
-                return ja / jb
-            case Pow(a, k):
-                ja = go(a)
-                try:
-                    return ja.powi(k)
-                except ExprDomainError:
-                    raise ExprDomainError(
-                        "zero raised to a negative power", pretty(node)
-                    ) from None
-        raise TypeError(f"not an Expr: {node!r}")
+                    push(vals[a] * vals[b])
+                elif op == "+":
+                    push(vals[a] + vals[b])
+                elif op == "-":
+                    push(vals[a] - vals[b])
+                elif op == "/":
+                    push(vals[a] / vals[b])
+                elif op == "lit":
+                    push(Jet.constant(a, d, order))
+                elif op == "coord":
+                    push(Jet.coordinate(p, a, order))
+                elif op == "pow":
+                    push(vals[a].powi(b))
+                elif op == "neg":
+                    push(-vals[a])
+                else:
+                    push(getattr(vals[a], op)())
+        except ExprDomainError as exc:
+            # The rule's message, placed at the subexpression of slot i.
+            message = str(exc).split(" in ")[0]
+            raise ExprDomainError(message, pretty(self.nodes[i])) from None
+        return [vals[s] for s in self.outputs]
 
-    return go(e)
+
+def eval_jet(e: Expr, p, order: int) -> Jet:
+    """Evaluate an expression tree to a jet of the requested order at p:
+    the one-expression case of Tape."""
+    return Tape((e,)).eval(p, order)[0]
 
 
 def _as_value_matrix(rows) -> np.ndarray:

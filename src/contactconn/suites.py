@@ -2,13 +2,15 @@
 residuals into a Report.
 
 Five suites exist. contact, canonical and promotion run in any odd
-dimension; tw-compare and rotation require dimension 3. Points failing
-the contact or metric-positivity screen are skipped and counted, never
-silently dropped; if nothing survives, the run errors out rather than
-reporting a vacuous pass.
+dimension; tw-compare and rotation require dimension 3. Points where the
+inputs cannot be evaluated, or failing the contact, metric-positivity or
+frame screen, are skipped with the reason and counted, never silently
+dropped; if nothing survives, the run errors out rather than reporting a
+vacuous pass.
 
-Screening builds one _PointState per usable point. It holds the adapted
-frame and caches what the suites derive from it (spectrum, canonical
+Screening evaluates the chart's inputs once per sample point and builds
+one _PointState per usable point. It holds those inputs and the adapted
+frame and caches what the suites derive from them (spectrum, canonical
 connection, promotion, 3D coframe and structure data), so each is built
 at most once per point and shared by every suite.
 """
@@ -30,6 +32,7 @@ from .connection import (
 from .contact import (
     AdaptedFrame,
     ContactStructure,
+    PointInputs,
     _form_pairs,
     _metric_pairs,
     adapted_frame,
@@ -41,7 +44,10 @@ from .errors import (
     AllPointsSkippedError,
     DegenerateFrameError,
     DegenerateMetricError,
+    ExprDomainError,
+    LinearSolveResidualError,
     NotContactError,
+    SingularMatrixError,
     SuiteUnavailableError,
 )
 from .jets import Jet, JetArray
@@ -63,13 +69,17 @@ _ROTATION_STREAM = 0x726F746174696F6E
 
 
 class _PointState:
-    """One usable sample point: its index, coordinates and adapted frame,
-    and everything derived from the frame, each built on first use."""
+    """One usable sample point: its index, coordinates, inputs and adapted
+    frame, and everything derived from the frame, each built on first
+    use."""
 
-    def __init__(self, cs: ContactStructure, index: int, p, frame: AdaptedFrame):
+    def __init__(
+        self, cs: ContactStructure, index: int, p, inputs: PointInputs, frame: AdaptedFrame
+    ):
         self.cs = cs
         self.index = index
         self.p = p
+        self.inputs = inputs
         self.frame = frame
 
     @cached_property
@@ -108,10 +118,11 @@ def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
     lam_min = math.inf
     dual_res = 0.0
     for pt in usable:
-        p, frame = pt.p, pt.frame
-        T = reeb_field(cs, p)
-        theta_val = cs.theta.eval(p, 1)
-        dtheta_val = cs.dtheta.eval(p, 1)
+        frame = pt.frame
+        T = reeb_field(cs, pt.p, pt.inputs)
+        # Only values are read below.
+        theta_val = pt.inputs.theta.restrict(0)
+        dtheta_val = pt.inputs.dtheta.restrict(0)
         reeb_res = max(reeb_res, abs(theta_val.evaluate(T).value - 1.0))
         for v in _form_pairs(dtheta_val, T.array[None], basis).value[0].tolist():
             reeb_res = max(reeb_res, abs(v))
@@ -187,8 +198,7 @@ def _suite_canonical(cs: ContactStructure, usable) -> SuiteResult:
             ),
         )
 
-        G = JetArray.from_jets(cs.metric_at(pt.p, 2))
-        dg = nabla_H(conn, frame_tensor02(_metric_pairs(G, X, X).jets()))
+        dg = nabla_H(conn, frame_tensor02(_metric_pairs(pt.inputs.G, X, X).jets()))
         m_res["metric_parallel"] = max(
             m_res["metric_parallel"],
             max(
@@ -306,18 +316,29 @@ def run_suites(
     records = []
     usable = []
     for i, p in enumerate(samples):
-        chk = check_contact(cs, p)
+        try:
+            inputs = cs.inputs_at(p)
+        except ExprDomainError as exc:
+            records.append(PointRecord(i, p, skipped=True, reason=str(exc)))
+            continue
+        chk = check_contact(cs, p, inputs)
         if not chk.passed:
             records.append(
                 PointRecord(i, p, skipped=True, reason="contact condition fails")
             )
             continue
         try:
-            frame = adapted_frame(cs, p)
-        except (NotContactError, DegenerateMetricError, DegenerateFrameError) as exc:
+            frame = adapted_frame(cs, p, inputs=inputs)
+        except (
+            NotContactError,
+            DegenerateMetricError,
+            DegenerateFrameError,
+            SingularMatrixError,
+            LinearSolveResidualError,
+        ) as exc:
             records.append(PointRecord(i, p, skipped=True, reason=str(exc)))
             continue
-        pt = _PointState(cs, i, p, frame)
+        pt = _PointState(cs, i, p, inputs, frame)
         records.append(
             PointRecord(
                 i, p, skipped=False, mu=frame.mu.value, spectrum=tuple(pt.spectrum)

@@ -244,10 +244,10 @@ def check_rotation_covariance(cf: TWCoframe, td: TWData, phi) -> dict:
     transformation law leaves invariant.
     """
     base = td
-    rotated_cf = rotate_coframe(cf, phi)
+    ph = _phi_jet(cf, phi)
+    rotated_cf = rotate_coframe(cf, ph)
     rot = solve_structure_equations(rotated_cf)
 
-    ph = _phi_jet(cf, phi)
     co, si = ph.cos(), ph.sin()
     frame = cf.frame
 

@@ -112,6 +112,19 @@ class TestAnalyze:
         assert "note: skipped 12 of 20 points" in err
 
 
+    def test_undefined_input_point_is_skipped_not_fatal(self, capsys, tmp_path):
+        payload = dict(GOOD_SPEC, name="sqrt-edge", points=10, seed=3)
+        payload["theta"] = ["-y", "0", "sqrt(x)+1"]
+        payload["box"] = [[-0.5, 0.9], [-0.9, 0.9], [-0.9, 0.9]]
+        path = write_spec(tmp_path, payload)
+        code, out, err = run(capsys, "analyze", "--spec", path)
+        assert code == 0
+        doc = json.loads(out)
+        reasons = {r["reason"] for r in doc["points"] if r["skipped"]}
+        assert reasons == {"sqrt of negative value in 'sqrt(x)'"}
+        assert f"note: skipped {doc['skipped_points']} of 10 points" in err
+
+
 class TestExitCodes:
     def test_failure_exits_one(self, capsys, monkeypatch):
         import contactconn.cli as cli_mod

@@ -1,19 +1,24 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from contactconn.errors import ExprDomainError, SingularMatrixError
-from contactconn.expressions import parse_expr
+from contactconn.expressions import Binary, Coord, Expr, Lit, Pow, Unary, parse_expr, pretty
+from contactconn.forms import increasing_indices
 from contactconn.jets import (
     _FOLD_CHUNK,
     Jet,
     JetArray,
+    Tape,
     eval_jet,
     fold_chunks,
     jet_linear_solve,
     sum_jets,
 )
+from contactconn.registry import builtin_registry, load_spec
+from contactconn.sampling import sample_box
 
 XYZ = ("x", "y", "z")
 
@@ -375,3 +380,182 @@ class TestJetArrayMatchesScalar:
         a = random_jets(rng, 20, (0, 1, 2))
         for g, x in zip(JetArray.from_jets(a).jets(), a):
             assert_same_jet(g, x)
+
+
+# -- the input tape against a plain tree walk -------------------------------
+
+
+def tree_walk_jet(e: Expr, p, order: int) -> Jet:
+    """Reference evaluator: one recursive walk of the tree, every node
+    evaluated where it appears (the evaluator the tape replaced)."""
+    d = len(p)
+
+    def go(node):
+        match node:
+            case Lit(v):
+                return Jet.constant(v, d, order)
+            case Coord(i, _):
+                return Jet.coordinate(p, i, order)
+            case Unary("neg", a):
+                return -go(a)
+            case Unary(op, a):
+                ja = go(a)
+                try:
+                    return getattr(ja, op)()
+                except ExprDomainError as exc:
+                    raise ExprDomainError(str(exc).split(" in ")[0], pretty(node)) from None
+            case Binary(op, a, b):
+                ja, jb = go(a), go(b)
+                if op == "+":
+                    return ja + jb
+                if op == "-":
+                    return ja - jb
+                if op == "*":
+                    return ja * jb
+                if jb.value == 0.0:
+                    raise ExprDomainError("division by zero", pretty(node))
+                return ja / jb
+            case Pow(a, k):
+                ja = go(a)
+                try:
+                    return ja.powi(k)
+                except ExprDomainError:
+                    raise ExprDomainError("zero raised to a negative power", pretty(node)) from None
+        raise TypeError(node)
+
+    return go(e)
+
+
+def assert_same_bits(got: Jet, want: Jet):
+    """Equal orders and byte-equal parts (so signed zeros and NaNs count)."""
+    assert got.order == want.order
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    for part in ("grad", "hess"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert np.array_equal(g, w)
+            assert g.tobytes() == w.tobytes()
+
+
+CHARTS = [spec.name for spec in builtin_registry()] + ["heis7.json"]
+
+
+def chart(name):
+    if name.endswith(".json"):
+        return load_spec(Path(__file__).parent / "data" / "charts" / name)
+    return next(s for s in builtin_registry() if s.name == name)
+
+
+def chart_inputs(cs):
+    """theta's, dtheta's and g's expressions, in the tape's order."""
+    d = cs.dim
+    return (
+        [cs.theta.coeff((i,)) for i in range(d)]
+        + [cs.dtheta.coeff(idx) for idx in increasing_indices(d, 2)]
+        + [cs.g[i][j] for i in range(d) for j in range(d)]
+    )
+
+
+def distinct_nodes(exprs):
+    seen = set()
+
+    def walk(node):
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        for child in vars(node).values():
+            if isinstance(child, (Lit, Coord, Unary, Binary, Pow)):
+                walk(child)
+
+    for e in exprs:
+        walk(e)
+    return len(seen)
+
+
+class TestTape:
+    @pytest.mark.parametrize("name", CHARTS)
+    def test_inputs_match_tree_walk_bit_for_bit(self, name):
+        spec = chart(name)
+        cs = spec.build()
+        exprs = chart_inputs(cs)
+        tape = cs.input_tape
+        assert len(tape.outputs) == len(exprs)
+        for p in sample_box(spec.box, 3, 11):
+            for order in (0, 1, 2):
+                got = tape.eval(p, order)
+                for e, j in zip(exprs, got):
+                    assert_same_bits(j, tree_walk_jet(e, p, order))
+            inputs = cs.inputs_at(p)
+            d = cs.dim
+            for i in range(d):
+                assert_same_bits(inputs.theta.comp((i,)), tree_walk_jet(exprs[i], p, 2))
+                for j in range(d):
+                    assert_same_bits(inputs.g[i][j], tree_walk_jet(cs.g[i][j], p, 2))
+            for idx, e in zip(increasing_indices(d, 2), exprs[d:]):
+                assert_same_bits(inputs.dtheta.comp(idx), tree_walk_jet(e, p, 2))
+
+    def test_shared_subexpressions_get_one_slot(self):
+        texts = ["x/(1 + x^2 + y^2)^2", "y/(1 + x^2 + y^2)^2", "(1 + x^2 + y^2)^2"]
+        exprs = [parse_expr(t, XYZ) for t in texts]
+        tape = Tape(exprs)
+        # x, y, 1, x^2, 1 + x^2, y^2, 1 + x^2 + y^2, its square, two quotients
+        assert len(tape.code) == 10
+        assert tape.outputs[2] < tape.outputs[0] < tape.outputs[1]
+        p = (0.3, -0.4, 0.0)
+        for e, j in zip(exprs, tape.eval(p, 2)):
+            assert_same_bits(j, tree_walk_jet(e, p, 2))
+
+    def test_sphere_chart_tape_shares_most_nodes(self):
+        cs = chart("sphere-chart").build()
+        assert len(cs.input_tape.code) < distinct_nodes(chart_inputs(cs)) // 2
+
+    def test_signed_zero_literals_get_distinct_slots(self):
+        x = Coord(0, "x")
+        exprs = [Binary("*", Lit(0.0), x), Binary("*", Lit(-0.0), x)]
+        tape = Tape(exprs)
+        assert tape.outputs[0] != tape.outputs[1]
+        pos, neg = tape.eval((2.0, 0.0, 0.0), 0)
+        assert math.copysign(1.0, pos.value) == 1.0
+        assert math.copysign(1.0, neg.value) == -1.0
+
+    def test_compiles_by_node_identity(self):
+        # A DAG with 2^40 root-to-leaf paths compiles in 41 slots.
+        e = Coord(0, "x")
+        for _ in range(40):
+            e = Binary("+", e, e)
+        tape = Tape([e])
+        assert len(tape.code) == 41
+        assert tape.eval((1.0, 0.0, 0.0), 0)[0].value == 2.0**40
+
+    def test_eval_jet_is_the_one_expression_tape(self):
+        e = parse_expr("sin(x*y) * exp(z) / (2 + cos(x))", XYZ)
+        p = (0.3, -0.7, 0.2)
+        for order in (0, 1, 2):
+            assert_same_bits(eval_jet(e, p, order), Tape([e]).eval(p, order)[0])
+            assert_same_bits(eval_jet(e, p, order), tree_walk_jet(e, p, order))
+
+    @pytest.mark.parametrize(
+        "texts, p, order, subexpr",
+        [
+            (["x + 1", "1/(x - 1) + sqrt(y)", "sqrt(y)"], (1.0, -1.0, 0.0), 2, "1 / (x - 1)"),
+            (["sqrt(y) * 2", "1/(x - 1)"], (1.0, -1.0, 0.0), 0, "sqrt(y)"),
+            (["x*y", "(x - 1)^-2 + y", "sqrt(x - 1)"], (1.0, 2.0, 0.0), 1, "(x - 1)^-2"),
+            (["x*y", "sqrt(x - 1)", "(x - 1)^-2"], (1.0, 2.0, 0.0), 1, "sqrt(x - 1)"),
+            (["z + sqrt(x - 1)"], (1.0, 2.0, 0.0), 0, None),
+            (["exp(x)", "cos(y)/(z*z)", "1/z"], (1.0, 2.0, 0.0), 2, "cos(y) / (z * z)"),
+        ],
+    )
+    def test_domain_error_names_the_tree_walk_subexpression(self, texts, p, order, subexpr):
+        exprs = [parse_expr(t, XYZ) for t in texts]
+
+        def first_error(evaluate):
+            try:
+                evaluate()
+            except ExprDomainError as exc:
+                return str(exc), exc.subexpr
+            return None
+
+        want = first_error(lambda: [tree_walk_jet(e, p, order) for e in exprs])
+        assert (want and want[1]) == subexpr
+        assert first_error(lambda: Tape(exprs).eval(p, order)) == want

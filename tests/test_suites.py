@@ -8,7 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from contactconn.errors import AllPointsSkippedError, SuiteUnavailableError
+from contactconn.errors import (
+    AllPointsSkippedError,
+    LinearSolveResidualError,
+    SuiteUnavailableError,
+)
 from contactconn.registry import (
     SUITE_NAMES,
     SUITES_3D_ONLY,
@@ -124,6 +128,66 @@ class TestScreening:
             run_suites(spec, ["canonical"])
 
 
+def sqrt_edge_spec(x_box=(-0.5, 0.9)):
+    # theta_z = sqrt(x) + 1 cannot be evaluated for x < 0
+    return ManifoldSpec(
+        name="sqrt-edge",
+        coords=("x", "y", "z"),
+        theta=("-y", "0", "sqrt(x)+1"),
+        g=(("1", "0", "0"), ("0", "1", "0"), ("0", "0", "0")),
+        box=(x_box, (-0.9, 0.9), (-0.9, 0.9)),
+        points=10,
+        seed=3,
+    )
+
+
+class TestPointIsolation:
+    def test_undefined_input_skips_the_point(self):
+        rep = run_suites(sqrt_edge_spec(), ALL_3D)
+        skipped = [r for r in rep.points if r.skipped]
+        assert all(r.point[0] < 0.0 for r in skipped)
+        assert {r.reason for r in skipped} == {"sqrt of negative value in 'sqrt(x)'"}
+        assert 0 < rep.skipped_points < rep.requested_points
+        assert rep.passed
+
+    def test_undefined_everywhere_still_raises(self):
+        with pytest.raises(AllPointsSkippedError, match="all 10 sampled points"):
+            run_suites(sqrt_edge_spec(x_box=(-0.9, -0.1)), ["contact"])
+
+    def test_singular_solve_skips_the_point(self):
+        # |theta| ~ 1e3 makes the H-Gram matrix too ill-conditioned to invert
+        spec = ManifoldSpec(
+            name="wide",
+            coords=("x", "y", "z"),
+            theta=("-y/2", "x/2", "1"),
+            g=(("1 + x^2", "0", "0"), ("0", "1", "0"), ("0", "0", "0")),
+            box=((-1000.0, 1000.0),) * 3,
+            points=6,
+            seed=1,
+        )
+        rep = run_suites(spec, ["canonical"])
+        reasons = {r.reason for r in rep.points if r.skipped}
+        assert reasons and all(r.startswith("value part of system is singular") for r in reasons)
+        assert rep.skipped_points < rep.requested_points
+
+    def test_solve_residual_failure_skips_the_point(self, monkeypatch):
+        import contactconn.suites as suites_mod
+
+        real = suites_mod.adapted_frame
+        calls = []
+
+        def flaky(cs, p, **kwargs):
+            calls.append(p)
+            if len(calls) == 1:
+                raise LinearSolveResidualError("solve residual 1e-3 exceeds contract bound")
+            return real(cs, p, **kwargs)
+
+        monkeypatch.setattr(suites_mod, "adapted_frame", flaky)
+        rep = run_suites(get_manifold("heisenberg"), ["contact"], points=3)
+        assert [r.skipped for r in rep.points] == [True, False, False]
+        assert rep.points[0].reason == "solve residual 1e-3 exceeds contract bound"
+
+
 class TestAvailability:
     def test_unknown_suite(self):
         with pytest.raises(SuiteUnavailableError, match="unknown suite 'spectral'"):
@@ -204,6 +268,37 @@ class TestPerPointState:
             "canonical_partial_connection": usable,
             "promote": usable,
         }
+
+
+    @pytest.mark.parametrize("suites", [ALL_3D, CORE])
+    def test_inputs_evaluated_once_per_sample_point(self, monkeypatch, suites):
+        from contactconn.forms import FormField
+        from contactconn.jets import Tape
+
+        outputs = []
+        real_eval = Tape.eval
+
+        def counted(self, p, order):
+            outputs.append(len(self.outputs))
+            return real_eval(self, p, order)
+
+        def no_form_eval(*args, **kwargs):
+            raise AssertionError("a form field was evaluated outside the input tape")
+
+        monkeypatch.setattr(Tape, "eval", counted)
+        monkeypatch.setattr(FormField, "eval", no_form_eval)
+        counts = count_calls(monkeypatch, ["jets.eval_jet", "expressions.parse_expr"])
+        spec = half_degenerate_spec()
+        rep = run_suites(spec, suites)
+        usable = rep.requested_points - rep.skipped_points
+        assert 0 < usable < rep.requested_points
+        # One 15-output tape (theta, dtheta, g) per sample point, skipped or
+        # not; the rotation suite adds one angle per usable point.
+        phis = usable if "rotation" in suites else 0
+        assert outputs.count(3 + 3 + 9) == rep.requested_points
+        assert outputs.count(1) == phis == counts["eval_jet"]
+        assert len(outputs) == rep.requested_points + phis
+        assert counts["parse_expr"] == 3 + 9 + phis
 
 
 # Reports rendered before the per-point state was shared; every suite the
