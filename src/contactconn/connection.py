@@ -33,7 +33,6 @@ import numpy as np
 from .contact import (
     AdaptedFrame,
     ContactStructure,
-    _tuples,
     adapted_frame,
     frame_pair_matrix,
 )
@@ -42,57 +41,41 @@ from .forms import FormField, VectorValue, apply_vector
 from .jets import Jet, JetArray, fold_chunks
 
 
-def _val(x) -> float:
-    return x.value if isinstance(x, Jet) else float(x)
+def _check_sym(t: JetArray, slots: tuple[int, int], what: str) -> None:
+    """Raise SymmetryError naming the first entry, in index order, whose
+    value differs by more than 1e-12 from the entry with the two slots
+    swapped."""
+    v = t.value
+    gap = np.abs(v - v.swapaxes(*slots))
+    bad = np.argwhere(gap > 1e-12)
+    if len(bad):
+        idx = tuple(bad[0].tolist())
+        jdx = list(idx)
+        jdx[slots[0]], jdx[slots[1]] = idx[slots[1]], idx[slots[0]]
+        raise SymmetryError(
+            f"{what} must be symmetric in slots {slots}; "
+            f"entry {idx} differs from {tuple(jdx)} by {float(gap[idx]):.3e}"
+        )
 
 
-def _check_sym(t, slots: tuple[int, int], what: str) -> None:
-    m = len(t)
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                idx = [a, b, c]
-                jdx = list(idx)
-                jdx[slots[0]], jdx[slots[1]] = idx[slots[1]], idx[slots[0]]
-                lhs = _val(t[idx[0]][idx[1]][idx[2]])
-                rhs = _val(t[jdx[0]][jdx[1]][jdx[2]])
-                if abs(lhs - rhs) > 1e-12:
-                    raise SymmetryError(
-                        f"{what} must be symmetric in slots {slots}; "
-                        f"entry {tuple(idx)} differs from {tuple(jdx)} by "
-                        f"{abs(lhs - rhs):.3e}"
-                    )
-
-
-def sigma(s):
+def sigma(s: JetArray) -> JetArray:
     """Symmetrize the last two slots: sigma(s)_abc = (s_abc + s_acb)/2.
 
-    Input must be symmetric in its first two slots; the output is
-    symmetric in its last two. Works on nested lists of Jets or numbers.
+    s is an (m, m, m) JetArray symmetric in its first two slots; the
+    output is symmetric in its last two.
     """
     _check_sym(s, (0, 1), "sigma input")
-    m = len(s)
-    return [
-        [[(s[a][b][c] + s[a][c][b]) * 0.5 for c in range(m)] for b in range(m)]
-        for a in range(m)
-    ]
+    return (s + s.transpose(0, 2, 1)) * 0.5
 
 
-def sigma_inv(t):
+def sigma_inv(t: JetArray) -> JetArray:
     """Two-sided inverse of sigma: sigma_inv(t)_abc = t_abc + t_bac - t_cab.
 
-    Input must be symmetric in its last two slots; the output is symmetric
-    in its first two.
+    t is an (m, m, m) JetArray symmetric in its last two slots; the
+    output is symmetric in its first two.
     """
     _check_sym(t, (1, 2), "sigma_inv input")
-    m = len(t)
-    return [
-        [
-            [t[a][b][c] + t[b][a][c] - t[c][a][b] for c in range(m)]
-            for b in range(m)
-        ]
-        for a in range(m)
-    ]
+    return t + t.transpose(1, 0, 2) - t.transpose(1, 2, 0)
 
 
 @dataclass(frozen=True)
@@ -100,18 +83,17 @@ class PartialConnection:
     """Normal-form partial connection at a point, in its adapted frame."""
 
     frame: AdaptedFrame
-    Gamma: tuple[tuple[tuple[Jet, ...], ...], ...]
+    Gamma: JetArray
 
     @property
     def h_dim(self) -> int:
         return 2 * self.frame.n
 
     @cached_property
-    def promotion_system(self):
+    def promotion_system(self) -> tuple[JetArray, JetArray]:
         """(num, den) of the promotion solve, computed once and shared by
         promote and promotion_residual."""
-        num, den = _promotion_system(self)
-        return _tuples(num.jets()), den.jets()
+        return _promotion_system(self)
 
     def coordinate_action_on_vector(self, vector_jets):
         """Value matrix of the H-derivative of a vector field given by
@@ -121,67 +103,45 @@ class PartialConnection:
         built from different adapted frames can be compared directly.
         """
         frame = self.frame
-        m = self.h_dim
-        dim = frame.dim
         v = VectorValue(tuple(vector_jets))
-        comps = frame.express_vector(v)
-        der = JetArray.from_jets(nabla_H(self, frame_vector(comps)))
+        der = nabla_H(self, frame_vector(frame.express_vector(v)))
         back = _contract(der.transpose(1, 0)[:, :, None], frame.frame_array[:, None, :]).value
-        co = frame.coframe()
-        e_vals = np.array(
-            [[co[a + 1].comp((i,)).value for i in range(dim)] for a in range(m)]
-        )
-        return e_vals.T @ back
+        return frame.coframe_array.value[1:].T @ back
 
     @cached_property
-    def gamma_array(self) -> JetArray:
-        """Gamma as one (2n, 2n, 2n) JetArray, entry [a, b, c] = Gamma^b_{ac}."""
-        return JetArray.from_jets(self.Gamma)
-
-    @property
-    def kappa_array(self) -> JetArray:
-        """Every kappa(a) at once: entry [a, A, C] is kappa(a)[A][C].
-        Built on each access (it is cheap and large)."""
+    def kappa(self) -> JetArray:
+        """Coefficient matrices of every nabla_{X_a} on the coframe, shape
+        (2n, 2n+1, 2n+1): entry [a, A, C] is the sigma^C-component of
+        nabla_{X_a} sigma^A, index 0 being theta_hat. Row 0 is the 2-form
+        row; no element ever produces a theta_hat component, which is what
+        'normal form' means.
+        """
         frame = self.frame
         m = self.h_dim
         kap = JetArray.constant(0.0, frame.dim, (m, m + 1, m + 1))
-        kap[:, 0, 1:] = frame.Omega_array
-        kap[:, 1:, 1:] = -self.gamma_array
+        kap[:, 0, 1:] = frame.Omega
+        kap[:, 1:, 1:] = -self.Gamma
         return kap
-
-    def kappa(self, a: int):
-        """Coefficient matrix of nabla_{X_a} on the coframe:
-        kappa[A][C] is the sigma^C-component of nabla_{X_a} sigma^A,
-        index 0 being theta_hat. Row 0 is the 2-form row; no element ever
-        produces a theta_hat component, which is what 'normal form' means.
-        """
-        return self.kappa_array[a].jets()
 
 
 @dataclass(frozen=True)
 class TorsionTensor:
     """Torsion components per coframe element.
 
-    comps[A][P][Q] is the coefficient of the P^Q basis 2-form in the
+    comps[A, P, Q] is the coefficient of the P^Q basis 2-form in the
     torsion of the A-th coframe element (A = 0 is theta_hat). For partial
     torsion P, Q run over H only; for full torsion index 0 is the Reeb
     direction. Antisymmetric in (P, Q) by construction.
     """
 
-    comps: tuple[tuple[tuple[Jet, ...], ...], ...]
-    h_inputs_only: bool
+    comps: JetArray
 
-    def theta_row(self):
+    def theta_row(self) -> JetArray:
         return self.comps[0]
 
     def max_abs(self, rows=None) -> float:
-        rows = range(len(self.comps)) if rows is None else rows
-        return max(
-            abs(e.value)
-            for A in rows
-            for row in self.comps[A]
-            for e in row
-        )
+        v = self.comps.value if rows is None else self.comps.value[list(rows)]
+        return max(np.abs(v).ravel().tolist())
 
     def max_abs_h_rows(self) -> float:
         return self.max_abs(rows=range(1, len(self.comps)))
@@ -193,15 +153,7 @@ def base_partial_connection(frame: AdaptedFrame) -> PartialConnection:
     Any symmetric-in-(a,c) modification is an equally valid base; the
     canonical construction is provably independent of that choice.
     """
-    m = 2 * frame.n
-    Gamma = tuple(
-        tuple(
-            tuple(frame.D[b][a][c] * -0.5 for c in range(m))
-            for b in range(m)
-        )
-        for a in range(m)
-    )
-    return PartialConnection(frame, Gamma)
+    return PartialConnection(frame, frame.D.transpose(1, 0, 2) * -0.5)
 
 
 def partial_torsion(conn: PartialConnection) -> TorsionTensor:
@@ -214,14 +166,12 @@ def partial_torsion(conn: PartialConnection) -> TorsionTensor:
     """
     frame = conn.frame
     m = 2 * frame.n
-    kap = conn.kappa_array[:, :, 1:]
-    rows = []
-    for A in range(m + 1):
-        # row[a, c] = kappa(a)[A][c + 1]; the wedge part is row - row^T.
-        row = kap[:, A]
-        d_part = frame.Omega_array if A == 0 else frame.D_array[A - 1]
-        rows.append(_tuples((row - row.transpose(1, 0) - d_part).jets()))
-    return TorsionTensor(tuple(rows), h_inputs_only=True)
+    # rows[A, a, c] = kappa[a, A, c + 1]; the wedge part is rows - rows^T.
+    rows = conn.kappa[:, :, 1:].transpose(1, 0, 2)
+    d_part = JetArray.constant(0.0, frame.dim, (m + 1, m, m))
+    d_part[0] = frame.Omega
+    d_part[1:] = frame.D
+    return TorsionTensor(rows - rows.transpose(0, 2, 1) - d_part)
 
 
 def canonical_partial_connection(
@@ -232,45 +182,24 @@ def canonical_partial_connection(
 ) -> PartialConnection:
     """The unique torsion-free metric partial connection at p.
 
-    Starts from the torsion-free base (optionally shifted by a symmetric
-    perturbation, which provably cannot change the result), computes the
+    Starts from the torsion-free base (optionally shifted by
+    base_perturbation, an (m, m, m) JetArray symmetric in its first and
+    last slots, which provably cannot change the result), computes the
     frame components of the covariant derivative of the metric, and adds
     the sigma_inv-correction that cancels them while preserving zero
     torsion.
     """
     frame = frame or adapted_frame(cs, p)
-    m = 2 * frame.n
-    base = base_partial_connection(frame)
-    Gamma = [[[base.Gamma[a][b][c] for c in range(m)] for b in range(m)] for a in range(m)]
+    Gamma = base_partial_connection(frame).Gamma
     if base_perturbation is not None:
-        pert = [
-            [[base_perturbation[a][b][c] for c in range(m)] for b in range(m)]
-            for a in range(m)
-        ]
-        _check_sym(pert, (0, 2), "base perturbation (direction, argument)")
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    Gamma[a][b][c] = Gamma[a][b][c] + base_perturbation[a][b][c]
+        _check_sym(base_perturbation, (0, 2), "base perturbation (direction, argument)")
+        Gamma = Gamma + base_perturbation
 
-    # Frame components of nabla g: eta[c][a][b] = -(Gamma^b_{ca} + Gamma^a_{cb});
+    # Frame components of nabla g: eta[c, a, b] = -(Gamma^b_{ca} + Gamma^a_{cb});
     # the frame metric is the identity, so this is pure connection algebra.
-    eta = [
-        [
-            [-(Gamma[c][b][a] + Gamma[c][a][b]) for b in range(m)]
-            for a in range(m)
-        ]
-        for c in range(m)
-    ]
+    eta = -(Gamma.transpose(0, 2, 1) + Gamma)
     w = sigma_inv(eta)
-    hat = tuple(
-        tuple(
-            tuple(Gamma[a][b][c] + w[a][c][b] * 0.5 for c in range(m))
-            for b in range(m)
-        )
-        for a in range(m)
-    )
-    return PartialConnection(frame, hat)
+    return PartialConnection(frame, Gamma + w.transpose(0, 2, 1) * 0.5)
 
 
 @dataclass(frozen=True)
@@ -279,34 +208,36 @@ class FrameSection:
 
     kind 'oneform' / 'vector': comps over the full (co)frame, slot 0 the
     Reeb one. kind 'tensor02': square matrix of components, either H-only
-    (2n) or full (2n+1).
+    (2n) or full (2n+1). comps is a JetArray or a nested sequence of Jets
+    or numbers.
     """
 
     kind: str
-    comps: tuple
+    comps: object
 
 
 def frame_oneform(comps) -> FrameSection:
-    return FrameSection("oneform", tuple(comps))
+    return FrameSection("oneform", comps)
 
 
 def frame_vector(comps) -> FrameSection:
-    return FrameSection("vector", tuple(comps))
+    return FrameSection("vector", comps)
 
 
 def frame_tensor02(matrix) -> FrameSection:
-    return FrameSection("tensor02", tuple(tuple(row) for row in matrix))
-
-
-def _as_jet(x, dim: int) -> Jet:
-    return x if isinstance(x, Jet) else Jet.constant(float(x), dim, 2)
+    return FrameSection("tensor02", matrix)
 
 
 def _stack(comps, dim: int) -> JetArray:
-    """Section components (Jets or numbers, nested) as a JetArray."""
+    """Section components as a JetArray: a JetArray as it is, nested
+    sequences of Jets or numbers (lifted to constant jets) stacked."""
+    if isinstance(comps, JetArray):
+        return comps
 
     def lift(x):
-        return [lift(e) for e in x] if isinstance(x, (list, tuple)) else _as_jet(x, dim)
+        if isinstance(x, (list, tuple)):
+            return [lift(e) for e in x]
+        return x if isinstance(x, Jet) else Jet.constant(float(x), dim, 2)
 
     return JetArray.from_jets(lift(comps))
 
@@ -320,44 +251,44 @@ def _contract(coeffs: JetArray, comps: JetArray) -> JetArray:
     )
 
 
-def nabla_H(conn: PartialConnection, field, p=None):
-    """Covariant derivative along each frame direction X_a.
+def nabla_H(conn: PartialConnection, field) -> JetArray:
+    """Covariant derivative along each frame direction X_a, at the
+    frame's point.
 
     field may be a coordinate-expressed 1-form FormField (converted to
-    coframe components by frame pairing) or a FrameSection. Returns
-    nested lists indexed [a][...] with the same component layout as the
+    coframe components by frame pairing) or a FrameSection. Returns a
+    JetArray indexed [a, ...] with the same component layout as the
     input. Differentiating the components costs one jet order.
     """
     frame = conn.frame
     m = 2 * frame.n
     dim = frame.dim
-    kap = conn.kappa_array
 
     if isinstance(field, FormField):
         if field.degree != 1:
             raise ValueError("nabla_H on fields is implemented for 1-forms")
-        comps = frame.express(field.eval(p if p is not None else frame.p, 2))
-        field = frame_oneform(comps)
+        field = frame_oneform(frame.express(field.eval(frame.p, 2)))
 
     if not isinstance(field, FrameSection):
         raise TypeError("expected a FormField or a FrameSection")
 
-    X = frame.X_array
+    X = frame.X
     # Every result adds a derivative, of order at most 1, to products of
     # kappa; those need no parts above order 1.
-    kap = kap.restrict(1)
+    kap = conn.kappa.restrict(1)
     if field.kind == "oneform":
         alpha = _stack(field.comps, dim)
-        # alpha[A] * kappa(a)[A][C], folded over A.
+        # alpha[A] * kappa[a, A, C], folded over A.
         corr = _contract(alpha[:, None, None].restrict(1), kap.transpose(1, 0, 2))
-        return (apply_vector(X, alpha) + corr).jets()
+        return apply_vector(X, alpha) + corr
     if field.kind == "vector":
         v = _stack(field.comps, dim)
-        # kappa(a)[B][C] * v[C], folded over C.
+        # kappa[a, B, C] * v[C], folded over C.
         corr = _contract(kap.transpose(2, 0, 1), v[:, None, None].restrict(1))
-        return (apply_vector(X, v) - corr).jets()
+        return apply_vector(X, v) - corr
     if field.kind == "tensor02":
-        size = len(field.comps)
+        t = _stack(field.comps, dim)
+        size = len(t)
         if size == m:
             # H-only components: shift into the full kappa indexing.
             off = 1
@@ -365,17 +296,13 @@ def nabla_H(conn: PartialConnection, field, p=None):
             off = 0
         else:
             raise ValueError("tensor02 components must be 2n or 2n+1 square")
-        t = _stack(field.comps, dim)
         t1 = t.restrict(1)
         tt = t1.transpose(1, 0)
-        out = []
-        for a in range(m):
-            # kk[E, B] = kappa(a)[E + off][B + off]
-            kk = kap[a, off : off + size, off : off + size]
-            first = _contract(kk[:, :, None], t1[:, None, :])
-            second = _contract(kk[:, None, :], tt[:, :, None])
-            out.append((apply_vector(X[a], t) + first + second).jets())
-        return out
+        # kk[E, a, B] = kappa[a, E + off, B + off]
+        kk = kap[:, off : off + size, off : off + size].transpose(1, 0, 2)
+        first = _contract(kk[:, :, :, None], t1[:, None, None, :])
+        second = _contract(kk[:, :, None, :], tt[:, None, :, None])
+        return apply_vector(X, t) + first + second
     raise ValueError(f"unknown section kind {field.kind!r}")
 
 
@@ -383,53 +310,47 @@ def nabla_H(conn: PartialConnection, field, p=None):
 class FullConnection:
     """Connection with both H and Reeb direction coefficients.
 
-    kappa[A][a][C]: the sigma^C-component of nabla_{X_{a+1}} sigma^A.
-    xi[A][C]: the sigma^C-component of nabla_T sigma^A.
+    kappa, a JetArray (2n+1, 2n, 2n+1): entry [A, a, C] is the
+    sigma^C-component of nabla_{X_{a+1}} sigma^A.
+    xi, a JetArray (2n+1, 2n+1): entry [A, C] is the sigma^C-component of
+    nabla_T sigma^A.
     partial: the promoted-from partial connection when there is one; its
     coefficients are shared, not copied.
     """
 
     frame: AdaptedFrame
-    kappa: tuple
-    xi: tuple
+    kappa: JetArray
+    xi: JetArray
     partial: PartialConnection | None = None
 
     @property
     def h_dim(self) -> int:
         return 2 * self.frame.n
 
-    def derivative_of_oneform(self, alpha_comps):
+    def derivative_of_oneform(self, alpha_comps) -> JetArray:
         """Frame derivative of a coframe-expressed 1-form along every
-        frame direction: out[P][C], P = 0 the Reeb direction."""
+        frame direction: entry [P, C], P = 0 the Reeb direction."""
         frame = self.frame
         m = self.h_dim
         alpha = _stack(alpha_comps, frame.dim)
-        # coeffs[A, P, C]: xi[A][C] for P = 0, kappa[A][P - 1][C] after.
-        coeffs = JetArray.from_jets(
-            [[self.xi[A]] + [self.kappa[A][a] for a in range(m)] for A in range(m + 1)]
-        )
+        # coeffs[A, P, C]: xi[A, C] for P = 0, kappa[A, P - 1, C] after.
+        coeffs = JetArray.constant(0.0, frame.dim, (m + 1, m + 1, m + 1))
+        coeffs[:, 0] = self.xi
+        coeffs[:, 1:] = self.kappa
         corr = _contract(alpha[:, None, None], coeffs)
-        return (apply_vector(frame.frame_array, alpha) + corr).jets()
+        return apply_vector(frame.frame_array, alpha) + corr
 
-    def coordinate_action(self, alpha: FormField, p):
-        """Value matrix of nabla alpha in coordinates, both slots down.
+    def coordinate_action(self, alpha: FormField):
+        """Value matrix of nabla alpha in coordinates at the frame's
+        point, both slots down.
 
         Contracts the frame derivative back through the coframe so that
         results from differently-framed connections can be compared.
         """
         frame = self.frame
-        m = self.h_dim
-        dim = frame.dim
-        comps = frame.express(alpha.eval(p, 2))
-        deriv = self.derivative_of_oneform(comps)
-        co = frame.coframe()
-        co_vals = np.array(
-            [[co[A].comp((i,)).value for i in range(dim)] for A in range(m + 1)]
-        )
-        deriv_vals = np.array(
-            [[deriv[P][C].value for C in range(m + 1)] for P in range(m + 1)]
-        )
-        return co_vals.T @ deriv_vals @ co_vals
+        deriv = self.derivative_of_oneform(frame.express(alpha.eval(frame.p, 2)))
+        co_vals = frame.coframe_array.value
+        return co_vals.T @ deriv.value @ co_vals
 
 
 def _promotion_system(conn: PartialConnection):
@@ -442,10 +363,10 @@ def _promotion_system(conn: PartialConnection):
     """
     frame = conn.frame
     m = 2 * frame.n
-    kap = conn.kappa_array
-    X = frame.X_array
-    D = frame.D_array
-    Om = frame.Omega_array
+    kap = conn.kappa
+    X = frame.X
+    D = frame.D
+    Om = frame.Omega
 
     # Every term below meets a derivative of kappa, of order at most 1, so
     # the products of kappa need no parts above order 1.
@@ -474,13 +395,13 @@ def promote(conn: PartialConnection) -> FullConnection:
     unique choice making it vanish. Costs one jet order (the coefficients
     get differentiated once).
     """
-    frame = conn.frame
-    m = 2 * frame.n
     num, den = conn.promotion_system
-    xi = _tuples((-(JetArray.from_jets(num) / den)).jets())
-    kap = conn.kappa_array.jets()
-    kappa = tuple(tuple(tuple(kap[a][A]) for a in range(m)) for A in range(m + 1))
-    return FullConnection(frame=frame, kappa=kappa, xi=xi, partial=conn)
+    return FullConnection(
+        frame=conn.frame,
+        kappa=conn.kappa.transpose(1, 0, 2),
+        xi=-(num / den),
+        partial=conn,
+    )
 
 
 def promotion_residual(fc: FullConnection) -> float:
@@ -489,14 +410,9 @@ def promotion_residual(fc: FullConnection) -> float:
     connection to carry its partial part."""
     if fc.partial is None:
         raise ValueError("promotion residual needs the underlying partial connection")
-    m = fc.h_dim
     num, den = fc.partial.promotion_system
-    dv = den.value
-    return max(
-        abs(num[A][C].value + dv * fc.xi[A][C].value) / dv
-        for A in range(m + 1)
-        for C in range(m + 1)
-    )
+    dv = float(den.value)
+    return max((np.abs(num.value + dv * fc.xi.value) / dv).ravel().tolist())
 
 
 def full_torsion(fc: FullConnection) -> TorsionTensor:
@@ -508,13 +424,12 @@ def full_torsion(fc: FullConnection) -> TorsionTensor:
     frame = fc.frame
     m = 2 * frame.n
     d_vals = frame.d_pairs
-    xi = JetArray.from_jets(fc.xi)
-    kap = JetArray.from_jets(fc.kappa)  # [A, a, C]
+    xi = fc.xi
+    kap = fc.kappa  # [A, a, C]
     # Reeb row: d_vals[A][0][q] - (xi[A][q] - kappa[A][q-1][0]).
     reeb = d_vals[:, 0, 1:] - (xi[:, 1:] - kap[:, :, 0])
     # H-H: d_vals[A][p][q] - (kappa[A][p-1][q] - kappa[A][q-1][p]), p < q.
     iu, ju = np.triu_indices(m, 1)
     hh = JetArray.constant(0.0, frame.dim, (m + 1, m, m))
     hh[:, iu, ju] = d_vals[:, iu + 1, ju + 1] - (kap[:, iu, ju + 1] - kap[:, ju, iu + 1])
-    comps = frame_pair_matrix(reeb, hh)
-    return TorsionTensor(_tuples(comps.jets()), h_inputs_only=False)
+    return TorsionTensor(frame_pair_matrix(reeb, hh))

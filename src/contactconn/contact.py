@@ -162,39 +162,32 @@ def check_contact(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
     for _ in range(cs.n):
         top = wedge(top, dt)
     coefficient = top.comp(tuple(range(cs.dim))).value
-    scale = t.max_abs_value() * max(dt.max_abs_value(), 0.0) ** cs.n
+    scale = t.max_abs_value() * dt.max_abs_value() ** cs.n
     return ContactCheck(abs(coefficient) > CONTACT_REL_TOL * scale, coefficient, scale)
 
 
-def _two_form_pair(dt: KFormValue, i: int, j: int) -> Jet:
-    """dt(d_i, d_j) from increasing-index storage."""
-    if i == j:
-        return Jet.constant(0.0, dt.dim, dt.order())
-    if i < j:
-        return dt.comp((i, j))
-    return -dt.comp((j, i))
-
-
-def _reeb_from_values(theta_comps: list[Jet], dt: KFormValue) -> VectorValue:
+def _reeb_from_values(theta: JetArray, dt: KFormValue) -> VectorValue:
     """Solve the square system whose unique solution is the Reeb field.
 
-    Row j reads sum_i [dt(d_i, d_j) + theta_j theta_i] T^i = theta_j. Any
-    solution satisfies theta(T) = 1 and T . dtheta = 0, and the matrix is
-    invertible exactly at contact points.
+    theta holds the 1-form's components (dim,). Row j reads
+    sum_i [dt(d_i, d_j) + theta_j theta_i] T^i = theta_j, the diagonal's
+    dt(d_i, d_i) a constant zero jet. Any solution satisfies
+    theta(T) = 1 and T . dtheta = 0, and the matrix is invertible exactly
+    at contact points.
     """
-    d = len(theta_comps)
-    A = [
-        [_two_form_pair(dt, i, j) + theta_comps[j] * theta_comps[i] for i in range(d)]
-        for j in range(d)
-    ]
-    b = [theta_comps[j] for j in range(d)]
+    d = len(theta)
+    i, j = np.array(list(dt.comps), dtype=np.intp).T
+    pair = JetArray.constant(0.0, theta.dim, (d, d))  # [i, j] = dt(d_i, d_j)
+    pair[i, j] = dt.array
+    pair[j, i] = -dt.array
+    A = pair.transpose(1, 0) + theta[:, None] * theta[None, :]
     try:
-        sol = jet_linear_solve(A, b)
+        sol = jet_linear_solve(A, theta)
     except SingularMatrixError:
         raise NotContactError(
             "Reeb system is singular: the form is not contact at this point"
         ) from None
-    return VectorValue(tuple(sol))
+    return VectorValue(tuple(sol.jets()))
 
 
 def reeb_field(cs_or_theta, p, inputs: PointInputs | None = None) -> VectorValue:
@@ -207,11 +200,9 @@ def reeb_field(cs_or_theta, p, inputs: PointInputs | None = None) -> VectorValue
     """
     if isinstance(cs_or_theta, ContactStructure):
         inputs = inputs or cs_or_theta.inputs_at(p)
-        return _reeb_from_values(list(inputs.theta.comps.values()), inputs.dtheta)
+        return _reeb_from_values(inputs.theta.array, inputs.dtheta)
     if isinstance(cs_or_theta, KFormValue) and cs_or_theta.degree == 1:
-        comps = [cs_or_theta.comp((i,)) for i in range(cs_or_theta.dim)]
-        dt = d_from_jets(cs_or_theta)
-        return _reeb_from_values(comps, dt)
+        return _reeb_from_values(cs_or_theta.array, d_from_jets(cs_or_theta))
     raise TypeError("expected a ContactStructure or a 1-form value")
 
 
@@ -255,15 +246,17 @@ def _metric_pairs(G: JetArray, U: JetArray, V: JetArray) -> JetArray:
     return fold_chunks(d * d, len(U) * len(V), G.dim, terms)
 
 
-def _jet_matrix_inverse(M: list[list[Jet]]) -> list[list[Jet]]:
+def _jet_matrix_inverse(M: JetArray) -> JetArray:
+    """The inverse of a square JetArray, one jet_linear_solve per column
+    of the identity: one solve with the identity as a matrix right-hand
+    side gives different last bits."""
     m = len(M)
-    dim = M[0][0].dim
-    order = min(e.order for row in M for e in row)
-    cols = []
+    eye = JetArray.constant(0.0, M.dim, (m, m))
+    np.fill_diagonal(eye.value, 1.0)
+    inv = JetArray.constant(0.0, M.dim, (m, m))
     for c in range(m):
-        rhs = [Jet.constant(1.0 if r == c else 0.0, dim, order) for r in range(m)]
-        cols.append(jet_linear_solve(M, rhs))
-    return [[cols[c][r] for c in range(m)] for r in range(m)]
+        inv[:, c] = jet_linear_solve(M, eye[c])
+    return inv
 
 
 def _form_pairs(form: KFormValue, U: JetArray, V: JetArray) -> JetArray:
@@ -302,11 +295,12 @@ def _h_gram_and_omega(inputs: PointInputs, h_choice=None):
     return theta, kept, m, basis, G, gram, dt, omega
 
 
-def _mu(gram: JetArray, omega: JetArray) -> Jet:
-    """mu = sqrt(2n / |dtheta restricted to H|^2), the norm contracting
-    both index pairs of dtheta with the inverse H-Gram matrix of g: the
-    left fold over (a, b, c, e) of ginv_ac ginv_be omega_ab omega_ce."""
-    ginv = JetArray.from_jets(_jet_matrix_inverse(gram.jets()))
+def _mu(gram: JetArray, omega: JetArray) -> JetArray:
+    """mu = sqrt(2n / |dtheta restricted to H|^2) as a 0-d array, the norm
+    contracting both index pairs of dtheta with the inverse H-Gram matrix
+    of g: the left fold over (a, b, c, e) of ginv_ac ginv_be omega_ab
+    omega_ce."""
+    ginv = _jet_matrix_inverse(gram)
     m = len(gram)
     cube = m**3
 
@@ -316,7 +310,7 @@ def _mu(gram: JetArray, omega: JetArray) -> Jet:
         b, c, e = rest // (m * m), (rest // m) % m, rest % m
         return ginv[a, c] * ginv[b, e] * omega[a, b] * omega[c, e]
 
-    norm2 = fold_chunks(m**4, 1, gram.dim, terms).jets()
+    norm2 = fold_chunks(m**4, 1, gram.dim, terms)
     if norm2.value <= 0.0:
         raise NotContactError("dtheta vanishes on the distribution at this point")
     return (float(m) / norm2).sqrt()
@@ -325,7 +319,7 @@ def _mu(gram: JetArray, omega: JetArray) -> Jet:
 def normalize_theta(cs: ContactStructure, p) -> Jet:
     """The positive scale mu with theta_hat = mu * theta normalized."""
     _, _, _, _, _, gram, _, omega = _h_gram_and_omega(cs.inputs_at(p))
-    return _mu(gram, omega)
+    return _mu(gram, omega).jets()
 
 
 @dataclass(frozen=True)
@@ -349,19 +343,20 @@ class LambdaSpectrum:
 class AdaptedFrame:
     """Everything frame-shaped at one point, jet-valued.
 
+    The scalar mu is a Jet, theta_hat and dtheta_hat are form values and
+    T a vector value; the tensors are JetArrays: the frame vectors X
+    (2n, dim), one per row; the coframe H-parts f (2n, dim), one 1-form
+    per row; their Reeb coefficients c (2n,); the matrix Omega (2n, 2n)
+    of d(theta_hat) on frame pairs; and the structure values D (2n, 2n,
+    2n), entry [b, a, c] = d(e^b)(X_a, X_c).
+
     Achieved jet orders, determined by what each piece consumes:
-    theta_hat and X carry order 2, dtheta_hat and T order 1, the Omega
-    matrix order 2 (it avoids dtheta_hat via the exact identity
-    d(mu theta)(X, Y) = mu dtheta(X, Y) on H-vectors), the coframe
-    H-parts f order 2, their Reeb coefficients c order 1, and the
-    structure values D order 1.
+    theta_hat and X carry order 2, dtheta_hat and T order 1, Omega order
+    2 (it avoids dtheta_hat via the exact identity d(mu theta)(X, Y) =
+    mu dtheta(X, Y) on H-vectors), f order 2, c order 1, and D order 1.
 
     The dual coframe element e^b is f[b] + c[b] * theta_hat; the split is
     kept because the H-part alone retains order 2.
-
-    The *_array properties hold the same entries as JetArrays, the form
-    the tensor kernels work on; adapted_frame seeds them with the arrays
-    it computed.
     """
 
     p: tuple[float, ...]
@@ -369,11 +364,11 @@ class AdaptedFrame:
     theta_hat: KFormValue
     dtheta_hat: KFormValue
     T: VectorValue
-    X: tuple[VectorValue, ...]
-    f: tuple[KFormValue, ...]
-    c: tuple[Jet, ...]
-    Omega: tuple[tuple[Jet, ...], ...]
-    D: tuple[tuple[tuple[Jet, ...], ...], ...]
+    X: JetArray
+    f: JetArray
+    c: JetArray
+    Omega: JetArray
+    D: JetArray
     h_indices: tuple[int, ...]
     transversal_index: int
 
@@ -386,57 +381,40 @@ class AdaptedFrame:
         return self.dim // 2
 
     @cached_property
-    def X_array(self) -> JetArray:
-        """The frame vectors X as one (2n, dim) JetArray."""
-        return JetArray.from_jets([x.comps for x in self.X])
-
-    @cached_property
-    def Omega_array(self) -> JetArray:
-        """Omega as one (2n, 2n) JetArray."""
-        return JetArray.from_jets(self.Omega)
-
-    @cached_property
-    def D_array(self) -> JetArray:
-        """D as one (2n, 2n, 2n) JetArray, entry [b, a, c] = D[b][a][c]."""
-        return JetArray.from_jets(self.D)
-
-    @cached_property
     def coframe_array(self) -> JetArray:
         """Components of the full coframe (theta_hat, e^1, ..., e^2n), one
         1-form per row: shape (2n+1, dim)."""
         th = self.theta_hat.array
-        f = JetArray.from_jets([list(fb.comps.values()) for fb in self.f])
         co = JetArray.constant(0.0, self.dim, (2 * self.n + 1, self.dim))
         co[0] = th
-        co[1:] = f + th[None, :] * JetArray.from_jets(self.c)[:, None]
+        co[1:] = self.f + th[None, :] * self.c[:, None]
         return co
 
     @cached_property
     def frame_array(self) -> JetArray:
         """The full frame (T, X_1, ..., X_2n), one vector per row."""
-        return JetArray.from_jets([v.comps for v in self.frame_vectors()])
-
-    def e(self, b: int) -> KFormValue:
-        """Full dual coframe 1-form e^b (order capped by c[b])."""
-        return _one_form(self.coframe_array[b + 1].jets())
+        fa = JetArray.constant(0.0, self.dim, (2 * self.n + 1, self.dim))
+        fa[0] = self.T.array
+        fa[1:] = self.X
+        return fa
 
     def coframe(self) -> list[KFormValue]:
         return [_one_form(row) for row in self.coframe_array.jets()]
 
     def frame_vectors(self) -> list[VectorValue]:
-        return [self.T] + list(self.X)
+        return [self.T] + [VectorValue(tuple(row)) for row in self.X.jets()]
 
-    def express(self, a: KFormValue) -> list[Jet]:
+    def express(self, a: KFormValue) -> JetArray:
         """Coframe components of a 1-form value by frame pairing:
         [a(T), a(X_1), ..., a(X_2n)]."""
         if a.degree != 1:
             raise ValueError("express expects a 1-form value")
-        return evaluate_forms(a.array, list(a.comps), self.frame_array).jets()
+        return evaluate_forms(a.array, list(a.comps), self.frame_array)
 
-    def express_vector(self, v: VectorValue) -> list[Jet]:
+    def express_vector(self, v: VectorValue) -> JetArray:
         """Frame components of a vector value by coframe pairing:
         [theta_hat(v), e^1(v), ..., e^2n(v)]."""
-        return self.pair_coframe(v.array[None])[:, 0].jets()
+        return self.pair_coframe(v.array[None])[:, 0]
 
     def pair_coframe(self, vectors: JetArray) -> JetArray:
         """Every coframe element on every vector of a (k, dim) stack:
@@ -447,49 +425,35 @@ class AdaptedFrame:
     @cached_property
     def d_pairs(self) -> JetArray:
         """d(theta_hat) and every d(e^b) on all frame pairs, stacked:
-        entry [0] is dtheta_hat_values, entry [b + 1] is de_values(b)."""
+        entry [0, P, Q] pairs the P-th and Q-th frame vectors, index 0 the
+        Reeb direction, in d(theta_hat), entry [b + 1, P, Q] in d(e^b).
+
+        Reeb-H entries of d(theta_hat) are residual-level zeros by the
+        defining property of the Reeb field. H-H entries are Omega and the
+        order-1 structure values D; the mixed entries of d(e^b) assemble
+        d(f + c theta_hat) piecewise at order 0.
+        """
         m = 2 * self.n
         T = self.T.array[None]
-        X = self.X_array
+        X = self.X
         idx = list(self.dtheta_hat.comps)
+        i, j = np.array(idx, dtype=np.intp).T
         dth = evaluate_forms(self.dtheta_hat.array, idx, T, X)[0]
-        df = JetArray.from_jets([[d_from_jets(fb).comps[i] for i in idx] for fb in self.f])
-        dc = JetArray.from_jets(
-            [
-                [wedge(d_from_jets(KFormValue(self.dim, 0, {(): cb})), self.theta_hat).comps[i]
-                 for i in idx]
-                for cb in self.c
-            ]
-        )
+        # dc ^ theta_hat on (i, j): (0 + dc_i th_j) - dc_j th_i, as wedge sums.
+        dc = self.c.partials()
+        th = self.theta_hat.array
+        dc_th = ((0.0 + dc[i] * th[j][:, None]) - dc[j] * th[i][:, None]).transpose(1, 0)
         reeb = JetArray.constant(0.0, self.dim, (m + 1, m))
         reeb[0] = dth
-        # d(f + c theta_hat) piecewise at order 0 on (T, X_q).
         reeb[1:] = (
-            evaluate_forms(df, idx, T, X)[:, 0]
-            + evaluate_forms(dc, idx, T, X)[:, 0]
-            + dth[None, :] * JetArray.from_jets(self.c)[:, None]
+            evaluate_forms(_d_rows(self.f), idx, T, X)[:, 0]
+            + evaluate_forms(dc_th, idx, T, X)[:, 0]
+            + dth[None, :] * self.c[:, None]
         )
         hh = JetArray.constant(0.0, self.dim, (m + 1, m, m))
-        hh[0] = self.Omega_array
-        hh[1:] = self.D_array
+        hh[0] = self.Omega
+        hh[1:] = self.D
         return frame_pair_matrix(reeb, hh)
-
-    def de_values(self, b: int) -> list[list[Jet]]:
-        """d(e^b) on all frame pairs; entry [P][Q] pairs the P-th and Q-th
-        frame vectors with index 0 the Reeb direction.
-
-        H-H entries reuse the order-1 structure values D; mixed entries
-        assemble d(f + c theta_hat) piecewise at order 0.
-        """
-        return self.d_pairs[b + 1].jets()
-
-    def dtheta_hat_values(self) -> list[list[Jet]]:
-        """d(theta_hat) on all frame pairs, same layout as de_values.
-
-        Reeb-H entries are residual-level zeros by the defining property
-        of the Reeb field; H-H entries are the order-2 Omega matrix.
-        """
-        return self.d_pairs[0].jets()
 
 
 def frame_pair_matrix(reeb: JetArray, hh: JetArray) -> JetArray:
@@ -514,21 +478,25 @@ def _one_form(comps) -> KFormValue:
     return KFormValue(len(comps), 1, {(i,): c for i, c in enumerate(comps)})
 
 
-def _tuples(nested):
-    return tuple(_tuples(x) for x in nested) if isinstance(nested, list) else nested
+def _d_rows(F: JetArray) -> JetArray:
+    """Exterior derivatives of the 1-forms in the rows of F (k, dim), one
+    jet order lower: entry [b, K] is d(F_b) on the K-th increasing pair
+    (i, j), (0 + d_i F_bj) - d_j F_bi, the terms and order of
+    d_from_jets."""
+    i, j = np.triu_indices(F.shape[1], 1)
+    P = F.partials().transpose(1, 0, 2)  # [b, i, j] = d_i F_bj
+    return (0.0 + P[:, i, j]) - P[:, j, i]
 
 
-def structure_values(f, c: JetArray, X: JetArray, Omega: JetArray) -> JetArray:
-    """Structure values D[b][a][c] = d(e^b)(X_a, X_c) of the coframe
+def structure_values(F: JetArray, c: JetArray, X: JetArray, Omega: JetArray) -> JetArray:
+    """Structure values D[b, a, c] = d(e^b)(X_a, X_c) of the coframe
     e^b = f^b + c^b theta_hat on frame pairs, as one (2n, 2n, 2n) array:
     d(f^b)(X_a, X_c) + c^b Omega_ac, the dc ^ theta_hat piece vanishing on
-    H-pairs since theta_hat(X) = 0. f holds the H-part 1-form values, c
-    the Reeb coefficients (2n,), X the frame vectors (2n, dim)."""
-    D = JetArray.constant(0.0, X.dim, (len(f),) + Omega.shape)
-    for b, fb in enumerate(f):
-        D[b] = _form_pairs(d_from_jets(fb), X, X) + c[b] * Omega
-    # d_from_jets leaves order 1: keep no Hessian part.
-    return D.restrict(1)
+    H-pairs since theta_hat(X) = 0. F holds the H-part 1-forms (2n, dim),
+    c the Reeb coefficients (2n,), X the frame vectors (2n, dim). The
+    entries carry order 1, what the exterior derivative leaves."""
+    idx = list(increasing_indices(X.shape[1], 2))
+    return evaluate_forms(_d_rows(F), idx, X, X) + c[:, None, None] * Omega
 
 
 def adapted_frame(
@@ -544,24 +512,22 @@ def adapted_frame(
     """
     d = cs.dim
     n = cs.n
+    inputs = inputs or cs.inputs_at(p)
     theta, kept, m, basis, G, gram, dtheta_val, omega_raw = _h_gram_and_omega(
-        inputs or cs.inputs_at(p), h_choice
+        inputs, h_choice
     )
 
     # mu from the same Gram/omega data, then theta_hat = mu theta.
-    mu = _mu(gram, omega_raw)
-
-    theta_hat_arr = mu * theta
-    theta_hat_comps = theta_hat_arr.jets()
-    theta_hat = _one_form(theta_hat_comps)
+    mu_arr = _mu(gram, omega_raw)
+    mu = mu_arr.jets()
+    theta_hat_arr = mu_arr * theta
+    theta_hat = _one_form(theta_hat_arr.jets())
 
     # d(theta_hat) = dmu ^ theta + mu dtheta, one order below mu.
     dmu = d_from_jets(KFormValue(d, 0, {(): mu}))
-    theta_comps = theta.jets()
-    theta_val = _one_form(theta_comps)
-    dtheta_hat = wedge(dmu, theta_val) + dtheta_val.scale(mu)
+    dtheta_hat = wedge(dmu, inputs.theta) + dtheta_val.scale(mu)
 
-    T = _reeb_from_values(theta_hat_comps, dtheta_hat)
+    T = _reeb_from_values(theta_hat_arr, dtheta_hat)
 
     # Gram-Schmidt with g, entirely in jets, one frame vector per row. The
     # projected basis from the shared setup already lies in
@@ -583,7 +549,7 @@ def adapted_frame(
         X[r] = u * (1.0 / nrm2.sqrt())
 
     # Exact on H-vectors: the dmu ^ theta part dies against theta(X)=0.
-    Omega = _form_pairs(dtheta_val, X, X) * mu
+    Omega = _form_pairs(dtheta_val, X, X) * mu_arr
     if n == 1 and Omega.value[0, 1] < 0.0:
         swap = [1, 0]
         X = X[swap]
@@ -592,41 +558,30 @@ def adapted_frame(
     # Dual coframe split e^b = f^b + c^b theta_hat: the H-part pairs with
     # g against X_b, the Reeb coefficient kills the value on T.
     F = _metric_pairs(G, X, _project_onto_h(theta_hat_arr, m, range(d)))
-    f_forms = tuple(_one_form(row) for row in F.jets())
-    F_T = evaluate_forms(F, [(i,) for i in range(d)], T.array[None])[:, 0]
-    C = -F_T / theta_hat.evaluate(T)
+    idx = [(i,) for i in range(d)]
+    T_row = T.array[None]
+    C = -evaluate_forms(F, idx, T_row)[:, 0] / evaluate_forms(theta_hat_arr, idx, T_row)[0]
 
-    D = structure_values(f_forms, C, X, Omega)
-
-    frame = AdaptedFrame(
+    return AdaptedFrame(
         p=tuple(float(x) for x in p),
         mu=mu,
         theta_hat=theta_hat,
         dtheta_hat=dtheta_hat,
         T=T,
-        X=tuple(VectorValue(tuple(row)) for row in X.jets()),
-        f=f_forms,
-        c=tuple(C.jets()),
-        Omega=_tuples(Omega.jets()),
-        D=_tuples(D.jets()),
+        X=X,
+        f=F,
+        c=C,
+        Omega=Omega,
+        D=structure_values(F, C, X, Omega),
         h_indices=kept,
         transversal_index=m,
     )
-    # Seed the *_array views with the arrays just computed; they hold the
-    # same entries as the Jets above, so they need not be rebuilt.
-    frame.__dict__.update(X_array=X, Omega_array=Omega, D_array=D)
-    return frame
-
-
-def _omega_value_matrix(frame: AdaptedFrame) -> np.ndarray:
-    m = 2 * frame.n
-    return np.array([[frame.Omega[a][b].value for b in range(m)] for a in range(m)])
 
 
 def lambda_spectrum(frame: AdaptedFrame) -> LambdaSpectrum:
     """Positive invariants of the normalized 2-form in a g-orthonormal
     frame: its singular values come in equal pairs, one per invariant."""
-    s = np.linalg.svd(_omega_value_matrix(frame), compute_uv=False)
+    s = np.linalg.svd(frame.Omega.value, compute_uv=False)
     return LambdaSpectrum(tuple(float(v) for v in s[0::2][: frame.n]))
 
 
@@ -659,7 +614,7 @@ def classify(cs: ContactStructure, points) -> dict:
             contact_ok = False
             continue
         frame = adapted_frame(cs, p, inputs=inputs)
-        omega = _omega_value_matrix(frame)
+        omega = frame.Omega.value
         lam = np.array(lambda_spectrum(frame).values)
         spectra.append(lam)
         if np.max(np.abs(lam - 1.0)) >= 1e-8:

@@ -1,16 +1,17 @@
 """Coordinate expression trees: parsing, printing, structural differentiation.
 
 The grammar is deliberately small. Identifiers are chart coordinates, the
-constants ``pi`` and ``e``, or one of the unary functions ``sqrt``, ``sin``,
-``cos``, ``exp``. Powers require an integer exponent, so the tree stays
-closed under differentiation (the derivative of ``sqrt`` reuses ``sqrt``,
-everything else is polynomial in existing nodes).
+constants ``pi`` and ``e``, one of the unary functions ``sqrt``, ``sin``,
+``cos``, ``exp``, or a bound parameter name. Powers require an integer
+exponent, so the tree stays closed under differentiation (the derivative
+of ``sqrt`` reuses ``sqrt``, everything else is polynomial in existing
+nodes).
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := '-' factor | power
     power  := atom (('^' | '**') factor)?
-    atom   := NUMBER | 'pi' | 'e' | FUNC '(' expr ')' | COORD | '(' expr ')'
+    atom   := NUMBER | 'pi' | 'e' | FUNC '(' expr ')' | COORD | PARAM | '(' expr ')'
 """
 
 from __future__ import annotations
@@ -183,10 +184,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
+def _param_literal(v: float) -> Expr:
+    """The tree the text of a parenthesized repr(v) parses to: a literal,
+    under a negation when v's sign bit is set."""
+    return Unary("neg", Lit(-v)) if math.copysign(1.0, v) < 0.0 else Lit(v)
+
+
 class _Parser:
-    def __init__(self, text: str, coords: tuple[str, ...]):
+    def __init__(self, text: str, coords: tuple[str, ...], params):
         self.text = text
         self.coords = coords
+        self.params = params
         self.toks = _tokenize(text)
         self.pos = 0
 
@@ -269,6 +277,8 @@ class _Parser:
                 return Lit(CONSTANTS[val])
             if val in self.coords:
                 return Coord(self.coords.index(val), val)
+            if val in self.params:
+                return _param_literal(float(self.params[val]))
             raise UnknownIdentifierError(val, self.coords, off)
         if kind == _TOK_OP and val == "(":
             e = self.expr()
@@ -309,14 +319,18 @@ def _const_eval(e: Expr) -> float | None:
     return None
 
 
-def parse_expr(text: str, coords) -> Expr:
+def parse_expr(text: str, coords, params=None) -> Expr:
     """Parse `text` over the named chart coordinates.
 
-    Raises ParseError with a byte offset on malformed input, and
-    UnknownIdentifierError naming the known coordinates when an identifier
-    is not recognized.
+    params optionally maps parameter names to numbers; each use of one
+    parses as a numeric literal of its value. Function names, constants
+    and coordinates take precedence over parameter names.
+
+    Raises ParseError with a byte offset into `text` on malformed input,
+    and UnknownIdentifierError naming the known coordinates when an
+    identifier is not recognized.
     """
-    return _Parser(text, tuple(coords)).parse()
+    return _Parser(text, tuple(coords), params or {}).parse()
 
 
 # ---------------------------------------------------------------------------

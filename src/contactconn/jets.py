@@ -276,11 +276,7 @@ class Jet:
         d2f = k * (k - 1) * self.value ** (k - 2) if k not in (0, 1) else 0.0
         return self._chain(f, df, d2f)
 
-    # -- directional pieces used by frame calculus --------------------------
-
-    def directional(self, direction: np.ndarray) -> float:
-        """First derivative along a coordinate direction (values)."""
-        return float(self.grad @ direction)
+    # -- calculus -----------------------------------------------------------
 
     def partial(self, i: int) -> "Jet":
         """The i-th coordinate partial, one order lower.
@@ -676,10 +672,6 @@ def eval_jet(e: Expr, p, order: int) -> Jet:
     return Tape((e,)).eval(p, order)[0]
 
 
-def _as_value_matrix(rows) -> np.ndarray:
-    return np.array([[entry.value for entry in row] for row in rows], dtype=float)
-
-
 def sum_jets(terms):
     """Left-to-right sum of a nonempty iterable of jets."""
     acc = None
@@ -688,8 +680,9 @@ def sum_jets(terms):
     return acc
 
 
-def jet_linear_solve(A, b) -> list[Jet]:
-    """Solve A x = b where A and b hold Jets, propagating derivatives.
+def jet_linear_solve(A: JetArray, b: JetArray) -> JetArray:
+    """Solve A x = b for a JetArray A (m, m) and b (m,), propagating
+    derivatives; returns x as a JetArray (m,).
 
     The solution is staged through the value-part inverse:
 
@@ -703,17 +696,15 @@ def jet_linear_solve(A, b) -> list[Jet]:
     solution violates the residual contract (which indicates a
     conditioning problem upstream).
     """
-    rows = [list(r) for r in A]
-    rhs = list(b)
-    m = len(rhs)
-    if len(rows) != m or any(len(r) != m for r in rows):
+    m = len(b)
+    if A.shape != (m, m) or b.shape != (m,):
         raise ValueError("A must be square and match b")
-    entries = [e for r in rows for e in r] + rhs
-    order = min(e.order for e in entries)
-    dim = entries[0].dim
+    order = int(min(A.order.min(), b.order.min()))
+    dim = A.dim
 
-    A0 = _as_value_matrix(rows)
-    b0 = np.array([e.value for e in rhs], dtype=float)
+    # Contiguous copies, so the BLAS and einsum loops see the same memory
+    # layout whatever views A and b are.
+    A0, b0 = np.ascontiguousarray(A.value), np.ascontiguousarray(b.value)
     sv = np.linalg.svd(A0, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
         raise SingularMatrixError(
@@ -730,27 +721,13 @@ def jet_linear_solve(A, b) -> list[Jet]:
 
     xg = xh = None
     if order >= 1:
-        Ag = np.array([[e.grad for e in r] for r in rows])  # (m, m, d)
-        bg = np.array([e.grad for e in rhs])  # (m, d)
-        rhs_g = bg - np.einsum("ijk,j->ik", Ag, x0)
+        Ag = np.ascontiguousarray(A.grad)  # (m, m, d)
+        rhs_g = np.ascontiguousarray(b.grad) - np.einsum("ijk,j->ik", Ag, x0)
         xg = np.linalg.solve(A0, rhs_g)  # (m, d)
     if order >= 2:
-        Ah = np.array([[e.hess for e in r] for r in rows])  # (m, m, d, d)
-        bh = np.array([e.hess for e in rhs])  # (m, d, d)
-        rhs_h = bh - np.einsum("ijkl,j->ikl", Ah, x0)
+        Ah = np.ascontiguousarray(A.hess)  # (m, m, d, d)
+        rhs_h = np.ascontiguousarray(b.hess) - np.einsum("ijkl,j->ikl", Ah, x0)
         cross = np.einsum("ijk,jl->ikl", Ag, xg)
         rhs_h = rhs_h - cross - np.transpose(cross, (0, 2, 1))
         xh = np.linalg.solve(A0, rhs_h.reshape(m, -1)).reshape(m, dim, dim)
-
-    out = []
-    for i in range(m):
-        out.append(
-            Jet(
-                dim,
-                order,
-                float(x0[i]),
-                None if order < 1 else xg[i],
-                None if order < 2 else xh[i],
-            )
-        )
-    return out
+    return JetArray(dim, x0, xg, xh, np.full(m, order, dtype=_ORDER_DTYPE))

@@ -2,20 +2,20 @@
 
 A manifold description is plain data: coordinate names, the contact form
 and metric as expression strings, a sampling box, and default sample
-count / seed. Parameters (like the anisotropy factor b) are substituted
-textually as parenthesized numeric literals before parsing, so the
-expression grammar itself stays parameter-free.
+count / seed. Parameters (like the anisotropy factor b) are bound by the
+parser: each use of a parameter name parses as a numeric literal of its
+value.
 """
 
 from __future__ import annotations
 
 import json
-import re
+import math
 from dataclasses import dataclass, field
 
 from .contact import ContactStructure
 from .errors import ParseError, SpecError, UnknownManifoldError
-from .expressions import parse_expr
+from .expressions import CONSTANTS, FUNCTIONS, parse_expr
 from .forms import FormField
 
 DEFAULT_POINTS = 100
@@ -52,15 +52,13 @@ class ManifoldSpec:
                     f"(declared parameters: {known})"
                 )
             values[key] = float(val)
-
-        def substitute(text: str) -> str:
-            for key, val in values.items():
-                text = re.sub(rf"\b{re.escape(key)}\b", f"({val!r})", text)
-            return text
+        for key, val in values.items():
+            if not math.isfinite(val):
+                raise SpecError(f"parameter {key!r} must be finite, got {val!r}")
 
         def parse_field(text: str, where: str):
             try:
-                return parse_expr(substitute(text), self.coords)
+                return parse_expr(text, self.coords, values)
             except ParseError as exc:
                 raise ParseError(f"{where}: {exc.message}", exc.offset) from exc
 
@@ -218,6 +216,11 @@ def load_spec(path: str) -> ManifoldSpec:
             "value must be a number",
         )
         _require(key not in coords, f"params.{key}", "shadows a coordinate name")
+        _require(
+            key not in FUNCTIONS and key not in CONSTANTS,
+            f"params.{key}",
+            "shadows a built-in function or constant",
+        )
 
     known = {"schema", "name", "dim", "coords", "theta", "g", "box", "points", "seed", "params"}
     for key in raw:

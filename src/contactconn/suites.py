@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
+import numpy as np
+
 from .connection import (
     canonical_partial_connection,
     frame_tensor02,
@@ -50,7 +52,8 @@ from .errors import (
     SingularMatrixError,
     SuiteUnavailableError,
 )
-from .jets import Jet, JetArray
+from .forms import evaluate_forms
+from .jets import JetArray
 from .registry import SUITE_NAMES, SUITES_3D_ONLY, ManifoldSpec
 from .report import PointRecord, Report, SuiteResult
 from .sampling import SplitMix64, sample_box
@@ -103,15 +106,16 @@ class _PointState:
         return solve_structure_equations(self.tw_coframe)
 
 
+def _abs_list(values: np.ndarray) -> list[float]:
+    """|values| as Python floats, in index order."""
+    return np.abs(values).ravel().tolist()
+
+
 def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
     dim = cs.dim
     n = cs.n
-    basis = JetArray.from_jets(
-        [
-            [Jet.constant(1.0 if i == j else 0.0, dim, 2) for j in range(dim)]
-            for i in range(dim)
-        ]
-    )
+    basis = JetArray.constant(0.0, dim, (dim, dim))
+    np.fill_diagonal(basis.value, 1.0)
     reeb_res = 0.0
     norm_res = 0.0
     lam_res = 0.0
@@ -119,17 +123,14 @@ def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
     dual_res = 0.0
     for pt in usable:
         frame = pt.frame
-        T = reeb_field(cs, pt.p, pt.inputs)
-        # Only values are read below.
-        theta_val = pt.inputs.theta.restrict(0)
-        dtheta_val = pt.inputs.dtheta.restrict(0)
-        reeb_res = max(reeb_res, abs(theta_val.evaluate(T).value - 1.0))
-        for v in _form_pairs(dtheta_val, T.array[None], basis).value[0].tolist():
+        T = reeb_field(cs, pt.p, pt.inputs).array[None]
+        theta = pt.inputs.theta
+        (theta_T,) = evaluate_forms(theta.array, list(theta.comps), T).value.tolist()
+        reeb_res = max(reeb_res, abs(theta_T - 1.0))
+        for v in _form_pairs(pt.inputs.dtheta, T, basis).value[0].tolist():
             reeb_res = max(reeb_res, abs(v))
 
-        omega_sq = sum(
-            frame.Omega[a][c].value ** 2 for a in range(2 * n) for c in range(2 * n)
-        )
+        omega_sq = sum(v**2 for v in frame.Omega.value.ravel().tolist())
         norm_res = max(norm_res, abs(omega_sq - 2 * n))
 
         lam = pt.spectrum
@@ -167,47 +168,23 @@ def _suite_canonical(cs: ContactStructure, usable) -> SuiteResult:
     m_res = {"reeb_parallel": 0.0, "levi_parallel": 0.0, "torsion_free": 0.0, "metric_parallel": 0.0}
     for pt in usable:
         frame = pt.frame
-        m = 2 * frame.n
         conn = pt.conn
 
-        t_comps = frame.express_vector(frame.T)
-        dT = nabla_H(conn, frame_vector(t_comps))
-        m_res["reeb_parallel"] = max(
-            m_res["reeb_parallel"],
-            max(abs(dT[a][B].value) for a in range(m) for B in range(m + 1)),
-        )
+        dT = nabla_H(conn, frame_vector(frame.express_vector(frame.T)))
+        m_res["reeb_parallel"] = max(m_res["reeb_parallel"], max(_abs_list(dT.value)))
 
-        X = frame.X_array
+        X = frame.X
         measured = _form_pairs(frame.dtheta_hat, X, X).value
-        kap = conn.kappa_array.value
-        for a in range(m):
-            for c in range(m):
-                m_res["levi_parallel"] = max(
-                    m_res["levi_parallel"], abs(kap[a, 0, c + 1] - measured[a, c])
-                )
+        levi = _abs_list(conn.kappa.value[:, 0, 1:] - measured)
+        m_res["levi_parallel"] = max([m_res["levi_parallel"]] + levi)
 
         tor = partial_torsion(conn)
         m_res["torsion_free"] = max(m_res["torsion_free"], tor.max_abs_h_rows())
-        theta_row = tor.theta_row()
-        m_res["torsion_free"] = max(
-            m_res["torsion_free"],
-            max(
-                abs((theta_row[a][c] - frame.Omega[a][c]).value)
-                for a in range(m)
-                for c in range(m)
-            ),
-        )
+        theta_gap = _abs_list(tor.theta_row().value - frame.Omega.value)
+        m_res["torsion_free"] = max(m_res["torsion_free"], max(theta_gap))
 
-        dg = nabla_H(conn, frame_tensor02(_metric_pairs(pt.inputs.G, X, X).jets()))
-        m_res["metric_parallel"] = max(
-            m_res["metric_parallel"],
-            max(
-                abs(dg[u][a][b].value)
-                for u in range(m)
-                for a in range(m)
-                for b in range(m)
-            ),
-        )
+        dg = nabla_H(conn, frame_tensor02(_metric_pairs(pt.inputs.G, X, X)))
+        m_res["metric_parallel"] = max(m_res["metric_parallel"], max(_abs_list(dg.value)))
 
     passed = all(v < 1e-9 for v in m_res.values())
     return SuiteResult("canonical", passed, m_res, len(usable))
@@ -217,14 +194,9 @@ def _suite_promotion(cs: ContactStructure, usable) -> SuiteResult:
     h_res = 0.0
     ext_res = 0.0
     for pt in usable:
-        m = 2 * pt.frame.n
-        conn = pt.conn
         fc = pt.promoted
-        kap = conn.kappa_array.value
-        for a in range(m):
-            for A in range(m + 1):
-                for C in range(m + 1):
-                    h_res = max(h_res, abs(fc.kappa[A][a][C].value - kap[a, A, C]))
+        gap = _abs_list(fc.kappa.value.transpose(1, 0, 2) - pt.conn.kappa.value)
+        h_res = max([h_res] + gap)
         ext_res = max(ext_res, promotion_residual(fc))
     passed = h_res < 1e-12 and ext_res < 1e-9
     return SuiteResult(

@@ -33,18 +33,19 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .connection import FullConnection, PartialConnection, full_torsion
 from .contact import (
     ORDER,
     AdaptedFrame,
     ContactStructure,
-    _tuples,
     adapted_frame,
     structure_values,
 )
 from .errors import DegenerateFrameError, InconsistentStructureError
 from .expressions import parse_expr
-from .forms import KFormValue, VectorValue, apply_vector
+from .forms import apply_vector
 from .jets import Jet, JetArray, eval_jet
 
 STRUCTURE_RESIDUAL_TOL = 1e-9
@@ -55,7 +56,7 @@ class TWCoframe:
     """Oriented adapted coframe at a point of a 3-dimensional structure.
 
     Wraps the adapted frame; the coframe elements are theta_hat and the
-    two dual 1-forms e(0), e(1) with d(theta_hat)(X1, X2) = +1.
+    two dual 1-forms e^1, e^2 with d(theta_hat)(X1, X2) = +1.
     """
 
     frame: AdaptedFrame
@@ -66,19 +67,8 @@ class TWCoframe:
         return self.frame.p
 
     @property
-    def theta_hat(self) -> KFormValue:
-        return self.frame.theta_hat
-
-    def e(self, b: int) -> KFormValue:
-        return self.frame.e(b)
-
-    @property
-    def X(self) -> tuple[VectorValue, ...]:
+    def X(self) -> JetArray:
         return self.frame.X
-
-    @property
-    def T(self) -> VectorValue:
-        return self.frame.T
 
 
 @dataclass(frozen=True)
@@ -103,7 +93,7 @@ def tw_coframe(cs: ContactStructure, p, frame: AdaptedFrame | None = None) -> TW
     if cs.dim != 3:
         raise ValueError(f"requires a 3-dimensional structure, got dim {cs.dim}")
     frame = frame or adapted_frame(cs, p)
-    pairing = frame.Omega[0][1].value
+    pairing = float(frame.Omega.value[0, 1])
     if abs(pairing - 1.0) > 1e-10:
         raise DegenerateFrameError(
             f"oriented coframe pairing d(theta_hat)(X1, X2) = {pairing!r}, expected 1"
@@ -120,10 +110,13 @@ def solve_structure_equations(cf: TWCoframe) -> TWData:
     sit at rounding level.
     """
     frame = cf.frame
-    de1 = frame.de_values(0)
-    de2 = frame.de_values(1)
-    c1, c2, c3 = de1[0][1], de1[0][2], de1[1][2]
-    c4, c5, c6 = de2[0][1], de2[0][2], de2[1][2]
+    # d(theta_hat), de1 and de2 on the frame pairs (T, X1), (T, X2),
+    # (X1, X2); on (X1, X2) they are Omega_12 and the structure values
+    # D^1_12 = c3, D^2_12 = c6.
+    pairs = frame.d_pairs[:, [0, 0, 1], [1, 2, 2]]
+    (_, _, om12), (c1, c2, c3), (c4, c5, c6) = pairs.jets()
+    # X_a(omega_b) for the H components (omega_1, omega_2) = (c3, c6).
+    (_, x1_w2), (x2_w1, _) = apply_vector(frame.X, pairs[1:, 2]).jets()
 
     A = (c1 - c5) * 0.5
     B = (c2 + c4) * 0.5
@@ -140,11 +133,10 @@ def solve_structure_equations(cf: TWCoframe) -> TWData:
 
     # d(omega)(X1, X2) through the bracket: [X1, X2] has Reeb component
     # -Omega_12 = -1 and H components -D^b_12.
-    bracket_omega = -(w_theta * frame.Omega[0][1]) - sum(
-        (frame.D[b][0][1] * [w1, w2][b] for b in range(2)),
-        start=Jet.constant(0.0, frame.dim, 2),
+    bracket_omega = -(w_theta * om12) - sum(
+        (c3 * w1, c6 * w2), start=Jet.constant(0.0, frame.dim, 2)
     )
-    R = apply_vector(frame.X[0], w2) - apply_vector(frame.X[1], w1) - bracket_omega
+    R = x1_w2 - x2_w1 - bracket_omega
     return TWData(omega=(w_theta, w1, w2), A=A, B=B, R=R, residual=residual)
 
 
@@ -153,24 +145,16 @@ def _rotation_connection(cf: TWCoframe, omega, with_levi: bool) -> FullConnectio
     nabla e2 = -omega x e1, and on H directions nabla theta_hat =
     e1 x e2 - e2 x e1 when with_levi, else nabla theta_hat = 0."""
     frame = cf.frame
-    zero = Jet.constant(0.0, frame.dim, 2)
-    w_theta, w1, w2 = omega
-
-    kappa = [[[zero] * 3 for _ in range(2)] for _ in range(3)]
-    xi = [[zero] * 3 for _ in range(3)]
-    for a, wa in enumerate((w1, w2)):
-        if with_levi:
-            kappa[0][a][1:] = frame.Omega[a]
-        kappa[1][a][2] = wa
-        kappa[2][a][1] = -wa
-    xi[1][2] = w_theta
-    xi[2][1] = -w_theta
-    return FullConnection(
-        frame=frame,
-        kappa=tuple(tuple(tuple(r) for r in rows) for rows in kappa),
-        xi=tuple(tuple(r) for r in xi),
-        partial=None,
-    )
+    w = JetArray.from_jets(list(omega))  # (omega_theta, omega_1, omega_2)
+    kappa = JetArray.constant(0.0, frame.dim, (3, 2, 3))
+    xi = JetArray.constant(0.0, frame.dim, (3, 3))
+    if with_levi:
+        kappa[0, :, 1:] = frame.Omega
+    kappa[1, :, 2] = w[1:]
+    kappa[2, :, 1] = -w[1:]
+    xi[1, 2] = w[0]
+    xi[2, 1] = -w[0]
+    return FullConnection(frame=frame, kappa=kappa, xi=xi, partial=None)
 
 
 def tw_connection(td: TWData, cf: TWCoframe) -> FullConnection:
@@ -215,20 +199,17 @@ def rotate_coframe(cf: TWCoframe, phi) -> TWCoframe:
     ph = _phi_jet(cf, phi)
     co, si = ph.cos(), ph.sin()
 
-    rot = ((co, -si), (si, co))
-    f = tuple(
-        frame.f[0].scale(rot[b][0]) + frame.f[1].scale(rot[b][1]) for b in range(2)
-    )
-    c = tuple(rot[b][0] * frame.c[0] + rot[b][1] * frame.c[1] for b in range(2))
-    X = tuple(
-        frame.X[0].scale(rot[b][0]) + frame.X[1].scale(rot[b][1]) for b in range(2)
-    )
+    rot = JetArray.from_jets([[co, -si], [si, co]])
 
-    X_array = JetArray.from_jets([x.comps for x in X])
-    D = structure_values(f, JetArray.from_jets(c), X_array, frame.Omega_array)
-    D = _tuples(D.jets())
-    new_frame = dataclasses.replace(frame, f=f, c=c, X=X, D=D)
-    return TWCoframe(new_frame, cf.coords)
+    def turn(rows: JetArray) -> JetArray:
+        """Row b is rows[0] rot[b, 0] + rows[1] rot[b, 1]."""
+        return rows[0][None] * rot[:, 0, None] + rows[1][None] * rot[:, 1, None]
+
+    f = turn(frame.f)
+    c = rot[:, 0] * frame.c[0] + rot[:, 1] * frame.c[1]
+    X = turn(frame.X)
+    D = structure_values(f, c, X, frame.Omega)
+    return TWCoframe(dataclasses.replace(frame, f=f, c=c, X=X, D=D), cf.coords)
 
 
 def check_rotation_covariance(cf: TWCoframe, td: TWData, phi) -> dict:
@@ -249,14 +230,14 @@ def check_rotation_covariance(cf: TWCoframe, td: TWData, phi) -> dict:
     rot = solve_structure_equations(rotated_cf)
 
     co, si = ph.cos(), ph.sin()
-    frame = cf.frame
 
     # omega' components against (T, X1', X2'); omega is paired with the
     # rotated frame vectors before subtracting the phi derivative.
+    dphi_T, dphi_1, dphi_2 = apply_vector(rotated_cf.frame.frame_array, ph).jets()
     w_theta, w1, w2 = base.omega
-    exp_theta = w_theta - apply_vector(frame.T, ph)
-    exp_1 = (co * w1 - si * w2) - apply_vector(rotated_cf.X[0], ph)
-    exp_2 = (si * w1 + co * w2) - apply_vector(rotated_cf.X[1], ph)
+    exp_theta = w_theta - dphi_T
+    exp_1 = (co * w1 - si * w2) - dphi_1
+    exp_2 = (si * w1 + co * w2) - dphi_2
     omega_residual = max(
         abs((rot.omega[0] - exp_theta).value),
         abs((rot.omega[1] - exp_1).value),
@@ -280,6 +261,11 @@ def check_rotation_covariance(cf: TWCoframe, td: TWData, phi) -> dict:
     }
 
 
+def _max_abs(residuals: np.ndarray) -> float:
+    """The largest absolute entry, at least 0.0, as a Python float."""
+    return max([0.0] + np.abs(residuals).ravel().tolist())
+
+
 def compare_partial(cf: TWCoframe, td: TWData, conn: PartialConnection) -> dict:
     """Canonical partial connection against the H-part of the classical
     one, in the shared adapted coframe: td solved on cf, conn built on
@@ -290,26 +276,15 @@ def compare_partial(cf: TWCoframe, td: TWData, conn: PartialConnection) -> dict:
     classical one produces zero, so the difference there is reported
     against that fixed tensor.
     """
-    wH = td.omega[1:]
+    kap = conn.kappa.value  # [a, A, C]
+    wH = np.array([w.value for w in td.omega[1:]])
+    expected = np.zeros((2, 2, 2))
+    expected[:, 0, 1] = wH
+    expected[:, 1, 0] = -wH
+    e_agreement = _max_abs(kap[:, 1:, 1:] - expected)
 
-    e_agreement = 0.0
-    for a in range(2):
-        kap = conn.kappa(a)
-        expected = [[0.0, 0.0], [0.0, 0.0]]
-        expected[0][1] = wH[a].value
-        expected[1][0] = -wH[a].value
-        for b in range(2):
-            for c in range(2):
-                e_agreement = max(
-                    e_agreement, abs(kap[b + 1][c + 1].value - expected[b][c])
-                )
-
-    theta_diff = 0.0
-    levi = ((0.0, 1.0), (-1.0, 0.0))
-    for a in range(2):
-        kap = conn.kappa(a)
-        for c in range(2):
-            theta_diff = max(theta_diff, abs(kap[0][c + 1].value - levi[a][c]))
+    levi = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    theta_diff = _max_abs(kap[:, 0, 1:] - levi)
 
     passed = e_agreement < 1e-9 and theta_diff < 1e-9
     return {
@@ -336,56 +311,38 @@ def compare_full(cf: TWCoframe, td: TWData, fc: FullConnection) -> dict:
     Also extracts R from the difference tensor and reports its drift from
     the structure-equation R.
     """
-    frame = cf.frame
+    omega = cf.frame.Omega.value
     tw = tw_connection(td, cf)
 
     # J on the coframe H-part: J e1 = -e2, J e2 = e1 (matrix of the
     # orientation 2-form).
     R = td.R.value
-    diff_residual = 0.0
-    for A in range(3):
-        for a in range(2):
-            for C in range(3):
-                d = fc.kappa[A][a][C].value - tw.kappa[A][a][C].value
-                expected = 0.0
-                if A == 0 and C >= 1:
-                    expected = frame.Omega[a][C - 1].value
-                diff_residual = max(diff_residual, abs(d - expected))
-        for C in range(3):
-            d = fc.xi[A][C].value - tw.xi[A][C].value
-            expected = 0.0
-            if A == 1 and C == 2:
-                expected = -R
-            if A == 2 and C == 1:
-                expected = R
-            diff_residual = max(diff_residual, abs(d - expected))
+    kappa_expected = np.zeros((3, 2, 3))
+    kappa_expected[0, :, 1:] = omega
+    xi_expected = np.zeros((3, 3))
+    xi_expected[1, 2] = -R
+    xi_expected[2, 1] = R
+    diff_residual = max(
+        _max_abs(fc.kappa.value - tw.kappa.value - kappa_expected),
+        _max_abs(fc.xi.value - tw.xi.value - xi_expected),
+    )
 
-    r_extracted = -(fc.xi[1][2].value - tw.xi[1][2].value)
+    r_extracted = -(float(fc.xi.value[1, 2]) - float(tw.xi.value[1, 2]))
     r_drift = abs(r_extracted - R)
 
-    ft = full_torsion(fc)
+    tor = full_torsion(fc).comps.value
     Av, Bv = td.A.value, td.B.value
-    e_rows_expected = (
-        ((Av, Bv + R), (0.0,)),
-        ((Bv - R, -Av), (0.0,)),
-    )
-    torsion_e_residual = 0.0
-    for b in range(2):
-        row = ft.comps[b + 1]
-        mixed, hh = e_rows_expected[b]
-        torsion_e_residual = max(
-            torsion_e_residual,
-            abs(row[0][1].value - mixed[0]),
-            abs(row[0][2].value - mixed[1]),
-            abs(row[1][2].value - hh[0]),
-        )
+    # e-rows on the pairs (T, X1), (T, X2), (X1, X2).
+    e_rows = tor[1:, [0, 0, 1], [1, 2, 2]]
+    e_rows_expected = np.array([[Av, Bv + R, 0.0], [Bv - R, -Av, 0.0]])
+    torsion_e_residual = _max_abs(e_rows - e_rows_expected)
 
-    theta = ft.comps[0]
-    theta_vs_zero = max(abs(theta[P][Q].value) for P in range(3) for Q in range(3))
+    theta = tor[0].tolist()
+    theta_vs_zero = max(abs(v) for row in theta for v in row)
     theta_vs_minus_levi = max(
-        abs(theta[0][1].value),
-        abs(theta[0][2].value),
-        abs(theta[1][2].value + frame.Omega[0][1].value),
+        abs(theta[0][1]),
+        abs(theta[0][2]),
+        abs(theta[1][2] + float(omega[0, 1])),
     )
 
     passed = (

@@ -16,7 +16,7 @@ from contactconn.forms import (
     increasing_indices,
     wedge,
 )
-from contactconn.jets import Jet
+from contactconn.jets import Jet, JetArray
 
 
 def zero_form(dim: int, degree: int, order: int) -> KFormValue:
@@ -57,7 +57,7 @@ def express_in_coframe(a: KFormValue, coframe: list[KFormValue]):
     order = min(min(c.order() for c in coframe), a.order())
     C = [[coframe[r].comps[(i,)].restrict(order) for i in range(dim)] for r in range(dim)]
     try:
-        inv = _jet_matrix_inverse(C)
+        inv = _jet_matrix_inverse(JetArray.from_jets(C)).jets()
     except SingularMatrixError:
         raise SingularMatrixError("coframe value parts are linearly dependent") from None
     duals = [VectorValue(tuple(inv[i][col] for i in range(dim))) for col in range(dim)]

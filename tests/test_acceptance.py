@@ -20,7 +20,7 @@ from contactconn.connection import (
 from contactconn.contact import adapted_frame
 from contactconn.expressions import parse_expr
 from contactconn.forms import FormField
-from contactconn.jets import Jet, eval_jet
+from contactconn.jets import Jet, JetArray, eval_jet
 from contactconn.registry import builtin_registry, get_manifold
 from contactconn.sampling import sample_box
 from contactconn.suites import run_suites
@@ -82,13 +82,13 @@ def test_criterion_02_base_independence():
         for p in sample_box(spec.box, 25, spec.seed):
             frame = adapted_frame(cs, p)
             raw = rng.standard_normal((m, m, m))
-            pert = [
+            pert = JetArray.from_jets([
                 [
                     [Jet.constant(raw[a][b][c] + raw[c][b][a], cs.dim, 2) for c in range(m)]
                     for b in range(m)
                 ]
                 for a in range(m)
-            ]
+            ])
             ref = canonical_partial_connection(cs, p, frame=frame)
             alt = canonical_partial_connection(cs, p, frame=frame, base_perturbation=pert)
             worst = max(
@@ -127,7 +127,7 @@ def test_criterion_03_sigma_algebra():
                         [[s[i][j][k] + t[i][j][k] for k in range(m)] for j in range(m)]
                         for i in range(m)
                     ]
-                    back = sigma_inv(sigma(sym))
+                    back = sigma_inv(sigma(JetArray.from_jets(sym)))
                     worst = max(
                         worst,
                         max(
@@ -228,8 +228,8 @@ def test_criterion_06_rotation_covariance():
             out = check_rotation_covariance(cf, solve_structure_equations(cf), phi)
             worst_cov = max(worst_cov, out["omega_residual"], out["ab_residual"])
             rcf = rotate_coframe(cf, phi)
-            m1 = tw_connection(solve_structure_equations(cf), cf).coordinate_action(alpha, p)
-            m2 = tw_connection(solve_structure_equations(rcf), rcf).coordinate_action(alpha, p)
+            m1 = tw_connection(solve_structure_equations(cf), cf).coordinate_action(alpha)
+            m2 = tw_connection(solve_structure_equations(rcf), rcf).coordinate_action(alpha)
             worst_action = max(worst_action, float(np.max(np.abs(m1 - m2))))
     ok = worst_cov < 1e-9 and worst_action < 1e-9
     verdict(

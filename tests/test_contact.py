@@ -135,8 +135,8 @@ class TestNormalizeTheta:
 class TestAdaptedFrame:
     def test_heisenberg_explicit(self, heis):
         frame = adapted_frame(heis, P3)
-        assert np.allclose(frame.X[0].values(), [1.0, 0.0, -0.4], atol=1e-14)
-        assert np.allclose(frame.X[1].values(), [0.0, 1.0, 0.0], atol=1e-14)
+        assert np.allclose(frame.X.value[0], [1.0, 0.0, -0.4], atol=1e-14)
+        assert np.allclose(frame.X.value[1], [0.0, 1.0, 0.0], atol=1e-14)
         assert np.allclose(frame.T.values(), [0.0, 0.0, 1.0], atol=1e-14)
         assert frame.c[0].value == pytest.approx(0.0, abs=1e-14)
         assert frame.c[1].value == pytest.approx(0.0, abs=1e-14)

@@ -152,7 +152,7 @@ class TestLinearSolve:
             [Jet.constant(1.0, 3, 2), Jet.constant(0.0, 3, 2)],
             [Jet.constant(0.0, 3, 2), Jet.constant(1.0, 3, 2)],
         ]
-        x = jet_linear_solve(I, b)
+        x = jet_linear_solve(JetArray.from_jets(I), JetArray.from_jets(b)).jets()
         for got, want in zip(x, b):
             assert got.value == want.value
             assert np.allclose(got.grad, want.grad)
@@ -164,7 +164,7 @@ class TestLinearSolve:
             [Jet.constant(0.0, 3, 2), Jet.constant(4.0, 3, 2)],
         ]
         b = [Jet.constant(2.0, 3, 2), Jet.constant(4.0, 3, 2)]
-        x = jet_linear_solve(A, b)
+        x = jet_linear_solve(JetArray.from_jets(A), JetArray.from_jets(b)).jets()
         assert [j.value for j in x] == [1.0, 1.0]
         assert all(np.allclose(j.grad, 0) for j in x)
 
@@ -179,7 +179,7 @@ class TestLinearSolve:
             [jet_of("1", p), jet_of("2", p)],
         ]
         b = [jet_of("1", p), jet_of("0", p)]
-        x1, x2 = jet_linear_solve(A, b)
+        x1, x2 = jet_linear_solve(JetArray.from_jets(A), JetArray.from_jets(b)).jets()
         assert x1.value == pytest.approx(2.0, abs=1e-14)
         assert x2.value == pytest.approx(-1.0, abs=1e-14)
         assert x1.grad[0] == pytest.approx(-4.0, abs=1e-12)
@@ -194,7 +194,7 @@ class TestLinearSolve:
         ]
         b = [Jet.constant(1.0, 3, 1), Jet.constant(0.0, 3, 1)]
         with pytest.raises(SingularMatrixError):
-            jet_linear_solve(A, b)
+            jet_linear_solve(JetArray.from_jets(A), JetArray.from_jets(b))
 
     def test_residual_property_random_systems(self):
         rng = np.random.default_rng(11)
@@ -214,7 +214,7 @@ class TestLinearSolve:
                 if np.linalg.cond(vals) > 1e4:
                     continue
                 b = [jet_of(texts[(i * 3 + 1) % len(texts)], p) for i in range(m)]
-                x = jet_linear_solve(A, b)
+                x = jet_linear_solve(JetArray.from_jets(A), JetArray.from_jets(b)).jets()
                 # A x - b must vanish through order 2
                 for i in range(m):
                     acc = None
@@ -234,7 +234,7 @@ def test_jet_hessians_symmetric_after_solve():
         [jet_of("y", p), jet_of("3 + sin(z)", p)],
     ]
     b = [jet_of("x+y", p), jet_of("1 - z", p)]
-    for j in jet_linear_solve(A, b):
+    for j in jet_linear_solve(JetArray.from_jets(A), JetArray.from_jets(b)).jets():
         assert np.array_equal(j.hess, j.hess.T)
 
 

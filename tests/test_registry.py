@@ -1,10 +1,12 @@
 """Built-in manifold descriptions and the JSON description loader."""
 
 import json
+import math
 
 import pytest
 
 from contactconn.errors import ParseError, SpecError, UnknownManifoldError
+from contactconn.expressions import Lit, Unary, parse_expr
 from contactconn.registry import (
     ManifoldSpec,
     builtin_registry,
@@ -101,6 +103,32 @@ class TestBuildParams:
 
         assert eval_jet(cs.g[0][0], (0.0, 0.0, 0.0), 0).value == 2.0
 
+    def test_parameter_binds_as_literal(self):
+        # a bound name parses to the tree of its parenthesized repr;
+        # functions, constants and coordinates take precedence
+        coords = ("x", "y", "z")
+        assert parse_expr("b*x", coords, {"b": 2.0}) == parse_expr("(2.0)*x", coords)
+        assert parse_expr("b", coords, {"b": -1.5}) == Unary("neg", Lit(1.5))
+        assert parse_expr("b", coords, {"b": -0.0}) == parse_expr("(-0.0)", coords)
+        assert parse_expr("e", coords, {"e": 2.0}) == Lit(math.e)
+
+    def test_parse_error_offset_is_into_user_text(self):
+        spec = ManifoldSpec(
+            name="t",
+            coords=("x", "y", "z"),
+            theta=("-y", "0", "b + )"),
+            g=(("1", "0", "0"), ("0", "1", "0"), ("0", "0", "0")),
+            box=((-1, 1),) * 3,
+            params={"b": 2.0},
+        )
+        with pytest.raises(ParseError, match=r"theta\[2\]:") as info:
+            spec.build()
+        assert info.value.offset == 4
+
+    def test_non_finite_parameter_rejected(self):
+        with pytest.raises(SpecError, match="parameter 'b' must be finite"):
+            get_manifold("heisenberg-aniso").build({"b": float("inf")})
+
     def test_parse_error_carries_field_path(self):
         spec = ManifoldSpec(
             name="t",
@@ -175,6 +203,21 @@ class TestLoadSpec:
         payload["g"][1][0] = "(x)*y"
         spec = load_spec(write_spec(tmp_path, payload))
         assert spec.g[0][1] == "x* y"
+
+    def test_parameter_shadowing_a_constant_rejected(self, tmp_path):
+        # a parameter named e would otherwise stand in for Euler's constant
+        payload = valid_payload()
+        payload["g"][1][1] = "e"
+        payload["params"] = {"e": 2.0}
+        with pytest.raises(SpecError, match=r"params\.e: shadows a built-in"):
+            load_spec(write_spec(tmp_path, payload))
+
+    def test_parameter_shadowing_a_function_rejected(self, tmp_path):
+        payload = valid_payload()
+        payload["theta"][2] = "1 + sin(x)"
+        payload["params"] = {"sin": 1.0}
+        with pytest.raises(SpecError, match=r"params\.sin: shadows a built-in"):
+            load_spec(write_spec(tmp_path, payload))
 
     def test_bad_expression_names_field(self, tmp_path):
         payload = valid_payload()

@@ -13,6 +13,7 @@ from contactconn.errors import (
     LinearSolveResidualError,
     SuiteUnavailableError,
 )
+from contactconn.jets import JetArray
 from contactconn.registry import (
     SUITE_NAMES,
     SUITES_3D_ONLY,
@@ -269,6 +270,36 @@ class TestPerPointState:
             "promote": usable,
         }
 
+
+    # Tensors are stored once, as JetArrays; a run converts between
+    # JetArrays and scalar Jets only where a scalar Jet is stored (mu,
+    # theta_hat, T, the 3D structure data) or needed (the rotation angle).
+    # With nested-Jet copies of every tensor the same runs made 27.25
+    # from_jets and 31.0 jets calls per usable point on heis7 and 49.25
+    # and 40.0 on sphere-chart.
+    @pytest.mark.parametrize(
+        "name, suites, from_jets, jets",
+        [("heis7.json", CORE, 7, 4), ("sphere-chart", ALL_3D, 10, 9)],
+    )
+    def test_conversions_per_usable_point(self, monkeypatch, name, suites, from_jets, jets):
+        counts = {"from_jets": 0, "jets": 0}
+        real_from_jets, real_jets = JetArray.from_jets, JetArray.jets
+
+        def counted_from_jets(x):
+            counts["from_jets"] += 1
+            return real_from_jets(x)
+
+        def counted_jets(self):
+            counts["jets"] += 1
+            return real_jets(self)
+
+        monkeypatch.setattr(JetArray, "from_jets", staticmethod(counted_from_jets))
+        monkeypatch.setattr(JetArray, "jets", counted_jets)
+        spec = load_spec(CHARTS_DIR / name) if name.endswith(".json") else get_manifold(name)
+        rep = run_suites(spec, suites, points=2)
+        usable = rep.requested_points - rep.skipped_points
+        assert usable == 2
+        assert counts == {"from_jets": from_jets * usable, "jets": jets * usable}
 
     @pytest.mark.parametrize("suites", [ALL_3D, CORE])
     def test_inputs_evaluated_once_per_sample_point(self, monkeypatch, suites):
