@@ -372,19 +372,21 @@ def _promotion_system(conn: PartialConnection):
     # the products of kappa need no parts above order 1.
     kap1 = kap.restrict(1)
 
-    # K(u, v)[A, C] = X_u(kappa_v[A][C]) + sum_E kappa_v[A][E] kappa_u[E][C]
-    def K(u: int, v: int) -> JetArray:
-        corr = _contract(kap1[v].transpose(1, 0)[:, :, None], kap1[u][:, None, :])
-        return apply_vector(X[u], kap[v]) + corr
+    # K[u, v, A, C] = X_u(kappa[v, A, C]) + sum_E kappa[v, A, E] kappa[u, E, C],
+    # every (u, v) at once, the sum folded over E.
+    corr = _contract(
+        kap1.transpose(2, 0, 1)[:, None, :, :, None],
+        kap1.transpose(1, 0, 2)[:, :, None, None, :],
+    )
+    K = apply_vector(X, kap) + corr
 
+    # One obstruction per pair u < v, stacked in triu order and folded
+    # over pairs: (sum_e D[e, u, v] kappa[e] + K[u, v] - K[v, u]) Omega_uv.
     uu, vv = np.triu_indices(m, 1)
     den = (Om[uu, vv] * Om[uu, vv]).fold()
-    num = None
-    for u, v in zip(uu.tolist(), vv.tolist()):
-        cc = _contract(D[:, u, v][:, None, None], kap1)
-        ob = (cc + K(u, v) - K(v, u)) * Om[u, v]
-        num = ob if num is None else num + ob
-    return num, den
+    cc = _contract(D[:, uu, vv][:, :, None, None], kap1[:, None])
+    ob = (cc + K[uu, vv] - K[vv, uu]) * Om[uu, vv][:, None, None]
+    return ob.fold(), den
 
 
 def promote(conn: PartialConnection) -> FullConnection:

@@ -45,7 +45,7 @@ from .forms import (
     d_from_jets,
     evaluate_forms,
     increasing_indices,
-    wedge,
+    wedge_arrays,
 )
 from .jets import Jet, JetArray, Tape, fold_chunks, jet_linear_solve
 
@@ -156,30 +156,34 @@ def check_contact(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
     structure's inputs at p; otherwise they are evaluated here.
     """
     inputs = inputs or cs.inputs_at(p)
-    t = inputs.theta.restrict(0)
-    dt = inputs.dtheta.restrict(0)
-    top = t
-    for _ in range(cs.n):
-        top = wedge(top, dt)
-    coefficient = top.comp(tuple(range(cs.dim))).value
-    scale = t.max_abs_value() * dt.max_abs_value() ** cs.n
+    d = cs.dim
+    t = inputs.theta.array.restrict(0)
+    dt = inputs.dtheta.array.restrict(0)
+    dt_idx = list(inputs.dtheta.comps)
+    top, idx = t, list(inputs.theta.comps)
+    for r in range(cs.n):
+        top = wedge_arrays(top, idx, dt, dt_idx, d)
+        idx = list(increasing_indices(d, 3 + 2 * r))
+    (coefficient,) = top.value.tolist()
+    scale = max(np.abs(t.value).tolist()) * max(np.abs(dt.value).tolist()) ** cs.n
     return ContactCheck(abs(coefficient) > CONTACT_REL_TOL * scale, coefficient, scale)
 
 
-def _reeb_from_values(theta: JetArray, dt: KFormValue) -> VectorValue:
+def _reeb_from_values(theta: JetArray, dt: JetArray) -> VectorValue:
     """Solve the square system whose unique solution is the Reeb field.
 
-    theta holds the 1-form's components (dim,). Row j reads
+    theta holds the 1-form's components (dim,), dt the 2-form's on the
+    increasing pairs (i, j), in increasing_indices order. Row j reads
     sum_i [dt(d_i, d_j) + theta_j theta_i] T^i = theta_j, the diagonal's
     dt(d_i, d_i) a constant zero jet. Any solution satisfies
     theta(T) = 1 and T . dtheta = 0, and the matrix is invertible exactly
     at contact points.
     """
     d = len(theta)
-    i, j = np.array(list(dt.comps), dtype=np.intp).T
+    i, j = np.triu_indices(d, 1)
     pair = JetArray.constant(0.0, theta.dim, (d, d))  # [i, j] = dt(d_i, d_j)
-    pair[i, j] = dt.array
-    pair[j, i] = -dt.array
+    pair[i, j] = dt
+    pair[j, i] = -dt
     A = pair.transpose(1, 0) + theta[:, None] * theta[None, :]
     try:
         sol = jet_linear_solve(A, theta)
@@ -200,9 +204,9 @@ def reeb_field(cs_or_theta, p, inputs: PointInputs | None = None) -> VectorValue
     """
     if isinstance(cs_or_theta, ContactStructure):
         inputs = inputs or cs_or_theta.inputs_at(p)
-        return _reeb_from_values(inputs.theta.array, inputs.dtheta)
+        return _reeb_from_values(inputs.theta.array, inputs.dtheta.array)
     if isinstance(cs_or_theta, KFormValue) and cs_or_theta.degree == 1:
-        return _reeb_from_values(cs_or_theta.array, d_from_jets(cs_or_theta))
+        return _reeb_from_values(cs_or_theta.array, d_from_jets(cs_or_theta).array)
     raise TypeError("expected a ContactStructure or a 1-form value")
 
 
@@ -259,9 +263,11 @@ def _jet_matrix_inverse(M: JetArray) -> JetArray:
     return inv
 
 
-def _form_pairs(form: KFormValue, U: JetArray, V: JetArray) -> JetArray:
-    """A 2-form on every pair of rows of the vector stacks U and V."""
-    return evaluate_forms(form.array, list(form.comps), U, V)
+def _form_pairs(form: JetArray, U: JetArray, V: JetArray) -> JetArray:
+    """A 2-form, given by its components on the increasing pairs in
+    increasing_indices order, on every pair of rows of the vector stacks
+    U and V."""
+    return evaluate_forms(form, list(increasing_indices(U.shape[1], 2)), U, V)
 
 
 def _h_gram_and_omega(inputs: PointInputs, h_choice=None):
@@ -291,7 +297,7 @@ def _h_gram_and_omega(inputs: PointInputs, h_choice=None):
             "metric restricted to the contact distribution is not positive definite"
         )
     dt = inputs.dtheta
-    omega = _form_pairs(dt, basis, basis)
+    omega = _form_pairs(dt.array, basis, basis)
     return theta, kept, m, basis, G, gram, dt, omega
 
 
@@ -343,17 +349,19 @@ class LambdaSpectrum:
 class AdaptedFrame:
     """Everything frame-shaped at one point, jet-valued.
 
-    The scalar mu is a Jet, theta_hat and dtheta_hat are form values and
-    T a vector value; the tensors are JetArrays: the frame vectors X
+    The scalar mu is a Jet, theta_hat a form value and T a vector value;
+    the tensors are JetArrays: d(theta_hat) (K,) on the K increasing
+    coordinate pairs, in increasing_indices order; the frame vectors X
     (2n, dim), one per row; the coframe H-parts f (2n, dim), one 1-form
-    per row; their Reeb coefficients c (2n,); the matrix Omega (2n, 2n)
-    of d(theta_hat) on frame pairs; and the structure values D (2n, 2n,
-    2n), entry [b, a, c] = d(e^b)(X_a, X_c).
+    per row, and their exterior derivatives df (2n, K); their Reeb
+    coefficients c (2n,); the matrix Omega (2n, 2n) of d(theta_hat) on
+    frame pairs; and the structure values D (2n, 2n, 2n), entry
+    [b, a, c] = d(e^b)(X_a, X_c).
 
     Achieved jet orders, determined by what each piece consumes:
     theta_hat and X carry order 2, dtheta_hat and T order 1, Omega order
     2 (it avoids dtheta_hat via the exact identity d(mu theta)(X, Y) =
-    mu dtheta(X, Y) on H-vectors), f order 2, c order 1, and D order 1.
+    mu dtheta(X, Y) on H-vectors), f order 2, df, c and D order 1.
 
     The dual coframe element e^b is f[b] + c[b] * theta_hat; the split is
     kept because the H-part alone retains order 2.
@@ -362,10 +370,11 @@ class AdaptedFrame:
     p: tuple[float, ...]
     mu: Jet
     theta_hat: KFormValue
-    dtheta_hat: KFormValue
+    dtheta_hat: JetArray
     T: VectorValue
     X: JetArray
     f: JetArray
+    df: JetArray
     c: JetArray
     Omega: JetArray
     D: JetArray
@@ -397,12 +406,6 @@ class AdaptedFrame:
         fa[0] = self.T.array
         fa[1:] = self.X
         return fa
-
-    def coframe(self) -> list[KFormValue]:
-        return [_one_form(row) for row in self.coframe_array.jets()]
-
-    def frame_vectors(self) -> list[VectorValue]:
-        return [self.T] + [VectorValue(tuple(row)) for row in self.X.jets()]
 
     def express(self, a: KFormValue) -> JetArray:
         """Coframe components of a 1-form value by frame pairing:
@@ -436,9 +439,9 @@ class AdaptedFrame:
         m = 2 * self.n
         T = self.T.array[None]
         X = self.X
-        idx = list(self.dtheta_hat.comps)
+        idx = list(increasing_indices(self.dim, 2))
         i, j = np.array(idx, dtype=np.intp).T
-        dth = evaluate_forms(self.dtheta_hat.array, idx, T, X)[0]
+        dth = evaluate_forms(self.dtheta_hat, idx, T, X)[0]
         # dc ^ theta_hat on (i, j): (0 + dc_i th_j) - dc_j th_i, as wedge sums.
         dc = self.c.partials()
         th = self.theta_hat.array
@@ -446,7 +449,7 @@ class AdaptedFrame:
         reeb = JetArray.constant(0.0, self.dim, (m + 1, m))
         reeb[0] = dth
         reeb[1:] = (
-            evaluate_forms(_d_rows(self.f), idx, T, X)[:, 0]
+            evaluate_forms(self.df, idx, T, X)[:, 0]
             + evaluate_forms(dc_th, idx, T, X)[:, 0]
             + dth[None, :] * self.c[:, None]
         )
@@ -488,15 +491,16 @@ def _d_rows(F: JetArray) -> JetArray:
     return (0.0 + P[:, i, j]) - P[:, j, i]
 
 
-def structure_values(F: JetArray, c: JetArray, X: JetArray, Omega: JetArray) -> JetArray:
+def structure_values(dF: JetArray, c: JetArray, X: JetArray, Omega: JetArray) -> JetArray:
     """Structure values D[b, a, c] = d(e^b)(X_a, X_c) of the coframe
     e^b = f^b + c^b theta_hat on frame pairs, as one (2n, 2n, 2n) array:
     d(f^b)(X_a, X_c) + c^b Omega_ac, the dc ^ theta_hat piece vanishing on
-    H-pairs since theta_hat(X) = 0. F holds the H-part 1-forms (2n, dim),
-    c the Reeb coefficients (2n,), X the frame vectors (2n, dim). The
-    entries carry order 1, what the exterior derivative leaves."""
+    H-pairs since theta_hat(X) = 0. dF holds d(f^b) on the increasing
+    pairs (2n, K), as _d_rows gives them, c the Reeb coefficients (2n,),
+    X the frame vectors (2n, dim). The entries carry order 1, what the
+    exterior derivative leaves."""
     idx = list(increasing_indices(X.shape[1], 2))
-    return evaluate_forms(_d_rows(F), idx, X, X) + c[:, None, None] * Omega
+    return evaluate_forms(dF, idx, X, X) + c[:, None, None] * Omega
 
 
 def adapted_frame(
@@ -523,9 +527,11 @@ def adapted_frame(
     theta_hat_arr = mu_arr * theta
     theta_hat = _one_form(theta_hat_arr.jets())
 
-    # d(theta_hat) = dmu ^ theta + mu dtheta, one order below mu.
-    dmu = d_from_jets(KFormValue(d, 0, {(): mu}))
-    dtheta_hat = wedge(dmu, inputs.theta) + dtheta_val.scale(mu)
+    # d(theta_hat) = dmu ^ theta + mu dtheta, one order below mu; dmu is
+    # 0.0 + the partials of mu, the terms of d_from_jets on a 0-form.
+    dmu = 0.0 + mu_arr.partials()
+    one = [(i,) for i in range(d)]
+    dtheta_hat = wedge_arrays(dmu, one, theta, one, d) + dtheta_val.array * mu_arr
 
     T = _reeb_from_values(theta_hat_arr, dtheta_hat)
 
@@ -549,7 +555,7 @@ def adapted_frame(
         X[r] = u * (1.0 / nrm2.sqrt())
 
     # Exact on H-vectors: the dmu ^ theta part dies against theta(X)=0.
-    Omega = _form_pairs(dtheta_val, X, X) * mu_arr
+    Omega = _form_pairs(dtheta_val.array, X, X) * mu_arr
     if n == 1 and Omega.value[0, 1] < 0.0:
         swap = [1, 0]
         X = X[swap]
@@ -558,9 +564,9 @@ def adapted_frame(
     # Dual coframe split e^b = f^b + c^b theta_hat: the H-part pairs with
     # g against X_b, the Reeb coefficient kills the value on T.
     F = _metric_pairs(G, X, _project_onto_h(theta_hat_arr, m, range(d)))
-    idx = [(i,) for i in range(d)]
+    dF = _d_rows(F)
     T_row = T.array[None]
-    C = -evaluate_forms(F, idx, T_row)[:, 0] / evaluate_forms(theta_hat_arr, idx, T_row)[0]
+    C = -evaluate_forms(F, one, T_row)[:, 0] / evaluate_forms(theta_hat_arr, one, T_row)[0]
 
     return AdaptedFrame(
         p=tuple(float(x) for x in p),
@@ -570,9 +576,10 @@ def adapted_frame(
         T=T,
         X=X,
         f=F,
+        df=dF,
         c=C,
         Omega=Omega,
-        D=structure_values(F, C, X, Omega),
+        D=structure_values(dF, C, X, Omega),
         h_indices=kept,
         transversal_index=m,
     )

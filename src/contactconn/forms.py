@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -161,38 +161,96 @@ def evaluate_forms(coeffs: JetArray, idx, *vectors: JetArray) -> JetArray:
         for r in range(k)
     ]
 
+    perms = [(perm, float(_perm_sign(perm))) for perm in itertools.permutations(range(k))]
+
     def terms(lo, hi):
         det = None
-        for perm in itertools.permutations(range(k)):
+        for perm, sign in perms:
             term = None
             for t, r in enumerate(perm):
                 comp = vt[r][cols[lo:hi, t]][place[r]]
                 term = comp if term is None else term * comp
-            term = term * float(_perm_sign(perm))
+            term = term * sign
             det = term if det is None else det + term
         return c[lo:hi] * det
 
     return fold_chunks(len(cols), math.prod(stack) * math.prod(sizes), coeffs.dim, terms)
 
 
+@lru_cache(maxsize=64)
+def _wedge_table(dim: int, idx_a: tuple, idx_b: tuple):
+    """The terms of the graded product of forms on the multi-indices idx_a
+    and idx_b, in the order of a loop over idx_a, then idx_b: per term
+    the positions (ia, ib) of its factors, its sign, the output key it
+    adds to (an increasing multi-index, numbered as increasing_indices
+    lists them) and its rank among the terms of that key; and the number
+    of output keys."""
+    degree = len(idx_a[0]) + len(idx_b[0])
+    keys = {key: s for s, key in enumerate(increasing_indices(dim, degree))}
+    ia, ib, sign, slot, rank = [], [], [], [], []
+    fill = [0] * len(keys)
+    for x, ka in enumerate(idx_a):
+        for y, kb in enumerate(idx_b):
+            s = _perm_sign(ka + kb)
+            if s == 0:
+                continue
+            key = keys[tuple(sorted(ka + kb))]
+            ia.append(x)
+            ib.append(y)
+            sign.append(float(s))
+            slot.append(key)
+            rank.append(fill[key])
+            fill[key] += 1
+    ia, ib, slot, rank = (np.array(v, dtype=np.intp) for v in (ia, ib, slot, rank))
+    return ia, ib, np.array(sign), slot, rank, len(keys)
+
+
+def wedge_arrays(a: JetArray, idx_a, b: JetArray, idx_b, dim: int) -> JetArray:
+    """Graded product of the dim-dimensional forms with components a (K_a,)
+    on the multi-indices idx_a and b (K_b,) on idx_b. Returns the
+    components on the increasing multi-indices of the summed degree, in
+    increasing_indices order.
+
+    Each output component is the left fold, from a constant 0.0 seed, of
+    the terms (a[ia] * b[ib]) * sign in the order of a loop over idx_a,
+    then idx_b, skipping repeated indices; every component carries the
+    lowest order of any input component. Keys with fewer terms are
+    padded with -0.0, which leaves every sum unchanged (x + -0.0 is x for
+    every x), so all keys fold in one pass.
+    """
+    ia, ib, sign, slot, rank, n_keys = _wedge_table(
+        dim, tuple(map(tuple, idx_a)), tuple(map(tuple, idx_b))
+    )
+    order = int(min(a.order.min(), b.order.min()))
+    seed = JetArray.constant(0.0, a.dim, (n_keys,), order)
+    if not len(ia):
+        return seed
+    signs = JetArray.constant(0.0, a.dim, sign.shape, order)
+    signs.value[...] = sign
+    prod = (a.restrict(order)[ia] * b.restrict(order)[ib]) * signs
+    shape = (int(rank.max()) + 1, n_keys)
+    pad = lambda part: None if part is None else np.full(shape + part.shape[1:], -0.0)  # noqa: E731
+    terms = JetArray(
+        a.dim,
+        pad(prod.value),
+        pad(prod.grad),
+        pad(prod.hess),
+        np.full(shape, order, dtype=prod.order.dtype),
+    )
+    terms[rank, slot] = prod
+    return terms.fold(seed)
+
+
 def wedge(a: KFormValue, b: KFormValue) -> KFormValue:
-    """Graded product; associativity and the sign rule are exercised in tests."""
+    """Graded product; associativity and the sign rule are exercised in
+    tests. The form-value face of wedge_arrays."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     k = a.degree + b.degree
     if k > a.dim:
         raise ValueError("degree overflow")
-    order = min(a.order(), b.order())
-    out = {idx: Jet.constant(0.0, a.dim, order) for idx in increasing_indices(a.dim, k)}
-    for ia, ja in a.comps.items():
-        for ib, jb in b.comps.items():
-            merged = ia + ib
-            sign = _perm_sign(merged)
-            if sign == 0:
-                continue
-            key = tuple(sorted(merged))
-            out[key] = out[key] + ja * jb * float(sign)
-    return KFormValue(a.dim, k, out)
+    out = wedge_arrays(a.array, list(a.comps), b.array, list(b.comps), a.dim)
+    return KFormValue(a.dim, k, dict(zip(increasing_indices(a.dim, k), out.jets())))
 
 
 def apply_vector(v, f):

@@ -127,7 +127,7 @@ def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
         theta = pt.inputs.theta
         (theta_T,) = evaluate_forms(theta.array, list(theta.comps), T).value.tolist()
         reeb_res = max(reeb_res, abs(theta_T - 1.0))
-        for v in _form_pairs(pt.inputs.dtheta, T, basis).value[0].tolist():
+        for v in _form_pairs(pt.inputs.dtheta.array, T, basis).value[0].tolist():
             reeb_res = max(reeb_res, abs(v))
 
         omega_sq = sum(v**2 for v in frame.Omega.value.ravel().tolist())

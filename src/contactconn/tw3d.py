@@ -40,6 +40,7 @@ from .contact import (
     ORDER,
     AdaptedFrame,
     ContactStructure,
+    _d_rows,
     adapted_frame,
     structure_values,
 )
@@ -206,10 +207,11 @@ def rotate_coframe(cf: TWCoframe, phi) -> TWCoframe:
         return rows[0][None] * rot[:, 0, None] + rows[1][None] * rot[:, 1, None]
 
     f = turn(frame.f)
+    df = _d_rows(f)
     c = rot[:, 0] * frame.c[0] + rot[:, 1] * frame.c[1]
     X = turn(frame.X)
-    D = structure_values(f, c, X, frame.Omega)
-    return TWCoframe(dataclasses.replace(frame, f=f, c=c, X=X, D=D), cf.coords)
+    D = structure_values(df, c, X, frame.Omega)
+    return TWCoframe(dataclasses.replace(frame, f=f, df=df, c=c, X=X, D=D), cf.coords)
 
 
 def check_rotation_covariance(cf: TWCoframe, td: TWData, phi) -> dict:

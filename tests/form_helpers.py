@@ -1,22 +1,60 @@
 """Exterior-algebra helpers that only the tests use.
 
 They check the library's forms against independent routes: structural d
-evaluated at a point, interior products, and the round trip through the
-wedge-monomial basis of a coframe.
+evaluated at a point, interior products, the scalar graded product, the
+round trip through the wedge-monomial basis of a coframe, and a frame's
+coframe and frame vectors as form and vector values.
 """
 
 from __future__ import annotations
 
-from contactconn.contact import _jet_matrix_inverse
+from contactconn.contact import AdaptedFrame, _jet_matrix_inverse
 from contactconn.errors import SingularMatrixError
 from contactconn.forms import (
     FormField,
     KFormValue,
     VectorValue,
+    _perm_sign,
     increasing_indices,
     wedge,
 )
 from contactconn.jets import Jet, JetArray
+
+
+def scalar_wedge(a: KFormValue, b: KFormValue) -> KFormValue:
+    """The graded product as a loop over scalar jets: each output
+    component is the left fold, from a constant 0.0 seed, of
+    (a_I * b_J) * sign over I, then J. The reference forms.wedge must
+    match bit for bit."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    k = a.degree + b.degree
+    if k > a.dim:
+        raise ValueError("degree overflow")
+    order = min(a.order(), b.order())
+    out = {idx: Jet.constant(0.0, a.dim, order) for idx in increasing_indices(a.dim, k)}
+    for ia, ja in a.comps.items():
+        for ib, jb in b.comps.items():
+            merged = ia + ib
+            sign = _perm_sign(merged)
+            if sign == 0:
+                continue
+            key = tuple(sorted(merged))
+            out[key] = out[key] + ja * jb * float(sign)
+    return KFormValue(a.dim, k, out)
+
+
+def coframe(frame: AdaptedFrame) -> list[KFormValue]:
+    """The full coframe (theta_hat, e^1, ..., e^2n) as 1-form values."""
+    return [
+        KFormValue(frame.dim, 1, {(i,): c for i, c in enumerate(row)})
+        for row in frame.coframe_array.jets()
+    ]
+
+
+def frame_vectors(frame: AdaptedFrame) -> list[VectorValue]:
+    """The full frame (T, X_1, ..., X_2n) as vector values."""
+    return [frame.T] + [VectorValue(tuple(row)) for row in frame.X.jets()]
 
 
 def zero_form(dim: int, degree: int, order: int) -> KFormValue:

@@ -23,8 +23,9 @@ from contactconn.connection import (
 from contactconn.contact import ContactStructure, adapted_frame
 from contactconn.errors import SymmetryError
 from contactconn.expressions import parse_expr
-from contactconn.forms import FormField
+from contactconn.forms import FormField, KFormValue, increasing_indices
 from contactconn.jets import Jet, JetArray, eval_jet, sum_jets
+from form_helpers import frame_vectors
 
 P3 = (0.3, -0.4, 0.2)
 
@@ -142,9 +143,10 @@ def four_bullet_residuals(cs, p):
 
     torsion = partial_torsion(conn).max_abs_h_rows()
 
-    X = frame.frame_vectors()[1:]
+    X = frame_vectors(frame)[1:]
+    dth = KFormValue(dim, 2, dict(zip(increasing_indices(dim, 2), frame.dtheta_hat.jets())))
     levi = max(
-        abs((conn.kappa[a][0][c + 1] - frame.dtheta_hat.evaluate(X[a], X[c])).value)
+        abs((conn.kappa[a][0][c + 1] - dth.evaluate(X[a], X[c])).value)
         for a in range(m)
         for c in range(m)
     )
@@ -360,7 +362,7 @@ def scalar_promotion_system(conn):
     frame = conn.frame
     m = 2 * frame.n
     kap = conn.kappa.jets()
-    X = frame.frame_vectors()[1:]
+    X = frame_vectors(frame)[1:]
     D = frame.D.jets()
     Om = frame.Omega.jets()
 
@@ -399,3 +401,44 @@ def test_promotion_system_matches_scalar_loops(name):
         assert got.value == want.value
         if want.order >= 1:
             assert np.array_equal(got.grad, want.grad)
+
+
+def generic_5d_spec():
+    """A 5D chart whose frame, structure values and kappa have no
+    constant or vanishing pattern, so the promotion system depends on the
+    order its frame pairs are folded in."""
+    from contactconn.registry import ManifoldSpec
+
+    return ManifoldSpec(
+        name="generic-5d",
+        coords=("x1", "y1", "x2", "y2", "z"),
+        theta=("y1/2 + x2/5", "-x1/2", "y2/2", "-x2/2 + z*y1/3", "1"),
+        g=(
+            ("1 + x2^2/3", "0", "y2/7", "0", "0"),
+            ("0", "1 + y2^2/4", "0", "x1*z/5", "0"),
+            ("y2/7", "0", "1 + z^2/5", "0", "0"),
+            ("0", "x1*z/5", "0", "1 + x1^2/6", "0"),
+            ("0", "0", "0", "0", "0"),
+        ),
+        box=((-0.6, 0.6),) * 5,
+        points=2,
+        seed=5,
+    )
+
+
+def test_promotion_system_matches_scalar_loops_on_generic_chart():
+    from contactconn.sampling import sample_box
+
+    spec = generic_5d_spec()
+    cs = spec.build()
+    for p in sample_box(spec.box, 2, spec.seed):
+        num, den = canonical_partial_connection(cs, p).promotion_system
+        want_num, want_den = scalar_promotion_system(canonical_partial_connection(cs, p))
+        pairs = [(den.jets(), want_den)] + [
+            (g, w) for grow, wrow in zip(num.jets(), want_num) for g, w in zip(grow, wrow)
+        ]
+        for got, want in pairs:
+            assert got.order == want.order
+            assert got.value == want.value
+            if want.order >= 1:
+                assert np.array_equal(got.grad, want.grad)

@@ -24,6 +24,7 @@ from contactconn.expressions import parse_expr
 from contactconn.forms import FormField, VectorValue
 from contactconn.jets import Jet
 from contactconn.registry import get_manifold
+from form_helpers import coframe, frame_vectors
 
 P3 = (0.3, -0.4, 0.2)
 P5 = (0.1, -0.3, 0.2, 0.4, 0.0)
@@ -143,8 +144,8 @@ class TestAdaptedFrame:
 
     def test_duality(self, sphere):
         frame = adapted_frame(sphere, (0.3, 0.2, -0.5))
-        co = frame.coframe()
-        vecs = frame.frame_vectors()
+        co = coframe(frame)
+        vecs = frame_vectors(frame)
         for A in range(3):
             for B in range(3):
                 want = 1.0 if A == B else 0.0
@@ -158,8 +159,8 @@ class TestAdaptedFrame:
         frame = adapted_frame(heis, P3, h_choice=(1, 2))
         assert frame.h_indices == (1, 2)
         assert frame.transversal_index == 0
-        co = frame.coframe()
-        vecs = frame.frame_vectors()
+        co = coframe(frame)
+        vecs = frame_vectors(frame)
         for A in range(3):
             for B in range(3):
                 want = 1.0 if A == B else 0.0

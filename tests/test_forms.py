@@ -16,6 +16,7 @@ from form_helpers import (
     express_in_coframe,
     from_coframe,
     interior_product,
+    scalar_wedge,
 )
 
 XYZ = ("x", "y", "z")
@@ -281,3 +282,76 @@ class TestKernelsBitForBit:
                 want = sum_jets(vi * f.partial(k) for k, vi in enumerate(v.comps))
                 assert same_jet(got[i][j], want)
                 assert same_jet(apply_vector(v, f), want)
+
+
+def random_form(rng, dim, degree, orders, keys=None):
+    """A form value with random component jets of orders drawn from
+    orders, on keys (all increasing multi-indices by default). About a
+    fifth of the values and of the derivative entries are signed zeros."""
+
+    def sprinkle(x):
+        x = np.asarray(x, dtype=float)
+        zero = rng.random(x.shape) < 0.2
+        return np.where(zero, np.where(rng.random(x.shape) < 0.5, 0.0, -0.0), x)
+
+    if keys is None:
+        keys = list(increasing_indices(dim, degree))
+    comps = {}
+    for key in keys:
+        k = int(rng.choice(orders))
+        h = rng.normal(size=(dim, dim))
+        comps[key] = Jet(
+            dim,
+            k,
+            float(sprinkle(rng.normal())),
+            sprinkle(rng.normal(size=dim)) if k >= 1 else None,
+            sprinkle(h + h.T) if k >= 2 else None,
+        )
+    return KFormValue(dim, degree, comps)
+
+
+def same_bits(a, b):
+    """Jets equal part by part, signed zeros told apart."""
+    parts = [(a.value, b.value), (a.grad, b.grad), (a.hess, b.hess)]
+    return a.order == b.order and all(
+        (x is None) == (y is None)
+        and (
+            x is None
+            or (np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y)))
+        )
+        for x, y in parts
+    )
+
+
+def assert_same_form(got, want):
+    assert (got.dim, got.degree) == (want.dim, want.degree)
+    assert list(got.comps) == list(want.comps)
+    for key in want.comps:
+        assert same_bits(got.comps[key], want.comps[key]), key
+
+
+class TestWedgeKernel:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("dim", [3, 5, 7])
+    def test_every_degree_pair_matches_scalar_loop(self, dim, order):
+        rng = np.random.default_rng([dim, order])
+        for da in range(dim + 1):
+            for db in range(dim + 1 - da):
+                a = random_form(rng, dim, da, (order,))
+                b = random_form(rng, dim, db, (order,))
+                assert_same_form(wedge(a, b), scalar_wedge(a, b))
+
+    def test_sparse_shuffled_mixed_order_components(self):
+        # Keys with fewer terms than others are padded with -0.0 in the
+        # kernel; component dicts in any order fold in that order.
+        rng = np.random.default_rng(5)
+        dim = 5
+        for da, db in [(1, 1), (1, 2), (2, 2), (2, 3), (0, 3)]:
+            for trial in range(4):
+                ka = list(increasing_indices(dim, da))
+                kb = list(increasing_indices(dim, db))
+                ka = [ka[i] for i in rng.permutation(len(ka))[: max(1, len(ka) - 2)]]
+                kb = [kb[i] for i in rng.permutation(len(kb))[: max(1, len(kb) - 1)]]
+                a = random_form(rng, dim, da, (0, 1, 2) if trial % 2 else (1, 2), ka)
+                b = random_form(rng, dim, db, (1, 2), kb)
+                assert_same_form(wedge(a, b), scalar_wedge(a, b))

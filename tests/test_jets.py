@@ -338,7 +338,14 @@ class TestJetArrayMatchesScalar:
         stacked = JetArray.from_jets(terms)
         assert_same_jet(stacked.fold().jets(), want)
         # One term per slice: the running sum is carried between slices.
-        sliced = fold_chunks(37, _FOLD_CHUNK, D_RAND, lambda lo, hi: stacked[lo:hi])
+        slices = []
+
+        def terms(lo, hi):
+            slices.append((lo, hi))
+            return stacked[lo:hi]
+
+        sliced = fold_chunks(37, _FOLD_CHUNK, D_RAND, terms)
+        assert slices == [(i, i + 1) for i in range(37)]
         assert_same_jet(sliced.jets(), want)
 
     def test_fold_along_stacked_axes(self):

@@ -229,9 +229,19 @@ class TestFailurePropagation:
         assert rep.suites[0].residuals["duality"] == 1.0
 
 
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace original in every contactconn module that binds it, so
+    calls through re-exports and from-imports see the replacement."""
+    for name, mod in list(sys.modules.items()):
+        if name == "contactconn" or name.startswith("contactconn."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, replacement)
+
+
 def count_calls(monkeypatch, dotted_names):
     """Wrap each "<module>.<function>" in every contactconn module that
-    binds it, so calls through re-exports and from-imports are counted."""
+    binds it and count its calls."""
     counts = {}
     for dotted in dotted_names:
         module_name, _, attr = dotted.rpartition(".")
@@ -242,11 +252,7 @@ def count_calls(monkeypatch, dotted_names):
             counts[_attr] += 1
             return _fn(*args, **kwargs)
 
-        for name, mod in list(sys.modules.items()):
-            if name == "contactconn" or name.startswith("contactconn."):
-                for key, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, key, wrapper)
+        patch_everywhere(monkeypatch, original, wrapper)
     return counts
 
 
@@ -276,10 +282,11 @@ class TestPerPointState:
     # theta_hat, T, the 3D structure data) or needed (the rotation angle).
     # With nested-Jet copies of every tensor the same runs made 27.25
     # from_jets and 31.0 jets calls per usable point on heis7 and 49.25
-    # and 40.0 on sphere-chart.
+    # and 40.0 on sphere-chart; with d(theta_hat) a form value of Jets,
+    # 7 and 10 from_jets.
     @pytest.mark.parametrize(
         "name, suites, from_jets, jets",
-        [("heis7.json", CORE, 7, 4), ("sphere-chart", ALL_3D, 10, 9)],
+        [("heis7.json", CORE, 6, 4), ("sphere-chart", ALL_3D, 9, 9)],
     )
     def test_conversions_per_usable_point(self, monkeypatch, name, suites, from_jets, jets):
         counts = {"from_jets": 0, "jets": 0}
@@ -300,6 +307,39 @@ class TestPerPointState:
         usable = rep.requested_points - rep.skipped_points
         assert usable == 2
         assert counts == {"from_jets": from_jets * usable, "jets": jets * usable}
+
+    # Every sum over a long term axis goes through fold_chunks. The
+    # promotion system folds all frame pairs at once, graded products
+    # are array kernels, and a slice holds 16384 Hessian floats. With an
+    # apply_vector and a contraction per ordered frame pair, another
+    # contraction per unordered pair and 4096-float slices, the same runs
+    # made 105 calls in 743 slices per usable point on heis7 and 37 in 37
+    # on sphere-chart.
+    @pytest.mark.parametrize(
+        "name, suites, calls, slices",
+        [("heis7.json", CORE, 33, 112), ("sphere-chart", ALL_3D, 35, 35)],
+    )
+    def test_fold_chunks_per_usable_point(self, monkeypatch, name, suites, calls, slices):
+        from contactconn import jets
+
+        counts = {"calls": 0, "slices": 0}
+        real = jets.fold_chunks
+
+        def counted(n_terms, per_term, dim, terms):
+            counts["calls"] += 1
+
+            def sliced(lo, hi):
+                counts["slices"] += 1
+                return terms(lo, hi)
+
+            return real(n_terms, per_term, dim, sliced)
+
+        patch_everywhere(monkeypatch, real, counted)
+        spec = load_spec(CHARTS_DIR / name) if name.endswith(".json") else get_manifold(name)
+        rep = run_suites(spec, suites, points=2)
+        usable = rep.requested_points - rep.skipped_points
+        assert usable == 2
+        assert counts == {"calls": calls * usable, "slices": slices * usable}
 
     @pytest.mark.parametrize("suites", [ALL_3D, CORE])
     def test_inputs_evaluated_once_per_sample_point(self, monkeypatch, suites):
