@@ -273,37 +273,35 @@ def nabla_H(conn: PartialConnection, field) -> JetArray:
         raise TypeError("expected a FormField or a FrameSection")
 
     X = frame.X
-    # Every result adds a derivative, of order at most 1, to products of
-    # kappa; those need no parts above order 1.
-    kap = conn.kappa.restrict(1)
+    if field.kind not in ("oneform", "vector", "tensor02"):
+        raise ValueError(f"unknown section kind {field.kind!r}")
+    comps = _stack(field.comps, dim)
+    # Every result adds the derivative of the components, one order below
+    # them, to products of kappa; those need no parts above that order.
+    k = max(comps.top - 1, 0)
+    kap = conn.kappa.restrict(k)
+    low = comps.restrict(k)
     if field.kind == "oneform":
-        alpha = _stack(field.comps, dim)
         # alpha[A] * kappa[a, A, C], folded over A.
-        corr = _contract(alpha[:, None, None].restrict(1), kap.transpose(1, 0, 2))
-        return apply_vector(X, alpha) + corr
+        corr = _contract(low[:, None, None], kap.transpose(1, 0, 2))
+        return apply_vector(X, comps) + corr
     if field.kind == "vector":
-        v = _stack(field.comps, dim)
         # kappa[a, B, C] * v[C], folded over C.
-        corr = _contract(kap.transpose(2, 0, 1), v[:, None, None].restrict(1))
-        return apply_vector(X, v) - corr
-    if field.kind == "tensor02":
-        t = _stack(field.comps, dim)
-        size = len(t)
-        if size == m:
-            # H-only components: shift into the full kappa indexing.
-            off = 1
-        elif size == m + 1:
-            off = 0
-        else:
-            raise ValueError("tensor02 components must be 2n or 2n+1 square")
-        t1 = t.restrict(1)
-        tt = t1.transpose(1, 0)
-        # kk[E, a, B] = kappa[a, E + off, B + off]
-        kk = kap[:, off : off + size, off : off + size].transpose(1, 0, 2)
-        first = _contract(kk[:, :, :, None], t1[:, None, None, :])
-        second = _contract(kk[:, :, None, :], tt[:, None, :, None])
-        return apply_vector(X, t) + first + second
-    raise ValueError(f"unknown section kind {field.kind!r}")
+        corr = _contract(kap.transpose(2, 0, 1), low[:, None, None])
+        return apply_vector(X, comps) - corr
+    size = len(comps)
+    if size == m:
+        # H-only components: shift into the full kappa indexing.
+        off = 1
+    elif size == m + 1:
+        off = 0
+    else:
+        raise ValueError("tensor02 components must be 2n or 2n+1 square")
+    # kk[E, a, B] = kappa[a, E + off, B + off]
+    kk = kap[:, off : off + size, off : off + size].transpose(1, 0, 2)
+    first = _contract(kk[:, :, :, None], low[:, None, None, :])
+    second = _contract(kk[:, :, None, :], low.transpose(1, 0)[:, None, :, None])
+    return apply_vector(X, comps) + first + second
 
 
 @dataclass(frozen=True)

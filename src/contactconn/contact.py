@@ -191,7 +191,7 @@ def _reeb_from_values(theta: JetArray, dt: JetArray) -> VectorValue:
         raise NotContactError(
             "Reeb system is singular: the form is not contact at this point"
         ) from None
-    return VectorValue(tuple(sol.jets()))
+    return VectorValue.from_array(sol)
 
 
 def reeb_field(cs_or_theta, p, inputs: PointInputs | None = None) -> VectorValue:
@@ -477,10 +477,6 @@ def frame_pair_matrix(reeb: JetArray, hh: JetArray) -> JetArray:
     return out
 
 
-def _one_form(comps) -> KFormValue:
-    return KFormValue(len(comps), 1, {(i,): c for i, c in enumerate(comps)})
-
-
 def _d_rows(F: JetArray) -> JetArray:
     """Exterior derivatives of the 1-forms in the rows of F (k, dim), one
     jet order lower: entry [b, K] is d(F_b) on the K-th increasing pair
@@ -525,7 +521,7 @@ def adapted_frame(
     mu_arr = _mu(gram, omega_raw)
     mu = mu_arr.jets()
     theta_hat_arr = mu_arr * theta
-    theta_hat = _one_form(theta_hat_arr.jets())
+    theta_hat = KFormValue.from_array(1, theta_hat_arr)
 
     # d(theta_hat) = dmu ^ theta + mu dtheta, one order below mu; dmu is
     # 0.0 + the partials of mu, the terms of d_from_jets on a 0-form.

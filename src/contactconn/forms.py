@@ -56,6 +56,14 @@ class VectorValue:
 
     comps: tuple[Jet, ...]
 
+    @staticmethod
+    def from_array(arr: JetArray) -> "VectorValue":
+        """The vector with the components of arr (dim,), which becomes its
+        array view as it is, without a round trip through Jets."""
+        v = VectorValue(tuple(arr.jets()))
+        v.__dict__["array"] = arr
+        return v
+
     @property
     def dim(self) -> int:
         return len(self.comps)
@@ -85,6 +93,16 @@ class KFormValue:
     dim: int
     degree: int
     comps: dict[tuple[int, ...], Jet]
+
+    @staticmethod
+    def from_array(degree: int, arr: JetArray) -> "KFormValue":
+        """The degree-form with the components of arr (K,) on the
+        increasing multi-indices, in increasing_indices order; arr becomes
+        its array view as it is, without a round trip through Jets."""
+        idx = increasing_indices(arr.dim, degree)
+        a = KFormValue(arr.dim, degree, dict(zip(idx, arr.jets())))
+        a.__dict__["array"] = arr
+        return a
 
     def comp(self, idx: tuple[int, ...]) -> Jet:
         return self.comps[idx]
@@ -147,6 +165,12 @@ def evaluate_forms(coeffs: JetArray, idx, *vectors: JetArray) -> JetArray:
     components. The determinant sums its permutations in itertools order,
     each a left-to-right product times its sign, so every entry has the
     bits of the scalar expansion.
+
+    Each term carries no part above the coefficients' top order, so the
+    determinants are built at that order only: the vector stacks are cut
+    to it first, which is exact (value and gradient rules never read a
+    higher part). Stacks of higher order than the coefficients cost no
+    more than stacks already cut.
     """
     k = len(vectors)
     cols = np.array(idx, dtype=np.intp).reshape(len(idx), k)
@@ -154,7 +178,7 @@ def evaluate_forms(coeffs: JetArray, idx, *vectors: JetArray) -> JetArray:
     s = len(stack)
     sizes = tuple(len(v) for v in vectors)
     c = coeffs.transpose(s, *range(s))[(slice(None),) * (1 + s) + (None,) * k]
-    vt = [v.transpose(1, 0) for v in vectors]
+    vt = [v.restrict(coeffs.top).transpose(1, 0) for v in vectors]
     # Stack r's components on result axis r, shaped (K,) + 1s + n_r.
     place = [
         (slice(None),) + (None,) * s + tuple(slice(None) if q == r else None for q in range(k))
@@ -250,7 +274,7 @@ def wedge(a: KFormValue, b: KFormValue) -> KFormValue:
     if k > a.dim:
         raise ValueError("degree overflow")
     out = wedge_arrays(a.array, list(a.comps), b.array, list(b.comps), a.dim)
-    return KFormValue(a.dim, k, dict(zip(increasing_indices(a.dim, k), out.jets())))
+    return KFormValue.from_array(k, out)
 
 
 def apply_vector(v, f):

@@ -19,13 +19,14 @@ Design notes.
   summation touches a jet part that feeds a result; this is what keeps
   reports byte-stable. fold_chunks folds long term axes a slice at a
   time, carrying the running sum, so temporaries stay small: a slice
-  holds at most _FOLD_CHUNK = 16384 Hessian floats (128 kB), counting d*d
-  floats per entry whatever the order. On the 7D Heisenberg chart a
-  point folds in 112 slices, against 253 at 4096 floats; the larger
-  budget costs about 0.2 MB of peak resident memory there (perfbench
-  heis7-core; tracemalloc agrees on the largest live jet temporaries).
-  65536 floats would cost about 2.2 MB more, for no clear gain in
-  speed.
+  holds at most _FOLD_CHUNK = 16384 floats (128 kB) of the highest part
+  its terms carry, d*d per entry at order 2, d at order 1 and 1 at
+  order 0. On the 7D Heisenberg chart a point folds in 73 slices; with
+  every slice sized for Hessians it took 112, and 253 at 4096 Hessian
+  floats, which cost about 0.2 MB less peak resident memory there
+  (perfbench heis7-core; tracemalloc agrees on the largest live jet
+  temporaries). 65536 Hessian floats would cost about 2.2 MB more, for
+  no clear gain in speed.
 - Orders. A Jet of order k keeps only the parts up to k; mixed-order
   operands coerce to the minimum order and plain numbers lift to
   constant jets. A JetArray computes all its entries at one common
@@ -34,6 +35,13 @@ Design notes.
   an entry's order are never read (value and gradient rules read no
   higher part), and JetArray.jets() restricts every entry to its own
   order, so mixing orders in one array is exact.
+- Work at the order that is read. For the same reason, cutting an
+  operand to the order its consumer reads (JetArray.restrict) before a
+  kernel runs gives the same bits as cutting the result, without
+  computing the parts above that order. Every kernel runs at the order
+  its result is read: pairings build their determinants at the order of
+  the form's coefficients, and the suites' value-only checks run on
+  order-0 jets.
 - Expressions. Tape compiles expression trees into one list of slots,
   one per distinct subexpression, and evaluates them with the Jet rules
   in the order a tree walk first reaches them; eval_jet is its
@@ -297,7 +305,8 @@ class Jet:
         return Jet(self.dim, self.order - 1, float(self.grad[i]), g, None)
 
 
-# Largest Hessian part, in floats, of one slice of fold_chunks (128 kB).
+# Largest highest-order part, in floats, of one slice of fold_chunks
+# (128 kB).
 _FOLD_CHUNK = 16384
 
 _ORDER_DTYPE = np.int8
@@ -576,13 +585,21 @@ def _nest(flat, shape):
 
 def fold_chunks(n_terms: int, per_term: int, dim: int, terms) -> JetArray:
     """Left fold of terms(lo, hi), the JetArray of terms lo..hi-1 stacked
-    on the leading axis, over all n_terms terms in slices of at most
-    _FOLD_CHUNK Hessian floats, carrying the running sum between slices.
-    Gives the same bits as folding all terms at once; per_term is the
-    entry count of one term and dim the chart dimension."""
-    step = max(1, _FOLD_CHUNK // max(1, per_term * dim * dim))
-    acc = None
-    for lo in range(0, n_terms, step):
+    on the leading axis, over all n_terms terms in slices, carrying the
+    running sum between slices. Gives the same bits as folding all terms
+    at once; per_term is the entry count of one term and dim the chart
+    dimension.
+
+    A slice holds at most _FOLD_CHUNK floats of the highest part its
+    terms carry: dim*dim per entry at order 2, dim at order 1 and 1 at
+    order 0. The first slice is sized as if the terms had order 2 and
+    the size of the rest follows from its top order, so a fold that fits
+    in one order-2 slice still takes one. n_terms must be positive."""
+    hi = min(n_terms, max(1, _FOLD_CHUNK // max(1, per_term * dim * dim)))
+    first = terms(0, hi)
+    acc = first.fold()
+    step = max(1, _FOLD_CHUNK // max(1, per_term * dim**first.top))
+    for lo in range(hi, n_terms, step):
         acc = terms(lo, min(lo + step, n_terms)).fold(acc)
     return acc
 

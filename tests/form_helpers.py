@@ -1,12 +1,14 @@
 """Exterior-algebra helpers that only the tests use.
 
 They check the library's forms against independent routes: structural d
-evaluated at a point, interior products, the scalar graded product, the
-round trip through the wedge-monomial basis of a coframe, and a frame's
-coframe and frame vectors as form and vector values.
+evaluated at a point, interior products, the scalar graded product and
+pairing, the round trip through the wedge-monomial basis of a coframe,
+and a frame's coframe and frame vectors as form and vector values.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from contactconn.contact import AdaptedFrame, _jet_matrix_inverse
 from contactconn.errors import SingularMatrixError
@@ -42,6 +44,23 @@ def scalar_wedge(a: KFormValue, b: KFormValue) -> KFormValue:
             key = tuple(sorted(merged))
             out[key] = out[key] + ja * jb * float(sign)
     return KFormValue(a.dim, k, out)
+
+
+def scalar_evaluate(form: KFormValue, *vectors: VectorValue) -> Jet:
+    """KFormValue.evaluate as a scalar determinant loop, in the term and
+    operand order the kernel must reproduce."""
+    total = None
+    for idx, coeff in form.comps.items():
+        det = None
+        for perm in itertools.permutations(range(form.degree)):
+            term = vectors[perm[0]].comps[idx[0]]
+            for t in range(1, form.degree):
+                term = term * vectors[perm[t]].comps[idx[t]]
+            term = term * float(_perm_sign(perm))
+            det = term if det is None else det + term
+        term = coeff * det
+        total = term if total is None else total + term
+    return total
 
 
 def coframe(frame: AdaptedFrame) -> list[KFormValue]:

@@ -16,6 +16,7 @@ from form_helpers import (
     express_in_coframe,
     from_coframe,
     interior_product,
+    scalar_evaluate,
     scalar_wedge,
 )
 
@@ -209,27 +210,6 @@ def test_increasing_indices_count():
 # -- array kernels against the scalar loops they replaced ----------------------
 
 
-def scalar_evaluate(form, *vectors):
-    """KFormValue.evaluate as a scalar determinant loop, in the term and
-    operand order the kernel must reproduce."""
-    import itertools
-
-    from contactconn.forms import _perm_sign
-
-    total = None
-    for idx, coeff in form.comps.items():
-        det = None
-        for perm in itertools.permutations(range(form.degree)):
-            term = vectors[perm[0]].comps[idx[0]]
-            for t in range(1, form.degree):
-                term = term * vectors[perm[t]].comps[idx[t]]
-            term = term * float(_perm_sign(perm))
-            det = term if det is None else det + term
-        term = coeff * det
-        total = term if total is None else total + term
-    return total
-
-
 def same_jet(a, b):
     return (
         a.order == b.order
@@ -328,6 +308,48 @@ def assert_same_form(got, want):
     assert list(got.comps) == list(want.comps)
     for key in want.comps:
         assert same_bits(got.comps[key], want.comps[key]), key
+
+
+class TestEvaluateFormsOrderCut:
+    """evaluate_forms builds its determinants at the coefficients' top
+    order; vector stacks of higher order give the bits of stacks cut to
+    that order beforehand and of the scalar loop."""
+
+    @pytest.mark.parametrize("coeff_orders", [(0,), (1,), (0, 1)])
+    @pytest.mark.parametrize("dim", [3, 5, 7])
+    def test_higher_order_vectors_match_cut_and_scalar(self, dim, coeff_orders):
+        from contactconn.forms import evaluate_forms
+
+        rng = np.random.default_rng([dim, *coeff_orders])
+
+        def vector(orders):
+            return VectorValue(tuple(random_form(rng, dim, 1, orders).comps.values()))
+
+        for degree in (1, 2, 3):
+            a = random_form(rng, dim, degree, coeff_orders)
+            # Two vectors per stack; odd stacks mix orders 1 and 2.
+            vecs = [
+                [vector((2,) if r % 2 == 0 else (1, 2)) for _ in range(2)]
+                for r in range(degree)
+            ]
+            stacks = [JetArray.from_jets([v.comps for v in vs]) for vs in vecs]
+            top = a.array.top
+            assert all(s.top > top for s in stacks)
+            got = evaluate_forms(a.array, list(a.comps), *stacks)
+            cut = evaluate_forms(a.array, list(a.comps), *(s.restrict(top) for s in stacks))
+            assert got.top == cut.top == top
+            assert np.array_equal(got.order, cut.order)
+            for part in ("value", "grad", "hess"):
+                x, y = getattr(got, part), getattr(cut, part)
+                assert (x is None) == (y is None)
+                if x is not None:
+                    assert np.array_equal(x, y)
+                    assert np.array_equal(np.signbit(x), np.signbit(y))
+            flat = got.reshape(-1).jets()
+            picks = np.stack(np.meshgrid(*[range(2)] * degree, indexing="ij"), -1)
+            for g, pick in zip(flat, picks.reshape(-1, degree)):
+                want = scalar_evaluate(a, *(vecs[r][u] for r, u in enumerate(pick)))
+                assert same_bits(g, want)
 
 
 class TestWedgeKernel:

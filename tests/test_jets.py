@@ -348,6 +348,37 @@ class TestJetArrayMatchesScalar:
         assert slices == [(i, i + 1) for i in range(37)]
         assert_same_jet(sliced.jets(), want)
 
+    # Budgets in floats per slice; with D_RAND = 4 a budget of 40 sizes
+    # the first slice for Hessians (2 terms) and later order-1 slices for
+    # gradients (10 terms), order-0 slices for values (40 terms).
+    @pytest.mark.parametrize("budget", [1, 16, 40, 200, 10**6])
+    @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1), (0, 1, 2)])
+    def test_fold_chunks_sized_by_top_order(self, monkeypatch, orders, budget):
+        from contactconn import jets
+
+        n = 37
+        rng = np.random.default_rng([len(orders), orders[-1]])
+        stacked = JetArray.from_jets(random_jets(rng, n, orders))
+        want = stacked.fold()
+        monkeypatch.setattr(jets, "_FOLD_CHUNK", budget)
+        sizes = []
+
+        def terms(lo, hi):
+            sizes.append(hi - lo)
+            return stacked[lo:hi]
+
+        got = fold_chunks(n, 1, D_RAND, terms)
+        first = min(n, max(1, budget // D_RAND**2))
+        step = max(1, budget // D_RAND**stacked.top)
+        assert sizes == [first] + [min(step, n - lo) for lo in range(first, n, step)]
+        assert got.top == want.top and np.array_equal(got.order, want.order)
+        for part in ("value", "grad", "hess"):
+            x, y = getattr(got, part), getattr(want, part)
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert np.array_equal(x, y)
+                assert np.array_equal(np.signbit(x), np.signbit(y))
+
     def test_fold_along_stacked_axes(self):
         rng = np.random.default_rng(9)
         terms = [random_jets(rng, 3) for _ in range(11)]

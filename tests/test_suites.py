@@ -279,14 +279,16 @@ class TestPerPointState:
 
     # Tensors are stored once, as JetArrays; a run converts between
     # JetArrays and scalar Jets only where a scalar Jet is stored (mu,
-    # theta_hat, T, the 3D structure data) or needed (the rotation angle).
-    # With nested-Jet copies of every tensor the same runs made 27.25
-    # from_jets and 31.0 jets calls per usable point on heis7 and 49.25
-    # and 40.0 on sphere-chart; with d(theta_hat) a form value of Jets,
-    # 7 and 10 from_jets.
+    # theta_hat, T, the 3D structure data) or needed (the rotation angle),
+    # and a form or vector value built from a JetArray keeps it as its
+    # array view. With nested-Jet copies of every tensor the same runs
+    # made 27.25 from_jets and 31.0 jets calls per usable point on heis7
+    # and 49.25 and 40.0 on sphere-chart; with d(theta_hat) a form value
+    # of Jets, 7 and 10 from_jets; with theta_hat and T converted back
+    # from their Jets, 6 and 9.
     @pytest.mark.parametrize(
         "name, suites, from_jets, jets",
-        [("heis7.json", CORE, 6, 4), ("sphere-chart", ALL_3D, 9, 9)],
+        [("heis7.json", CORE, 3, 4), ("sphere-chart", ALL_3D, 6, 9)],
     )
     def test_conversions_per_usable_point(self, monkeypatch, name, suites, from_jets, jets):
         counts = {"from_jets": 0, "jets": 0}
@@ -310,14 +312,15 @@ class TestPerPointState:
 
     # Every sum over a long term axis goes through fold_chunks. The
     # promotion system folds all frame pairs at once, graded products
-    # are array kernels, and a slice holds 16384 Hessian floats. With an
-    # apply_vector and a contraction per ordered frame pair, another
-    # contraction per unordered pair and 4096-float slices, the same runs
-    # made 105 calls in 743 slices per usable point on heis7 and 37 in 37
-    # on sphere-chart.
+    # are array kernels, and a slice holds 16384 floats of the highest
+    # part its terms carry. With an apply_vector and a contraction per
+    # ordered frame pair, another contraction per unordered pair and
+    # 4096-float slices, the same runs made 105 calls in 743 slices per
+    # usable point on heis7 and 37 in 37 on sphere-chart; with every
+    # slice sized for Hessians, 33 in 112 on heis7.
     @pytest.mark.parametrize(
         "name, suites, calls, slices",
-        [("heis7.json", CORE, 33, 112), ("sphere-chart", ALL_3D, 35, 35)],
+        [("heis7.json", CORE, 33, 73), ("sphere-chart", ALL_3D, 35, 35)],
     )
     def test_fold_chunks_per_usable_point(self, monkeypatch, name, suites, calls, slices):
         from contactconn import jets
@@ -340,6 +343,31 @@ class TestPerPointState:
         usable = rep.requested_points - rep.skipped_points
         assert usable == 2
         assert counts == {"calls": calls * usable, "slices": slices * usable}
+
+    # Every kernel runs at the order its result is read: pairings build
+    # their determinants at the coefficients' order, and the suites'
+    # value checks run on order-0 jets. With every pairing and check
+    # built at order 2, the same runs made 237 order-2 products per
+    # usable point on heis7 and 101 on sphere-chart.
+    @pytest.mark.parametrize(
+        "name, suites, products", [("heis7.json", CORE, 117), ("sphere-chart", ALL_3D, 77)]
+    )
+    def test_order2_products_per_usable_point(self, monkeypatch, name, suites, products):
+        from contactconn import jets
+
+        counts = {"order2": 0}
+        real = jets._mul_rule
+
+        def counted(k, *parts):
+            counts["order2"] += k == 2
+            return real(k, *parts)
+
+        monkeypatch.setattr(jets, "_mul_rule", counted)
+        spec = load_spec(CHARTS_DIR / name) if name.endswith(".json") else get_manifold(name)
+        rep = run_suites(spec, suites, points=2)
+        usable = rep.requested_points - rep.skipped_points
+        assert usable == 2
+        assert counts == {"order2": products * usable}
 
     @pytest.mark.parametrize("suites", [ALL_3D, CORE])
     def test_inputs_evaluated_once_per_sample_point(self, monkeypatch, suites):

@@ -6,7 +6,8 @@ perfbench (dim 7), both with the core suites. Each pass is one `analyze`
 of POINTS points (run_suites plus render_report); the untraced passes
 give the wall time per usable point, then the same passes run under
 perfbench's tracer for each layer's self time per usable point, and once
-more with fold_chunks counted. Prints one JSON object with the medians
+more with fold_chunks and the product rule counted, the products split
+by the jet order they ran at. Prints one JSON object with the medians
 over passes.
 
     python3 tools/bench_layers.py [--src PATH] [--passes N]
@@ -89,7 +90,13 @@ def measure(src: Path, passes: int) -> dict:
                 self_s[layer].append(summary["self_s"].get(layer, 0.0) / usable)
 
         counts = {"calls": 0, "slices": 0}
+        products = {f"order{k}": 0 for k in range(3)}
         real = jets.fold_chunks
+        real_mul = jets._mul_rule
+
+        def counted_mul(k, *parts):
+            products[f"order{k}"] += 1
+            return real_mul(k, *parts)
 
         def counted(n_terms, per_term, d, terms):
             counts["calls"] += 1
@@ -109,11 +116,13 @@ def measure(src: Path, passes: int) -> dict:
         ]
         for mod, key in bound:
             setattr(mod, key, counted)
+        jets._mul_rule = counted_mul
         try:
             usable = analyze(1)
         finally:
             for mod, key in bound:
                 setattr(mod, key, real)
+            jets._mul_rule = real_mul
 
         ms = lambda v: round(1e3 * statistics.median(v), 3)  # noqa: E731
         out[f"dim{dim}"] = {
@@ -122,6 +131,7 @@ def measure(src: Path, passes: int) -> dict:
             "analyze_ms_per_point": ms(walls),
             "self_ms_per_point": {k: ms(v) for k, v in self_s.items() if any(v)},
             "fold_chunks_per_point": {k: v / usable for k, v in counts.items()},
+            "products_per_point": {k: v / usable for k, v in products.items()},
         }
     out["host"] = {
         "python": platform.python_version(),
