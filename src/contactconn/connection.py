@@ -38,7 +38,7 @@ from .contact import (
 )
 from .errors import SymmetryError
 from .forms import FormField, VectorValue, apply_vector
-from .jets import Jet, JetArray, fold_chunks
+from .jets import JetArray, fold_chunks
 
 
 def _check_sym(t: JetArray, slots: tuple[int, int], what: str) -> None:
@@ -92,19 +92,20 @@ class PartialConnection:
     @cached_property
     def promotion_system(self) -> tuple[JetArray, JetArray]:
         """(num, den) of the promotion solve, computed once and shared by
-        promote and promotion_residual."""
+        promote and promotion_residual. num carries order 1, and so does
+        den, the only order the quotient -num/den can use."""
         return _promotion_system(self)
 
-    def coordinate_action_on_vector(self, vector_jets):
-        """Value matrix of the H-derivative of a vector field given by
-        coordinate-component jets: entry (i, j) is the j-th coordinate of
-        the derivative along the H-projection of the i-th coordinate
-        direction. Frame-choice independent, so actions of connections
-        built from different adapted frames can be compared directly.
+    def coordinate_action_on_vector(self, vector: JetArray):
+        """Value matrix of the H-derivative of a vector field given by its
+        coordinate-component jets, a JetArray (dim,): entry (i, j) is the
+        j-th coordinate of the derivative along the H-projection of the
+        i-th coordinate direction. Frame-choice independent, so actions of
+        connections built from different adapted frames can be compared
+        directly.
         """
         frame = self.frame
-        v = VectorValue(tuple(vector_jets))
-        der = nabla_H(self, frame_vector(frame.express_vector(v)))
+        der = nabla_H(self, frame_vector(frame.express_vector(VectorValue(vector))))
         back = _contract(der.transpose(1, 0)[:, :, None], frame.frame_array[:, None, :]).value
         return frame.coframe_array.value[1:].T @ back
 
@@ -208,8 +209,7 @@ class FrameSection:
 
     kind 'oneform' / 'vector': comps over the full (co)frame, slot 0 the
     Reeb one. kind 'tensor02': square matrix of components, either H-only
-    (2n) or full (2n+1). comps is a JetArray or a nested sequence of Jets
-    or numbers.
+    (2n) or full (2n+1). comps is a JetArray.
     """
 
     kind: str
@@ -226,20 +226,6 @@ def frame_vector(comps) -> FrameSection:
 
 def frame_tensor02(matrix) -> FrameSection:
     return FrameSection("tensor02", matrix)
-
-
-def _stack(comps, dim: int) -> JetArray:
-    """Section components as a JetArray: a JetArray as it is, nested
-    sequences of Jets or numbers (lifted to constant jets) stacked."""
-    if isinstance(comps, JetArray):
-        return comps
-
-    def lift(x):
-        if isinstance(x, (list, tuple)):
-            return [lift(e) for e in x]
-        return x if isinstance(x, Jet) else Jet.constant(float(x), dim, 2)
-
-    return JetArray.from_jets(lift(comps))
 
 
 def _contract(coeffs: JetArray, comps: JetArray) -> JetArray:
@@ -262,7 +248,6 @@ def nabla_H(conn: PartialConnection, field) -> JetArray:
     """
     frame = conn.frame
     m = 2 * frame.n
-    dim = frame.dim
 
     if isinstance(field, FormField):
         if field.degree != 1:
@@ -275,7 +260,7 @@ def nabla_H(conn: PartialConnection, field) -> JetArray:
     X = frame.X
     if field.kind not in ("oneform", "vector", "tensor02"):
         raise ValueError(f"unknown section kind {field.kind!r}")
-    comps = _stack(field.comps, dim)
+    comps = field.comps
     # Every result adds the derivative of the components, one order below
     # them, to products of kappa; those need no parts above that order.
     k = max(comps.top - 1, 0)
@@ -325,12 +310,12 @@ class FullConnection:
     def h_dim(self) -> int:
         return 2 * self.frame.n
 
-    def derivative_of_oneform(self, alpha_comps) -> JetArray:
-        """Frame derivative of a coframe-expressed 1-form along every
-        frame direction: entry [P, C], P = 0 the Reeb direction."""
+    def derivative_of_oneform(self, alpha: JetArray) -> JetArray:
+        """Frame derivative of a 1-form along every frame direction, given
+        its coframe components alpha (2n+1,): entry [P, C], P = 0 the Reeb
+        direction."""
         frame = self.frame
         m = self.h_dim
-        alpha = _stack(alpha_comps, frame.dim)
         # coeffs[A, P, C]: xi[A, C] for P = 0, kappa[A, P - 1, C] after.
         coeffs = JetArray.constant(0.0, frame.dim, (m + 1, m + 1, m + 1))
         coeffs[:, 0] = self.xi
@@ -357,7 +342,9 @@ def _promotion_system(conn: PartialConnection):
 
     Returns (num, den) as jet arrays, num[A, C] the obstruction pairing
     and den the squared norm of the 2-form over index pairs; the extension
-    coefficient that cancels the obstruction is -num/den.
+    coefficient that cancels the obstruction is -num/den. Both carry
+    order 1: num meets a derivative of kappa, and den is built at the
+    order of the num it divides.
     """
     frame = conn.frame
     m = 2 * frame.n
@@ -381,7 +368,8 @@ def _promotion_system(conn: PartialConnection):
     # One obstruction per pair u < v, stacked in triu order and folded
     # over pairs: (sum_e D[e, u, v] kappa[e] + K[u, v] - K[v, u]) Omega_uv.
     uu, vv = np.triu_indices(m, 1)
-    den = (Om[uu, vv] * Om[uu, vv]).fold()
+    Om1 = Om.restrict(1)[uu, vv]
+    den = (Om1 * Om1).fold()
     cc = _contract(D[:, uu, vv][:, :, None, None], kap1[:, None])
     ob = (cc + K[uu, vv] - K[vv, uu]) * Om[uu, vv][:, None, None]
     return ob.fold(), den

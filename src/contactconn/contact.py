@@ -34,6 +34,8 @@ import numpy as np
 from .errors import (
     DegenerateFrameError,
     DegenerateMetricError,
+    ExprDomainError,
+    LinearSolveResidualError,
     NotContactError,
     SingularMatrixError,
 )
@@ -47,7 +49,7 @@ from .forms import (
     increasing_indices,
     wedge_arrays,
 )
-from .jets import Jet, JetArray, Tape, fold_chunks, jet_linear_solve
+from .jets import JetArray, Tape, fold_chunks, jet_linear_solve
 
 CONTACT_REL_TOL = 1e-10
 
@@ -108,13 +110,12 @@ class ContactStructure:
         the input tape. Raises ExprDomainError where an input cannot be
         evaluated to that order."""
         d = self.dim
-        jets = self.input_tape.eval(p, ORDER)
+        out = self.input_tape.eval(p, ORDER)
         k = d + d * (d - 1) // 2
-        g = jets[k:]
         return PointInputs(
-            theta=KFormValue(d, 1, {(i,): jets[i] for i in range(d)}),
-            dtheta=KFormValue(d, 2, dict(zip(increasing_indices(d, 2), jets[d:k]))),
-            g=tuple(tuple(g[i * d : (i + 1) * d]) for i in range(d)),
+            theta=KFormValue(1, out[:d]),
+            dtheta=KFormValue(2, out[d:k]),
+            G=out[k:].reshape(d, d),
         )
 
     def with_theta(self, theta: FormField) -> "ContactStructure":
@@ -124,20 +125,15 @@ class ContactStructure:
 @dataclass(frozen=True)
 class PointInputs:
     """The chart's inputs at one point as order-ORDER jets: theta and
-    dtheta as form values and g as a dim x dim matrix of jets. Built once
-    per point by ContactStructure.inputs_at and passed as inputs= to
-    everything that reads them; a reader needing a lower order restricts
-    the jets, which is exact (value and gradient rules read no higher
-    part)."""
+    dtheta as form values and the metric G as a (dim, dim) JetArray.
+    Built once per point by ContactStructure.inputs_at and passed as
+    inputs= to everything that reads them; a reader needing a lower order
+    restricts the jets, which is exact (value and gradient rules read no
+    higher part)."""
 
     theta: KFormValue
     dtheta: KFormValue
-    g: tuple[tuple[Jet, ...], ...]
-
-    @cached_property
-    def G(self) -> JetArray:
-        """g as one (dim, dim) JetArray."""
-        return JetArray.from_jets(self.g)
+    G: JetArray
 
 
 @dataclass(frozen=True)
@@ -159,8 +155,8 @@ def check_contact(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
     d = cs.dim
     t = inputs.theta.array.restrict(0)
     dt = inputs.dtheta.array.restrict(0)
-    dt_idx = list(inputs.dtheta.comps)
-    top, idx = t, list(inputs.theta.comps)
+    dt_idx = inputs.dtheta.idx
+    top, idx = t, inputs.theta.idx
     for r in range(cs.n):
         top = wedge_arrays(top, idx, dt, dt_idx, d)
         idx = list(increasing_indices(d, 3 + 2 * r))
@@ -177,8 +173,10 @@ def _reeb_from_values(theta: JetArray, dt: JetArray) -> VectorValue:
     sum_i [dt(d_i, d_j) + theta_j theta_i] T^i = theta_j, the diagonal's
     dt(d_i, d_i) a constant zero jet. Any solution satisfies
     theta(T) = 1 and T . dtheta = 0, and the matrix is invertible exactly
-    at contact points.
+    at contact points. The solution has the order of dt at most, so theta
+    is cut to it first.
     """
+    theta = theta.restrict(dt.top)
     d = len(theta)
     i, j = np.triu_indices(d, 1)
     pair = JetArray.constant(0.0, theta.dim, (d, d))  # [i, j] = dt(d_i, d_j)
@@ -191,7 +189,7 @@ def _reeb_from_values(theta: JetArray, dt: JetArray) -> VectorValue:
         raise NotContactError(
             "Reeb system is singular: the form is not contact at this point"
         ) from None
-    return VectorValue.from_array(sol)
+    return VectorValue(sol)
 
 
 def reeb_field(cs_or_theta, p, inputs: PointInputs | None = None) -> VectorValue:
@@ -322,10 +320,11 @@ def _mu(gram: JetArray, omega: JetArray) -> JetArray:
     return (float(m) / norm2).sqrt()
 
 
-def normalize_theta(cs: ContactStructure, p) -> Jet:
-    """The positive scale mu with theta_hat = mu * theta normalized."""
+def normalize_theta(cs: ContactStructure, p) -> JetArray:
+    """The positive scale mu with theta_hat = mu * theta normalized, a
+    single jet."""
     _, _, _, _, _, gram, _, omega = _h_gram_and_omega(cs.inputs_at(p))
-    return _mu(gram, omega).jets()
+    return _mu(gram, omega)
 
 
 @dataclass(frozen=True)
@@ -349,9 +348,10 @@ class LambdaSpectrum:
 class AdaptedFrame:
     """Everything frame-shaped at one point, jet-valued.
 
-    The scalar mu is a Jet, theta_hat a form value and T a vector value;
-    the tensors are JetArrays: d(theta_hat) (K,) on the K increasing
-    coordinate pairs, in increasing_indices order; the frame vectors X
+    The scalar mu is a single jet (a 0-d JetArray), theta_hat a form
+    value and T a vector value; the tensors are JetArrays: d(theta_hat)
+    (K,) on the K increasing coordinate pairs, in increasing_indices
+    order; the frame vectors X
     (2n, dim), one per row; the coframe H-parts f (2n, dim), one 1-form
     per row, and their exterior derivatives df (2n, K); their Reeb
     coefficients c (2n,); the matrix Omega (2n, 2n) of d(theta_hat) on
@@ -368,7 +368,7 @@ class AdaptedFrame:
     """
 
     p: tuple[float, ...]
-    mu: Jet
+    mu: JetArray
     theta_hat: KFormValue
     dtheta_hat: JetArray
     T: VectorValue
@@ -412,7 +412,7 @@ class AdaptedFrame:
         [a(T), a(X_1), ..., a(X_2n)]."""
         if a.degree != 1:
             raise ValueError("express expects a 1-form value")
-        return evaluate_forms(a.array, list(a.comps), self.frame_array)
+        return evaluate_forms(a.array, a.idx, self.frame_array)
 
     def express_vector(self, v: VectorValue) -> JetArray:
         """Frame components of a vector value by coframe pairing:
@@ -477,23 +477,13 @@ def frame_pair_matrix(reeb: JetArray, hh: JetArray) -> JetArray:
     return out
 
 
-def _d_rows(F: JetArray) -> JetArray:
-    """Exterior derivatives of the 1-forms in the rows of F (k, dim), one
-    jet order lower: entry [b, K] is d(F_b) on the K-th increasing pair
-    (i, j), (0 + d_i F_bj) - d_j F_bi, the terms and order of
-    d_from_jets."""
-    i, j = np.triu_indices(F.shape[1], 1)
-    P = F.partials().transpose(1, 0, 2)  # [b, i, j] = d_i F_bj
-    return (0.0 + P[:, i, j]) - P[:, j, i]
-
-
 def structure_values(dF: JetArray, c: JetArray, X: JetArray, Omega: JetArray) -> JetArray:
     """Structure values D[b, a, c] = d(e^b)(X_a, X_c) of the coframe
     e^b = f^b + c^b theta_hat on frame pairs, as one (2n, 2n, 2n) array:
     d(f^b)(X_a, X_c) + c^b Omega_ac, the dc ^ theta_hat piece vanishing on
     H-pairs since theta_hat(X) = 0. dF holds d(f^b) on the increasing
-    pairs (2n, K), as _d_rows gives them, c the Reeb coefficients (2n,),
-    X the frame vectors (2n, dim). The entries carry order 1, what the
+    pairs (2n, K), as d_from_jets gives them, c the Reeb coefficients
+    (2n,), X the frame vectors (2n, dim). The entries carry order 1, what the
     exterior derivative leaves."""
     idx = list(increasing_indices(X.shape[1], 2))
     return evaluate_forms(dF, idx, X, X) + c[:, None, None] * Omega
@@ -518,16 +508,13 @@ def adapted_frame(
     )
 
     # mu from the same Gram/omega data, then theta_hat = mu theta.
-    mu_arr = _mu(gram, omega_raw)
-    mu = mu_arr.jets()
-    theta_hat_arr = mu_arr * theta
-    theta_hat = KFormValue.from_array(1, theta_hat_arr)
+    mu = _mu(gram, omega_raw)
+    theta_hat_arr = mu * theta
 
-    # d(theta_hat) = dmu ^ theta + mu dtheta, one order below mu; dmu is
-    # 0.0 + the partials of mu, the terms of d_from_jets on a 0-form.
-    dmu = 0.0 + mu_arr.partials()
+    # d(theta_hat) = dmu ^ theta + mu dtheta, one order below mu.
+    dmu = d_from_jets(KFormValue(0, mu.reshape(1))).array
     one = [(i,) for i in range(d)]
-    dtheta_hat = wedge_arrays(dmu, one, theta, one, d) + dtheta_val.array * mu_arr
+    dtheta_hat = wedge_arrays(dmu, one, theta, one, d) + dtheta_val.array * mu
 
     T = _reeb_from_values(theta_hat_arr, dtheta_hat)
 
@@ -551,7 +538,7 @@ def adapted_frame(
         X[r] = u * (1.0 / nrm2.sqrt())
 
     # Exact on H-vectors: the dmu ^ theta part dies against theta(X)=0.
-    Omega = _form_pairs(dtheta_val.array, X, X) * mu_arr
+    Omega = _form_pairs(dtheta_val.array, X, X) * mu
     if n == 1 and Omega.value[0, 1] < 0.0:
         swap = [1, 0]
         X = X[swap]
@@ -560,14 +547,14 @@ def adapted_frame(
     # Dual coframe split e^b = f^b + c^b theta_hat: the H-part pairs with
     # g against X_b, the Reeb coefficient kills the value on T.
     F = _metric_pairs(G, X, _project_onto_h(theta_hat_arr, m, range(d)))
-    dF = _d_rows(F)
+    dF = d_from_jets(KFormValue(1, F)).array
     T_row = T.array[None]
     C = -evaluate_forms(F, one, T_row)[:, 0] / evaluate_forms(theta_hat_arr, one, T_row)[0]
 
     return AdaptedFrame(
         p=tuple(float(x) for x in p),
         mu=mu,
-        theta_hat=theta_hat,
+        theta_hat=KFormValue(1, theta_hat_arr),
         dtheta_hat=dtheta_hat,
         T=T,
         X=X,
@@ -599,12 +586,39 @@ def _complex_structure(omega: np.ndarray) -> np.ndarray:
     return omega @ inv_sqrt
 
 
+# The errors that make a sample point unusable; screening skips the point
+# with the error's message as its reason.
+SKIP_ERRORS = (
+    ExprDomainError,
+    NotContactError,
+    DegenerateMetricError,
+    DegenerateFrameError,
+    SingularMatrixError,
+    LinearSolveResidualError,
+)
+
+
+def screen_point(cs: ContactStructure, p) -> tuple[PointInputs, AdaptedFrame]:
+    """The inputs and the adapted frame at a usable point p: its inputs
+    evaluate, the contact check passes and the frame builds, in that
+    order. Otherwise raises one of SKIP_ERRORS naming the reason:
+    ExprDomainError for inputs that cannot be evaluated, NotContactError
+    "contact condition fails" for a failed check, the frame's own error
+    for a frame that cannot be built."""
+    inputs = cs.inputs_at(p)
+    if not check_contact(cs, p, inputs).passed:
+        raise NotContactError("contact condition fails")
+    return inputs, adapted_frame(cs, p, inputs=inputs)
+
+
 def classify(cs: ContactStructure, points) -> dict:
     """Per-structure classification over sample points.
 
     cr_compatible: every invariant equals 1 (within 1e-8) at every point.
     partially_integrable: Omega(X, JY) is symmetric, J from the polar
-    factor of Omega in the orthonormal frame.
+    factor of Omega in the orthonormal frame. Points that screening
+    rejects are counted as skipped; one that is not contact clears the
+    contact flag.
     """
     points = list(points)
     contact_ok = True
@@ -612,11 +626,13 @@ def classify(cs: ContactStructure, points) -> dict:
     pint = True
     spectra = []
     for p in points:
-        inputs = cs.inputs_at(p)
-        if not check_contact(cs, p, inputs).passed:
+        try:
+            _, frame = screen_point(cs, p)
+        except NotContactError:
             contact_ok = False
             continue
-        frame = adapted_frame(cs, p, inputs=inputs)
+        except SKIP_ERRORS:
+            continue
         omega = frame.Omega.value
         lam = np.array(lambda_spectrum(frame).values)
         spectra.append(lam)

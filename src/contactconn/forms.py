@@ -1,9 +1,9 @@
 """Pointwise exterior algebra on a chart.
 
-Values are k-forms and vectors with Jet entries; fields carry expression
-coefficients and evaluate to values. Components are stored on strictly
-increasing multi-indices with the determinant convention,
-(dx^dy)(ddx, ddy) = 1.
+Values are k-forms and vectors whose components are one JetArray;
+fields carry expression coefficients and evaluate to values. Form
+components are stored on strictly increasing multi-indices with the
+determinant convention, (dx^dy)(ddx, ddy) = 1.
 
 Two exterior-derivative routes coexist on purpose:
 
@@ -12,12 +12,14 @@ Two exterior-derivative routes coexist on purpose:
   order as the original. This is what the main pipeline uses.
 - ``d_from_jets`` differentiates a k-form *value* whose jets carry one
   order more, losing that order. It exists for jet-backed data that has
-  no expression form (the normalized contact form, frame coframes) and as
-  an independent cross-check of the symbolic route in tests.
+  no expression form (the normalized contact form, the frame's coframe
+  rows, mu) and as an independent cross-check of the symbolic route in
+  tests. It is one kernel for every degree and for stacks of forms.
 
-Pairing forms with vectors (evaluate_forms) and differentiating along
-vectors (apply_vector) are array kernels over whole stacks of forms,
-vectors and scalars; the single-value methods call them.
+Pairing forms with vectors (evaluate_forms), graded products
+(wedge_arrays) and differentiating along vectors (apply_vector) are
+array kernels over whole stacks of forms, vectors and scalars; the
+single-value methods call them.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .expressions import Expr, diff, lit
-from .jets import Jet, JetArray, eval_jet, fold_chunks
+from .jets import JetArray, Tape, fold_chunks
 
 
 def increasing_indices(dim: int, k: int):
@@ -52,105 +54,61 @@ def _perm_sign(seq) -> int:
 
 @dataclass(frozen=True)
 class VectorValue:
-    """Tangent vector at a point, components in the coordinate basis."""
+    """Tangent vector at a point: its components in the coordinate basis,
+    a JetArray (dim,)."""
 
-    comps: tuple[Jet, ...]
-
-    @staticmethod
-    def from_array(arr: JetArray) -> "VectorValue":
-        """The vector with the components of arr (dim,), which becomes its
-        array view as it is, without a round trip through Jets."""
-        v = VectorValue(tuple(arr.jets()))
-        v.__dict__["array"] = arr
-        return v
+    array: JetArray
 
     @property
     def dim(self) -> int:
-        return len(self.comps)
+        return self.array.dim
 
-    def values(self) -> np.ndarray:
-        return np.array([c.value for c in self.comps])
 
-    @cached_property
-    def array(self) -> JetArray:
-        """The components as a JetArray of shape (dim,)."""
-        return JetArray.from_jets(self.comps)
-
-    def __add__(self, other: "VectorValue") -> "VectorValue":
-        return VectorValue(tuple(a + b for a, b in zip(self.comps, other.comps)))
-
-    def __sub__(self, other: "VectorValue") -> "VectorValue":
-        return VectorValue(tuple(a - b for a, b in zip(self.comps, other.comps)))
-
-    def scale(self, f) -> "VectorValue":
-        return VectorValue(tuple(c * f for c in self.comps))
+@lru_cache(maxsize=64)
+def _all_indices(dim: int, k: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(increasing_indices(dim, k))
 
 
 @dataclass(frozen=True)
 class KFormValue:
-    """k-form value; comps maps each increasing multi-index to a Jet."""
+    """k-form value: the components, a JetArray whose last axis (K,) runs
+    over the strictly increasing multi-indices idx, by default all of
+    them in increasing_indices order. Leading axes of the array, when
+    present, stack several forms."""
 
-    dim: int
     degree: int
-    comps: dict[tuple[int, ...], Jet]
+    array: JetArray
+    idx: tuple[tuple[int, ...], ...] | None = None
 
-    @staticmethod
-    def from_array(degree: int, arr: JetArray) -> "KFormValue":
-        """The degree-form with the components of arr (K,) on the
-        increasing multi-indices, in increasing_indices order; arr becomes
-        its array view as it is, without a round trip through Jets."""
-        idx = increasing_indices(arr.dim, degree)
-        a = KFormValue(arr.dim, degree, dict(zip(idx, arr.jets())))
-        a.__dict__["array"] = arr
-        return a
+    def __post_init__(self):
+        if self.idx is None:
+            idx = _all_indices(self.dim, self.degree)
+        else:
+            idx = tuple(map(tuple, self.idx))
+        object.__setattr__(self, "idx", idx)
 
-    def comp(self, idx: tuple[int, ...]) -> Jet:
-        return self.comps[idx]
+    @property
+    def dim(self) -> int:
+        return self.array.dim
 
-    def order(self) -> int:
-        return min(j.order for j in self.comps.values())
+    def comp(self, idx: tuple[int, ...]) -> JetArray:
+        """The component on the multi-index idx."""
+        return self._component(self.idx.index(idx))
 
-    def map(self, f) -> "KFormValue":
-        return KFormValue(self.dim, self.degree, {i: f(j) for i, j in self.comps.items()})
+    def _component(self, k: int) -> JetArray:
+        return self.array[(slice(None),) * (len(self.array.shape) - 1) + (k,)]
 
-    def restrict(self, order: int) -> "KFormValue":
-        """Every component cut to order at most order, as Jet.restrict."""
-        return self.map(lambda j: j.restrict(order))
-
-    def __add__(self, other: "KFormValue") -> "KFormValue":
-        assert self.degree == other.degree
-        return KFormValue(
-            self.dim,
-            self.degree,
-            {i: self.comps[i] + other.comps[i] for i in self.comps},
-        )
-
-    def __sub__(self, other: "KFormValue") -> "KFormValue":
-        return self + other.map(lambda j: -j)
-
-    def scale(self, f) -> "KFormValue":
-        return self.map(lambda j: j * f)
-
-    @cached_property
-    def array(self) -> JetArray:
-        """The components as a JetArray of shape (K,), in the order of
-        comps."""
-        return JetArray.from_jets(list(self.comps.values()))
-
-    def evaluate(self, *vectors: VectorValue) -> Jet:
+    def evaluate(self, *vectors: VectorValue) -> JetArray:
         """Pair with `degree` vectors, determinant convention."""
         if len(vectors) != self.degree:
             raise ValueError("wrong number of vectors")
         if self.degree == 0:
-            return next(iter(self.comps.values()))
-        if not self.comps:
-            return Jet.constant(0.0, self.dim, 0)
+            return self._component(0)
+        stack = self.array.shape[:-1]
+        if not self.idx:
+            return JetArray.constant(0.0, self.dim, stack, 0)
         stacks = [v.array[None] for v in vectors]
-        out = evaluate_forms(self.array, list(self.comps), *stacks)
-        return out.reshape().jets()
-
-    def max_abs_value(self) -> float:
-        return max(abs(j.value) for j in self.comps.values())
+        return evaluate_forms(self.array, self.idx, *stacks).reshape(*stack)
 
 
 def evaluate_forms(coeffs: JetArray, idx, *vectors: JetArray) -> JetArray:
@@ -273,11 +231,10 @@ def wedge(a: KFormValue, b: KFormValue) -> KFormValue:
     k = a.degree + b.degree
     if k > a.dim:
         raise ValueError("degree overflow")
-    out = wedge_arrays(a.array, list(a.comps), b.array, list(b.comps), a.dim)
-    return KFormValue.from_array(k, out)
+    return KFormValue(k, wedge_arrays(a.array, a.idx, b.array, b.idx, a.dim))
 
 
-def apply_vector(v, f):
+def apply_vector(v, f: JetArray) -> JetArray:
     """Derivative of jet-valued scalars along jet-valued vectors.
 
     This is the frame derivative X(f) = sum_i X^i d_i f with the product
@@ -285,25 +242,21 @@ def apply_vector(v, f):
     (coerced further down if the vector components carry less).
 
     v is a VectorValue or a JetArray of vectors with the components on
-    its last axis, shape V+(dim,); f is a Jet or a JetArray of shape F.
-    For a VectorValue and a Jet the result is a Jet, otherwise a JetArray
-    of shape V+F holding every vector's derivative of every scalar.
+    its last axis, shape V+(dim,); f is a JetArray of shape F. The
+    result, of shape V+F, holds every vector's derivative of every
+    scalar: a single jet for one vector and one scalar.
     """
     va = v.array if isinstance(v, VectorValue) else v
-    fa = JetArray.from_jets(f) if isinstance(f, Jet) else f
     nv = len(va.shape) - 1
-    nf = len(fa.shape)
+    nf = len(f.shape)
     comps = va.transpose(nv, *range(nv))[(slice(None),) * (1 + nv) + (None,) * nf]
-    parts = fa.partials()[(slice(None),) + (None,) * nv]
-    out = fold_chunks(
+    parts = f.partials()[(slice(None),) + (None,) * nv]
+    return fold_chunks(
         va.dim,
-        math.prod(va.shape[:-1]) * math.prod(fa.shape),
+        math.prod(va.shape[:-1]) * math.prod(f.shape),
         va.dim,
         lambda lo, hi: comps[lo:hi] * parts[lo:hi],
     )
-    if isinstance(v, VectorValue) and isinstance(f, Jet):
-        return out.jets()
-    return out
 
 
 @dataclass(frozen=True)
@@ -326,11 +279,10 @@ class FormField:
         return self.coeffs.get(idx, lit(0.0))
 
     def eval(self, p, order: int) -> KFormValue:
-        comps = {
-            idx: eval_jet(self.coeff(idx), p, order)
-            for idx in increasing_indices(self.dim, self.degree)
-        }
-        return KFormValue(self.dim, self.degree, comps)
+        """The value at p, every coefficient a jet of the given order,
+        through one tape."""
+        tape = Tape([self.coeff(idx) for idx in _all_indices(self.dim, self.degree)])
+        return KFormValue(self.degree, tape.eval(p, order))
 
     def d(self) -> "FormField":
         """Exterior derivative as a field, via structural differentiation.
@@ -351,26 +303,37 @@ class FormField:
         return FormField(self.dim, self.degree + 1, out)
 
 
+@lru_cache(maxsize=64)
+def _d_table(dim: int, degree: int, idx: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of d on the multi-indices idx, per term t (a row) and
+    output multi-index o of the next degree (a column): the coordinate
+    o_t it differentiates along and the position in idx of o without
+    o_t, the component it differentiates."""
+    pos = {key: r for r, key in enumerate(idx)}
+    out = list(increasing_indices(dim, degree + 1))
+    coord = [[o[t] for o in out] for t in range(degree + 1)]
+    rest = [[pos[o[:t] + o[t + 1 :]] for o in out] for t in range(degree + 1)]
+    return np.array(coord, dtype=np.intp), np.array(rest, dtype=np.intp)
+
+
 def d_from_jets(a: KFormValue) -> KFormValue:
     """Exterior derivative of a k-form value, consuming one jet order.
 
     The component jets of `a` are read as germs of coefficient functions:
     gradients provide the new value parts, Hessians the new gradients.
+    Component o of the result is the left fold over t of the signed
+    partials (-1)^t d_{o_t} a[o without o_t], from a constant 0.0 seed;
+    a stack of forms (leading axes of a.array) is differentiated form by
+    form.
     """
-    order = a.order()
-    if order < 1:
+    if np.any(a.array.order < 1):
         raise ValueError("d_from_jets needs jets of order >= 1")
-    dim = a.dim
-    out = {}
-    for idx in increasing_indices(dim, a.degree + 1):
-        val = 0.0
-        grad = np.zeros(dim) if order >= 2 else None
-        for t, i in enumerate(idx):
-            rest = idx[:t] + idx[t + 1 :]
-            c = a.comps[rest]
-            s = (-1.0) ** t
-            val += s * c.grad[i]
-            if order >= 2:
-                grad = grad + s * c.hess[i]
-        out[idx] = Jet(dim, order - 1, float(val), grad, None)
-    return KFormValue(dim, a.degree + 1, out)
+    coord, rest = _d_table(a.dim, a.degree, a.idx)
+    s = len(a.array.shape) - 1
+    # P[i, r, ...] = d_i of component r of every stacked form.
+    P = a.array.partials().transpose(0, s + 1, *range(1, s + 1))
+    acc = 0.0 + P[coord[0], rest[0]]
+    for t in range(1, len(coord)):
+        term = P[coord[t], rest[t]]
+        acc = acc - term if t % 2 else acc + term
+    return KFormValue(a.degree + 1, acc.transpose(*range(1, s + 1), 0))

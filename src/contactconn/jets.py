@@ -1,40 +1,42 @@
 """Second-order forward-mode jets and the jet-valued linear solve.
 
-A Jet carries the value, gradient and Hessian of a scalar quantity at a
-point of a d-dimensional chart. A JetArray carries the same three parts
-for a whole tensor of such scalars: value of shape S, gradient S+(d,),
-Hessian S+(d,d). Every derivative in this package flows through these
-exact propagation rules; finite differences appear only in test oracles.
+A JetArray carries the value, gradient and Hessian of a tensor of
+scalar quantities at a point of a d-dimensional chart, part by part:
+value of shape S, gradient S+(d,), Hessian S+(d,d). Its 0-d case is a
+single jet, and Jet names the class for that use. Every derivative in
+this package flows through these exact propagation rules; finite
+differences appear only in test oracles.
 
 Design notes.
 
-- One implementation of each rule. The sum, difference, negation,
-  product, quotient and sqrt rules are broadcasting functions on (value,
-  grad, hess); Jet and JetArray both call them. An entry of a JetArray holds
-  exactly the bits the same computation on scalar Jets gives.
+- One jet type. Scalars (the tape's slots, mu, the 3D invariants) are
+  0-d arrays and tensors are arrays of the same class, so one set of
+  rules serves both and nothing converts between them. The sum,
+  difference, negation, product, quotient and sqrt rules are
+  broadcasting functions on (value, grad, hess); sin, cos, exp and
+  integer powers take each entry's value, f' and f'' from math on the
+  entry's value as a Python float. An entry of a JetArray holds exactly
+  the bits the same computation on that entry alone gives.
 - Fold order. Reductions over a JetArray go through JetArray.fold, a left
   fold along the leading axis (np.add.accumulate, a sequential running
-  sum), in the term and operand order of the scalar loop it stands for,
-  which is also the order of sum_jets. No einsum, matmul or pairwise
-  summation touches a jet part that feeds a result; this is what keeps
-  reports byte-stable. fold_chunks folds long term axes a slice at a
-  time, carrying the running sum, so temporaries stay small: a slice
-  holds at most _FOLD_CHUNK = 16384 floats (128 kB) of the highest part
-  its terms carry, d*d per entry at order 2, d at order 1 and 1 at
-  order 0. On the 7D Heisenberg chart a point folds in 73 slices; with
-  every slice sized for Hessians it took 112, and 253 at 4096 Hessian
-  floats, which cost about 0.2 MB less peak resident memory there
-  (perfbench heis7-core; tracemalloc agrees on the largest live jet
-  temporaries). 65536 Hessian floats would cost about 2.2 MB more, for
-  no clear gain in speed.
-- Orders. A Jet of order k keeps only the parts up to k; mixed-order
-  operands coerce to the minimum order and plain numbers lift to
-  constant jets. A JetArray computes all its entries at one common
-  order, the highest any entry carries, and tracks each entry's own
-  order in an integer array under the same coercion rules. Parts above
-  an entry's order are never read (value and gradient rules read no
-  higher part), and JetArray.jets() restricts every entry to its own
-  order, so mixing orders in one array is exact.
+  sum), in the term and operand order of the scalar loop it stands for.
+  No einsum, matmul or pairwise summation touches a jet part that feeds
+  a result; this is what keeps reports byte-stable. fold_chunks folds
+  long term axes a slice at a time, carrying the running sum, so
+  temporaries stay small: a slice holds at most _FOLD_CHUNK = 16384
+  floats (128 kB) of the highest part its terms carry, d*d per entry at
+  order 2, d at order 1 and 1 at order 0. On the 7D Heisenberg chart a
+  point folds in 73 slices; with every slice sized for Hessians it took
+  112, and 253 at 4096 Hessian floats, which cost about 0.2 MB less
+  peak resident memory there (perfbench heis7-core; tracemalloc agrees
+  on the largest live jet temporaries). 65536 Hessian floats would cost
+  about 2.2 MB more, for no clear gain in speed.
+- Orders. A JetArray computes all its entries at one common order, the
+  highest any entry carries, and tracks each entry's own order in an
+  integer array: mixed-order operands give each entry the lower of
+  their orders, and plain numbers lift to constant jets. Parts above an
+  entry's order are never read (value and gradient rules read no higher
+  part), so mixing orders in one array is exact.
 - Work at the order that is read. For the same reason, cutting an
   operand to the order its consumer reads (JetArray.restrict) before a
   kernel runs gives the same bits as cutting the result, without
@@ -43,9 +45,9 @@ Design notes.
   the form's coefficients, and the suites' value-only checks run on
   order-0 jets.
 - Expressions. Tape compiles expression trees into one list of slots,
-  one per distinct subexpression, and evaluates them with the Jet rules
-  in the order a tree walk first reaches them; eval_jet is its
-  one-expression case.
+  one per distinct subexpression, and evaluates them as 0-d jets in the
+  order a tree walk first reaches them; eval_jet is its one-expression
+  case.
 - Symmetry. Hessians are built from symmetric pieces (outer products
   enter as outer(a, b) plus its transpose), so a Hessian is symmetric up
   to the rounding of those additions; sums, differences, sqrt and the
@@ -55,7 +57,6 @@ Design notes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +68,7 @@ from .errors import (
 from .expressions import Binary, Coord, Expr, Lit, Pow, Unary, pretty
 
 
-# -- propagation rules, shared by Jet and JetArray ---------------------------
+# -- propagation rules -------------------------------------------------------
 #
 # Each rule takes the common order k and the (value, grad, hess) parts of
 # its operands and returns the parts of the result; parts above k are None.
@@ -156,155 +157,6 @@ def _sqrt_rule(k, s, g, h):
     return s, gs, hs
 
 
-@dataclass(frozen=True, eq=False)
-class Jet:
-    """Value plus derivatives of a scalar at a chart point.
-
-    order 0: value only. order 1: adds grad (d,). order 2: adds hess (d, d).
-
-    eq is disabled on purpose: ndarray fields make structural equality a
-    trap, and the package compares jets through residuals instead.
-    """
-
-    dim: int
-    order: int
-    value: float
-    grad: np.ndarray | None = None
-    hess: np.ndarray | None = None
-
-    @staticmethod
-    def constant(v: float, dim: int, order: int) -> "Jet":
-        g = np.zeros(dim) if order >= 1 else None
-        h = np.zeros((dim, dim)) if order >= 2 else None
-        return Jet(dim, order, float(v), g, h)
-
-    @staticmethod
-    def coordinate(p, i: int, order: int) -> "Jet":
-        d = len(p)
-        g = None
-        if order >= 1:
-            g = np.zeros(d)
-            g[i] = 1.0
-        h = np.zeros((d, d)) if order >= 2 else None
-        return Jet(d, order, float(p[i]), g, h)
-
-    def restrict(self, order: int) -> "Jet":
-        if order >= self.order:
-            return self
-        return Jet(
-            self.dim,
-            order,
-            self.value,
-            self.grad if order >= 1 else None,
-            self.hess if order >= 2 else None,
-        )
-
-    def _coerce(self, other) -> tuple["Jet", "Jet"]:
-        if isinstance(other, (int, float)):
-            other = Jet.constant(other, self.dim, self.order)
-        if not isinstance(other, Jet):
-            return NotImplemented, NotImplemented  # type: ignore[return-value]
-        if other.dim != self.dim:
-            raise ValueError(f"jet dimension mismatch: {self.dim} vs {other.dim}")
-        k = min(self.order, other.order)
-        return self.restrict(k), other.restrict(k)
-
-    def _apply(self, rule, other, swap=False):
-        a, b = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
-        if swap:
-            a, b = b, a
-        k = a.order
-        return Jet(a.dim, k, *rule(k, a.value, a.grad, a.hess, b.value, b.grad, b.hess))
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other):
-        return self._apply(_add_rule, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        parts = _neg_rule(self.order, self.value, self.grad, self.hess)
-        return Jet(self.dim, self.order, *parts)
-
-    def __sub__(self, other):
-        return self._apply(_sub_rule, other)
-
-    def __rsub__(self, other):
-        return self._apply(_sub_rule, other, swap=True)
-
-    def __mul__(self, other):
-        return self._apply(_mul_rule, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a, b = self._coerce(other)
-        if a is NotImplemented:
-            return NotImplemented
-        if b.value == 0.0:
-            raise ExprDomainError("division by zero", "<jet quotient>")
-        return a._apply(_div_rule, b)
-
-    def __rtruediv__(self, other):
-        lifted = Jet.constant(other, self.dim, self.order)
-        return lifted / self
-
-    # -- elementary functions -----------------------------------------------
-
-    def sqrt(self) -> "Jet":
-        if self.value < 0.0:
-            raise ExprDomainError("sqrt of negative value", "<jet sqrt>")
-        if self.value == 0.0 and self.order >= 1:
-            raise ExprDomainError("sqrt not differentiable at zero", "<jet sqrt>")
-        k = self.order
-        parts = _sqrt_rule(k, math.sqrt(self.value), self.grad, self.hess)
-        return Jet(self.dim, k, *parts)
-
-    def _chain(self, f: float, df: float, d2f: float) -> "Jet":
-        g = h = None
-        if self.order >= 1:
-            g = df * self.grad
-        if self.order >= 2:
-            h = df * self.hess + d2f * _outer(self.grad, self.grad)
-        return Jet(self.dim, self.order, f, g, h)
-
-    def sin(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._chain(s, c, -s)
-
-    def cos(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._chain(c, -s, -c)
-
-    def exp(self) -> "Jet":
-        ev = math.exp(self.value)
-        return self._chain(ev, ev, ev)
-
-    def powi(self, k: int) -> "Jet":
-        if k < 0 and self.value == 0.0:
-            raise ExprDomainError("zero raised to a negative power", "<jet pow>")
-        f = self.value**k
-        df = k * self.value ** (k - 1) if k != 0 else 0.0
-        d2f = k * (k - 1) * self.value ** (k - 2) if k not in (0, 1) else 0.0
-        return self._chain(f, df, d2f)
-
-    # -- calculus -----------------------------------------------------------
-
-    def partial(self, i: int) -> "Jet":
-        """The i-th coordinate partial, one order lower.
-
-        The value comes from the gradient and the gradient from the Hessian
-        row, so differentiating consumes exactly one order of accuracy.
-        """
-        if self.order < 1:
-            raise ValueError("partial derivative needs a jet of order >= 1")
-        g = None if self.order < 2 else np.array(self.hess[i])
-        return Jet(self.dim, self.order - 1, float(self.grad[i]), g, None)
-
-
 # Largest highest-order part, in floats, of one slice of fold_chunks
 # (128 kB).
 _FOLD_CHUNK = 16384
@@ -319,14 +171,19 @@ class JetArray:
     value has shape S and order (each entry's own jet order) shape S. The
     array's top order k is the highest order any entry carries: grad, of
     shape S+(d,), is present when k >= 1 and hess, S+(d,d), when k = 2;
-    absent parts are None. Indexing, transpose and reshape act on the
-    leading (tensor) axes only; the derivative axes always stay last.
-    Arithmetic broadcasts like numpy over the tensor axes, runs the rules
-    at the lower top order of its operands and gives every entry the
-    order Jet's coercion would.
+    absent parts are None. A 0-d array (S = ()) is a single jet. Indexing,
+    transpose and reshape act on the leading (tensor) axes only; the
+    derivative axes always stay last. Arithmetic broadcasts like numpy
+    over the tensor axes, runs the rules at the lower top order of its
+    operands and gives every entry the lower of its operands' orders.
     """
 
     __slots__ = ("dim", "value", "grad", "hess", "order")
+
+    # A single jet's value is a numpy scalar; with a numpy number on the
+    # left of an operator, numpy defers to this class's reflected operator
+    # instead of unpacking the array into an object array of jets.
+    __array_ufunc__ = None
 
     def __init__(self, dim: int, value, grad, hess, order):
         self.dim = dim
@@ -335,12 +192,12 @@ class JetArray:
         self.hess = hess
         self.order = order
 
-    # -- construction and conversion -----------------------------------------
+    # -- construction --------------------------------------------------------
 
     @staticmethod
     def constant(v: float, dim: int, shape=(), order: int = _TOP_ORDER) -> "JetArray":
-        """Constant jets of the given order, by default the top one, as
-        Jet.constant lifts numbers."""
+        """Constant jets of the given order, by default the top one, the
+        jets that plain numbers lift to; a single jet by default."""
         shape = tuple(shape)
         return JetArray(
             dim,
@@ -351,57 +208,12 @@ class JetArray:
         )
 
     @staticmethod
-    def from_jets(jets) -> "JetArray":
-        """Stack a Jet or a nested sequence of Jets. Parts an entry lacks
-        below the top order are filled with zeros."""
-        flat, shape = _flatten(jets)
-        d = flat[0].dim
-        k = max(j.order for j in flat)
-        grad = hess = None
-        if k >= 1:
-            zg = np.zeros(d)
-            grad = np.array([j.grad if j.order >= 1 else zg for j in flat])
-            grad = grad.reshape(shape + (d,))
-        if k >= 2:
-            zh = np.zeros((d, d))
-            hess = np.array([j.hess if j.order >= 2 else zh for j in flat])
-            hess = hess.reshape(shape + (d, d))
-        return JetArray(
-            d,
-            np.array([j.value for j in flat], dtype=float).reshape(shape),
-            grad,
-            hess,
-            np.array([j.order for j in flat], dtype=_ORDER_DTYPE).reshape(shape),
-        )
-
-    def jets(self):
-        """The entries as Jets, each restricted to its own order: a Jet for
-        a 0-d array, nested lists otherwise. The parts are copied, so the
-        Jets keep nothing of this array alive."""
-        d = self.dim
-        vals = self.value.ravel().tolist()
-        orders = self.order.ravel()
-        # Compact copies of the parts the entries keep; each Jet views a row.
-        grads = hesses = None
-        if self.grad is not None:
-            has_g = orders >= 1
-            grads = self.grad.reshape(-1, d)[has_g]
-            gi = (np.cumsum(has_g) - 1).tolist()
-        if self.hess is not None:
-            has_h = orders >= 2
-            hesses = self.hess.reshape(-1, d, d)[has_h]
-            hi = (np.cumsum(has_h) - 1).tolist()
-        flat = [
-            Jet(
-                d,
-                k,
-                v,
-                grads[gi[i]] if k >= 1 else None,
-                hesses[hi[i]] if k >= 2 else None,
-            )
-            for i, (v, k) in enumerate(zip(vals, orders.tolist()))
-        ]
-        return _nest(flat, self.shape)
+    def coordinate(p, i: int, order: int) -> "JetArray":
+        """The jet of the i-th coordinate function at p, a single jet."""
+        x = JetArray.constant(p[i], len(p), (), order)
+        if order >= 1:
+            x.grad[i] = 1.0
+        return x
 
     # -- shape ---------------------------------------------------------------
 
@@ -426,8 +238,13 @@ class JetArray:
         )
 
     def __getitem__(self, idx) -> "JetArray":
+        """The entries at idx; a single entry comes cut to its own order,
+        so arithmetic on it runs at that order."""
         f = lambda x: x[idx]  # noqa: E731
-        return self._map(f, f, f, f)
+        out = self._map(f, f, f, f)
+        if out.shape == () and out.order < out.top:
+            return out.restrict(int(out.order))
+        return out
 
     def __setitem__(self, idx, other) -> None:
         """Assign entries; an entry gets at most this array's top order."""
@@ -459,9 +276,9 @@ class JetArray:
         )
 
     def restrict(self, k: int) -> "JetArray":
-        """The same entries cut to order at most k, as Jet.restrict. Adding
-        the result to a term of order at most k gives the same entries as
-        adding the uncut array, without computing the parts above k."""
+        """The same entries cut to order at most k. Adding the result to a
+        term of order at most k gives the same entries as adding the uncut
+        array, without computing the parts above k."""
         return JetArray(
             self.dim,
             self.value,
@@ -475,8 +292,6 @@ class JetArray:
     def _coerce(self, other) -> "JetArray":
         if isinstance(other, JetArray):
             return other
-        if isinstance(other, Jet):
-            return JetArray.from_jets(other)
         if isinstance(other, (int, float)):
             return JetArray.constant(other, self.dim)
         return NotImplemented
@@ -528,11 +343,47 @@ class JetArray:
         parts = _sqrt_rule(self.top, np.sqrt(self.value), self.grad, self.hess)
         return JetArray(self.dim, *parts, self.order)
 
+    def _chain(self, rule) -> "JetArray":
+        """f applied entry by entry, where rule maps an entry's value, as a
+        Python float, to f, f' and f'' there: the chain rule
+        (f o u)' = f'(u) u' and (f o u)'' = f'(u) u'' + f''(u) u' u'^T."""
+        fs = [rule(v) for v in np.ravel(self.value).tolist()]
+        f, df, d2f = (np.array(c).reshape(self.shape) for c in zip(*fs))
+        g = h = None
+        if self.top >= 1:
+            g = _up(df, 1) * self.grad
+        if self.top >= 2:
+            h = _up(df, 2) * self.hess + _up(d2f, 2) * _outer(self.grad, self.grad)
+        return JetArray(self.dim, f, g, h, self.order)
+
+    def sin(self) -> "JetArray":
+        return self._chain(lambda v: (math.sin(v), math.cos(v), -math.sin(v)))
+
+    def cos(self) -> "JetArray":
+        return self._chain(lambda v: (math.cos(v), -math.sin(v), -math.cos(v)))
+
+    def exp(self) -> "JetArray":
+        return self._chain(lambda v: (math.exp(v),) * 3)
+
+    def powi(self, k: int) -> "JetArray":
+        """The integer power k, on Python floats as the ** operator gives it."""
+        if k < 0 and np.any(self.value == 0.0):
+            raise ExprDomainError("zero raised to a negative power", "<jet pow>")
+        return self._chain(
+            lambda v: (
+                v**k,
+                k * v ** (k - 1) if k != 0 else 0.0,
+                k * (k - 1) * v ** (k - 2) if k not in (0, 1) else 0.0,
+            )
+        )
+
     # -- calculus and reductions ---------------------------------------------
 
     def partials(self) -> "JetArray":
         """All coordinate partials, one order lower, stacked on a new
-        leading axis: entry [i, ...] is Jet.partial(i) of entry [...]."""
+        leading axis: entry [i, ...] is the i-th coordinate partial of
+        entry [...]. The value comes from the gradient and the gradient from
+        the Hessian row, so differentiating consumes exactly one order."""
         if self.grad is None or np.any(self.order < 1):
             raise ValueError("partial derivative needs a jet of order >= 1")
         return JetArray(
@@ -545,7 +396,7 @@ class JetArray:
 
     def fold(self, carry: "JetArray | None" = None) -> "JetArray":
         """Left fold along the leading axis, ((carry + x[0]) + x[1]) + ...,
-        the summation order of sum_jets; without carry it starts at x[0]."""
+        a left-to-right sum of the terms; without carry it starts at x[0]."""
 
         def run(x, c):
             if c is not None:
@@ -569,18 +420,9 @@ class JetArray:
         )
 
 
-def _flatten(x):
-    if isinstance(x, Jet):
-        return [x], ()
-    items = [_flatten(e) for e in x]
-    return [j for flat, _ in items for j in flat], (len(items),) + items[0][1]
-
-
-def _nest(flat, shape):
-    if not shape:
-        return flat[0]
-    step = len(flat) // shape[0]
-    return [_nest(flat[i * step : (i + 1) * step], shape[1:]) for i in range(shape[0])]
+# The name of the class where it holds a single jet: Jet.constant(v, dim)
+# and Jet.coordinate(p, i, order) build one.
+Jet = JetArray
 
 
 def fold_chunks(n_terms: int, per_term: int, dim: int, terms) -> JetArray:
@@ -613,9 +455,10 @@ class Tape:
     Compiling memoizes on node identity, so it takes time linear in the
     number of distinct node objects. Slots run in the post-order of their
     first appearance across the expressions, the order a walk of each tree
-    in turn visits them, and every slot applies the Jet rule that walk
-    would; so each output has the bits of evaluating its tree alone, and
-    the first domain error names the subexpression that walk would.
+    in turn visits them, and every slot applies to single jets the rule
+    that walk would; so each output has the bits of evaluating its tree
+    alone, and the first domain error names the subexpression that walk
+    would.
     """
 
     def __init__(self, exprs):
@@ -654,14 +497,15 @@ class Tape:
 
         self.outputs = [slot(e) for e in exprs]
 
-    def eval(self, p, order: int) -> list[Jet]:
-        """The outputs as jets of the requested order at p.
+    def eval(self, p, order: int) -> JetArray:
+        """The outputs at p as one JetArray (K,) of jets of the requested
+        order, in the order of the expressions.
 
         Domain violations (division by zero, sqrt of a negative) raise
         ExprDomainError naming the offending subexpression.
         """
         d = len(p)
-        vals: list[Jet] = []
+        vals: list[JetArray] = []
         push = vals.append
         i = 0
         try:
@@ -675,9 +519,9 @@ class Tape:
                 elif op == "/":
                     push(vals[a] / vals[b])
                 elif op == "lit":
-                    push(Jet.constant(a, d, order))
+                    push(JetArray.constant(a, d, (), order))
                 elif op == "coord":
-                    push(Jet.coordinate(p, a, order))
+                    push(JetArray.coordinate(p, a, order))
                 elif op == "pow":
                     push(vals[a].powi(b))
                 elif op == "neg":
@@ -688,21 +532,22 @@ class Tape:
             # The rule's message, placed at the subexpression of slot i.
             message = str(exc).split(" in ")[0]
             raise ExprDomainError(message, pretty(self.nodes[i])) from None
-        return [vals[s] for s in self.outputs]
+        # Every slot is a single jet of the requested order.
+        out = [vals[s] for s in self.outputs]
+        n = len(out)
+        return JetArray(
+            d,
+            np.array([j.value for j in out], dtype=float),
+            np.array([j.grad for j in out]).reshape(n, d) if order >= 1 else None,
+            np.array([j.hess for j in out]).reshape(n, d, d) if order >= 2 else None,
+            np.full(n, order, dtype=_ORDER_DTYPE),
+        )
 
 
-def eval_jet(e: Expr, p, order: int) -> Jet:
-    """Evaluate an expression tree to a jet of the requested order at p:
-    the one-expression case of Tape."""
+def eval_jet(e: Expr, p, order: int) -> JetArray:
+    """Evaluate an expression tree to a single jet of the requested order
+    at p: the one-expression case of Tape."""
     return Tape((e,)).eval(p, order)[0]
-
-
-def sum_jets(terms):
-    """Left-to-right sum of a nonempty iterable of jets."""
-    acc = None
-    for t in terms:
-        acc = t if acc is None else acc + t
-    return acc
 
 
 def jet_linear_solve(A: JetArray, b: JetArray) -> JetArray:

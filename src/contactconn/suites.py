@@ -8,11 +8,12 @@ frame screen, are skipped with the reason and counted, never silently
 dropped; if nothing survives, the run errors out rather than reporting a
 vacuous pass.
 
-Screening evaluates the chart's inputs once per sample point and builds
-one _PointState per usable point. It holds those inputs and the adapted
-frame and caches what the suites derive from them (spectrum, canonical
-connection, promotion, 3D coframe and structure data), so each is built
-at most once per point and shared by every suite.
+Screening (contact.screen_point, which classify shares) evaluates the
+chart's inputs once per sample point and builds one _PointState per
+usable point. It holds those inputs and the adapted frame and caches
+what the suites derive from them (spectrum, canonical connection,
+promotion, 3D coframe and structure data), so each is built at most
+once per point and shared by every suite.
 """
 
 from __future__ import annotations
@@ -32,26 +33,17 @@ from .connection import (
     promotion_residual,
 )
 from .contact import (
+    SKIP_ERRORS,
     AdaptedFrame,
     ContactStructure,
     PointInputs,
     _form_pairs,
     _metric_pairs,
     _reeb_from_values,
-    adapted_frame,
-    check_contact,
     lambda_spectrum,
+    screen_point,
 )
-from .errors import (
-    AllPointsSkippedError,
-    DegenerateFrameError,
-    DegenerateMetricError,
-    ExprDomainError,
-    LinearSolveResidualError,
-    NotContactError,
-    SingularMatrixError,
-    SuiteUnavailableError,
-)
+from .errors import AllPointsSkippedError, SuiteUnavailableError
 from .forms import evaluate_forms
 from .jets import JetArray
 from .registry import SUITE_NAMES, SUITES_3D_ONLY, ManifoldSpec
@@ -128,7 +120,7 @@ def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
         theta0 = theta.array.restrict(0)
         dtheta0 = pt.inputs.dtheta.array.restrict(0)
         T = _reeb_from_values(theta0, dtheta0).array[None]
-        (theta_T,) = evaluate_forms(theta0, list(theta.comps), T).value.tolist()
+        (theta_T,) = evaluate_forms(theta0, theta.idx, T).value.tolist()
         reeb_res = max(reeb_res, abs(theta_T - 1.0))
         for v in _form_pairs(dtheta0, T, basis).value[0].tolist():
             reeb_res = max(reeb_res, abs(v))
@@ -296,33 +288,13 @@ def run_suites(
     usable = []
     for i, p in enumerate(samples):
         try:
-            inputs = cs.inputs_at(p)
-        except ExprDomainError as exc:
-            records.append(PointRecord(i, p, skipped=True, reason=str(exc)))
-            continue
-        chk = check_contact(cs, p, inputs)
-        if not chk.passed:
-            records.append(
-                PointRecord(i, p, skipped=True, reason="contact condition fails")
-            )
-            continue
-        try:
-            frame = adapted_frame(cs, p, inputs=inputs)
-        except (
-            NotContactError,
-            DegenerateMetricError,
-            DegenerateFrameError,
-            SingularMatrixError,
-            LinearSolveResidualError,
-        ) as exc:
+            inputs, frame = screen_point(cs, p)
+        except SKIP_ERRORS as exc:
             records.append(PointRecord(i, p, skipped=True, reason=str(exc)))
             continue
         pt = _PointState(cs, i, p, inputs, frame)
-        records.append(
-            PointRecord(
-                i, p, skipped=False, mu=frame.mu.value, spectrum=tuple(pt.spectrum)
-            )
-        )
+        mu = float(frame.mu.value)
+        records.append(PointRecord(i, p, skipped=False, mu=mu, spectrum=tuple(pt.spectrum)))
         usable.append(pt)
 
     if not usable:

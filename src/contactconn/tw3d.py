@@ -40,14 +40,13 @@ from .contact import (
     ORDER,
     AdaptedFrame,
     ContactStructure,
-    _d_rows,
     adapted_frame,
     structure_values,
 )
 from .errors import DegenerateFrameError, InconsistentStructureError
 from .expressions import parse_expr
-from .forms import apply_vector
-from .jets import Jet, JetArray, eval_jet
+from .forms import KFormValue, apply_vector, d_from_jets
+from .jets import JetArray, eval_jet
 
 STRUCTURE_RESIDUAL_TOL = 1e-9
 
@@ -76,15 +75,16 @@ class TWCoframe:
 class TWData:
     """Solved structure-equation data at a point.
 
-    omega holds the coframe components (omega_theta, omega_1, omega_2);
-    the Reeb component carries jet order 0, the rest order 1, which is
-    exactly enough to differentiate omega once for R.
+    omega, a JetArray (3,), holds the coframe components (omega_theta,
+    omega_1, omega_2); the Reeb component carries jet order 0, the rest
+    order 1, which is exactly enough to differentiate omega once for R.
+    A, B and R are single jets.
     """
 
-    omega: tuple[Jet, Jet, Jet]
-    A: Jet
-    B: Jet
-    R: Jet
+    omega: JetArray
+    A: JetArray
+    B: JetArray
+    R: JetArray
     residual: float
 
 
@@ -115,17 +115,20 @@ def solve_structure_equations(cf: TWCoframe) -> TWData:
     # (X1, X2); on (X1, X2) they are Omega_12 and the structure values
     # D^1_12 = c3, D^2_12 = c6.
     pairs = frame.d_pairs[:, [0, 0, 1], [1, 2, 2]]
-    (_, _, om12), (c1, c2, c3), (c4, c5, c6) = pairs.jets()
+    (_, _, om12), (c1, c2, c3), (c4, c5, c6) = pairs
     # X_a(omega_b) for the H components (omega_1, omega_2) = (c3, c6).
-    (_, x1_w2), (x2_w1, _) = apply_vector(frame.X, pairs[1:, 2]).jets()
+    (_, x1_w2), (x2_w1, _) = apply_vector(frame.X, pairs[1:, 2])
 
     A = (c1 - c5) * 0.5
     B = (c2 + c4) * 0.5
     w_theta = (c2 - c4) * 0.5
     w1 = c3
     w2 = c6
+    omega = JetArray.constant(0.0, frame.dim, (3,))
+    omega[0] = w_theta
+    omega[1:] = pairs[1:, 2]
 
-    residual = abs((c1 + c5).value) / math.sqrt(2.0)
+    residual = abs(float((c1 + c5).value)) / math.sqrt(2.0)
     if residual > STRUCTURE_RESIDUAL_TOL:
         raise InconsistentStructureError(
             f"structure equations are inconsistent: residual {residual:.3e} "
@@ -135,33 +138,35 @@ def solve_structure_equations(cf: TWCoframe) -> TWData:
     # d(omega)(X1, X2) through the bracket: [X1, X2] has Reeb component
     # -Omega_12 = -1 and H components -D^b_12.
     bracket_omega = -(w_theta * om12) - sum(
-        (c3 * w1, c6 * w2), start=Jet.constant(0.0, frame.dim, 2)
+        (c3 * w1, c6 * w2), start=JetArray.constant(0.0, frame.dim)
     )
     R = x1_w2 - x2_w1 - bracket_omega
-    return TWData(omega=(w_theta, w1, w2), A=A, B=B, R=R, residual=residual)
+    return TWData(omega=omega, A=A, B=B, R=R, residual=residual)
 
 
-def _rotation_connection(cf: TWCoframe, omega, with_levi: bool) -> FullConnection:
+def _rotation_connection(
+    cf: TWCoframe, w_theta: JetArray, w_h: JetArray, with_levi: bool
+) -> FullConnection:
     """Coefficient data over the full coframe of nabla e1 = omega x e2,
     nabla e2 = -omega x e1, and on H directions nabla theta_hat =
-    e1 x e2 - e2 x e1 when with_levi, else nabla theta_hat = 0."""
+    e1 x e2 - e2 x e1 when with_levi, else nabla theta_hat = 0; omega has
+    the Reeb component w_theta and the H components w_h (2,)."""
     frame = cf.frame
-    w = JetArray.from_jets(list(omega))  # (omega_theta, omega_1, omega_2)
     kappa = JetArray.constant(0.0, frame.dim, (3, 2, 3))
     xi = JetArray.constant(0.0, frame.dim, (3, 3))
     if with_levi:
         kappa[0, :, 1:] = frame.Omega
-    kappa[1, :, 2] = w[1:]
-    kappa[2, :, 1] = -w[1:]
-    xi[1, 2] = w[0]
-    xi[2, 1] = -w[0]
+    kappa[1, :, 2] = w_h
+    kappa[2, :, 1] = -w_h
+    xi[1, 2] = w_theta
+    xi[2, 1] = -w_theta
     return FullConnection(frame=frame, kappa=kappa, xi=xi, partial=None)
 
 
 def tw_connection(td: TWData, cf: TWCoframe) -> FullConnection:
     """Connection with nabla theta_hat = 0, nabla e1 = omega x e2,
     nabla e2 = -omega x e1, as coefficient data over the full coframe."""
-    return _rotation_connection(cf, td.omega, with_levi=False)
+    return _rotation_connection(cf, td.omega[0], td.omega[1:], with_levi=False)
 
 
 def promoted_from_invariants(td: TWData, cf: TWCoframe) -> FullConnection:
@@ -173,15 +178,17 @@ def promoted_from_invariants(td: TWData, cf: TWCoframe) -> FullConnection:
     nabla e1 = (omega - R theta_hat) x e2, nabla e2 the negative mirror.
     Used to cross-check the general promotion against its closed form.
     """
-    w_theta, w1, w2 = td.omega
-    return _rotation_connection(cf, (w_theta - td.R, w1, w2), with_levi=True)
+    return _rotation_connection(cf, td.omega[0] - td.R, td.omega[1:], with_levi=True)
 
 
-def _phi_jet(cf: TWCoframe, phi) -> Jet:
-    if isinstance(phi, Jet):
+def _phi_jet(cf: TWCoframe, phi) -> JetArray:
+    """The angle phi as a single jet: as it is when it is one, else a
+    number or an expression (text or parsed) at the coframe's point, at
+    order ORDER."""
+    if isinstance(phi, JetArray):
         return phi
     if isinstance(phi, (int, float)):
-        return Jet.constant(float(phi), cf.frame.dim, ORDER)
+        return JetArray.constant(float(phi), cf.frame.dim, (), ORDER)
     e = parse_expr(phi, cf.coords) if isinstance(phi, str) else phi
     return eval_jet(e, cf.p, ORDER)
 
@@ -200,14 +207,17 @@ def rotate_coframe(cf: TWCoframe, phi) -> TWCoframe:
     ph = _phi_jet(cf, phi)
     co, si = ph.cos(), ph.sin()
 
-    rot = JetArray.from_jets([[co, -si], [si, co]])
+    rot = JetArray.constant(0.0, frame.dim, (2, 2))  # [[co, -si], [si, co]]
+    rot[[0, 1], [0, 1]] = co
+    rot[0, 1] = -si
+    rot[1, 0] = si
 
     def turn(rows: JetArray) -> JetArray:
         """Row b is rows[0] rot[b, 0] + rows[1] rot[b, 1]."""
         return rows[0][None] * rot[:, 0, None] + rows[1][None] * rot[:, 1, None]
 
     f = turn(frame.f)
-    df = _d_rows(f)
+    df = d_from_jets(KFormValue(1, f)).array
     c = rot[:, 0] * frame.c[0] + rot[:, 1] * frame.c[1]
     X = turn(frame.X)
     D = structure_values(df, c, X, frame.Omega)
@@ -235,24 +245,22 @@ def check_rotation_covariance(cf: TWCoframe, td: TWData, phi) -> dict:
 
     # omega' components against (T, X1', X2'); omega is paired with the
     # rotated frame vectors before subtracting the phi derivative.
-    dphi_T, dphi_1, dphi_2 = apply_vector(rotated_cf.frame.frame_array, ph).jets()
+    dphi_T, dphi_1, dphi_2 = apply_vector(rotated_cf.frame.frame_array, ph)
     w_theta, w1, w2 = base.omega
     exp_theta = w_theta - dphi_T
     exp_1 = (co * w1 - si * w2) - dphi_1
     exp_2 = (si * w1 + co * w2) - dphi_2
     omega_residual = max(
-        abs((rot.omega[0] - exp_theta).value),
-        abs((rot.omega[1] - exp_1).value),
-        abs((rot.omega[2] - exp_2).value),
+        _gap(rot.omega[0], exp_theta), _gap(rot.omega[1], exp_1), _gap(rot.omega[2], exp_2)
     )
 
     co2 = co * co - si * si
     si2 = (co * si) * 2.0
     exp_A = co2 * base.A - si2 * base.B
     exp_B = si2 * base.A + co2 * base.B
-    ab_residual = max(abs((rot.A - exp_A).value), abs((rot.B - exp_B).value))
+    ab_residual = max(_gap(rot.A, exp_A), _gap(rot.B, exp_B))
 
-    r_residual = abs((rot.R - base.R).value)
+    r_residual = _gap(rot.R, base.R)
     passed = omega_residual < 1e-9 and ab_residual < 1e-9
     return {
         "passed": passed,
@@ -261,6 +269,11 @@ def check_rotation_covariance(cf: TWCoframe, td: TWData, phi) -> dict:
         "r_residual": r_residual,
         "structure_residuals": (base.residual, rot.residual),
     }
+
+
+def _gap(a: JetArray, b: JetArray) -> float:
+    """|a - b| of two single jets' values, as a Python float."""
+    return abs(float((a - b).value))
 
 
 def _max_abs(residuals: np.ndarray) -> float:
@@ -279,7 +292,7 @@ def compare_partial(cf: TWCoframe, td: TWData, conn: PartialConnection) -> dict:
     against that fixed tensor.
     """
     kap = conn.kappa.value  # [a, A, C]
-    wH = np.array([w.value for w in td.omega[1:]])
+    wH = td.omega.value[1:]
     expected = np.zeros((2, 2, 2))
     expected[:, 0, 1] = wH
     expected[:, 1, 0] = -wH
@@ -318,7 +331,7 @@ def compare_full(cf: TWCoframe, td: TWData, fc: FullConnection) -> dict:
 
     # J on the coframe H-part: J e1 = -e2, J e2 = e1 (matrix of the
     # orientation 2-form).
-    R = td.R.value
+    R = float(td.R.value)
     kappa_expected = np.zeros((3, 2, 3))
     kappa_expected[0, :, 1:] = omega
     xi_expected = np.zeros((3, 3))
@@ -333,7 +346,7 @@ def compare_full(cf: TWCoframe, td: TWData, fc: FullConnection) -> dict:
     r_drift = abs(r_extracted - R)
 
     tor = full_torsion(fc).comps.value
-    Av, Bv = td.A.value, td.B.value
+    Av, Bv = float(td.A.value), float(td.B.value)
     # e-rows on the pairs (T, X1), (T, X2), (X1, X2).
     e_rows = tor[1:, [0, 0, 1], [1, 2, 2]]
     e_rows_expected = np.array([[Av, Bv + R, 0.0], [Bv - R, -Av, 0.0]])

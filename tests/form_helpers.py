@@ -1,9 +1,11 @@
-"""Exterior-algebra helpers that only the tests use.
+"""Jet and exterior-algebra helpers that only the tests use.
 
-They check the library's forms against independent routes: structural d
-evaluated at a point, interior products, the scalar graded product and
-pairing, the round trip through the wedge-monomial basis of a coframe,
-and a frame's coframe and frame vectors as form and vector values.
+They stack single jets into arrays and sum them one by one, and they
+check the library's forms against independent routes: structural d
+evaluated at a point, interior products, the graded product and pairing
+as loops over single jets, the round trip through the wedge-monomial
+basis of a coframe, and a frame's coframe and frame vectors as form and
+vector values.
 """
 
 from __future__ import annotations
@@ -20,11 +22,36 @@ from contactconn.forms import (
     increasing_indices,
     wedge,
 )
-from contactconn.jets import Jet, JetArray
+from contactconn.jets import JetArray
+
+
+def sum_jets(terms):
+    """Left-to-right sum of a nonempty iterable of jets."""
+    acc = None
+    for t in terms:
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def stack(items):
+    """Jets of one shape stacked on a new leading axis, the way the
+    kernels hold them; parts an item lacks below the stack's top order
+    are zeros."""
+    out = JetArray.constant(
+        0.0, items[0].dim, (len(items),) + items[0].shape, max(j.top for j in items)
+    )
+    for i, j in enumerate(items):
+        out[i] = j
+    return out
+
+
+def order_of(a: KFormValue) -> int:
+    """The lowest order of any component of a form value."""
+    return int(a.array.order.min())
 
 
 def scalar_wedge(a: KFormValue, b: KFormValue) -> KFormValue:
-    """The graded product as a loop over scalar jets: each output
+    """The graded product as a loop over single jets: each output
     component is the left fold, from a constant 0.0 seed, of
     (a_I * b_J) * sign over I, then J. The reference forms.wedge must
     match bit for bit."""
@@ -33,52 +60,50 @@ def scalar_wedge(a: KFormValue, b: KFormValue) -> KFormValue:
     k = a.degree + b.degree
     if k > a.dim:
         raise ValueError("degree overflow")
-    order = min(a.order(), b.order())
-    out = {idx: Jet.constant(0.0, a.dim, order) for idx in increasing_indices(a.dim, k)}
-    for ia, ja in a.comps.items():
-        for ib, jb in b.comps.items():
+    keys = list(increasing_indices(a.dim, k))
+    out = zero_form(a.dim, k, min(order_of(a), order_of(b))).array
+    for x, ia in enumerate(a.idx):
+        for y, ib in enumerate(b.idx):
             merged = ia + ib
             sign = _perm_sign(merged)
             if sign == 0:
                 continue
-            key = tuple(sorted(merged))
-            out[key] = out[key] + ja * jb * float(sign)
-    return KFormValue(a.dim, k, out)
+            s = keys.index(tuple(sorted(merged)))
+            out[s] = out[s] + a.array[x] * b.array[y] * float(sign)
+    return KFormValue(k, out)
 
 
-def scalar_evaluate(form: KFormValue, *vectors: VectorValue) -> Jet:
-    """KFormValue.evaluate as a scalar determinant loop, in the term and
-    operand order the kernel must reproduce."""
+def scalar_evaluate(form: KFormValue, *vectors: VectorValue) -> JetArray:
+    """KFormValue.evaluate as a determinant loop over single jets, in the
+    term and operand order the kernel must reproduce."""
     total = None
-    for idx, coeff in form.comps.items():
+    for x, idx in enumerate(form.idx):
         det = None
         for perm in itertools.permutations(range(form.degree)):
-            term = vectors[perm[0]].comps[idx[0]]
+            term = vectors[perm[0]].array[idx[0]]
             for t in range(1, form.degree):
-                term = term * vectors[perm[t]].comps[idx[t]]
+                term = term * vectors[perm[t]].array[idx[t]]
             term = term * float(_perm_sign(perm))
             det = term if det is None else det + term
-        term = coeff * det
+        term = form.array[x] * det
         total = term if total is None else total + term
     return total
 
 
 def coframe(frame: AdaptedFrame) -> list[KFormValue]:
     """The full coframe (theta_hat, e^1, ..., e^2n) as 1-form values."""
-    return [
-        KFormValue(frame.dim, 1, {(i,): c for i, c in enumerate(row)})
-        for row in frame.coframe_array.jets()
-    ]
+    co = frame.coframe_array
+    return [KFormValue(1, co[r]) for r in range(len(co))]
 
 
 def frame_vectors(frame: AdaptedFrame) -> list[VectorValue]:
     """The full frame (T, X_1, ..., X_2n) as vector values."""
-    return [frame.T] + [VectorValue(tuple(row)) for row in frame.X.jets()]
+    return [frame.T] + [VectorValue(frame.X[r]) for r in range(len(frame.X))]
 
 
 def zero_form(dim: int, degree: int, order: int) -> KFormValue:
-    z = {idx: Jet.constant(0.0, dim, order) for idx in increasing_indices(dim, degree)}
-    return KFormValue(dim, degree, z)
+    n = len(list(increasing_indices(dim, degree)))
+    return KFormValue(degree, JetArray.constant(0.0, dim, (n,), order))
 
 
 def exterior_derivative(f: FormField, p, order: int) -> KFormValue:
@@ -91,17 +116,14 @@ def interior_product(v: VectorValue, a: KFormValue) -> KFormValue:
     if a.degree < 1:
         raise ValueError("interior product needs degree >= 1")
     dim = a.dim
-    order = min(a.order(), min(c.order for c in v.comps))
-    out = {
-        idx: Jet.constant(0.0, dim, order)
-        for idx in increasing_indices(dim, a.degree - 1)
-    }
-    for idx, coeff in a.comps.items():
+    keys = list(increasing_indices(dim, a.degree - 1))
+    order = min(order_of(a), int(v.array.order.min()))
+    out = zero_form(dim, a.degree - 1, order).array
+    for x, idx in enumerate(a.idx):
         for t, i in enumerate(idx):
-            rest = idx[:t] + idx[t + 1 :]
-            sign = (-1.0) ** t
-            out[rest] = out[rest] + coeff * v.comps[i] * sign
-    return KFormValue(dim, a.degree - 1, out)
+            r = keys.index(idx[:t] + idx[t + 1 :])
+            out[r] = out[r] + a.array[x] * v.array[i] * (-1.0) ** t
+    return KFormValue(a.degree - 1, out)
 
 
 def express_in_coframe(a: KFormValue, coframe: list[KFormValue]):
@@ -111,13 +133,15 @@ def express_in_coframe(a: KFormValue, coframe: list[KFormValue]):
     dim = a.dim
     if len(coframe) != dim or any(c.degree != 1 for c in coframe):
         raise ValueError("coframe must be dim one-forms")
-    order = min(min(c.order() for c in coframe), a.order())
-    C = [[coframe[r].comps[(i,)].restrict(order) for i in range(dim)] for r in range(dim)]
+    order = min(min(order_of(c) for c in coframe), order_of(a))
+    C = JetArray.constant(0.0, dim, (dim, dim), order)
+    for r in range(dim):
+        C[r] = coframe[r].array
     try:
-        inv = _jet_matrix_inverse(JetArray.from_jets(C)).jets()
+        inv = _jet_matrix_inverse(C)
     except SingularMatrixError:
         raise SingularMatrixError("coframe value parts are linearly dependent") from None
-    duals = [VectorValue(tuple(inv[i][col] for i in range(dim))) for col in range(dim)]
+    duals = [VectorValue(inv[:, col]) for col in range(dim)]
     return {
         idx: a.evaluate(*(duals[i] for i in idx))
         for idx in increasing_indices(dim, a.degree)
@@ -127,16 +151,16 @@ def express_in_coframe(a: KFormValue, coframe: list[KFormValue]):
 def from_coframe(components, coframe: list[KFormValue], degree: int) -> KFormValue:
     """Inverse of express_in_coframe: rebuild the form from components."""
     dim = coframe[0].dim
-    order = min(c.order() for c in coframe)
+    order = min(order_of(c) for c in coframe)
     if components:
-        order = min(order, min(j.order for j in components.values()))
-    total = zero_form(dim, degree, order)
+        order = min(order, min(int(j.order) for j in components.values()))
+    total = zero_form(dim, degree, order).array
     for idx, coeff in components.items():
         if not idx:
-            total = total + KFormValue(dim, 0, {(): coeff})
+            total = total + coeff.reshape(1)
             continue
         mono = coframe[idx[0]]
         for i in idx[1:]:
             mono = wedge(mono, coframe[i])
-        total = total + mono.scale(coeff)
-    return total
+        total = total + mono.array * coeff
+    return KFormValue(degree, total)

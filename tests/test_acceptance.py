@@ -20,7 +20,7 @@ from contactconn.connection import (
 from contactconn.contact import adapted_frame
 from contactconn.expressions import parse_expr
 from contactconn.forms import FormField
-from contactconn.jets import Jet, JetArray, eval_jet
+from contactconn.jets import JetArray, Tape, eval_jet
 from contactconn.registry import builtin_registry, get_manifold
 from contactconn.sampling import sample_box
 from contactconn.suites import run_suites
@@ -50,7 +50,7 @@ def generic_vector_jets(cs, p):
         f"({cs.coords[i]}) * ({cs.coords[(i + 1) % dim]}) + {0.1 * (i + 1)}"
         for i in range(dim)
     ]
-    return [eval_jet(parse_expr(s, cs.coords), p, 2) for s in comps]
+    return Tape([parse_expr(s, cs.coords) for s in comps]).eval(p, 2)
 
 
 def tw_inputs(cs, p):
@@ -82,13 +82,8 @@ def test_criterion_02_base_independence():
         for p in sample_box(spec.box, 25, spec.seed):
             frame = adapted_frame(cs, p)
             raw = rng.standard_normal((m, m, m))
-            pert = JetArray.from_jets([
-                [
-                    [Jet.constant(raw[a][b][c] + raw[c][b][a], cs.dim, 2) for c in range(m)]
-                    for b in range(m)
-                ]
-                for a in range(m)
-            ])
+            pert = JetArray.constant(0.0, cs.dim, (m, m, m))
+            pert.value[...] = raw + raw.transpose(2, 1, 0)
             ref = canonical_partial_connection(cs, p, frame=frame)
             alt = canonical_partial_connection(cs, p, frame=frame, base_perturbation=pert)
             worst = max(
@@ -109,25 +104,19 @@ def test_criterion_02_base_independence():
 def test_criterion_03_sigma_algebra():
     worst = 0.0
     for m in (2, 4):
-        one = Jet.constant(1.0, 3, 2)
-        zero = Jet.constant(0.0, 3, 2)
 
         def basis(idx):
-            return [
-                [[one if (a, b, c) == idx else zero for c in range(m)] for b in range(m)]
-                for a in range(m)
-            ]
+            t = JetArray.constant(0.0, 3, (m, m, m))
+            t.value[idx] = 1.0
+            return t
 
         for a in range(m):
             for b in range(m):
                 for c in range(m):
                     s = basis((a, b, c))
                     t = basis((b, a, c))
-                    sym = [
-                        [[s[i][j][k] + t[i][j][k] for k in range(m)] for j in range(m)]
-                        for i in range(m)
-                    ]
-                    back = sigma_inv(sigma(JetArray.from_jets(sym)))
+                    sym = s + t
+                    back = sigma_inv(sigma(sym))
                     worst = max(
                         worst,
                         max(

@@ -23,9 +23,9 @@ from contactconn.connection import (
 from contactconn.contact import ContactStructure, adapted_frame
 from contactconn.errors import SymmetryError
 from contactconn.expressions import parse_expr
-from contactconn.forms import FormField, KFormValue, increasing_indices
-from contactconn.jets import Jet, JetArray, eval_jet, sum_jets
-from form_helpers import frame_vectors
+from contactconn.forms import FormField, KFormValue
+from contactconn.jets import JetArray, Tape, eval_jet
+from form_helpers import frame_vectors, stack, sum_jets
 
 P3 = (0.3, -0.4, 0.2)
 
@@ -47,30 +47,19 @@ def euclidean_heisenberg():
 
 
 def basis_tensor(m, idx, dim=3):
-    one = Jet.constant(1.0, dim, 2)
-    zero = Jet.constant(0.0, dim, 2)
-    return [
-        [[one if (a, b, c) == idx else zero for c in range(m)] for b in range(m)]
-        for a in range(m)
-    ]
-
-
-def tensor_add(s, t):
-    m = len(s)
-    return [
-        [[s[a][b][c] + t[a][b][c] for c in range(m)] for b in range(m)]
-        for a in range(m)
-    ]
+    """Constant jets (m, m, m), one at idx and zero elsewhere."""
+    t = JetArray.constant(0.0, dim, (m, m, m))
+    t.value[idx] = 1.0
+    return t
 
 
 def max_tensor_diff(s, t):
-    m = len(s)
-    return max(
-        abs((s[a][b][c] - t[a][b][c]).value)
-        for a in range(m)
-        for b in range(m)
-        for c in range(m)
-    )
+    return float(np.max(np.abs((s - t).value)))
+
+
+def vector_jets(cs, texts, p):
+    """Coordinate components of a vector field at p, one JetArray (dim,)."""
+    return Tape([parse_expr(s, cs.coords) for s in texts]).eval(p, 2)
 
 
 class TestSigmaAlgebra:
@@ -80,21 +69,21 @@ class TestSigmaAlgebra:
         for a in range(m):
             for b in range(m):
                 for c in range(m):
-                    s = tensor_add(basis_tensor(m, (a, b, c)), basis_tensor(m, (b, a, c)))
-                    assert max_tensor_diff(sigma_inv(sigma(JetArray.from_jets(s))), s) == 0.0
+                    s = basis_tensor(m, (a, b, c)) + basis_tensor(m, (b, a, c))
+                    assert max_tensor_diff(sigma_inv(sigma(s)), s) == 0.0
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_round_trip_other_order(self, m):
         for a in range(m):
             for b in range(m):
                 for c in range(m):
-                    t = tensor_add(basis_tensor(m, (a, b, c)), basis_tensor(m, (a, c, b)))
-                    assert max_tensor_diff(sigma(sigma_inv(JetArray.from_jets(t))), t) == 0.0
+                    t = basis_tensor(m, (a, b, c)) + basis_tensor(m, (a, c, b))
+                    assert max_tensor_diff(sigma(sigma_inv(t)), t) == 0.0
 
     def test_output_symmetries(self):
         m = 2
-        s = tensor_add(basis_tensor(m, (0, 1, 0)), basis_tensor(m, (1, 0, 0)))
-        out = sigma(JetArray.from_jets(s))
+        s = basis_tensor(m, (0, 1, 0)) + basis_tensor(m, (1, 0, 0))
+        out = sigma(s)
         for a in range(m):
             for b in range(m):
                 for c in range(m):
@@ -102,11 +91,11 @@ class TestSigmaAlgebra:
 
     def test_sigma_rejects_asymmetric(self):
         with pytest.raises(SymmetryError):
-            sigma(JetArray.from_jets(basis_tensor(2, (0, 1, 0))))
+            sigma(basis_tensor(2, (0, 1, 0)))
 
     def test_sigma_inv_rejects_asymmetric(self):
         with pytest.raises(SymmetryError):
-            sigma_inv(JetArray.from_jets(basis_tensor(2, (0, 0, 1))))
+            sigma_inv(basis_tensor(2, (0, 0, 1)))
 
 
 class TestBaseConnection:
@@ -144,7 +133,7 @@ def four_bullet_residuals(cs, p):
     torsion = partial_torsion(conn).max_abs_h_rows()
 
     X = frame_vectors(frame)[1:]
-    dth = KFormValue(dim, 2, dict(zip(increasing_indices(dim, 2), frame.dtheta_hat.jets())))
+    dth = KFormValue(2, frame.dtheta_hat)
     levi = max(
         abs((conn.kappa[a][0][c + 1] - dth.evaluate(X[a], X[c])).value)
         for a in range(m)
@@ -152,15 +141,13 @@ def four_bullet_residuals(cs, p):
     )
 
     reeb_comps = frame.express_vector(frame.T)
-    reeb = max(
-        abs(e.value) for row in nabla_H(conn, frame_vector(reeb_comps)).jets() for e in row
-    )
+    reeb = float(np.max(np.abs(nabla_H(conn, frame_vector(reeb_comps)).value)))
 
     gmat = [[eval_jet(cs.g[i][j], p, 2) for j in range(dim)] for i in range(dim)]
     gram = [
         [
             sum_jets(
-                gmat[i][j] * X[a].comps[i] * X[b].comps[j]
+                gmat[i][j] * X[a].array[i] * X[b].array[j]
                 for i in range(dim)
                 for j in range(dim)
             )
@@ -168,12 +155,8 @@ def four_bullet_residuals(cs, p):
         ]
         for a in range(m)
     ]
-    metric = max(
-        abs(e.value)
-        for mat in nabla_H(conn, frame_tensor02(gram)).jets()
-        for row in mat
-        for e in row
-    )
+    gram = stack([stack(row) for row in gram])
+    metric = float(np.max(np.abs(nabla_H(conn, frame_tensor02(gram)).value)))
     return {"torsion": torsion, "levi": levi, "reeb": reeb, "metric": metric}
 
 
@@ -215,13 +198,8 @@ class TestUniqueness:
         ref = canonical_partial_connection(perturbed, P3)
         m = 2
         raw = rng.standard_normal((m, m, m))
-        pert = JetArray.from_jets([
-            [
-                [Jet.constant(raw[a][b][c] + raw[c][b][a], 3, 2) for c in range(m)]
-                for b in range(m)
-            ]
-            for a in range(m)
-        ])
+        pert = JetArray.constant(0.0, 3, (m, m, m))
+        pert.value[...] = raw + raw.transpose(2, 1, 0)
         alt = canonical_partial_connection(perturbed, P3, base_perturbation=pert)
         diff = max(
             abs((ref.Gamma[a][b][c] - alt.Gamma[a][b][c]).value)
@@ -233,14 +211,14 @@ class TestUniqueness:
 
     def test_asymmetric_perturbation_rejected(self, perturbed):
         m = 2
-        pert = JetArray.from_jets(basis_tensor(m, (0, 0, 1)))
+        pert = basis_tensor(m, (0, 0, 1))
         with pytest.raises(SymmetryError):
             canonical_partial_connection(perturbed, P3, base_perturbation=pert)
 
 
 class TestFrameIndependence:
     def test_h_choice_gives_same_action(self, perturbed):
-        v = [eval_jet(parse_expr(s, perturbed.coords), P3, 2) for s in ("y*z", "x", "x - z^2")]
+        v = vector_jets(perturbed, ("y*z", "x", "x - z^2"), P3)
         conn1 = canonical_partial_connection(perturbed, P3)
         frame2 = adapted_frame(perturbed, P3, h_choice=(1, 2))
         conn2 = canonical_partial_connection(perturbed, P3, frame=frame2)
@@ -252,7 +230,7 @@ class TestFrameIndependence:
         neg = heisenberg.with_theta(
             FormField.one_form([parse_expr(t, heisenberg.coords) for t in ("y", "0", "-1")])
         )
-        v = [eval_jet(parse_expr(s, heisenberg.coords), P3, 2) for s in ("y*z", "x", "x - z^2")]
+        v = vector_jets(heisenberg, ("y*z", "x", "x - z^2"), P3)
         n1 = canonical_partial_connection(heisenberg, P3).coordinate_action_on_vector(v)
         n2 = canonical_partial_connection(neg, P3).coordinate_action_on_vector(v)
         assert np.max(np.abs(n1 - n2)) < 1e-10
@@ -283,7 +261,7 @@ class TestNablaH:
     def test_rejects_wrong_tensor_size(self, perturbed):
         conn = canonical_partial_connection(perturbed, P3)
         with pytest.raises(ValueError):
-            nabla_H(conn, frame_tensor02([[1.0] * 4] * 4))
+            nabla_H(conn, frame_tensor02(JetArray.constant(1.0, 3, (4, 4))))
 
     def test_rejects_unknown_kind(self, perturbed):
         from contactconn.connection import FrameSection
@@ -355,16 +333,18 @@ class TestFullTorsion:
 
 
 def scalar_promotion_system(conn):
-    """The promotion system as the scalar jet loops computed it, kept as
-    the reference the array kernel must match bit for bit."""
+    """The promotion system as loops over single jets, kept as the
+    reference the array kernel must match bit for bit. den is built from
+    Omega cut to order 1, the order of the num it divides."""
     from contactconn.forms import apply_vector
 
     frame = conn.frame
     m = 2 * frame.n
-    kap = conn.kappa.jets()
+    kap = conn.kappa
     X = frame_vectors(frame)[1:]
-    D = frame.D.jets()
-    Om = frame.Omega.jets()
+    D = frame.D
+    Om = frame.Omega
+    Om1 = Om.restrict(1)
 
     def K(u, v, A, C):
         lead = apply_vector(X[u], kap[v][A][C])
@@ -375,7 +355,7 @@ def scalar_promotion_system(conn):
         return (cc + K(u, v, A, C) - K(v, u, A, C)) * Om[u][v]
 
     pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
-    den = sum_jets(Om[u][v] * Om[u][v] for u, v in pairs)
+    den = sum_jets(Om1[u][v] * Om1[u][v] for u, v in pairs)
     num = [
         [sum_jets(obstruction(u, v, A, C) for u, v in pairs) for C in range(m + 1)]
         for A in range(m + 1)
@@ -394,8 +374,9 @@ def test_promotion_system_matches_scalar_loops(name):
     conn = canonical_partial_connection(cs, p)
     num, den = conn.promotion_system
     want_num, want_den = scalar_promotion_system(conn)
-    for got, want in [(den.jets(), want_den)] + [
-        (g, w) for grow, wrow in zip(num.jets(), want_num) for g, w in zip(grow, wrow)
+    assert den.order == 1
+    for got, want in [(den, want_den)] + [
+        (num[A, C], w) for A, wrow in enumerate(want_num) for C, w in enumerate(wrow)
     ]:
         assert got.order == want.order
         assert got.value == want.value
@@ -434,8 +415,8 @@ def test_promotion_system_matches_scalar_loops_on_generic_chart():
     for p in sample_box(spec.box, 2, spec.seed):
         num, den = canonical_partial_connection(cs, p).promotion_system
         want_num, want_den = scalar_promotion_system(canonical_partial_connection(cs, p))
-        pairs = [(den.jets(), want_den)] + [
-            (g, w) for grow, wrow in zip(num.jets(), want_num) for g, w in zip(grow, wrow)
+        pairs = [(den, want_den)] + [
+            (num[A, C], w) for A, wrow in enumerate(want_num) for C, w in enumerate(wrow)
         ]
         for got, want in pairs:
             assert got.order == want.order

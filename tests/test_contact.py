@@ -22,7 +22,7 @@ from contactconn.contact import (
 from contactconn.errors import DegenerateFrameError, DegenerateMetricError, NotContactError
 from contactconn.expressions import parse_expr
 from contactconn.forms import FormField, VectorValue
-from contactconn.jets import Jet
+from contactconn.jets import JetArray
 from contactconn.registry import get_manifold
 from form_helpers import coframe, frame_vectors
 
@@ -73,7 +73,7 @@ class TestCheckContact:
 class TestReebField:
     def test_heisenberg_vertical(self, heis):
         T = reeb_field(heis, P3)
-        assert np.allclose(T.values(), [0.0, 0.0, 1.0], atol=1e-14)
+        assert np.allclose(T.array.value, [0.0, 0.0, 1.0], atol=1e-14)
 
     def test_defining_equations_sphere(self, sphere):
         for p in [(0.1, -0.2, 0.3), (0.5, 0.4, -0.6)]:
@@ -83,15 +83,14 @@ class TestReebField:
             assert abs(theta.evaluate(T).value - 1.0) < 1e-12
             dim = sphere.dim
             for i in range(dim):
-                e_i = VectorValue(
-                    tuple(Jet.constant(1.0 if j == i else 0.0, dim, 1) for j in range(dim))
-                )
+                e_i = VectorValue(JetArray.constant(0.0, dim, (dim,), 1))
+                e_i.array.value[i] = 1.0
                 assert abs(dtheta.evaluate(T, e_i).value) < 1e-12
 
     def test_one_form_value_input(self, heis):
         frame = adapted_frame(heis, P3)
         T = reeb_field(frame.theta_hat, P3)
-        assert np.allclose(T.values(), frame.T.values(), atol=1e-12)
+        assert np.allclose(T.array.value, frame.T.array.value, atol=1e-12)
 
     def test_non_contact_raises(self):
         cs = structure(("x", "y", "z"), ("0", "0", "1"), [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]])
@@ -138,7 +137,7 @@ class TestAdaptedFrame:
         frame = adapted_frame(heis, P3)
         assert np.allclose(frame.X.value[0], [1.0, 0.0, -0.4], atol=1e-14)
         assert np.allclose(frame.X.value[1], [0.0, 1.0, 0.0], atol=1e-14)
-        assert np.allclose(frame.T.values(), [0.0, 0.0, 1.0], atol=1e-14)
+        assert np.allclose(frame.T.array.value, [0.0, 0.0, 1.0], atol=1e-14)
         assert frame.c[0].value == pytest.approx(0.0, abs=1e-14)
         assert frame.c[1].value == pytest.approx(0.0, abs=1e-14)
 
@@ -189,7 +188,7 @@ class TestAdaptedFrame:
             assert abs(
                 (f_pos.theta_hat.comp((i,)) + f_neg.theta_hat.comp((i,))).value
             ) < 1e-14
-            assert abs((f_pos.T.comps[i] + f_neg.T.comps[i]).value) < 1e-13
+            assert abs((f_pos.T.array[i] + f_neg.T.array[i]).value) < 1e-13
         # orientation still positive in the flipped frame
         assert f_neg.Omega[0][1].value == pytest.approx(1.0, abs=1e-12)
 
@@ -225,6 +224,20 @@ class TestClassify:
         assert out["partially_integrable"] is True
         assert out["spectrum"]["count"] == 2
         assert out["spectrum"]["skipped"] == 0
+
+    @pytest.mark.parametrize("g11", ["sqrt(x)", "x"])
+    def test_point_that_screening_rejects_is_skipped(self, g11):
+        # At x < 0, sqrt(x) cannot be evaluated and x makes the metric on
+        # H indefinite: screening rejects that point, as run_suites does,
+        # and the other one is classified.
+        cs = structure(
+            ("x", "y", "z"), ("-y", "0", "1"), [[g11, "0", "0"], ["0", "1", "0"], ["0", "0", "0"]]
+        )
+        out = classify(cs, [(0.3, 0.1, 0.0), (-0.3, 0.1, 0.0)])
+        assert out["contact"] is True
+        assert out["spectrum"]["count"] == 2
+        assert out["spectrum"]["skipped"] == 1
+        assert len(out["spectrum"]["lambda_min"]) == 1
 
     def test_split_not_cr(self):
         cs = get_manifold("n2-split").build()

@@ -10,7 +10,7 @@ from contactconn.forms import (
     increasing_indices,
     wedge,
 )
-from contactconn.jets import Jet, JetArray, eval_jet
+from contactconn.jets import JetArray, Tape
 from form_helpers import (
     exterior_derivative,
     express_in_coframe,
@@ -18,18 +18,28 @@ from form_helpers import (
     interior_product,
     scalar_evaluate,
     scalar_wedge,
+    stack,
+    sum_jets,
 )
 
 XYZ = ("x", "y", "z")
 
 
-def jet_of(text, p, order=2):
-    return eval_jet(parse_expr(text, XYZ), p, order)
+def jets_of(texts, p, order=2):
+    """The expressions' jets at p as one JetArray, through one tape."""
+    return Tape([parse_expr(t, XYZ) for t in texts]).eval(p, order)
 
 
 def one_form(texts, p, order=2):
-    comps = {(i,): jet_of(t, p, order) for i, t in enumerate(texts)}
-    return KFormValue(3, 1, comps)
+    return KFormValue(1, jets_of(texts, p, order))
+
+
+def vector(texts, p, order=2):
+    return VectorValue(jets_of(texts, p, order))
+
+
+def max_abs(a: JetArray) -> float:
+    return float(np.max(np.abs(a.value)))
 
 
 class TestWedge:
@@ -73,8 +83,8 @@ class TestEvaluate:
         dx = one_form(["1", "0", "0"], p)
         dy = one_form(["0", "1", "0"], p)
         w = wedge(dx, dy)
-        u = VectorValue(tuple(Jet.constant(c, 3, 2) for c in (1.0, 0.0, 0.0)))
-        v = VectorValue(tuple(Jet.constant(c, 3, 2) for c in (0.0, 1.0, 0.0)))
+        u = vector(["1", "0", "0"], p)
+        v = vector(["0", "1", "0"], p)
         assert w.evaluate(u, v).value == 1.0
         assert w.evaluate(v, u).value == -1.0
         assert w.evaluate(u, u).value == 0.0
@@ -82,7 +92,7 @@ class TestEvaluate:
     def test_one_form_pairing(self):
         p = (2.0, 3.0, 0.0)
         a = one_form(["y", "x", "0"], p)
-        v = VectorValue(tuple(Jet.constant(c, 3, 2) for c in (1.0, 1.0, 5.0)))
+        v = vector(["1", "1", "5"], p)
         assert a.evaluate(v).value == 5.0
 
 
@@ -91,19 +101,19 @@ class TestInteriorProduct:
         p = (0.1, 0.2, 0.3)
         a = one_form(["y", "0", "x"], p)
         b = one_form(["1", "z", "0"], p)
-        v = VectorValue(tuple(jet_of(t, p) for t in ("z", "1", "x*y")))
+        v = vector(["z", "1", "x*y"], p)
         # antiderivation: i_v(a ^ b) = a(v) b - b(v) a
         lhs = interior_product(v, wedge(a, b))
         av = a.evaluate(v)
         bv = b.evaluate(v)
-        rhs = b.scale(av) - a.scale(bv)
-        for idx in increasing_indices(3, 1):
-            assert lhs.comp(idx).value == pytest.approx(rhs.comp(idx).value, abs=1e-14)
+        rhs = b.array * av - a.array * bv
+        assert lhs.idx == a.idx
+        assert max_abs(lhs.array - rhs) < 1e-14
 
     def test_contraction_drops_degree(self):
         p = (0.1, 0.2, 0.3)
         a = one_form(["y", "0", "x"], p)
-        v = VectorValue(tuple(jet_of(t, p) for t in ("1", "2", "3")))
+        v = vector(["1", "2", "3"], p)
         out = interior_product(v, a)
         assert out.degree == 0
         assert out.comp(()).value == pytest.approx(a.evaluate(v).value)
@@ -126,14 +136,14 @@ class TestExteriorDerivative:
         ddf = f.d().d()
         p = (0.3, 0.1, -0.6)
         val = ddf.eval(p, 0)
-        assert val.max_abs_value() == 0.0
+        assert max_abs(val.array) == 0.0
 
     def test_d_squared_zero_jet_route(self):
         f = FormField.one_form([parse_expr(t, XYZ) for t in ("x*y*z", "sin(x)+z^2", "exp(y)")])
         p = (0.3, 0.1, -0.6)
         df = f.eval(p, 2)
         ddf = d_from_jets(d_from_jets(df))
-        assert ddf.max_abs_value() < 1e-13
+        assert max_abs(ddf.array) < 1e-13
 
     def test_jet_route_matches_symbolic(self):
         f = FormField(3, 1, {
@@ -155,11 +165,10 @@ class TestExteriorDerivative:
         p = (0.4, 0.6, -0.2)
         ab = wedge(a.eval(p, 2), b.eval(p, 2))
         lhs = d_from_jets(ab)
-        rhs = wedge(a.d().eval(p, 1), b.eval(p, 1)) - wedge(
+        rhs = wedge(a.d().eval(p, 1), b.eval(p, 1)).array - wedge(
             a.eval(p, 1), b.d().eval(p, 1)
-        )
-        for idx in increasing_indices(3, 3):
-            assert abs(lhs.comp(idx).value - rhs.comp(idx).value) < 1e-11
+        ).array
+        assert max_abs(lhs.array - rhs) < 1e-11
 
 
 class TestCoframe:
@@ -207,7 +216,7 @@ def test_increasing_indices_count():
     assert list(increasing_indices(3, 0)) == [()]
 
 
-# -- array kernels against the scalar loops they replaced ----------------------
+# -- array kernels against loops over single jets ----------------------------
 
 
 def same_jet(a, b):
@@ -225,7 +234,7 @@ class TestKernelsBitForBit:
     P = (0.3, -0.4, 0.8)
 
     def vectors(self, texts):
-        return [VectorValue(tuple(jet_of(t, self.P) for t in row)) for row in texts]
+        return [vector(row, self.P) for row in texts]
 
     def test_evaluate_forms_all_pairs(self):
         from contactconn.forms import evaluate_forms
@@ -234,11 +243,11 @@ class TestKernelsBitForBit:
             one_form(["y*z", "1 + x", "sin(y)"], self.P), one_form(["x", "z^2", "2"], self.P)
         )
         vs = self.vectors([("1", "x", "y*y"), ("z", "1 + y", "x*z"), ("2", "0", "cos(x)")])
-        stack = JetArray.from_jets([v.comps for v in vs])
-        got = evaluate_forms(a.array, list(a.comps), stack, stack).jets()
+        vt = stack([v.array for v in vs])
+        got = evaluate_forms(a.array, a.idx, vt, vt)
         for i, u in enumerate(vs):
             for j, w in enumerate(vs):
-                assert same_jet(got[i][j], scalar_evaluate(a, u, w))
+                assert same_jet(got[i, j], scalar_evaluate(a, u, w))
                 assert same_jet(a.evaluate(u, w), scalar_evaluate(a, u, w))
 
     def test_evaluate_three_form(self):
@@ -250,18 +259,58 @@ class TestKernelsBitForBit:
 
     def test_apply_vector_matches_scalar_fold(self):
         from contactconn.forms import apply_vector
-        from contactconn.jets import sum_jets
 
         vs = self.vectors([("1 + y", "x*z", "sin(z)"), ("z", "2", "x")])
-        fs = [jet_of(t, self.P) for t in ("x*y*z", "exp(x) + y", "1/(2 + z)")]
-        got = apply_vector(
-            JetArray.from_jets([v.comps for v in vs]), JetArray.from_jets(fs)
-        ).jets()
+        fs = jets_of(["x*y*z", "exp(x) + y", "1/(2 + z)"], self.P)
+        got = apply_vector(stack([v.array for v in vs]), fs)
         for i, v in enumerate(vs):
-            for j, f in enumerate(fs):
-                want = sum_jets(vi * f.partial(k) for k, vi in enumerate(v.comps))
-                assert same_jet(got[i][j], want)
+            for j in range(len(fs)):
+                f = fs[j]
+                want = sum_jets(v.array[k] * f.partials()[k] for k in range(3))
+                assert same_jet(got[i, j], want)
                 assert same_jet(apply_vector(v, f), want)
+
+
+class TestDFromJets:
+    """d_from_jets against the loop it stands for: component o is the left
+    fold, from 0.0, of (-1)^t times the o_t-partial of component
+    o without o_t."""
+
+    @staticmethod
+    def scalar_d(a):
+        out = []
+        for o in increasing_indices(a.dim, a.degree + 1):
+            acc = 0.0
+            for t, i in enumerate(o):
+                term = a.comp(o[:t] + o[t + 1 :]).partials()[i]
+                acc = acc + term if t % 2 == 0 else acc - term
+            out.append(acc)
+        return out
+
+    @pytest.mark.parametrize("dim", [3, 5, 7])
+    def test_every_degree_matches_loop(self, dim):
+        rng = np.random.default_rng(dim)
+        for degree in range(dim):
+            a = random_form(rng, dim, degree, (1, 2))
+            got = d_from_jets(a)
+            assert got.degree == degree + 1
+            for x, want in enumerate(self.scalar_d(a)):
+                assert same_bits(got.array[x], want)
+
+    def test_stacked_forms_match_one_by_one(self):
+        rng = np.random.default_rng(11)
+        rows = [random_form(rng, 5, 1, (1, 2)) for _ in range(4)]
+        got = d_from_jets(KFormValue(1, stack([r.array for r in rows])))
+        assert got.array.shape == (4, 10)
+        for b, row in enumerate(rows):
+            one = d_from_jets(row)
+            for x in range(10):
+                assert same_bits(got.array[b, x], one.array[x])
+
+    def test_needs_order_one(self):
+        p = (0.1, 0.2, 0.3)
+        with pytest.raises(ValueError):
+            d_from_jets(one_form(["x", "y", "z"], p, order=0))
 
 
 def random_form(rng, dim, degree, orders, keys=None):
@@ -276,22 +325,27 @@ def random_form(rng, dim, degree, orders, keys=None):
 
     if keys is None:
         keys = list(increasing_indices(dim, degree))
-    comps = {}
-    for key in keys:
+    n = len(keys)
+    value, grad, hess = np.zeros(n), np.zeros((n, dim)), np.zeros((n, dim, dim))
+    order = np.zeros(n, dtype=np.int8)
+    for x in range(n):
         k = int(rng.choice(orders))
         h = rng.normal(size=(dim, dim))
-        comps[key] = Jet(
-            dim,
-            k,
-            float(sprinkle(rng.normal())),
-            sprinkle(rng.normal(size=dim)) if k >= 1 else None,
-            sprinkle(h + h.T) if k >= 2 else None,
-        )
-    return KFormValue(dim, degree, comps)
+        order[x] = k
+        value[x] = sprinkle(rng.normal())
+        if k >= 1:
+            grad[x] = sprinkle(rng.normal(size=dim))
+        if k >= 2:
+            hess[x] = sprinkle(h + h.T)
+    top = max(orders)
+    arr = JetArray(
+        dim, value, grad if top >= 1 else None, hess if top >= 2 else None, order
+    )
+    return KFormValue(degree, arr, tuple(keys))
 
 
 def same_bits(a, b):
-    """Jets equal part by part, signed zeros told apart."""
+    """Single jets equal part by part, signed zeros told apart."""
     parts = [(a.value, b.value), (a.grad, b.grad), (a.hess, b.hess)]
     return a.order == b.order and all(
         (x is None) == (y is None)
@@ -305,15 +359,15 @@ def same_bits(a, b):
 
 def assert_same_form(got, want):
     assert (got.dim, got.degree) == (want.dim, want.degree)
-    assert list(got.comps) == list(want.comps)
-    for key in want.comps:
-        assert same_bits(got.comps[key], want.comps[key]), key
+    assert got.idx == want.idx
+    for x, key in enumerate(want.idx):
+        assert same_bits(got.array[x], want.array[x]), key
 
 
 class TestEvaluateFormsOrderCut:
     """evaluate_forms builds its determinants at the coefficients' top
     order; vector stacks of higher order give the bits of stacks cut to
-    that order beforehand and of the scalar loop."""
+    that order beforehand and of the loop over single jets."""
 
     @pytest.mark.parametrize("coeff_orders", [(0,), (1,), (0, 1)])
     @pytest.mark.parametrize("dim", [3, 5, 7])
@@ -323,7 +377,7 @@ class TestEvaluateFormsOrderCut:
         rng = np.random.default_rng([dim, *coeff_orders])
 
         def vector(orders):
-            return VectorValue(tuple(random_form(rng, dim, 1, orders).comps.values()))
+            return VectorValue(random_form(rng, dim, 1, orders).array)
 
         for degree in (1, 2, 3):
             a = random_form(rng, dim, degree, coeff_orders)
@@ -332,11 +386,11 @@ class TestEvaluateFormsOrderCut:
                 [vector((2,) if r % 2 == 0 else (1, 2)) for _ in range(2)]
                 for r in range(degree)
             ]
-            stacks = [JetArray.from_jets([v.comps for v in vs]) for vs in vecs]
+            stacks = [stack([v.array for v in vs]) for vs in vecs]
             top = a.array.top
             assert all(s.top > top for s in stacks)
-            got = evaluate_forms(a.array, list(a.comps), *stacks)
-            cut = evaluate_forms(a.array, list(a.comps), *(s.restrict(top) for s in stacks))
+            got = evaluate_forms(a.array, a.idx, *stacks)
+            cut = evaluate_forms(a.array, a.idx, *(s.restrict(top) for s in stacks))
             assert got.top == cut.top == top
             assert np.array_equal(got.order, cut.order)
             for part in ("value", "grad", "hess"):
@@ -345,11 +399,11 @@ class TestEvaluateFormsOrderCut:
                 if x is not None:
                     assert np.array_equal(x, y)
                     assert np.array_equal(np.signbit(x), np.signbit(y))
-            flat = got.reshape(-1).jets()
+            flat = got.reshape(-1)
             picks = np.stack(np.meshgrid(*[range(2)] * degree, indexing="ij"), -1)
-            for g, pick in zip(flat, picks.reshape(-1, degree)):
+            for i, pick in enumerate(picks.reshape(-1, degree)):
                 want = scalar_evaluate(a, *(vecs[r][u] for r, u in enumerate(pick)))
-                assert same_bits(g, want)
+                assert same_bits(flat[i], want)
 
 
 class TestWedgeKernel:
@@ -365,7 +419,7 @@ class TestWedgeKernel:
 
     def test_sparse_shuffled_mixed_order_components(self):
         # Keys with fewer terms than others are padded with -0.0 in the
-        # kernel; component dicts in any order fold in that order.
+        # kernel; components on any index list fold in that list's order.
         rng = np.random.default_rng(5)
         dim = 5
         for da, db in [(1, 1), (1, 2), (2, 2), (2, 3), (0, 3)]:

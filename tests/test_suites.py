@@ -13,7 +13,6 @@ from contactconn.errors import (
     LinearSolveResidualError,
     SuiteUnavailableError,
 )
-from contactconn.jets import JetArray
 from contactconn.registry import (
     SUITE_NAMES,
     SUITES_3D_ONLY,
@@ -172,9 +171,9 @@ class TestPointIsolation:
         assert rep.skipped_points < rep.requested_points
 
     def test_solve_residual_failure_skips_the_point(self, monkeypatch):
-        import contactconn.suites as suites_mod
+        import contactconn.contact as contact_mod
 
-        real = suites_mod.adapted_frame
+        real = contact_mod.adapted_frame
         calls = []
 
         def flaky(cs, p, **kwargs):
@@ -183,7 +182,7 @@ class TestPointIsolation:
                 raise LinearSolveResidualError("solve residual 1e-3 exceeds contract bound")
             return real(cs, p, **kwargs)
 
-        monkeypatch.setattr(suites_mod, "adapted_frame", flaky)
+        monkeypatch.setattr(contact_mod, "adapted_frame", flaky)
         rep = run_suites(get_manifold("heisenberg"), ["contact"], points=3)
         assert [r.skipped for r in rep.points] == [True, False, False]
         assert rep.points[0].reason == "solve residual 1e-3 exceeds contract bound"
@@ -277,39 +276,6 @@ class TestPerPointState:
         }
 
 
-    # Tensors are stored once, as JetArrays; a run converts between
-    # JetArrays and scalar Jets only where a scalar Jet is stored (mu,
-    # theta_hat, T, the 3D structure data) or needed (the rotation angle),
-    # and a form or vector value built from a JetArray keeps it as its
-    # array view. With nested-Jet copies of every tensor the same runs
-    # made 27.25 from_jets and 31.0 jets calls per usable point on heis7
-    # and 49.25 and 40.0 on sphere-chart; with d(theta_hat) a form value
-    # of Jets, 7 and 10 from_jets; with theta_hat and T converted back
-    # from their Jets, 6 and 9.
-    @pytest.mark.parametrize(
-        "name, suites, from_jets, jets",
-        [("heis7.json", CORE, 3, 4), ("sphere-chart", ALL_3D, 6, 9)],
-    )
-    def test_conversions_per_usable_point(self, monkeypatch, name, suites, from_jets, jets):
-        counts = {"from_jets": 0, "jets": 0}
-        real_from_jets, real_jets = JetArray.from_jets, JetArray.jets
-
-        def counted_from_jets(x):
-            counts["from_jets"] += 1
-            return real_from_jets(x)
-
-        def counted_jets(self):
-            counts["jets"] += 1
-            return real_jets(self)
-
-        monkeypatch.setattr(JetArray, "from_jets", staticmethod(counted_from_jets))
-        monkeypatch.setattr(JetArray, "jets", counted_jets)
-        spec = load_spec(CHARTS_DIR / name) if name.endswith(".json") else get_manifold(name)
-        rep = run_suites(spec, suites, points=2)
-        usable = rep.requested_points - rep.skipped_points
-        assert usable == 2
-        assert counts == {"from_jets": from_jets * usable, "jets": jets * usable}
-
     # Every sum over a long term axis goes through fold_chunks. The
     # promotion system folds all frame pairs at once, graded products
     # are array kernels, and a slice holds 16384 floats of the highest
@@ -345,12 +311,14 @@ class TestPerPointState:
         assert counts == {"calls": calls * usable, "slices": slices * usable}
 
     # Every kernel runs at the order its result is read: pairings build
-    # their determinants at the coefficients' order, and the suites'
-    # value checks run on order-0 jets. With every pairing and check
-    # built at order 2, the same runs made 237 order-2 products per
-    # usable point on heis7 and 101 on sphere-chart.
+    # their determinants at the coefficients' order, the suites' value
+    # checks run on order-0 jets, the Reeb solve cuts theta to the order
+    # of dtheta and the promotion's den is built at order 1. With every
+    # pairing and check built at order 2, the same runs made 237 order-2
+    # products per usable point on heis7 and 101 on sphere-chart; with
+    # the Reeb theta and den at order 2, 117 and 77.
     @pytest.mark.parametrize(
-        "name, suites, products", [("heis7.json", CORE, 117), ("sphere-chart", ALL_3D, 77)]
+        "name, suites, products", [("heis7.json", CORE, 115), ("sphere-chart", ALL_3D, 75)]
     )
     def test_order2_products_per_usable_point(self, monkeypatch, name, suites, products):
         from contactconn import jets

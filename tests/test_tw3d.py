@@ -71,8 +71,9 @@ class TestStructureEquations:
         # shifting a Reeb coefficient by a function with nonzero H-gradient
         # knocks the mixed structure values off the solvable locus
         x_jet = eval_jet(parse_expr("x", heisenberg.coords), P3, 2)
-        c = frame.c.jets()
-        bad = dataclasses.replace(frame, c=JetArray.from_jets([c[0] + x_jet, c[1]]))
+        shift = JetArray.constant(0.0, frame.dim, (2,))
+        shift[0] = x_jet
+        bad = dataclasses.replace(frame, c=frame.c + shift)
         with pytest.raises(InconsistentStructureError):
             solve_structure_equations(TWCoframe(bad, cf.coords))
 

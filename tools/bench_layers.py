@@ -5,10 +5,12 @@ five suites (dim 3), n2-split (dim 5) and the 7D Heisenberg chart of
 perfbench (dim 7), both with the core suites. Each pass is one `analyze`
 of POINTS points (run_suites plus render_report); the untraced passes
 give the wall time per usable point, then the same passes run under
-perfbench's tracer for each layer's self time per usable point, and once
-more with fold_chunks and the product rule counted, the products split
-by the jet order they ran at. Prints one JSON object with the medians
-over passes.
+perfbench's tracer, extended to every layer in LAYERS that perfbench
+does not span (ContactStructure.inputs_at, which runs the input tape)
+and without its jet-operation counter, for each layer's self time per
+usable point, and once more with fold_chunks and the product rule
+counted, the products split by the jet order they ran at. Prints one
+JSON object with the medians over passes.
 
     python3 tools/bench_layers.py [--src PATH] [--passes N]
 
@@ -37,6 +39,7 @@ CHARTS = (
 POINTS = 4
 
 LAYERS = (
+    "contact.ContactStructure.inputs_at",
     "contact.check_contact",
     "contact.adapted_frame",
     "connection.canonical_partial_connection",
@@ -57,6 +60,12 @@ def measure(src: Path, passes: int) -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import numpy as np
     import tracer as tr
+
+    tr.SPANNED = tuple(tr.SPANNED) + tuple(x for x in LAYERS if x not in tr.SPANNED)
+    # Jet arithmetic is not reported here, so it is not wrapped either: a
+    # counting wrapper on every jet operation would weigh on the self
+    # times of whichever commit routes more arithmetic through jets.Jet.
+    tr.JET_OPS = ()
     from contactconn import jets
     from contactconn.registry import get_manifold, load_spec
     from contactconn.report import render_report
