@@ -35,9 +35,10 @@ from .contact import (
     ContactStructure,
     adapted_frame,
     frame_pair_matrix,
+    max_abs,
 )
 from .errors import SymmetryError
-from .forms import FormField, VectorValue, apply_vector
+from .forms import FormField, apply_vector
 from .jets import JetArray, fold_chunks
 
 
@@ -105,7 +106,7 @@ class PartialConnection:
         directly.
         """
         frame = self.frame
-        der = nabla_H(self, frame_vector(frame.express_vector(VectorValue(vector))))
+        der = nabla_H(self, frame_vector(frame.express_vector(vector)))
         back = _contract(der.transpose(1, 0)[:, :, None], frame.frame_array[:, None, :]).value
         return frame.coframe_array.value[1:].T @ back
 
@@ -125,29 +126,6 @@ class PartialConnection:
         return kap
 
 
-@dataclass(frozen=True)
-class TorsionTensor:
-    """Torsion components per coframe element.
-
-    comps[A, P, Q] is the coefficient of the P^Q basis 2-form in the
-    torsion of the A-th coframe element (A = 0 is theta_hat). For partial
-    torsion P, Q run over H only; for full torsion index 0 is the Reeb
-    direction. Antisymmetric in (P, Q) by construction.
-    """
-
-    comps: JetArray
-
-    def theta_row(self) -> JetArray:
-        return self.comps[0]
-
-    def max_abs(self, rows=None) -> float:
-        v = self.comps.value if rows is None else self.comps.value[list(rows)]
-        return max(np.abs(v).ravel().tolist())
-
-    def max_abs_h_rows(self) -> float:
-        return self.max_abs(rows=range(1, len(self.comps)))
-
-
 def base_partial_connection(frame: AdaptedFrame) -> PartialConnection:
     """The torsion-free reference connection Gamma^b_{ac} = -D^b_{ac}/2.
 
@@ -157,9 +135,11 @@ def base_partial_connection(frame: AdaptedFrame) -> PartialConnection:
     return PartialConnection(frame, frame.D.transpose(1, 0, 2) * -0.5)
 
 
-def partial_torsion(conn: PartialConnection) -> TorsionTensor:
+def partial_torsion(conn: PartialConnection) -> JetArray:
     """Antisymmetrized connection action minus the H-restricted exterior
-    derivative, per coframe element.
+    derivative, per coframe element: entry [A, a, c] is the coefficient
+    of e^a ^ e^c in the torsion of the A-th coframe element (A = 0 is
+    theta_hat), antisymmetric in (a, c) by construction.
 
     The theta_hat row always equals the nondegenerate 2-form itself (the
     connection differentiates theta_hat into that 2-form twice, d once);
@@ -172,7 +152,7 @@ def partial_torsion(conn: PartialConnection) -> TorsionTensor:
     d_part = JetArray.constant(0.0, frame.dim, (m + 1, m, m))
     d_part[0] = frame.Omega
     d_part[1:] = frame.D
-    return TorsionTensor(rows - rows.transpose(0, 2, 1) - d_part)
+    return rows - rows.transpose(0, 2, 1) - d_part
 
 
 def canonical_partial_connection(
@@ -330,6 +310,8 @@ class FullConnection:
         Contracts the frame derivative back through the coframe so that
         results from differently-framed connections can be compared.
         """
+        if alpha.degree != 1:
+            raise ValueError("coordinate_action is implemented for 1-forms")
         frame = self.frame
         deriv = self.derivative_of_oneform(frame.express(alpha.eval(frame.p, 2)))
         co_vals = frame.coframe_array.value
@@ -400,14 +382,14 @@ def promotion_residual(fc: FullConnection) -> float:
         raise ValueError("promotion residual needs the underlying partial connection")
     num, den = fc.partial.promotion_system
     dv = float(den.value)
-    return max((np.abs(num.value + dv * fc.xi.value) / dv).ravel().tolist())
+    return max_abs((num.value + dv * fc.xi.value) / dv)
 
 
-def full_torsion(fc: FullConnection) -> TorsionTensor:
+def full_torsion(fc: FullConnection) -> JetArray:
     """Exterior derivative minus antisymmetrized full covariant
-    derivative of each coframe element, in the coframe pair basis.
-
-    Index 0 of the input slots is the Reeb direction.
+    derivative of each coframe element, in the coframe pair basis: entry
+    [A, P, Q] is the coefficient of the P^Q basis 2-form in the torsion
+    of the A-th coframe element, index 0 of P and Q the Reeb direction.
     """
     frame = fc.frame
     m = 2 * frame.n
@@ -420,4 +402,4 @@ def full_torsion(fc: FullConnection) -> TorsionTensor:
     iu, ju = np.triu_indices(m, 1)
     hh = JetArray.constant(0.0, frame.dim, (m + 1, m, m))
     hh[:, iu, ju] = d_vals[:, iu + 1, ju + 1] - (kap[:, iu, ju + 1] - kap[:, ju, iu + 1])
-    return TorsionTensor(frame_pair_matrix(reeb, hh))
+    return frame_pair_matrix(reeb, hh)

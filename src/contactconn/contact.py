@@ -22,6 +22,8 @@ Conventions fixed here and relied on everywhere downstream:
   projection whenever the Reeb field is parallel to d_m, which covers the
   model structures.
 - In dimension 3 the frame is oriented so d(theta_hat)(X1, X2) = +1.
+- Form and vector values (theta, dtheta, theta_hat, T) are the JetArrays
+  of their components, laid out as forms.py describes.
 """
 
 from __future__ import annotations
@@ -40,15 +42,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .expressions import Expr
-from .forms import (
-    FormField,
-    KFormValue,
-    VectorValue,
-    d_from_jets,
-    evaluate_forms,
-    increasing_indices,
-    wedge_arrays,
-)
+from .forms import FormField, d_from_jets, evaluate_forms, wedge
 from .jets import JetArray, Tape, fold_chunks, jet_linear_solve
 
 CONTACT_REL_TOL = 1e-10
@@ -100,40 +94,40 @@ class ContactStructure:
         """theta's components, dtheta's components and g's entries, in that
         order, compiled once per structure into one tape."""
         d = self.dim
-        exprs = [self.theta.coeff((i,)) for i in range(d)]
-        exprs += [self.dtheta.coeff(idx) for idx in increasing_indices(d, 2)]
-        exprs += [self.g[i][j] for i in range(d) for j in range(d)]
-        return Tape(exprs)
+        exprs = self.theta.components() + self.dtheta.components()
+        return Tape(exprs + [self.g[i][j] for i in range(d) for j in range(d)])
 
     def inputs_at(self, p) -> "PointInputs":
         """theta, dtheta and g at p as order-ORDER jets, one evaluation of
         the input tape. Raises ExprDomainError where an input cannot be
-        evaluated to that order."""
+        evaluated to that order, ValueError for a point that does not
+        have one coordinate per chart coordinate."""
         d = self.dim
+        if len(p) != d:
+            raise ValueError(f"point has {len(p)} coordinates, the chart has {d}")
         out = self.input_tape.eval(p, ORDER)
         k = d + d * (d - 1) // 2
-        return PointInputs(
-            theta=KFormValue(1, out[:d]),
-            dtheta=KFormValue(2, out[d:k]),
-            G=out[k:].reshape(d, d),
-        )
-
-    def with_theta(self, theta: FormField) -> "ContactStructure":
-        return ContactStructure(self.coords, theta, self.g, self.box)
+        return PointInputs(theta=out[:d], dtheta=out[d:k], G=out[k:].reshape(d, d))
 
 
 @dataclass(frozen=True)
 class PointInputs:
-    """The chart's inputs at one point as order-ORDER jets: theta and
-    dtheta as form values and the metric G as a (dim, dim) JetArray.
+    """The chart's inputs at one point as order-ORDER jets: the form
+    values theta (dim,) and dtheta (K,) and the metric G (dim, dim).
     Built once per point by ContactStructure.inputs_at and passed as
     inputs= to everything that reads them; a reader needing a lower order
     restricts the jets, which is exact (value and gradient rules read no
     higher part)."""
 
-    theta: KFormValue
-    dtheta: KFormValue
+    theta: JetArray
+    dtheta: JetArray
     G: JetArray
+
+
+def max_abs(values: np.ndarray) -> float:
+    """The largest absolute entry, at least 0.0, as a Python float: the
+    one reduction every scale and residual goes through."""
+    return max([0.0] + np.abs(values).ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -152,26 +146,22 @@ def check_contact(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
     structure's inputs at p; otherwise they are evaluated here.
     """
     inputs = inputs or cs.inputs_at(p)
-    d = cs.dim
-    t = inputs.theta.array.restrict(0)
-    dt = inputs.dtheta.array.restrict(0)
-    dt_idx = inputs.dtheta.idx
-    top, idx = t, inputs.theta.idx
+    t = inputs.theta.restrict(0)
+    dt = inputs.dtheta.restrict(0)
+    top = t
     for r in range(cs.n):
-        top = wedge_arrays(top, idx, dt, dt_idx, d)
-        idx = list(increasing_indices(d, 3 + 2 * r))
+        top = wedge(top, 1 + 2 * r, dt, 2)
     (coefficient,) = top.value.tolist()
-    scale = max(np.abs(t.value).tolist()) * max(np.abs(dt.value).tolist()) ** cs.n
+    scale = max_abs(t.value) * max_abs(dt.value) ** cs.n
     return ContactCheck(abs(coefficient) > CONTACT_REL_TOL * scale, coefficient, scale)
 
 
-def _reeb_from_values(theta: JetArray, dt: JetArray) -> VectorValue:
+def _reeb_from_values(theta: JetArray, dt: JetArray) -> JetArray:
     """Solve the square system whose unique solution is the Reeb field.
 
-    theta holds the 1-form's components (dim,), dt the 2-form's on the
-    increasing pairs (i, j), in increasing_indices order. Row j reads
-    sum_i [dt(d_i, d_j) + theta_j theta_i] T^i = theta_j, the diagonal's
-    dt(d_i, d_i) a constant zero jet. Any solution satisfies
+    theta holds the 1-form's components (dim,), dt the 2-form's (K,).
+    Row j reads sum_i [dt(d_i, d_j) + theta_j theta_i] T^i = theta_j,
+    the diagonal's dt(d_i, d_i) a constant zero jet. Any solution satisfies
     theta(T) = 1 and T . dtheta = 0, and the matrix is invertible exactly
     at contact points. The solution has the order of dt at most, so theta
     is cut to it first.
@@ -189,23 +179,15 @@ def _reeb_from_values(theta: JetArray, dt: JetArray) -> VectorValue:
         raise NotContactError(
             "Reeb system is singular: the form is not contact at this point"
         ) from None
-    return VectorValue(sol)
+    return sol
 
 
-def reeb_field(cs_or_theta, p, inputs: PointInputs | None = None) -> VectorValue:
-    """Unique vector with T . theta = 1, T . dtheta = 0.
-
-    Accepts a ContactStructure (the raw theta is used, differentiated
-    structurally at full order; inputs, when given, are its inputs at p)
-    or a jet-backed 1-form value, whose exterior derivative must then come
-    from the jets, costing one order.
-    """
-    if isinstance(cs_or_theta, ContactStructure):
-        inputs = inputs or cs_or_theta.inputs_at(p)
-        return _reeb_from_values(inputs.theta.array, inputs.dtheta.array)
-    if isinstance(cs_or_theta, KFormValue) and cs_or_theta.degree == 1:
-        return _reeb_from_values(cs_or_theta.array, d_from_jets(cs_or_theta).array)
-    raise TypeError("expected a ContactStructure or a 1-form value")
+def reeb_field(cs: ContactStructure, p, inputs: PointInputs | None = None) -> JetArray:
+    """Unique vector with T . theta = 1, T . dtheta = 0, of the raw theta
+    with dtheta differentiated structurally, so at full order; inputs,
+    when given, are the structure's inputs at p."""
+    inputs = inputs or cs.inputs_at(p)
+    return _reeb_from_values(inputs.theta, inputs.dtheta)
 
 
 def _select_h_indices(theta_values) -> tuple[tuple[int, ...], int]:
@@ -261,42 +243,35 @@ def _jet_matrix_inverse(M: JetArray) -> JetArray:
     return inv
 
 
-def _form_pairs(form: JetArray, U: JetArray, V: JetArray) -> JetArray:
-    """A 2-form, given by its components on the increasing pairs in
-    increasing_indices order, on every pair of rows of the vector stacks
-    U and V."""
-    return evaluate_forms(form, list(increasing_indices(U.shape[1], 2)), U, V)
-
-
 def _h_gram_and_omega(inputs: PointInputs, h_choice=None):
-    """Shared setup, as jet arrays: theta's components, the H-projected
-    coordinate basis (one vector per row), the metric, its Gram matrix on
-    that basis, dtheta at the point, and the dtheta matrix on that basis."""
-    theta = inputs.theta.array
+    """Shared setup, as jet arrays: the kept coordinate directions and the
+    transversal one, the H-projected coordinate basis (one vector per
+    row), the metric's Gram matrix on that basis, and the dtheta matrix
+    on that basis."""
+    theta = inputs.theta
     d = len(theta)
     if h_choice is None:
         kept, m = _select_h_indices(theta.value)
     else:
         kept = tuple(sorted(h_choice))
-        if len(kept) != d - 1 or len(set(kept)) != d - 1:
-            raise ValueError("h_choice must name 2n distinct coordinate indices")
+        if len(kept) != d - 1 or len(set(kept)) != d - 1 or not set(kept) <= set(range(d)):
+            raise ValueError(
+                f"h_choice {tuple(h_choice)} must name {d - 1} distinct coordinate "
+                f"indices in range({d})"
+            )
         (m,) = set(range(d)) - set(kept)
-        peak = float(np.max(np.abs(theta.value)))
-        if abs(theta.value[m]) <= 1e-10 * max(peak, 1.0):
+        if abs(theta.value[m]) <= 1e-10 * max(max_abs(theta.value), 1.0):
             raise DegenerateFrameError(
                 "chosen transversal direction has a vanishing theta component"
             )
     basis = _project_onto_h(theta, m, kept)
-    G = inputs.G
-    gram = _metric_pairs(G, basis, basis)
+    gram = _metric_pairs(inputs.G, basis, basis)
     eigs = np.linalg.eigvalsh(gram.value)
     if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
         raise DegenerateMetricError(
             "metric restricted to the contact distribution is not positive definite"
         )
-    dt = inputs.dtheta
-    omega = _form_pairs(dt.array, basis, basis)
-    return theta, kept, m, basis, G, gram, dt, omega
+    return kept, m, basis, gram, evaluate_forms(inputs.dtheta, basis, basis)
 
 
 def _mu(gram: JetArray, omega: JetArray) -> JetArray:
@@ -320,43 +295,18 @@ def _mu(gram: JetArray, omega: JetArray) -> JetArray:
     return (float(m) / norm2).sqrt()
 
 
-def normalize_theta(cs: ContactStructure, p) -> JetArray:
-    """The positive scale mu with theta_hat = mu * theta normalized, a
-    single jet."""
-    _, _, _, _, _, gram, _, omega = _h_gram_and_omega(cs.inputs_at(p))
-    return _mu(gram, omega)
-
-
-@dataclass(frozen=True)
-class LambdaSpectrum:
-    """Invariants lambda_1 >= ... >= lambda_n > 0 of the normalized
-    2-form against g; their squares sum to n."""
-
-    values: tuple[float, ...]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-
 @dataclass(frozen=True)
 class AdaptedFrame:
     """Everything frame-shaped at one point, jet-valued.
 
-    The scalar mu is a single jet (a 0-d JetArray), theta_hat a form
-    value and T a vector value; the tensors are JetArrays: d(theta_hat)
-    (K,) on the K increasing coordinate pairs, in increasing_indices
-    order; the frame vectors X
-    (2n, dim), one per row; the coframe H-parts f (2n, dim), one 1-form
-    per row, and their exterior derivatives df (2n, K); their Reeb
-    coefficients c (2n,); the matrix Omega (2n, 2n) of d(theta_hat) on
-    frame pairs; and the structure values D (2n, 2n, 2n), entry
-    [b, a, c] = d(e^b)(X_a, X_c).
+    The scalar mu is a single jet (a 0-d JetArray); everything else is a
+    JetArray too: the form value theta_hat (dim,) and its exterior
+    derivative dtheta_hat (K,), on the K increasing coordinate pairs; the
+    Reeb vector T (dim,); the frame vectors X (2n, dim), one per row; the
+    coframe H-parts f (2n, dim), one 1-form per row, their exterior
+    derivatives df (2n, K) and their Reeb coefficients c (2n,); the
+    matrix Omega (2n, 2n) of d(theta_hat) on frame pairs; and the
+    structure values D (2n, 2n, 2n), entry [b, a, c] = d(e^b)(X_a, X_c).
 
     Achieved jet orders, determined by what each piece consumes:
     theta_hat and X carry order 2, dtheta_hat and T order 1, Omega order
@@ -369,9 +319,9 @@ class AdaptedFrame:
 
     p: tuple[float, ...]
     mu: JetArray
-    theta_hat: KFormValue
+    theta_hat: JetArray
     dtheta_hat: JetArray
-    T: VectorValue
+    T: JetArray
     X: JetArray
     f: JetArray
     df: JetArray
@@ -393,7 +343,7 @@ class AdaptedFrame:
     def coframe_array(self) -> JetArray:
         """Components of the full coframe (theta_hat, e^1, ..., e^2n), one
         1-form per row: shape (2n+1, dim)."""
-        th = self.theta_hat.array
+        th = self.theta_hat
         co = JetArray.constant(0.0, self.dim, (2 * self.n + 1, self.dim))
         co[0] = th
         co[1:] = self.f + th[None, :] * self.c[:, None]
@@ -403,27 +353,24 @@ class AdaptedFrame:
     def frame_array(self) -> JetArray:
         """The full frame (T, X_1, ..., X_2n), one vector per row."""
         fa = JetArray.constant(0.0, self.dim, (2 * self.n + 1, self.dim))
-        fa[0] = self.T.array
+        fa[0] = self.T
         fa[1:] = self.X
         return fa
 
-    def express(self, a: KFormValue) -> JetArray:
-        """Coframe components of a 1-form value by frame pairing:
+    def express(self, a: JetArray) -> JetArray:
+        """Coframe components of a 1-form value (dim,) by frame pairing:
         [a(T), a(X_1), ..., a(X_2n)]."""
-        if a.degree != 1:
-            raise ValueError("express expects a 1-form value")
-        return evaluate_forms(a.array, a.idx, self.frame_array)
+        return evaluate_forms(a, self.frame_array)
 
-    def express_vector(self, v: VectorValue) -> JetArray:
-        """Frame components of a vector value by coframe pairing:
+    def express_vector(self, v: JetArray) -> JetArray:
+        """Frame components of a vector value (dim,) by coframe pairing:
         [theta_hat(v), e^1(v), ..., e^2n(v)]."""
-        return self.pair_coframe(v.array[None])[:, 0]
+        return self.pair_coframe(v[None])[:, 0]
 
     def pair_coframe(self, vectors: JetArray) -> JetArray:
         """Every coframe element on every vector of a (k, dim) stack:
         entry [A, j] is sigma^A(vectors[j])."""
-        d = self.dim
-        return evaluate_forms(self.coframe_array, [(i,) for i in range(d)], vectors)
+        return evaluate_forms(self.coframe_array, vectors)
 
     @cached_property
     def d_pairs(self) -> JetArray:
@@ -437,20 +384,20 @@ class AdaptedFrame:
         d(f + c theta_hat) piecewise at order 0.
         """
         m = 2 * self.n
-        T = self.T.array[None]
+        T = self.T[None]
         X = self.X
-        idx = list(increasing_indices(self.dim, 2))
-        i, j = np.array(idx, dtype=np.intp).T
-        dth = evaluate_forms(self.dtheta_hat, idx, T, X)[0]
-        # dc ^ theta_hat on (i, j): (0 + dc_i th_j) - dc_j th_i, as wedge sums.
+        i, j = np.triu_indices(self.dim, 1)
+        dth = evaluate_forms(self.dtheta_hat, T, X)[0]
+        # dc ^ theta_hat on the increasing pairs (i, j): (0 + dc_i th_j) -
+        # dc_j th_i, as wedge sums.
         dc = self.c.partials()
-        th = self.theta_hat.array
+        th = self.theta_hat
         dc_th = ((0.0 + dc[i] * th[j][:, None]) - dc[j] * th[i][:, None]).transpose(1, 0)
         reeb = JetArray.constant(0.0, self.dim, (m + 1, m))
         reeb[0] = dth
         reeb[1:] = (
-            evaluate_forms(self.df, idx, T, X)[:, 0]
-            + evaluate_forms(dc_th, idx, T, X)[:, 0]
+            evaluate_forms(self.df, T, X)[:, 0]
+            + evaluate_forms(dc_th, T, X)[:, 0]
             + dth[None, :] * self.c[:, None]
         )
         hh = JetArray.constant(0.0, self.dim, (m + 1, m, m))
@@ -485,8 +432,7 @@ def structure_values(dF: JetArray, c: JetArray, X: JetArray, Omega: JetArray) ->
     pairs (2n, K), as d_from_jets gives them, c the Reeb coefficients
     (2n,), X the frame vectors (2n, dim). The entries carry order 1, what the
     exterior derivative leaves."""
-    idx = list(increasing_indices(X.shape[1], 2))
-    return evaluate_forms(dF, idx, X, X) + c[:, None, None] * Omega
+    return evaluate_forms(dF, X, X) + c[:, None, None] * Omega
 
 
 def adapted_frame(
@@ -503,20 +449,17 @@ def adapted_frame(
     d = cs.dim
     n = cs.n
     inputs = inputs or cs.inputs_at(p)
-    theta, kept, m, basis, G, gram, dtheta_val, omega_raw = _h_gram_and_omega(
-        inputs, h_choice
-    )
+    theta, G = inputs.theta, inputs.G
+    kept, m, basis, gram, omega_raw = _h_gram_and_omega(inputs, h_choice)
 
     # mu from the same Gram/omega data, then theta_hat = mu theta.
     mu = _mu(gram, omega_raw)
-    theta_hat_arr = mu * theta
+    theta_hat = mu * theta
 
     # d(theta_hat) = dmu ^ theta + mu dtheta, one order below mu.
-    dmu = d_from_jets(KFormValue(0, mu.reshape(1))).array
-    one = [(i,) for i in range(d)]
-    dtheta_hat = wedge_arrays(dmu, one, theta, one, d) + dtheta_val.array * mu
+    dtheta_hat = wedge(d_from_jets(mu.reshape(1), 0), 1, theta, 1) + inputs.dtheta * mu
 
-    T = _reeb_from_values(theta_hat_arr, dtheta_hat)
+    T = _reeb_from_values(theta_hat, dtheta_hat)
 
     # Gram-Schmidt with g, entirely in jets, one frame vector per row. The
     # projected basis from the shared setup already lies in
@@ -538,7 +481,7 @@ def adapted_frame(
         X[r] = u * (1.0 / nrm2.sqrt())
 
     # Exact on H-vectors: the dmu ^ theta part dies against theta(X)=0.
-    Omega = _form_pairs(dtheta_val.array, X, X) * mu
+    Omega = evaluate_forms(inputs.dtheta, X, X) * mu
     if n == 1 and Omega.value[0, 1] < 0.0:
         swap = [1, 0]
         X = X[swap]
@@ -546,15 +489,14 @@ def adapted_frame(
 
     # Dual coframe split e^b = f^b + c^b theta_hat: the H-part pairs with
     # g against X_b, the Reeb coefficient kills the value on T.
-    F = _metric_pairs(G, X, _project_onto_h(theta_hat_arr, m, range(d)))
-    dF = d_from_jets(KFormValue(1, F)).array
-    T_row = T.array[None]
-    C = -evaluate_forms(F, one, T_row)[:, 0] / evaluate_forms(theta_hat_arr, one, T_row)[0]
+    F = _metric_pairs(G, X, _project_onto_h(theta_hat, m, range(d)))
+    dF = d_from_jets(F, 1)
+    C = -evaluate_forms(F, T[None])[:, 0] / evaluate_forms(theta_hat, T[None])[0]
 
     return AdaptedFrame(
         p=tuple(float(x) for x in p),
         mu=mu,
-        theta_hat=KFormValue(1, theta_hat_arr),
+        theta_hat=theta_hat,
         dtheta_hat=dtheta_hat,
         T=T,
         X=X,
@@ -568,11 +510,12 @@ def adapted_frame(
     )
 
 
-def lambda_spectrum(frame: AdaptedFrame) -> LambdaSpectrum:
-    """Positive invariants of the normalized 2-form in a g-orthonormal
-    frame: its singular values come in equal pairs, one per invariant."""
+def lambda_spectrum(frame: AdaptedFrame) -> tuple[float, ...]:
+    """Invariants lambda_1 >= ... >= lambda_n > 0 of the normalized
+    2-form against g; their squares sum to n. They are its singular
+    values in a g-orthonormal frame, which come in equal pairs."""
     s = np.linalg.svd(frame.Omega.value, compute_uv=False)
-    return LambdaSpectrum(tuple(float(v) for v in s[0::2][: frame.n]))
+    return tuple(float(v) for v in s[0::2][: frame.n])
 
 
 def _complex_structure(omega: np.ndarray) -> np.ndarray:
@@ -634,9 +577,9 @@ def classify(cs: ContactStructure, points) -> dict:
         except SKIP_ERRORS:
             continue
         omega = frame.Omega.value
-        lam = np.array(lambda_spectrum(frame).values)
+        lam = np.array(lambda_spectrum(frame))
         spectra.append(lam)
-        if np.max(np.abs(lam - 1.0)) >= 1e-8:
+        if max_abs(lam - 1.0) >= 1e-8:
             cr = False
         m = omega @ _complex_structure(omega)
         scale = max(1.0, float(np.linalg.norm(m)))

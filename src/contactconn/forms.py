@@ -1,9 +1,14 @@
 """Pointwise exterior algebra on a chart.
 
-Values are k-forms and vectors whose components are one JetArray;
-fields carry expression coefficients and evaluate to values. Form
-components are stored on strictly increasing multi-indices with the
-determinant convention, (dx^dy)(ddx, ddy) = 1.
+A k-form value is the JetArray of its components: the last axis runs
+over all strictly increasing multi-indices of length k, in
+increasing_indices order, and leading axes, when present, stack several
+forms. A vector value is a JetArray (..., dim) of its coordinate
+components. Components follow the determinant convention,
+(dx^dy)(ddx, ddy) = 1. The kernels below take a form's degree and work
+out that layout themselves; nothing else in the package handles
+multi-indices. Fields carry expression coefficients and evaluate to
+values.
 
 Two exterior-derivative routes coexist on purpose:
 
@@ -16,10 +21,9 @@ Two exterior-derivative routes coexist on purpose:
   rows, mu) and as an independent cross-check of the symbolic route in
   tests. It is one kernel for every degree and for stacks of forms.
 
-Pairing forms with vectors (evaluate_forms), graded products
-(wedge_arrays) and differentiating along vectors (apply_vector) are
-array kernels over whole stacks of forms, vectors and scalars; the
-single-value methods call them.
+Pairing forms with vectors (evaluate_forms), graded products (wedge)
+and differentiating along vectors (apply_vector) are array kernels over
+whole stacks of forms, vectors and scalars.
 """
 
 from __future__ import annotations
@@ -35,8 +39,12 @@ from .expressions import Expr, diff, lit
 from .jets import JetArray, Tape, fold_chunks
 
 
-def increasing_indices(dim: int, k: int):
-    return itertools.combinations(range(dim), k)
+@lru_cache(maxsize=64)
+def increasing_indices(dim: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The strictly increasing multi-indices of length k in range(dim), in
+    itertools.combinations order: what a k-form value's last axis runs
+    over."""
+    return tuple(itertools.combinations(range(dim), k))
 
 
 def _perm_sign(seq) -> int:
@@ -52,77 +60,24 @@ def _perm_sign(seq) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class VectorValue:
-    """Tangent vector at a point: its components in the coordinate basis,
-    a JetArray (dim,)."""
-
-    array: JetArray
-
-    @property
-    def dim(self) -> int:
-        return self.array.dim
+def _check_layout(a: JetArray, degree: int) -> None:
+    """Raise ValueError unless a's last axis holds degree-form components."""
+    n = len(increasing_indices(a.dim, degree)) if 0 <= degree <= a.dim else None
+    if n is None or a.shape[-1:] != (n,):
+        raise ValueError(f"shape {a.shape} does not hold {degree}-forms in dimension {a.dim}")
 
 
-@lru_cache(maxsize=64)
-def _all_indices(dim: int, k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(increasing_indices(dim, k))
-
-
-@dataclass(frozen=True)
-class KFormValue:
-    """k-form value: the components, a JetArray whose last axis (K,) runs
-    over the strictly increasing multi-indices idx, by default all of
-    them in increasing_indices order. Leading axes of the array, when
-    present, stack several forms."""
-
-    degree: int
-    array: JetArray
-    idx: tuple[tuple[int, ...], ...] | None = None
-
-    def __post_init__(self):
-        if self.idx is None:
-            idx = _all_indices(self.dim, self.degree)
-        else:
-            idx = tuple(map(tuple, self.idx))
-        object.__setattr__(self, "idx", idx)
-
-    @property
-    def dim(self) -> int:
-        return self.array.dim
-
-    def comp(self, idx: tuple[int, ...]) -> JetArray:
-        """The component on the multi-index idx."""
-        return self._component(self.idx.index(idx))
-
-    def _component(self, k: int) -> JetArray:
-        return self.array[(slice(None),) * (len(self.array.shape) - 1) + (k,)]
-
-    def evaluate(self, *vectors: VectorValue) -> JetArray:
-        """Pair with `degree` vectors, determinant convention."""
-        if len(vectors) != self.degree:
-            raise ValueError("wrong number of vectors")
-        if self.degree == 0:
-            return self._component(0)
-        stack = self.array.shape[:-1]
-        if not self.idx:
-            return JetArray.constant(0.0, self.dim, stack, 0)
-        stacks = [v.array[None] for v in vectors]
-        return evaluate_forms(self.array, self.idx, *stacks).reshape(*stack)
-
-
-def evaluate_forms(coeffs: JetArray, idx, *vectors: JetArray) -> JetArray:
+def evaluate_forms(coeffs: JetArray, *vectors: JetArray) -> JetArray:
     """Pair k-forms with stacks of vectors, every combination at once.
 
-    coeffs holds the components of one or more k-forms on the increasing
-    multi-indices idx, along its last axis: shape S+(K,). Each of the k
-    vector stacks has shape (n_r, dim). Entry [s, u_1, ..., u_k] of the
-    result, of shape S+(n_1, ..., n_k), is form s on (vectors[0][u_1],
-    ..., vectors[k-1][u_k]): the left fold over components, in idx
-    order, of the coefficient times the determinant of the picked vector
-    components. The determinant sums its permutations in itertools order,
-    each a left-to-right product times its sign, so every entry has the
-    bits of the scalar expansion.
+    coeffs holds one or more k-forms, k the number of vector stacks:
+    shape S+(K,). Each of the k vector stacks has shape (n_r, dim). Entry
+    [s, u_1, ..., u_k] of the result, of shape S+(n_1, ..., n_k), is form
+    s on (vectors[0][u_1], ..., vectors[k-1][u_k]): the left fold over
+    components, in layout order, of the coefficient times the determinant
+    of the picked vector components. The determinant sums its
+    permutations in itertools order, each a left-to-right product times
+    its sign, so every entry has the bits of the scalar expansion.
 
     Each term carries no part above the coefficients' top order, so the
     determinants are built at that order only: the vector stacks are cut
@@ -131,7 +86,8 @@ def evaluate_forms(coeffs: JetArray, idx, *vectors: JetArray) -> JetArray:
     more than stacks already cut.
     """
     k = len(vectors)
-    cols = np.array(idx, dtype=np.intp).reshape(len(idx), k)
+    _check_layout(coeffs, k)
+    cols = np.array(increasing_indices(coeffs.dim, k), dtype=np.intp)
     stack = coeffs.shape[:-1]
     s = len(stack)
     sizes = tuple(len(v) for v in vectors)
@@ -160,101 +116,72 @@ def evaluate_forms(coeffs: JetArray, idx, *vectors: JetArray) -> JetArray:
 
 
 @lru_cache(maxsize=64)
-def _wedge_table(dim: int, idx_a: tuple, idx_b: tuple):
-    """The terms of the graded product of forms on the multi-indices idx_a
-    and idx_b, in the order of a loop over idx_a, then idx_b: per term
-    the positions (ia, ib) of its factors, its sign, the output key it
-    adds to (an increasing multi-index, numbered as increasing_indices
-    lists them) and its rank among the terms of that key; and the number
-    of output keys."""
-    degree = len(idx_a[0]) + len(idx_b[0])
-    keys = {key: s for s, key in enumerate(increasing_indices(dim, degree))}
-    ia, ib, sign, slot, rank = [], [], [], [], []
+def _wedge_table(dim: int, p: int, q: int):
+    """The terms of the graded product of a p-form and a q-form, as
+    (rank, key) tables: key numbers the output multi-index and rank the
+    term's place among that key's terms, in the order of a loop over the
+    p-form's multi-indices, then the q-form's. Entries are the positions
+    of the two factors and the sign. Every key has the same number of
+    terms, one per split of it into a p- and a q-index."""
+    keys = {key: s for s, key in enumerate(increasing_indices(dim, p + q))}
+    n_terms = math.comb(p + q, p)
+    ia, ib = (np.zeros((n_terms, len(keys)), dtype=np.intp) for _ in range(2))
+    sign = np.zeros((n_terms, len(keys)))
     fill = [0] * len(keys)
-    for x, ka in enumerate(idx_a):
-        for y, kb in enumerate(idx_b):
+    for x, ka in enumerate(increasing_indices(dim, p)):
+        for y, kb in enumerate(increasing_indices(dim, q)):
             s = _perm_sign(ka + kb)
             if s == 0:
                 continue
             key = keys[tuple(sorted(ka + kb))]
-            ia.append(x)
-            ib.append(y)
-            sign.append(float(s))
-            slot.append(key)
-            rank.append(fill[key])
+            ia[fill[key], key], ib[fill[key], key], sign[fill[key], key] = x, y, s
             fill[key] += 1
-    ia, ib, slot, rank = (np.array(v, dtype=np.intp) for v in (ia, ib, slot, rank))
-    return ia, ib, np.array(sign), slot, rank, len(keys)
+    return ia, ib, sign
 
 
-def wedge_arrays(a: JetArray, idx_a, b: JetArray, idx_b, dim: int) -> JetArray:
-    """Graded product of the dim-dimensional forms with components a (K_a,)
-    on the multi-indices idx_a and b (K_b,) on idx_b. Returns the
-    components on the increasing multi-indices of the summed degree, in
-    increasing_indices order.
+def wedge(a: JetArray, p: int, b: JetArray, q: int) -> JetArray:
+    """Graded product of the p-form a and the q-form b, one form each:
+    the components of the (p+q)-form.
 
     Each output component is the left fold, from a constant 0.0 seed, of
-    the terms (a[ia] * b[ib]) * sign in the order of a loop over idx_a,
-    then idx_b, skipping repeated indices; every component carries the
-    lowest order of any input component. Keys with fewer terms are
-    padded with -0.0, which leaves every sum unchanged (x + -0.0 is x for
-    every x), so all keys fold in one pass.
+    the terms (a[ia] * b[ib]) * sign in the order of a loop over a's
+    multi-indices, then b's, skipping repeated indices; every component
+    carries the lowest order of any input component.
     """
-    ia, ib, sign, slot, rank, n_keys = _wedge_table(
-        dim, tuple(map(tuple, idx_a)), tuple(map(tuple, idx_b))
-    )
-    order = int(min(a.order.min(), b.order.min()))
-    seed = JetArray.constant(0.0, a.dim, (n_keys,), order)
-    if not len(ia):
-        return seed
-    signs = JetArray.constant(0.0, a.dim, sign.shape, order)
-    signs.value[...] = sign
-    prod = (a.restrict(order)[ia] * b.restrict(order)[ib]) * signs
-    shape = (int(rank.max()) + 1, n_keys)
-    pad = lambda part: None if part is None else np.full(shape + part.shape[1:], -0.0)  # noqa: E731
-    terms = JetArray(
-        a.dim,
-        pad(prod.value),
-        pad(prod.grad),
-        pad(prod.hess),
-        np.full(shape, order, dtype=prod.order.dtype),
-    )
-    terms[rank, slot] = prod
-    return terms.fold(seed)
-
-
-def wedge(a: KFormValue, b: KFormValue) -> KFormValue:
-    """Graded product; associativity and the sign rule are exercised in
-    tests. The form-value face of wedge_arrays."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    k = a.degree + b.degree
-    if k > a.dim:
+    _check_layout(a, p)
+    _check_layout(b, q)
+    if p + q > a.dim:
         raise ValueError("degree overflow")
-    return KFormValue(k, wedge_arrays(a.array, a.idx, b.array, b.idx, a.dim))
+    ia, ib, sign = _wedge_table(a.dim, p, q)
+    order = int(min(a.order.min(), b.order.min()))
+    seed = JetArray.constant(0.0, a.dim, sign.shape[1:], order)
+    signs = JetArray.constant(0.0, a.dim, sign.shape, order)
+    signs.value[...] = sign
+    return ((a.restrict(order)[ia] * b.restrict(order)[ib]) * signs).fold(seed)
 
 
-def apply_vector(v, f: JetArray) -> JetArray:
+def apply_vector(v: JetArray, f: JetArray) -> JetArray:
     """Derivative of jet-valued scalars along jet-valued vectors.
 
     This is the frame derivative X(f) = sum_i X^i d_i f with the product
     rule intact, folded over i, so the result is a jet one order below f
     (coerced further down if the vector components carry less).
 
-    v is a VectorValue or a JetArray of vectors with the components on
-    its last axis, shape V+(dim,); f is a JetArray of shape F. The
-    result, of shape V+F, holds every vector's derivative of every
-    scalar: a single jet for one vector and one scalar.
+    v holds vectors with the components on its last axis, shape V+(dim,);
+    f is a JetArray of shape F. The result, of shape V+F, holds every
+    vector's derivative of every scalar: a single jet for one vector and
+    one scalar.
     """
-    va = v.array if isinstance(v, VectorValue) else v
-    nv = len(va.shape) - 1
+    nv = len(v.shape) - 1
     nf = len(f.shape)
-    comps = va.transpose(nv, *range(nv))[(slice(None),) * (1 + nv) + (None,) * nf]
+    comps = v.transpose(nv, *range(nv))[(slice(None),) * (1 + nv) + (None,) * nf]
     parts = f.partials()[(slice(None),) + (None,) * nv]
     return fold_chunks(
-        va.dim,
-        math.prod(va.shape[:-1]) * math.prod(f.shape),
-        va.dim,
+        v.dim,
+        math.prod(v.shape[:-1]) * math.prod(f.shape),
+        v.dim,
         lambda lo, hi: comps[lo:hi] * parts[lo:hi],
     )
 
@@ -278,11 +205,15 @@ class FormField:
     def coeff(self, idx: tuple[int, ...]) -> Expr:
         return self.coeffs.get(idx, lit(0.0))
 
-    def eval(self, p, order: int) -> KFormValue:
-        """The value at p, every coefficient a jet of the given order,
-        through one tape."""
-        tape = Tape([self.coeff(idx) for idx in _all_indices(self.dim, self.degree)])
-        return KFormValue(self.degree, tape.eval(p, order))
+    def components(self) -> list[Expr]:
+        """The coefficient on every increasing multi-index, in the order
+        of a form value's last axis."""
+        return [self.coeff(idx) for idx in increasing_indices(self.dim, self.degree)]
+
+    def eval(self, p, order: int) -> JetArray:
+        """The form value at p, every coefficient a jet of the given
+        order, through one tape."""
+        return Tape(self.components()).eval(p, order)
 
     def d(self) -> "FormField":
         """Exterior derivative as a field, via structural differentiation.
@@ -304,36 +235,38 @@ class FormField:
 
 
 @lru_cache(maxsize=64)
-def _d_table(dim: int, degree: int, idx: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of d on the multi-indices idx, per term t (a row) and
-    output multi-index o of the next degree (a column): the coordinate
-    o_t it differentiates along and the position in idx of o without
-    o_t, the component it differentiates."""
-    pos = {key: r for r, key in enumerate(idx)}
-    out = list(increasing_indices(dim, degree + 1))
+def _d_table(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of d on degree-forms, per term t (a row) and output
+    multi-index o of the next degree (a column): the coordinate o_t it
+    differentiates along and the position of o without o_t, the
+    component it differentiates."""
+    pos = {key: r for r, key in enumerate(increasing_indices(dim, degree))}
+    out = increasing_indices(dim, degree + 1)
     coord = [[o[t] for o in out] for t in range(degree + 1)]
     rest = [[pos[o[:t] + o[t + 1 :]] for o in out] for t in range(degree + 1)]
     return np.array(coord, dtype=np.intp), np.array(rest, dtype=np.intp)
 
 
-def d_from_jets(a: KFormValue) -> KFormValue:
-    """Exterior derivative of a k-form value, consuming one jet order.
+def d_from_jets(a: JetArray, degree: int) -> JetArray:
+    """Exterior derivative of a degree-form value, consuming one jet order.
 
     The component jets of `a` are read as germs of coefficient functions:
     gradients provide the new value parts, Hessians the new gradients.
     Component o of the result is the left fold over t of the signed
     partials (-1)^t d_{o_t} a[o without o_t], from a constant 0.0 seed;
-    a stack of forms (leading axes of a.array) is differentiated form by
-    form.
+    a stack of forms (leading axes of a) is differentiated form by form.
     """
-    if np.any(a.array.order < 1):
+    _check_layout(a, degree)
+    if degree == a.dim:
+        raise ValueError("d of a top-degree form is not a form")
+    if np.any(a.order < 1):
         raise ValueError("d_from_jets needs jets of order >= 1")
-    coord, rest = _d_table(a.dim, a.degree, a.idx)
-    s = len(a.array.shape) - 1
+    coord, rest = _d_table(a.dim, degree)
+    s = len(a.shape) - 1
     # P[i, r, ...] = d_i of component r of every stacked form.
-    P = a.array.partials().transpose(0, s + 1, *range(1, s + 1))
+    P = a.partials().transpose(0, s + 1, *range(1, s + 1))
     acc = 0.0 + P[coord[0], rest[0]]
     for t in range(1, len(coord)):
         term = P[coord[t], rest[t]]
         acc = acc - term if t % 2 else acc + term
-    return KFormValue(a.degree + 1, acc.transpose(*range(1, s + 1), 0))
+    return acc.transpose(*range(1, s + 1), 0)

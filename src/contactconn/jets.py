@@ -226,7 +226,13 @@ class JetArray:
         return 0 if self.grad is None else 1 if self.hess is None else 2
 
     def __len__(self) -> int:
+        if not self.shape:
+            raise TypeError("a single jet has no length")
         return self.shape[0]
+
+    def __iter__(self):
+        """The entries along the leading axis, as indexing gives them."""
+        return (self[i] for i in range(len(self)))
 
     def _map(self, fv, fg, fh, fo) -> "JetArray":
         return JetArray(
@@ -346,8 +352,13 @@ class JetArray:
     def _chain(self, rule) -> "JetArray":
         """f applied entry by entry, where rule maps an entry's value, as a
         Python float, to f, f' and f'' there: the chain rule
-        (f o u)' = f'(u) u' and (f o u)'' = f'(u) u'' + f''(u) u' u'^T."""
-        fs = [rule(v) for v in np.ravel(self.value).tolist()]
+        (f o u)' = f'(u) u' and (f o u)'' = f'(u) u'' + f''(u) u' u'^T. A
+        result beyond the float range, or an infinite argument, raises
+        ExprDomainError."""
+        try:
+            fs = [rule(v) for v in np.ravel(self.value).tolist()]
+        except (OverflowError, ValueError):
+            raise ExprDomainError("no finite float result", "<jet function>") from None
         f, df, d2f = (np.array(c).reshape(self.shape) for c in zip(*fs))
         g = h = None
         if self.top >= 1:
@@ -501,33 +512,37 @@ class Tape:
         """The outputs at p as one JetArray (K,) of jets of the requested
         order, in the order of the expressions.
 
-        Domain violations (division by zero, sqrt of a negative) raise
-        ExprDomainError naming the offending subexpression.
+        Domain violations (division by zero, sqrt of a negative, a result
+        beyond the float range) raise ExprDomainError naming the offending
+        subexpression; an output whose value, gradient or Hessian is not
+        finite raises it naming the first such output.
         """
         d = len(p)
         vals: list[JetArray] = []
         push = vals.append
         i = 0
         try:
-            for i, (op, a, b) in enumerate(self.code):
-                if op == "*":
-                    push(vals[a] * vals[b])
-                elif op == "+":
-                    push(vals[a] + vals[b])
-                elif op == "-":
-                    push(vals[a] - vals[b])
-                elif op == "/":
-                    push(vals[a] / vals[b])
-                elif op == "lit":
-                    push(JetArray.constant(a, d, (), order))
-                elif op == "coord":
-                    push(JetArray.coordinate(p, a, order))
-                elif op == "pow":
-                    push(vals[a].powi(b))
-                elif op == "neg":
-                    push(-vals[a])
-                else:
-                    push(getattr(vals[a], op)())
+            # Non-finite results are caught at the outputs, below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, (op, a, b) in enumerate(self.code):
+                    if op == "*":
+                        push(vals[a] * vals[b])
+                    elif op == "+":
+                        push(vals[a] + vals[b])
+                    elif op == "-":
+                        push(vals[a] - vals[b])
+                    elif op == "/":
+                        push(vals[a] / vals[b])
+                    elif op == "lit":
+                        push(JetArray.constant(a, d, (), order))
+                    elif op == "coord":
+                        push(JetArray.coordinate(p, a, order))
+                    elif op == "pow":
+                        push(vals[a].powi(b))
+                    elif op == "neg":
+                        push(-vals[a])
+                    else:
+                        push(getattr(vals[a], op)())
         except ExprDomainError as exc:
             # The rule's message, placed at the subexpression of slot i.
             message = str(exc).split(" in ")[0]
@@ -535,13 +550,20 @@ class Tape:
         # Every slot is a single jet of the requested order.
         out = [vals[s] for s in self.outputs]
         n = len(out)
-        return JetArray(
+        res = JetArray(
             d,
             np.array([j.value for j in out], dtype=float),
             np.array([j.grad for j in out]).reshape(n, d) if order >= 1 else None,
             np.array([j.hess for j in out]).reshape(n, d, d) if order >= 2 else None,
             np.full(n, order, dtype=_ORDER_DTYPE),
         )
+        finite = np.isfinite(res.value)
+        for part in (res.grad, res.hess)[:order]:
+            finite &= np.isfinite(part.reshape(n, -1)).all(axis=1)
+        if not finite.all():
+            bad = self.nodes[self.outputs[int(np.argmin(finite))]]
+            raise ExprDomainError("value, gradient or Hessian is not finite", pretty(bad))
+        return res
 
 
 def eval_jet(e: Expr, p, order: int) -> JetArray:

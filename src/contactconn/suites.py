@@ -37,10 +37,10 @@ from .contact import (
     AdaptedFrame,
     ContactStructure,
     PointInputs,
-    _form_pairs,
     _metric_pairs,
     _reeb_from_values,
     lambda_spectrum,
+    max_abs,
     screen_point,
 )
 from .errors import AllPointsSkippedError, SuiteUnavailableError
@@ -98,11 +98,6 @@ class _PointState:
         return solve_structure_equations(self.tw_coframe)
 
 
-def _abs_list(values: np.ndarray) -> list[float]:
-    """|values| as Python floats, in index order."""
-    return np.abs(values).ravel().tolist()
-
-
 def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
     # Every check reads values only, so each runs on order-0 jets.
     dim = cs.dim
@@ -116,14 +111,12 @@ def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
     dual_res = 0.0
     for pt in usable:
         frame = pt.frame
-        theta = pt.inputs.theta
-        theta0 = theta.array.restrict(0)
-        dtheta0 = pt.inputs.dtheta.array.restrict(0)
-        T = _reeb_from_values(theta0, dtheta0).array[None]
-        (theta_T,) = evaluate_forms(theta0, theta.idx, T).value.tolist()
-        reeb_res = max(reeb_res, abs(theta_T - 1.0))
-        for v in _form_pairs(dtheta0, T, basis).value[0].tolist():
-            reeb_res = max(reeb_res, abs(v))
+        theta0 = pt.inputs.theta.restrict(0)
+        dtheta0 = pt.inputs.dtheta.restrict(0)
+        T = _reeb_from_values(theta0, dtheta0)[None]
+        (theta_T,) = evaluate_forms(theta0, T).value.tolist()
+        dtheta_T = evaluate_forms(dtheta0, T, basis).value
+        reeb_res = max(reeb_res, abs(theta_T - 1.0), max_abs(dtheta_T))
 
         omega_sq = sum(v**2 for v in frame.Omega.value.ravel().tolist())
         norm_res = max(norm_res, abs(omega_sq - 2 * n))
@@ -132,11 +125,8 @@ def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
         lam_min = min(lam_min, min(lam))
         lam_res = max(lam_res, abs(sum(v * v for v in lam) - n))
 
-        pairs = frame.pair_coframe(frame.frame_array.restrict(0)).value.tolist()
-        for A in range(2 * n + 1):
-            for B in range(2 * n + 1):
-                want = 1.0 if A == B else 0.0
-                dual_res = max(dual_res, abs(pairs[A][B] - want))
+        pairs = frame.pair_coframe(frame.frame_array.restrict(0)).value
+        dual_res = max(dual_res, max_abs(pairs - np.eye(2 * n + 1)))
 
     passed = (
         reeb_res < 1e-11
@@ -166,24 +156,24 @@ def _suite_canonical(cs: ContactStructure, usable) -> SuiteResult:
         conn = pt.conn
 
         dT = nabla_H(conn, frame_vector(frame.express_vector(frame.T)))
-        m_res["reeb_parallel"] = max(m_res["reeb_parallel"], max(_abs_list(dT.value)))
+        m_res["reeb_parallel"] = max(m_res["reeb_parallel"], max_abs(dT.value))
 
         # The Levi check reads values only; the metric check reads the
         # values of a derivative, so the Gram it differentiates needs
         # order 1 only.
         X = frame.X
-        measured = _form_pairs(frame.dtheta_hat.restrict(0), X, X).value
-        levi = _abs_list(conn.kappa.value[:, 0, 1:] - measured)
-        m_res["levi_parallel"] = max([m_res["levi_parallel"]] + levi)
+        measured = evaluate_forms(frame.dtheta_hat.restrict(0), X, X).value
+        levi = max_abs(conn.kappa.value[:, 0, 1:] - measured)
+        m_res["levi_parallel"] = max(m_res["levi_parallel"], levi)
 
-        tor = partial_torsion(conn)
-        m_res["torsion_free"] = max(m_res["torsion_free"], tor.max_abs_h_rows())
-        theta_gap = _abs_list(tor.theta_row().value - frame.Omega.value)
-        m_res["torsion_free"] = max(m_res["torsion_free"], max(theta_gap))
+        tor = partial_torsion(conn).value
+        m_res["torsion_free"] = max(m_res["torsion_free"], max_abs(tor[1:]))
+        theta_gap = max_abs(tor[0] - frame.Omega.value)
+        m_res["torsion_free"] = max(m_res["torsion_free"], theta_gap)
 
         X1 = X.restrict(1)
         dg = nabla_H(conn, frame_tensor02(_metric_pairs(pt.inputs.G.restrict(1), X1, X1)))
-        m_res["metric_parallel"] = max(m_res["metric_parallel"], max(_abs_list(dg.value)))
+        m_res["metric_parallel"] = max(m_res["metric_parallel"], max_abs(dg.value))
 
     passed = all(v < 1e-9 for v in m_res.values())
     return SuiteResult("canonical", passed, m_res, len(usable))
@@ -194,8 +184,8 @@ def _suite_promotion(cs: ContactStructure, usable) -> SuiteResult:
     ext_res = 0.0
     for pt in usable:
         fc = pt.promoted
-        gap = _abs_list(fc.kappa.value.transpose(1, 0, 2) - pt.conn.kappa.value)
-        h_res = max([h_res] + gap)
+        gap = max_abs(fc.kappa.value.transpose(1, 0, 2) - pt.conn.kappa.value)
+        h_res = max(h_res, gap)
         ext_res = max(ext_res, promotion_residual(fc))
     passed = h_res < 1e-12 and ext_res < 1e-9
     return SuiteResult(
@@ -294,7 +284,7 @@ def run_suites(
             continue
         pt = _PointState(cs, i, p, inputs, frame)
         mu = float(frame.mu.value)
-        records.append(PointRecord(i, p, skipped=False, mu=mu, spectrum=tuple(pt.spectrum)))
+        records.append(PointRecord(i, p, skipped=False, mu=mu, spectrum=pt.spectrum))
         usable.append(pt)
 
     if not usable:

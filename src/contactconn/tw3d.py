@@ -41,11 +41,12 @@ from .contact import (
     AdaptedFrame,
     ContactStructure,
     adapted_frame,
+    max_abs,
     structure_values,
 )
 from .errors import DegenerateFrameError, InconsistentStructureError
 from .expressions import parse_expr
-from .forms import KFormValue, apply_vector, d_from_jets
+from .forms import apply_vector, d_from_jets
 from .jets import JetArray, eval_jet
 
 STRUCTURE_RESIDUAL_TOL = 1e-9
@@ -217,7 +218,7 @@ def rotate_coframe(cf: TWCoframe, phi) -> TWCoframe:
         return rows[0][None] * rot[:, 0, None] + rows[1][None] * rot[:, 1, None]
 
     f = turn(frame.f)
-    df = d_from_jets(KFormValue(1, f)).array
+    df = d_from_jets(f, 1)
     c = rot[:, 0] * frame.c[0] + rot[:, 1] * frame.c[1]
     X = turn(frame.X)
     D = structure_values(df, c, X, frame.Omega)
@@ -276,11 +277,6 @@ def _gap(a: JetArray, b: JetArray) -> float:
     return abs(float((a - b).value))
 
 
-def _max_abs(residuals: np.ndarray) -> float:
-    """The largest absolute entry, at least 0.0, as a Python float."""
-    return max([0.0] + np.abs(residuals).ravel().tolist())
-
-
 def compare_partial(cf: TWCoframe, td: TWData, conn: PartialConnection) -> dict:
     """Canonical partial connection against the H-part of the classical
     one, in the shared adapted coframe: td solved on cf, conn built on
@@ -296,10 +292,10 @@ def compare_partial(cf: TWCoframe, td: TWData, conn: PartialConnection) -> dict:
     expected = np.zeros((2, 2, 2))
     expected[:, 0, 1] = wH
     expected[:, 1, 0] = -wH
-    e_agreement = _max_abs(kap[:, 1:, 1:] - expected)
+    e_agreement = max_abs(kap[:, 1:, 1:] - expected)
 
     levi = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    theta_diff = _max_abs(kap[:, 0, 1:] - levi)
+    theta_diff = max_abs(kap[:, 0, 1:] - levi)
 
     passed = e_agreement < 1e-9 and theta_diff < 1e-9
     return {
@@ -338,22 +334,22 @@ def compare_full(cf: TWCoframe, td: TWData, fc: FullConnection) -> dict:
     xi_expected[1, 2] = -R
     xi_expected[2, 1] = R
     diff_residual = max(
-        _max_abs(fc.kappa.value - tw.kappa.value - kappa_expected),
-        _max_abs(fc.xi.value - tw.xi.value - xi_expected),
+        max_abs(fc.kappa.value - tw.kappa.value - kappa_expected),
+        max_abs(fc.xi.value - tw.xi.value - xi_expected),
     )
 
     r_extracted = -(float(fc.xi.value[1, 2]) - float(tw.xi.value[1, 2]))
     r_drift = abs(r_extracted - R)
 
-    tor = full_torsion(fc).comps.value
+    tor = full_torsion(fc).value
     Av, Bv = float(td.A.value), float(td.B.value)
     # e-rows on the pairs (T, X1), (T, X2), (X1, X2).
     e_rows = tor[1:, [0, 0, 1], [1, 2, 2]]
     e_rows_expected = np.array([[Av, Bv + R, 0.0], [Bv - R, -Av, 0.0]])
-    torsion_e_residual = _max_abs(e_rows - e_rows_expected)
+    torsion_e_residual = max_abs(e_rows - e_rows_expected)
 
     theta = tor[0].tolist()
-    theta_vs_zero = max(abs(v) for row in theta for v in row)
+    theta_vs_zero = max_abs(tor[0])
     theta_vs_minus_levi = max(
         abs(theta[0][1]),
         abs(theta[0][2]),

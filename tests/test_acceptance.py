@@ -147,7 +147,7 @@ def test_criterion_04_normalization():
             f_pos = adapted_frame(cs, p)
             f_neg = adapted_frame(neg, p)
             flip = max(
-                abs((f_pos.theta_hat.comp((i,)) + f_neg.theta_hat.comp((i,))).value)
+                abs((f_pos.theta_hat[i] + f_neg.theta_hat[i]).value)
                 for i in range(cs.dim)
             )
             assert flip < 1e-10, f"theta_hat must flip sign on {name}"

@@ -2,6 +2,8 @@
 constructions, torsion, H-covariant derivatives, promotion.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,12 +22,12 @@ from contactconn.connection import (
     sigma,
     sigma_inv,
 )
-from contactconn.contact import ContactStructure, adapted_frame
+from contactconn.contact import ContactStructure, adapted_frame, max_abs
 from contactconn.errors import SymmetryError
 from contactconn.expressions import parse_expr
-from contactconn.forms import FormField, KFormValue
+from contactconn.forms import FormField
 from contactconn.jets import JetArray, Tape, eval_jet
-from form_helpers import frame_vectors, stack, sum_jets
+from form_helpers import evaluate, frame_vectors, stack, sum_jets
 
 P3 = (0.3, -0.4, 0.2)
 
@@ -112,14 +114,14 @@ class TestBaseConnection:
         frame = adapted_frame(perturbed, P3)
         base = base_partial_connection(frame)
         tor = partial_torsion(base)
-        assert tor.max_abs_h_rows() < 1e-12
+        assert max_abs(tor.value[1:]) < 1e-12
 
     def test_theta_row_is_levi_form(self, perturbed):
         frame = adapted_frame(perturbed, P3)
         tor = partial_torsion(base_partial_connection(frame))
         for a in range(2):
             for c in range(2):
-                diff = tor.theta_row()[a][c] - frame.Omega[a][c]
+                diff = tor[0][a][c] - frame.Omega[a][c]
                 assert abs(diff.value) < 1e-13
 
 
@@ -130,12 +132,11 @@ def four_bullet_residuals(cs, p):
     m = 2 * frame.n
     dim = frame.dim
 
-    torsion = partial_torsion(conn).max_abs_h_rows()
+    torsion = max_abs(partial_torsion(conn).value[1:])
 
     X = frame_vectors(frame)[1:]
-    dth = KFormValue(2, frame.dtheta_hat)
     levi = max(
-        abs((conn.kappa[a][0][c + 1] - dth.evaluate(X[a], X[c])).value)
+        abs((conn.kappa[a][0][c + 1] - evaluate(frame.dtheta_hat, X[a], X[c])).value)
         for a in range(m)
         for c in range(m)
     )
@@ -147,7 +148,7 @@ def four_bullet_residuals(cs, p):
     gram = [
         [
             sum_jets(
-                gmat[i][j] * X[a].array[i] * X[b].array[j]
+                gmat[i][j] * X[a][i] * X[b][j]
                 for i in range(dim)
                 for j in range(dim)
             )
@@ -227,8 +228,11 @@ class TestFrameIndependence:
         assert np.max(np.abs(n1 - n2)) < 1e-9
 
     def test_sign_flip_gives_same_action(self, heisenberg):
-        neg = heisenberg.with_theta(
-            FormField.one_form([parse_expr(t, heisenberg.coords) for t in ("y", "0", "-1")])
+        neg = dataclasses.replace(
+            heisenberg,
+            theta=FormField.one_form(
+                [parse_expr(t, heisenberg.coords) for t in ("y", "0", "-1")]
+            ),
         )
         v = vector_jets(heisenberg, ("y*z", "x", "x - z^2"), P3)
         n1 = canonical_partial_connection(heisenberg, P3).coordinate_action_on_vector(v)
@@ -293,6 +297,14 @@ class TestPromotion:
             conn.kappa[0][1][2].value, abs=0.0
         )
 
+    def test_coordinate_action_rejects_two_form(self, perturbed):
+        fc = promote(canonical_partial_connection(perturbed, P3))
+        alpha = FormField.one_form(
+            [parse_expr(s, perturbed.coords) for s in ("z", "x*y", "1 + y")]
+        )
+        with pytest.raises(ValueError, match="1-forms"):
+            fc.coordinate_action(alpha.d())
+
     def test_residual_needs_partial(self, perturbed):
         fc = promote(canonical_partial_connection(perturbed, P3))
         stripped = FullConnection(frame=fc.frame, kappa=fc.kappa, xi=fc.xi)
@@ -308,11 +320,11 @@ class TestFullTorsion:
         # theta_hat row: pure H wedge part equals minus the 2-form
         for a in range(2):
             for c in range(2):
-                diff = tor.comps[0][a + 1][c + 1] + frame.Omega[a][c]
+                diff = tor[0][a + 1][c + 1] + frame.Omega[a][c]
                 assert abs(diff.value) < 1e-13
         # no mixed Reeb component and no e-row torsion here
-        assert max(abs(tor.comps[0][0][q].value) for q in range(3)) < 1e-13
-        assert tor.max_abs_h_rows() < 1e-13
+        assert max(abs(tor[0][0][q].value) for q in range(3)) < 1e-13
+        assert max_abs(tor.value[1:]) < 1e-13
 
     def test_theta_row_universal(self, perturbed):
         # the minus-2-form theta_hat row is structural, not model-specific
@@ -321,15 +333,15 @@ class TestFullTorsion:
         frame = fc.frame
         for a in range(2):
             for c in range(2):
-                diff = tor.comps[0][a + 1][c + 1] + frame.Omega[a][c]
+                diff = tor[0][a + 1][c + 1] + frame.Omega[a][c]
                 assert abs(diff.value) < 1e-12
-        assert max(abs(tor.comps[0][0][q].value) for q in range(3)) < 1e-12
+        assert max(abs(tor[0][0][q].value) for q in range(3)) < 1e-12
 
     def test_h_wedge_h_part_of_e_rows_vanishes(self):
         fc = promote(canonical_partial_connection(euclidean_heisenberg(), P3))
         tor = full_torsion(fc)
         for A in (1, 2):
-            assert abs(tor.comps[A][1][2].value) < 1e-12
+            assert abs(tor[A][1][2].value) < 1e-12
 
 
 def scalar_promotion_system(conn):

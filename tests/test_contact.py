@@ -5,6 +5,7 @@ Numeric expectations here are hand-derived for the built-in structures;
 the derivations live in docs/oracles.md.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,19 +13,24 @@ import pytest
 
 from contactconn.contact import (
     ContactStructure,
+    _reeb_from_values,
     adapted_frame,
     check_contact,
     classify,
     lambda_spectrum,
-    normalize_theta,
     reeb_field,
 )
-from contactconn.errors import DegenerateFrameError, DegenerateMetricError, NotContactError
+from contactconn.errors import (
+    DegenerateFrameError,
+    DegenerateMetricError,
+    ExprDomainError,
+    NotContactError,
+)
 from contactconn.expressions import parse_expr
-from contactconn.forms import FormField, VectorValue
+from contactconn.forms import FormField, d_from_jets
 from contactconn.jets import JetArray
 from contactconn.registry import get_manifold
-from form_helpers import coframe, frame_vectors
+from form_helpers import coframe, evaluate, frame_vectors
 
 P3 = (0.3, -0.4, 0.2)
 P5 = (0.1, -0.3, 0.2, 0.4, 0.0)
@@ -62,10 +68,11 @@ class TestCheckContact:
         assert not check_contact(cs, P3).passed
 
     def test_verdict_scale_invariant(self, heis):
-        tiny = heis.with_theta(
-            FormField.one_form(
+        tiny = dataclasses.replace(
+            heis,
+            theta=FormField.one_form(
                 [parse_expr(f"({t}) * 1e-9", heis.coords) for t in ("-y", "0", "1")]
-            )
+            ),
         )
         assert check_contact(tiny, P3).passed
 
@@ -73,24 +80,28 @@ class TestCheckContact:
 class TestReebField:
     def test_heisenberg_vertical(self, heis):
         T = reeb_field(heis, P3)
-        assert np.allclose(T.array.value, [0.0, 0.0, 1.0], atol=1e-14)
+        assert np.allclose(T.value, [0.0, 0.0, 1.0], atol=1e-14)
 
     def test_defining_equations_sphere(self, sphere):
         for p in [(0.1, -0.2, 0.3), (0.5, 0.4, -0.6)]:
             T = reeb_field(sphere, p)
             theta = sphere.theta.eval(p, 1)
             dtheta = sphere.theta.d().eval(p, 1)
-            assert abs(theta.evaluate(T).value - 1.0) < 1e-12
+            assert abs(evaluate(theta, T).value - 1.0) < 1e-12
             dim = sphere.dim
             for i in range(dim):
-                e_i = VectorValue(JetArray.constant(0.0, dim, (dim,), 1))
-                e_i.array.value[i] = 1.0
-                assert abs(dtheta.evaluate(T, e_i).value) < 1e-12
+                e_i = JetArray.constant(0.0, dim, (dim,), 1)
+                e_i.value[i] = 1.0
+                assert abs(evaluate(dtheta, T, e_i).value) < 1e-12
 
     def test_one_form_value_input(self, heis):
+        # The Reeb solve on theta_hat with its d from the jets, one order
+        # lower, agrees with the frame's, whose dtheta_hat is built
+        # structurally.
         frame = adapted_frame(heis, P3)
-        T = reeb_field(frame.theta_hat, P3)
-        assert np.allclose(T.array.value, frame.T.array.value, atol=1e-12)
+        th = frame.theta_hat
+        T = _reeb_from_values(th, d_from_jets(th, 1))
+        assert np.allclose(T.value, frame.T.value, atol=1e-12)
 
     def test_non_contact_raises(self):
         cs = structure(("x", "y", "z"), ("0", "0", "1"), [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]])
@@ -100,30 +111,30 @@ class TestReebField:
 
 class TestNormalizeTheta:
     def test_heisenberg_identity(self, heis):
-        mu = normalize_theta(heis, P3)
+        mu = adapted_frame(heis, P3).mu
         assert mu.value == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(mu.grad, 0.0, atol=1e-14)
         assert np.allclose(mu.hess, 0.0, atol=1e-13)
 
     def test_aniso_scales_by_b(self):
         spec = get_manifold("heisenberg-aniso")
-        assert normalize_theta(spec.build(), P3).value == pytest.approx(2.0, abs=1e-13)
-        assert normalize_theta(spec.build({"b": 3.0}), P3).value == pytest.approx(3.0, abs=1e-13)
+        assert adapted_frame(spec.build(), P3).mu.value == pytest.approx(2.0, abs=1e-13)
+        assert adapted_frame(spec.build({"b": 3.0}), P3).mu.value == pytest.approx(3.0, abs=1e-13)
 
     def test_split_value(self):
         cs = get_manifold("n2-split").build()
         want = math.sqrt(2.0 / (1.0 + 2.0**-4))
-        assert normalize_theta(cs, P5).value == pytest.approx(want, abs=1e-13)
+        assert adapted_frame(cs, P5).mu.value == pytest.approx(want, abs=1e-13)
 
     def test_sphere_constant_half(self, sphere):
         for p in [(0.1, -0.2, 0.3), (0.5, 0.4, -0.6), (0.0, 0.0, 0.0)]:
-            assert normalize_theta(sphere, p).value == pytest.approx(0.5, abs=1e-12)
+            assert adapted_frame(sphere, p).mu.value == pytest.approx(0.5, abs=1e-12)
 
     def test_sign_flip_keeps_mu(self, heis):
-        neg = heis.with_theta(
-            FormField.one_form([parse_expr(t, heis.coords) for t in ("y", "0", "-1")])
+        neg = dataclasses.replace(
+            heis, theta=FormField.one_form([parse_expr(t, heis.coords) for t in ("y", "0", "-1")])
         )
-        assert normalize_theta(neg, P3).value == pytest.approx(1.0, abs=1e-14)
+        assert adapted_frame(neg, P3).mu.value == pytest.approx(1.0, abs=1e-14)
 
     def test_normalized_norm_is_2n(self, sphere):
         # after scaling, sum of squared frame pairings of d(theta_hat) is 2n
@@ -137,7 +148,7 @@ class TestAdaptedFrame:
         frame = adapted_frame(heis, P3)
         assert np.allclose(frame.X.value[0], [1.0, 0.0, -0.4], atol=1e-14)
         assert np.allclose(frame.X.value[1], [0.0, 1.0, 0.0], atol=1e-14)
-        assert np.allclose(frame.T.array.value, [0.0, 0.0, 1.0], atol=1e-14)
+        assert np.allclose(frame.T.value, [0.0, 0.0, 1.0], atol=1e-14)
         assert frame.c[0].value == pytest.approx(0.0, abs=1e-14)
         assert frame.c[1].value == pytest.approx(0.0, abs=1e-14)
 
@@ -148,7 +159,7 @@ class TestAdaptedFrame:
         for A in range(3):
             for B in range(3):
                 want = 1.0 if A == B else 0.0
-                assert abs(co[A].evaluate(vecs[B]).value - want) < 1e-12
+                assert abs(evaluate(co[A], vecs[B]).value - want) < 1e-12
 
     def test_orientation(self, sphere):
         frame = adapted_frame(sphere, (0.3, 0.2, -0.5))
@@ -163,7 +174,7 @@ class TestAdaptedFrame:
         for A in range(3):
             for B in range(3):
                 want = 1.0 if A == B else 0.0
-                assert abs(co[A].evaluate(vecs[B]).value - want) < 1e-11
+                assert abs(evaluate(co[A], vecs[B]).value - want) < 1e-11
 
     def test_h_choice_needs_transversal(self, heis):
         # excluding index 0 requires theta_x = -y != 0; fails on y = 0
@@ -179,18 +190,54 @@ class TestAdaptedFrame:
             adapted_frame(cs, P3)
 
     def test_theta_flip_flips_hat_and_reeb(self, heis):
-        neg = heis.with_theta(
-            FormField.one_form([parse_expr(t, heis.coords) for t in ("y", "0", "-1")])
+        neg = dataclasses.replace(
+            heis, theta=FormField.one_form([parse_expr(t, heis.coords) for t in ("y", "0", "-1")])
         )
         f_pos = adapted_frame(heis, P3)
         f_neg = adapted_frame(neg, P3)
         for i in range(3):
-            assert abs(
-                (f_pos.theta_hat.comp((i,)) + f_neg.theta_hat.comp((i,))).value
-            ) < 1e-14
-            assert abs((f_pos.T.array[i] + f_neg.T.array[i]).value) < 1e-13
+            assert abs((f_pos.theta_hat[i] + f_neg.theta_hat[i]).value) < 1e-14
+            assert abs((f_pos.T[i] + f_neg.T[i]).value) < 1e-13
         # orientation still positive in the flipped frame
         assert f_neg.Omega[0][1].value == pytest.approx(1.0, abs=1e-12)
+
+
+class TestLibraryInputValidation:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda cs: adapted_frame(cs, P3, h_choice=(0, 3)), r"h_choice \(0, 3\)"),
+            (lambda cs: adapted_frame(cs, P3, h_choice=(0, -1)), r"h_choice \(0, -1\)"),
+            (lambda cs: cs.inputs_at((0.3, -0.4)), "point has 2 coordinates, the chart has 3"),
+            (lambda cs: cs.inputs_at(P3 + (0.1,)), "point has 4 coordinates, the chart has 3"),
+        ],
+        ids=["h-index-too-large", "h-index-negative", "short-point", "long-point"],
+    )
+    def test_rejected_with_a_named_problem(self, heis, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(heis)
+
+
+class TestNonFiniteInputs:
+    # Each metric entry has no finite jet at x = 105 or x = 750: exp and
+    # the integer power overflow in math, the product of two finite
+    # powers overflows to inf in numpy, and sin cannot take that inf.
+    @pytest.mark.parametrize(
+        "g11, bad_x",
+        [
+            ("1 + exp(x)", 750.0),
+            ("1 + x^200", 50.0),
+            ("1 + x^150*x^150", 105.0),
+            ("2 + sin(x^150*x^150)", 105.0),
+        ],
+    )
+    def test_bad_point_raises_domain_error_good_point_evaluates(self, g11, bad_x):
+        cs = structure(
+            ("x", "y", "z"), ("-y", "0", "1"), [[g11, "0", "0"], ["0", "1", "0"], ["0", "0", "0"]]
+        )
+        assert np.all(np.isfinite(cs.inputs_at((0.3, 0.1, 0.0)).G.hess))
+        with pytest.raises(ExprDomainError):
+            cs.inputs_at((bad_x, 0.1, 0.0))
 
 
 class TestSpectrum:

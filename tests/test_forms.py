@@ -4,14 +4,15 @@ import pytest
 from contactconn.expressions import lit, parse_expr
 from contactconn.forms import (
     FormField,
-    KFormValue,
-    VectorValue,
     d_from_jets,
+    evaluate_forms,
     increasing_indices,
     wedge,
 )
 from contactconn.jets import JetArray, Tape
 from form_helpers import (
+    comp,
+    evaluate,
     exterior_derivative,
     express_in_coframe,
     from_coframe,
@@ -30,12 +31,7 @@ def jets_of(texts, p, order=2):
     return Tape([parse_expr(t, XYZ) for t in texts]).eval(p, order)
 
 
-def one_form(texts, p, order=2):
-    return KFormValue(1, jets_of(texts, p, order))
-
-
-def vector(texts, p, order=2):
-    return VectorValue(jets_of(texts, p, order))
+one_form = vector = jets_of
 
 
 def max_abs(a: JetArray) -> float:
@@ -47,34 +43,45 @@ class TestWedge:
         p = (0.0, 0.0, 0.0)
         dx = one_form(["1", "0", "0"], p)
         dy = one_form(["0", "1", "0"], p)
-        w = wedge(dx, dy)
-        assert w.degree == 2
-        assert w.comp((0, 1)).value == 1.0
-        assert w.comp((0, 2)).value == 0.0
+        w = wedge(dx, 1, dy, 1)
+        assert w.shape == (3,)
+        assert comp(w, 2, (0, 1)).value == 1.0
+        assert comp(w, 2, (0, 2)).value == 0.0
 
     def test_graded_commutativity_one_forms(self):
         p = (0.3, -0.5, 0.8)
         a = one_form(["y", "x*z", "1"], p)
         b = one_form(["sin(x)", "2", "x - y"], p)
-        ab = wedge(a, b)
-        ba = wedge(b, a)
+        ab = wedge(a, 1, b, 1)
+        ba = wedge(b, 1, a, 1)
         for idx in increasing_indices(3, 2):
-            assert ab.comp(idx).value == pytest.approx(-ba.comp(idx).value, abs=1e-15)
+            assert comp(ab, 2, idx).value == pytest.approx(-comp(ba, 2, idx).value, abs=1e-15)
 
     def test_one_wedge_two_commutes(self):
         p = (0.3, -0.5, 0.8)
         a = one_form(["y", "x*z", "1"], p)
-        b = wedge(one_form(["1", "x", "0"], p), one_form(["0", "z", "1"], p))
-        ab = wedge(a, b)
-        ba = wedge(b, a)
-        assert ab.comp((0, 1, 2)).value == pytest.approx(ba.comp((0, 1, 2)).value)
+        b = wedge(one_form(["1", "x", "0"], p), 1, one_form(["0", "z", "1"], p), 1)
+        ab = wedge(a, 1, b, 2)
+        ba = wedge(b, 2, a, 1)
+        assert comp(ab, 3, (0, 1, 2)).value == pytest.approx(comp(ba, 3, (0, 1, 2)).value)
 
     def test_degree_overflow(self):
         p = (0, 0, 0)
-        top = wedge(wedge(one_form(["1", "0", "0"], p), one_form(["0", "1", "0"], p)),
-                    one_form(["0", "0", "1"], p))
+        top = wedge(wedge(one_form(["1", "0", "0"], p), 1, one_form(["0", "1", "0"], p), 1),
+                    2, one_form(["0", "0", "1"], p), 1)
         with pytest.raises(ValueError):
-            wedge(top, one_form(["1", "0", "0"], p))
+            wedge(top, 3, one_form(["1", "0", "0"], p), 1)
+
+    def test_kernels_reject_a_wrong_layout(self):
+        # Three components hold 1-forms or 2-forms in dimension 3, never
+        # 0-forms or 3-forms.
+        a = one_form(["x", "y", "z"], (0.1, 0.2, 0.3))
+        with pytest.raises(ValueError, match="does not hold 3-forms"):
+            d_from_jets(a, 3)
+        with pytest.raises(ValueError, match="does not hold 0-forms"):
+            wedge(a, 0, a, 1)
+        with pytest.raises(ValueError, match="does not hold 3-forms"):
+            evaluate_forms(a, a[None], a[None], a[None])
 
 
 class TestEvaluate:
@@ -82,18 +89,18 @@ class TestEvaluate:
         p = (0.0, 0.0, 0.0)
         dx = one_form(["1", "0", "0"], p)
         dy = one_form(["0", "1", "0"], p)
-        w = wedge(dx, dy)
+        w = wedge(dx, 1, dy, 1)
         u = vector(["1", "0", "0"], p)
         v = vector(["0", "1", "0"], p)
-        assert w.evaluate(u, v).value == 1.0
-        assert w.evaluate(v, u).value == -1.0
-        assert w.evaluate(u, u).value == 0.0
+        assert evaluate(w, u, v).value == 1.0
+        assert evaluate(w, v, u).value == -1.0
+        assert evaluate(w, u, u).value == 0.0
 
     def test_one_form_pairing(self):
         p = (2.0, 3.0, 0.0)
         a = one_form(["y", "x", "0"], p)
         v = vector(["1", "1", "5"], p)
-        assert a.evaluate(v).value == 5.0
+        assert evaluate(a, v).value == 5.0
 
 
 class TestInteriorProduct:
@@ -103,20 +110,20 @@ class TestInteriorProduct:
         b = one_form(["1", "z", "0"], p)
         v = vector(["z", "1", "x*y"], p)
         # antiderivation: i_v(a ^ b) = a(v) b - b(v) a
-        lhs = interior_product(v, wedge(a, b))
-        av = a.evaluate(v)
-        bv = b.evaluate(v)
-        rhs = b.array * av - a.array * bv
-        assert lhs.idx == a.idx
-        assert max_abs(lhs.array - rhs) < 1e-14
+        lhs = interior_product(v, wedge(a, 1, b, 1), 2)
+        av = evaluate(a, v)
+        bv = evaluate(b, v)
+        rhs = b * av - a * bv
+        assert lhs.shape == a.shape
+        assert max_abs(lhs - rhs) < 1e-14
 
     def test_contraction_drops_degree(self):
         p = (0.1, 0.2, 0.3)
         a = one_form(["y", "0", "x"], p)
         v = vector(["1", "2", "3"], p)
-        out = interior_product(v, a)
-        assert out.degree == 0
-        assert out.comp(()).value == pytest.approx(a.evaluate(v).value)
+        out = interior_product(v, a, 1)
+        assert out.shape == (1,)
+        assert comp(out, 0, ()).value == pytest.approx(evaluate(a, v).value)
 
 
 HEIS_THETA = FormField.one_form([parse_expr(t, XYZ) for t in ("-y", "0", "1")])
@@ -127,23 +134,23 @@ class TestExteriorDerivative:
         # d(dz - y dx) = dx ^ dy
         p = (0.7, -0.4, 0.2)
         dt = exterior_derivative(HEIS_THETA, p, 2)
-        assert dt.comp((0, 1)).value == 1.0
-        assert dt.comp((0, 2)).value == 0.0
-        assert dt.comp((1, 2)).value == 0.0
+        assert comp(dt, 2, (0, 1)).value == 1.0
+        assert comp(dt, 2, (0, 2)).value == 0.0
+        assert comp(dt, 2, (1, 2)).value == 0.0
 
     def test_d_squared_zero_symbolic(self):
         f = FormField.one_form([parse_expr(t, XYZ) for t in ("x*y*z", "sin(x)+z^2", "exp(y)")])
         ddf = f.d().d()
         p = (0.3, 0.1, -0.6)
         val = ddf.eval(p, 0)
-        assert max_abs(val.array) == 0.0
+        assert max_abs(val) == 0.0
 
     def test_d_squared_zero_jet_route(self):
         f = FormField.one_form([parse_expr(t, XYZ) for t in ("x*y*z", "sin(x)+z^2", "exp(y)")])
         p = (0.3, 0.1, -0.6)
         df = f.eval(p, 2)
-        ddf = d_from_jets(d_from_jets(df))
-        assert max_abs(ddf.array) < 1e-13
+        ddf = d_from_jets(d_from_jets(df, 1), 2)
+        assert max_abs(ddf) < 1e-13
 
     def test_jet_route_matches_symbolic(self):
         f = FormField(3, 1, {
@@ -153,22 +160,22 @@ class TestExteriorDerivative:
         })
         p = (0.5, -0.3, 0.9)
         sym = f.d().eval(p, 1)
-        jet = d_from_jets(f.eval(p, 2))
-        for idx in increasing_indices(3, 2):
-            assert sym.comp(idx).value == pytest.approx(jet.comp(idx).value, abs=1e-13)
-            assert np.allclose(sym.comp(idx).grad, jet.comp(idx).grad, atol=1e-12)
+        jet = d_from_jets(f.eval(p, 2), 1)
+        for x in range(3):
+            assert sym[x].value == pytest.approx(jet[x].value, abs=1e-13)
+            assert np.allclose(sym[x].grad, jet[x].grad, atol=1e-12)
 
     def test_leibniz_rule(self):
         # d(a ^ b) = da ^ b - a ^ db for one-forms a, b
         a = FormField.one_form([parse_expr(t, XYZ) for t in ("y*y", "x", "0")])
         b = FormField.one_form([parse_expr(t, XYZ) for t in ("z", "0", "x*y")])
         p = (0.4, 0.6, -0.2)
-        ab = wedge(a.eval(p, 2), b.eval(p, 2))
-        lhs = d_from_jets(ab)
-        rhs = wedge(a.d().eval(p, 1), b.eval(p, 1)).array - wedge(
-            a.eval(p, 1), b.d().eval(p, 1)
-        ).array
-        assert max_abs(lhs.array - rhs) < 1e-11
+        ab = wedge(a.eval(p, 2), 1, b.eval(p, 2), 1)
+        lhs = d_from_jets(ab, 2)
+        rhs = wedge(a.d().eval(p, 1), 2, b.eval(p, 1), 1) - wedge(
+            a.eval(p, 1), 1, b.d().eval(p, 1), 2
+        )
+        assert max_abs(lhs - rhs) < 1e-11
 
 
 class TestCoframe:
@@ -185,29 +192,29 @@ class TestCoframe:
         p = (0.3, 0.7, -0.5)
         co = self.make_coframe(p)
         a = one_form(["sin(x)", "x*z", "1 - y"], p)
-        comps = express_in_coframe(a, co)
+        comps = express_in_coframe(a, 1, co)
         back = from_coframe(comps, co, 1)
-        for idx in increasing_indices(3, 1):
-            assert abs(a.comp(idx).value - back.comp(idx).value) < 1e-12
-            assert np.max(np.abs(a.comp(idx).grad - back.comp(idx).grad)) < 1e-11
+        for x in range(3):
+            assert abs(a[x].value - back[x].value) < 1e-12
+            assert np.max(np.abs(a[x].grad - back[x].grad)) < 1e-11
 
     def test_express_then_rebuild_two_form(self):
         p = (0.3, 0.7, -0.5)
         co = self.make_coframe(p)
-        a = wedge(one_form(["z", "1", "0"], p), one_form(["x", "0", "y"], p))
-        comps = express_in_coframe(a, co)
+        a = wedge(one_form(["z", "1", "0"], p), 1, one_form(["x", "0", "y"], p), 1)
+        comps = express_in_coframe(a, 2, co)
         back = from_coframe(comps, co, 2)
-        for idx in increasing_indices(3, 2):
-            assert abs(a.comp(idx).value - back.comp(idx).value) < 1e-12
+        for x in range(3):
+            assert abs(a[x].value - back[x].value) < 1e-12
 
     def test_standard_basis_identity(self):
         p = (0.1, 0.2, 0.3)
         co = [one_form(["1", "0", "0"], p), one_form(["0", "1", "0"], p),
               one_form(["0", "0", "1"], p)]
         a = one_form(["x", "y*z", "2"], p)
-        comps = express_in_coframe(a, co)
+        comps = express_in_coframe(a, 1, co)
         for i in range(3):
-            assert comps[(i,)].value == pytest.approx(a.comp((i,)).value)
+            assert comps[(i,)].value == pytest.approx(a[i].value)
 
 
 def test_increasing_indices_count():
@@ -237,36 +244,35 @@ class TestKernelsBitForBit:
         return [vector(row, self.P) for row in texts]
 
     def test_evaluate_forms_all_pairs(self):
-        from contactconn.forms import evaluate_forms
-
         a = wedge(
-            one_form(["y*z", "1 + x", "sin(y)"], self.P), one_form(["x", "z^2", "2"], self.P)
+            one_form(["y*z", "1 + x", "sin(y)"], self.P), 1, one_form(["x", "z^2", "2"], self.P), 1
         )
         vs = self.vectors([("1", "x", "y*y"), ("z", "1 + y", "x*z"), ("2", "0", "cos(x)")])
-        vt = stack([v.array for v in vs])
-        got = evaluate_forms(a.array, a.idx, vt, vt)
+        vt = stack(vs)
+        got = evaluate_forms(a, vt, vt)
         for i, u in enumerate(vs):
             for j, w in enumerate(vs):
                 assert same_jet(got[i, j], scalar_evaluate(a, u, w))
-                assert same_jet(a.evaluate(u, w), scalar_evaluate(a, u, w))
+                assert same_jet(evaluate(a, u, w), scalar_evaluate(a, u, w))
 
     def test_evaluate_three_form(self):
         a = d_from_jets(
-            wedge(one_form(["y*z", "x", "1"], self.P), one_form(["z", "x*y", "y"], self.P))
+            wedge(one_form(["y*z", "x", "1"], self.P), 1, one_form(["z", "x*y", "y"], self.P), 1),
+            2,
         )
         u, v, w = self.vectors([("1", "x", "y"), ("z", "1", "x"), ("y", "z", "1 + x*x")])
-        assert same_jet(a.evaluate(u, v, w), scalar_evaluate(a, u, v, w))
+        assert same_jet(evaluate(a, u, v, w), scalar_evaluate(a, u, v, w))
 
     def test_apply_vector_matches_scalar_fold(self):
         from contactconn.forms import apply_vector
 
         vs = self.vectors([("1 + y", "x*z", "sin(z)"), ("z", "2", "x")])
         fs = jets_of(["x*y*z", "exp(x) + y", "1/(2 + z)"], self.P)
-        got = apply_vector(stack([v.array for v in vs]), fs)
+        got = apply_vector(stack(vs), fs)
         for i, v in enumerate(vs):
             for j in range(len(fs)):
                 f = fs[j]
-                want = sum_jets(v.array[k] * f.partials()[k] for k in range(3))
+                want = sum_jets(v[k] * f.partials()[k] for k in range(3))
                 assert same_jet(got[i, j], want)
                 assert same_jet(apply_vector(v, f), want)
 
@@ -277,12 +283,12 @@ class TestDFromJets:
     o without o_t."""
 
     @staticmethod
-    def scalar_d(a):
+    def scalar_d(a, degree):
         out = []
-        for o in increasing_indices(a.dim, a.degree + 1):
+        for o in increasing_indices(a.dim, degree + 1):
             acc = 0.0
             for t, i in enumerate(o):
-                term = a.comp(o[:t] + o[t + 1 :]).partials()[i]
+                term = comp(a, degree, o[:t] + o[t + 1 :]).partials()[i]
                 acc = acc + term if t % 2 == 0 else acc - term
             out.append(acc)
         return out
@@ -292,40 +298,39 @@ class TestDFromJets:
         rng = np.random.default_rng(dim)
         for degree in range(dim):
             a = random_form(rng, dim, degree, (1, 2))
-            got = d_from_jets(a)
-            assert got.degree == degree + 1
-            for x, want in enumerate(self.scalar_d(a)):
-                assert same_bits(got.array[x], want)
+            got = d_from_jets(a, degree)
+            want = self.scalar_d(a, degree)
+            assert got.shape == (len(want),)
+            for x in range(len(want)):
+                assert same_bits(got[x], want[x])
 
     def test_stacked_forms_match_one_by_one(self):
         rng = np.random.default_rng(11)
         rows = [random_form(rng, 5, 1, (1, 2)) for _ in range(4)]
-        got = d_from_jets(KFormValue(1, stack([r.array for r in rows])))
-        assert got.array.shape == (4, 10)
+        got = d_from_jets(stack(rows), 1)
+        assert got.shape == (4, 10)
         for b, row in enumerate(rows):
-            one = d_from_jets(row)
+            one = d_from_jets(row, 1)
             for x in range(10):
-                assert same_bits(got.array[b, x], one.array[x])
+                assert same_bits(got[b, x], one[x])
 
     def test_needs_order_one(self):
         p = (0.1, 0.2, 0.3)
         with pytest.raises(ValueError):
-            d_from_jets(one_form(["x", "y", "z"], p, order=0))
+            d_from_jets(one_form(["x", "y", "z"], p, order=0), 1)
 
 
-def random_form(rng, dim, degree, orders, keys=None):
+def random_form(rng, dim, degree, orders):
     """A form value with random component jets of orders drawn from
-    orders, on keys (all increasing multi-indices by default). About a
-    fifth of the values and of the derivative entries are signed zeros."""
+    orders. About a fifth of the values and of the derivative entries are
+    signed zeros."""
 
     def sprinkle(x):
         x = np.asarray(x, dtype=float)
         zero = rng.random(x.shape) < 0.2
         return np.where(zero, np.where(rng.random(x.shape) < 0.5, 0.0, -0.0), x)
 
-    if keys is None:
-        keys = list(increasing_indices(dim, degree))
-    n = len(keys)
+    n = len(increasing_indices(dim, degree))
     value, grad, hess = np.zeros(n), np.zeros((n, dim)), np.zeros((n, dim, dim))
     order = np.zeros(n, dtype=np.int8)
     for x in range(n):
@@ -338,10 +343,7 @@ def random_form(rng, dim, degree, orders, keys=None):
         if k >= 2:
             hess[x] = sprinkle(h + h.T)
     top = max(orders)
-    arr = JetArray(
-        dim, value, grad if top >= 1 else None, hess if top >= 2 else None, order
-    )
-    return KFormValue(degree, arr, tuple(keys))
+    return JetArray(dim, value, grad if top >= 1 else None, hess if top >= 2 else None, order)
 
 
 def same_bits(a, b):
@@ -358,10 +360,9 @@ def same_bits(a, b):
 
 
 def assert_same_form(got, want):
-    assert (got.dim, got.degree) == (want.dim, want.degree)
-    assert got.idx == want.idx
-    for x, key in enumerate(want.idx):
-        assert same_bits(got.array[x], want.array[x]), key
+    assert (got.dim, got.shape) == (want.dim, want.shape)
+    for x in range(len(want)):
+        assert same_bits(got[x], want[x]), x
 
 
 class TestEvaluateFormsOrderCut:
@@ -372,12 +373,10 @@ class TestEvaluateFormsOrderCut:
     @pytest.mark.parametrize("coeff_orders", [(0,), (1,), (0, 1)])
     @pytest.mark.parametrize("dim", [3, 5, 7])
     def test_higher_order_vectors_match_cut_and_scalar(self, dim, coeff_orders):
-        from contactconn.forms import evaluate_forms
-
         rng = np.random.default_rng([dim, *coeff_orders])
 
         def vector(orders):
-            return VectorValue(random_form(rng, dim, 1, orders).array)
+            return random_form(rng, dim, 1, orders)
 
         for degree in (1, 2, 3):
             a = random_form(rng, dim, degree, coeff_orders)
@@ -386,11 +385,11 @@ class TestEvaluateFormsOrderCut:
                 [vector((2,) if r % 2 == 0 else (1, 2)) for _ in range(2)]
                 for r in range(degree)
             ]
-            stacks = [stack([v.array for v in vs]) for vs in vecs]
-            top = a.array.top
+            stacks = [stack(vs) for vs in vecs]
+            top = a.top
             assert all(s.top > top for s in stacks)
-            got = evaluate_forms(a.array, a.idx, *stacks)
-            cut = evaluate_forms(a.array, a.idx, *(s.restrict(top) for s in stacks))
+            got = evaluate_forms(a, *stacks)
+            cut = evaluate_forms(a, *(s.restrict(top) for s in stacks))
             assert got.top == cut.top == top
             assert np.array_equal(got.order, cut.order)
             for part in ("value", "grad", "hess"):
@@ -415,19 +414,15 @@ class TestWedgeKernel:
             for db in range(dim + 1 - da):
                 a = random_form(rng, dim, da, (order,))
                 b = random_form(rng, dim, db, (order,))
-                assert_same_form(wedge(a, b), scalar_wedge(a, b))
+                assert_same_form(wedge(a, da, b, db), scalar_wedge(a, da, b, db))
 
-    def test_sparse_shuffled_mixed_order_components(self):
-        # Keys with fewer terms than others are padded with -0.0 in the
-        # kernel; components on any index list fold in that list's order.
+    def test_mixed_order_components(self):
+        # Every component is cut to the lowest order of any input
+        # component before the products.
         rng = np.random.default_rng(5)
         dim = 5
         for da, db in [(1, 1), (1, 2), (2, 2), (2, 3), (0, 3)]:
             for trial in range(4):
-                ka = list(increasing_indices(dim, da))
-                kb = list(increasing_indices(dim, db))
-                ka = [ka[i] for i in rng.permutation(len(ka))[: max(1, len(ka) - 2)]]
-                kb = [kb[i] for i in rng.permutation(len(kb))[: max(1, len(kb) - 1)]]
-                a = random_form(rng, dim, da, (0, 1, 2) if trial % 2 else (1, 2), ka)
-                b = random_form(rng, dim, db, (1, 2), kb)
-                assert_same_form(wedge(a, b), scalar_wedge(a, b))
+                a = random_form(rng, dim, da, (0, 1, 2) if trial % 2 else (1, 2))
+                b = random_form(rng, dim, db, (1, 2))
+                assert_same_form(wedge(a, da, b, db), scalar_wedge(a, da, b, db))

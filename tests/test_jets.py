@@ -149,6 +149,20 @@ class TestJetOps:
         with pytest.raises(ExprDomainError):
             a / z
 
+    @pytest.mark.parametrize("use", [len, list, iter, lambda j: [x for x in j]])
+    def test_single_jet_has_no_length_or_entries(self, use):
+        with pytest.raises(TypeError, match="a single jet has no length"):
+            use(Jet.constant(1.5, 3))
+
+    def test_iteration_runs_along_the_leading_axis(self):
+        a = stack([jet_of("x", (2.0, 0, 0), order=1), jet_of("y*y", (0, 3.0, 0))])
+        assert len(a) == 2
+        first, second = a
+        for got, want in zip((first, second), (a[0], a[1])):
+            assert got.shape == () and got.order == want.order
+            assert_same_jet(got, want)
+        assert [row.shape for row in Jet.constant(0.0, 3, (2, 4))] == [(4,), (4,)]
+
 
 def constants(values, order=2):
     """Constant jets in dimension 3 with the given values, of their shape."""
@@ -600,11 +614,11 @@ class TestTape:
             inputs = cs.inputs_at(p)
             d = cs.dim
             for i in range(d):
-                assert_same_bits(inputs.theta.comp((i,)), tree_walk_jet(exprs[i], p, 2))
+                assert_same_bits(inputs.theta[i], tree_walk_jet(exprs[i], p, 2))
                 for j in range(d):
                     assert_same_bits(inputs.G[i, j], tree_walk_jet(cs.g[i][j], p, 2))
-            for idx, e in zip(increasing_indices(d, 2), exprs[d:]):
-                assert_same_bits(inputs.dtheta.comp(idx), tree_walk_jet(e, p, 2))
+            for x, e in enumerate(exprs[d : d + len(inputs.dtheta)]):
+                assert_same_bits(inputs.dtheta[x], tree_walk_jet(e, p, 2))
 
     def test_shared_subexpressions_get_one_slot(self):
         texts = ["x/(1 + x^2 + y^2)^2", "y/(1 + x^2 + y^2)^2", "(1 + x^2 + y^2)^2"]
@@ -645,6 +659,37 @@ class TestTape:
         for order in (0, 1, 2):
             assert_same_bits(eval_jet(e, p, order), Tape([e]).eval(p, order)[0])
             assert_same_bits(eval_jet(e, p, order), tree_walk_jet(e, p, order))
+
+    @pytest.mark.parametrize(
+        "texts, p, message, subexpr",
+        [
+            (["x", "exp(x) + 1"], (750.0, 0.0, 0.0), "no finite float result", "exp(x)"),
+            (["x", "x^200"], (50.0, 0.0, 0.0), "no finite float result", "x^200"),
+            (
+                ["sin(x^150*x^150)"],
+                (105.0, 0.0, 0.0),
+                "no finite float result",
+                "sin(x^150 * x^150)",
+            ),
+            (
+                ["x", "1 + x^150*x^150", "exp(x)"],
+                (105.0, 0.0, 0.0),
+                "value, gradient or Hessian is not finite",
+                "1 + x^150 * x^150",
+            ),
+            # The value is finite, its Hessian, 1e-308 * 640000 * e^700, not.
+            (
+                ["y", "1e-308*exp(800*x)"],
+                (0.875, 0.0, 0.0),
+                "value, gradient or Hessian is not finite",
+                "1e-308 * exp(800 * x)",
+            ),
+        ],
+    )
+    def test_no_finite_result_names_the_expression(self, texts, p, message, subexpr):
+        with pytest.raises(ExprDomainError, match=message) as exc:
+            Tape([parse_expr(t, XYZ) for t in texts]).eval(p, 2)
+        assert exc.value.subexpr == subexpr
 
     @pytest.mark.parametrize(
         "texts, p, order, subexpr",

@@ -150,6 +150,36 @@ class TestPointIsolation:
         assert 0 < rep.skipped_points < rep.requested_points
         assert rep.passed
 
+    @pytest.mark.parametrize(
+        "g11, x_box, seed, cutoff",
+        [
+            # exp(800 x) overflows math from x = 0.8873 on, its Hessian
+            # numpy from x = 0.8705; the Hessian of x^150 * x^150
+            # overflows numpy from x = 10.47, its value from x = 10.6.
+            ("1 + 1e-308*exp(800*x)", (-1.0, 1.0), 5, 0.87),
+            ("1 + 1e-308*(x^150*x^150)", (-1.0, 12.0), 3, 10.47),
+        ],
+    )
+    def test_overflowing_input_skips_the_point(self, g11, x_box, seed, cutoff):
+        spec = ManifoldSpec(
+            name="overflow-edge",
+            coords=("x", "y", "z"),
+            theta=("-y", "0", "1"),
+            g=((g11, "0", "0"), ("0", "1", "0"), ("0", "0", "0")),
+            box=(x_box, (-0.9, 0.9), (-0.9, 0.9)),
+            points=10,
+            seed=seed,
+        )
+        rep = run_suites(spec, CORE)
+        skipped = [r for r in rep.points if r.skipped]
+        assert all((r.point[0] > cutoff) == r.skipped for r in rep.points)
+        assert all(
+            r.reason.startswith(("no finite float result", "value, gradient or Hessian"))
+            for r in skipped
+        )
+        assert 0 < rep.skipped_points < rep.requested_points
+        assert rep.passed
+
     def test_undefined_everywhere_still_raises(self):
         with pytest.raises(AllPointsSkippedError, match="all 10 sampled points"):
             run_suites(sqrt_edge_spec(x_box=(-0.9, -0.1)), ["contact"])
