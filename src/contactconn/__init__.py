@@ -6,16 +6,13 @@ verification CLI.
 """
 
 from .connection import (
-    FrameSection,
     FullConnection,
     PartialConnection,
     base_partial_connection,
     canonical_partial_connection,
-    frame_oneform,
-    frame_tensor02,
-    frame_vector,
     full_torsion,
     nabla_H,
+    nabla_H_vector,
     partial_torsion,
     promote,
     promotion_residual,
@@ -67,7 +64,6 @@ from .report import PointRecord, Report, SuiteResult, render_report
 from .sampling import SplitMix64, sample_box
 from .suites import run_suites
 from .tw3d import (
-    TWCoframe,
     TWData,
     check_rotation_covariance,
     compare_full,
@@ -92,7 +88,6 @@ __all__ = [
     "Expr",
     "ExprDomainError",
     "FormField",
-    "FrameSection",
     "FullConnection",
     "InconsistentStructureError",
     "Jet",
@@ -110,7 +105,6 @@ __all__ = [
     "SuiteResult",
     "SuiteUnavailableError",
     "SymmetryError",
-    "TWCoframe",
     "TWData",
     "UnknownIdentifierError",
     "UnknownManifoldError",
@@ -126,15 +120,13 @@ __all__ = [
     "compare_partial",
     "d_from_jets",
     "eval_jet",
-    "frame_oneform",
-    "frame_tensor02",
-    "frame_vector",
     "full_torsion",
     "get_manifold",
     "jet_linear_solve",
     "lambda_spectrum",
     "load_spec",
     "nabla_H",
+    "nabla_H_vector",
     "parse_expr",
     "partial_torsion",
     "pretty",

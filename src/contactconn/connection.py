@@ -106,7 +106,7 @@ class PartialConnection:
         directly.
         """
         frame = self.frame
-        der = nabla_H(self, frame_vector(frame.express_vector(vector)))
+        der = nabla_H_vector(self, frame.express_vector(vector))
         back = _contract(der.transpose(1, 0)[:, :, None], frame.frame_array[:, None, :]).value
         return frame.coframe_array.value[1:].T @ back
 
@@ -183,31 +183,6 @@ def canonical_partial_connection(
     return PartialConnection(frame, Gamma + w.transpose(0, 2, 1) * 0.5)
 
 
-@dataclass(frozen=True)
-class FrameSection:
-    """A section expressed in the adapted frame, for nabla_H.
-
-    kind 'oneform' / 'vector': comps over the full (co)frame, slot 0 the
-    Reeb one. kind 'tensor02': square matrix of components, either H-only
-    (2n) or full (2n+1). comps is a JetArray.
-    """
-
-    kind: str
-    comps: object
-
-
-def frame_oneform(comps) -> FrameSection:
-    return FrameSection("oneform", comps)
-
-
-def frame_vector(comps) -> FrameSection:
-    return FrameSection("vector", comps)
-
-
-def frame_tensor02(matrix) -> FrameSection:
-    return FrameSection("tensor02", matrix)
-
-
 def _contract(coeffs: JetArray, comps: JetArray) -> JetArray:
     """Left fold over the shared leading axis of the products
     coeffs[E] * comps[E]."""
@@ -217,56 +192,61 @@ def _contract(coeffs: JetArray, comps: JetArray) -> JetArray:
     )
 
 
-def nabla_H(conn: PartialConnection, field) -> JetArray:
-    """Covariant derivative along each frame direction X_a, at the
-    frame's point.
+def _derivative(X: JetArray, kap: JetArray, t: JetArray) -> JetArray:
+    """Covariant derivative of a covariant tensor along every vector X[P],
+    given its coframe components t and the coefficients kap[P, A, C], the
+    sigma^C-component of nabla_{X_P} sigma^A.
 
-    field may be a coordinate-expressed 1-form FormField (converted to
-    coframe components by frame pairing) or a FrameSection. Returns a
-    JetArray indexed [a, ...] with the same component layout as the
-    input. Differentiating the components costs one jet order.
+    Entry [P, I] is X_P(t_I) plus, slot by slot from slot 0, the left fold
+    over E of t[I with slot s set to E] * kap[P, E + off, I_s + off]. Every
+    axis of t has the size of kap's last two, or one less for H-only
+    components (off 1). The components are differentiated once, so the
+    corrections need no parts above the order that leaves.
     """
-    frame = conn.frame
-    m = 2 * frame.n
+    full = kap.shape[1]
+    rank = len(t.shape)
+    sizes = set(t.shape)
+    if not (sizes <= {full} or sizes <= {full - 1}):
+        raise ValueError(
+            f"coframe components must have every axis of size {full - 1} or {full}, "
+            f"got shape {t.shape}"
+        )
+    off = full - t.shape[0] if rank else 0
+    k = max(t.top - 1, 0)
+    kapE = kap.restrict(k)[:, off:, off:].transpose(1, 0, 2)  # [E, P, B]
+    low = t.restrict(k)
+    out = apply_vector(X, t)
+    every = slice(None)
+    for s in range(rank):
+        # Terms [E, P, I]: t with slot s moved first, times kap[P, E, I_s].
+        lead = low.transpose(s, *(j for j in range(rank) if j != s))
+        lead = lead[(every, None) + (every,) * s + (None,)]
+        coef = kapE[(every, every) + (None,) * s + (every,) + (None,) * (rank - 1 - s)]
+        out = out + _contract(lead, coef)
+    return out
 
-    if isinstance(field, FormField):
-        if field.degree != 1:
-            raise ValueError("nabla_H on fields is implemented for 1-forms")
-        field = frame_oneform(frame.express(field.eval(frame.p, 2)))
 
-    if not isinstance(field, FrameSection):
-        raise TypeError("expected a FormField or a FrameSection")
+def nabla_H(conn: PartialConnection, t: JetArray) -> JetArray:
+    """Covariant derivative of a covariant tensor along each frame
+    direction X_a, at the frame's point.
 
-    X = frame.X
-    if field.kind not in ("oneform", "vector", "tensor02"):
-        raise ValueError(f"unknown section kind {field.kind!r}")
-    comps = field.comps
-    # Every result adds the derivative of the components, one order below
-    # them, to products of kappa; those need no parts above that order.
-    k = max(comps.top - 1, 0)
-    kap = conn.kappa.restrict(k)
-    low = comps.restrict(k)
-    if field.kind == "oneform":
-        # alpha[A] * kappa[a, A, C], folded over A.
-        corr = _contract(low[:, None, None], kap.transpose(1, 0, 2))
-        return apply_vector(X, comps) + corr
-    if field.kind == "vector":
-        # kappa[a, B, C] * v[C], folded over C.
-        corr = _contract(kap.transpose(2, 0, 1), low[:, None, None])
-        return apply_vector(X, comps) - corr
-    size = len(comps)
-    if size == m:
-        # H-only components: shift into the full kappa indexing.
-        off = 1
-    elif size == m + 1:
-        off = 0
-    else:
-        raise ValueError("tensor02 components must be 2n or 2n+1 square")
-    # kk[E, a, B] = kappa[a, E + off, B + off]
-    kk = kap[:, off : off + size, off : off + size].transpose(1, 0, 2)
-    first = _contract(kk[:, :, :, None], low[:, None, None, :])
-    second = _contract(kk[:, :, None, :], low.transpose(1, 0)[:, None, :, None])
-    return apply_vector(X, comps) + first + second
+    t holds the tensor's coframe components, one axis per slot: a 1-form
+    is (2n+1,), a (0,2)-tensor (2n+1, 2n+1), and axes of size 2n hold
+    H-only components. Returns a JetArray indexed [a, ...] with the same
+    component layout. Differentiating the components costs one jet order.
+    A coordinate 1-form field alpha enters as
+    frame.express(alpha.eval(frame.p, 2)).
+    """
+    return _derivative(conn.frame.X, conn.kappa, t)
+
+
+def nabla_H_vector(conn: PartialConnection, v: JetArray) -> JetArray:
+    """Covariant derivative of a vector along each frame direction X_a,
+    given its frame components v (2n+1,), slot 0 the Reeb one: entry
+    [a, B] is X_a(v_B) minus the left fold over C of kappa[a, B, C] v[C]."""
+    k = max(v.top - 1, 0)
+    corr = _contract(conn.kappa.restrict(k).transpose(2, 0, 1), v.restrict(k)[:, None, None])
+    return apply_vector(conn.frame.X, v) - corr
 
 
 @dataclass(frozen=True)
@@ -296,12 +276,11 @@ class FullConnection:
         direction."""
         frame = self.frame
         m = self.h_dim
-        # coeffs[A, P, C]: xi[A, C] for P = 0, kappa[A, P - 1, C] after.
+        # coeffs[P, A, C]: xi[A, C] for P = 0, kappa[A, P - 1, C] after.
         coeffs = JetArray.constant(0.0, frame.dim, (m + 1, m + 1, m + 1))
-        coeffs[:, 0] = self.xi
-        coeffs[:, 1:] = self.kappa
-        corr = _contract(alpha[:, None, None], coeffs)
-        return apply_vector(frame.frame_array, alpha) + corr
+        coeffs[0] = self.xi
+        coeffs[1:] = self.kappa.transpose(1, 0, 2)
+        return _derivative(frame.frame_array, coeffs, alpha)
 
     def coordinate_action(self, alpha: FormField):
         """Value matrix of nabla alpha in coordinates at the frame's

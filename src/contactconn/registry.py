@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .contact import ContactStructure
 from .errors import ParseError, SpecError, UnknownManifoldError
-from .expressions import CONSTANTS, FUNCTIONS, parse_expr
+from .expressions import CONSTANTS, FUNCTIONS, Coord, parse_expr
 from .forms import FormField
 
 DEFAULT_POINTS = 100
@@ -169,6 +170,18 @@ def load_spec(path: str) -> ManifoldSpec:
     dim = len(coords)
     _require(dim >= 3 and dim % 2 == 1, "coords", f"dimension must be odd and >= 3, got {dim}")
     _require(len(set(coords)) == dim, "coords", "names must be distinct")
+    for i, name in enumerate(coords):
+        # Constants and functions outrank coordinates in the parser, so the
+        # name must read back as this coordinate.
+        try:
+            named = parse_expr(name, coords) == Coord(i, name)
+        except ParseError:
+            named = False
+        _require(
+            named,
+            f"coords[{i}]",
+            f"{name!r} must be an identifier that names no built-in function or constant",
+        )
     if "dim" in raw:
         _require(raw["dim"] == dim, "dim", f"does not match len(coords) = {dim}")
 
@@ -197,6 +210,14 @@ def load_spec(path: str) -> ManifoldSpec:
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in iv),
             f"box[{i}]",
             "must be a [lo, hi] pair of numbers",
+        )
+        # json reads Infinity and NaN, and integers too large for a float;
+        # the comparison with float_info.max is exact for any integer.
+        _require(
+            all(abs(v) <= sys.float_info.max for v in iv)
+            and math.isfinite(float(iv[1]) - float(iv[0])),
+            f"box[{i}]",
+            "bounds and their difference must be finite",
         )
         _require(iv[0] < iv[1], f"box[{i}]", "must have lo < hi")
         box_t.append((float(iv[0]), float(iv[1])))

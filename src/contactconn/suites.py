@@ -12,8 +12,8 @@ Screening (contact.screen_point, which classify shares) evaluates the
 chart's inputs once per sample point and builds one _PointState per
 usable point. It holds those inputs and the adapted frame and caches
 what the suites derive from them (spectrum, canonical connection,
-promotion, 3D coframe and structure data), so each is built at most
-once per point and shared by every suite.
+promotion, 3D structure data), so each is built at most once per point
+and shared by every suite.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ import numpy as np
 
 from .connection import (
     canonical_partial_connection,
-    frame_tensor02,
-    frame_vector,
     nabla_H,
+    nabla_H_vector,
     partial_torsion,
     promote,
     promotion_residual,
@@ -44,6 +43,7 @@ from .contact import (
     screen_point,
 )
 from .errors import AllPointsSkippedError, SuiteUnavailableError
+from .expressions import parse_expr
 from .forms import evaluate_forms
 from .jets import JetArray
 from .registry import SUITE_NAMES, SUITES_3D_ONLY, ManifoldSpec
@@ -90,12 +90,8 @@ class _PointState:
         return promote(self.conn)
 
     @cached_property
-    def tw_coframe(self):
-        return tw_coframe(self.cs, self.p, frame=self.frame)
-
-    @cached_property
     def tw_data(self):
-        return solve_structure_equations(self.tw_coframe)
+        return solve_structure_equations(tw_coframe(self.cs, self.p, frame=self.frame))
 
 
 def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
@@ -149,13 +145,13 @@ def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
     )
 
 
-def _suite_canonical(cs: ContactStructure, usable) -> SuiteResult:
+def _suite_canonical(usable) -> SuiteResult:
     m_res = {"reeb_parallel": 0.0, "levi_parallel": 0.0, "torsion_free": 0.0, "metric_parallel": 0.0}
     for pt in usable:
         frame = pt.frame
         conn = pt.conn
 
-        dT = nabla_H(conn, frame_vector(frame.express_vector(frame.T)))
+        dT = nabla_H_vector(conn, frame.express_vector(frame.T))
         m_res["reeb_parallel"] = max(m_res["reeb_parallel"], max_abs(dT.value))
 
         # The Levi check reads values only; the metric check reads the
@@ -172,14 +168,14 @@ def _suite_canonical(cs: ContactStructure, usable) -> SuiteResult:
         m_res["torsion_free"] = max(m_res["torsion_free"], theta_gap)
 
         X1 = X.restrict(1)
-        dg = nabla_H(conn, frame_tensor02(_metric_pairs(pt.inputs.G.restrict(1), X1, X1)))
+        dg = nabla_H(conn, _metric_pairs(pt.inputs.G.restrict(1), X1, X1))
         m_res["metric_parallel"] = max(m_res["metric_parallel"], max_abs(dg.value))
 
     passed = all(v < 1e-9 for v in m_res.values())
     return SuiteResult("canonical", passed, m_res, len(usable))
 
 
-def _suite_promotion(cs: ContactStructure, usable) -> SuiteResult:
+def _suite_promotion(usable) -> SuiteResult:
     h_res = 0.0
     ext_res = 0.0
     for pt in usable:
@@ -196,7 +192,7 @@ def _suite_promotion(cs: ContactStructure, usable) -> SuiteResult:
     )
 
 
-def _suite_tw_compare(cs: ContactStructure, usable) -> SuiteResult:
+def _suite_tw_compare(usable) -> SuiteResult:
     keys = (
         "e_agreement_residual",
         "theta_row_difference_residual",
@@ -208,8 +204,8 @@ def _suite_tw_compare(cs: ContactStructure, usable) -> SuiteResult:
     agg = {k: 0.0 for k in keys}
     passed = True
     for pt in usable:
-        rp = compare_partial(pt.tw_coframe, pt.tw_data, pt.conn)
-        rf = compare_full(pt.tw_coframe, pt.tw_data, pt.promoted)
+        rp = compare_partial(pt.tw_data, pt.conn)
+        rf = compare_full(pt.tw_data, pt.promoted)
         merged = {**rp, **rf}
         passed = passed and rp["passed"] and rf["passed"]
         for k in keys:
@@ -229,7 +225,7 @@ def _suite_rotation(cs: ContactStructure, usable, seed: int) -> SuiteResult:
         terms.extend(f"({coeff()!r})*{name}" for name in cs.coords)
         terms.extend(f"({coeff()!r})*{name}^2" for name in cs.coords)
         phi = " + ".join(terms)
-        rep = check_rotation_covariance(pt.tw_coframe, pt.tw_data, phi)
+        rep = check_rotation_covariance(pt.tw_data, parse_expr(phi, cs.coords))
         passed = passed and rep["passed"]
         omega_res = max(omega_res, rep["omega_residual"])
         ab_res = max(ab_res, rep["ab_residual"])
@@ -298,11 +294,11 @@ def run_suites(
         if name == "contact":
             results.append(_suite_contact(cs, usable))
         elif name == "canonical":
-            results.append(_suite_canonical(cs, usable))
+            results.append(_suite_canonical(usable))
         elif name == "promotion":
-            results.append(_suite_promotion(cs, usable))
+            results.append(_suite_promotion(usable))
         elif name == "tw-compare":
-            results.append(_suite_tw_compare(cs, usable))
+            results.append(_suite_tw_compare(usable))
         elif name == "rotation":
             results.append(_suite_rotation(cs, usable, run_seed))
 

@@ -1,9 +1,10 @@
 """The classical pseudo-Hermitian connection in dimension 3, and its
 comparison with the canonical one.
 
-Pipeline: an oriented adapted coframe (theta_hat, e1, e2) with
-d(theta_hat) = e1 ^ e2; a least-squares solve of the six structure
-equations
+Pipeline: an adapted frame (T, X1, X2) of a 3-dimensional structure,
+checked by tw_coframe to be oriented, so that its coframe (theta_hat,
+e1, e2) has d(theta_hat) = e1 ^ e2; a least-squares solve of the six
+structure equations
 
     de1 =  omega ^ e2 + A theta ^ e1 + B theta ^ e2
     de2 = -omega ^ e1 + B theta ^ e1 - A theta ^ e2
@@ -12,7 +13,9 @@ for the five unknowns (omega_theta, omega_1, omega_2, A, B); the scalar
 curvature R as the top-form coefficient of d(omega) against the contact
 form; the connection with nabla theta_hat = 0, nabla e1 = omega x e2,
 nabla e2 = -omega x e1; and the two comparison reports against the
-canonical partial connection and its promotion.
+canonical partial connection and its promotion. The solved data,
+TWData, carries the frame it was solved on, so everything downstream
+takes the frame or that data alone.
 
 The normal equations of the 6x5 system decouple, so the least-squares
 solution is written in closed form; the single redundancy leaves the
@@ -45,7 +48,6 @@ from .contact import (
     structure_values,
 )
 from .errors import DegenerateFrameError, InconsistentStructureError
-from .expressions import parse_expr
 from .forms import apply_vector, d_from_jets
 from .jets import JetArray, eval_jet
 
@@ -53,28 +55,8 @@ STRUCTURE_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class TWCoframe:
-    """Oriented adapted coframe at a point of a 3-dimensional structure.
-
-    Wraps the adapted frame; the coframe elements are theta_hat and the
-    two dual 1-forms e^1, e^2 with d(theta_hat)(X1, X2) = +1.
-    """
-
-    frame: AdaptedFrame
-    coords: tuple[str, ...]
-
-    @property
-    def p(self) -> tuple[float, ...]:
-        return self.frame.p
-
-    @property
-    def X(self) -> JetArray:
-        return self.frame.X
-
-
-@dataclass(frozen=True)
 class TWData:
-    """Solved structure-equation data at a point.
+    """Structure-equation data solved on frame.
 
     omega, a JetArray (3,), holds the coframe components (omega_theta,
     omega_1, omega_2); the Reeb component carries jet order 0, the rest
@@ -82,6 +64,7 @@ class TWData:
     A, B and R are single jets.
     """
 
+    frame: AdaptedFrame
     omega: JetArray
     A: JetArray
     B: JetArray
@@ -89,29 +72,35 @@ class TWData:
     residual: float
 
 
-def tw_coframe(cs: ContactStructure, p, frame: AdaptedFrame | None = None) -> TWCoframe:
-    """Adapted coframe of a 3-dimensional structure, oriented so that
-    d(theta_hat)(X1, X2) = +1. Wraps frame when given, else builds it."""
-    if cs.dim != 3:
-        raise ValueError(f"requires a 3-dimensional structure, got dim {cs.dim}")
+def _require_3d(dim: int) -> None:
+    if dim != 3:
+        raise ValueError(f"requires a 3-dimensional structure, got dim {dim}")
+
+
+def tw_coframe(cs: ContactStructure, p, frame: AdaptedFrame | None = None) -> AdaptedFrame:
+    """The adapted frame of a 3-dimensional structure at p, checked to be
+    oriented: d(theta_hat)(X1, X2) = +1. Returns frame when given, else
+    builds it."""
+    _require_3d(cs.dim)
     frame = frame or adapted_frame(cs, p)
     pairing = float(frame.Omega.value[0, 1])
     if abs(pairing - 1.0) > 1e-10:
         raise DegenerateFrameError(
             f"oriented coframe pairing d(theta_hat)(X1, X2) = {pairing!r}, expected 1"
         )
-    return TWCoframe(frame, tuple(cs.coords))
+    return frame
 
 
-def solve_structure_equations(cf: TWCoframe) -> TWData:
+def solve_structure_equations(frame: AdaptedFrame) -> TWData:
     """Least-squares solve for (omega, A, B) and the curvature R.
 
     The six scalar equations pair de1, de2 against the basis 2-forms;
     their normal equations decouple into the closed form below. The lone
     redundancy |c1 + c5| / sqrt(2) is the least-squares residual and must
-    sit at rounding level.
+    sit at rounding level. frame is an oriented 3-dimensional adapted
+    frame, as tw_coframe and rotate_coframe return.
     """
-    frame = cf.frame
+    _require_3d(frame.dim)
     # d(theta_hat), de1 and de2 on the frame pairs (T, X1), (T, X2),
     # (X1, X2); on (X1, X2) they are Omega_12 and the structure values
     # D^1_12 = c3, D^2_12 = c6.
@@ -142,17 +131,16 @@ def solve_structure_equations(cf: TWCoframe) -> TWData:
         (c3 * w1, c6 * w2), start=JetArray.constant(0.0, frame.dim)
     )
     R = x1_w2 - x2_w1 - bracket_omega
-    return TWData(omega=omega, A=A, B=B, R=R, residual=residual)
+    return TWData(frame=frame, omega=omega, A=A, B=B, R=R, residual=residual)
 
 
 def _rotation_connection(
-    cf: TWCoframe, w_theta: JetArray, w_h: JetArray, with_levi: bool
+    frame: AdaptedFrame, w_theta: JetArray, w_h: JetArray, with_levi: bool
 ) -> FullConnection:
     """Coefficient data over the full coframe of nabla e1 = omega x e2,
     nabla e2 = -omega x e1, and on H directions nabla theta_hat =
     e1 x e2 - e2 x e1 when with_levi, else nabla theta_hat = 0; omega has
     the Reeb component w_theta and the H components w_h (2,)."""
-    frame = cf.frame
     kappa = JetArray.constant(0.0, frame.dim, (3, 2, 3))
     xi = JetArray.constant(0.0, frame.dim, (3, 3))
     if with_levi:
@@ -164,13 +152,13 @@ def _rotation_connection(
     return FullConnection(frame=frame, kappa=kappa, xi=xi, partial=None)
 
 
-def tw_connection(td: TWData, cf: TWCoframe) -> FullConnection:
+def tw_connection(td: TWData) -> FullConnection:
     """Connection with nabla theta_hat = 0, nabla e1 = omega x e2,
-    nabla e2 = -omega x e1, as coefficient data over the full coframe."""
-    return _rotation_connection(cf, td.omega[0], td.omega[1:], with_levi=False)
+    nabla e2 = -omega x e1, as coefficient data over td's coframe."""
+    return _rotation_connection(td.frame, td.omega[0], td.omega[1:], with_levi=False)
 
 
-def promoted_from_invariants(td: TWData, cf: TWCoframe) -> FullConnection:
+def promoted_from_invariants(td: TWData) -> FullConnection:
     """The promoted canonical connection assembled directly from
     (omega, A, B, R): the H-coefficients of the classical connection plus
     the Reeb-direction shift by R.
@@ -179,22 +167,20 @@ def promoted_from_invariants(td: TWData, cf: TWCoframe) -> FullConnection:
     nabla e1 = (omega - R theta_hat) x e2, nabla e2 the negative mirror.
     Used to cross-check the general promotion against its closed form.
     """
-    return _rotation_connection(cf, td.omega[0] - td.R, td.omega[1:], with_levi=True)
+    return _rotation_connection(td.frame, td.omega[0] - td.R, td.omega[1:], with_levi=True)
 
 
-def _phi_jet(cf: TWCoframe, phi) -> JetArray:
+def _phi_jet(frame: AdaptedFrame, phi) -> JetArray:
     """The angle phi as a single jet: as it is when it is one, else a
-    number or an expression (text or parsed) at the coframe's point, at
-    order ORDER."""
+    number or a parsed expression at the frame's point, at order ORDER."""
     if isinstance(phi, JetArray):
         return phi
     if isinstance(phi, (int, float)):
-        return JetArray.constant(float(phi), cf.frame.dim, (), ORDER)
-    e = parse_expr(phi, cf.coords) if isinstance(phi, str) else phi
-    return eval_jet(e, cf.p, ORDER)
+        return JetArray.constant(float(phi), frame.dim, (), ORDER)
+    return eval_jet(phi, frame.p, ORDER)
 
 
-def rotate_coframe(cf: TWCoframe, phi) -> TWCoframe:
+def rotate_coframe(frame: AdaptedFrame, phi) -> AdaptedFrame:
     """Coframe rotated by the angle function phi:
 
         e1' = cos(phi) e1 - sin(phi) e2,  e2' = sin(phi) e1 + cos(phi) e2
@@ -202,10 +188,11 @@ def rotate_coframe(cf: TWCoframe, phi) -> TWCoframe:
     and the frame vectors by the same matrix, which keeps duality and the
     orientation pairing d(theta_hat)(X1', X2') = +1 (the matrix has
     determinant one). The structure values are recomputed for the new
-    coframe; everything else is untouched.
+    coframe; everything else is untouched. phi is a single jet, a number
+    or a parsed expression.
     """
-    frame = cf.frame
-    ph = _phi_jet(cf, phi)
+    _require_3d(frame.dim)
+    ph = _phi_jet(frame, phi)
     co, si = ph.cos(), ph.sin()
 
     rot = JetArray.constant(0.0, frame.dim, (2, 2))  # [[co, -si], [si, co]]
@@ -222,13 +209,13 @@ def rotate_coframe(cf: TWCoframe, phi) -> TWCoframe:
     c = rot[:, 0] * frame.c[0] + rot[:, 1] * frame.c[1]
     X = turn(frame.X)
     D = structure_values(df, c, X, frame.Omega)
-    return TWCoframe(dataclasses.replace(frame, f=f, df=df, c=c, X=X, D=D), cf.coords)
+    return dataclasses.replace(frame, f=f, df=df, c=c, X=X, D=D)
 
 
-def check_rotation_covariance(cf: TWCoframe, td: TWData, phi) -> dict:
-    """Solve the structure equations in the phi-rotated coframe and
-    compare with td, the solution in the original coframe cf, against
-    the predicted transformation:
+def check_rotation_covariance(td: TWData, phi) -> dict:
+    """Solve the structure equations in td's coframe rotated by phi (as
+    rotate_coframe takes it) and compare with td against the predicted
+    transformation:
 
         omega' = omega - d(phi)      (components taken in each coframe's
                                       own frame vectors)
@@ -238,15 +225,15 @@ def check_rotation_covariance(cf: TWCoframe, td: TWData, phi) -> dict:
     transformation law leaves invariant.
     """
     base = td
-    ph = _phi_jet(cf, phi)
-    rotated_cf = rotate_coframe(cf, ph)
-    rot = solve_structure_equations(rotated_cf)
+    ph = _phi_jet(td.frame, phi)
+    rotated = rotate_coframe(td.frame, ph)
+    rot = solve_structure_equations(rotated)
 
     co, si = ph.cos(), ph.sin()
 
     # omega' components against (T, X1', X2'); omega is paired with the
     # rotated frame vectors before subtracting the phi derivative.
-    dphi_T, dphi_1, dphi_2 = apply_vector(rotated_cf.frame.frame_array, ph)
+    dphi_T, dphi_1, dphi_2 = apply_vector(rotated.frame_array, ph)
     w_theta, w1, w2 = base.omega
     exp_theta = w_theta - dphi_T
     exp_1 = (co * w1 - si * w2) - dphi_1
@@ -277,10 +264,9 @@ def _gap(a: JetArray, b: JetArray) -> float:
     return abs(float((a - b).value))
 
 
-def compare_partial(cf: TWCoframe, td: TWData, conn: PartialConnection) -> dict:
+def compare_partial(td: TWData, conn: PartialConnection) -> dict:
     """Canonical partial connection against the H-part of the classical
-    one, in the shared adapted coframe: td solved on cf, conn built on
-    cf.frame.
+    one, in the shared adapted coframe: conn built on td.frame.
 
     They must agree on e1, e2 (coefficients omega_1, omega_2); on
     theta_hat the canonical one produces e1 x e2 - e2 x e1 where the
@@ -306,9 +292,9 @@ def compare_partial(cf: TWCoframe, td: TWData, conn: PartialConnection) -> dict:
     }
 
 
-def compare_full(cf: TWCoframe, td: TWData, fc: FullConnection) -> dict:
-    """Promoted canonical connection fc against the classical one, td
-    solved on cf and fc promoted from a connection on cf.frame.
+def compare_full(td: TWData, fc: FullConnection) -> dict:
+    """Promoted canonical connection fc against the classical one, fc
+    promoted from a connection on td.frame.
 
     Checks, each componentwise:
       - the difference tensor equals R theta_hat x J(sigma) on the
@@ -322,8 +308,8 @@ def compare_full(cf: TWCoframe, td: TWData, fc: FullConnection) -> dict:
     Also extracts R from the difference tensor and reports its drift from
     the structure-equation R.
     """
-    omega = cf.frame.Omega.value
-    tw = tw_connection(td, cf)
+    omega = td.frame.Omega.value
+    tw = tw_connection(td)
 
     # J on the coframe H-part: J e1 = -e2, J e2 = e1 (matrix of the
     # orientation 2-form).

@@ -168,3 +168,46 @@ def from_coframe(components, coframe: list[JetArray], degree: int) -> JetArray:
             mono = wedge(mono, r + 1, coframe[i], 1)
         total = total + mono * coeff
     return total
+
+
+def scalar_frame_derivative(X: JetArray, t: JetArray) -> JetArray:
+    """X_a(t_I) for every frame vector X_a and component I, each the left
+    fold over coordinates i of X_a^i * d_i t_I on single jets: a JetArray
+    indexed [a, I]."""
+    out = JetArray.constant(0.0, t.dim, (len(X),) + t.shape, max(t.top - 1, 0))
+    for a in range(len(X)):
+        for idx in itertools.product(*map(range, t.shape)):
+            parts = t[idx].partials()
+            out[(a,) + idx] = sum_jets(X[a][i] * parts[i] for i in range(t.dim))
+    return out
+
+
+def scalar_nabla_H(kappa: JetArray, X: JetArray, t: JetArray) -> JetArray:
+    """The H-covariant derivative of covariant coframe components t as a
+    loop over single jets: entry [a, I] is X_a(t_I) plus, slot by slot
+    from slot 0, the left fold over E of
+    t[I with slot s set to E] * kappa[a, E + off, I_s + off], off 1 for
+    H-only components (axes of size 2n) and 0 for full ones."""
+    off = kappa.shape[1] - t.shape[0]
+    out = scalar_frame_derivative(X, t)
+    for a in range(len(X)):
+        for idx in itertools.product(*map(range, t.shape)):
+            acc = out[(a,) + idx]
+            for s, i_s in enumerate(idx):
+                acc = acc + sum_jets(
+                    t[idx[:s] + (E,) + idx[s + 1 :]] * kappa[a, E + off, i_s + off]
+                    for E in range(t.shape[0])
+                )
+            out[(a,) + idx] = acc
+    return out
+
+
+def scalar_nabla_H_vector(kappa: JetArray, X: JetArray, v: JetArray) -> JetArray:
+    """The H-covariant derivative of frame components v as a loop over
+    single jets: entry [a, B] is X_a(v_B) minus the left fold over C of
+    kappa[a, B, C] * v[C]."""
+    out = scalar_frame_derivative(X, v)
+    for a in range(len(X)):
+        for B in range(len(v)):
+            out[a, B] = out[a, B] - sum_jets(kappa[a, B, C] * v[C] for C in range(len(v)))
+    return out

@@ -54,10 +54,10 @@ def generic_vector_jets(cs, p):
 
 
 def tw_inputs(cs, p):
-    """Oriented coframe, its structure data and the canonical connection
-    on its frame: what the 3D comparisons take."""
-    cf = tw_coframe(cs, p)
-    return cf, solve_structure_equations(cf), canonical_partial_connection(cs, p, frame=cf.frame)
+    """Structure data on the oriented frame at p and the canonical
+    connection on that frame: what the 3D comparisons take."""
+    frame = tw_coframe(cs, p)
+    return solve_structure_equations(frame), canonical_partial_connection(cs, p, frame=frame)
 
 
 def test_criterion_01_canonical_axioms():
@@ -169,11 +169,9 @@ def test_criterion_05_heisenberg_closed_forms():
     cs = spec.build()
     worst = 0.0
     for p in sample_box(spec.box, 20, spec.seed):
-        cf = tw_coframe(cs, p)
-        td = solve_structure_equations(cf)
+        td, conn = tw_inputs(cs, p)
         worst = max(worst, max(abs(w.value) for w in td.omega))
         worst = max(worst, abs(td.A.value), abs(td.B.value), abs(td.R.value))
-        conn = canonical_partial_connection(cs, p, frame=cf.frame)
         worst = max(
             worst,
             max(
@@ -185,7 +183,7 @@ def test_criterion_05_heisenberg_closed_forms():
         )
         fc = promote(conn)
         worst = max(worst, max(abs(fc.xi[A][C].value) for A in range(3) for C in range(3)))
-        tw = tw_connection(td, cf)
+        tw = tw_connection(td)
         worst = max(
             worst,
             max(abs(tw.kappa[A][a][C].value) for A in range(3) for a in range(2) for C in range(3)),
@@ -208,17 +206,18 @@ def test_criterion_06_rotation_covariance():
         )
         for _ in range(20):
             coeff = rng.uniform(-1.0, 1.0, size=7)
-            phi = (
+            phi = parse_expr(
                 f"({coeff[0]}) + ({coeff[1]})*x + ({coeff[2]})*y + ({coeff[3]})*z"
-                f" + ({coeff[4]})*x^2 + ({coeff[5]})*y*z + ({coeff[6]})*z^2"
+                f" + ({coeff[4]})*x^2 + ({coeff[5]})*y*z + ({coeff[6]})*z^2",
+                cs.coords,
             )
             p = tuple(rng.uniform(-0.6, 0.6, size=3))
-            cf = tw_coframe(cs, p)
-            out = check_rotation_covariance(cf, solve_structure_equations(cf), phi)
+            frame = tw_coframe(cs, p)
+            out = check_rotation_covariance(solve_structure_equations(frame), phi)
             worst_cov = max(worst_cov, out["omega_residual"], out["ab_residual"])
-            rcf = rotate_coframe(cf, phi)
-            m1 = tw_connection(solve_structure_equations(cf), cf).coordinate_action(alpha)
-            m2 = tw_connection(solve_structure_equations(rcf), rcf).coordinate_action(alpha)
+            rotated = rotate_coframe(frame, phi)
+            m1 = tw_connection(solve_structure_equations(frame)).coordinate_action(alpha)
+            m2 = tw_connection(solve_structure_equations(rotated)).coordinate_action(alpha)
             worst_action = max(worst_action, float(np.max(np.abs(m1 - m2))))
     ok = worst_cov < 1e-9 and worst_action < 1e-9
     verdict(
@@ -253,8 +252,8 @@ def test_criterion_08_full_comparison():
         spec = get_manifold(name)
         cs = spec.build()
         for p in sample_box(spec.box, 12, spec.seed):
-            cf, td, conn = tw_inputs(cs, p)
-            out = compare_full(cf, td, promote(conn))
+            td, conn = tw_inputs(cs, p)
+            out = compare_full(td, promote(conn))
             worst_diff = max(worst_diff, out["difference_tensor_residual"])
             worst_torsion = max(worst_torsion, out["torsion_e_rows_residual"])
     ok = worst_diff < 1e-8 and worst_torsion < 1e-8
@@ -271,10 +270,9 @@ def test_criterion_09_promotion_closed_form():
         spec = get_manifold(name)
         cs = spec.build()
         for p in sample_box(spec.box, 10, spec.seed):
-            cf = tw_coframe(cs, p)
-            td = solve_structure_equations(cf)
-            fc = promote(canonical_partial_connection(cs, p, frame=cf.frame))
-            ref = promoted_from_invariants(td, cf)
+            td, conn = tw_inputs(cs, p)
+            fc = promote(conn)
+            ref = promoted_from_invariants(td)
             worst = max(
                 worst,
                 max(

@@ -11,11 +11,9 @@ from contactconn.connection import (
     FullConnection,
     base_partial_connection,
     canonical_partial_connection,
-    frame_oneform,
-    frame_tensor02,
-    frame_vector,
     full_torsion,
     nabla_H,
+    nabla_H_vector,
     partial_torsion,
     promote,
     promotion_residual,
@@ -27,7 +25,14 @@ from contactconn.errors import SymmetryError
 from contactconn.expressions import parse_expr
 from contactconn.forms import FormField
 from contactconn.jets import JetArray, Tape, eval_jet
-from form_helpers import evaluate, frame_vectors, stack, sum_jets
+from form_helpers import (
+    evaluate,
+    frame_vectors,
+    scalar_nabla_H,
+    scalar_nabla_H_vector,
+    stack,
+    sum_jets,
+)
 
 P3 = (0.3, -0.4, 0.2)
 
@@ -142,7 +147,7 @@ def four_bullet_residuals(cs, p):
     )
 
     reeb_comps = frame.express_vector(frame.T)
-    reeb = float(np.max(np.abs(nabla_H(conn, frame_vector(reeb_comps)).value)))
+    reeb = float(np.max(np.abs(nabla_H_vector(conn, reeb_comps).value)))
 
     gmat = [[eval_jet(cs.g[i][j], p, 2) for j in range(dim)] for i in range(dim)]
     gram = [
@@ -157,7 +162,7 @@ def four_bullet_residuals(cs, p):
         for a in range(m)
     ]
     gram = stack([stack(row) for row in gram])
-    metric = float(np.max(np.abs(nabla_H(conn, frame_tensor02(gram)).value)))
+    metric = float(np.max(np.abs(nabla_H(conn, gram).value)))
     return {"torsion": torsion, "levi": levi, "reeb": reeb, "metric": metric}
 
 
@@ -241,43 +246,12 @@ class TestFrameIndependence:
 
 
 class TestNablaH:
-    def test_formfield_matches_frame_components(self, perturbed):
-        conn = canonical_partial_connection(perturbed, P3)
-        frame = conn.frame
-        alpha = FormField.one_form(
-            [parse_expr(s, perturbed.coords) for s in ("z", "x*y", "1 + y")]
-        )
-        via_field = nabla_H(conn, alpha)
-        comps = frame.express(alpha.eval(P3, 2))
-        via_section = nabla_H(conn, frame_oneform(comps))
-        for a in range(2):
-            for C in range(3):
-                assert abs((via_field[a][C] - via_section[a][C]).value) < 1e-14
-
-    def test_rejects_two_form(self, perturbed):
-        conn = canonical_partial_connection(perturbed, P3)
-        alpha = FormField.one_form(
-            [parse_expr(s, perturbed.coords) for s in ("z", "x*y", "1 + y")]
-        )
-        with pytest.raises(ValueError):
-            nabla_H(conn, alpha.d())
-
     def test_rejects_wrong_tensor_size(self, perturbed):
+        # every axis must have size 2n + 1 or, for H-only components, 2n
         conn = canonical_partial_connection(perturbed, P3)
-        with pytest.raises(ValueError):
-            nabla_H(conn, frame_tensor02(JetArray.constant(1.0, 3, (4, 4))))
-
-    def test_rejects_unknown_kind(self, perturbed):
-        from contactconn.connection import FrameSection
-
-        conn = canonical_partial_connection(perturbed, P3)
-        with pytest.raises(ValueError):
-            nabla_H(conn, FrameSection("spinor", (1.0,)))
-
-    def test_rejects_plain_list(self, perturbed):
-        conn = canonical_partial_connection(perturbed, P3)
-        with pytest.raises(TypeError):
-            nabla_H(conn, [1.0, 0.0, 0.0])
+        for shape in [(4, 4), (2, 3), (3, 2), (4,), (3, 3, 2)]:
+            with pytest.raises(ValueError, match="every axis"):
+                nabla_H(conn, JetArray.constant(1.0, 3, shape))
 
 
 class TestPromotion:
@@ -435,3 +409,47 @@ def test_promotion_system_matches_scalar_loops_on_generic_chart():
             assert got.value == want.value
             if want.order >= 1:
                 assert np.array_equal(got.grad, want.grad)
+
+
+def random_jets(rng, dim, shape):
+    """Order-2 jets of the given shape with random parts, symmetric
+    Hessians."""
+    t = JetArray.constant(0.0, dim, shape)
+    t.value[...] = rng.standard_normal(t.value.shape)
+    t.grad[...] = rng.standard_normal(t.grad.shape)
+    h = rng.standard_normal(t.hess.shape)
+    t.hess[...] = h + np.swapaxes(h, -1, -2)
+    return t
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.value, want.value)
+    assert np.array_equal(got.grad, want.grad)
+
+
+NABLA_POINTS = {
+    "heisenberg-perturbed": (0.3, -0.4, 0.2),
+    "n2-split": (0.3, -0.4, 0.2, 0.5, -0.1),
+    "generic-5d": (0.2, -0.3, 0.1, 0.4, -0.25),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NABLA_POINTS))
+def test_nabla_H_matches_index_loop(name, rng):
+    from contactconn.registry import get_manifold
+
+    spec = generic_5d_spec() if name == "generic-5d" else get_manifold(name)
+    conn = canonical_partial_connection(spec.build(), NABLA_POINTS[name])
+    frame = conn.frame
+    dim, m = frame.dim, 2 * frame.n
+    X = frame.X
+    alpha = random_jets(rng, dim, (m + 1,))
+    got = nabla_H(conn, alpha)
+    assert_same_bits(got, scalar_nabla_H(conn.kappa, X, alpha))
+    assert_same_bits(promote(conn).derivative_of_oneform(alpha)[1:], got)
+    for size in (m, m + 1):
+        t = random_jets(rng, dim, (size, size))
+        assert_same_bits(nabla_H(conn, t), scalar_nabla_H(conn.kappa, X, t))
+    v = random_jets(rng, dim, (m + 1,))
+    assert_same_bits(nabla_H_vector(conn, v), scalar_nabla_H_vector(conn.kappa, X, v))

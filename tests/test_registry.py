@@ -190,6 +190,29 @@ class TestLoadSpec:
         with pytest.raises(SpecError, match=path_fragment):
             load_spec(write_spec(tmp_path, payload))
 
+    @pytest.mark.parametrize(
+        "mutate, path_fragment",
+        [
+            # e would parse as Euler's constant, so z could never enter theta
+            (lambda d: d.update(coords=["x", "y", "e"], theta=["-y", "0", "1 + e"]), r"coords\[2\]"),
+            (lambda d: d.update(coords=["pi", "y", "z"]), r"coords\[0\]"),
+            (lambda d: d.update(coords=["x", "y", "sin"]), r"coords\[2\]"),
+            (lambda d: d.update(coords=["x", "y", "2 z"]), r"coords\[2\]"),
+            (lambda d: d.update(coords=["x", "", "z"]), r"coords\[1\]"),
+            # a Python identifier that the expression grammar cannot read
+            (lambda d: d.update(coords=["x", "y", "z\u00b7w"]), r"coords\[2\]"),
+            (lambda d: d["box"].__setitem__(0, [-0.5, math.inf]), r"box\[0\]"),
+            (lambda d: d["box"].__setitem__(1, [-math.inf, 0.5]), r"box\[1\]"),
+            (lambda d: d["box"].__setitem__(2, [-1e308, 1e308]), r"box\[2\]"),
+            (lambda d: d["box"].__setitem__(2, [0, 10**400]), r"box\[2\]"),
+        ],
+    )
+    def test_unusable_coordinate_or_box_rejected(self, tmp_path, mutate, path_fragment):
+        payload = valid_payload()
+        mutate(payload)
+        with pytest.raises(SpecError, match=path_fragment):
+            load_spec(write_spec(tmp_path, payload))
+
     def test_asymmetric_metric_rejected(self, tmp_path):
         payload = valid_payload()
         payload["g"][0][1] = "x"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from contactconn.connection import canonical_partial_connection, promote
+from contactconn.contact import adapted_frame
 from contactconn.errors import InconsistentStructureError
 from contactconn.expressions import parse_expr
 from contactconn.forms import FormField, apply_vector
@@ -17,7 +18,6 @@ from contactconn.jets import JetArray, eval_jet
 from contactconn.registry import get_manifold
 from contactconn.sampling import sample_box
 from contactconn.tw3d import (
-    TWCoframe,
     check_rotation_covariance,
     compare_full,
     compare_partial,
@@ -32,10 +32,10 @@ P3 = (0.3, -0.4, 0.2)
 
 
 def tw_inputs(cs, p):
-    """Oriented coframe, its structure data and the canonical connection
-    on its frame: what the 3D comparisons take."""
-    cf = tw_coframe(cs, p)
-    return cf, solve_structure_equations(cf), canonical_partial_connection(cs, p, frame=cf.frame)
+    """Structure data on the oriented frame at p and the canonical
+    connection on that frame: what the 3D comparisons take."""
+    frame = tw_coframe(cs, p)
+    return solve_structure_equations(frame), canonical_partial_connection(cs, p, frame=frame)
 
 
 def max_coeff(fc):
@@ -48,8 +48,7 @@ class TestStructureEquations:
     def test_heisenberg_closed_forms(self, heisenberg):
         # flat model: every invariant vanishes
         for p in [P3, (0.0, 0.0, 0.0), (-0.7, 0.6, 0.1)]:
-            cf = tw_coframe(heisenberg, p)
-            td = solve_structure_equations(cf)
+            td = solve_structure_equations(tw_coframe(heisenberg, p))
             assert max(abs(w.value) for w in td.omega) < 1e-12
             assert abs(td.A.value) < 1e-12
             assert abs(td.B.value) < 1e-12
@@ -57,17 +56,15 @@ class TestStructureEquations:
             assert td.residual < 1e-12
 
     def test_heisenberg_connection_vanishes(self, heisenberg):
-        cf = tw_coframe(heisenberg, P3)
-        td = solve_structure_equations(cf)
-        assert max_coeff(tw_connection(td, cf)) < 1e-12
+        td = solve_structure_equations(tw_coframe(heisenberg, P3))
+        assert max_coeff(tw_connection(td)) < 1e-12
 
     def test_residual_small_on_curved_model(self, perturbed):
         td = solve_structure_equations(tw_coframe(perturbed, P3))
         assert td.residual < 1e-11
 
     def test_inconsistent_coframe_raises(self, heisenberg):
-        cf = tw_coframe(heisenberg, P3)
-        frame = cf.frame
+        frame = tw_coframe(heisenberg, P3)
         # shifting a Reeb coefficient by a function with nonzero H-gradient
         # knocks the mixed structure values off the solvable locus
         x_jet = eval_jet(parse_expr("x", heisenberg.coords), P3, 2)
@@ -75,35 +72,41 @@ class TestStructureEquations:
         shift[0] = x_jet
         bad = dataclasses.replace(frame, c=frame.c + shift)
         with pytest.raises(InconsistentStructureError):
-            solve_structure_equations(TWCoframe(bad, cf.coords))
+            solve_structure_equations(bad)
 
     def test_rejects_higher_dimension(self):
         cs = get_manifold("n2-split").build()
+        p = (0.1, -0.3, 0.2, 0.4, 0.0)
         with pytest.raises(ValueError, match="3-dimensional"):
-            tw_coframe(cs, (0.1, -0.3, 0.2, 0.4, 0.0))
+            tw_coframe(cs, p)
+        frame = adapted_frame(cs, p)
+        with pytest.raises(ValueError, match="3-dimensional"):
+            solve_structure_equations(frame)
+        with pytest.raises(ValueError, match="3-dimensional"):
+            rotate_coframe(frame, 0.0)
 
 
 class TestRotation:
     def test_zero_angle_is_identity(self, perturbed):
-        cf = tw_coframe(perturbed, P3)
-        rcf = rotate_coframe(cf, 0.0)
-        base = solve_structure_equations(cf)
-        rot = solve_structure_equations(rcf)
+        frame = tw_coframe(perturbed, P3)
+        rotated = rotate_coframe(frame, 0.0)
+        base = solve_structure_equations(frame)
+        rot = solve_structure_equations(rotated)
         for i in range(2):
-            assert np.allclose(rcf.X.value[i], cf.X.value[i], atol=1e-15)
+            assert np.allclose(rotated.X.value[i], frame.X.value[i], atol=1e-15)
         assert abs((rot.A - base.A).value) < 1e-14
         assert abs((rot.B - base.B).value) < 1e-14
         assert abs((rot.R - base.R).value) < 1e-12
 
     def test_flat_model_rotated_by_x(self, heisenberg):
         # with phi = x the rotated connection form is exactly -d(phi)
-        cf = tw_coframe(heisenberg, P3)
-        rcf = rotate_coframe(cf, "x")
-        td = solve_structure_equations(rcf)
-        phi = eval_jet(parse_expr("x", heisenberg.coords), P3, 2)
+        x = parse_expr("x", heisenberg.coords)
+        rotated = rotate_coframe(tw_coframe(heisenberg, P3), x)
+        td = solve_structure_equations(rotated)
+        phi = eval_jet(x, P3, 2)
         assert abs(td.omega[0].value) < 1e-13
         for a in range(2):
-            want = -apply_vector(rcf.X[a], phi).value
+            want = -apply_vector(rotated.X[a], phi).value
             assert td.omega[a + 1].value == pytest.approx(want, abs=1e-12)
         # explicit values: X1' = cos(x) X1 - sin(x) X2 pairs dx to cos(x)
         assert td.omega[1].value == pytest.approx(-np.cos(0.3), abs=1e-12)
@@ -123,23 +126,22 @@ class TestRotation:
                 f" + ({coeff[4]})*x^2 + ({coeff[5]})*y*z + ({coeff[6]})*z^2"
             )
             p = tuple(rng.uniform(-0.6, 0.6, size=3))
-            cf = tw_coframe(cs, p)
-            out = check_rotation_covariance(cf, solve_structure_equations(cf), phi)
+            td = solve_structure_equations(tw_coframe(cs, p))
+            out = check_rotation_covariance(td, parse_expr(phi, coords))
             assert out["passed"]
             assert out["omega_residual"] < 1e-9
             assert out["ab_residual"] < 1e-9
             assert out["r_residual"] < 1e-9
-        del coords
 
     def test_classical_action_invariant(self, perturbed):
         # the classical connection does not depend on the coframe choice
         alpha = FormField.one_form(
             [parse_expr(s, perturbed.coords) for s in ("z", "x*y", "1 + y")]
         )
-        cf = tw_coframe(perturbed, P3)
-        rcf = rotate_coframe(cf, "x - y^2")
-        tw1 = tw_connection(solve_structure_equations(cf), cf)
-        tw2 = tw_connection(solve_structure_equations(rcf), rcf)
+        frame = tw_coframe(perturbed, P3)
+        rotated = rotate_coframe(frame, parse_expr("x - y^2", perturbed.coords))
+        tw1 = tw_connection(solve_structure_equations(frame))
+        tw2 = tw_connection(solve_structure_equations(rotated))
         m1 = tw1.coordinate_action(alpha)
         m2 = tw2.coordinate_action(alpha)
         assert np.max(np.abs(m1 - m2)) < 1e-9
@@ -163,8 +165,8 @@ class TestComparisons:
     def test_full_comparison(self, model):
         spec = get_manifold(model)
         p = tuple(0.4 * hi for _, hi in spec.box)
-        cf, td, conn = tw_inputs(spec.build(), p)
-        out = compare_full(cf, td, promote(conn))
+        td, conn = tw_inputs(spec.build(), p)
+        out = compare_full(td, promote(conn))
         assert out["passed"]
         assert out["difference_tensor_residual"] < 1e-8
         assert out["torsion_e_rows_residual"] < 1e-8
@@ -174,8 +176,8 @@ class TestComparisons:
     def test_theta_rows_really_differ(self, perturbed):
         # the two torsions cannot both be zero on theta_hat: the promoted
         # one pairs H wedge H to minus the nondegenerate 2-form
-        cf, td, conn = tw_inputs(perturbed, P3)
-        out = compare_full(cf, td, promote(conn))
+        td, conn = tw_inputs(perturbed, P3)
+        out = compare_full(td, promote(conn))
         assert out["torsion_theta_row_vs_zero"] == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize(
@@ -186,10 +188,9 @@ class TestComparisons:
         cs = spec.build()
         for frac in (0.3, -0.5):
             p = tuple(frac * hi for _, hi in spec.box)
-            cf = tw_coframe(cs, p)
-            td = solve_structure_equations(cf)
-            fc = promote(canonical_partial_connection(cs, p, frame=cf.frame))
-            ref = promoted_from_invariants(td, cf)
+            td, conn = tw_inputs(cs, p)
+            fc = promote(conn)
+            ref = promoted_from_invariants(td)
             diff = max(
                 abs((fc.kappa[A][a][C] - ref.kappa[A][a][C]).value)
                 for A in range(3)
