@@ -18,12 +18,14 @@ import sys
 from .errors import ContactConnError
 from .registry import SUITE_NAMES, SUITES_3D_ONLY, builtin_registry, get_manifold, load_spec
 from .report import render_report
+from .sampling import SEED_LIMIT
 from .suites import run_suites
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer >= low; out-of-range values are usage
-    errors (exit 2) naming the flag, caught before any sampling."""
+def _int_in_range(low: int, high: int | None = None):
+    """argparse type for an integer with low <= value < high (no upper
+    bound when high is None); out-of-range values are usage errors (exit
+    2) naming the flag, caught before any sampling."""
 
     def parse(text: str) -> int:
         try:
@@ -32,6 +34,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value >= high:
+            raise argparse.ArgumentTypeError(f"must be less than {high}, got {value}")
         return value
 
     return parse
@@ -55,13 +59,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     an.add_argument(
         "--points",
-        type=_int_at_least(1),
+        type=_int_in_range(1),
         help="sample count, at least 1 (default: from the manifold description)",
     )
     an.add_argument(
         "--seed",
-        type=_int_at_least(0),
-        help="sampling seed, at least 0 (default: from the manifold description)",
+        type=_int_in_range(0, SEED_LIMIT),
+        help="sampling seed, at least 0 and below 2^64 "
+        "(default: from the manifold description)",
     )
     an.add_argument("--out", help="write the JSON report here instead of stdout")
     an.add_argument(

@@ -24,7 +24,6 @@ nabla theta = 0, which the normal form cannot express).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,7 +38,7 @@ from .contact import (
 )
 from .errors import SymmetryError
 from .forms import FormField, apply_vector
-from .jets import JetArray, fold_chunks
+from .jets import JetArray, contract
 
 
 def _check_sym(t: JetArray, slots: tuple[int, int], what: str) -> None:
@@ -107,7 +106,7 @@ class PartialConnection:
         """
         frame = self.frame
         der = nabla_H_vector(self, frame.express_vector(vector))
-        back = _contract(der.transpose(1, 0)[:, :, None], frame.frame_array[:, None, :]).value
+        back = contract(der.transpose(1, 0)[:, :, None], frame.frame_array[:, None, :]).value
         return frame.coframe_array.value[1:].T @ back
 
     @cached_property
@@ -183,25 +182,16 @@ def canonical_partial_connection(
     return PartialConnection(frame, Gamma + w.transpose(0, 2, 1) * 0.5)
 
 
-def _contract(coeffs: JetArray, comps: JetArray) -> JetArray:
-    """Left fold over the shared leading axis of the products
-    coeffs[E] * comps[E]."""
-    per_term = math.prod(np.broadcast_shapes(coeffs.shape[1:], comps.shape[1:]))
-    return fold_chunks(
-        len(coeffs), per_term, coeffs.dim, lambda lo, hi: coeffs[lo:hi] * comps[lo:hi]
-    )
-
-
 def _derivative(X: JetArray, kap: JetArray, t: JetArray) -> JetArray:
     """Covariant derivative of a covariant tensor along every vector X[P],
     given its coframe components t and the coefficients kap[P, A, C], the
     sigma^C-component of nabla_{X_P} sigma^A.
 
-    Entry [P, I] is X_P(t_I) plus, slot by slot from slot 0, the left fold
-    over E of t[I with slot s set to E] * kap[P, E + off, I_s + off]. Every
-    axis of t has the size of kap's last two, or one less for H-only
-    components (off 1). The components are differentiated once, so the
-    corrections need no parts above the order that leaves.
+    Entry [P, I] is X_P(t_I) plus, slot by slot from slot 0, the
+    contraction over E of t[I with slot s set to E] * kap[P, E + off,
+    I_s + off]. Every axis of t has the size of kap's last two, or one
+    less for H-only components (off 1). The components are differentiated
+    once, so the corrections need no parts above the order that leaves.
     """
     full = kap.shape[1]
     rank = len(t.shape)
@@ -222,7 +212,7 @@ def _derivative(X: JetArray, kap: JetArray, t: JetArray) -> JetArray:
         lead = low.transpose(s, *(j for j in range(rank) if j != s))
         lead = lead[(every, None) + (every,) * s + (None,)]
         coef = kapE[(every, every) + (None,) * s + (every,) + (None,) * (rank - 1 - s)]
-        out = out + _contract(lead, coef)
+        out = out + contract(lead, coef)
     return out
 
 
@@ -243,9 +233,9 @@ def nabla_H(conn: PartialConnection, t: JetArray) -> JetArray:
 def nabla_H_vector(conn: PartialConnection, v: JetArray) -> JetArray:
     """Covariant derivative of a vector along each frame direction X_a,
     given its frame components v (2n+1,), slot 0 the Reeb one: entry
-    [a, B] is X_a(v_B) minus the left fold over C of kappa[a, B, C] v[C]."""
+    [a, B] is X_a(v_B) minus the contraction over C of kappa[a, B, C] v[C]."""
     k = max(v.top - 1, 0)
-    corr = _contract(conn.kappa.restrict(k).transpose(2, 0, 1), v.restrict(k)[:, None, None])
+    corr = contract(conn.kappa.restrict(k).transpose(2, 0, 1), v.restrict(k)[:, None, None])
     return apply_vector(conn.frame.X, v) - corr
 
 
@@ -319,21 +309,21 @@ def _promotion_system(conn: PartialConnection):
     kap1 = kap.restrict(1)
 
     # K[u, v, A, C] = X_u(kappa[v, A, C]) + sum_E kappa[v, A, E] kappa[u, E, C],
-    # every (u, v) at once, the sum folded over E.
-    corr = _contract(
+    # every (u, v) at once, one contraction over E.
+    corr = contract(
         kap1.transpose(2, 0, 1)[:, None, :, :, None],
         kap1.transpose(1, 0, 2)[:, :, None, None, :],
     )
     K = apply_vector(X, kap) + corr
 
-    # One obstruction per pair u < v, stacked in triu order and folded
-    # over pairs: (sum_e D[e, u, v] kappa[e] + K[u, v] - K[v, u]) Omega_uv.
+    # One obstruction per pair u < v, stacked in triu order and
+    # contracted over pairs with Omega_uv:
+    # sum_e D[e, u, v] kappa[e] + K[u, v] - K[v, u].
     uu, vv = np.triu_indices(m, 1)
     Om1 = Om.restrict(1)[uu, vv]
-    den = (Om1 * Om1).fold()
-    cc = _contract(D[:, uu, vv][:, :, None, None], kap1[:, None])
-    ob = (cc + K[uu, vv] - K[vv, uu]) * Om[uu, vv][:, None, None]
-    return ob.fold(), den
+    cc = contract(D[:, uu, vv][:, :, None, None], kap1[:, None])
+    ob = cc + K[uu, vv] - K[vv, uu]
+    return contract(ob, Om1[:, None, None]), contract(Om1, Om1)
 
 
 def promote(conn: PartialConnection) -> FullConnection:

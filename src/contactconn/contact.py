@@ -43,7 +43,7 @@ from .errors import (
 )
 from .expressions import Expr
 from .forms import FormField, d_from_jets, evaluate_forms, wedge
-from .jets import JetArray, Tape, fold_chunks, jet_linear_solve
+from .jets import JetArray, Tape, contract, jet_linear_solve
 
 CONTACT_REL_TOL = 1e-10
 
@@ -216,31 +216,18 @@ def _project_onto_h(theta: JetArray, m: int, rows) -> JetArray:
 
 def _metric_pairs(G: JetArray, U: JetArray, V: JetArray) -> JetArray:
     """g(U_u, V_v) for every pair of rows of the vector stacks U and V:
-    the left fold over (i, j), i-major, of (g_ij U_u^i) V_v^j."""
-    d = G.shape[0]
-    g = G.reshape(d * d)
-    Ut = U.transpose(1, 0)
-    Vt = V.transpose(1, 0)
-
-    def terms(lo, hi):
-        k = np.arange(lo, hi)
-        i, j = k // d, k % d
-        return g[k][:, None, None] * Ut[i][:, :, None] * Vt[j][:, None, :]
-
-    return fold_chunks(d * d, len(U) * len(V), G.dim, terms)
+    sum_j (sum_i g_ij U_u^i) V_v^j, two contractions."""
+    GU = contract(G[:, :, None], U.transpose(1, 0)[:, None, :])  # [j, u]
+    return contract(GU[:, :, None], V.transpose(1, 0)[:, None, :])
 
 
 def _jet_matrix_inverse(M: JetArray) -> JetArray:
-    """The inverse of a square JetArray, one jet_linear_solve per column
-    of the identity: one solve with the identity as a matrix right-hand
-    side gives different last bits."""
+    """The inverse of a square JetArray: one jet_linear_solve with the
+    identity as its right-hand side."""
     m = len(M)
     eye = JetArray.constant(0.0, M.dim, (m, m))
     np.fill_diagonal(eye.value, 1.0)
-    inv = JetArray.constant(0.0, M.dim, (m, m))
-    for c in range(m):
-        inv[:, c] = jet_linear_solve(M, eye[c])
-    return inv
+    return jet_linear_solve(M, eye)
 
 
 def _h_gram_and_omega(inputs: PointInputs, h_choice=None):
@@ -277,19 +264,13 @@ def _h_gram_and_omega(inputs: PointInputs, h_choice=None):
 def _mu(gram: JetArray, omega: JetArray) -> JetArray:
     """mu = sqrt(2n / |dtheta restricted to H|^2) as a 0-d array, the norm
     contracting both index pairs of dtheta with the inverse H-Gram matrix
-    of g: the left fold over (a, b, c, e) of ginv_ac ginv_be omega_ab
-    omega_ce."""
+    of g: tr(G^-1 Omega G^-1 Omega^T), summed as
+    sum_ce (sum_b (sum_a ginv_ac omega_ab) ginv_be) omega_ce."""
     ginv = _jet_matrix_inverse(gram)
     m = len(gram)
-    cube = m**3
-
-    def terms(lo, hi):
-        k = np.arange(lo, hi)
-        a, rest = k // cube, k % cube
-        b, c, e = rest // (m * m), (rest // m) % m, rest % m
-        return ginv[a, c] * ginv[b, e] * omega[a, b] * omega[c, e]
-
-    norm2 = fold_chunks(m**4, 1, gram.dim, terms)
+    left = contract(ginv[:, :, None], omega[:, None, :])  # [c, b]
+    middle = contract(left.transpose(1, 0)[:, :, None], ginv[:, None, :])  # [c, e]
+    norm2 = contract(middle.reshape(m * m), omega.reshape(m * m))
     if norm2.value <= 0.0:
         raise NotContactError("dtheta vanishes on the distribution at this point")
     return (float(m) / norm2).sqrt()

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .expressions import Expr, diff, lit
-from .jets import JetArray, Tape, fold_chunks
+from .jets import JetArray, Tape, contract
 
 
 @lru_cache(maxsize=64)
@@ -67,52 +67,70 @@ def _check_layout(a: JetArray, degree: int) -> None:
         raise ValueError(f"shape {a.shape} does not hold {degree}-forms in dimension {a.dim}")
 
 
+def _signed(c: JetArray) -> JetArray:
+    """The components on c's last axis, then their negatives, then a
+    constant zero, at c's top order."""
+    lead = (slice(None),) * (len(c.shape) - 1)
+    n = c.shape[-1]
+    out = JetArray.constant(0.0, c.dim, c.shape[:-1] + (2 * n + 1,), c.top)
+    out[lead + (slice(0, n),)] = c
+    out[lead + (slice(n, 2 * n),)] = -c
+    return out
+
+
+@lru_cache(maxsize=64)
+def _antisymmetric_table(dim: int, k: int) -> np.ndarray:
+    """Where each entry of the full antisymmetric coefficient tensor of a
+    k-form comes from, for every index tuple in range(dim)^k: the position
+    of its sorted multi-index on a k-form value's last axis for an even
+    sorting permutation, that position plus K (the number of multi-indices)
+    for an odd one, and 2K for repeated indices: positions in
+    _signed(components)."""
+    keys = {key: s for s, key in enumerate(increasing_indices(dim, k))}
+    n = len(keys)
+    pos = np.full((dim,) * k, 2 * n, dtype=np.intp)
+    for idx in itertools.product(range(dim), repeat=k):
+        sign = _perm_sign(idx)
+        if sign:
+            pos[idx] = keys[tuple(sorted(idx))] + (n if sign < 0 else 0)
+    return pos
+
+
 def evaluate_forms(coeffs: JetArray, *vectors: JetArray) -> JetArray:
     """Pair k-forms with stacks of vectors, every combination at once.
 
     coeffs holds one or more k-forms, k the number of vector stacks:
     shape S+(K,). Each of the k vector stacks has shape (n_r, dim). Entry
     [s, u_1, ..., u_k] of the result, of shape S+(n_1, ..., n_k), is form
-    s on (vectors[0][u_1], ..., vectors[k-1][u_k]): the left fold over
-    components, in layout order, of the coefficient times the determinant
-    of the picked vector components. The determinant sums its
-    permutations in itertools order, each a left-to-right product times
-    its sign, so every entry has the bits of the scalar expansion.
+    s on (vectors[0][u_1], ..., vectors[k-1][u_k]): the full antisymmetric
+    coefficient tensor A of form s, A[i_1, ..., i_k] = sign * c[sorted],
+    contracted with one vector stack at a time, stack 0 first, each a
+    jets.contract over the coordinate index the stack fills.
 
     Each term carries no part above the coefficients' top order, so the
-    determinants are built at that order only: the vector stacks are cut
-    to it first, which is exact (value and gradient rules never read a
-    higher part). Stacks of higher order than the coefficients cost no
-    more than stacks already cut.
+    contractions run at that order only: the vector stacks are cut to it
+    first, which is exact (value and gradient rules never read a higher
+    part). Stacks of higher order than the coefficients cost no more than
+    stacks already cut.
     """
     k = len(vectors)
     _check_layout(coeffs, k)
-    cols = np.array(increasing_indices(coeffs.dim, k), dtype=np.intp)
     stack = coeffs.shape[:-1]
     s = len(stack)
-    sizes = tuple(len(v) for v in vectors)
-    c = coeffs.transpose(s, *range(s))[(slice(None),) * (1 + s) + (None,) * k]
-    vt = [v.restrict(coeffs.top).transpose(1, 0) for v in vectors]
-    # Stack r's components on result axis r, shaped (K,) + 1s + n_r.
-    place = [
-        (slice(None),) + (None,) * s + tuple(slice(None) if q == r else None for q in range(k))
-        for r in range(k)
-    ]
-
-    perms = [(perm, float(_perm_sign(perm))) for perm in itertools.permutations(range(k))]
-
-    def terms(lo, hi):
-        det = None
-        for perm, sign in perms:
-            term = None
-            for t, r in enumerate(perm):
-                comp = vt[r][cols[lo:hi, t]][place[r]]
-                term = comp if term is None else term * comp
-            term = term * sign
-            det = term if det is None else det + term
-        return c[lo:hi] * det
-
-    return fold_chunks(len(cols), math.prod(stack) * math.prod(sizes), coeffs.dim, terms)
+    lead = (slice(None),) * s
+    full = coeffs
+    if k != 1:
+        # A 1-form's components already are its full tensor.
+        full = _signed(coeffs)[lead + (_antisymmetric_table(coeffs.dim, k),)]
+    every = slice(None)
+    for v in vectors:
+        # Contract the first coordinate axis left, at position s, with the
+        # stack's components; the stack's own axis goes last.
+        n = len(full.shape)
+        a = full.transpose(s, *range(s), *range(s + 1, n))[(every,) * n + (None,)]
+        b = v.restrict(coeffs.top).transpose(1, 0)
+        full = contract(a, b[(every,) + (None,) * (n - 1) + (every,)])
+    return full
 
 
 @lru_cache(maxsize=64)
@@ -121,31 +139,34 @@ def _wedge_table(dim: int, p: int, q: int):
     (rank, key) tables: key numbers the output multi-index and rank the
     term's place among that key's terms, in the order of a loop over the
     p-form's multi-indices, then the q-form's. Entries are the positions
-    of the two factors and the sign. Every key has the same number of
-    terms, one per split of it into a p- and a q-index."""
+    of the two factors, the first read against the p-form's components
+    and then their negatives (see _signed), so it carries the sign. Every
+    key has the same number of terms, one per split of it into a p- and a
+    q-index."""
     keys = {key: s for s, key in enumerate(increasing_indices(dim, p + q))}
     n_terms = math.comb(p + q, p)
     ia, ib = (np.zeros((n_terms, len(keys)), dtype=np.intp) for _ in range(2))
-    sign = np.zeros((n_terms, len(keys)))
     fill = [0] * len(keys)
-    for x, ka in enumerate(increasing_indices(dim, p)):
+    a_keys = increasing_indices(dim, p)
+    for x, ka in enumerate(a_keys):
         for y, kb in enumerate(increasing_indices(dim, q)):
             s = _perm_sign(ka + kb)
             if s == 0:
                 continue
             key = keys[tuple(sorted(ka + kb))]
-            ia[fill[key], key], ib[fill[key], key], sign[fill[key], key] = x, y, s
+            ia[fill[key], key] = x if s > 0 else x + len(a_keys)
+            ib[fill[key], key] = y
             fill[key] += 1
-    return ia, ib, sign
+    return ia, ib
 
 
 def wedge(a: JetArray, p: int, b: JetArray, q: int) -> JetArray:
     """Graded product of the p-form a and the q-form b, one form each:
     the components of the (p+q)-form.
 
-    Each output component is the left fold, from a constant 0.0 seed, of
-    the terms (a[ia] * b[ib]) * sign in the order of a loop over a's
-    multi-indices, then b's, skipping repeated indices; every component
+    Each output component contracts its terms, in the order of a loop
+    over a's multi-indices, then b's, skipping repeated indices: the
+    signed component of a times the component of b. Every component
     carries the lowest order of any input component.
     """
     if a.dim != b.dim:
@@ -154,20 +175,17 @@ def wedge(a: JetArray, p: int, b: JetArray, q: int) -> JetArray:
     _check_layout(b, q)
     if p + q > a.dim:
         raise ValueError("degree overflow")
-    ia, ib, sign = _wedge_table(a.dim, p, q)
+    ia, ib = _wedge_table(a.dim, p, q)
     order = int(min(a.order.min(), b.order.min()))
-    seed = JetArray.constant(0.0, a.dim, sign.shape[1:], order)
-    signs = JetArray.constant(0.0, a.dim, sign.shape, order)
-    signs.value[...] = sign
-    return ((a.restrict(order)[ia] * b.restrict(order)[ib]) * signs).fold(seed)
+    return contract(_signed(a.restrict(order))[ia], b.restrict(order)[ib])
 
 
 def apply_vector(v: JetArray, f: JetArray) -> JetArray:
     """Derivative of jet-valued scalars along jet-valued vectors.
 
     This is the frame derivative X(f) = sum_i X^i d_i f with the product
-    rule intact, folded over i, so the result is a jet one order below f
-    (coerced further down if the vector components carry less).
+    rule intact, one contraction over i, so the result is a jet one order
+    below f (coerced further down if the vector components carry less).
 
     v holds vectors with the components on its last axis, shape V+(dim,);
     f is a JetArray of shape F. The result, of shape V+F, holds every
@@ -178,12 +196,7 @@ def apply_vector(v: JetArray, f: JetArray) -> JetArray:
     nf = len(f.shape)
     comps = v.transpose(nv, *range(nv))[(slice(None),) * (1 + nv) + (None,) * nf]
     parts = f.partials()[(slice(None),) + (None,) * nv]
-    return fold_chunks(
-        v.dim,
-        math.prod(v.shape[:-1]) * math.prod(f.shape),
-        v.dim,
-        lambda lo, hi: comps[lo:hi] * parts[lo:hi],
-    )
+    return contract(comps, parts)
 
 
 @dataclass(frozen=True)

@@ -17,20 +17,18 @@ Design notes.
   integer powers take each entry's value, f' and f'' from math on the
   entry's value as a Python float. An entry of a JetArray holds exactly
   the bits the same computation on that entry alone gives.
-- Fold order. Reductions over a JetArray go through JetArray.fold, a left
-  fold along the leading axis (np.add.accumulate, a sequential running
-  sum), in the term and operand order of the scalar loop it stands for.
-  No einsum, matmul or pairwise summation touches a jet part that feeds
-  a result; this is what keeps reports byte-stable. fold_chunks folds
-  long term axes a slice at a time, carrying the running sum, so
-  temporaries stay small: a slice holds at most _FOLD_CHUNK = 16384
-  floats (128 kB) of the highest part its terms carry, d*d per entry at
-  order 2, d at order 1 and 1 at order 0. On the 7D Heisenberg chart a
-  point folds in 73 slices; with every slice sized for Hessians it took
-  112, and 253 at 4096 Hessian floats, which cost about 0.2 MB less
-  peak resident memory there (perfbench heis7-core; tracemalloc agrees
-  on the largest live jet temporaries). 65536 Hessian floats would cost
-  about 2.2 MB more, for no clear gain in speed.
+- Summation order. A sum of products over an axis is one call of
+  contract, which sums each product-rule part on its own (the Hessian's
+  cross terms as one outer-product sum) without building any term's
+  full product jet. Every part of every entry is a running sum over
+  the contracted axis from +0.0, term 0 first, each product rounded
+  before it is added: the value through np.add.accumulate, the
+  derivative parts through np.einsum on copies made C-contiguous with
+  the contracted axis first, so einsum's inner loop runs over the
+  derivative axes and adds one term at a time. The bits therefore
+  depend on the operands' values and shapes only, never on their memory
+  layout or on BLAS; a test pins this against the Python loop of that
+  running sum.
 - Orders. A JetArray computes all its entries at one common order, the
   highest any entry carries, and tracks each entry's own order in an
   integer array: mixed-order operands give each entry the lower of
@@ -41,16 +39,18 @@ Design notes.
   operand to the order its consumer reads (JetArray.restrict) before a
   kernel runs gives the same bits as cutting the result, without
   computing the parts above that order. Every kernel runs at the order
-  its result is read: pairings build their determinants at the order of
-  the form's coefficients, and the suites' value-only checks run on
-  order-0 jets.
+  its result is read: pairings contract at the order of the form's
+  coefficients, and the suites' value-only checks run on order-0 jets.
 - Expressions. Tape compiles expression trees into one list of slots,
   one per distinct subexpression, and evaluates them as 0-d jets in the
   order a tree walk first reaches them; eval_jet is its one-expression
-  case.
-- Symmetry. Hessians are built from symmetric pieces (outer products
-  enter as outer(a, b) plus its transpose), so a Hessian is symmetric up
-  to the rounding of those additions; sums, differences, sqrt and the
+  case. The literal slots' constant jets are built once per chart
+  dimension and order and shared by every call, since no rule writes to
+  its operands.
+- Symmetry. Hessians are exactly symmetric. Products, quotients and
+  contractions assemble theirs as S + (c + c^T), S a sum of symmetric
+  pieces and c the outer-product cross term, and c + c^T is symmetric to
+  the bit because addition commutes; sums, differences, sqrt and the
   elementary functions keep symmetric Hessians exactly symmetric.
 """
 
@@ -114,7 +114,7 @@ def _sub_rule(k, av, ag, ah, bv, bg, bh):
 
 
 def _mul_rule(k, av, ag, ah, bv, bg, bh):
-    """(ab)' = a' b + b' a and (ab)'' = a'' b + b'' a + a' b'^T + b' a'^T."""
+    """(ab)' = a' b + b' a and (ab)'' = (a'' b + b'' a) + (a' b'^T + b' a'^T)."""
     g = h = None
     if k >= 1:
         g = ag * _up(bv, 1)
@@ -123,13 +123,12 @@ def _mul_rule(k, av, ag, ah, bv, bg, bh):
         cross = _outer(ag, bg)
         h = ah * _up(bv, 2)
         h += bh * _up(av, 2)
-        h += cross
-        h += _tr(cross)
+        h += cross + _tr(cross)
     return av * bv, g, h
 
 
 def _div_rule(k, av, ag, ah, bv, bg, bh):
-    """q = a/b, q' = (a' - q b')/b, q'' = (a'' - q b'' - q' b'^T - b' q'^T)/b."""
+    """q = a/b, q' = (a' - q b')/b, q'' = ((a'' - q b'') - (q' b'^T + b' q'^T))/b."""
     q = av / bv
     g = h = None
     if k >= 1:
@@ -140,8 +139,7 @@ def _div_rule(k, av, ag, ah, bv, bg, bh):
         cross = _outer(g, bg)
         h = _up(q, 2) * bh
         np.subtract(ah, h, out=h)
-        h -= cross
-        h -= _tr(cross)
+        h -= cross + _tr(cross)
         h /= _up(bv, 2)
     return q, g, h
 
@@ -156,10 +154,6 @@ def _sqrt_rule(k, s, g, h):
         hs = (h - 2.0 * _outer(gs, gs)) / _up(2.0 * s, 2)
     return s, gs, hs
 
-
-# Largest highest-order part, in floats, of one slice of fold_chunks
-# (128 kB).
-_FOLD_CHUNK = 16384
 
 _ORDER_DTYPE = np.int8
 _TOP_ORDER = 2
@@ -388,7 +382,7 @@ class JetArray:
             )
         )
 
-    # -- calculus and reductions ---------------------------------------------
+    # -- calculus ------------------------------------------------------------
 
     def partials(self) -> "JetArray":
         """All coordinate partials, one order lower, stacked on a new
@@ -405,56 +399,47 @@ class JetArray:
             np.broadcast_to(self.order - 1, (self.dim,) + self.shape),
         )
 
-    def fold(self, carry: "JetArray | None" = None) -> "JetArray":
-        """Left fold along the leading axis, ((carry + x[0]) + x[1]) + ...,
-        a left-to-right sum of the terms; without carry it starts at x[0]."""
-
-        def run(x, c):
-            if c is not None:
-                x = x.copy()
-                x[0] = c + x[0]
-            return np.add.accumulate(x, axis=0)[-1].copy()
-
-        k = self.top if carry is None else min(self.top, carry.top)
-        cv, cg, ch = (None, None, None) if carry is None else (
-            carry.value, carry.grad, carry.hess
-        )
-        order = np.minimum.reduce(self.order, axis=0)
-        if carry is not None:
-            order = np.minimum(order, carry.order)
-        return JetArray(
-            self.dim,
-            run(self.value, cv),
-            run(self.grad, cg) if k >= 1 else None,
-            run(self.hess, ch) if k >= 2 else None,
-            order,
-        )
-
 
 # The name of the class where it holds a single jet: Jet.constant(v, dim)
 # and Jet.coordinate(p, i, order) build one.
 Jet = JetArray
 
 
-def fold_chunks(n_terms: int, per_term: int, dim: int, terms) -> JetArray:
-    """Left fold of terms(lo, hi), the JetArray of terms lo..hi-1 stacked
-    on the leading axis, over all n_terms terms in slices, carrying the
-    running sum between slices. Gives the same bits as folding all terms
-    at once; per_term is the entry count of one term and dim the chart
-    dimension.
+def contract(a: JetArray, b: JetArray) -> JetArray:
+    """The sum over the shared leading axis E of the products a[E] * b[E].
 
-    A slice holds at most _FOLD_CHUNK floats of the highest part its
-    terms carry: dim*dim per entry at order 2, dim at order 1 and 1 at
-    order 0. The first slice is sized as if the terms had order 2 and
-    the size of the rest follows from its top order, so a fold that fits
-    in one order-2 slice still takes one. n_terms must be positive."""
-    hi = min(n_terms, max(1, _FOLD_CHUNK // max(1, per_term * dim * dim)))
-    first = terms(0, hi)
-    acc = first.fold()
-    step = max(1, _FOLD_CHUNK // max(1, per_term * dim**first.top))
-    for lo in range(hi, n_terms, step):
-        acc = terms(lo, min(lo + step, n_terms)).fold(acc)
-    return acc
+    a and b have the same number of axes, and after the first one they
+    broadcast against each other like numpy arrays; the result has their
+    broadcast shape without that axis. Each product-rule part is summed
+    on its own, at the lower top order of a and b:
+
+        value     sum a b
+        gradient  sum a' b + sum a b'
+        Hessian   (sum a'' b + sum a b'') + (C + C^T),  C = sum a' b'^T
+
+    Every sum is a running sum over E from +0.0, term 0 first, each
+    product rounded before it is added (the module notes say how), so
+    the bits depend on the operands' values and shapes only. An entry
+    gets the lowest order of any term it sums. E must be nonempty.
+    """
+    if not a.shape or len(a.shape) != len(b.shape) or len(a) != len(b) or not len(a):
+        raise ValueError(f"shapes {a.shape}, {b.shape}: not one rank with a shared leading axis")
+    k = min(a.top, b.top)
+    c = np.ascontiguousarray
+    av, bv = c(a.value), c(b.value)
+    value = np.add.accumulate(av * bv, axis=0)[-1] + 0.0
+    grad = hess = None
+    if k >= 1:
+        ag, bg = c(a.grad), c(b.grad)
+        grad = np.einsum("e...i,e...->...i", ag, bv)
+        grad += np.einsum("e...,e...i->...i", av, bg)
+    if k >= 2:
+        cross = np.einsum("e...i,e...j->...ij", ag, bg)
+        hess = np.einsum("e...ij,e...->...ij", c(a.hess), bv)
+        hess += np.einsum("e...,e...ij->...ij", av, c(b.hess))
+        hess += cross + _tr(cross)
+    order = np.minimum.reduce(np.minimum(a.order, b.order), axis=0)
+    return JetArray(a.dim, value, grad, hess, order)
 
 
 class Tape:
@@ -507,6 +492,10 @@ class Tape:
             return s
 
         self.outputs = [slot(e) for e in exprs]
+        # The literal slots' constant jets per (dim, order), keyed by slot
+        # and built on first use; no rule writes to its operands, so every
+        # call shares them.
+        self._literals: dict[tuple[int, int], dict[int, JetArray]] = {}
 
     def eval(self, p, order: int) -> JetArray:
         """The outputs at p as one JetArray (K,) of jets of the requested
@@ -518,6 +507,13 @@ class Tape:
         finite raises it naming the first such output.
         """
         d = len(p)
+        lits = self._literals.get((d, order))
+        if lits is None:
+            lits = self._literals[(d, order)] = {
+                s: JetArray.constant(a, d, (), order)
+                for s, (op, a, _) in enumerate(self.code)
+                if op == "lit"
+            }
         vals: list[JetArray] = []
         push = vals.append
         i = 0
@@ -534,7 +530,7 @@ class Tape:
                     elif op == "/":
                         push(vals[a] / vals[b])
                     elif op == "lit":
-                        push(JetArray.constant(a, d, (), order))
+                        push(lits[i])
                     elif op == "coord":
                         push(JetArray.coordinate(p, a, order))
                     elif op == "pow":
@@ -573,53 +569,62 @@ def eval_jet(e: Expr, p, order: int) -> JetArray:
 
 
 def jet_linear_solve(A: JetArray, b: JetArray) -> JetArray:
-    """Solve A x = b for a JetArray A (m, m) and b (m,), propagating
-    derivatives; returns x as a JetArray (m,).
+    """Solve A x = b for a JetArray A (m, m) and a right-hand side b of
+    shape (m,) or (m, k), every column in the same call, propagating
+    derivatives; returns x with b's shape.
 
     The solution is staged through the value-part inverse:
 
         x  = A0^-1 b0
         dx = A0^-1 (db - dA x)
-        d2x = A0^-1 (d2b - d2A x - dA dx - (sym))
+        d2x = A0^-1 (d2b - d2A x - (dA dx + (dA dx)^T))
 
     The output order is the minimum order among the inputs. Raises
     SingularMatrixError when the value part is rank deficient beyond a
     1e-10 relative bound, and LinearSolveResidualError if the computed
-    solution violates the residual contract (which indicates a
-    conditioning problem upstream).
+    solution of some column violates the residual contract (which
+    indicates a conditioning problem upstream).
     """
     m = len(b)
-    if A.shape != (m, m) or b.shape != (m,):
+    if A.shape != (m, m) or len(b.shape) > 2:
         raise ValueError("A must be square and match b")
     order = int(min(A.order.min(), b.order.min()))
     dim = A.dim
+    shape = b.shape
 
     # Contiguous copies, so the BLAS and einsum loops see the same memory
-    # layout whatever views A and b are.
-    A0, b0 = np.ascontiguousarray(A.value), np.ascontiguousarray(b.value)
+    # layout whatever views A and b are; columns of b on the second axis.
+    c = np.ascontiguousarray
+    A0, b0 = c(A.value), c(b.value).reshape(m, -1)
     sv = np.linalg.svd(A0, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
         raise SingularMatrixError(
             f"value part of system is singular (spectrum {sv[0]:.3e}..{sv[-1]:.3e})"
         )
-    x0 = np.linalg.solve(A0, b0)
+    x0 = c(np.linalg.solve(A0, b0))
 
-    scale = np.linalg.norm(A0, np.inf) * np.linalg.norm(x0, np.inf)
-    resid = np.linalg.norm(A0 @ x0 - b0, np.inf)
-    if resid >= 1e-12 * (scale + np.linalg.norm(b0, np.inf) + 1.0):
+    # The residual contract in the infinity norm, column by column.
+    scale = np.linalg.norm(A0, np.inf) * np.abs(x0).max(axis=0)
+    resid = np.abs(A0 @ x0 - b0).max(axis=0)
+    if np.any(resid >= 1e-12 * (scale + np.abs(b0).max(axis=0) + 1.0)):
         raise LinearSolveResidualError(
-            f"solve residual {resid:.3e} exceeds contract bound"
+            f"solve residual {resid.max():.3e} exceeds contract bound"
         )
 
     xg = xh = None
     if order >= 1:
-        Ag = np.ascontiguousarray(A.grad)  # (m, m, d)
-        rhs_g = np.ascontiguousarray(b.grad) - np.einsum("ijk,j->ik", Ag, x0)
-        xg = np.linalg.solve(A0, rhs_g)  # (m, d)
+        Ag = c(A.grad)  # (m, m, d)
+        rhs_g = c(b.grad).reshape(m, -1, dim) - np.einsum("ijl,jc->icl", Ag, x0)
+        xg = np.linalg.solve(A0, rhs_g.reshape(m, -1)).reshape(m, -1, dim)
     if order >= 2:
-        Ah = np.ascontiguousarray(A.hess)  # (m, m, d, d)
-        rhs_h = np.ascontiguousarray(b.hess) - np.einsum("ijkl,j->ikl", Ah, x0)
-        cross = np.einsum("ijk,jl->ikl", Ag, xg)
-        rhs_h = rhs_h - cross - np.transpose(cross, (0, 2, 1))
-        xh = np.linalg.solve(A0, rhs_h.reshape(m, -1)).reshape(m, dim, dim)
-    return JetArray(dim, x0, xg, xh, np.full(m, order, dtype=_ORDER_DTYPE))
+        cross = np.einsum("ijl,jcq->iclq", Ag, xg)
+        rhs_h = c(b.hess).reshape(m, -1, dim, dim) - np.einsum("ijlq,jc->iclq", c(A.hess), x0)
+        rhs_h = rhs_h - (cross + np.swapaxes(cross, -1, -2))
+        xh = np.linalg.solve(A0, rhs_h.reshape(m, -1))
+    return JetArray(
+        dim,
+        x0.reshape(shape),
+        None if xg is None else xg.reshape(shape + (dim,)),
+        None if xh is None else xh.reshape(shape + (dim, dim)),
+        np.full(shape, order, dtype=_ORDER_DTYPE),
+    )

@@ -18,6 +18,7 @@ from .contact import ContactStructure
 from .errors import ParseError, SpecError, UnknownManifoldError
 from .expressions import CONSTANTS, FUNCTIONS, Coord, parse_expr
 from .forms import FormField
+from .sampling import SEED_LIMIT
 
 DEFAULT_POINTS = 100
 DEFAULT_SEED = 42
@@ -225,7 +226,7 @@ def load_spec(path: str) -> ManifoldSpec:
     points = raw.get("points", DEFAULT_POINTS)
     _require(isinstance(points, int) and not isinstance(points, bool) and points > 0, "points", "must be a positive integer")
     seed = raw.get("seed", DEFAULT_SEED)
-    _require(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0, "seed", "must be a non-negative integer")
+    _require(isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < SEED_LIMIT, "seed", "must be an integer from 0 to 2^64 - 1")
 
     params = raw.get("params", {})
     _require(isinstance(params, dict), "params", "must be an object")

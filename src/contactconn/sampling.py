@@ -16,6 +16,10 @@ drawn point-major: all coordinates of point 0, then point 1, and so on.
 from __future__ import annotations
 
 _MASK = (1 << 64) - 1
+
+# Seeds a user may give are 0 <= seed < SEED_LIMIT: the generator takes
+# its seed mod 2^64, so any larger one would alias a smaller one.
+SEED_LIMIT = 1 << 64
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from contactconn.contact import AdaptedFrame, _jet_matrix_inverse
 from contactconn.errors import SingularMatrixError
 from contactconn.forms import (
@@ -61,11 +63,48 @@ def order_of(a: JetArray) -> int:
     return int(a.order.min())
 
 
-def scalar_wedge(a: JetArray, p: int, b: JetArray, q: int) -> JetArray:
+def magnitude(a: JetArray) -> JetArray:
+    """The same jets with every part replaced by its absolute value."""
+    return JetArray(
+        a.dim,
+        np.abs(a.value),
+        None if a.grad is None else np.abs(a.grad),
+        None if a.hess is None else np.abs(a.hess),
+        a.order,
+    )
+
+
+# Bound on how far a kernel's sum may lie from its loop oracle, relative
+# to the sum of the absolute values of the terms: a sum of n rounded
+# terms in any order lies within about n * 1.1e-16 of that scale, and the
+# kernels here sum at most a few dozen terms per level.
+ROUNDING_REL = 1e-14
+
+
+def assert_within_rounding(got: JetArray, want: JetArray, scale: JetArray) -> None:
+    """got and want, of one shape, carry equal orders and each of their
+    parts differs by at most ROUNDING_REL times scale's, where scale is
+    the oracle run on absolute values (the sum of |terms|)."""
+    assert got.shape == want.shape
+    assert np.array_equal(got.order, want.order)
+    for part in ("value", "grad", "hess"):
+        g, w, m = (getattr(x, part) for x in (got, want, scale))
+        assert (g is None) == (w is None), part
+        if w is not None:
+            assert np.all(np.abs(g - w) <= ROUNDING_REL * m), part
+
+
+def scalar_wedge(
+    a: JetArray, p: int, b: JetArray, q: int, absolute: bool = False
+) -> JetArray:
     """The graded product as a loop over single jets: each output
     component is the left fold, from a constant 0.0 seed, of
-    (a_I * b_J) * sign over I, then J. The reference forms.wedge must
-    match bit for bit."""
+    (a_I * b_J) * sign over I, then J. forms.wedge must match its values
+    bit for bit and its derivatives to rounding. With absolute, the
+    inputs' parts are replaced by their absolute values and every sign by
+    +1: the sum of |terms|."""
+    if absolute:
+        a, b = magnitude(a), magnitude(b)
     out_keys = increasing_indices(a.dim, p + q)
     out = zero_form(a.dim, p + q, min(order_of(a), order_of(b)))
     for x, ia in enumerate(increasing_indices(a.dim, p)):
@@ -75,14 +114,18 @@ def scalar_wedge(a: JetArray, p: int, b: JetArray, q: int) -> JetArray:
             if sign == 0:
                 continue
             s = out_keys.index(tuple(sorted(merged)))
-            out[s] = out[s] + a[x] * b[y] * float(sign)
+            out[s] = out[s] + a[x] * b[y] * (1.0 if absolute else float(sign))
     return out
 
 
-def scalar_evaluate(form: JetArray, *vectors: JetArray) -> JetArray:
+def scalar_evaluate(form: JetArray, *vectors: JetArray, absolute: bool = False) -> JetArray:
     """evaluate_forms on one vector per slot as a determinant loop over
-    single jets, in the term and operand order the kernel must
-    reproduce."""
+    single jets: the left fold over components of the coefficient times
+    the determinant. With absolute, every part of every input is replaced
+    by its absolute value and every sign by +1, which gives the sum of
+    |terms| of each part."""
+    if absolute:
+        form, vectors = magnitude(form), [magnitude(v) for v in vectors]
     degree = len(vectors)
     total = None
     for x, idx in enumerate(increasing_indices(form.dim, degree)):
@@ -91,7 +134,7 @@ def scalar_evaluate(form: JetArray, *vectors: JetArray) -> JetArray:
             term = vectors[perm[0]][idx[0]]
             for t in range(1, degree):
                 term = term * vectors[perm[t]][idx[t]]
-            term = term * float(_perm_sign(perm))
+            term = term * (1.0 if absolute else float(_perm_sign(perm)))
             det = term if det is None else det + term
         term = form[x] * det
         total = term if total is None else total + term
@@ -202,12 +245,19 @@ def scalar_nabla_H(kappa: JetArray, X: JetArray, t: JetArray) -> JetArray:
     return out
 
 
-def scalar_nabla_H_vector(kappa: JetArray, X: JetArray, v: JetArray) -> JetArray:
+def scalar_nabla_H_vector(
+    kappa: JetArray, X: JetArray, v: JetArray, absolute: bool = False
+) -> JetArray:
     """The H-covariant derivative of frame components v as a loop over
     single jets: entry [a, B] is X_a(v_B) minus the left fold over C of
-    kappa[a, B, C] * v[C]."""
+    kappa[a, B, C] * v[C]. With absolute, the inputs' parts are replaced
+    by their absolute values and the difference by a sum: the sum of
+    |terms|."""
+    if absolute:
+        kappa, X, v = magnitude(kappa), magnitude(X), magnitude(v)
     out = scalar_frame_derivative(X, v)
     for a in range(len(X)):
         for B in range(len(v)):
-            out[a, B] = out[a, B] - sum_jets(kappa[a, B, C] * v[C] for C in range(len(v)))
+            corr = sum_jets(kappa[a, B, C] * v[C] for C in range(len(v)))
+            out[a, B] = out[a, B] + corr if absolute else out[a, B] - corr
     return out

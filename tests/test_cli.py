@@ -190,6 +190,30 @@ class TestExitCodes:
         assert f"argument {flag}" in err
         assert f"must be at least {1 if flag == '--points' else 0}" in err
 
+    @pytest.mark.parametrize("value", [str(2**64), str(2**64 + 42), str(10**30)])
+    def test_seed_of_two_to_the_64_or_more_exits_two_before_sampling(
+        self, capsys, monkeypatch, value
+    ):
+        import contactconn.suites
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled despite an out-of-range seed")
+
+        monkeypatch.setattr(contactconn.suites, "sample_box", refuse)
+        code, out, err = run(capsys, "analyze", "--manifold", "heisenberg", "--seed", value)
+        assert code == 2
+        assert out == ""
+        assert "argument --seed" in err
+        assert f"must be less than {2**64}, got {value}" in err
+
+    def test_largest_seed_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "analyze", "--manifold", "heisenberg", "--points", "1",
+            "--seed", str(2**64 - 1), "--suites", "contact",
+        )
+        assert code == 0
+        assert json.loads(out)["seed"] == 2**64 - 1
+
     def test_smallest_points_and_seed_accepted(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "--manifold", "heisenberg", "--points", "1", "--seed", "0",

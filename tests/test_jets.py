@@ -8,17 +8,16 @@ from contactconn.errors import ExprDomainError, SingularMatrixError
 from contactconn.expressions import Binary, Coord, Expr, Lit, Pow, Unary, parse_expr, pretty
 from contactconn.forms import increasing_indices
 from contactconn.jets import (
-    _FOLD_CHUNK,
     Jet,
     JetArray,
     Tape,
+    contract,
     eval_jet,
-    fold_chunks,
     jet_linear_solve,
 )
 from contactconn.registry import builtin_registry, load_spec
 from contactconn.sampling import sample_box
-from form_helpers import stack, sum_jets
+from form_helpers import magnitude, stack, sum_jets
 
 XYZ = ("x", "y", "z")
 
@@ -245,6 +244,35 @@ class TestLinearSolve:
                     assert np.max(np.abs(r.hess)) < 1e-9
 
 
+    def test_matrix_right_hand_side(self):
+        # Every column in one call; each agrees with its own one-column
+        # solve to rounding, and A X - B vanishes through order 2.
+        rng = np.random.default_rng(37)
+        for m, k in [(2, 1), (3, 4), (6, 6), (7, 3)]:
+            shift = JetArray.constant(0.0, D_RAND, (m, m))
+            shift.value[...] = 4.0 * np.eye(m)
+            A = random_jets(rng, m * m, (1, 2)).reshape(m, m) + shift
+            B = random_jets(rng, m * k, (2,)).reshape(m, k)
+            X = jet_linear_solve(A, B)
+            assert X.shape == (m, k) and X.top == A.order.min()
+            assert np.array_equal(X.order, np.full((m, k), A.order.min()))
+            for c in range(k):
+                col = jet_linear_solve(A, B[:, c])
+                for part in ("value", "grad"):
+                    x, y = getattr(X, part)[:, c], getattr(col, part)
+                    assert np.allclose(x, y, rtol=1e-12, atol=1e-12)
+            R = contract(A.transpose(1, 0)[:, :, None], X[:, None, :]) - B
+            assert np.max(np.abs(R.value)) < 1e-12
+            assert np.max(np.abs(R.grad)) < 1e-11
+
+    def test_right_hand_side_must_be_a_vector_or_matrix(self):
+        A = constants(np.eye(2))
+        with pytest.raises(ValueError):
+            jet_linear_solve(A, constants(np.ones((2, 2, 2))))
+        with pytest.raises(ValueError):
+            jet_linear_solve(A, constants(np.ones(3)))
+
+
 def test_jet_hessians_symmetric_after_solve():
     p = (0.4, -0.2, 0.7)
     A = matrix(
@@ -355,80 +383,24 @@ class TestJetArrayMatchesScalar:
         with pytest.raises(ExprDomainError):
             z.powi(-1)
 
-    @pytest.mark.parametrize("orders", [(2,), (1, 2), (0, 1, 2)])
-    def test_fold_equals_sum_jets(self, orders):
-        rng = np.random.default_rng(len(orders))
-        stacked = random_jets(rng, 37, orders)
-        want = sum_jets(stacked[i] for i in range(37))
-        assert_same_jet(stacked.fold(), want)
-        # One term per slice: the running sum is carried between slices.
-        slices = []
-
-        def terms(lo, hi):
-            slices.append((lo, hi))
-            return stacked[lo:hi]
-
-        sliced = fold_chunks(37, _FOLD_CHUNK, D_RAND, terms)
-        assert slices == [(i, i + 1) for i in range(37)]
-        assert_same_jet(sliced, want)
-
-    # Budgets in floats per slice; with D_RAND = 4 a budget of 40 sizes
-    # the first slice for Hessians (2 terms) and later order-1 slices for
-    # gradients (10 terms), order-0 slices for values (40 terms).
-    @pytest.mark.parametrize("budget", [1, 16, 40, 200, 10**6])
-    @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1), (0, 1, 2)])
-    def test_fold_chunks_sized_by_top_order(self, monkeypatch, orders, budget):
-        from contactconn import jets
-
-        n = 37
-        rng = np.random.default_rng([len(orders), orders[-1]])
-        stacked = random_jets(rng, n, orders)
-        want = stacked.fold()
-        monkeypatch.setattr(jets, "_FOLD_CHUNK", budget)
-        sizes = []
-
-        def terms(lo, hi):
-            sizes.append(hi - lo)
-            return stacked[lo:hi]
-
-        got = fold_chunks(n, 1, D_RAND, terms)
-        first = min(n, max(1, budget // D_RAND**2))
-        step = max(1, budget // D_RAND**stacked.top)
-        assert sizes == [first] + [min(step, n - lo) for lo in range(first, n, step)]
-        assert got.top == want.top and np.array_equal(got.order, want.order)
-        for part in ("value", "grad", "hess"):
-            x, y = getattr(got, part), getattr(want, part)
-            assert (x is None) == (y is None)
-            if x is not None:
-                assert np.array_equal(x, y)
-                assert np.array_equal(np.signbit(x), np.signbit(y))
-
-    def test_fold_along_stacked_axes(self):
-        rng = np.random.default_rng(9)
-        terms = [random_jets(rng, 3) for _ in range(11)]
-        got = stack(terms).fold()
-        for i in range(3):
-            assert_same_jet(got[i], sum_jets(t[i] for t in terms))
-
     def test_hessians_of_sums_and_folds_exactly_symmetric(self):
         rng = np.random.default_rng(13)
         A = random_jets(rng, 30)
         B = random_jets(rng, 30)
-        for out in (A + B, A - B, A.fold()):
+        for out in (A + B, A - B, contract(A, B)):
             assert exactly_symmetric(out)
 
     @pytest.mark.parametrize("name", ["mul", "div"])
-    def test_product_hessians_symmetric_to_rounding(self, name):
-        # The two cross terms are added one after the other, so a product
-        # or quotient Hessian can differ from its transpose in the last
-        # bit.
+    def test_product_hessians_exactly_symmetric(self, name):
+        # The two cross terms are added to each other before the symmetric
+        # rest, so the Hessian equals its transpose to the bit.
         rng = np.random.default_rng(17)
-        a = random_jets(rng, 200)
-        b = random_jets(rng, 200, positive=True)
+        a = random_jets(rng, 2000)
+        b = random_jets(rng, 2000, positive=True)
         out = BINARY_RULES[name](a, b)
-        for i in range(200):
-            h = out[i].hess
-            assert np.max(np.abs(h - h.T)) <= 4 * EPS * (np.max(np.abs(h)) + 1.0)
+        assert np.array_equal(out.hess, out.hess.swapaxes(-1, -2))
+        for i in range(0, 2000, 97):
+            assert exactly_symmetric(BINARY_RULES[name](a[i], b[i]))
 
     def test_partials_match_jet_partial(self):
         rng = np.random.default_rng(19)
@@ -453,6 +425,165 @@ class TestJetArrayMatchesScalar:
                 assert np.array_equal(j.grad, a.grad[x])
             if k >= 2:
                 assert np.array_equal(j.hess, a.hess[x])
+
+
+def running_sum_contract(a, b):
+    """contract's documented summation as a Python loop: every part a
+    running sum over the leading axis from +0.0, term 0 first, each
+    product rounded before it is added; the gradient sum a' b + sum a b',
+    the Hessian (sum a'' b + sum a b'') + (C + C^T), C = sum a' b'^T.
+    Returns the parts up to the lower top order."""
+
+    def run(term):
+        acc = 0.0
+        for e in range(len(a)):
+            acc = acc + term(e)
+        return acc
+
+    av, bv = a.value, b.value
+    parts = [run(lambda e: av[e] * bv[e])]
+    k = min(a.top, b.top)
+    if k >= 1:
+        parts.append(
+            run(lambda e: a.grad[e] * bv[e][..., None])
+            + run(lambda e: av[e][..., None] * b.grad[e])
+        )
+    if k >= 2:
+        C = run(lambda e: a.grad[e][..., :, None] * b.grad[e][..., None, :])
+        S = run(lambda e: a.hess[e] * bv[e][..., None, None]) + run(
+            lambda e: av[e][..., None, None] * b.hess[e]
+        )
+        parts.append(S + (C + C.swapaxes(-1, -2)))
+    return parts
+
+
+def strided(x):
+    """x as a view with every axis strided: every other entry of a larger
+    buffer along each axis."""
+    big = np.full(tuple(2 * n for n in x.shape), np.nan)
+    view = big[tuple(slice(None, None, 2) for _ in x.shape)]
+    view[...] = x
+    return view
+
+
+def misaligned(x):
+    """x copied into a buffer whose address is not a multiple of 8."""
+    buf = np.zeros(x.nbytes + 8, dtype=np.uint8)
+    off = (4 - buf.ctypes.data) % 8
+    y = buf[off : off + x.nbytes].view(np.float64).reshape(x.shape)
+    y[...] = x
+    assert not y.flags.aligned
+    return y
+
+
+def transposed(x):
+    """x as the transpose of a C-contiguous array of the reversed shape."""
+    return np.ascontiguousarray(x.T).T
+
+
+LAYOUTS = {
+    "c": np.ascontiguousarray,
+    "fortran": np.asfortranarray,
+    "strided": strided,
+    "misaligned": misaligned,
+    "transposed": transposed,
+}
+
+
+def relaid(a, layout):
+    """The same jets with every part stored in the given layout."""
+    f = LAYOUTS[layout]
+    return JetArray(
+        a.dim,
+        f(np.asarray(a.value)),
+        None if a.grad is None else f(a.grad),
+        None if a.hess is None else f(a.hess),
+        a.order,
+    )
+
+
+def random_contract_operands(rng):
+    """Two random order-2 JetArrays sharing a leading axis of 1 to 40 terms,
+    whose other axes (zero to three, sizes 1 to 5) broadcast against each
+    other; a fifth of the values are signed zeros."""
+    n = int(rng.integers(1, 41))
+    full = tuple(int(x) for x in rng.integers(1, 6, int(rng.integers(0, 4))))
+
+    def operand():
+        shape = tuple(x if rng.random() < 0.7 else 1 for x in full)
+        size = math.prod((n,) + shape)
+        j = random_jets(rng, size).reshape(n, *shape)
+        zero = rng.random(j.value.shape) < 0.2
+        j.value[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+        return j
+
+    return operand(), operand()
+
+
+def assert_same_parts(got, parts):
+    for x, y in zip((got.value, got.grad, got.hess), parts):
+        y = np.broadcast_to(y, np.shape(x))
+        assert np.array_equal(x, y)
+        assert np.array_equal(np.signbit(x), np.signbit(y))
+    assert all(x is None for x in (got.grad, got.hess)[len(parts) - 1 :])
+
+
+class TestContract:
+    """contract's summation order is the documented running sum, in every
+    memory layout of its operands."""
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_running_sum_in_every_layout(self, layout):
+        rng = np.random.default_rng([7, sorted(LAYOUTS).index(layout)])
+        for _ in range(60):
+            a, b = random_contract_operands(rng)
+            want = running_sum_contract(a, b)
+            assert_same_parts(contract(a, b), want)
+            assert_same_parts(contract(relaid(a, layout), relaid(b, layout)), want)
+
+    def test_mixed_layouts(self):
+        rng = np.random.default_rng(29)
+        names = sorted(LAYOUTS)
+        for trial in range(60):
+            a, b = random_contract_operands(rng)
+            want = running_sum_contract(a, b)
+            la, lb = names[trial % len(names)], names[(trial // len(names)) % len(names)]
+            assert_same_parts(contract(relaid(a, la), relaid(b, lb)), want)
+
+    @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1, 2), (1, 2)])
+    def test_orders(self, orders):
+        rng = np.random.default_rng(len(orders) + 10 * orders[0])
+        a = random_jets(rng, 30, orders).reshape(10, 3)
+        b = random_jets(rng, 10, (2,)).reshape(10, 1)
+        got = contract(a, b)
+        assert got.top == a.top and got.shape == (3,)
+        assert np.array_equal(got.order, a.order.min(axis=0))
+        assert_same_parts(got, running_sum_contract(a, b))
+
+    def test_hessian_exactly_symmetric_and_close_to_fold(self):
+        # Against the left fold of the full product jets, to rounding.
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            a, b = random_contract_operands(rng)
+            got = contract(a, b)
+            assert np.array_equal(got.hess, got.hess.swapaxes(-1, -2))
+            terms, mags = a * b, magnitude(a) * magnitude(b)
+            want = sum_jets(terms[e] for e in range(len(a)))
+            mag = sum_jets(mags[e] for e in range(len(a)))
+            for x, y, m in zip(
+                (got.value, got.grad, got.hess),
+                (want.value, want.grad, want.hess),
+                (mag.value, mag.grad, mag.hess),
+            ):
+                assert np.all(np.abs(x - y) <= 1e-14 * m)
+
+    @pytest.mark.parametrize(
+        "shapes", [((3,), (4,)), ((), ()), ((0,), (0,)), ((2, 3), (3, 3)), ((3, 2), (3,))]
+    )
+    def test_needs_one_nonempty_shared_leading_axis(self, shapes):
+        a, b = (JetArray.constant(1.0, 3, s) for s in shapes)
+        with pytest.raises(ValueError, match="leading axis"):
+            contract(a, b)
 
 
 class TestElementaryFunctions:
@@ -652,6 +783,28 @@ class TestTape:
         tape = Tape([e])
         assert len(tape.code) == 41
         assert tape.eval((1.0, 0.0, 0.0), 0)[0].value == 2.0**40
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_literal_slots_built_once_and_never_changed(self, order):
+        cs = chart("sphere-chart").build()
+        tape = Tape(chart_inputs(cs))
+        p, q = sample_box(chart("sphere-chart").box, 2, 5)
+        first = tape.eval(p, order)
+        lits = tape._literals[(3, order)]
+        assert lits and all(op == "lit" for op, _, _ in (tape.code[s] for s in lits))
+        before = {
+            s: [np.copy(x) for x in (j.value, j.grad, j.hess) if x is not None]
+            for s, j in lits.items()
+        }
+        tape.eval(q, order)
+        again = tape.eval(p, order)
+        assert tape._literals[(3, order)] is lits
+        for s, j in lits.items():
+            now = [x for x in (j.value, j.grad, j.hess) if x is not None]
+            assert all(np.array_equal(x, y) for x, y in zip(now, before[s]))
+            assert j.value == tape.code[s][1]
+        for x, y in zip(first, again):
+            assert_same_bits(x, y)
 
     def test_eval_jet_is_the_one_expression_tape(self):
         e = parse_expr("sin(x*y) * exp(z) / (2 + cos(x))", XYZ)

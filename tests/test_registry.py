@@ -152,6 +152,15 @@ class TestLoadSpec:
         assert spec.box[0] == (-0.5, 0.5)
         spec.build()
 
+    def test_seed_bounds(self, tmp_path):
+        # The generator takes its seed mod 2^64, so the largest seed a
+        # description may give is 2^64 - 1.
+        for seed in (0, 2**64 - 1):
+            assert load_spec(write_spec(tmp_path, dict(valid_payload(), seed=seed))).seed == seed
+        for seed in (2**64, 2**64 + 42):
+            with pytest.raises(SpecError, match=r"seed: must be an integer from 0 to 2\^64 - 1"):
+                load_spec(write_spec(tmp_path, dict(valid_payload(), seed=seed)))
+
     def test_rejects_bad_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json", encoding="utf-8")

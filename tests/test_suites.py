@@ -3,6 +3,9 @@ report assembly.
 """
 
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,6 +29,7 @@ from contactconn.suites import run_suites
 ALL_3D = ["contact", "canonical", "promotion", "tw-compare", "rotation"]
 CORE = ["contact", "canonical", "promotion"]
 REPORTS_DIR = Path(__file__).parent / "data" / "reports"
+REPORTS_BEFORE_CONTRACT = Path(__file__).parent / "data" / "reports-fold"
 CHARTS_DIR = Path(__file__).parent / "data" / "charts"
 
 
@@ -306,49 +310,44 @@ class TestPerPointState:
         }
 
 
-    # Every sum over a long term axis goes through fold_chunks. The
-    # promotion system folds all frame pairs at once, graded products
-    # are array kernels, and a slice holds 16384 floats of the highest
-    # part its terms carry. With an apply_vector and a contraction per
-    # ordered frame pair, another contraction per unordered pair and
-    # 4096-float slices, the same runs made 105 calls in 743 slices per
-    # usable point on heis7 and 37 in 37 on sphere-chart; with every
-    # slice sized for Hessians, 33 in 112 on heis7.
+    # Every sum of products over an axis is one jets.contract call, which
+    # sums each product-rule part on its own: the pairings contract one
+    # vector stack at a time, the metric pairings twice, mu three times
+    # (tr(G^-1 Omega G^-1 Omega^T)), each graded product once and the
+    # promotion system over all frame pairs at once. Before, the same runs
+    # folded full product jets through fold_chunks: 33 calls in 73 slices
+    # per usable point on heis7 and 35 in 35 on sphere-chart.
     @pytest.mark.parametrize(
-        "name, suites, calls, slices",
-        [("heis7.json", CORE, 33, 73), ("sphere-chart", ALL_3D, 35, 35)],
+        "name, suites, calls", [("heis7.json", CORE, 60), ("sphere-chart", ALL_3D, 59)]
     )
-    def test_fold_chunks_per_usable_point(self, monkeypatch, name, suites, calls, slices):
+    def test_contract_calls_per_usable_point(self, monkeypatch, name, suites, calls):
         from contactconn import jets
 
-        counts = {"calls": 0, "slices": 0}
-        real = jets.fold_chunks
+        counts = {"calls": 0}
+        real = jets.contract
 
-        def counted(n_terms, per_term, dim, terms):
+        def counted(a, b):
             counts["calls"] += 1
-
-            def sliced(lo, hi):
-                counts["slices"] += 1
-                return terms(lo, hi)
-
-            return real(n_terms, per_term, dim, sliced)
+            return real(a, b)
 
         patch_everywhere(monkeypatch, real, counted)
         spec = load_spec(CHARTS_DIR / name) if name.endswith(".json") else get_manifold(name)
         rep = run_suites(spec, suites, points=2)
         usable = rep.requested_points - rep.skipped_points
         assert usable == 2
-        assert counts == {"calls": calls * usable, "slices": slices * usable}
+        assert counts == {"calls": calls * usable}
 
-    # Every kernel runs at the order its result is read: pairings build
-    # their determinants at the coefficients' order, the suites' value
-    # checks run on order-0 jets, the Reeb solve cuts theta to the order
-    # of dtheta and the promotion's den is built at order 1. With every
-    # pairing and check built at order 2, the same runs made 237 order-2
-    # products per usable point on heis7 and 101 on sphere-chart; with
-    # the Reeb theta and den at order 2, 117 and 77.
+    # Every kernel runs at the order its result is read: pairings contract
+    # at the coefficients' order, the suites' value checks run on order-0
+    # jets, the Reeb solve cuts theta to the order of dtheta and the
+    # promotion's den is built at order 1. Sums of products go through
+    # jets.contract, which builds no product jet. With every pairing and
+    # check built at order 2, the same runs made 237 order-2 products per
+    # usable point on heis7 and 101 on sphere-chart; with the Reeb theta
+    # and den at order 2, 117 and 77; with every sum of products folded
+    # from full product jets, 115 and 75.
     @pytest.mark.parametrize(
-        "name, suites, products", [("heis7.json", CORE, 115), ("sphere-chart", ALL_3D, 75)]
+        "name, suites, products", [("heis7.json", CORE, 25), ("sphere-chart", ALL_3D, 52)]
     )
     def test_order2_products_per_usable_point(self, monkeypatch, name, suites, products):
         from contactconn import jets
@@ -398,10 +397,11 @@ class TestPerPointState:
         assert counts["parse_expr"] == 3 + 9 + phis
 
 
-# Reports rendered before the per-point state was shared; every suite the
-# chart's dimension allows, 2 points at the chart's default seed. The 7D
-# chart (contact, canonical and promotion) was rendered before the jet
-# arithmetic moved to array kernels.
+# Every suite the chart's dimension allows, 2 points at the chart's
+# default seed. Rendered again once when sums of products moved from
+# left folds of product jets to jets.contract, which moved last bits;
+# REPORTS_BEFORE_CONTRACT keeps the reports of the fold, and
+# test_regenerated_golden_matches_fold_report bounds the change.
 GOLDEN_CASES = [
     ("heisenberg", None, "heisenberg"),
     ("heisenberg-aniso", None, "heisenberg-aniso"),
@@ -422,3 +422,75 @@ def test_golden_report_bytes(name, params, stem):
     suites = [s for s in SUITE_NAMES if spec.dim == 3 or s not in SUITES_3D_ONLY]
     body = render_report(run_suites(spec, suites, points=2, param_overrides=params))
     assert body.encode("utf-8") == (REPORTS_DIR / f"{stem}.json").read_bytes()
+
+
+# Two residuals of heisenberg-aniso with b = 1e-4 are cancellation noise:
+# in the rotated frame R' is a difference of terms near 3e7 (ulp 3.7e-9)
+# and B' half a difference of terms near 5e3 to 1.2e4 (steps of 9.1e-13),
+# so any change in rounding moves them by whole such steps, which 1e-13
+# cannot bound. They may move by at most four steps; every other residual
+# by at most 1e-13.
+RESIDUAL_NOISE = {
+    ("heisenberg-aniso-b1e-4", "rotation", "r_invariance"): 4 * 3.73e-9,
+    ("heisenberg-aniso-b1e-4", "rotation", "ab_rotation"): 4 * 9.1e-13,
+}
+
+
+def close_rel(a, b, rel=1e-13):
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("stem", [stem for _, _, stem in GOLDEN_CASES])
+def test_regenerated_golden_matches_fold_report(stem):
+    old = json.loads((REPORTS_BEFORE_CONTRACT / f"{stem}.json").read_bytes())
+    new = json.loads((REPORTS_DIR / f"{stem}.json").read_bytes())
+    for key in ("dim", "manifold", "passed", "requested_points", "schema", "seed",
+                "skipped_points"):
+        assert new[key] == old[key], key
+    assert len(new["points"]) == len(old["points"])
+    for po, pn in zip(old["points"], new["points"]):
+        assert set(pn) == set(po)
+        for key in set(po) - {"point", "mu", "lambda"}:
+            assert pn[key] == po[key], key
+        assert len(pn["point"]) == len(po["point"])
+        assert all(close_rel(a, b) for a, b in zip(pn["point"], po["point"]))
+        if not po["skipped"]:
+            assert close_rel(pn["mu"], po["mu"])
+            assert len(pn["lambda"]) == len(po["lambda"])
+            assert all(close_rel(a, b) for a, b in zip(pn["lambda"], po["lambda"]))
+    assert set(new["suites"]) == set(old["suites"])
+    for name, so in old["suites"].items():
+        sn = new["suites"][name]
+        assert (sn["passed"], sn["points_used"]) == (so["passed"], so["points_used"])
+        assert set(sn["residuals"]) == set(so["residuals"])
+        for key, value in so["residuals"].items():
+            bound = RESIDUAL_NOISE.get((stem, name, key), 1e-13)
+            assert abs(sn["residuals"][key] - value) <= bound, (name, key)
+
+
+def analyze_bytes(argv, threads):
+    """stdout of a fresh `contactconn analyze` with BLAS on the given
+    number of threads."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [x for x in [env.get("PYTHONPATH")] if x])
+    out = subprocess.run(
+        [sys.executable, "-m", "contactconn.cli", "analyze", *argv],
+        env=env,
+        capture_output=True,
+        check=True,
+        timeout=120,
+    )
+    return out.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, stem",
+    [
+        (["--manifold", "sphere-chart", "--points", "2"], "sphere-chart"),
+        (["--spec", str(CHARTS_DIR / "heis7.json"), "--points", "2"], "heis7"),
+    ],
+)
+def test_reports_do_not_depend_on_blas_threads(argv, stem):
+    one, two = (analyze_bytes(argv, threads) for threads in (1, 2))
+    assert one == two == (REPORTS_DIR / f"{stem}.json").read_bytes()

@@ -8,9 +8,10 @@ give the wall time per usable point, then the same passes run under
 perfbench's tracer, extended to every layer in LAYERS that perfbench
 does not span (ContactStructure.inputs_at, which runs the input tape)
 and without its jet-operation counter, for each layer's self time per
-usable point, and once more with fold_chunks and the product rule
-counted, the products split by the jet order they ran at. Prints one
-JSON object with the medians over passes.
+usable point, and once more with jets.contract (every sum of products
+over an axis) and the product rule counted, the products split by the
+jet order they ran at. Prints one JSON object with the medians over
+passes.
 
     python3 tools/bench_layers.py [--src PATH] [--passes N]
 
@@ -98,23 +99,18 @@ def measure(src: Path, passes: int) -> dict:
             for layer in LAYERS:
                 self_s[layer].append(summary["self_s"].get(layer, 0.0) / usable)
 
-        counts = {"calls": 0, "slices": 0}
+        contracts = {"calls": 0}
         products = {f"order{k}": 0 for k in range(3)}
-        real = jets.fold_chunks
+        real = jets.contract
         real_mul = jets._mul_rule
 
         def counted_mul(k, *parts):
             products[f"order{k}"] += 1
             return real_mul(k, *parts)
 
-        def counted(n_terms, per_term, d, terms):
-            counts["calls"] += 1
-
-            def sliced(lo, hi):
-                counts["slices"] += 1
-                return terms(lo, hi)
-
-            return real(n_terms, per_term, d, sliced)
+        def counted(a, b):
+            contracts["calls"] += 1
+            return real(a, b)
 
         bound = [
             (mod, key)
@@ -139,7 +135,7 @@ def measure(src: Path, passes: int) -> dict:
             "suites": list(suites),
             "analyze_ms_per_point": ms(walls),
             "self_ms_per_point": {k: ms(v) for k, v in self_s.items() if any(v)},
-            "fold_chunks_per_point": {k: v / usable for k, v in counts.items()},
+            "contract_calls_per_point": contracts["calls"] / usable,
             "products_per_point": {k: v / usable for k, v in products.items()},
         }
     out["host"] = {
