@@ -383,6 +383,53 @@ class TestJetArrayMatchesScalar:
         with pytest.raises(ExprDomainError):
             z.powi(-1)
 
+    # A contraction against constant ones is the fold of its terms: a
+    # running sum from +0.0, term 0 first, the same left-to-right sum as
+    # adding the single jets one after the other.
+    @pytest.mark.parametrize("orders", [(2,), (1, 2), (0, 1, 2)])
+    def test_fold_equals_sum_jets(self, orders):
+        rng = np.random.default_rng(len(orders))
+        stacked = random_jets(rng, 37, orders)
+        want = sum_jets(stacked[i] for i in range(37))
+        assert_same_jet(contract(stacked, JetArray.constant(1.0, D_RAND, (37,))), want)
+        # Each term alone is itself.
+        for i in range(37):
+            one = contract(stacked[i : i + 1], JetArray.constant(1.0, D_RAND, (1,)))
+            assert_same_jet(one, stacked[i])
+
+    # A caller may contract a long run of entries in chunks to bound what it
+    # holds at once, as the pairings contract one vector stack at a time.
+    # Chunks of budget // D_RAND**top entries (a budget in floats of the top
+    # part) give every entry the bits, signed zeros included, of one call.
+    @pytest.mark.parametrize("budget", [1, 16, 40, 200, 10**6])
+    @pytest.mark.parametrize("orders", [(0,), (1,), (0, 1), (0, 1, 2)])
+    def test_fold_chunks_sized_by_top_order(self, orders, budget):
+        n, width = 37, 29
+        rng = np.random.default_rng([len(orders), orders[-1]])
+        a = random_jets(rng, n * width, orders).reshape(n, width)
+        b = random_jets(rng, n * width, (0, 1, 2)).reshape(n, width)
+        want = contract(a, b)
+        step = max(1, budget // D_RAND**want.top)
+        starts = range(0, width, step)
+        assert len(starts) == -(-width // step)
+        for lo in starts:
+            got = contract(a[:, lo : lo + step], b[:, lo : lo + step])
+            part = want[lo : lo + step]
+            assert got.top == part.top and np.array_equal(got.order, part.order)
+            for name in ("value", "grad", "hess"):
+                x, y = getattr(got, name), getattr(part, name)
+                assert (x is None) == (y is None)
+                if x is not None:
+                    assert np.array_equal(x, y)
+                    assert np.array_equal(np.signbit(x), np.signbit(y))
+
+    def test_fold_along_stacked_axes(self):
+        rng = np.random.default_rng(9)
+        terms = [random_jets(rng, 3) for _ in range(11)]
+        got = contract(stack(terms), JetArray.constant(1.0, D_RAND, (11, 1)))
+        for i in range(3):
+            assert_same_jet(got[i], sum_jets(t[i] for t in terms))
+
     def test_hessians_of_sums_and_folds_exactly_symmetric(self):
         rng = np.random.default_rng(13)
         A = random_jets(rng, 30)
