@@ -16,10 +16,10 @@ import argparse
 import sys
 
 from .errors import ContactConnError
-from .registry import SUITE_NAMES, SUITES_3D_ONLY, builtin_registry, get_manifold, load_spec
+from .registry import builtin_registry, get_manifold, load_spec
 from .report import render_report
 from .sampling import SEED_LIMIT
-from .suites import run_suites
+from .suites import SUITES, run_suites, suites_for_dim
 
 
 def _int_in_range(low: int, high: int | None = None):
@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--spec", help="path to a JSON manifold description")
     an.add_argument(
         "--suites",
-        help=f"comma-separated subset of {{{','.join(SUITE_NAMES)}}}; "
+        help=f"comma-separated subset of {{{','.join(SUITES)}}}; "
         "default: all suites available for the dimension",
     )
     an.add_argument(
@@ -104,11 +104,7 @@ def _cmd_analyze(args) -> int:
     if args.suites:
         suites = [s.strip() for s in args.suites.split(",") if s.strip()]
     else:
-        suites = [
-            s
-            for s in SUITE_NAMES
-            if spec.dim == 3 or s not in SUITES_3D_ONLY
-        ]
+        suites = suites_for_dim(spec.dim)
 
     report = run_suites(
         spec, suites, points=args.points, seed=args.seed, param_overrides=params

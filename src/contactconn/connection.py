@@ -14,12 +14,13 @@ kills the covariant derivative of the metric; sigma / sigma_inv implement
 the symmetrization isomorphism that makes the correction explicit.
 
 Promotion extends a partial connection to the Reeb direction: the
-coefficients xi are fixed by requiring the nondegenerate-2-form component
-of the coupled second derivative of each coframe element to vanish. The
-resulting full connection is stored as the general coefficient data
-kappa[A][a][C], xi[A][C] over the whole coframe, a shape that also hosts
-connections outside the normal form (the classical 3D one has
-nabla theta = 0, which the normal form cannot express).
+coefficients along T are fixed by requiring the nondegenerate-2-form
+component of the coupled second derivative of each coframe element to
+vanish. A full connection is one coefficient tensor coeffs[P, A, C] over
+the whole frame (T, X_1, ..., X_2n) and coframe, row P = 0 the Reeb
+direction; its rows P >= 1 are the partial connection's kappa. The same
+tensor hosts connections outside the normal form (the classical 3D one
+has nabla theta = 0, which the normal form cannot express).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .contact import (
     AdaptedFrame,
     ContactStructure,
     adapted_frame,
-    frame_pair_matrix,
     max_abs,
 )
 from .errors import SymmetryError
@@ -241,36 +241,24 @@ def nabla_H_vector(conn: PartialConnection, v: JetArray) -> JetArray:
 
 @dataclass(frozen=True)
 class FullConnection:
-    """Connection with both H and Reeb direction coefficients.
+    """Connection with coefficients along every frame direction.
 
-    kappa, a JetArray (2n+1, 2n, 2n+1): entry [A, a, C] is the
-    sigma^C-component of nabla_{X_{a+1}} sigma^A.
-    xi, a JetArray (2n+1, 2n+1): entry [A, C] is the sigma^C-component of
-    nabla_T sigma^A.
-    partial: the promoted-from partial connection when there is one; its
-    coefficients are shared, not copied.
+    coeffs, a JetArray (2n+1, 2n+1, 2n+1): entry [P, A, C] is the
+    sigma^C-component of nabla_{F_P} sigma^A, where F = (T, X_1, ...,
+    X_2n) is the frame and sigma = (theta_hat, e^1, ..., e^2n) its
+    coframe; row P = 0 is the Reeb direction.
+    partial: the promoted-from partial connection when there is one.
     """
 
     frame: AdaptedFrame
-    kappa: JetArray
-    xi: JetArray
+    coeffs: JetArray
     partial: PartialConnection | None = None
-
-    @property
-    def h_dim(self) -> int:
-        return 2 * self.frame.n
 
     def derivative_of_oneform(self, alpha: JetArray) -> JetArray:
         """Frame derivative of a 1-form along every frame direction, given
         its coframe components alpha (2n+1,): entry [P, C], P = 0 the Reeb
         direction."""
-        frame = self.frame
-        m = self.h_dim
-        # coeffs[P, A, C]: xi[A, C] for P = 0, kappa[A, P - 1, C] after.
-        coeffs = JetArray.constant(0.0, frame.dim, (m + 1, m + 1, m + 1))
-        coeffs[0] = self.xi
-        coeffs[1:] = self.kappa.transpose(1, 0, 2)
-        return _derivative(frame.frame_array, coeffs, alpha)
+        return _derivative(self.frame.frame_array, self.coeffs, alpha)
 
     def coordinate_action(self, alpha: FormField):
         """Value matrix of nabla alpha in coordinates at the frame's
@@ -330,28 +318,29 @@ def promote(conn: PartialConnection) -> FullConnection:
     """Extend a normal-form partial connection to the Reeb direction.
 
     For each coframe element the coupled exterior-derivative-squared has a
-    well-defined component against the nondegenerate 2-form; xi is the
-    unique choice making it vanish. Costs one jet order (the coefficients
-    get differentiated once).
+    well-defined component against the nondegenerate 2-form; the Reeb row
+    of the coefficients is the unique choice making it vanish, and the H
+    rows are the partial connection's kappa. Costs one jet order (the
+    coefficients get differentiated once).
     """
+    frame = conn.frame
+    m = conn.h_dim
     num, den = conn.promotion_system
-    return FullConnection(
-        frame=conn.frame,
-        kappa=conn.kappa.transpose(1, 0, 2),
-        xi=-(num / den),
-        partial=conn,
-    )
+    coeffs = JetArray.constant(0.0, frame.dim, (m + 1, m + 1, m + 1))
+    coeffs[0] = -(num / den)
+    coeffs[1:] = conn.kappa
+    return FullConnection(frame=frame, coeffs=coeffs, partial=conn)
 
 
 def promotion_residual(fc: FullConnection) -> float:
-    """How well the extension coefficients cancel the obstruction:
-    max over components of |num + den * xi| / den. Requires the promoted
-    connection to carry its partial part."""
+    """How well the Reeb-row coefficients xi = coeffs[0] cancel the
+    obstruction: max over components of |num + den * xi| / den. Requires
+    the promoted connection to carry its partial part."""
     if fc.partial is None:
         raise ValueError("promotion residual needs the underlying partial connection")
     num, den = fc.partial.promotion_system
     dv = float(den.value)
-    return max_abs((num.value + dv * fc.xi.value) / dv)
+    return max_abs((num.value + dv * fc.coeffs.value[0]) / dv)
 
 
 def full_torsion(fc: FullConnection) -> JetArray:
@@ -360,15 +349,5 @@ def full_torsion(fc: FullConnection) -> JetArray:
     [A, P, Q] is the coefficient of the P^Q basis 2-form in the torsion
     of the A-th coframe element, index 0 of P and Q the Reeb direction.
     """
-    frame = fc.frame
-    m = 2 * frame.n
-    d_vals = frame.d_pairs
-    xi = fc.xi
-    kap = fc.kappa  # [A, a, C]
-    # Reeb row: d_vals[A][0][q] - (xi[A][q] - kappa[A][q-1][0]).
-    reeb = d_vals[:, 0, 1:] - (xi[:, 1:] - kap[:, :, 0])
-    # H-H: d_vals[A][p][q] - (kappa[A][p-1][q] - kappa[A][q-1][p]), p < q.
-    iu, ju = np.triu_indices(m, 1)
-    hh = JetArray.constant(0.0, frame.dim, (m + 1, m, m))
-    hh[:, iu, ju] = d_vals[:, iu + 1, ju + 1] - (kap[:, iu, ju + 1] - kap[:, ju, iu + 1])
-    return frame_pair_matrix(reeb, hh)
+    R = fc.coeffs.transpose(1, 0, 2)  # [A, P, Q]: sigma^Q-component of nabla_{F_P} sigma^A
+    return fc.frame.d_pairs - (R - R.transpose(0, 2, 1))

@@ -374,35 +374,21 @@ class AdaptedFrame:
         dc = self.c.partials()
         th = self.theta_hat
         dc_th = ((0.0 + dc[i] * th[j][:, None]) - dc[j] * th[i][:, None]).transpose(1, 0)
-        reeb = JetArray.constant(0.0, self.dim, (m + 1, m))
-        reeb[0] = dth
-        reeb[1:] = (
+        # Antisymmetric in (P, Q): the entries below the diagonal are the
+        # negatives of those above, the diagonal constant zeros.
+        out = JetArray.constant(0.0, self.dim, (m + 1, m + 1, m + 1))
+        out[0, 0, 1:] = dth
+        out[1:, 0, 1:] = (
             evaluate_forms(self.df, T, X)[:, 0]
             + evaluate_forms(dc_th, T, X)[:, 0]
             + dth[None, :] * self.c[:, None]
         )
-        hh = JetArray.constant(0.0, self.dim, (m + 1, m, m))
-        hh[0] = self.Omega
-        hh[1:] = self.D
-        return frame_pair_matrix(reeb, hh)
-
-
-def frame_pair_matrix(reeb: JetArray, hh: JetArray) -> JetArray:
-    """Antisymmetric matrices over the full frame, index 0 the Reeb
-    direction: entry [..., 0, q] is reeb[..., q - 1], entry [..., p, q]
-    for 0 < p < q is hh[..., p - 1, q - 1], the entries below the
-    diagonal their negatives and the diagonal constant zeros."""
-    m = reeb.shape[-1]
-    lead = reeb.shape[:-1]
-    out = JetArray.constant(0.0, reeb.dim, lead + (m + 1, m + 1))
-    ax = (slice(None),) * len(lead)
-    out[ax + (0, slice(1, None))] = reeb
-    out[ax + (slice(1, None), 0)] = -reeb
-    iu, ju = np.triu_indices(m, 1)
-    upper = hh[ax + (iu, ju)]
-    out[ax + (iu + 1, ju + 1)] = upper
-    out[ax + (ju + 1, iu + 1)] = -upper
-    return out
+        out[:, 1:, 0] = -out[:, 0, 1:]
+        iu, ju = np.triu_indices(m, 1)
+        out[0, iu + 1, ju + 1] = self.Omega[iu, ju]
+        out[1:, iu + 1, ju + 1] = self.D[:, iu, ju]
+        out[:, ju + 1, iu + 1] = -out[:, iu + 1, ju + 1]
+        return out
 
 
 def structure_values(dF: JetArray, c: JetArray, X: JetArray, Omega: JetArray) -> JetArray:

@@ -580,6 +580,7 @@ def jet_linear_solve(A: JetArray, b: JetArray) -> JetArray:
         d2x = A0^-1 (d2b - d2A x - (dA dx + (dA dx)^T))
 
     The output order is the minimum order among the inputs. Raises
+    ExprDomainError when a value of A or b is not finite,
     SingularMatrixError when the value part is rank deficient beyond a
     1e-10 relative bound, and LinearSolveResidualError if the computed
     solution of some column violates the residual contract (which
@@ -596,6 +597,8 @@ def jet_linear_solve(A: JetArray, b: JetArray) -> JetArray:
     # layout whatever views A and b are; columns of b on the second axis.
     c = np.ascontiguousarray
     A0, b0 = c(A.value), c(b.value).reshape(m, -1)
+    if not (np.isfinite(A0).all() and np.isfinite(b0).all()):
+        raise ExprDomainError("values of the linear system are not finite", "<jet linear solve>")
     sv = np.linalg.svd(A0, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
         raise SingularMatrixError(

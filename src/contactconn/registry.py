@@ -23,9 +23,6 @@ from .sampling import SEED_LIMIT
 DEFAULT_POINTS = 100
 DEFAULT_SEED = 42
 
-SUITE_NAMES = ("contact", "canonical", "promotion", "tw-compare", "rotation")
-SUITES_3D_ONLY = ("tw-compare", "rotation")
-
 
 @dataclass(frozen=True)
 class ManifoldSpec:

@@ -14,12 +14,16 @@ usable point. It holds those inputs and the adapted frame and caches
 what the suites derive from them (spectrum, canonical connection,
 promotion, 3D structure data), so each is built at most once per point
 and shared by every suite.
+
+Each suite gives one row of residuals per usable point. SUITES holds
+every suite's gates, and aggregate turns the rows into the suite's
+report entry, so each tolerance and the pass rule live in one place.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,10 +50,13 @@ from .errors import AllPointsSkippedError, SuiteUnavailableError
 from .expressions import parse_expr
 from .forms import evaluate_forms
 from .jets import JetArray
-from .registry import SUITE_NAMES, SUITES_3D_ONLY, ManifoldSpec
-from .report import PointRecord, Report, SuiteResult
+from .registry import ManifoldSpec
+from .report import PointRecord, Report, SuiteResult, within_gates
 from .sampling import SplitMix64, sample_box
 from .tw3d import (
+    FULL_GATES,
+    PARTIAL_GATES,
+    ROTATION_GATES,
     check_rotation_covariance,
     compare_full,
     compare_partial,
@@ -94,148 +101,158 @@ class _PointState:
         return solve_structure_equations(tw_coframe(self.cs, self.p, frame=self.frame))
 
 
-def _suite_contact(cs: ContactStructure, usable) -> SuiteResult:
+class _Run(NamedTuple):
+    """What the suites read of a run: the structure, its usable points in
+    index order and the run's seed."""
+
+    cs: ContactStructure
+    usable: list
+    seed: int
+
+
+def _suite_contact(run: _Run) -> list[dict]:
     # Every check reads values only, so each runs on order-0 jets.
-    dim = cs.dim
-    n = cs.n
+    dim = run.cs.dim
+    n = run.cs.n
     basis = JetArray.constant(0.0, dim, (dim, dim), 0)
     np.fill_diagonal(basis.value, 1.0)
-    reeb_res = 0.0
-    norm_res = 0.0
-    lam_res = 0.0
-    lam_min = math.inf
-    dual_res = 0.0
-    for pt in usable:
+    rows = []
+    for pt in run.usable:
         frame = pt.frame
         theta0 = pt.inputs.theta.restrict(0)
         dtheta0 = pt.inputs.dtheta.restrict(0)
         T = _reeb_from_values(theta0, dtheta0)[None]
         (theta_T,) = evaluate_forms(theta0, T).value.tolist()
         dtheta_T = evaluate_forms(dtheta0, T, basis).value
-        reeb_res = max(reeb_res, abs(theta_T - 1.0), max_abs(dtheta_T))
-
         omega_sq = sum(v**2 for v in frame.Omega.value.ravel().tolist())
-        norm_res = max(norm_res, abs(omega_sq - 2 * n))
-
         lam = pt.spectrum
-        lam_min = min(lam_min, min(lam))
-        lam_res = max(lam_res, abs(sum(v * v for v in lam) - n))
-
         pairs = frame.pair_coframe(frame.frame_array.restrict(0)).value
-        dual_res = max(dual_res, max_abs(pairs - np.eye(2 * n + 1)))
-
-    passed = (
-        reeb_res < 1e-11
-        and norm_res < 1e-9
-        and lam_res < 1e-8
-        and lam_min > 0.0
-        and dual_res < 1e-10
-    )
-    return SuiteResult(
-        "contact",
-        passed,
-        {
-            "reeb": reeb_res,
-            "normalization": norm_res,
-            "lambda_sum_sq": lam_res,
-            "lambda_positivity": max(0.0, -lam_min),
-            "duality": dual_res,
-        },
-        len(usable),
-    )
+        rows.append(
+            {
+                "reeb": max(abs(theta_T - 1.0), max_abs(dtheta_T)),
+                "normalization": abs(omega_sq - 2 * n),
+                "lambda_sum_sq": abs(sum(v * v for v in lam) - n),
+                # Below its gate 0.0 exactly when every lambda is positive.
+                "lambda_positivity": -min(lam),
+                "duality": max_abs(pairs - np.eye(2 * n + 1)),
+            }
+        )
+    return rows
 
 
-def _suite_canonical(usable) -> SuiteResult:
-    m_res = {"reeb_parallel": 0.0, "levi_parallel": 0.0, "torsion_free": 0.0, "metric_parallel": 0.0}
-    for pt in usable:
+def _suite_canonical(run: _Run) -> list[dict]:
+    rows = []
+    for pt in run.usable:
         frame = pt.frame
         conn = pt.conn
-
         dT = nabla_H_vector(conn, frame.express_vector(frame.T))
-        m_res["reeb_parallel"] = max(m_res["reeb_parallel"], max_abs(dT.value))
 
         # The Levi check reads values only; the metric check reads the
         # values of a derivative, so the Gram it differentiates needs
         # order 1 only.
         X = frame.X
         measured = evaluate_forms(frame.dtheta_hat.restrict(0), X, X).value
-        levi = max_abs(conn.kappa.value[:, 0, 1:] - measured)
-        m_res["levi_parallel"] = max(m_res["levi_parallel"], levi)
-
         tor = partial_torsion(conn).value
-        m_res["torsion_free"] = max(m_res["torsion_free"], max_abs(tor[1:]))
-        theta_gap = max_abs(tor[0] - frame.Omega.value)
-        m_res["torsion_free"] = max(m_res["torsion_free"], theta_gap)
-
         X1 = X.restrict(1)
         dg = nabla_H(conn, _metric_pairs(pt.inputs.G.restrict(1), X1, X1))
-        m_res["metric_parallel"] = max(m_res["metric_parallel"], max_abs(dg.value))
-
-    passed = all(v < 1e-9 for v in m_res.values())
-    return SuiteResult("canonical", passed, m_res, len(usable))
-
-
-def _suite_promotion(usable) -> SuiteResult:
-    h_res = 0.0
-    ext_res = 0.0
-    for pt in usable:
-        fc = pt.promoted
-        gap = max_abs(fc.kappa.value.transpose(1, 0, 2) - pt.conn.kappa.value)
-        h_res = max(h_res, gap)
-        ext_res = max(ext_res, promotion_residual(fc))
-    passed = h_res < 1e-12 and ext_res < 1e-9
-    return SuiteResult(
-        "promotion",
-        passed,
-        {"h_part": h_res, "reeb_extension": ext_res},
-        len(usable),
-    )
+        rows.append(
+            {
+                "reeb_parallel": max_abs(dT.value),
+                "levi_parallel": max_abs(conn.kappa.value[:, 0, 1:] - measured),
+                "torsion_free": max(max_abs(tor[1:]), max_abs(tor[0] - frame.Omega.value)),
+                "metric_parallel": max_abs(dg.value),
+            }
+        )
+    return rows
 
 
-def _suite_tw_compare(usable) -> SuiteResult:
-    keys = (
-        "e_agreement_residual",
-        "theta_row_difference_residual",
-        "difference_tensor_residual",
-        "torsion_e_rows_residual",
-        "torsion_theta_row_vs_minus_levi",
-        "r_drift",
-    )
-    agg = {k: 0.0 for k in keys}
-    passed = True
-    for pt in usable:
-        rp = compare_partial(pt.tw_data, pt.conn)
-        rf = compare_full(pt.tw_data, pt.promoted)
-        merged = {**rp, **rf}
-        passed = passed and rp["passed"] and rf["passed"]
-        for k in keys:
-            agg[k] = max(agg[k], merged[k])
-    return SuiteResult("tw-compare", passed, agg, len(usable))
+def _suite_promotion(run: _Run) -> list[dict]:
+    return [
+        {
+            "h_part": max_abs(pt.promoted.coeffs.value[1:] - pt.conn.kappa.value),
+            "reeb_extension": promotion_residual(pt.promoted),
+        }
+        for pt in run.usable
+    ]
 
 
-def _suite_rotation(cs: ContactStructure, usable, seed: int) -> SuiteResult:
-    rng = SplitMix64(seed ^ _ROTATION_STREAM)
+def _suite_tw_compare(run: _Run) -> list[dict]:
+    return [
+        {**compare_partial(pt.tw_data, pt.conn), **compare_full(pt.tw_data, pt.promoted)}
+        for pt in run.usable
+    ]
+
+
+def _suite_rotation(run: _Run) -> list[dict]:
+    rng = SplitMix64(run.seed ^ _ROTATION_STREAM)
     coeff = lambda: 2.0 * rng.next_double() - 1.0
-    omega_res = 0.0
-    ab_res = 0.0
-    r_res = 0.0
-    passed = True
-    for pt in usable:
+    coords = run.cs.coords
+
+    def angle():
         terms = [f"({coeff()!r})"]
-        terms.extend(f"({coeff()!r})*{name}" for name in cs.coords)
-        terms.extend(f"({coeff()!r})*{name}^2" for name in cs.coords)
-        phi = " + ".join(terms)
-        rep = check_rotation_covariance(pt.tw_data, parse_expr(phi, cs.coords))
-        passed = passed and rep["passed"]
-        omega_res = max(omega_res, rep["omega_residual"])
-        ab_res = max(ab_res, rep["ab_residual"])
-        r_res = max(r_res, rep["r_residual"])
-    return SuiteResult(
-        "rotation",
-        passed,
-        {"omega_shift": omega_res, "ab_rotation": ab_res, "r_invariance": r_res},
-        len(usable),
-    )
+        terms.extend(f"({coeff()!r})*{name}" for name in coords)
+        terms.extend(f"({coeff()!r})*{name}^2" for name in coords)
+        return parse_expr(" + ".join(terms), coords)
+
+    return [check_rotation_covariance(pt.tw_data, angle()) for pt in run.usable]
+
+
+class _Suite(NamedTuple):
+    rows: Callable[[_Run], list[dict]]
+    gates: dict
+    only_3d: bool
+
+
+# Every suite by name, in default run order: the function giving its
+# residual rows, one dict per usable point; its gates, each residual
+# key's tolerance or None for a key that is reported and not gated;
+# whether it needs dimension 3. Each function is looked up when it is
+# called, so a tracer that patches this module's attributes sees the
+# call.
+SUITES = {
+    "contact": _Suite(
+        lambda run: _suite_contact(run),
+        {
+            "reeb": 1e-11,
+            "normalization": 1e-9,
+            "lambda_sum_sq": 1e-8,
+            "lambda_positivity": 0.0,
+            "duality": 1e-10,
+        },
+        False,
+    ),
+    "canonical": _Suite(
+        lambda run: _suite_canonical(run),
+        dict.fromkeys(("reeb_parallel", "levi_parallel", "torsion_free", "metric_parallel"), 1e-9),
+        False,
+    ),
+    "promotion": _Suite(
+        lambda run: _suite_promotion(run), {"h_part": 1e-12, "reeb_extension": 1e-9}, False
+    ),
+    "tw-compare": _Suite(
+        lambda run: _suite_tw_compare(run), {**PARTIAL_GATES, **FULL_GATES}, True
+    ),
+    "rotation": _Suite(lambda run: _suite_rotation(run), ROTATION_GATES, True),
+}
+
+
+def suites_for_dim(dim: int) -> list[str]:
+    """Every suite that runs in dimension dim, in default run order."""
+    return [name for name, suite in SUITES.items() if dim == 3 or not suite.only_3d]
+
+
+def aggregate(name: str, rows: list[dict]) -> SuiteResult:
+    """The report entry of suite name from its rows, one residual dict per
+    usable point in point order: each key of the suite's gates with its
+    running maximum from 0.0. The suite passes when every row is below
+    every gate, as report.within_gates reads them."""
+    gates = SUITES[name].gates
+    worst = dict.fromkeys(gates, 0.0)
+    for row in rows:
+        for key in gates:
+            worst[key] = max(worst[key], row[key])
+    passed = all(within_gates(row, gates) for row in rows)
+    return SuiteResult(name, passed, worst, len(rows))
 
 
 def run_suites(
@@ -247,14 +264,14 @@ def run_suites(
 ) -> Report:
     """Sample, screen, run the requested suites, and assemble the report.
 
-    suites is an iterable of names from SUITE_NAMES; duplicates collapse
-    to the first occurrence. 3D-only suites on a higher-dimensional
-    manifold raise SuiteUnavailableError up front, before any sampling.
+    suites is an iterable of names from SUITES; duplicates collapse to the
+    first occurrence. 3D-only suites on a higher-dimensional manifold
+    raise SuiteUnavailableError up front, before any sampling.
     """
     requested = []
     for name in suites:
-        if name not in SUITE_NAMES:
-            valid = ", ".join(SUITE_NAMES)
+        if name not in SUITES:
+            valid = ", ".join(SUITES)
             raise SuiteUnavailableError(f"unknown suite {name!r}; valid suites: {valid}")
         if name not in requested:
             requested.append(name)
@@ -263,7 +280,7 @@ def run_suites(
 
     cs = spec.build(param_overrides)
     for name in requested:
-        if name in SUITES_3D_ONLY and cs.dim != 3:
+        if SUITES[name].only_3d and cs.dim != 3:
             raise SuiteUnavailableError(f"suite {name!r} unavailable for dim {cs.dim}")
 
     n_points = spec.points if points is None else points
@@ -289,25 +306,13 @@ def run_suites(
             f"the box likely leaves the structure's valid region"
         )
 
-    results = []
-    for name in requested:
-        if name == "contact":
-            results.append(_suite_contact(cs, usable))
-        elif name == "canonical":
-            results.append(_suite_canonical(usable))
-        elif name == "promotion":
-            results.append(_suite_promotion(usable))
-        elif name == "tw-compare":
-            results.append(_suite_tw_compare(usable))
-        elif name == "rotation":
-            results.append(_suite_rotation(cs, usable, run_seed))
-
+    run = _Run(cs, usable, run_seed)
     return Report(
         manifold=spec.name,
         dim=cs.dim,
         seed=run_seed,
         requested_points=n_points,
         skipped_points=n_points - len(usable),
-        suites=tuple(results),
+        suites=tuple(aggregate(name, SUITES[name].rows(run)) for name in requested),
         points=tuple(records),
     )

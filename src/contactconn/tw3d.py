@@ -50,8 +50,22 @@ from .contact import (
 from .errors import DegenerateFrameError, InconsistentStructureError
 from .forms import apply_vector, d_from_jets
 from .jets import JetArray, eval_jet
+from .report import within_gates
 
 STRUCTURE_RESIDUAL_TOL = 1e-9
+
+# Gates of the comparison residuals, each key's tolerance or None for a
+# residual that is reported and not gated. A point passes when each gated
+# residual is below its tolerance; the tw-compare and rotation suites
+# report the keys of these tables.
+PARTIAL_GATES = {"e_agreement_residual": 1e-9, "theta_row_difference_residual": 1e-9}
+FULL_GATES = {
+    "difference_tensor_residual": 1e-8,
+    "torsion_e_rows_residual": 1e-8,
+    "torsion_theta_row_vs_minus_levi": 1e-8,
+    "r_drift": None,
+}
+ROTATION_GATES = {"omega_shift": 1e-9, "ab_rotation": 1e-9, "r_invariance": None}
 
 
 @dataclass(frozen=True)
@@ -137,19 +151,18 @@ def solve_structure_equations(frame: AdaptedFrame) -> TWData:
 def _rotation_connection(
     frame: AdaptedFrame, w_theta: JetArray, w_h: JetArray, with_levi: bool
 ) -> FullConnection:
-    """Coefficient data over the full coframe of nabla e1 = omega x e2,
+    """Coefficients over the full frame of nabla e1 = omega x e2,
     nabla e2 = -omega x e1, and on H directions nabla theta_hat =
     e1 x e2 - e2 x e1 when with_levi, else nabla theta_hat = 0; omega has
     the Reeb component w_theta and the H components w_h (2,)."""
-    kappa = JetArray.constant(0.0, frame.dim, (3, 2, 3))
-    xi = JetArray.constant(0.0, frame.dim, (3, 3))
+    coeffs = JetArray.constant(0.0, frame.dim, (3, 3, 3))
     if with_levi:
-        kappa[0, :, 1:] = frame.Omega
-    kappa[1, :, 2] = w_h
-    kappa[2, :, 1] = -w_h
-    xi[1, 2] = w_theta
-    xi[2, 1] = -w_theta
-    return FullConnection(frame=frame, kappa=kappa, xi=xi, partial=None)
+        coeffs[1:, 0, 1:] = frame.Omega
+    coeffs[0, 1, 2] = w_theta
+    coeffs[0, 2, 1] = -w_theta
+    coeffs[1:, 1, 2] = w_h
+    coeffs[1:, 2, 1] = -w_h
+    return FullConnection(frame=frame, coeffs=coeffs)
 
 
 def tw_connection(td: TWData) -> FullConnection:
@@ -221,8 +234,9 @@ def check_rotation_covariance(td: TWData, phi) -> dict:
                                       own frame vectors)
         (A', B') = Rot(2 phi) (A, B)
 
-    Returns residuals plus the curvature drift |R' - R|, which the
-    transformation law leaves invariant.
+    Returns the residuals omega_shift and ab_rotation, the curvature
+    drift r_invariance = |R' - R|, which the transformation law leaves
+    invariant, and passed, the verdict of ROTATION_GATES.
     """
     base = td
     ph = _phi_jet(td.frame, phi)
@@ -238,7 +252,7 @@ def check_rotation_covariance(td: TWData, phi) -> dict:
     exp_theta = w_theta - dphi_T
     exp_1 = (co * w1 - si * w2) - dphi_1
     exp_2 = (si * w1 + co * w2) - dphi_2
-    omega_residual = max(
+    omega_shift = max(
         _gap(rot.omega[0], exp_theta), _gap(rot.omega[1], exp_1), _gap(rot.omega[2], exp_2)
     )
 
@@ -246,17 +260,13 @@ def check_rotation_covariance(td: TWData, phi) -> dict:
     si2 = (co * si) * 2.0
     exp_A = co2 * base.A - si2 * base.B
     exp_B = si2 * base.A + co2 * base.B
-    ab_residual = max(_gap(rot.A, exp_A), _gap(rot.B, exp_B))
-
-    r_residual = _gap(rot.R, base.R)
-    passed = omega_residual < 1e-9 and ab_residual < 1e-9
-    return {
-        "passed": passed,
-        "omega_residual": omega_residual,
-        "ab_residual": ab_residual,
-        "r_residual": r_residual,
+    out = {
+        "omega_shift": omega_shift,
+        "ab_rotation": max(_gap(rot.A, exp_A), _gap(rot.B, exp_B)),
+        "r_invariance": _gap(rot.R, base.R),
         "structure_residuals": (base.residual, rot.residual),
     }
+    return {"passed": within_gates(out, ROTATION_GATES), **out}
 
 
 def _gap(a: JetArray, b: JetArray) -> float:
@@ -278,18 +288,13 @@ def compare_partial(td: TWData, conn: PartialConnection) -> dict:
     expected = np.zeros((2, 2, 2))
     expected[:, 0, 1] = wH
     expected[:, 1, 0] = -wH
-    e_agreement = max_abs(kap[:, 1:, 1:] - expected)
-
     levi = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    theta_diff = max_abs(kap[:, 0, 1:] - levi)
-
-    passed = e_agreement < 1e-9 and theta_diff < 1e-9
-    return {
-        "passed": passed,
-        "e_agreement_residual": e_agreement,
-        "theta_row_difference_residual": theta_diff,
+    out = {
+        "e_agreement_residual": max_abs(kap[:, 1:, 1:] - expected),
+        "theta_row_difference_residual": max_abs(kap[:, 0, 1:] - levi),
         "structure_residual": td.residual,
     }
+    return {"passed": within_gates(out, PARTIAL_GATES), **out}
 
 
 def compare_full(td: TWData, fc: FullConnection) -> dict:
@@ -314,18 +319,12 @@ def compare_full(td: TWData, fc: FullConnection) -> dict:
     # J on the coframe H-part: J e1 = -e2, J e2 = e1 (matrix of the
     # orientation 2-form).
     R = float(td.R.value)
-    kappa_expected = np.zeros((3, 2, 3))
-    kappa_expected[0, :, 1:] = omega
-    xi_expected = np.zeros((3, 3))
-    xi_expected[1, 2] = -R
-    xi_expected[2, 1] = R
-    diff_residual = max(
-        max_abs(fc.kappa.value - tw.kappa.value - kappa_expected),
-        max_abs(fc.xi.value - tw.xi.value - xi_expected),
-    )
-
-    r_extracted = -(float(fc.xi.value[1, 2]) - float(tw.xi.value[1, 2]))
-    r_drift = abs(r_extracted - R)
+    expected = np.zeros((3, 3, 3))
+    expected[1:, 0, 1:] = omega
+    expected[0, 1, 2] = -R
+    expected[0, 2, 1] = R
+    diff = fc.coeffs.value - tw.coeffs.value
+    r_extracted = -float(diff[0, 1, 2])
 
     tor = full_torsion(fc).value
     Av, Bv = float(td.A.value), float(td.B.value)
@@ -342,18 +341,13 @@ def compare_full(td: TWData, fc: FullConnection) -> dict:
         abs(theta[1][2] + float(omega[0, 1])),
     )
 
-    passed = (
-        diff_residual < 1e-8
-        and torsion_e_residual < 1e-8
-        and theta_vs_minus_levi < 1e-8
-    )
-    return {
-        "passed": passed,
-        "difference_tensor_residual": diff_residual,
+    out = {
+        "difference_tensor_residual": max_abs(diff - expected),
         "torsion_e_rows_residual": torsion_e_residual,
         "torsion_theta_row_vs_zero": theta_vs_zero,
         "torsion_theta_row_vs_minus_levi": theta_vs_minus_levi,
         "r_from_difference_tensor": r_extracted,
-        "r_drift": r_drift,
+        "r_drift": abs(r_extracted - R),
         "structure_residual": td.residual,
     }
+    return {"passed": within_gates(out, FULL_GATES), **out}

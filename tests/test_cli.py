@@ -124,6 +124,25 @@ class TestAnalyze:
         assert reasons == {"sqrt of negative value in 'sqrt(x)'"}
         assert f"note: skipped {doc['skipped_points']} of 10 points" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_point_is_skipped_not_fatal(self, capsys, tmp_path):
+        # The metric overflows towards x = 1.81: near there the frame's
+        # linear systems hold values that are not finite.
+        g = "1 + exp(409*(x - 0.9))"
+        payload = dict(GOOD_SPEC, name="overflow", points=64, seed=3)
+        payload["g"] = [[g, "0", "0"], ["0", g, "0"], ["0", "0", "0"]]
+        payload["box"] = [[-0.9, 1.81], [-0.9, 0.9], [-0.9, 0.9]]
+        path = write_spec(tmp_path, payload)
+        code, out, _ = run(
+            capsys, "analyze", "--spec", path, "--suites", "contact,canonical,promotion"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["requested_points"] - doc["skipped_points"] == 39
+        reason = "values of the linear system are not finite in '<jet linear solve>'"
+        overflowing = [r["point"][0] for r in doc["points"] if r.get("reason") == reason]
+        assert len(overflowing) == 1 and overflowing[0] > 1.7
+
 
 class TestExitCodes:
     def test_failure_exits_one(self, capsys, monkeypatch):

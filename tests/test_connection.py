@@ -259,7 +259,7 @@ class TestNablaH:
 class TestPromotion:
     def test_heisenberg_extension_vanishes(self, heisenberg):
         fc = promote(canonical_partial_connection(heisenberg, P3))
-        assert max(abs(fc.xi[A][C].value) for A in range(3) for C in range(3)) < 1e-13
+        assert max(abs(fc.coeffs[0][A][C].value) for A in range(3) for C in range(3)) < 1e-13
 
     def test_residual_small(self, perturbed):
         fc = promote(canonical_partial_connection(perturbed, P3))
@@ -269,9 +269,9 @@ class TestPromotion:
         conn = canonical_partial_connection(perturbed, P3)
         fc = promote(conn)
         assert fc.partial is conn
-        assert fc.kappa[1][0][2].value == pytest.approx(
-            conn.kappa[0][1][2].value, abs=0.0
-        )
+        for part in ("value", "grad", "hess"):
+            np.testing.assert_array_equal(getattr(fc.coeffs, part)[1:], getattr(conn.kappa, part))
+        np.testing.assert_array_equal(fc.coeffs.order[1:], conn.kappa.order)
 
     def test_coordinate_action_rejects_two_form(self, perturbed):
         fc = promote(canonical_partial_connection(perturbed, P3))
@@ -283,7 +283,7 @@ class TestPromotion:
 
     def test_residual_needs_partial(self, perturbed):
         fc = promote(canonical_partial_connection(perturbed, P3))
-        stripped = FullConnection(frame=fc.frame, kappa=fc.kappa, xi=fc.xi)
+        stripped = FullConnection(frame=fc.frame, coeffs=fc.coeffs)
         with pytest.raises(ValueError):
             promotion_residual(stripped)
 

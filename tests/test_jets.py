@@ -213,6 +213,14 @@ class TestLinearSolve:
         with pytest.raises(SingularMatrixError):
             jet_linear_solve(A, b)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_raise_domain_error(self, bad):
+        # The SVD cannot take them; the error must not read as a singular
+        # system, which callers relabel.
+        for A, b in [([[bad, 0.0], [0.0, 1.0]], [1.0, 0.0]), ([[1.0, 0.0], [0.0, 1.0]], [bad, 0.0])]:
+            with pytest.raises(ExprDomainError, match="not finite"):
+                jet_linear_solve(constants(A, order=1), constants(b, order=1))
+
     def test_residual_property_random_systems(self):
         rng = np.random.default_rng(11)
         texts = ["1 + x*y", "2 + sin(z)", "y - x", "3 + x^2", "cos(y)", "x + z", "2 - z*z"]

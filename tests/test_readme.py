@@ -26,3 +26,4 @@ def test_library_example_runs():
     assert frame.mu.value == pytest.approx(1.0, abs=1e-14)
     assert cc.lambda_spectrum(frame) == (pytest.approx(1.0, abs=1e-12),)
     assert cc.full_torsion(fc).shape == (3, 3, 3)
+    assert fc.coeffs.shape == (3, 3, 3)
