@@ -85,10 +85,6 @@ class PartialConnection:
     frame: AdaptedFrame
     Gamma: JetArray
 
-    @property
-    def h_dim(self) -> int:
-        return 2 * self.frame.n
-
     @cached_property
     def promotion_system(self) -> tuple[JetArray, JetArray]:
         """(num, den) of the promotion solve, computed once and shared by
@@ -118,7 +114,7 @@ class PartialConnection:
         'normal form' means.
         """
         frame = self.frame
-        m = self.h_dim
+        m = 2 * frame.n
         kap = JetArray.constant(0.0, frame.dim, (m, m + 1, m + 1))
         kap[:, 0, 1:] = frame.Omega
         kap[:, 1:, 1:] = -self.Gamma
@@ -192,6 +188,10 @@ def _derivative(X: JetArray, kap: JetArray, t: JetArray) -> JetArray:
     I_s + off]. Every axis of t has the size of kap's last two, or one
     less for H-only components (off 1). The components are differentiated
     once, so the corrections need no parts above the order that leaves.
+
+    A vector goes through the same rule with the dual coefficients
+    -kap.transpose(0, 2, 1): nabla_{X_P} F_B has F_C-component
+    -kap[P, C, B], so its frame components v take the place of t.
     """
     full = kap.shape[1]
     rank = len(t.shape)
@@ -233,10 +233,9 @@ def nabla_H(conn: PartialConnection, t: JetArray) -> JetArray:
 def nabla_H_vector(conn: PartialConnection, v: JetArray) -> JetArray:
     """Covariant derivative of a vector along each frame direction X_a,
     given its frame components v (2n+1,), slot 0 the Reeb one: entry
-    [a, B] is X_a(v_B) minus the contraction over C of kappa[a, B, C] v[C]."""
-    k = max(v.top - 1, 0)
-    corr = contract(conn.kappa.restrict(k).transpose(2, 0, 1), v.restrict(k)[:, None, None])
-    return apply_vector(conn.frame.X, v) - corr
+    [a, B] is X_a(v_B) minus the contraction over C of kappa[a, B, C] v[C],
+    _derivative with the dual coefficients."""
+    return _derivative(conn.frame.X, -conn.kappa.transpose(0, 2, 1), v)
 
 
 @dataclass(frozen=True)
@@ -324,7 +323,7 @@ def promote(conn: PartialConnection) -> FullConnection:
     coefficients get differentiated once).
     """
     frame = conn.frame
-    m = conn.h_dim
+    m = 2 * frame.n
     num, den = conn.promotion_system
     coeffs = JetArray.constant(0.0, frame.dim, (m + 1, m + 1, m + 1))
     coeffs[0] = -(num / den)

@@ -34,6 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    AllPointsSkippedError,
     DegenerateFrameError,
     DegenerateMetricError,
     ExprDomainError,
@@ -42,7 +43,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .expressions import Expr
-from .forms import FormField, d_from_jets, evaluate_forms, wedge
+from .forms import FormField, d_from_jets, evaluate_forms, full_tensor, wedge
 from .jets import JetArray, Tape, contract, jet_linear_solve
 
 CONTACT_REL_TOL = 1e-10
@@ -142,8 +143,12 @@ def check_contact(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
 
     Passes when the top coefficient exceeds a relative threshold built
     from the sup norms of theta's and dtheta's components, so the verdict
-    is scale-invariant under rescaling theta. inputs, when given, are the
-    structure's inputs at p; otherwise they are evaluated here.
+    is invariant under rescaling theta as long as the coefficient and the
+    scale stay finite. Rescaling theta by s scales both by s^(n+1), so a
+    large enough theta overflows them to inf and fails every point; ROADMAP
+    item 3 (verdicts that do not depend on units) tracks that limit.
+    inputs, when given, are the structure's inputs at p; otherwise they
+    are evaluated here.
     """
     inputs = inputs or cs.inputs_at(p)
     t = inputs.theta.restrict(0)
@@ -160,19 +165,14 @@ def _reeb_from_values(theta: JetArray, dt: JetArray) -> JetArray:
     """Solve the square system whose unique solution is the Reeb field.
 
     theta holds the 1-form's components (dim,), dt the 2-form's (K,).
-    Row j reads sum_i [dt(d_i, d_j) + theta_j theta_i] T^i = theta_j,
-    the diagonal's dt(d_i, d_i) a constant zero jet. Any solution satisfies
+    Row j reads sum_i [dt(d_i, d_j) + theta_j theta_i] T^i = theta_j, dt's
+    matrix its forms.full_tensor. Any solution satisfies
     theta(T) = 1 and T . dtheta = 0, and the matrix is invertible exactly
     at contact points. The solution has the order of dt at most, so theta
     is cut to it first.
     """
     theta = theta.restrict(dt.top)
-    d = len(theta)
-    i, j = np.triu_indices(d, 1)
-    pair = JetArray.constant(0.0, theta.dim, (d, d))  # [i, j] = dt(d_i, d_j)
-    pair[i, j] = dt
-    pair[j, i] = -dt
-    A = pair.transpose(1, 0) + theta[:, None] * theta[None, :]
+    A = full_tensor(dt, 2).transpose(1, 0) + theta[:, None] * theta[None, :]
     try:
         sol = jet_linear_solve(A, theta)
     except SingularMatrixError:
@@ -230,37 +230,6 @@ def _jet_matrix_inverse(M: JetArray) -> JetArray:
     return jet_linear_solve(M, eye)
 
 
-def _h_gram_and_omega(inputs: PointInputs, h_choice=None):
-    """Shared setup, as jet arrays: the kept coordinate directions and the
-    transversal one, the H-projected coordinate basis (one vector per
-    row), the metric's Gram matrix on that basis, and the dtheta matrix
-    on that basis."""
-    theta = inputs.theta
-    d = len(theta)
-    if h_choice is None:
-        kept, m = _select_h_indices(theta.value)
-    else:
-        kept = tuple(sorted(h_choice))
-        if len(kept) != d - 1 or len(set(kept)) != d - 1 or not set(kept) <= set(range(d)):
-            raise ValueError(
-                f"h_choice {tuple(h_choice)} must name {d - 1} distinct coordinate "
-                f"indices in range({d})"
-            )
-        (m,) = set(range(d)) - set(kept)
-        if abs(theta.value[m]) <= 1e-10 * max(max_abs(theta.value), 1.0):
-            raise DegenerateFrameError(
-                "chosen transversal direction has a vanishing theta component"
-            )
-    basis = _project_onto_h(theta, m, kept)
-    gram = _metric_pairs(inputs.G, basis, basis)
-    eigs = np.linalg.eigvalsh(gram.value)
-    if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
-        raise DegenerateMetricError(
-            "metric restricted to the contact distribution is not positive definite"
-        )
-    return kept, m, basis, gram, evaluate_forms(inputs.dtheta, basis, basis)
-
-
 def _mu(gram: JetArray, omega: JetArray) -> JetArray:
     """mu = sqrt(2n / |dtheta restricted to H|^2) as a 0-d array, the norm
     contracting both index pairs of dtheta with the inverse H-Gram matrix
@@ -284,10 +253,10 @@ class AdaptedFrame:
     JetArray too: the form value theta_hat (dim,) and its exterior
     derivative dtheta_hat (K,), on the K increasing coordinate pairs; the
     Reeb vector T (dim,); the frame vectors X (2n, dim), one per row; the
-    coframe H-parts f (2n, dim), one 1-form per row, their exterior
-    derivatives df (2n, K) and their Reeb coefficients c (2n,); the
-    matrix Omega (2n, 2n) of d(theta_hat) on frame pairs; and the
-    structure values D (2n, 2n, 2n), entry [b, a, c] = d(e^b)(X_a, X_c).
+    coframe H-parts f (2n, dim), one 1-form per row, and their Reeb
+    coefficients c (2n,); the matrix Omega (2n, 2n) of d(theta_hat) on
+    frame pairs. df, D and d_pairs are derived from these on first read,
+    so a frame with a replaced coframe derives them afresh.
 
     Achieved jet orders, determined by what each piece consumes:
     theta_hat and X carry order 2, dtheta_hat and T order 1, Omega order
@@ -305,10 +274,8 @@ class AdaptedFrame:
     T: JetArray
     X: JetArray
     f: JetArray
-    df: JetArray
     c: JetArray
     Omega: JetArray
-    D: JetArray
     h_indices: tuple[int, ...]
     transversal_index: int
 
@@ -354,6 +321,18 @@ class AdaptedFrame:
         return evaluate_forms(self.coframe_array, vectors)
 
     @cached_property
+    def df(self) -> JetArray:
+        """d(f^b) for every coframe H-part, (2n, K)."""
+        return d_from_jets(self.f, 1)
+
+    @cached_property
+    def D(self) -> JetArray:
+        """Structure values D[b, a, c] = d(e^b)(X_a, X_c), (2n, 2n, 2n):
+        d(f^b)(X_a, X_c) + c^b Omega_ac, the dc ^ theta_hat piece vanishing
+        on H-pairs since theta_hat(X) = 0."""
+        return evaluate_forms(self.df, self.X, self.X) + self.c[:, None, None] * self.Omega
+
+    @cached_property
     def d_pairs(self) -> JetArray:
         """d(theta_hat) and every d(e^b) on all frame pairs, stacked:
         entry [0, P, Q] pairs the P-th and Q-th frame vectors, index 0 the
@@ -391,17 +370,6 @@ class AdaptedFrame:
         return out
 
 
-def structure_values(dF: JetArray, c: JetArray, X: JetArray, Omega: JetArray) -> JetArray:
-    """Structure values D[b, a, c] = d(e^b)(X_a, X_c) of the coframe
-    e^b = f^b + c^b theta_hat on frame pairs, as one (2n, 2n, 2n) array:
-    d(f^b)(X_a, X_c) + c^b Omega_ac, the dc ^ theta_hat piece vanishing on
-    H-pairs since theta_hat(X) = 0. dF holds d(f^b) on the increasing
-    pairs (2n, K), as d_from_jets gives them, c the Reeb coefficients
-    (2n,), X the frame vectors (2n, dim). The entries carry order 1, what the
-    exterior derivative leaves."""
-    return evaluate_forms(dF, X, X) + c[:, None, None] * Omega
-
-
 def adapted_frame(
     cs: ContactStructure, p, h_choice=None, inputs: PointInputs | None = None
 ) -> AdaptedFrame:
@@ -417,10 +385,31 @@ def adapted_frame(
     n = cs.n
     inputs = inputs or cs.inputs_at(p)
     theta, G = inputs.theta, inputs.G
-    kept, m, basis, gram, omega_raw = _h_gram_and_omega(inputs, h_choice)
+    if h_choice is None:
+        kept, m = _select_h_indices(theta.value)
+    else:
+        kept = tuple(sorted(h_choice))
+        if len(kept) != d - 1 or len(set(kept)) != d - 1 or not set(kept) <= set(range(d)):
+            raise ValueError(
+                f"h_choice {tuple(h_choice)} must name {d - 1} distinct coordinate "
+                f"indices in range({d})"
+            )
+        (m,) = set(range(d)) - set(kept)
+        if abs(theta.value[m]) <= 1e-10 * max(max_abs(theta.value), 1.0):
+            raise DegenerateFrameError(
+                "chosen transversal direction has a vanishing theta component"
+            )
 
-    # mu from the same Gram/omega data, then theta_hat = mu theta.
-    mu = _mu(gram, omega_raw)
+    # mu from g's and dtheta's matrices on the H-projected coordinate
+    # basis (one vector per row), then theta_hat = mu theta.
+    basis = _project_onto_h(theta, m, kept)
+    gram = _metric_pairs(G, basis, basis)
+    eigs = np.linalg.eigvalsh(gram.value)
+    if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
+        raise DegenerateMetricError(
+            "metric restricted to the contact distribution is not positive definite"
+        )
+    mu = _mu(gram, evaluate_forms(inputs.dtheta, basis, basis))
     theta_hat = mu * theta
 
     # d(theta_hat) = dmu ^ theta + mu dtheta, one order below mu.
@@ -429,8 +418,7 @@ def adapted_frame(
     T = _reeb_from_values(theta_hat, dtheta_hat)
 
     # Gram-Schmidt with g, entirely in jets, one frame vector per row. The
-    # projected basis from the shared setup already lies in
-    # ker theta = ker theta_hat.
+    # projected basis already lies in ker theta = ker theta_hat.
     k = len(basis)
     X = JetArray.constant(0.0, d, (k, d))
     for r in range(k):
@@ -457,7 +445,6 @@ def adapted_frame(
     # Dual coframe split e^b = f^b + c^b theta_hat: the H-part pairs with
     # g against X_b, the Reeb coefficient kills the value on T.
     F = _metric_pairs(G, X, _project_onto_h(theta_hat, m, range(d)))
-    dF = d_from_jets(F, 1)
     C = -evaluate_forms(F, T[None])[:, 0] / evaluate_forms(theta_hat, T[None])[0]
 
     return AdaptedFrame(
@@ -468,10 +455,8 @@ def adapted_frame(
         T=T,
         X=X,
         f=F,
-        df=dF,
         c=C,
         Omega=Omega,
-        D=structure_values(dF, C, X, Omega),
         h_indices=kept,
         transversal_index=m,
     )
@@ -528,7 +513,8 @@ def classify(cs: ContactStructure, points) -> dict:
     partially_integrable: Omega(X, JY) is symmetric, J from the polar
     factor of Omega in the orthonormal frame. Points that screening
     rejects are counted as skipped; one that is not contact clears the
-    contact flag.
+    contact flag. Raises AllPointsSkippedError when no point is usable,
+    rather than classifying vacuously.
     """
     points = list(points)
     contact_ok = True
@@ -552,13 +538,15 @@ def classify(cs: ContactStructure, points) -> dict:
         scale = max(1.0, float(np.linalg.norm(m)))
         if float(np.linalg.norm(m - m.T)) > 1e-8 * scale:
             pint = False
-    arr = np.array(spectra) if spectra else np.zeros((0, cs.n))
+    if not spectra:
+        raise AllPointsSkippedError(f"none of the {len(points)} points is usable")
+    arr = np.array(spectra)
     stats = {
         "count": len(points),
         "skipped": len(points) - len(spectra),
-        "lambda_min": [float(v) for v in arr.min(axis=0)] if len(arr) else [],
-        "lambda_max": [float(v) for v in arr.max(axis=0)] if len(arr) else [],
-        "lambda_mean": [float(v) for v in arr.mean(axis=0)] if len(arr) else [],
+        "lambda_min": [float(v) for v in arr.min(axis=0)],
+        "lambda_max": [float(v) for v in arr.max(axis=0)],
+        "lambda_mean": [float(v) for v in arr.mean(axis=0)],
     }
     return {
         "contact": contact_ok,

@@ -257,8 +257,11 @@ class _Parser:
             # and a further '^' nests to the right), then must fold to an
             # integer constant.
             exponent = self.factor()
-            k = _const_eval(exponent)
-            if k is None or k != int(k):
+            try:
+                k = _const_eval(exponent)
+            except (ArithmeticError, ValueError):
+                k = None
+            if k is None or not math.isfinite(k) or k != int(k):
                 raise ParseError("exponent must be an integer constant", off)
             return Pow(base, int(k))
         return base
@@ -266,6 +269,8 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val, off = self.advance()
         if kind == _TOK_NUM:
+            if not math.isfinite(float(val)):
+                raise ParseError("number is out of the float range", off)
             return Lit(float(val))
         if kind == _TOK_IDENT:
             if val in FUNCTIONS:
@@ -340,7 +345,9 @@ _PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "neg": 25, "pow": 30, "atom": 99}
 
 
 def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    # Structural differentiation can fold finite literals into inf, which
+    # has no integer form.
+    if float(v).is_integer() and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 

@@ -23,7 +23,12 @@ Two exterior-derivative routes coexist on purpose:
 
 Pairing forms with vectors (evaluate_forms), graded products (wedge)
 and differentiating along vectors (apply_vector) are array kernels over
-whole stacks of forms, vectors and scalars.
+whole stacks of forms, vectors and scalars. full_tensor expands k-form
+components into the full antisymmetric coefficient tensor, the one
+expansion evaluate_forms pairs through and the Reeb solve reads its
+d(theta) matrix from. The one 2-form still assembled by hand from the
+component layout is the order-0 dc ^ theta_hat in
+contact.AdaptedFrame.d_pairs.
 """
 
 from __future__ import annotations
@@ -96,16 +101,28 @@ def _antisymmetric_table(dim: int, k: int) -> np.ndarray:
     return pos
 
 
+def full_tensor(coeffs: JetArray, k: int) -> JetArray:
+    """The full antisymmetric coefficient tensor of one or more k-forms:
+    for coeffs of shape S+(K,), shape S+(dim,)*k with entry [s, i_1, ...,
+    i_k] = sign * c[s, sorted], sign that of the permutation sorting the
+    indices, and a constant zero where indices repeat."""
+    _check_layout(coeffs, k)
+    if k == 1:
+        # A 1-form's components already are its full tensor.
+        return coeffs
+    lead = (slice(None),) * (len(coeffs.shape) - 1)
+    return _signed(coeffs)[lead + (_antisymmetric_table(coeffs.dim, k),)]
+
+
 def evaluate_forms(coeffs: JetArray, *vectors: JetArray) -> JetArray:
     """Pair k-forms with stacks of vectors, every combination at once.
 
     coeffs holds one or more k-forms, k the number of vector stacks:
     shape S+(K,). Each of the k vector stacks has shape (n_r, dim). Entry
     [s, u_1, ..., u_k] of the result, of shape S+(n_1, ..., n_k), is form
-    s on (vectors[0][u_1], ..., vectors[k-1][u_k]): the full antisymmetric
-    coefficient tensor A of form s, A[i_1, ..., i_k] = sign * c[sorted],
-    contracted with one vector stack at a time, stack 0 first, each a
-    jets.contract over the coordinate index the stack fills.
+    s on (vectors[0][u_1], ..., vectors[k-1][u_k]): the full_tensor of
+    form s contracted with one vector stack at a time, stack 0 first, each
+    a jets.contract over the coordinate index the stack fills.
 
     Each term carries no part above the coefficients' top order, so the
     contractions run at that order only: the vector stacks are cut to it
@@ -113,15 +130,8 @@ def evaluate_forms(coeffs: JetArray, *vectors: JetArray) -> JetArray:
     part). Stacks of higher order than the coefficients cost no more than
     stacks already cut.
     """
-    k = len(vectors)
-    _check_layout(coeffs, k)
-    stack = coeffs.shape[:-1]
-    s = len(stack)
-    lead = (slice(None),) * s
-    full = coeffs
-    if k != 1:
-        # A 1-form's components already are its full tensor.
-        full = _signed(coeffs)[lead + (_antisymmetric_table(coeffs.dim, k),)]
+    s = len(coeffs.shape) - 1
+    full = full_tensor(coeffs, len(vectors))
     every = slice(None)
     for v in vectors:
         # Contract the first coordinate axis left, at position s, with the

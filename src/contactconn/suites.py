@@ -71,15 +71,11 @@ _ROTATION_STREAM = 0x726F746174696F6E
 
 
 class _PointState:
-    """One usable sample point: its index, coordinates, inputs and adapted
-    frame, and everything derived from the frame, each built on first
-    use."""
+    """One usable sample point: its coordinates, inputs and adapted frame,
+    and everything derived from the frame, each built on first use."""
 
-    def __init__(
-        self, cs: ContactStructure, index: int, p, inputs: PointInputs, frame: AdaptedFrame
-    ):
+    def __init__(self, cs: ContactStructure, p, inputs: PointInputs, frame: AdaptedFrame):
         self.cs = cs
-        self.index = index
         self.p = p
         self.inputs = inputs
         self.frame = frame
@@ -295,7 +291,7 @@ def run_suites(
         except SKIP_ERRORS as exc:
             records.append(PointRecord(i, p, skipped=True, reason=str(exc)))
             continue
-        pt = _PointState(cs, i, p, inputs, frame)
+        pt = _PointState(cs, p, inputs, frame)
         mu = float(frame.mu.value)
         records.append(PointRecord(i, p, skipped=False, mu=mu, spectrum=pt.spectrum))
         usable.append(pt)

@@ -274,6 +274,16 @@ class TestValidate:
         assert code == 2
         assert "box" in err
 
+    @pytest.mark.parametrize(
+        "theta_z, offset",
+        [("1e400*x", 0), ("x^(1/0)", 1), ("x^(1e400)", 3), ("x^(sqrt(0-1))", 1)],
+    )
+    def test_non_finite_number_exits_two_at_its_offset(self, capsys, tmp_path, theta_z, offset):
+        path = write_spec(tmp_path, dict(GOOD_SPEC, theta=["-y", "0", theta_z]))
+        code, _, err = run(capsys, "validate", "--spec", path)
+        assert code == 2
+        assert err.startswith("error: theta[2]: ") and f"(at offset {offset})" in err
+
     def test_validate_requires_spec(self, capsys):
         code, _, _ = run(capsys, "validate")
         assert code == 2

@@ -21,14 +21,15 @@ from contactconn.contact import (
     reeb_field,
 )
 from contactconn.errors import (
+    AllPointsSkippedError,
     DegenerateFrameError,
     DegenerateMetricError,
     ExprDomainError,
     NotContactError,
 )
 from contactconn.expressions import parse_expr
-from contactconn.forms import FormField, d_from_jets
-from contactconn.jets import JetArray
+from contactconn.forms import FormField, d_from_jets, evaluate_forms
+from contactconn.jets import JetArray, eval_jet
 from contactconn.registry import get_manifold
 from form_helpers import coframe, evaluate, frame_vectors
 
@@ -201,6 +202,27 @@ class TestAdaptedFrame:
         # orientation still positive in the flipped frame
         assert f_neg.Omega[0][1].value == pytest.approx(1.0, abs=1e-12)
 
+    def test_replaced_coframe_derives_its_structure_values(self):
+        # A frame with a replaced Reeb coefficient reads D and d_pairs off
+        # its own f, c and X, even after the original frame derived them.
+        cs = get_manifold("heisenberg-perturbed").build()
+        frame = adapted_frame(cs, P3)
+        assert frame.D is not None and frame.d_pairs is not None
+        shift = JetArray.constant(0.0, frame.dim, (2,))
+        shift[0] = eval_jet(parse_expr("x", cs.coords), P3, 2)
+        new = dataclasses.replace(frame, c=frame.c + shift)
+        want = evaluate_forms(d_from_jets(new.f, 1), new.X, new.X)
+        want = want + new.c[:, None, None] * new.Omega
+        # The H-H block of d_pairs holds D above the diagonal and its
+        # negatives below.
+        iu, ju = np.triu_indices(2, 1)
+        for got, expected in ((new.D, want), (new.d_pairs[1:, iu + 1, ju + 1], want[:, iu, ju])):
+            got = got.restrict(expected.top)
+            for x, y in zip(
+                (got.value, got.grad, got.order), (expected.value, expected.grad, expected.order)
+            ):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
 
 class TestLibraryInputValidation:
     @pytest.mark.parametrize(
@@ -264,6 +286,16 @@ class TestSpectrum:
 
 
 class TestClassify:
+    def test_no_usable_point_raises(self):
+        # heisenberg-aniso (b = 2) is not CR-compatible, which no point
+        # shows when none is given.
+        with pytest.raises(AllPointsSkippedError):
+            classify(get_manifold("heisenberg-aniso").build(), [])
+        # g = 0 is degenerate on H, so screening skips every point.
+        zero = structure(("x", "y", "z"), ("-y", "0", "1"), [["0"] * 3] * 3)
+        with pytest.raises(AllPointsSkippedError):
+            classify(zero, [P3, (0.1, 0.2, 0.3)])
+
     def test_heisenberg(self, heis):
         out = classify(heis, [P3, (0.1, 0.2, 0.3)])
         assert out["contact"] is True

@@ -184,6 +184,12 @@ class TestDiff:
         # derivative x / sqrt(1+x^2), check numerically
         assert eval_jet(d, (3.0, 0, 0), 0).value == pytest.approx(3.0 / math.sqrt(10.0))
 
+    def test_literal_folded_to_infinity_prints(self):
+        # Two finite literals fold into inf, which has no integer form.
+        d = diff(parse_expr("1 + 1e308*x + 1e308*x", XYZ), 0)
+        assert d == Lit(math.inf)
+        assert pretty(d) == "inf"
+
     def test_constant_fold_keeps_trees_small(self):
         e = parse_expr("y", XYZ)
         assert diff(e, 0) == Lit(0.0)
