@@ -43,8 +43,8 @@ from .errors import (
     SingularMatrixError,
 )
 from .expressions import Expr
-from .forms import FormField, d_from_jets, evaluate_forms, full_tensor, wedge
-from .jets import JetArray, Tape, contract, jet_linear_solve
+from .forms import FormField, d_from_jets, evaluate_forms, full_tensor, pair, wedge
+from .jets import JetArray, Tape, concatenate, contract, jet_linear_solve
 
 CONTACT_REL_TOL = 1e-10
 
@@ -216,9 +216,8 @@ def _project_onto_h(theta: JetArray, m: int, rows) -> JetArray:
 
 def _metric_pairs(G: JetArray, U: JetArray, V: JetArray) -> JetArray:
     """g(U_u, V_v) for every pair of rows of the vector stacks U and V:
-    sum_j (sum_i g_ij U_u^i) V_v^j, two contractions."""
-    GU = contract(G[:, :, None], U.transpose(1, 0)[:, None, :])  # [j, u]
-    return contract(GU[:, :, None], V.transpose(1, 0)[:, None, :])
+    sum_j (sum_i g_ij U_u^i) V_v^j, two pairings."""
+    return pair(pair(G, 0, U), 0, V)
 
 
 def _jet_matrix_inverse(M: JetArray) -> JetArray:
@@ -344,24 +343,22 @@ class AdaptedFrame:
         d(f + c theta_hat) piecewise at order 0.
         """
         m = 2 * self.n
-        T = self.T[None]
-        X = self.X
         i, j = np.triu_indices(self.dim, 1)
-        dth = evaluate_forms(self.dtheta_hat, T, X)[0]
         # dc ^ theta_hat on the increasing pairs (i, j): (0 + dc_i th_j) -
         # dc_j th_i, as wedge sums.
         dc = self.c.partials()
         th = self.theta_hat
         dc_th = ((0.0 + dc[i] * th[j][:, None]) - dc[j] * th[i][:, None]).transpose(1, 0)
+        # d(theta_hat), every d(f^b) and every dc^b ^ theta_hat on (T, X_a),
+        # one pairing; the order-0 dc ^ theta_hat rows keep their order.
+        forms = concatenate([self.dtheta_hat[None], self.df, dc_th])
+        on_TX = evaluate_forms(forms, self.T[None], self.X)[:, 0]
+        dth = on_TX[0]
         # Antisymmetric in (P, Q): the entries below the diagonal are the
         # negatives of those above, the diagonal constant zeros.
         out = JetArray.constant(0.0, self.dim, (m + 1, m + 1, m + 1))
         out[0, 0, 1:] = dth
-        out[1:, 0, 1:] = (
-            evaluate_forms(self.df, T, X)[:, 0]
-            + evaluate_forms(dc_th, T, X)[:, 0]
-            + dth[None, :] * self.c[:, None]
-        )
+        out[1:, 0, 1:] = on_TX[1 : m + 1] + on_TX[m + 1 :] + dth[None, :] * self.c[:, None]
         out[:, 1:, 0] = -out[:, 0, 1:]
         iu, ju = np.triu_indices(m, 1)
         out[0, iu + 1, ju + 1] = self.Omega[iu, ju]
@@ -401,15 +398,19 @@ def adapted_frame(
             )
 
     # mu from g's and dtheta's matrices on the H-projected coordinate
-    # basis (one vector per row), then theta_hat = mu theta.
+    # basis (one vector per row), both paired in one stack, then
+    # theta_hat = mu theta. The stack's first pairing gives g . basis,
+    # Gram-Schmidt's too.
     basis = _project_onto_h(theta, m, kept)
-    gram = _metric_pairs(G, basis, basis)
+    half = pair(concatenate([G[None], full_tensor(inputs.dtheta, 2)[None]]), 1, basis)
+    gram, omega = pair(half, 1, basis)
+    g_basis = half[0]  # [j, u] = sum_i g_ij basis_u^i
     eigs = np.linalg.eigvalsh(gram.value)
     if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
         raise DegenerateMetricError(
             "metric restricted to the contact distribution is not positive definite"
         )
-    mu = _mu(gram, evaluate_forms(inputs.dtheta, basis, basis))
+    mu = _mu(gram, omega)
     theta_hat = mu * theta
 
     # d(theta_hat) = dmu ^ theta + mu dtheta, one order below mu.
@@ -418,16 +419,17 @@ def adapted_frame(
     T = _reeb_from_values(theta_hat, dtheta_hat)
 
     # Gram-Schmidt with g, entirely in jets, one frame vector per row. The
-    # projected basis already lies in ker theta = ker theta_hat.
+    # projected basis already lies in ker theta = ker theta_hat. Each
+    # step's projections come in one product, subtracted in turn.
     k = len(basis)
     X = JetArray.constant(0.0, d, (k, d))
     for r in range(k):
-        v = basis[r]
-        u = v
+        u = basis[r]
         if r:
-            proj = _metric_pairs(G, basis[r : r + 1], X[:r])[0]
+            proj = pair(g_basis[:, r : r + 1], 0, X[:r])[0]
+            terms = X[:r] * proj[:, None]
             for b in range(r):
-                u = u - X[b] * proj[b]
+                u = u - terms[b]
         nrm2 = _metric_pairs(G, u[None], u[None])[0, 0]
         if nrm2.value <= 1e-12:
             raise DegenerateFrameError(
@@ -513,21 +515,22 @@ def classify(cs: ContactStructure, points) -> dict:
     partially_integrable: Omega(X, JY) is symmetric, J from the polar
     factor of Omega in the orthonormal frame. Points that screening
     rejects are counted as skipped; one that is not contact clears the
-    contact flag. Raises AllPointsSkippedError when no point is usable,
-    rather than classifying vacuously.
+    contact flag. Raises AllPointsSkippedError, naming the skip reasons,
+    when no point is usable, rather than classifying vacuously.
     """
     points = list(points)
     contact_ok = True
     cr = True
     pint = True
     spectra = []
+    reasons = []
     for p in points:
         try:
             _, frame = screen_point(cs, p)
-        except NotContactError:
-            contact_ok = False
-            continue
-        except SKIP_ERRORS:
+        except SKIP_ERRORS as exc:
+            if isinstance(exc, NotContactError):
+                contact_ok = False
+            reasons.append(str(exc))
             continue
         omega = frame.Omega.value
         lam = np.array(lambda_spectrum(frame))
@@ -539,7 +542,7 @@ def classify(cs: ContactStructure, points) -> dict:
         if float(np.linalg.norm(m - m.T)) > 1e-8 * scale:
             pint = False
     if not spectra:
-        raise AllPointsSkippedError(f"none of the {len(points)} points is usable")
+        raise AllPointsSkippedError(f"none of the {len(points)} points is usable", reasons)
     arr = np.array(spectra)
     stats = {
         "count": len(points),

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from collections import Counter
+
 
 class ContactConnError(Exception):
     """Base class for all errors raised by this package."""
@@ -95,4 +97,17 @@ class SuiteUnavailableError(ContactConnError):
 
 
 class AllPointsSkippedError(ContactConnError):
-    """Every sampled point failed the contact or positivity precondition."""
+    """Every sampled point was skipped.
+
+    `reasons` holds each point's skip reason, in point order; the message
+    names each distinct one with the number of points it skipped, in order
+    of first appearance.
+    """
+
+    def __init__(self, message: str, reasons=()):
+        self.reasons = tuple(reasons)
+        counts = Counter(self.reasons)
+        listed = "; ".join(
+            f"{n} point{'' if n == 1 else 's'}: {reason}" for reason, n in counts.items()
+        )
+        super().__init__(f"{message} ({listed})" if listed else message)

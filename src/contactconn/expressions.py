@@ -59,8 +59,9 @@ Expr = Lit | Coord | Unary | Binary | Pow
 
 
 # Smart constructors. They fold the zeros and ones that structural
-# differentiation generates, so derivative trees stay readable; they do
-# no other simplification.
+# differentiation generates, so derivative trees stay readable, and two
+# literals into one where the result is finite, so every tree they build
+# prints as text that parses back to it; they do no other simplification.
 
 def lit(v: float) -> Lit:
     return Lit(float(v))
@@ -71,7 +72,7 @@ def add(a: Expr, b: Expr) -> Expr:
         return b
     if isinstance(b, Lit) and b.value == 0.0:
         return a
-    if isinstance(a, Lit) and isinstance(b, Lit):
+    if isinstance(a, Lit) and isinstance(b, Lit) and math.isfinite(a.value + b.value):
         return lit(a.value + b.value)
     return Binary("+", a, b)
 
@@ -79,7 +80,7 @@ def add(a: Expr, b: Expr) -> Expr:
 def sub(a: Expr, b: Expr) -> Expr:
     if isinstance(b, Lit) and b.value == 0.0:
         return a
-    if isinstance(a, Lit) and isinstance(b, Lit):
+    if isinstance(a, Lit) and isinstance(b, Lit) and math.isfinite(a.value - b.value):
         return lit(a.value - b.value)
     if isinstance(a, Lit) and a.value == 0.0:
         return neg(b)
@@ -97,7 +98,7 @@ def mul(a: Expr, b: Expr) -> Expr:
             return lit(0.0)
         if b.value == 1.0:
             return a
-    if isinstance(a, Lit) and isinstance(b, Lit):
+    if isinstance(a, Lit) and isinstance(b, Lit) and math.isfinite(a.value * b.value):
         return lit(a.value * b.value)
     return Binary("*", a, b)
 
@@ -184,9 +185,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
-def _param_literal(v: float) -> Expr:
+def signed_lit(v: float) -> Expr:
     """The tree the text of a parenthesized repr(v) parses to: a literal,
-    under a negation when v's sign bit is set."""
+    under a negation when v's sign bit is set. Parameters parse to it, and
+    the rotation suite builds its angle coefficients with it."""
     return Unary("neg", Lit(-v)) if math.copysign(1.0, v) < 0.0 else Lit(v)
 
 
@@ -283,7 +285,7 @@ class _Parser:
             if val in self.coords:
                 return Coord(self.coords.index(val), val)
             if val in self.params:
-                return _param_literal(float(self.params[val]))
+                return signed_lit(float(self.params[val]))
             raise UnknownIdentifierError(val, self.coords, off)
         if kind == _TOK_OP and val == "(":
             e = self.expr()
@@ -345,8 +347,7 @@ _PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "neg": 25, "pow": 30, "atom": 99}
 
 
 def _fmt_number(v: float) -> str:
-    # Structural differentiation can fold finite literals into inf, which
-    # has no integer form.
+    # Integers below 1e16 print without a fraction, everything else as repr.
     if float(v).is_integer() and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
@@ -388,29 +389,33 @@ def diff(e: Expr, i: int) -> Expr:
 
     Purely structural; the result is another tree in the same grammar.
     """
-    match e:
-        case Lit():
-            return lit(0.0)
-        case Coord(j, _):
-            return lit(1.0 if j == i else 0.0)
-        case Unary("neg", a):
-            return neg(diff(a, i))
-        case Unary("sqrt", a):
-            return div(diff(a, i), mul(lit(2.0), Unary("sqrt", a)))
-        case Unary("sin", a):
-            return mul(Unary("cos", a), diff(a, i))
-        case Unary("cos", a):
-            return neg(mul(Unary("sin", a), diff(a, i)))
-        case Unary("exp", a):
-            return mul(Unary("exp", a), diff(a, i))
-        case Binary("+", a, b):
-            return add(diff(a, i), diff(b, i))
-        case Binary("-", a, b):
-            return sub(diff(a, i), diff(b, i))
-        case Binary("*", a, b):
+    kind = type(e)
+    if kind is Lit:
+        return lit(0.0)
+    if kind is Coord:
+        return lit(1.0 if e.index == i else 0.0)
+    if kind is Binary:
+        op, a, b = e.op, e.lhs, e.rhs
+        if op == "*":
             return add(mul(diff(a, i), b), mul(a, diff(b, i)))
-        case Binary("/", a, b):
+        if op == "+":
+            return add(diff(a, i), diff(b, i))
+        if op == "-":
+            return sub(diff(a, i), diff(b, i))
+        if op == "/":
             return div(sub(mul(diff(a, i), b), mul(a, diff(b, i))), mul(b, b))
-        case Pow(a, k):
-            return mul(mul(lit(float(k)), pow_int(a, k - 1)), diff(a, i))
+    elif kind is Unary:
+        op, a = e.op, e.arg
+        if op == "neg":
+            return neg(diff(a, i))
+        if op == "sqrt":
+            return div(diff(a, i), mul(lit(2.0), Unary("sqrt", a)))
+        if op == "sin":
+            return mul(Unary("cos", a), diff(a, i))
+        if op == "cos":
+            return neg(mul(Unary("sin", a), diff(a, i)))
+        if op == "exp":
+            return mul(Unary("exp", a), diff(a, i))
+    elif kind is Pow:
+        return mul(mul(lit(float(e.exponent)), pow_int(e.base, e.exponent - 1)), diff(e.base, i))
     raise TypeError(f"not an Expr: {e!r}")

@@ -21,14 +21,15 @@ Two exterior-derivative routes coexist on purpose:
   rows, mu) and as an independent cross-check of the symbolic route in
   tests. It is one kernel for every degree and for stacks of forms.
 
-Pairing forms with vectors (evaluate_forms), graded products (wedge)
-and differentiating along vectors (apply_vector) are array kernels over
-whole stacks of forms, vectors and scalars. full_tensor expands k-form
-components into the full antisymmetric coefficient tensor, the one
-expansion evaluate_forms pairs through and the Reeb solve reads its
-d(theta) matrix from. The one 2-form still assembled by hand from the
-component layout is the order-0 dc ^ theta_hat in
-contact.AdaptedFrame.d_pairs.
+Pairing a tensor's coordinate axes with vectors (pair, the one pairing
+kernel, which evaluate_forms chains over a form's full tensor), graded
+products (wedge) and differentiating along vectors (apply_vector) are
+array kernels over whole stacks of forms, vectors and scalars.
+full_tensor expands k-form components into the full antisymmetric
+coefficient tensor, the one expansion evaluate_forms pairs through and
+the Reeb solve reads its d(theta) matrix from. The one 2-form still
+assembled by hand from the component layout is the order-0
+dc ^ theta_hat in contact.AdaptedFrame.d_pairs.
 """
 
 from __future__ import annotations
@@ -114,6 +115,25 @@ def full_tensor(coeffs: JetArray, k: int) -> JetArray:
     return _signed(coeffs)[lead + (_antisymmetric_table(coeffs.dim, k),)]
 
 
+def pair(t: JetArray, axis: int, v: JetArray) -> JetArray:
+    """One coordinate axis of a tensor paired with a stack of vectors v
+    (n, dim): the result has t's axes without that one, then v's axis, and
+    its entry [..., u] is sum_i t[..., i, ...] v[u, i], one jets.contract
+    over i. The one pairing kernel: form pairings and metric pairings
+    chain it one vector stack at a time.
+
+    Each term carries no part above t's top order, so the contraction
+    runs at that order only: v is cut to it first, which is exact (value
+    and gradient rules never read a higher part). Stacks of higher order
+    than t cost no more than stacks already cut.
+    """
+    n = len(t.shape)
+    every = slice(None)
+    a = t.transpose(axis, *range(axis), *range(axis + 1, n))[(every,) * n + (None,)]
+    b = v.restrict(t.top).transpose(1, 0)
+    return contract(a, b[(every,) + (None,) * (n - 1) + (every,)])
+
+
 def evaluate_forms(coeffs: JetArray, *vectors: JetArray) -> JetArray:
     """Pair k-forms with stacks of vectors, every combination at once.
 
@@ -121,25 +141,13 @@ def evaluate_forms(coeffs: JetArray, *vectors: JetArray) -> JetArray:
     shape S+(K,). Each of the k vector stacks has shape (n_r, dim). Entry
     [s, u_1, ..., u_k] of the result, of shape S+(n_1, ..., n_k), is form
     s on (vectors[0][u_1], ..., vectors[k-1][u_k]): the full_tensor of
-    form s contracted with one vector stack at a time, stack 0 first, each
-    a jets.contract over the coordinate index the stack fills.
-
-    Each term carries no part above the coefficients' top order, so the
-    contractions run at that order only: the vector stacks are cut to it
-    first, which is exact (value and gradient rules never read a higher
-    part). Stacks of higher order than the coefficients cost no more than
-    stacks already cut.
+    form s paired with one vector stack at a time, stack 0 first, each on
+    the first coordinate axis left.
     """
     s = len(coeffs.shape) - 1
     full = full_tensor(coeffs, len(vectors))
-    every = slice(None)
     for v in vectors:
-        # Contract the first coordinate axis left, at position s, with the
-        # stack's components; the stack's own axis goes last.
-        n = len(full.shape)
-        a = full.transpose(s, *range(s), *range(s + 1, n))[(every,) * n + (None,)]
-        b = v.restrict(coeffs.top).transpose(1, 0)
-        full = contract(a, b[(every,) + (None,) * (n - 1) + (every,)])
+        full = pair(full, s, v)
     return full
 
 

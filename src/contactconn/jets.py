@@ -9,14 +9,17 @@ differences appear only in test oracles.
 
 Design notes.
 
-- One jet type. Scalars (the tape's slots, mu, the 3D invariants) are
-  0-d arrays and tensors are arrays of the same class, so one set of
-  rules serves both and nothing converts between them. The sum,
-  difference, negation, product, quotient and sqrt rules are
-  broadcasting functions on (value, grad, hess); sin, cos, exp and
-  integer powers take each entry's value, f' and f'' from math on the
-  entry's value as a Python float. An entry of a JetArray holds exactly
-  the bits the same computation on that entry alone gives.
+- One jet type, one set of rules. Scalars (mu, the 3D invariants) are
+  0-d arrays and tensors are arrays of the same class, so nothing
+  converts between them. The sum, difference, negation, product,
+  quotient and sqrt rules are broadcasting functions on (value, grad,
+  hess); sin, cos, exp and integer powers take each entry's value, f'
+  and f'' from math on the entry's value as a Python float, through one
+  chain rule. The domain checks (a zero divisor, sqrt of a negative or
+  of a differentiated zero, an elementary function without a finite
+  float result, zero to a negative power) live in the rules too. An
+  entry of a JetArray holds exactly the bits the same computation on
+  that entry alone gives.
 - Summation order. A sum of products over an axis is one call of
   contract, which sums each product-rule part on its own (the Hessian's
   cross terms as one outer-product sum) without building any term's
@@ -41,10 +44,17 @@ Design notes.
   computing the parts above that order. Every kernel runs at the order
   its result is read: pairings contract at the order of the form's
   coefficients, and the suites' value-only checks run on order-0 jets.
+  Every pairing of a tensor with vectors, of forms and of the metric
+  alike, is the one kernel forms.pair, a contract per vector stack; a
+  stack of tensors pairs in one call, and its entries get the bits they
+  get alone.
 - Expressions. Tape compiles expression trees into one list of slots,
-  one per distinct subexpression, and evaluates them as 0-d jets in the
-  order a tree walk first reaches them; eval_jet is its one-expression
-  case. The literal slots' constant jets are built once per chart
+  one per distinct subexpression, and evaluates them in the order a tree
+  walk first reaches them; eval_jet is its one-expression case. A slot
+  is a single jet held as its raw parts (value, grad, hess), the value a
+  Python float, and runs the same rule on them that a 0-d JetArray
+  would, without building one per slot, so its bits are those of the
+  JetArray operators. The literal slots' parts are built once per chart
   dimension and order and shared by every call, since no rule writes to
   its operands.
 - Symmetry. Hessians are exactly symmetric. Products, quotients and
@@ -72,6 +82,9 @@ from .expressions import Binary, Coord, Expr, Lit, Pow, Unary, pretty
 #
 # Each rule takes the common order k and the (value, grad, hess) parts of
 # its operands and returns the parts of the result; parts above k are None.
+# Values are arrays (a JetArray's) or Python floats (a tape slot's). A rule
+# with a domain raises ExprDomainError at a placeholder subexpression,
+# which the tape replaces with the slot's.
 
 
 def _up(v, k: int):
@@ -128,7 +141,10 @@ def _mul_rule(k, av, ag, ah, bv, bg, bh):
 
 
 def _div_rule(k, av, ag, ah, bv, bg, bh):
-    """q = a/b, q' = (a' - q b')/b, q'' = ((a'' - q b'') - (q' b'^T + b' q'^T))/b."""
+    """q = a/b, q' = (a' - q b')/b, q'' = ((a'' - q b'') - (q' b'^T + b' q'^T))/b.
+    A zero divisor raises ExprDomainError."""
+    if np.any(bv == 0.0):
+        raise ExprDomainError("division by zero", "<jet quotient>")
     q = av / bv
     g = h = None
     if k >= 1:
@@ -144,15 +160,68 @@ def _div_rule(k, av, ag, ah, bv, bg, bh):
     return q, g, h
 
 
-def _sqrt_rule(k, s, g, h):
-    """Parts of sqrt(f) given s, the correctly rounded square root of f's
-    value, and f's grad and hess."""
+def _sqrt_rule(k, v, g, h, order):
+    """Parts of sqrt(f) from f's parts, its value's square root correctly
+    rounded; order is f's entry order (an array, or one number for every
+    entry). A negative value, or a zero one of order >= 1, raises
+    ExprDomainError."""
+    if np.any(v < 0.0):
+        raise ExprDomainError("sqrt of negative value", "<jet sqrt>")
+    if np.any((v == 0.0) & (order >= 1)):
+        raise ExprDomainError("sqrt not differentiable at zero", "<jet sqrt>")
+    s = np.sqrt(v)
     gs = hs = None
     if k >= 1:
         gs = g / _up(2.0 * s, 1)
     if k >= 2:
         hs = (h - 2.0 * _outer(gs, gs)) / _up(2.0 * s, 2)
     return s, gs, hs
+
+
+# The elementary functions as maps from a value, a Python float, to f, f'
+# and f'' there, all from math.
+_ELEMENTARY = {
+    "sin": lambda v: (math.sin(v), math.cos(v), -math.sin(v)),
+    "cos": lambda v: (math.cos(v), -math.sin(v), -math.cos(v)),
+    "exp": lambda v: (math.exp(v),) * 3,
+}
+
+
+def _powi(k: int):
+    """The integer power k as such a map, on Python floats as the **
+    operator gives it."""
+    return lambda v: (
+        v**k,
+        k * v ** (k - 1) if k != 0 else 0.0,
+        k * (k - 1) * v ** (k - 2) if k not in (0, 1) else 0.0,
+    )
+
+
+def _check_powi(v, k: int) -> None:
+    """Raise ExprDomainError where a zero value meets a negative power."""
+    if k < 0 and np.any(v == 0.0):
+        raise ExprDomainError("zero raised to a negative power", "<jet pow>")
+
+
+def _elementary(f, v):
+    """f, f' and f'' at v, taken as a Python float, by the map f; a result
+    beyond the float range, or an infinite argument, raises
+    ExprDomainError."""
+    try:
+        return f(float(v))
+    except (OverflowError, ValueError):
+        raise ExprDomainError("no finite float result", "<jet function>") from None
+
+
+def _chain_rule(k, fv, df, d2f, g, h):
+    """Parts of f o u from f, f' and f'' at u's value and u's grad and
+    hess: (f o u)' = f'(u) u' and (f o u)'' = f'(u) u'' + f''(u) u' u'^T."""
+    gs = hs = None
+    if k >= 1:
+        gs = _up(df, 1) * g
+    if k >= 2:
+        hs = _up(df, 2) * h + _up(d2f, 2) * _outer(g, g)
+    return fv, gs, hs
 
 
 _ORDER_DTYPE = np.int8
@@ -193,12 +262,16 @@ class JetArray:
         """Constant jets of the given order, by default the top one, the
         jets that plain numbers lift to; a single jet by default."""
         shape = tuple(shape)
+        value = np.empty(shape)
+        value.fill(v)
+        orders = np.empty(shape, dtype=_ORDER_DTYPE)
+        orders.fill(order)
         return JetArray(
             dim,
-            np.full(shape, float(v)),
+            value,
             np.zeros(shape + (dim,)) if order >= 1 else None,
             np.zeros(shape + (dim, dim)) if order >= 2 else None,
-            np.full(shape, order, dtype=_ORDER_DTYPE),
+            orders,
         )
 
     @staticmethod
@@ -228,23 +301,21 @@ class JetArray:
         """The entries along the leading axis, as indexing gives them."""
         return (self[i] for i in range(len(self)))
 
-    def _map(self, fv, fg, fh, fo) -> "JetArray":
-        return JetArray(
-            self.dim,
-            fv(self.value),
-            None if self.grad is None else fg(self.grad),
-            None if self.hess is None else fh(self.hess),
-            fo(self.order),
-        )
-
     def __getitem__(self, idx) -> "JetArray":
         """The entries at idx; a single entry comes cut to its own order,
         so arithmetic on it runs at that order."""
-        f = lambda x: x[idx]  # noqa: E731
-        out = self._map(f, f, f, f)
-        if out.shape == () and out.order < out.top:
-            return out.restrict(int(out.order))
-        return out
+        value = self.value[idx]
+        order = self.order[idx]
+        k = self.top
+        if value.shape == () and order < k:
+            k = int(order)
+        return JetArray(
+            self.dim,
+            value,
+            self.grad[idx] if k >= 1 else None,
+            self.hess[idx] if k >= 2 else None,
+            order,
+        )
 
     def __setitem__(self, idx, other) -> None:
         """Assign entries; an entry gets at most this array's top order."""
@@ -259,20 +330,24 @@ class JetArray:
 
     def transpose(self, *axes) -> "JetArray":
         s = len(axes)
-        return self._map(
-            lambda x: x.transpose(axes),
-            lambda x: x.transpose(axes + (s,)),
-            lambda x: x.transpose(axes + (s, s + 1)),
-            lambda x: x.transpose(axes),
+        g, h = self.grad, self.hess
+        return JetArray(
+            self.dim,
+            self.value.transpose(axes),
+            None if g is None else g.transpose(axes + (s,)),
+            None if h is None else h.transpose(axes + (s, s + 1)),
+            self.order.transpose(axes),
         )
 
     def reshape(self, *shape) -> "JetArray":
         d = self.dim
-        return self._map(
-            lambda x: x.reshape(shape),
-            lambda x: x.reshape(shape + (d,)),
-            lambda x: x.reshape(shape + (d, d)),
-            lambda x: x.reshape(shape),
+        g, h = self.grad, self.hess
+        return JetArray(
+            d,
+            self.value.reshape(shape),
+            None if g is None else g.reshape(shape + (d,)),
+            None if h is None else h.reshape(shape + (d, d)),
+            self.order.reshape(shape),
         )
 
     def restrict(self, k: int) -> "JetArray":
@@ -323,10 +398,7 @@ class JetArray:
         return self._apply(_mul_rule, self._coerce(other), self)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is not NotImplemented and np.any(other.value == 0.0):
-            raise ExprDomainError("division by zero", "<jet quotient>")
-        return self._apply(_div_rule, self, other)
+        return self._apply(_div_rule, self, self._coerce(other))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -336,51 +408,30 @@ class JetArray:
         return JetArray(self.dim, *parts, self.order)
 
     def sqrt(self) -> "JetArray":
-        if np.any(self.value < 0.0):
-            raise ExprDomainError("sqrt of negative value", "<jet sqrt>")
-        if np.any((self.value == 0.0) & (self.order >= 1)):
-            raise ExprDomainError("sqrt not differentiable at zero", "<jet sqrt>")
-        parts = _sqrt_rule(self.top, np.sqrt(self.value), self.grad, self.hess)
+        parts = _sqrt_rule(self.top, self.value, self.grad, self.hess, self.order)
         return JetArray(self.dim, *parts, self.order)
 
-    def _chain(self, rule) -> "JetArray":
-        """f applied entry by entry, where rule maps an entry's value, as a
-        Python float, to f, f' and f'' there: the chain rule
-        (f o u)' = f'(u) u' and (f o u)'' = f'(u) u'' + f''(u) u' u'^T. A
-        result beyond the float range, or an infinite argument, raises
-        ExprDomainError."""
-        try:
-            fs = [rule(v) for v in np.ravel(self.value).tolist()]
-        except (OverflowError, ValueError):
-            raise ExprDomainError("no finite float result", "<jet function>") from None
-        f, df, d2f = (np.array(c).reshape(self.shape) for c in zip(*fs))
-        g = h = None
-        if self.top >= 1:
-            g = _up(df, 1) * self.grad
-        if self.top >= 2:
-            h = _up(df, 2) * self.hess + _up(d2f, 2) * _outer(self.grad, self.grad)
-        return JetArray(self.dim, f, g, h, self.order)
+    def _chain(self, f) -> "JetArray":
+        """f applied entry by entry through the chain rule, where f maps an
+        entry's value, as a Python float, to f, f' and f'' there."""
+        fs = [_elementary(f, v) for v in np.ravel(self.value).tolist()]
+        fv, df, d2f = (np.array(c).reshape(self.shape) for c in zip(*fs))
+        parts = _chain_rule(self.top, fv, df, d2f, self.grad, self.hess)
+        return JetArray(self.dim, *parts, self.order)
 
     def sin(self) -> "JetArray":
-        return self._chain(lambda v: (math.sin(v), math.cos(v), -math.sin(v)))
+        return self._chain(_ELEMENTARY["sin"])
 
     def cos(self) -> "JetArray":
-        return self._chain(lambda v: (math.cos(v), -math.sin(v), -math.cos(v)))
+        return self._chain(_ELEMENTARY["cos"])
 
     def exp(self) -> "JetArray":
-        return self._chain(lambda v: (math.exp(v),) * 3)
+        return self._chain(_ELEMENTARY["exp"])
 
     def powi(self, k: int) -> "JetArray":
         """The integer power k, on Python floats as the ** operator gives it."""
-        if k < 0 and np.any(self.value == 0.0):
-            raise ExprDomainError("zero raised to a negative power", "<jet pow>")
-        return self._chain(
-            lambda v: (
-                v**k,
-                k * v ** (k - 1) if k != 0 else 0.0,
-                k * (k - 1) * v ** (k - 2) if k not in (0, 1) else 0.0,
-            )
-        )
+        _check_powi(self.value, k)
+        return self._chain(_powi(k))
 
     # -- calculus ------------------------------------------------------------
 
@@ -403,6 +454,20 @@ class JetArray:
 # The name of the class where it holds a single jet: Jet.constant(v, dim)
 # and Jet.coordinate(p, i, order) build one.
 Jet = JetArray
+
+
+def concatenate(items) -> JetArray:
+    """JetArrays joined along their leading axis, at the highest top order
+    among them: every entry keeps its parts and its order, and the parts
+    an item lacks, all above its entries' orders, are zeros."""
+    first = items[0]
+    top = max(x.top for x in items)
+    out = JetArray.constant(0.0, first.dim, (sum(map(len, items)),) + first.shape[1:], top)
+    start = 0
+    for x in items:
+        out[start : start + len(x)] = x
+        start += len(x)
+    return out
 
 
 def contract(a: JetArray, b: JetArray) -> JetArray:
@@ -492,65 +557,73 @@ class Tape:
             return s
 
         self.outputs = [slot(e) for e in exprs]
-        # The literal slots' constant jets per (dim, order), keyed by slot
-        # and built on first use; no rule writes to its operands, so every
-        # call shares them.
-        self._literals: dict[tuple[int, int], dict[int, JetArray]] = {}
+        # The literal slots' parts (value, grad, hess) per (dim, order),
+        # keyed by slot and built on first use; no rule writes to its
+        # operands, so every call shares them.
+        self._literals: dict[tuple[int, int], dict[int, tuple]] = {}
 
     def eval(self, p, order: int) -> JetArray:
         """The outputs at p as one JetArray (K,) of jets of the requested
         order, in the order of the expressions.
 
-        Domain violations (division by zero, sqrt of a negative, a result
-        beyond the float range) raise ExprDomainError naming the offending
-        subexpression; an output whose value, gradient or Hessian is not
-        finite raises it naming the first such output.
+        Every slot is a single jet of that order, held as its raw parts
+        (value, grad, hess), the value a Python float, and runs the rule a
+        0-d JetArray of its operands would run. Domain violations
+        (division by zero, sqrt of a negative, a result beyond the float
+        range) raise ExprDomainError naming the offending subexpression;
+        an output whose value, gradient or Hessian is not finite raises it
+        naming the first such output.
         """
         d = len(p)
         lits = self._literals.get((d, order))
         if lits is None:
+            zero_g = np.zeros(d) if order >= 1 else None
+            zero_h = np.zeros((d, d)) if order >= 2 else None
             lits = self._literals[(d, order)] = {
-                s: JetArray.constant(a, d, (), order)
-                for s, (op, a, _) in enumerate(self.code)
-                if op == "lit"
+                s: (a, zero_g, zero_h) for s, (op, a, _) in enumerate(self.code) if op == "lit"
             }
-        vals: list[JetArray] = []
+        units = np.eye(d) if order >= 1 else [None] * d
+        zero_h = np.zeros((d, d)) if order >= 2 else None
+        k = order
+        # Looked up on every call, so a patched product rule sees the
+        # tape's products too.
+        binary = {"*": _mul_rule, "+": _add_rule, "-": _sub_rule, "/": _div_rule}
+        vals: list[tuple] = []
         push = vals.append
         i = 0
         try:
             # Non-finite results are caught at the outputs, below.
             with np.errstate(over="ignore", invalid="ignore"):
                 for i, (op, a, b) in enumerate(self.code):
-                    if op == "*":
-                        push(vals[a] * vals[b])
-                    elif op == "+":
-                        push(vals[a] + vals[b])
-                    elif op == "-":
-                        push(vals[a] - vals[b])
-                    elif op == "/":
-                        push(vals[a] / vals[b])
+                    rule = binary.get(op)
+                    if rule is not None:
+                        push(rule(k, *vals[a], *vals[b]))
                     elif op == "lit":
                         push(lits[i])
                     elif op == "coord":
-                        push(JetArray.coordinate(p, a, order))
-                    elif op == "pow":
-                        push(vals[a].powi(b))
+                        push((float(p[a]), units[a], zero_h))
                     elif op == "neg":
-                        push(-vals[a])
+                        push(_neg_rule(k, *vals[a]))
+                    elif op == "pow":
+                        v, g, h = vals[a]
+                        _check_powi(v, b)
+                        push(_chain_rule(k, *_elementary(_powi(b), v), g, h))
+                    elif op == "sqrt":
+                        push(_sqrt_rule(k, *vals[a], k))
                     else:
-                        push(getattr(vals[a], op)())
+                        v, g, h = vals[a]
+                        push(_chain_rule(k, *_elementary(_ELEMENTARY[op], v), g, h))
         except ExprDomainError as exc:
             # The rule's message, placed at the subexpression of slot i.
             message = str(exc).split(" in ")[0]
             raise ExprDomainError(message, pretty(self.nodes[i])) from None
-        # Every slot is a single jet of the requested order.
         out = [vals[s] for s in self.outputs]
         n = len(out)
         res = JetArray(
             d,
-            np.array([j.value for j in out], dtype=float),
-            np.array([j.grad for j in out]).reshape(n, d) if order >= 1 else None,
-            np.array([j.hess for j in out]).reshape(n, d, d) if order >= 2 else None,
+            np.array([v for v, _, _ in out], dtype=float),
+            np.array([g for _, g, _ in out]).reshape(n, d) if order >= 1 else None,
+            np.array([h for _, _, h in out]).reshape(n, d, d) if order >= 2 else None,
             np.full(n, order, dtype=_ORDER_DTYPE),
         )
         finite = np.isfinite(res.value)

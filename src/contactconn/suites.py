@@ -22,7 +22,7 @@ report entry, so each tolerance and the pass rule live in one place.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,7 +47,7 @@ from .contact import (
     screen_point,
 )
 from .errors import AllPointsSkippedError, SuiteUnavailableError
-from .expressions import parse_expr
+from .expressions import Binary, Coord, Pow, signed_lit
 from .forms import evaluate_forms
 from .jets import JetArray
 from .registry import ManifoldSpec
@@ -181,14 +181,18 @@ def _suite_tw_compare(run: _Run) -> list[dict]:
 
 def _suite_rotation(run: _Run) -> list[dict]:
     rng = SplitMix64(run.seed ^ _ROTATION_STREAM)
-    coeff = lambda: 2.0 * rng.next_double() - 1.0
-    coords = run.cs.coords
+    coeff = lambda: signed_lit(2.0 * rng.next_double() - 1.0)
+    xs = [Coord(i, name) for i, name in enumerate(run.cs.coords)]
 
     def angle():
-        terms = [f"({coeff()!r})"]
-        terms.extend(f"({coeff()!r})*{name}" for name in coords)
-        terms.extend(f"({coeff()!r})*{name}^2" for name in coords)
-        return parse_expr(" + ".join(terms), coords)
+        """c + sum_i c_i x_i + sum_i c'_i x_i^2, a fresh coefficient for
+        each term in that order, as the tree parse_expr gives for the text
+        "(c) + (c_1)*x_1 + ... + (c'_1)*x_1^2 + ...", each coefficient its
+        repr."""
+        terms = [coeff()]
+        terms.extend(Binary("*", coeff(), x) for x in xs)
+        terms.extend(Binary("*", coeff(), Pow(x, 2)) for x in xs)
+        return reduce(lambda a, b: Binary("+", a, b), terms)
 
     return [check_rotation_covariance(pt.tw_data, angle()) for pt in run.usable]
 
@@ -299,7 +303,8 @@ def run_suites(
     if not usable:
         raise AllPointsSkippedError(
             f"all {n_points} sampled points were skipped; "
-            f"the box likely leaves the structure's valid region"
+            f"the box likely leaves the structure's valid region",
+            [r.reason for r in records],
         )
 
     run = _Run(cs, usable, run_seed)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,7 +75,8 @@ class TWData:
     omega, a JetArray (3,), holds the coframe components (omega_theta,
     omega_1, omega_2); the Reeb component carries jet order 0, the rest
     order 1, which is exactly enough to differentiate omega once for R.
-    A, B and R are single jets.
+    A, B and R are single jets. classical, the classical connection on
+    frame, is built on first read and shared by every reader.
     """
 
     frame: AdaptedFrame
@@ -83,6 +85,10 @@ class TWData:
     B: JetArray
     R: JetArray
     residual: float
+
+    @cached_property
+    def classical(self) -> FullConnection:
+        return _rotation_connection(self.frame, self.omega[0], self.omega[1:], with_levi=False)
 
 
 def _require_3d(dim: int) -> None:
@@ -166,8 +172,9 @@ def _rotation_connection(
 
 def tw_connection(td: TWData) -> FullConnection:
     """Connection with nabla theta_hat = 0, nabla e1 = omega x e2,
-    nabla e2 = -omega x e1, as coefficient data over td's coframe."""
-    return _rotation_connection(td.frame, td.omega[0], td.omega[1:], with_levi=False)
+    nabla e2 = -omega x e1, as coefficient data over td's coframe: built
+    once per td and shared by every caller."""
+    return td.classical
 
 
 def promoted_from_invariants(td: TWData) -> FullConnection:

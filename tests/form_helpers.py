@@ -1,7 +1,9 @@
 """Jet and exterior-algebra helpers that only the tests use.
 
-They stack single jets into arrays and sum them one by one, and they
-check the library's forms against independent routes: structural d
+They stack single jets into arrays and sum them one by one, evaluate
+expression trees by a plain walk through the JetArray operators (the
+oracle of the input tape, which runs the same rules on raw parts), and
+they check the library's forms against independent routes: structural d
 evaluated at a point, interior products, the graded product and pairing
 as loops over single jets, the round trip through the wedge-monomial
 basis of a coframe, and a frame's coframe and frame vectors as lists of
@@ -12,11 +14,13 @@ on the increasing multi-indices, in increasing_indices order.
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
 from contactconn.contact import AdaptedFrame, _jet_matrix_inverse
-from contactconn.errors import SingularMatrixError
+from contactconn.errors import ExprDomainError, SingularMatrixError
+from contactconn.expressions import Binary, Coord, Expr, Lit, Pow, Unary, pretty
 from contactconn.forms import (
     FormField,
     _perm_sign,
@@ -45,6 +49,68 @@ def stack(items):
     for i, j in enumerate(items):
         out[i] = j
     return out
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def tree_walk_jet(e: Expr, p, order: int) -> JetArray:
+    """Evaluate an expression tree at p by one recursive walk, every node
+    a single jet of the given order computed where it appears through the
+    JetArray operators and methods. A domain error names the node it
+    occurs at, as the tape's does."""
+    d = len(p)
+
+    def go(node):
+        kind = type(node)
+        if kind is Lit:
+            return JetArray.constant(node.value, d, (), order)
+        if kind is Coord:
+            return JetArray.coordinate(p, node.index, order)
+        if kind is Binary:
+            args = (go(node.lhs), go(node.rhs))
+            op = _BINARY[node.op]
+        elif kind is Unary:
+            args = (go(node.arg),)
+            op = operator.neg if node.op == "neg" else operator.methodcaller(node.op)
+        elif kind is Pow:
+            args = (go(node.base),)
+            op = operator.methodcaller("powi", node.exponent)
+        else:
+            raise TypeError(node)
+        try:
+            return op(*args)
+        except ExprDomainError as exc:
+            raise ExprDomainError(str(exc).split(" in ")[0], pretty(node)) from None
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return go(e)
+
+
+def tape_oracle(exprs, p, order: int) -> list[JetArray]:
+    """What jets.Tape(exprs).eval(p, order) gives, by a tree walk of each
+    expression in turn: its outputs as single jets, or the first domain
+    error of the walks, or else an error naming the first output whose
+    value, gradient or Hessian is not finite."""
+    out = [tree_walk_jet(e, p, order) for e in exprs]
+    for e, j in zip(exprs, out):
+        parts = [x for x in (j.value, j.grad, j.hess) if x is not None]
+        if not all(np.isfinite(x).all() for x in parts):
+            raise ExprDomainError("value, gradient or Hessian is not finite", pretty(e))
+    return out
+
+
+def assert_same_bits(got: JetArray, want: JetArray) -> None:
+    """Single jets with equal orders and byte-equal parts (so signed zeros
+    and NaNs count)."""
+    assert got.order == want.order
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    for part in ("grad", "hess"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert np.array_equal(g, w)
+            assert g.tobytes() == w.tobytes()
 
 
 def comp(a: JetArray, degree: int, idx) -> JetArray:

@@ -145,6 +145,17 @@ class TestAnalyze:
 
 
 class TestExitCodes:
+    def test_all_points_skipped_exits_two_naming_the_reason(self, capsys, tmp_path):
+        # d(theta_z) = 1e308 + 1e308 is not finite anywhere.
+        payload = dict(GOOD_SPEC, name="overflow-everywhere")
+        payload["theta"] = ["-y", "0", "1 + 1e308*x + 1e308*x"]
+        path = write_spec(tmp_path, payload)
+        code, out, err = run(capsys, "analyze", "--spec", path)
+        assert code == 2
+        assert out == ""
+        assert "all 3 sampled points were skipped" in err
+        assert "3 points: value, gradient or Hessian is not finite" in err
+
     def test_failure_exits_one(self, capsys, monkeypatch):
         import contactconn.cli as cli_mod
 

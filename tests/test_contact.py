@@ -293,8 +293,11 @@ class TestClassify:
             classify(get_manifold("heisenberg-aniso").build(), [])
         # g = 0 is degenerate on H, so screening skips every point.
         zero = structure(("x", "y", "z"), ("-y", "0", "1"), [["0"] * 3] * 3)
-        with pytest.raises(AllPointsSkippedError):
+        with pytest.raises(AllPointsSkippedError) as exc:
             classify(zero, [P3, (0.1, 0.2, 0.3)])
+        reason = "metric restricted to the contact distribution is not positive definite"
+        assert exc.value.reasons == (reason, reason)
+        assert str(exc.value) == f"none of the 2 points is usable (2 points: {reason})"
 
     def test_heisenberg(self, heis):
         out = classify(heis, [P3, (0.1, 0.2, 0.3)])

@@ -11,9 +11,12 @@ from contactconn.expressions import (
     Lit,
     Pow,
     Unary,
+    add,
     diff,
+    mul,
     parse_expr,
     pretty,
+    sub,
 )
 from contactconn.jets import eval_jet
 
@@ -185,10 +188,19 @@ class TestDiff:
         assert eval_jet(d, (3.0, 0, 0), 0).value == pytest.approx(3.0 / math.sqrt(10.0))
 
     def test_literal_folded_to_infinity_prints(self):
-        # Two finite literals fold into inf, which has no integer form.
+        # Two finite literals whose sum overflows stay unfolded, so the
+        # derivative prints as text that parses back to it.
         d = diff(parse_expr("1 + 1e308*x + 1e308*x", XYZ), 0)
-        assert d == Lit(math.inf)
-        assert pretty(d) == "inf"
+        assert d == Binary("+", Lit(1e308), Lit(1e308))
+        assert parse_expr(pretty(d), XYZ) == d
+
+    @pytest.mark.parametrize(
+        "op, symbol, folded", [(add, "+", 5.0), (sub, "-", 1.0), (mul, "*", 6.0)]
+    )
+    def test_literals_fold_only_to_finite_values(self, op, symbol, folded):
+        assert op(Lit(3.0), Lit(2.0)) == Lit(folded)
+        big, other = Lit(1e308), Lit(-1e308 if op is sub else 1e308)
+        assert op(big, other) == Binary(symbol, big, other)
 
     def test_constant_fold_keeps_trees_small(self):
         e = parse_expr("y", XYZ)

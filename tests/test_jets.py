@@ -3,9 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
 from contactconn.errors import ExprDomainError, SingularMatrixError
-from contactconn.expressions import Binary, Coord, Expr, Lit, Pow, Unary, parse_expr, pretty
+from contactconn.expressions import Binary, Coord, Lit, Pow, Unary, parse_expr
 from contactconn.forms import increasing_indices
 from contactconn.jets import (
     Jet,
@@ -17,7 +19,7 @@ from contactconn.jets import (
 )
 from contactconn.registry import builtin_registry, load_spec
 from contactconn.sampling import sample_box
-from form_helpers import magnitude, stack, sum_jets
+from form_helpers import assert_same_bits, magnitude, stack, sum_jets, tape_oracle, tree_walk_jet
 
 XYZ = ("x", "y", "z")
 
@@ -695,60 +697,6 @@ class TestElementaryFunctions:
 # -- the input tape against a plain tree walk -------------------------------
 
 
-def tree_walk_jet(e: Expr, p, order: int) -> Jet:
-    """Reference evaluator: one recursive walk of the tree, every node
-    evaluated where it appears as a single jet (the evaluator the tape
-    replaced)."""
-    d = len(p)
-
-    def go(node):
-        match node:
-            case Lit(v):
-                return Jet.constant(v, d, (), order)
-            case Coord(i, _):
-                return Jet.coordinate(p, i, order)
-            case Unary("neg", a):
-                return -go(a)
-            case Unary(op, a):
-                ja = go(a)
-                try:
-                    return getattr(ja, op)()
-                except ExprDomainError as exc:
-                    raise ExprDomainError(str(exc).split(" in ")[0], pretty(node)) from None
-            case Binary(op, a, b):
-                ja, jb = go(a), go(b)
-                if op == "+":
-                    return ja + jb
-                if op == "-":
-                    return ja - jb
-                if op == "*":
-                    return ja * jb
-                if jb.value == 0.0:
-                    raise ExprDomainError("division by zero", pretty(node))
-                return ja / jb
-            case Pow(a, k):
-                ja = go(a)
-                try:
-                    return ja.powi(k)
-                except ExprDomainError:
-                    raise ExprDomainError("zero raised to a negative power", pretty(node)) from None
-        raise TypeError(node)
-
-    return go(e)
-
-
-def assert_same_bits(got: Jet, want: Jet):
-    """Equal orders and byte-equal parts (so signed zeros and NaNs count)."""
-    assert got.order == want.order
-    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
-    for part in ("grad", "hess"):
-        g, w = getattr(got, part), getattr(want, part)
-        assert (g is None) == (w is None)
-        if w is not None:
-            assert np.array_equal(g, w)
-            assert g.tobytes() == w.tobytes()
-
-
 CHARTS = [spec.name for spec in builtin_registry()] + ["heis7.json"]
 
 
@@ -847,17 +795,15 @@ class TestTape:
         first = tape.eval(p, order)
         lits = tape._literals[(3, order)]
         assert lits and all(op == "lit" for op, _, _ in (tape.code[s] for s in lits))
-        before = {
-            s: [np.copy(x) for x in (j.value, j.grad, j.hess) if x is not None]
-            for s, j in lits.items()
-        }
+        # Each literal slot holds its parts (value, grad, hess).
+        before = {s: [np.copy(x) for x in parts if x is not None] for s, parts in lits.items()}
         tape.eval(q, order)
         again = tape.eval(p, order)
         assert tape._literals[(3, order)] is lits
-        for s, j in lits.items():
-            now = [x for x in (j.value, j.grad, j.hess) if x is not None]
+        for s, parts in lits.items():
+            now = [x for x in parts if x is not None]
             assert all(np.array_equal(x, y) for x, y in zip(now, before[s]))
-            assert j.value == tape.code[s][1]
+            assert parts[0] == tape.code[s][1]
         for x, y in zip(first, again):
             assert_same_bits(x, y)
 
@@ -892,6 +838,9 @@ class TestTape:
                 "value, gradient or Hessian is not finite",
                 "1e-308 * exp(800 * x)",
             ),
+            # A square root's value is a numpy float; the power still
+            # takes it as a Python float.
+            (["sqrt(x)^200"], (1e10, 0.0, 0.0), "no finite float result", "sqrt(x)^200"),
         ],
     )
     def test_no_finite_result_names_the_expression(self, texts, p, message, subexpr):
@@ -923,3 +872,94 @@ class TestTape:
         want = first_error(lambda: [tree_walk_jet(e, p, order) for e in exprs])
         assert (want and want[1]) == subexpr
         assert first_error(lambda: Tape(exprs).eval(p, order)) == want
+
+
+# -- the tape against its oracle, the tree walk through JetArray operators --
+
+# Literals and coordinate values that reach every domain error: zeros of
+# both signs for quotients, negative powers and sqrt, a negative value for
+# sqrt, 750 for exp beyond the float range and 1e200 for products beyond
+# it.
+ORACLE_LITERALS = (0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 1e200)
+ORACLE_VALUES = (0.0, -0.0, 0.5, -1.0, 2.0, 750.0)
+DOMAIN_ERRORS = (
+    "division by zero",
+    "sqrt of negative value",
+    "sqrt not differentiable at zero",
+    "zero raised to a negative power",
+    "no finite float result",
+    "value, gradient or Hessian is not finite",
+)
+
+
+def oracle_trees():
+    leaves = st.one_of(
+        st.sampled_from(ORACLE_LITERALS).map(Lit),
+        st.sampled_from([Coord(i, name) for i, name in enumerate(XYZ)]),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Binary, st.sampled_from("+-*/"), children, children),
+            st.builds(Unary, st.sampled_from(["neg", "sqrt", "sin", "cos", "exp"]), children),
+            st.builds(Pow, children, st.integers(min_value=-3, max_value=4)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+# (expressions, point, order) cases for the tape and its oracle.
+ORACLE_CASES = st.tuples(
+    st.lists(oracle_trees(), min_size=1, max_size=3),
+    st.tuples(*[st.sampled_from(ORACLE_VALUES)] * 3),
+    st.integers(min_value=0, max_value=2),
+)
+
+
+def outcome(evaluate):
+    """The jets evaluate() gives and None, or None and the message and
+    subexpression of the ExprDomainError it raises."""
+    try:
+        return list(evaluate()), None
+    except ExprDomainError as exc:
+        return None, (str(exc), exc.subexpr)
+
+
+def assert_tape_matches_oracle(tape, exprs, p, order):
+    got, got_error = outcome(lambda: tape.eval(p, order))
+    want, want_error = outcome(lambda: tape_oracle(exprs, p, order))
+    assert got_error == want_error
+    if want is not None:
+        assert len(got) == len(want)
+        for j, w in zip(got, want):
+            assert_same_bits(j, w)
+
+
+class TestTapeOracle:
+    @pytest.mark.parametrize("name", CHARTS)
+    def test_chart_tape_matches_oracle(self, name):
+        spec = chart(name)
+        cs = spec.build()
+        d = cs.dim
+        # Sample points, then points where products or powers leave the
+        # float range.
+        points = list(sample_box(spec.box, 3, 11)) + [(1e160,) * d, (-1e300,) + (0.5,) * (d - 1)]
+        for p in points:
+            for order in (0, 1, 2):
+                assert_tape_matches_oracle(cs.input_tape, chart_inputs(cs), p, order)
+
+    @settings(max_examples=300)
+    @given(ORACLE_CASES)
+    def test_drawn_trees_match_oracle(self, case):
+        exprs, p, order = case
+        assert_tape_matches_oracle(Tape(exprs), exprs, p, order)
+
+    @pytest.mark.parametrize("message", DOMAIN_ERRORS)
+    def test_drawn_trees_reach_each_domain_error(self, message):
+        def raises_it(case):
+            exprs, p, order = case
+            _, error = outcome(lambda: Tape(exprs).eval(p, order))
+            return error is not None and error[0].startswith(message + " in ")
+
+        # The first drawn case that raises it, unshrunk.
+        find(ORACLE_CASES, raises_it, settings=settings(max_examples=2000, phases=[Phase.generate]))

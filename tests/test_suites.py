@@ -137,6 +137,26 @@ class TestScreening:
         with pytest.raises(AllPointsSkippedError, match="all 6 sampled points"):
             run_suites(spec, ["canonical"])
 
+    def test_all_points_skipped_names_each_reason_with_its_count(self):
+        # sqrt(y) fails where y < 0, the metric x dx^2 everywhere else.
+        spec = ManifoldSpec(
+            name="nowhere-two-ways",
+            coords=("x", "y", "z"),
+            theta=("-y", "0", "sqrt(y) + 1"),
+            g=(("x", "0", "0"), ("0", "1", "0"), ("0", "0", "0")),
+            box=((-0.9, -0.1), (-0.9, 0.9), (-0.9, 0.9)),
+            points=8,
+            seed=2,
+        )
+        with pytest.raises(AllPointsSkippedError) as exc:
+            run_suites(spec, ["contact"])
+        reasons = exc.value.reasons
+        sqrt_y = "sqrt of negative value in 'sqrt(y)'"
+        metric = "metric restricted to the contact distribution is not positive definite"
+        assert len(reasons) == 8 and set(reasons) == {sqrt_y, metric}
+        listed = [f"{reasons.count(r)} points: {r}" for r in dict.fromkeys(reasons)]
+        assert str(exc.value).endswith(f"valid region ({'; '.join(listed)})")
+
 
 def sqrt_edge_spec(x_box=(-0.5, 0.9)):
     # theta_z = sqrt(x) + 1 cannot be evaluated for x < 0
@@ -383,11 +403,15 @@ class TestPerPointState:
     # sums each product-rule part on its own: the pairings contract one
     # vector stack at a time, the metric pairings twice, mu three times
     # (tr(G^-1 Omega G^-1 Omega^T)), each graded product once and the
-    # promotion system over all frame pairs at once. Before, the same runs
-    # folded full product jets through fold_chunks: 33 calls in 73 slices
-    # per usable point on heis7 and 35 in 35 on sphere-chart.
+    # promotion system over all frame pairs at once. The frame pairs g and
+    # dtheta with its projected basis in one stack, whose first pairing
+    # also gives Gram-Schmidt g . basis, and d_pairs pairs every form it
+    # reads with (T, X) at once. Before, the same runs folded full product
+    # jets through fold_chunks: 33 calls in 73 slices per usable point on
+    # heis7 and 35 in 35 on sphere-chart; with separate pairings they made
+    # 60 and 59 contract calls.
     @pytest.mark.parametrize(
-        "name, suites, calls", [("heis7.json", CORE, 60), ("sphere-chart", ALL_3D, 59)]
+        "name, suites, calls", [("heis7.json", CORE, 53), ("sphere-chart", ALL_3D, 48)]
     )
     def test_contract_calls_per_usable_point(self, monkeypatch, name, suites, calls):
         from contactconn import jets
@@ -414,9 +438,10 @@ class TestPerPointState:
     # check built at order 2, the same runs made 237 order-2 products per
     # usable point on heis7 and 101 on sphere-chart; with the Reeb theta
     # and den at order 2, 117 and 77; with every sum of products folded
-    # from full product jets, 115 and 75.
+    # from full product jets, 115 and 75; with one Gram-Schmidt product per
+    # projection instead of one per step, 25 and 52.
     @pytest.mark.parametrize(
-        "name, suites, products", [("heis7.json", CORE, 25), ("sphere-chart", ALL_3D, 52)]
+        "name, suites, products", [("heis7.json", CORE, 15), ("sphere-chart", ALL_3D, 52)]
     )
     def test_order2_products_per_usable_point(self, monkeypatch, name, suites, products):
         from contactconn import jets
@@ -458,12 +483,43 @@ class TestPerPointState:
         usable = rep.requested_points - rep.skipped_points
         assert 0 < usable < rep.requested_points
         # One 15-output tape (theta, dtheta, g) per sample point, skipped or
-        # not; the rotation suite adds one angle per usable point.
+        # not; the rotation suite adds one angle per usable point, built as
+        # a tree, not parsed.
         phis = usable if "rotation" in suites else 0
         assert outputs.count(3 + 3 + 9) == rep.requested_points
         assert outputs.count(1) == phis == counts["eval_jet"]
         assert len(outputs) == rep.requested_points + phis
-        assert counts["parse_expr"] == 3 + 9 + phis
+        assert counts["parse_expr"] == 3 + 9
+
+
+def test_rotation_angles_are_the_trees_of_their_text(monkeypatch):
+    # The suite builds each angle as the tree parse_expr gives for
+    # "(c) + (c_1)*x_1 + ... + (c'_1)*x_1^2 + ...", each coefficient its
+    # repr, the next draws of the rotation stream in that order.
+    import contactconn.suites as suites_mod
+    from contactconn.expressions import parse_expr
+    from contactconn.sampling import SplitMix64
+
+    angles = []
+    real = suites_mod.check_rotation_covariance
+
+    def spy(td, phi):
+        angles.append(phi)
+        return real(td, phi)
+
+    monkeypatch.setattr(suites_mod, "check_rotation_covariance", spy)
+    spec = get_manifold("sphere-chart")
+    run_suites(spec, ["rotation"], points=3, seed=5)
+    rng = SplitMix64(5 ^ suites_mod._ROTATION_STREAM)
+    coeff = lambda: f"({2.0 * rng.next_double() - 1.0!r})"  # noqa: E731
+    texts = []
+    for phi in angles:
+        terms = [coeff()]
+        terms.extend(f"{coeff()}*{name}" for name in spec.coords)
+        terms.extend(f"{coeff()}*{name}^2" for name in spec.coords)
+        texts.append(" + ".join(terms))
+        assert phi == parse_expr(texts[-1], spec.coords)
+    assert len(angles) == 3 and "(-" in "".join(texts)
 
 
 # Every suite the chart's dimension allows, 2 points at the chart's
