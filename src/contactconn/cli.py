@@ -13,13 +13,30 @@ canonical JSON: identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from functools import cache
 
 from .errors import ContactConnError
 from .registry import builtin_registry, get_manifold, load_spec
 from .report import render_report
 from .sampling import SEED_LIMIT
 from .suites import SUITES, run_suites, suites_for_dim
+
+
+def _tightest(residuals: dict, gates: dict) -> str:
+    """The gated key of residuals with the largest value relative to its
+    gate, the first in order on a tie. A gate of 0.0 passes only values
+    below zero, so its key is the tightest when its value is positive and
+    the loosest otherwise."""
+
+    def ratio(key):
+        value, gate = residuals[key], gates[key]
+        if gate == 0.0:
+            return math.inf if value > 0 else -math.inf
+        return value / gate
+
+    return max((key for key in residuals if gates.get(key) is not None), key=ratio)
 
 
 def _int_in_range(low: int, high: int | None = None):
@@ -41,7 +58,10 @@ def _int_in_range(low: int, high: int | None = None):
     return parse
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one; parsing keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="contactconn",
         description="Invariant checks for sub-Riemannian contact structures on charts.",
@@ -117,10 +137,12 @@ def _cmd_analyze(args) -> int:
         sys.stdout.write(body)
 
     for suite in report.suites:
-        worst = max(suite.residuals.values()) if suite.residuals else 0.0
+        gates = SUITES[suite.name].gates
+        key = _tightest(suite.residuals, gates)
         verdict = "PASS" if suite.passed else "FAIL"
         print(
-            f"{verdict} {suite.name}: {suite.points_used} points, max residual {worst:.3e}",
+            f"{verdict} {suite.name}: {suite.points_used} points, "
+            f"tightest {key} {suite.residuals[key]:.3e} (gate {gates[key]:g})",
             file=sys.stderr,
         )
     if report.skipped_points:

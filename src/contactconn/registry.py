@@ -12,7 +12,10 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 from .contact import ContactStructure
 from .errors import ParseError, SpecError, UnknownManifoldError
@@ -26,7 +29,12 @@ DEFAULT_SEED = 42
 
 @dataclass(frozen=True)
 class ManifoldSpec:
-    """Declarative chart description; build() turns it into geometry."""
+    """Declarative chart description; build() turns it into geometry.
+
+    params is a read-only view of the spec's own copy of the mapping it
+    was given, so a spec shared by every caller, such as a built-in,
+    cannot be changed through it; dataclasses.replace gives a changed
+    spec."""
 
     name: str
     coords: tuple[str, ...]
@@ -35,15 +43,42 @@ class ManifoldSpec:
     box: tuple[tuple[float, float], ...]
     points: int = DEFAULT_POINTS
     seed: int = DEFAULT_SEED
-    params: dict[str, float] = field(default_factory=dict)
+    params: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled or deep-copied, and the
+        # compiled structure is rebuilt on demand, so a spec travels as
+        # its fields.
+        return (
+            type(self),
+            (self.name, self.coords, self.theta, self.g, self.box, self.points, self.seed,
+             dict(self.params)),
+        )
 
     @property
     def dim(self) -> int:
         return len(self.coords)
 
+    @cached_property
+    def _structure(self) -> ContactStructure:
+        return self._compile(self.params)
+
     def build(self, param_overrides: dict[str, float] | None = None) -> ContactStructure:
+        """The chart's ContactStructure with the declared parameters, each
+        overridden by its entry in param_overrides.
+
+        Without overrides (None or {}) this is the spec's one structure,
+        compiled on the first call and returned by every later one, so its
+        parse, its structural d(theta) and its input tape are built once
+        per spec object. With overrides each call builds a fresh structure
+        that nothing keeps."""
+        if not param_overrides:
+            return self._structure
         values = dict(self.params)
-        for key, val in (param_overrides or {}).items():
+        for key, val in param_overrides.items():
             if key not in values:
                 known = ", ".join(sorted(values)) or "none"
                 raise SpecError(
@@ -51,6 +86,9 @@ class ManifoldSpec:
                     f"(declared parameters: {known})"
                 )
             values[key] = float(val)
+        return self._compile(values)
+
+    def _compile(self, values: Mapping[str, float]) -> ContactStructure:
         for key, val in values.items():
             if not math.isfinite(val):
                 raise SpecError(f"parameter {key!r} must be finite, got {val!r}")
@@ -71,69 +109,79 @@ class ManifoldSpec:
         return ContactStructure(self.coords, theta, g, self.box)
 
 
+_SQ = "(1 + u1^2 + u2^2 + u3^2)^2"
+
+# The built-in chart descriptions, in a stable order, built once at
+# import: every caller shares these spec objects, and with them each
+# spec's one compiled structure.
+_BUILTINS = (
+    ManifoldSpec(
+        name="heisenberg",
+        coords=("x", "y", "z"),
+        theta=("-y", "0", "1"),
+        g=(("1", "0", "0"), ("0", "1", "0"), ("0", "0", "0")),
+        box=((-0.9, 0.9), (-0.9, 0.9), (-0.9, 0.9)),
+    ),
+    ManifoldSpec(
+        name="heisenberg-aniso",
+        coords=("x", "y", "z"),
+        theta=("-y", "0", "1"),
+        g=(("1", "0", "0"), ("0", "b^2", "0"), ("0", "0", "0")),
+        box=((-0.9, 0.9), (-0.9, 0.9), (-0.9, 0.9)),
+        params={"b": 2.0},
+    ),
+    ManifoldSpec(
+        name="heisenberg-perturbed",
+        coords=("x", "y", "z"),
+        theta=("-y", "0", "1"),
+        g=(("1", "0", "0"), ("0", "1 + x^2/4", "0"), ("0", "0", "0")),
+        box=((-0.9, 0.9), (-0.9, 0.9), (-0.9, 0.9)),
+    ),
+    ManifoldSpec(
+        name="sphere-chart",
+        coords=("u1", "u2", "u3"),
+        theta=(
+            f"(-4*u2 - 4*u1*u3)/{_SQ}",
+            f"(4*u1 - 4*u2*u3)/{_SQ}",
+            f"(-2 + 2*(u1^2 + u2^2 + u3^2) - 4*u3^2)/{_SQ}",
+        ),
+        g=(
+            (f"4/{_SQ}", "0", "0"),
+            ("0", f"4/{_SQ}", "0"),
+            ("0", "0", f"4/{_SQ}"),
+        ),
+        box=((-0.75, 0.75), (-0.75, 0.75), (-0.75, 0.75)),
+    ),
+    ManifoldSpec(
+        name="n2-split",
+        coords=("x1", "y1", "x2", "y2", "z"),
+        theta=("-y1", "0", "-y2", "0", "1"),
+        g=(
+            ("1", "0", "0", "0", "0"),
+            ("0", "1", "0", "0", "0"),
+            ("0", "0", "c^2", "0", "0"),
+            ("0", "0", "0", "c^2", "0"),
+            ("0", "0", "0", "0", "0"),
+        ),
+        box=((-0.9, 0.9),) * 5,
+        params={"c": 2.0},
+    ),
+)
+
+
 def builtin_registry() -> list[ManifoldSpec]:
-    """The built-in chart descriptions, in a stable order."""
-    sq = "(1 + u1^2 + u2^2 + u3^2)^2"
-    return [
-        ManifoldSpec(
-            name="heisenberg",
-            coords=("x", "y", "z"),
-            theta=("-y", "0", "1"),
-            g=(("1", "0", "0"), ("0", "1", "0"), ("0", "0", "0")),
-            box=((-0.9, 0.9), (-0.9, 0.9), (-0.9, 0.9)),
-        ),
-        ManifoldSpec(
-            name="heisenberg-aniso",
-            coords=("x", "y", "z"),
-            theta=("-y", "0", "1"),
-            g=(("1", "0", "0"), ("0", "b^2", "0"), ("0", "0", "0")),
-            box=((-0.9, 0.9), (-0.9, 0.9), (-0.9, 0.9)),
-            params={"b": 2.0},
-        ),
-        ManifoldSpec(
-            name="heisenberg-perturbed",
-            coords=("x", "y", "z"),
-            theta=("-y", "0", "1"),
-            g=(("1", "0", "0"), ("0", "1 + x^2/4", "0"), ("0", "0", "0")),
-            box=((-0.9, 0.9), (-0.9, 0.9), (-0.9, 0.9)),
-        ),
-        ManifoldSpec(
-            name="sphere-chart",
-            coords=("u1", "u2", "u3"),
-            theta=(
-                f"(-4*u2 - 4*u1*u3)/{sq}",
-                f"(4*u1 - 4*u2*u3)/{sq}",
-                f"(-2 + 2*(u1^2 + u2^2 + u3^2) - 4*u3^2)/{sq}",
-            ),
-            g=(
-                (f"4/{sq}", "0", "0"),
-                ("0", f"4/{sq}", "0"),
-                ("0", "0", f"4/{sq}"),
-            ),
-            box=((-0.75, 0.75), (-0.75, 0.75), (-0.75, 0.75)),
-        ),
-        ManifoldSpec(
-            name="n2-split",
-            coords=("x1", "y1", "x2", "y2", "z"),
-            theta=("-y1", "0", "-y2", "0", "1"),
-            g=(
-                ("1", "0", "0", "0", "0"),
-                ("0", "1", "0", "0", "0"),
-                ("0", "0", "c^2", "0", "0"),
-                ("0", "0", "0", "c^2", "0"),
-                ("0", "0", "0", "0", "0"),
-            ),
-            box=((-0.9, 0.9),) * 5,
-            params={"c": 2.0},
-        ),
-    ]
+    """The built-in chart descriptions, in a stable order: a new list of
+    the shared spec objects, whose build() without overrides returns each
+    chart's one compiled structure."""
+    return list(_BUILTINS)
 
 
 def get_manifold(name: str) -> ManifoldSpec:
-    for spec in builtin_registry():
+    """The shared built-in spec named name."""
+    for spec in _BUILTINS:
         if spec.name == name:
             return spec
-    raise UnknownManifoldError(name, tuple(s.name for s in builtin_registry()))
+    raise UnknownManifoldError(name, tuple(s.name for s in _BUILTINS))
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -147,7 +195,8 @@ def load_spec(path: str) -> ManifoldSpec:
     Structural problems raise SpecError naming the offending field path;
     expression syntax problems raise ParseError carrying the field path
     and the parser's offset message. Validation includes a full build, so
-    a returned spec is known to parse.
+    a returned spec is known to parse, and the structure that build made
+    is the one the spec's build() returns: a loaded chart compiles once.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -257,7 +306,8 @@ def load_spec(path: str) -> ManifoldSpec:
     )
 
     # Symmetry as given: entries must be the same expression up to
-    # whitespace, compared structurally after parsing.
+    # whitespace, compared structurally after parsing. This build is the
+    # spec's one structure, so run_suites reuses it.
     subbed = spec.build()
     for i in range(dim):
         for j in range(i + 1, dim):

@@ -52,7 +52,7 @@ from .forms import evaluate_forms
 from .jets import JetArray
 from .registry import ManifoldSpec
 from .report import PointRecord, Report, SuiteResult, within_gates
-from .sampling import SplitMix64, sample_box
+from .sampling import SEED_LIMIT, SplitMix64, sample_box
 from .tw3d import (
     FULL_GATES,
     PARTIAL_GATES,
@@ -266,7 +266,9 @@ def run_suites(
 
     suites is an iterable of names from SUITES; duplicates collapse to the
     first occurrence. 3D-only suites on a higher-dimensional manifold
-    raise SuiteUnavailableError up front, before any sampling.
+    raise SuiteUnavailableError up front, before any sampling. So do the
+    bounds the CLI and load_spec check: a point count below 1 or a seed
+    outside 0 <= seed < 2^64 raises ValueError.
     """
     requested = []
     for name in suites:
@@ -277,14 +279,18 @@ def run_suites(
             requested.append(name)
     if not requested:
         raise SuiteUnavailableError("no suites requested")
+    n_points = spec.points if points is None else points
+    run_seed = spec.seed if seed is None else seed
+    if n_points < 1:
+        raise ValueError(f"points must be at least 1, got {n_points}")
+    if not 0 <= run_seed < SEED_LIMIT:
+        raise ValueError(f"seed must be from 0 to 2^64 - 1, got {run_seed}")
 
     cs = spec.build(param_overrides)
     for name in requested:
         if SUITES[name].only_3d and cs.dim != 3:
             raise SuiteUnavailableError(f"suite {name!r} unavailable for dim {cs.dim}")
 
-    n_points = spec.points if points is None else points
-    run_seed = spec.seed if seed is None else seed
     samples = sample_box(spec.box, n_points, run_seed)
 
     records = []

@@ -82,6 +82,50 @@ class TestAnalyze:
         doc = json.loads(out)
         assert all(rec["mu"] == pytest.approx(3.0, abs=1e-12) for rec in doc["points"])
 
+    def test_verdict_names_the_tightest_gated_key(self, capsys):
+        # r_invariance (2.2e-08 here) is reported and not gated; every
+        # rotation gate is 1e-9 and omega_shift is the largest against it.
+        code, _, err = run(
+            capsys, "analyze", "--manifold", "heisenberg-aniso", "--param", "b=1e-4",
+            "--points", "6", "--seed", "1",
+        )
+        assert code == 0
+        lines = err.splitlines()
+        assert "PASS rotation: 6 points, tightest omega_shift 3.638e-12 (gate 1e-09)" in lines
+        assert "PASS contact: 6 points, tightest duality 1.175e-38 (gate 1e-10)" in lines
+        assert "r_invariance" not in err
+
+    def test_zero_gate_is_tightest_only_when_its_value_is_positive(self):
+        from contactconn.cli import _tightest
+
+        gates = {"a": 1e-9, "lambda_positivity": 0.0, "b": 1e-8}
+        assert _tightest({"a": 1e-12, "lambda_positivity": 0.0, "b": 5e-11}, gates) == "b"
+        assert _tightest({"a": 1e-12, "lambda_positivity": 1e-300, "b": 1.0}, gates) == (
+            "lambda_positivity"
+        )
+        # A tie goes to the first key; an ungated key never counts.
+        assert _tightest({"a": 0.0, "lambda_positivity": 0.0, "b": 0.0}, gates) == "a"
+        assert _tightest({"r": 5.0, "a": 1e-12}, {"r": None, "a": 1e-9}) == "a"
+
+    def test_spec_is_parsed_once(self, capsys, tmp_path, monkeypatch):
+        # load_spec checks each coordinate name with one parse, then builds
+        # the structure once: 3 theta and 9 g expressions. run_suites reuses
+        # that structure.
+        import contactconn.registry as registry_mod
+
+        calls = []
+        real = registry_mod.parse_expr
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(registry_mod, "parse_expr", counted)
+        path = write_spec(tmp_path, GOOD_SPEC)
+        code, _, _ = run(capsys, "analyze", "--spec", path, "--suites", "contact")
+        assert code == 0
+        assert len(calls) == 3 + 3 + 9
+
     def test_spec_file_input(self, capsys, tmp_path):
         path = write_spec(tmp_path, GOOD_SPEC)
         code, out, _ = run(capsys, "analyze", "--spec", path, "--suites", "contact")
@@ -259,6 +303,58 @@ class TestExitCodes:
         assert err.startswith("error:")
 
 
+class TestParserReuse:
+    def fresh(self, capsys, *argv):
+        from contactconn.cli import _build_parser
+
+        _build_parser.cache_clear()
+        return run(capsys, *argv)
+
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        import argparse
+
+        from contactconn.cli import _build_parser
+
+        builds = []
+        real = argparse.ArgumentParser.add_subparsers
+
+        def counted(self, **kwargs):
+            builds.append(self.prog)
+            return real(self, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+        _build_parser.cache_clear()
+        run(capsys, "list-manifolds")
+        run(capsys, "analyze", "--manifold", "heisenberg", "--points", "1", "--suites", "contact")
+        run(capsys, "analyze")
+        assert builds == ["contactconn"]
+
+    def test_param_does_not_carry_over(self, capsys):
+        argv = ("analyze", "--manifold", "heisenberg-aniso", "--points", "2", "--suites", "contact")
+        want = self.fresh(capsys, *argv)
+        run(capsys, *argv, "--param", "b=3")
+        assert run(capsys, *argv) == want
+        want_b3 = self.fresh(capsys, *argv, "--param", "b=3")
+        run(capsys, *argv, "--param", "b=5")
+        assert run(capsys, *argv, "--param", "b=3") == want_b3
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("analyze",),
+            ("analyze", "--manifold", "heisenberg", "--spec", "x.json"),
+            ("analyze", "--manifold", "heisenberg-aniso", "--param", "b=3", "--points", "0"),
+            ("frobnicate",),
+        ],
+    )
+    def test_usage_error_does_not_carry_over(self, capsys, bad):
+        argv = ("analyze", "--manifold", "heisenberg-aniso", "--points", "2", "--suites", "contact")
+        want = self.fresh(capsys, *argv)
+        code, _, _ = run(capsys, *bad)
+        assert code == 2
+        assert run(capsys, *argv) == want
+
+
 class TestListManifolds:
     def test_lists_all_builtins(self, capsys):
         code, out, _ = run(capsys, "list-manifolds")
@@ -268,6 +364,16 @@ class TestListManifolds:
         assert lines[0].startswith("heisenberg ")
         assert any("n2-split" in ln and "dim=5" in ln for ln in lines)
         assert any("params: b=2.0" in ln for ln in lines)
+
+    def test_output_is_stable(self, capsys):
+        _, out, _ = run(capsys, "list-manifolds")
+        assert out == (
+            "heisenberg  dim=3  box=(-0.9, 0.9)x3\n"
+            "heisenberg-aniso  dim=3  box=(-0.9, 0.9)x3 params: b=2.0\n"
+            "heisenberg-perturbed  dim=3  box=(-0.9, 0.9)x3\n"
+            "sphere-chart  dim=3  box=(-0.75, 0.75)x3\n"
+            "n2-split  dim=5  box=(-0.9, 0.9)x5 params: c=2.0\n"
+        )
 
 
 class TestValidate:

@@ -1,7 +1,10 @@
 """Built-in manifold descriptions and the JSON description loader."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 
 import pytest
 
@@ -66,6 +69,52 @@ class TestBuiltins:
         spec = get_manifold("heisenberg")
         assert spec.points == 100
         assert spec.seed == 42
+
+
+class TestSharedSpecs:
+    def test_builtins_are_shared_objects(self):
+        specs = builtin_registry()
+        assert specs is not builtin_registry()
+        assert all(a is b for a, b in zip(specs, builtin_registry()))
+        assert all(get_manifold(spec.name) is spec for spec in specs)
+
+    def test_build_without_overrides_is_the_one_structure(self):
+        spec = get_manifold("heisenberg-aniso")
+        cs = spec.build()
+        assert spec.build() is cs and spec.build({}) is cs and spec.build(None) is cs
+        assert cs.dtheta is spec.build().dtheta
+        assert cs.input_tape is spec.build().input_tape
+        # An override builds a fresh structure each time and keeps none.
+        assert spec.build({"b": 3.0}) is not spec.build({"b": 3.0})
+        assert spec.build() is cs
+        # A replaced spec is a new object with its own structure.
+        assert dataclasses.replace(spec).build() is not cs
+
+    def test_params_are_read_only(self):
+        spec = get_manifold("heisenberg-aniso")
+        with pytest.raises(TypeError):
+            spec.params["b"] = 5
+        assert spec.params == {"b": 2.0}
+        changed = dataclasses.replace(spec, params={"b": 5.0})
+        assert changed.params == {"b": 5.0} and spec.params == {"b": 2.0}
+        with pytest.raises(TypeError):
+            changed.params["b"] = 6
+        # The spec keeps its own copy of the mapping it was given.
+        given = {"a": 1.0}
+        own = dataclasses.replace(spec, params=given)
+        given["a"] = 2.0
+        assert own.params == {"a": 1.0}
+        for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert twin == spec and twin.params == {"b": 2.0}
+
+    def test_loaded_spec_keeps_its_validation_build(self, tmp_path, monkeypatch):
+        import contactconn.registry as registry_mod
+
+        spec = load_spec(write_spec(tmp_path, valid_payload()))
+        calls = []
+        monkeypatch.setattr(registry_mod, "parse_expr", lambda *a: calls.append(a))
+        spec.build()
+        assert calls == []
 
 
 class TestBuildParams:

@@ -96,6 +96,40 @@ class TestRunSuites:
         b = render_report(run_suites(spec, ALL_3D, points=4))
         assert a == b
 
+    def test_override_run_leaves_the_declared_structure(self):
+        spec = dataclasses.replace(get_manifold("heisenberg-aniso"))
+        before = render_report(run_suites(spec, ALL_3D, points=3, seed=2))
+        cs = spec.build()
+        overridden = run_suites(spec, ALL_3D, points=3, seed=2, param_overrides={"b": 3.0})
+        assert all(r.mu == pytest.approx(3.0, abs=1e-12) for r in overridden.points)
+        assert render_report(run_suites(spec, ALL_3D, points=3, seed=2)) == before
+        assert spec.build() is cs
+
+
+class TestRunBounds:
+    # The bounds the CLI and load_spec check hold for a library call too.
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 42, -1])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be from 0 to 2\\^64 - 1, got {seed}"):
+            run_suites(get_manifold("heisenberg"), ["contact"], seed=seed, points=2)
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_points_below_one(self, points):
+        with pytest.raises(ValueError, match=f"points must be at least 1, got {points}"):
+            run_suites(get_manifold("heisenberg"), ["contact"], points=points)
+
+    def test_spec_defaults_are_checked(self):
+        spec = dataclasses.replace(get_manifold("heisenberg"), points=0)
+        with pytest.raises(ValueError, match="points must be at least 1, got 0"):
+            run_suites(spec, ["contact"])
+        spec = dataclasses.replace(get_manifold("heisenberg"), seed=2**64)
+        with pytest.raises(ValueError, match="seed must be from 0"):
+            run_suites(spec, ["contact"], points=2)
+
+    def test_bounds_are_inclusive(self):
+        rep = run_suites(get_manifold("heisenberg"), ["contact"], seed=2**64 - 1, points=1)
+        assert rep.seed == 2**64 - 1 and rep.requested_points == 1
+
 
 class TestScreening:
     def test_skip_accounting(self):
@@ -490,6 +524,31 @@ class TestPerPointState:
         assert outputs.count(1) == phis == counts["eval_jet"]
         assert len(outputs) == rep.requested_points + phis
         assert counts["parse_expr"] == 3 + 9
+
+
+def test_second_run_compiles_nothing(monkeypatch):
+    # A spec compiles its structure once: a second run on the same spec
+    # object parses no expression, differentiates none and builds no tape.
+    # The rotation suite is left out because it evaluates each sampled
+    # angle through a tape of its own.
+    from contactconn.jets import Tape
+
+    suites = ["contact", "canonical", "promotion", "tw-compare"]
+    spec = dataclasses.replace(get_manifold("sphere-chart"))
+    first = render_report(run_suites(spec, suites, points=3, seed=4))
+    counts = count_calls(monkeypatch, ["expressions.parse_expr", "expressions.diff"])
+    tapes = []
+    real_init = Tape.__init__
+
+    def counted_init(self, exprs):
+        tapes.append(len(exprs))
+        real_init(self, exprs)
+
+    monkeypatch.setattr(Tape, "__init__", counted_init)
+    second = render_report(run_suites(spec, suites, points=3, seed=4))
+    assert counts == {"parse_expr": 0, "diff": 0}
+    assert tapes == []
+    assert second == first
 
 
 def test_rotation_angles_are_the_trees_of_their_text(monkeypatch):
