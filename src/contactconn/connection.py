@@ -38,7 +38,7 @@ from .contact import (
 )
 from .errors import SymmetryError
 from .forms import FormField, apply_vector
-from .jets import JetArray, contract
+from .jets import JetArray, concatenate, contract
 
 
 def _check_sym(t: JetArray, slots: tuple[int, int], what: str) -> None:
@@ -88,9 +88,21 @@ class PartialConnection:
     @cached_property
     def promotion_system(self) -> tuple[JetArray, JetArray]:
         """(num, den) of the promotion solve, computed once and shared by
-        promote and promotion_residual. num carries order 1, and so does
-        den, the only order the quotient -num/den can use."""
+        promote and promotion_residual. Both carry one order below kappa:
+        order 1 for a connection as built, order 0 for one cut to order 1,
+        the order a value-only reader needs."""
         return _promotion_system(self)
+
+    def restrict(self, k: int) -> "PartialConnection":
+        """The same connection with Gamma and kappa cut to order at most
+        k, as JetArray.restrict cuts an array: everything derived from it
+        has the bits the uncut connection gives, up to order k, without
+        computing the parts above."""
+        cut = PartialConnection(self.frame, self.Gamma.restrict(k))
+        # kappa's 2-form row is the frame's Omega, which is not cut, so the
+        # cut connection's kappa is this one's, cut.
+        cut.__dict__["kappa"] = self.kappa.restrict(k)
+        return cut
 
     def coordinate_action_on_vector(self, vector: JetArray):
         """Value matrix of the H-derivative of a vector field given by its
@@ -142,9 +154,11 @@ def partial_torsion(conn: PartialConnection) -> JetArray:
     """
     frame = conn.frame
     m = 2 * frame.n
+    kap = conn.kappa
     # rows[A, a, c] = kappa[a, A, c + 1]; the wedge part is rows - rows^T.
-    rows = conn.kappa[:, :, 1:].transpose(1, 0, 2)
-    d_part = JetArray.constant(0.0, frame.dim, (m + 1, m, m))
+    rows = kap[:, :, 1:].transpose(1, 0, 2)
+    # The exterior derivative at kappa's order, the order the sum runs at.
+    d_part = JetArray.constant(0.0, frame.dim, (m + 1, m, m), kap.top)
     d_part[0] = frame.Omega
     d_part[1:] = frame.D
     return rows - rows.transpose(0, 2, 1) - d_part
@@ -202,7 +216,7 @@ def _derivative(X: JetArray, kap: JetArray, t: JetArray) -> JetArray:
             f"got shape {t.shape}"
         )
     off = full - t.shape[0] if rank else 0
-    k = max(t.top - 1, 0)
+    k = _derivative_order(t)
     kapE = kap.restrict(k)[:, off:, off:].transpose(1, 0, 2)  # [E, P, B]
     low = t.restrict(k)
     out = apply_vector(X, t)
@@ -214,6 +228,12 @@ def _derivative(X: JetArray, kap: JetArray, t: JetArray) -> JetArray:
         coef = kapE[(every, every) + (None,) * s + (every,) + (None,) * (rank - 1 - s)]
         out = out + contract(lead, coef)
     return out
+
+
+def _derivative_order(t: JetArray) -> int:
+    """The order of a covariant derivative of components t, and so the
+    order its corrections read of the coefficients."""
+    return max(t.top - 1, 0)
 
 
 def nabla_H(conn: PartialConnection, t: JetArray) -> JetArray:
@@ -234,8 +254,9 @@ def nabla_H_vector(conn: PartialConnection, v: JetArray) -> JetArray:
     """Covariant derivative of a vector along each frame direction X_a,
     given its frame components v (2n+1,), slot 0 the Reeb one: entry
     [a, B] is X_a(v_B) minus the contraction over C of kappa[a, B, C] v[C],
-    _derivative with the dual coefficients."""
-    return _derivative(conn.frame.X, -conn.kappa.transpose(0, 2, 1), v)
+    _derivative with the dual coefficients, cut before they are negated."""
+    kap = conn.kappa.restrict(_derivative_order(v))
+    return _derivative(conn.frame.X, -kap.transpose(0, 2, 1), v)
 
 
 @dataclass(frozen=True)
@@ -252,6 +273,11 @@ class FullConnection:
     frame: AdaptedFrame
     coeffs: JetArray
     partial: PartialConnection | None = None
+
+    def restrict(self, k: int) -> "FullConnection":
+        """The same connection with its coefficients cut to order at most
+        k, as JetArray.restrict cuts an array; partial is kept as it is."""
+        return FullConnection(self.frame, self.coeffs.restrict(k), self.partial)
 
     def derivative_of_oneform(self, alpha: JetArray) -> JetArray:
         """Frame derivative of a 1-form along every frame direction, given
@@ -280,26 +306,28 @@ def _promotion_system(conn: PartialConnection):
 
     Returns (num, den) as jet arrays, num[A, C] the obstruction pairing
     and den the squared norm of the 2-form over index pairs; the extension
-    coefficient that cancels the obstruction is -num/den. Both carry
-    order 1: num meets a derivative of kappa, and den is built at the
-    order of the num it divides.
+    coefficient that cancels the obstruction is -num/den. Both carry one
+    order below conn's kappa: num meets a derivative of kappa, and den is
+    built at the order of the num it divides. A connection as built gives
+    order 1, one cut to order 1 gives the values alone.
     """
     frame = conn.frame
     m = 2 * frame.n
     kap = conn.kappa
     X = frame.X
-    D = frame.D
-    Om = frame.Omega
 
-    # Every term below meets a derivative of kappa, of order at most 1, so
-    # the products of kappa need no parts above order 1.
-    kap1 = kap.restrict(1)
+    # Every term below meets a derivative of kappa, one order below it, so
+    # no operand needs parts above that order.
+    k = kap.top - 1
+    kapk = kap.restrict(k)
+    D = frame.D.restrict(k)
+    Om = frame.Omega.restrict(k)
 
     # K[u, v, A, C] = X_u(kappa[v, A, C]) + sum_E kappa[v, A, E] kappa[u, E, C],
     # every (u, v) at once, one contraction over E.
     corr = contract(
-        kap1.transpose(2, 0, 1)[:, None, :, :, None],
-        kap1.transpose(1, 0, 2)[:, :, None, None, :],
+        kapk.transpose(2, 0, 1)[:, None, :, :, None],
+        kapk.transpose(1, 0, 2)[:, :, None, None, :],
     )
     K = apply_vector(X, kap) + corr
 
@@ -307,10 +335,10 @@ def _promotion_system(conn: PartialConnection):
     # contracted over pairs with Omega_uv:
     # sum_e D[e, u, v] kappa[e] + K[u, v] - K[v, u].
     uu, vv = np.triu_indices(m, 1)
-    Om1 = Om.restrict(1)[uu, vv]
-    cc = contract(D[:, uu, vv][:, :, None, None], kap1[:, None])
+    Omk = Om[uu, vv]
+    cc = contract(D[:, uu, vv][:, :, None, None], kapk[:, None])
     ob = cc + K[uu, vv] - K[vv, uu]
-    return contract(ob, Om1[:, None, None]), contract(Om1, Om1)
+    return contract(ob, Omk[:, None, None]), contract(Omk, Omk)
 
 
 def promote(conn: PartialConnection) -> FullConnection:
@@ -320,15 +348,14 @@ def promote(conn: PartialConnection) -> FullConnection:
     well-defined component against the nondegenerate 2-form; the Reeb row
     of the coefficients is the unique choice making it vanish, and the H
     rows are the partial connection's kappa. Costs one jet order (the
-    coefficients get differentiated once).
+    coefficients get differentiated once): for a connection as built the
+    Reeb row carries order 1, and for one cut to order 1 (restrict) it is
+    the values alone. The coefficient tensor has the top order of its
+    rows, as jets.concatenate gives it.
     """
-    frame = conn.frame
-    m = 2 * frame.n
     num, den = conn.promotion_system
-    coeffs = JetArray.constant(0.0, frame.dim, (m + 1, m + 1, m + 1))
-    coeffs[0] = -(num / den)
-    coeffs[1:] = conn.kappa
-    return FullConnection(frame=frame, coeffs=coeffs, partial=conn)
+    coeffs = concatenate([-(num / den)[None], conn.kappa])
+    return FullConnection(frame=conn.frame, coeffs=coeffs, partial=conn)
 
 
 def promotion_residual(fc: FullConnection) -> float:

@@ -60,53 +60,70 @@ Expr = Lit | Coord | Unary | Binary | Pow
 
 # Smart constructors. They fold the zeros and ones that structural
 # differentiation generates, so derivative trees stay readable, and two
-# literals into one where the result is finite, so every tree they build
-# prints as text that parses back to it; they do no other simplification.
+# literals into one where the result is finite; they do no other
+# simplification. Every tree they build prints as text that parses back
+# to it: a constant whose sign bit is set is built as the negation of a
+# literal, the tree its text parses to, never as a negative literal.
 
-def lit(v: float) -> Lit:
-    return Lit(float(v))
+def lit(v: float) -> Expr:
+    return signed_lit(v)
+
+
+# The literals structural differentiation builds most, shared: nodes are
+# immutable, so one object serves every tree.
+_ZERO = Lit(0.0)
+_ONE = Lit(1.0)
+
+
+def _const(e: Expr) -> float | None:
+    """The value of a literal or of a negated literal, else None."""
+    if type(e) is Unary and e.op == "neg":
+        e = e.arg
+        return -e.value if type(e) is Lit else None
+    return e.value if type(e) is Lit else None
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Lit) and a.value == 0.0:
+    ca, cb = _const(a), _const(b)
+    if ca == 0.0:
         return b
-    if isinstance(b, Lit) and b.value == 0.0:
+    if cb == 0.0:
         return a
-    if isinstance(a, Lit) and isinstance(b, Lit) and math.isfinite(a.value + b.value):
-        return lit(a.value + b.value)
+    if ca is not None and cb is not None and math.isfinite(ca + cb):
+        return lit(ca + cb)
     return Binary("+", a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(b, Lit) and b.value == 0.0:
+    ca, cb = _const(a), _const(b)
+    if cb == 0.0:
         return a
-    if isinstance(a, Lit) and isinstance(b, Lit) and math.isfinite(a.value - b.value):
-        return lit(a.value - b.value)
-    if isinstance(a, Lit) and a.value == 0.0:
+    if ca is not None and cb is not None and math.isfinite(ca - cb):
+        return lit(ca - cb)
+    if ca == 0.0:
         return neg(b)
     return Binary("-", a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Lit):
-        if a.value == 0.0:
-            return lit(0.0)
-        if a.value == 1.0:
-            return b
-    if isinstance(b, Lit):
-        if b.value == 0.0:
-            return lit(0.0)
-        if b.value == 1.0:
-            return a
-    if isinstance(a, Lit) and isinstance(b, Lit) and math.isfinite(a.value * b.value):
-        return lit(a.value * b.value)
+    ca, cb = _const(a), _const(b)
+    if ca == 0.0:
+        return _ZERO
+    if ca == 1.0:
+        return b
+    if cb == 0.0:
+        return _ZERO
+    if cb == 1.0:
+        return a
+    if ca is not None and cb is not None and math.isfinite(ca * cb):
+        return lit(ca * cb)
     return Binary("*", a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Lit) and a.value == 0.0:
-        return lit(0.0)
-    if isinstance(b, Lit) and b.value == 1.0:
+    if _const(a) == 0.0:
+        return _ZERO
+    if _const(b) == 1.0:
         return a
     return Binary("/", a, b)
 
@@ -121,7 +138,7 @@ def neg(a: Expr) -> Expr:
 
 def pow_int(base: Expr, k: int) -> Expr:
     if k == 0:
-        return lit(1.0)
+        return _ONE
     if k == 1:
         return base
     return Pow(base, k)
@@ -185,11 +202,22 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
+def is_identifier(text: str) -> bool:
+    """Whether text is exactly one identifier token of the grammar."""
+    try:
+        toks = _tokenize(text)
+    except ParseError:
+        return False
+    return len(toks) == 2 and toks[0] == (_TOK_IDENT, text, 0)
+
+
 def signed_lit(v: float) -> Expr:
     """The tree the text of a parenthesized repr(v) parses to: a literal,
-    under a negation when v's sign bit is set. Parameters parse to it, and
-    the rotation suite builds its angle coefficients with it."""
-    return Unary("neg", Lit(-v)) if math.copysign(1.0, v) < 0.0 else Lit(v)
+    under a negation when v's sign bit is set. Parameters parse to it, the
+    rotation suite builds its angle coefficients with it, and the smart
+    constructors build every literal with it."""
+    v = float(v)
+    return Lit(v) if math.copysign(1.0, v) > 0.0 else Unary("neg", Lit(-v))
 
 
 class _Parser:
@@ -354,7 +382,9 @@ def _fmt_number(v: float) -> str:
 
 
 def pretty(e: Expr) -> str:
-    """Render with minimal parentheses; parse(pretty(e)) == e structurally."""
+    """Render with minimal parentheses; parse(pretty(e)) == e structurally
+    for every tree the parser or the smart constructors build (a negative
+    literal built by hand prints as a negation of a literal)."""
 
     def go(node: Expr, parent_prec: int) -> str:
         match node:
@@ -391,9 +421,9 @@ def diff(e: Expr, i: int) -> Expr:
     """
     kind = type(e)
     if kind is Lit:
-        return lit(0.0)
+        return _ZERO
     if kind is Coord:
-        return lit(1.0 if e.index == i else 0.0)
+        return _ONE if e.index == i else _ZERO
     if kind is Binary:
         op, a, b = e.op, e.lhs, e.rhs
         if op == "*":

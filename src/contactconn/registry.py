@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 from .contact import ContactStructure
 from .errors import ParseError, SpecError, UnknownManifoldError
-from .expressions import CONSTANTS, FUNCTIONS, Coord, parse_expr
+from .expressions import CONSTANTS, FUNCTIONS, is_identifier, parse_expr
 from .forms import FormField
 from .sampling import SEED_LIMIT
 
@@ -31,10 +31,17 @@ DEFAULT_SEED = 42
 class ManifoldSpec:
     """Declarative chart description; build() turns it into geometry.
 
-    params is a read-only view of the spec's own copy of the mapping it
-    was given, so a spec shared by every caller, such as a built-in,
-    cannot be changed through it; dataclasses.replace gives a changed
-    spec."""
+    Every spec is checked when it is made, however it is made (in code,
+    by dataclasses.replace or by load_spec): a field that build() or the
+    sampler cannot use raises SpecError naming the field. The default
+    point count and seed are checked as integers here and as bounds by
+    run_suites, which checks a value passed to it the same way.
+
+    The sequences are kept as tuples and the box bounds and parameter
+    values as floats. params is a read-only view of the spec's own copy
+    of the mapping it was given, so a spec shared by every caller, such
+    as a built-in, cannot be changed through it; dataclasses.replace
+    gives a changed spec."""
 
     name: str
     coords: tuple[str, ...]
@@ -46,7 +53,16 @@ class ManifoldSpec:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        _check_fields(self)
+        fields = {
+            "coords": tuple(self.coords),
+            "theta": tuple(self.theta),
+            "g": tuple(tuple(row) for row in self.g),
+            "box": tuple((float(lo), float(hi)) for lo, hi in self.box),
+            "params": MappingProxyType({k: float(v) for k, v in self.params.items()}),
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def __reduce__(self):
         # A mapping proxy cannot be pickled or deep-copied, and the
@@ -106,7 +122,93 @@ class ManifoldSpec:
             tuple(parse_field(self.g[i][j], f"g[{i}][{j}]") for j in range(self.dim))
             for i in range(self.dim)
         )
+        # Symmetry as given: entries must be the same expression up to
+        # whitespace, compared structurally after parsing.
+        for i in range(self.dim):
+            for j in range(i + 1, self.dim):
+                if g[i][j] != g[j][i]:
+                    raise SpecError(f"g[{i}][{j}]: not symmetric with g[{j}][{i}]")
         return ContactStructure(self.coords, theta, g, self.box)
+
+
+def _require(cond: bool, path: str, message: str) -> None:
+    if not cond:
+        raise SpecError(f"{path}: {message}")
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_strings(v, n: int) -> bool:
+    """Whether v is a list or tuple of n strings."""
+    return isinstance(v, (list, tuple)) and len(v) == n and all(isinstance(e, str) for e in v)
+
+
+def _check_fields(spec: ManifoldSpec) -> None:
+    """Raise SpecError naming the first field of spec, in field order,
+    that build() or the sampler cannot use."""
+    _require(isinstance(spec.name, str) and spec.name, "name", "must be a non-empty string")
+
+    coords = spec.coords
+    _require(
+        isinstance(coords, (list, tuple)) and coords and all(isinstance(c, str) for c in coords),
+        "coords",
+        "must be a non-empty list of strings",
+    )
+    dim = len(coords)
+    _require(dim >= 3 and dim % 2 == 1, "coords", f"dimension must be odd and >= 3, got {dim}")
+    _require(len(set(coords)) == dim, "coords", "names must be distinct")
+    for i, name in enumerate(coords):
+        # Constants and functions outrank coordinates in the parser, so the
+        # name must read back as this coordinate.
+        _require(
+            is_identifier(name) and name not in FUNCTIONS and name not in CONSTANTS,
+            f"coords[{i}]",
+            f"{name!r} must be an identifier that names no built-in function or constant",
+        )
+
+    _require(_is_strings(spec.theta, dim), "theta", f"must be a list of {dim} expression strings")
+    g = spec.g
+    _require(isinstance(g, (list, tuple)) and len(g) == dim, "g", f"must be a {dim}x{dim} matrix")
+    for i, row in enumerate(g):
+        _require(_is_strings(row, dim), f"g[{i}]", f"must be a list of {dim} expression strings")
+
+    box = spec.box
+    _require(isinstance(box, (list, tuple)) and len(box) == dim, "box", f"must give {dim} intervals")
+    for i, iv in enumerate(box):
+        _require(
+            isinstance(iv, (list, tuple)) and len(iv) == 2 and all(map(_is_number, iv)),
+            f"box[{i}]",
+            "must be a [lo, hi] pair of numbers",
+        )
+        # Infinity, NaN and integers too large for a float; the comparison
+        # with float_info.max is exact for any integer.
+        _require(
+            all(abs(v) <= sys.float_info.max for v in iv)
+            and math.isfinite(float(iv[1]) - float(iv[0])),
+            f"box[{i}]",
+            "bounds and their difference must be finite",
+        )
+        _require(iv[0] < iv[1], f"box[{i}]", "must have lo < hi")
+
+    _require(_is_int(spec.points), "points", "must be an integer")
+    _require(_is_int(spec.seed), "seed", "must be an integer")
+
+    _require(isinstance(spec.params, Mapping), "params", "must be an object")
+    for key, val in spec.params.items():
+        _require(isinstance(key, str) and key.isidentifier(), f"params.{key}", "name must be an identifier")
+        _require(_is_number(val), f"params.{key}", "value must be a number")
+        _require(key not in coords, f"params.{key}", "shadows a coordinate name")
+        _require(
+            key not in FUNCTIONS and key not in CONSTANTS,
+            f"params.{key}",
+            "shadows a built-in function or constant",
+        )
 
 
 _SQ = "(1 + u1^2 + u2^2 + u3^2)^2"
@@ -184,19 +286,18 @@ def get_manifold(name: str) -> ManifoldSpec:
     raise UnknownManifoldError(name, tuple(s.name for s in _BUILTINS))
 
 
-def _require(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise SpecError(f"{path}: {message}")
-
-
 def load_spec(path: str) -> ManifoldSpec:
     """Load and fully validate a JSON manifold description.
 
-    Structural problems raise SpecError naming the offending field path;
-    expression syntax problems raise ParseError carrying the field path
-    and the parser's offset message. Validation includes a full build, so
-    a returned spec is known to parse, and the structure that build made
-    is the one the spec's build() returns: a loaded chart compiles once.
+    The JSON is decoded into a ManifoldSpec, which checks its own fields;
+    this adds only what belongs to the file: the schema version, the
+    optional dim, unknown fields, and the bounds of the default point
+    count and seed. Structural problems raise SpecError naming the
+    offending field path; expression syntax problems raise ParseError
+    carrying the field path and the parser's offset message. Validation
+    includes a full build, so a returned spec is known to parse and to
+    have a symmetric metric, and the structure that build made is the
+    one the spec's build() returns: a loaded chart compiles once.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -206,111 +307,25 @@ def load_spec(path: str) -> ManifoldSpec:
 
     _require(isinstance(raw, dict), "$", "top level must be an object")
     _require(raw.get("schema") == 1, "schema", "must be 1")
-    _require(isinstance(raw.get("name"), str) and raw["name"], "name", "must be a non-empty string")
-
-    coords = raw.get("coords")
-    _require(
-        isinstance(coords, list) and coords and all(isinstance(c, str) for c in coords),
-        "coords",
-        "must be a non-empty list of strings",
-    )
-    dim = len(coords)
-    _require(dim >= 3 and dim % 2 == 1, "coords", f"dimension must be odd and >= 3, got {dim}")
-    _require(len(set(coords)) == dim, "coords", "names must be distinct")
-    for i, name in enumerate(coords):
-        # Constants and functions outrank coordinates in the parser, so the
-        # name must read back as this coordinate.
-        try:
-            named = parse_expr(name, coords) == Coord(i, name)
-        except ParseError:
-            named = False
-        _require(
-            named,
-            f"coords[{i}]",
-            f"{name!r} must be an identifier that names no built-in function or constant",
-        )
-    if "dim" in raw:
-        _require(raw["dim"] == dim, "dim", f"does not match len(coords) = {dim}")
-
-    theta = raw.get("theta")
-    _require(
-        isinstance(theta, list) and len(theta) == dim and all(isinstance(t, str) for t in theta),
-        "theta",
-        f"must be a list of {dim} expression strings",
-    )
-
-    g = raw.get("g")
-    _require(isinstance(g, list) and len(g) == dim, "g", f"must be a {dim}x{dim} matrix")
-    for i, row in enumerate(g):
-        _require(
-            isinstance(row, list) and len(row) == dim and all(isinstance(e, str) for e in row),
-            f"g[{i}]",
-            f"must be a list of {dim} expression strings",
-        )
-
-    box = raw.get("box")
-    _require(isinstance(box, list) and len(box) == dim, "box", f"must give {dim} intervals")
-    box_t = []
-    for i, iv in enumerate(box):
-        _require(
-            isinstance(iv, list) and len(iv) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in iv),
-            f"box[{i}]",
-            "must be a [lo, hi] pair of numbers",
-        )
-        # json reads Infinity and NaN, and integers too large for a float;
-        # the comparison with float_info.max is exact for any integer.
-        _require(
-            all(abs(v) <= sys.float_info.max for v in iv)
-            and math.isfinite(float(iv[1]) - float(iv[0])),
-            f"box[{i}]",
-            "bounds and their difference must be finite",
-        )
-        _require(iv[0] < iv[1], f"box[{i}]", "must have lo < hi")
-        box_t.append((float(iv[0]), float(iv[1])))
-
-    points = raw.get("points", DEFAULT_POINTS)
-    _require(isinstance(points, int) and not isinstance(points, bool) and points > 0, "points", "must be a positive integer")
-    seed = raw.get("seed", DEFAULT_SEED)
-    _require(isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < SEED_LIMIT, "seed", "must be an integer from 0 to 2^64 - 1")
-
-    params = raw.get("params", {})
-    _require(isinstance(params, dict), "params", "must be an object")
-    for key, val in params.items():
-        _require(isinstance(key, str) and key.isidentifier(), f"params.{key}", "name must be an identifier")
-        _require(
-            isinstance(val, (int, float)) and not isinstance(val, bool),
-            f"params.{key}",
-            "value must be a number",
-        )
-        _require(key not in coords, f"params.{key}", "shadows a coordinate name")
-        _require(
-            key not in FUNCTIONS and key not in CONSTANTS,
-            f"params.{key}",
-            "shadows a built-in function or constant",
-        )
-
     known = {"schema", "name", "dim", "coords", "theta", "g", "box", "points", "seed", "params"}
     for key in raw:
         _require(key in known, key, "unknown field")
 
     spec = ManifoldSpec(
-        name=raw["name"],
-        coords=tuple(coords),
-        theta=tuple(theta),
-        g=tuple(tuple(row) for row in g),
-        box=tuple(box_t),
-        points=points,
-        seed=seed,
-        params={k: float(v) for k, v in params.items()},
+        name=raw.get("name"),
+        coords=raw.get("coords"),
+        theta=raw.get("theta"),
+        g=raw.get("g"),
+        box=raw.get("box"),
+        points=raw.get("points", DEFAULT_POINTS),
+        seed=raw.get("seed", DEFAULT_SEED),
+        params=raw.get("params", {}),
     )
+    if "dim" in raw:
+        _require(raw["dim"] == spec.dim, "dim", f"does not match len(coords) = {spec.dim}")
+    _require(spec.points > 0, "points", "must be a positive integer")
+    _require(0 <= spec.seed < SEED_LIMIT, "seed", "must be an integer from 0 to 2^64 - 1")
 
-    # Symmetry as given: entries must be the same expression up to
-    # whitespace, compared structurally after parsing. This build is the
-    # spec's one structure, so run_suites reuses it.
-    subbed = spec.build()
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if subbed.g[i][j] != subbed.g[j][i]:
-                raise SpecError(f"g[{i}][{j}]: not symmetric with g[{j}][{i}]")
+    # This build is the spec's one structure, so run_suites reuses it.
+    spec.build()
     return spec

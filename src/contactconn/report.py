@@ -94,6 +94,13 @@ class Report:
         }
 
 
+# JSON string escapes: the quote, the backslash and each control
+# character below 0x20 as \u00XX; every other character stands as it is.
+_ESCAPES = str.maketrans(
+    {'"': '\\"', "\\": "\\\\", **{chr(i): f"\\u{i:04x}" for i in range(0x20)}}
+)
+
+
 def _canon(value) -> str:
     if value is None:
         return "null"
@@ -106,18 +113,7 @@ def _canon(value) -> str:
             raise ValueError(f"non-finite number in report: {value!r}")
         return f"{value:.17g}"
     if isinstance(value, str):
-        out = ['"']
-        for ch in value:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
+        return '"' + value.translate(_ESCAPES) + '"'
     if isinstance(value, dict):
         for k in value:
             if not isinstance(k, str):

@@ -18,6 +18,15 @@ and shared by every suite.
 Each suite gives one row of residuals per usable point. SUITES holds
 every suite's gates, and aggregate turns the rows into the suite's
 report entry, so each tolerance and the pass rule live in one place.
+
+Every residual reads values only, so each check runs on operands cut
+(restrict) to the order that value needs: order 0 for the contact
+checks, the Levi and torsion checks, the Reeb check's coefficients and
+the comparisons; order 1 for the Gram matrix the metric check
+differentiates and for the kappa the point's promotion differentiates,
+so its num, den and Reeb row are order-0 jets. Value rules read no
+higher part, so the cuts change no bit. The library calls behind the
+suites keep their documented orders when called directly.
 """
 
 from __future__ import annotations
@@ -90,7 +99,9 @@ class _PointState:
 
     @cached_property
     def promoted(self):
-        return promote(self.conn)
+        # The suites read its values only, so it is promoted from kappa cut
+        # to order 1, the order whose derivative gives those values.
+        return promote(self.conn.restrict(1))
 
     @cached_property
     def tw_data(self):
@@ -143,12 +154,12 @@ def _suite_canonical(run: _Run) -> list[dict]:
         conn = pt.conn
         dT = nabla_H_vector(conn, frame.express_vector(frame.T))
 
-        # The Levi check reads values only; the metric check reads the
-        # values of a derivative, so the Gram it differentiates needs
-        # order 1 only.
+        # The Levi and torsion checks read values only; the metric check
+        # reads the values of a derivative, so the Gram it differentiates
+        # needs order 1 only.
         X = frame.X
         measured = evaluate_forms(frame.dtheta_hat.restrict(0), X, X).value
-        tor = partial_torsion(conn).value
+        tor = partial_torsion(conn.restrict(0)).value
         X1 = X.restrict(1)
         dg = nabla_H(conn, _metric_pairs(pt.inputs.G.restrict(1), X1, X1))
         rows.append(

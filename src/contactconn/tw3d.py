@@ -245,11 +245,14 @@ def check_rotation_covariance(td: TWData, phi) -> dict:
     rotated = rotate_coframe(td.frame, ph)
     rot = solve_structure_equations(rotated)
 
-    co, si = ph.cos(), ph.sin()
+    # The residuals read values only, so the expectations are built from
+    # order-0 jets: phi's value, and d(phi), which needs phi at order 1.
+    ph0 = ph.restrict(0)
+    co, si = ph0.cos(), ph0.sin()
 
     # omega' components against (T, X1', X2'); omega is paired with the
     # rotated frame vectors before subtracting the phi derivative.
-    dphi_T, dphi_1, dphi_2 = apply_vector(rotated.frame_array, ph)
+    dphi_T, dphi_1, dphi_2 = apply_vector(rotated.frame_array, ph.restrict(1))
     w_theta, w1, w2 = base.omega
     exp_theta = w_theta - dphi_T
     exp_1 = (co * w1 - si * w2) - dphi_1
@@ -324,7 +327,8 @@ def compare_full(td: TWData, fc: FullConnection) -> dict:
     diff = fc.coeffs.value - tw.coeffs.value
     r_extracted = -float(diff[0, 1, 2])
 
-    tor = full_torsion(fc).value
+    # Values only: the torsion of the connection cut to order 0.
+    tor = full_torsion(fc.restrict(0)).value
     Av, Bv = float(td.A.value), float(td.B.value)
     # e-rows on the pairs (T, X1), (T, X2), (X1, X2).
     e_rows = tor[1:, [0, 0, 1], [1, 2, 2]]

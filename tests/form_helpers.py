@@ -101,9 +101,10 @@ def tape_oracle(exprs, p, order: int) -> list[JetArray]:
 
 
 def assert_same_bits(got: JetArray, want: JetArray) -> None:
-    """Single jets with equal orders and byte-equal parts (so signed zeros
-    and NaNs count)."""
-    assert got.order == want.order
+    """Jets of one shape with equal orders and byte-equal parts (so signed
+    zeros and NaNs count); single jets or arrays of them."""
+    assert got.shape == want.shape
+    assert np.array_equal(got.order, want.order)
     assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
     for part in ("grad", "hess"):
         g, w = getattr(got, part), getattr(want, part)

@@ -108,9 +108,10 @@ class TestAnalyze:
         assert _tightest({"r": 5.0, "a": 1e-12}, {"r": None, "a": 1e-9}) == "a"
 
     def test_spec_is_parsed_once(self, capsys, tmp_path, monkeypatch):
-        # load_spec checks each coordinate name with one parse, then builds
-        # the structure once: 3 theta and 9 g expressions. run_suites reuses
-        # that structure.
+        # The spec checks its coordinate names without parsing, and
+        # load_spec builds the structure once: 3 theta and 9 g expressions.
+        # run_suites reuses that structure. When load_spec checked each
+        # coordinate name with a parse of its own, this made 3 more calls.
         import contactconn.registry as registry_mod
 
         calls = []
@@ -124,7 +125,7 @@ class TestAnalyze:
         path = write_spec(tmp_path, GOOD_SPEC)
         code, _, _ = run(capsys, "analyze", "--spec", path, "--suites", "contact")
         assert code == 0
-        assert len(calls) == 3 + 3 + 9
+        assert len(calls) == 3 + 9
 
     def test_spec_file_input(self, capsys, tmp_path):
         path = write_spec(tmp_path, GOOD_SPEC)

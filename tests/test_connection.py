@@ -460,3 +460,119 @@ def test_nabla_H_matches_index_loop(name, rng):
         scalar_nabla_H_vector(kap, X, v),
         scalar_nabla_H_vector(kap, X, v, absolute=True),
     )
+
+
+# -- the value-only route -----------------------------------------------------
+#
+# The suites read values only, so they promote a connection cut to order 1
+# and take its torsions at order 0. Value rules read no higher part, so
+# every quantity on that route must have the bits of the full-order one.
+
+VALUE_ROUTE_CHARTS = [
+    "heisenberg",
+    "heisenberg-aniso",
+    "heisenberg-perturbed",
+    "sphere-chart",
+    "n2-split",
+    "heis7.json",
+]
+
+
+def chart_connection(name):
+    """The canonical connection at the first sample point of a built-in,
+    or of a chart under tests/data/charts."""
+    from pathlib import Path
+
+    from contactconn.registry import get_manifold, load_spec
+    from contactconn.sampling import sample_box
+
+    if name.endswith(".json"):
+        spec = load_spec(Path(__file__).parent / "data" / "charts" / name)
+    else:
+        spec = get_manifold(name)
+    cs = spec.build()
+    return canonical_partial_connection(cs, sample_box(spec.box, 1, spec.seed)[0])
+
+
+@pytest.mark.parametrize("name", VALUE_ROUTE_CHARTS)
+class TestValueRoute:
+    def test_promotion_at_order_zero_has_the_full_route_values(self, name):
+        import form_helpers
+
+        conn = chart_connection(name)
+        cut = conn.restrict(1)
+        num, den = conn.promotion_system
+        num0, den0 = cut.promotion_system
+        assert num0.top == den0.top == 0
+        form_helpers.assert_same_bits(num0, num.restrict(0))
+        form_helpers.assert_same_bits(den0, den.restrict(0))
+        fc, fc0 = promote(conn), promote(cut)
+        assert fc0.coeffs.top == 1
+        assert not fc0.coeffs.order[0].any()
+        form_helpers.assert_same_bits(fc0.coeffs[0].restrict(0), fc.coeffs[0].restrict(0))
+        form_helpers.assert_same_bits(fc0.coeffs[1:], fc.coeffs[1:].restrict(1))
+        assert fc0.partial is cut
+        assert promotion_residual(fc0) == promotion_residual(fc)
+
+    def test_torsions_at_order_zero_have_the_full_route_values(self, name):
+        import form_helpers
+
+        conn = chart_connection(name)
+        tor0 = partial_torsion(conn.restrict(0))
+        assert tor0.top == 0
+        form_helpers.assert_same_bits(tor0, partial_torsion(conn).restrict(0))
+        full0 = full_torsion(promote(conn.restrict(1)).restrict(0))
+        assert full0.top == 0
+        form_helpers.assert_same_bits(full0, full_torsion(promote(conn)).restrict(0))
+
+    def test_nabla_H_vector_cuts_before_negating(self, name):
+        import form_helpers
+        from contactconn.connection import _derivative
+
+        conn = chart_connection(name)
+        frame = conn.frame
+        for v in (frame.express_vector(frame.T), frame.express_vector(frame.X[0])):
+            want = _derivative(frame.X, -conn.kappa.transpose(0, 2, 1), v)
+            form_helpers.assert_same_bits(nabla_H_vector(conn, v), want)
+
+    def test_library_orders_are_kept(self, name):
+        # The orders every library call gives for a connection as built:
+        # kappa carries order 2 on its 2-form row and its theta_hat column
+        # and order 1 elsewhere; the promotion system one order less, den
+        # order 1; the promoted coefficients stack the Reeb row on kappa.
+        conn = chart_connection(name)
+        m = 2 * conn.frame.n
+        pattern = np.ones((m + 1, m + 1), dtype=int)
+        pattern[0, :] = pattern[:, 0] = 2
+        assert conn.kappa.top == 2
+        assert np.array_equal(conn.kappa.order, np.broadcast_to(pattern, (m, m + 1, m + 1)))
+        num, den = conn.promotion_system
+        assert (num.top, den.top, int(den.order)) == (1, 1, 1)
+        assert np.array_equal(num.order, pattern - 1)
+        fc = promote(conn)
+        assert fc.coeffs.top == 2
+        assert np.array_equal(fc.coeffs.order[0], pattern - 1)
+        assert np.array_equal(fc.coeffs.order[1:], conn.kappa.order)
+        assert partial_torsion(conn).top == full_torsion(fc).top == 2
+        if conn.frame.dim == 3:
+            from contactconn.tw3d import solve_structure_equations
+
+            td = solve_structure_equations(conn.frame)
+            assert td.omega.top == 2
+            assert td.omega.order.tolist() == [0, 1, 1]
+            assert [(j.top, int(j.order)) for j in (td.A, td.B, td.R)] == [(0, 0)] * 3
+            assert td.classical.coeffs.top == 2
+
+
+def test_restricted_connection_leaves_the_original_whole():
+    conn = chart_connection("heisenberg-perturbed")
+    kappa = conn.kappa
+    cut = conn.restrict(0)
+    assert cut.frame is conn.frame
+    assert (cut.kappa.top, cut.Gamma.top) == (0, 0)
+    assert conn.kappa is kappa and kappa.top == 2
+    assert np.array_equal(cut.kappa.value, kappa.value)
+    fc = promote(conn)
+    fc0 = fc.restrict(0)
+    assert (fc0.coeffs.top, fc.coeffs.top) == (0, 2)
+    assert fc0.partial is fc.partial and fc0.frame is fc.frame

@@ -12,6 +12,7 @@ from contactconn.expressions import (
     Pow,
     Unary,
     add,
+    div,
     diff,
     mul,
     parse_expr,
@@ -193,6 +194,27 @@ class TestDiff:
         d = diff(parse_expr("1 + 1e308*x + 1e308*x", XYZ), 0)
         assert d == Binary("+", Lit(1e308), Lit(1e308))
         assert parse_expr(pretty(d), XYZ) == d
+
+    @pytest.mark.parametrize("text", ["1/x", "x^-2", "3 - 5*x", "-(2*x)*y", "1/(1 - x*y)"])
+    def test_negative_constants_print_back_to_their_tree(self, text):
+        # A negative constant of a derivative is the negation of a literal,
+        # the tree its text parses to; as a negative literal, -1 / (x * x)
+        # parsed back to a different tree.
+        for i in range(3):
+            d = diff(parse_expr(text, XYZ), i)
+            assert parse_expr(pretty(d), XYZ) == d
+        d = diff(parse_expr("1/x", XYZ), 0)
+        assert pretty(d) == "-1 / (x * x)"
+        assert d.lhs == Unary("neg", Lit(1.0))
+
+    def test_negated_literals_fold_like_literals(self):
+        m1, m0 = Unary("neg", Lit(1.0)), Unary("neg", Lit(0.0))
+        x = parse_expr("x", XYZ)
+        assert sub(Lit(0.0), Lit(1.0)) == m1
+        assert mul(m1, Lit(2.0)) == Unary("neg", Lit(2.0))
+        assert add(m1, Lit(1.0)) == Lit(0.0)
+        assert add(m0, x) == x and mul(m0, x) == Lit(0.0) and div(m0, x) == Lit(0.0)
+        assert mul(x, m1) == Binary("*", x, m1)
 
     @pytest.mark.parametrize(
         "op, symbol, folded", [(add, "+", 5.0), (sub, "-", 1.0), (mul, "*", 6.0)]

@@ -7,7 +7,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from contactconn.errors import ExprDomainError, SingularMatrixError
-from contactconn.expressions import Binary, Coord, Lit, Pow, Unary, parse_expr
+from contactconn.expressions import Binary, Coord, Lit, Pow, Unary, diff, parse_expr, pretty
 from contactconn.forms import increasing_indices
 from contactconn.jets import (
     Jet,
@@ -953,6 +953,11 @@ class TestTapeOracle:
     def test_drawn_trees_match_oracle(self, case):
         exprs, p, order = case
         assert_tape_matches_oracle(Tape(exprs), exprs, p, order)
+        # Each tree and each of its derivatives prints as text that parses
+        # back to it, negative constants of the smart constructors too.
+        for e in exprs:
+            for tree in (e, *(diff(e, i) for i in range(len(XYZ)))):
+                assert parse_expr(pretty(tree), XYZ) == tree
 
     @pytest.mark.parametrize("message", DOMAIN_ERRORS)
     def test_drawn_trees_reach_each_domain_error(self, message):

@@ -190,6 +190,123 @@ class TestBuildParams:
             spec.build()
 
 
+def code_spec(**changes):
+    """The spec valid_payload describes, built in code, with changes."""
+    spec = ManifoldSpec(
+        name="flat",
+        coords=("x", "y", "z"),
+        theta=("-y", "0", "1"),
+        g=(("1", "0", "0"), ("0", "a", "0"), ("0", "0", "0")),
+        box=((-0.5, 0.5),) * 3,
+        points=7,
+        seed=3,
+        params={"a": 1.5},
+    )
+    return dataclasses.replace(spec, **changes)
+
+
+def box_with(i, interval):
+    box = [(-0.5, 0.5)] * 3
+    box[i] = interval
+    return tuple(box)
+
+
+class TestSpecBuiltInCode:
+    """The twins of TestLoadSpec's rejections: a spec built in code gets
+    the checks a loaded one does. The schema version, dim and unknown
+    fields exist only in a file; the bounds of the default point count
+    and seed are run bounds, which run_suites checks (see TestRunBounds in
+    test_suites)."""
+
+    def test_valid_spec_matches_the_loaded_one(self, tmp_path):
+        loaded = load_spec(write_spec(tmp_path, valid_payload()))
+        assert code_spec() == loaded
+        assert code_spec(box=((-1, 1),) * 3).box == ((-1.0, 1.0),) * 3
+
+    @pytest.mark.parametrize(
+        "changes, path_fragment",
+        [
+            (dict(name=""), "name"),
+            (dict(theta=None), "theta"),
+            (dict(coords=("x", "y")), "coords"),
+            (dict(coords=("x", "y", "x")), "coords"),
+            (dict(coords="xyz"), "coords"),
+            (dict(theta=("-y", "0")), "theta"),
+            (dict(g=(("1",),)), "g"),
+            (dict(g=(("1", "0", "0"), ("0", "1"), ("0", "0", "0"))), r"g\[1\]"),
+            (dict(box=((-1, 1),)), "box"),
+            (dict(box=box_with(0, (1, -1))), r"box\[0\]"),
+            (dict(box=box_with(2, (0, True))), r"box\[2\]"),
+            (dict(box=((0.5, 0.1),) * 3), r"box\[0\]: must have lo < hi"),
+            (dict(points=True), "points"),
+            (dict(points=2.5), "points"),
+            (dict(seed=1.5), "seed"),
+            (dict(params={"x": 2.0}), r"params\.x: shadows a coordinate"),
+            (dict(params={"a": "big"}), r"params\.a"),
+        ],
+    )
+    def test_schema_violations(self, changes, path_fragment):
+        with pytest.raises(SpecError, match=path_fragment):
+            code_spec(**changes)
+
+    @pytest.mark.parametrize(
+        "changes, path_fragment",
+        [
+            (dict(coords=("x", "y", "e"), theta=("-y", "0", "1 + e")), r"coords\[2\]"),
+            (dict(coords=("pi", "y", "z")), r"coords\[0\]"),
+            (dict(coords=("x", "y", "sin")), r"coords\[2\]"),
+            (dict(coords=("x", "y", "2 z")), r"coords\[2\]"),
+            (dict(coords=("x", "", "z")), r"coords\[1\]"),
+            (dict(coords=("x", "y", " z")), r"coords\[2\]"),
+            (dict(coords=("x", "y", "z\u00b7w")), r"coords\[2\]"),
+            (dict(box=box_with(0, (-0.5, math.inf))), r"box\[0\]"),
+            (dict(box=box_with(1, (-math.inf, 0.5))), r"box\[1\]"),
+            (dict(box=box_with(2, (-1e308, 1e308))), r"box\[2\]"),
+            (dict(box=box_with(2, (0, 10**400))), r"box\[2\]"),
+            (dict(box=box_with(0, (0.0, math.nan))), r"box\[0\]"),
+        ],
+    )
+    def test_unusable_coordinate_or_box_rejected(self, changes, path_fragment):
+        with pytest.raises(SpecError, match=path_fragment):
+            code_spec(**changes)
+
+    def test_asymmetric_metric_rejected(self):
+        spec = code_spec(g=(("1", "x", "0"), ("0", "a", "0"), ("0", "0", "0")))
+        with pytest.raises(SpecError, match=r"g\[0\]\[1\]: not symmetric"):
+            spec.build()
+        with pytest.raises(SpecError, match=r"g\[0\]\[1\]: not symmetric"):
+            spec.build({"a": 2.0})
+
+    def test_symmetry_compares_parsed_form(self):
+        spec = code_spec(g=(("1", "x* y", "0"), ("(x)*y", "a", "0"), ("0", "0", "0")))
+        assert spec.build().g[0][1] == spec.build().g[1][0]
+
+    @pytest.mark.parametrize("name", ["e", "sin"])
+    def test_parameter_shadowing_a_builtin_rejected(self, name):
+        with pytest.raises(SpecError, match=rf"params\.{name}: shadows a built-in"):
+            code_spec(params={name: 2.0})
+
+    def test_changed_builtins_are_checked(self):
+        # Each of these once ran through run_suites: the reversed box
+        # sampled inside its intervals, and x bound as a parameter.
+        base = get_manifold("heisenberg")
+        with pytest.raises(SpecError, match=r"box\[0\]: must have lo < hi"):
+            dataclasses.replace(base, box=((0.5, 0.1),) * 3)
+        with pytest.raises(SpecError, match=r"box\[0\]: bounds and their difference"):
+            dataclasses.replace(base, box=((0.0, math.inf),) * 3)
+        with pytest.raises(SpecError, match=r"params\.x: shadows a coordinate name"):
+            dataclasses.replace(base, params={"x": 1.0})
+
+    def test_fields_are_kept_as_tuples_and_floats(self):
+        spec = code_spec(coords=["x", "y", "z"], g=[["1", "0", "0"], ["0", "a", "0"], ["0", "0", "0"]],
+                         box=[[-1, 1]] * 3, params={"a": 2})
+        assert spec.coords == ("x", "y", "z")
+        assert spec.g[1] == ("0", "a", "0")
+        assert spec.box == ((-1.0, 1.0),) * 3 and type(spec.box[0][0]) is float
+        assert type(spec.params["a"]) is float
+        assert hash(spec.coords) == hash(("x", "y", "z"))
+
+
 class TestLoadSpec:
     def test_round_trip(self, tmp_path):
         spec = load_spec(write_spec(tmp_path, valid_payload()))

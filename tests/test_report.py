@@ -15,6 +15,7 @@ from contactconn.report import (
     PointRecord,
     Report,
     SuiteResult,
+    _canon,
     render_report,
 )
 
@@ -50,6 +51,23 @@ FROZEN = (
     '"suites":{"contact":{"passed":true,"points_used":1,'
     '"residuals":{"duality":2.5000000000000002e-16,"zero":0}}}}\n'
 )
+
+
+def loop_escaped(text: str) -> str:
+    """A string's canonical JSON text by the per-character loop the
+    serializer once ran, kept as the reference for its escape table."""
+    out = ['"']
+    for ch in text:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
 
 
 class TestRendering:
@@ -123,6 +141,14 @@ class TestRendering:
         )
         with pytest.raises(ValueError):
             render_report(rep2)
+
+    def test_string_escapes_match_the_loop(self):
+        texts = [chr(i) for i in range(0x80)] + [
+            "\x7f\x80", "\u00e9", "\u2028\u2029", "\ud7ff\ue000", "\U0001f600", "\ufeff",
+            'a"b\\c\x00d\x1fe\u0394',
+        ]
+        for text in texts:
+            assert _canon(text) == loop_escaped(text), repr(text)
 
     def test_string_escaping(self):
         rec = PointRecord(index=0, point=(0.0,), skipped=True, reason='say "no" \\ \t done')

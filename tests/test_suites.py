@@ -473,9 +473,10 @@ class TestPerPointState:
     # usable point on heis7 and 101 on sphere-chart; with the Reeb theta
     # and den at order 2, 117 and 77; with every sum of products folded
     # from full product jets, 115 and 75; with one Gram-Schmidt product per
-    # projection instead of one per step, 25 and 52.
+    # projection instead of one per step, 25 and 52; with the rotation
+    # suite's expected A' and B' built from order-2 angle jets, 15 and 52.
     @pytest.mark.parametrize(
-        "name, suites, products", [("heis7.json", CORE, 15), ("sphere-chart", ALL_3D, 52)]
+        "name, suites, products", [("heis7.json", CORE, 15), ("sphere-chart", ALL_3D, 48)]
     )
     def test_order2_products_per_usable_point(self, monkeypatch, name, suites, products):
         from contactconn import jets
@@ -549,6 +550,79 @@ def test_second_run_compiles_nothing(monkeypatch):
     assert counts == {"parse_expr": 0, "diff": 0}
     assert tapes == []
     assert second == first
+
+
+def suite_rows(monkeypatch, spec, suites, points):
+    """Every suite's residual rows of one run, by suite name."""
+    import contactconn.suites as suites_mod
+
+    rows = {}
+    real = suites_mod.aggregate
+
+    def recording(name, suite_rows):
+        rows[name] = suite_rows
+        return real(name, suite_rows)
+
+    monkeypatch.setattr(suites_mod, "aggregate", recording)
+    run_suites(spec, suites, points=points, seed=1)
+    monkeypatch.setattr(suites_mod, "aggregate", real)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["heisenberg", "heisenberg-aniso", "heisenberg-perturbed", "sphere-chart", "n2-split",
+     "heis7.json"],
+)
+def test_value_only_cuts_are_exact(monkeypatch, name):
+    # The suites read values only and cut their operands to the orders
+    # those values need. With every cut undone (restrict handing back its
+    # array, so each check runs on the orders the library gives), every
+    # residual of every row keeps its bits; repr shows each float exactly.
+    from contactconn.jets import JetArray
+
+    spec = load_spec(CHARTS_DIR / name) if name.endswith(".json") else get_manifold(name)
+    suites = suites_for_dim(spec.dim)
+    cut = suite_rows(monkeypatch, spec, suites, 3)
+    monkeypatch.setattr(JetArray, "restrict", lambda self, k: self)
+    whole = suite_rows(monkeypatch, spec, suites, 3)
+    assert list(cut) == suites
+    assert repr(cut) == repr(whole)
+
+
+def test_promotion_system_contracts_at_order_zero(monkeypatch):
+    # The promotion suite reads the values of num, den and xi, so the
+    # promotion system of a point runs every contraction at order 0: it
+    # promotes kappa cut to order 1, whose derivative has order 0. At
+    # order 1, the kappa-kappa contraction alone summed 7 gradient terms
+    # per entry on heis7.
+    from contactconn import connection, jets
+
+    orders = []
+    inside = [False]
+    real_contract = jets.contract
+    real_system = connection._promotion_system
+
+    def counted(a, b):
+        if inside[0]:
+            orders.append(min(a.top, b.top))
+        return real_contract(a, b)
+
+    def system(conn):
+        inside[0] = True
+        try:
+            return real_system(conn)
+        finally:
+            inside[0] = False
+
+    patch_everywhere(monkeypatch, real_contract, counted)
+    monkeypatch.setattr(connection, "_promotion_system", system)
+    rep = run_suites(load_spec(CHARTS_DIR / "heis7.json"), ["promotion"], points=2, seed=1)
+    assert rep.passed
+    usable = rep.requested_points - rep.skipped_points
+    assert usable == 2
+    # corr, apply_vector's contraction, cc, num and den per point.
+    assert orders == [0] * 5 * usable
 
 
 def test_rotation_angles_are_the_trees_of_their_text(monkeypatch):

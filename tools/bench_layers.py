@@ -9,9 +9,9 @@ perfbench's tracer, extended to every layer in LAYERS that perfbench
 does not span (ContactStructure.inputs_at, which runs the input tape)
 and without its jet-operation counter, for each layer's self time per
 usable point, and once more with jets.contract (every sum of products
-over an axis) and the product rule counted, the products split by the
-jet order they ran at. Prints one JSON object with the medians over
-passes.
+over an axis) and the product rule counted, the contractions and the
+products each split by the jet order they ran at. Prints one JSON
+object with the medians over passes.
 
     python3 tools/bench_layers.py [--src PATH] [--passes N]
 
@@ -99,7 +99,7 @@ def measure(src: Path, passes: int) -> dict:
             for layer in LAYERS:
                 self_s[layer].append(summary["self_s"].get(layer, 0.0) / usable)
 
-        contracts = {"calls": 0}
+        contracts = {f"order{k}": 0 for k in range(3)}
         products = {f"order{k}": 0 for k in range(3)}
         real = jets.contract
         real_mul = jets._mul_rule
@@ -109,7 +109,7 @@ def measure(src: Path, passes: int) -> dict:
             return real_mul(k, *parts)
 
         def counted(a, b):
-            contracts["calls"] += 1
+            contracts[f"order{min(a.top, b.top)}"] += 1
             return real(a, b)
 
         bound = [
@@ -135,7 +135,8 @@ def measure(src: Path, passes: int) -> dict:
             "suites": list(suites),
             "analyze_ms_per_point": ms(walls),
             "self_ms_per_point": {k: ms(v) for k, v in self_s.items() if any(v)},
-            "contract_calls_per_point": contracts["calls"] / usable,
+            "contract_calls_per_point": sum(contracts.values()) / usable,
+            "contracts_per_point": {k: v / usable for k, v in contracts.items()},
             "products_per_point": {k: v / usable for k, v in products.items()},
         }
     out["host"] = {
