@@ -13,7 +13,6 @@ canonical JSON: identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from functools import cache
 
@@ -21,22 +20,7 @@ from .errors import ContactConnError
 from .registry import builtin_registry, get_manifold, load_spec
 from .report import render_report
 from .sampling import SEED_LIMIT
-from .suites import SUITES, run_suites, suites_for_dim
-
-
-def _tightest(residuals: dict, gates: dict) -> str:
-    """The gated key of residuals with the largest value relative to its
-    gate, the first in order on a tie. A gate of 0.0 passes only values
-    below zero, so its key is the tightest when its value is positive and
-    the loosest otherwise."""
-
-    def ratio(key):
-        value, gate = residuals[key], gates[key]
-        if gate == 0.0:
-            return math.inf if value > 0 else -math.inf
-        return value / gate
-
-    return max((key for key in residuals if gates.get(key) is not None), key=ratio)
+from .suites import SUITES, _tightest, run_suites, suites_for_dim
 
 
 def _int_in_range(low: int, high: int | None = None):

@@ -472,17 +472,6 @@ def lambda_spectrum(frame: AdaptedFrame) -> tuple[float, ...]:
     return tuple(float(v) for v in s[0::2][: frame.n])
 
 
-def _complex_structure(omega: np.ndarray) -> np.ndarray:
-    """Orthogonal factor of the polar decomposition of the skew matrix:
-    J = Omega (sqrt(-Omega^2))^{-1}, so J^2 = -Id."""
-    s = -omega @ omega
-    w, v = np.linalg.eigh(s)
-    if w[0] <= 0.0:
-        raise NotContactError("degenerate 2-form; no complex structure")
-    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.T
-    return omega @ inv_sqrt
-
-
 # The errors that make a sample point unusable; screening skips the point
 # with the error's message as its reason.
 SKIP_ERRORS = (
@@ -511,17 +500,15 @@ def screen_point(cs: ContactStructure, p) -> tuple[PointInputs, AdaptedFrame]:
 def classify(cs: ContactStructure, points) -> dict:
     """Per-structure classification over sample points.
 
-    cr_compatible: every invariant equals 1 (within 1e-8) at every point.
-    partially_integrable: Omega(X, JY) is symmetric, J from the polar
-    factor of Omega in the orthonormal frame. Points that screening
-    rejects are counted as skipped; one that is not contact clears the
-    contact flag. Raises AllPointsSkippedError, naming the skip reasons,
-    when no point is usable, rather than classifying vacuously.
+    Returns the flags contact and cr_compatible (every invariant equals 1
+    within 1e-8 at every point) and the spectrum summary. Points that
+    screening rejects are counted as skipped; one that is not contact
+    clears the contact flag. Raises AllPointsSkippedError, naming the skip
+    reasons, when no point is usable, rather than classifying vacuously.
     """
     points = list(points)
     contact_ok = True
     cr = True
-    pint = True
     spectra = []
     reasons = []
     for p in points:
@@ -532,15 +519,10 @@ def classify(cs: ContactStructure, points) -> dict:
                 contact_ok = False
             reasons.append(str(exc))
             continue
-        omega = frame.Omega.value
         lam = np.array(lambda_spectrum(frame))
         spectra.append(lam)
         if max_abs(lam - 1.0) >= 1e-8:
             cr = False
-        m = omega @ _complex_structure(omega)
-        scale = max(1.0, float(np.linalg.norm(m)))
-        if float(np.linalg.norm(m - m.T)) > 1e-8 * scale:
-            pint = False
     if not spectra:
         raise AllPointsSkippedError(f"none of the {len(points)} points is usable", reasons)
     arr = np.array(spectra)
@@ -555,5 +537,4 @@ def classify(cs: ContactStructure, points) -> dict:
         "contact": contact_ok,
         "spectrum": stats,
         "cr_compatible": cr and contact_ok,
-        "partially_integrable": pint and contact_ok,
     }

@@ -213,9 +213,8 @@ def is_identifier(text: str) -> bool:
 
 def signed_lit(v: float) -> Expr:
     """The tree the text of a parenthesized repr(v) parses to: a literal,
-    under a negation when v's sign bit is set. Parameters parse to it, the
-    rotation suite builds its angle coefficients with it, and the smart
-    constructors build every literal with it."""
+    under a negation when v's sign bit is set. Parameters parse to it, and
+    the smart constructors build every literal with it."""
     v = float(v)
     return Lit(v) if math.copysign(1.0, v) > 0.0 else Unary("neg", Lit(-v))
 

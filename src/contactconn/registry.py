@@ -127,13 +127,13 @@ class ManifoldSpec:
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 if g[i][j] != g[j][i]:
-                    raise SpecError(f"g[{i}][{j}]: not symmetric with g[{j}][{i}]")
+                    raise SpecError(f"not symmetric with g[{j}][{i}]", f"g[{i}][{j}]")
         return ContactStructure(self.coords, theta, g, self.box)
 
 
 def _require(cond: bool, path: str, message: str) -> None:
     if not cond:
-        raise SpecError(f"{path}: {message}")
+        raise SpecError(message, path)
 
 
 def _is_number(v) -> bool:

@@ -14,13 +14,6 @@ from dataclasses import dataclass, field
 SCHEMA_ID = "contactconn-report/1"
 
 
-def within_gates(residuals: dict, gates: dict) -> bool:
-    """Whether every gated residual is below its tolerance: gates maps
-    each key to its tolerance, or to None for a key that is reported and
-    not gated."""
-    return all(tol is None or residuals[key] < tol for key, tol in gates.items())
-
-
 @dataclass(frozen=True)
 class SuiteResult:
     """Outcome of one invariant suite over all usable points."""

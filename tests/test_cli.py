@@ -96,7 +96,7 @@ class TestAnalyze:
         assert "r_invariance" not in err
 
     def test_zero_gate_is_tightest_only_when_its_value_is_positive(self):
-        from contactconn.cli import _tightest
+        from contactconn.suites import _tightest
 
         gates = {"a": 1e-9, "lambda_positivity": 0.0, "b": 1e-8}
         assert _tightest({"a": 1e-12, "lambda_positivity": 0.0, "b": 5e-11}, gates) == "b"

@@ -303,7 +303,6 @@ class TestClassify:
         out = classify(heis, [P3, (0.1, 0.2, 0.3)])
         assert out["contact"] is True
         assert out["cr_compatible"] is True
-        assert out["partially_integrable"] is True
         assert out["spectrum"]["count"] == 2
         assert out["spectrum"]["skipped"] == 0
 
@@ -325,7 +324,6 @@ class TestClassify:
         cs = get_manifold("n2-split").build()
         out = classify(cs, [P5, (0.2, 0.1, -0.1, 0.3, 0.4)])
         assert out["cr_compatible"] is False
-        assert out["partially_integrable"] is True
         assert out["spectrum"]["lambda_min"] == pytest.approx(
             [1.3719886811400708, 0.3429971702850177], abs=1e-12
         )

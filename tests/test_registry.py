@@ -394,6 +394,23 @@ class TestLoadSpec:
         with pytest.raises(SpecError, match=r"g\[0\]\[1\]: not symmetric"):
             load_spec(write_spec(tmp_path, payload))
 
+    def test_error_field_is_the_path_its_message_names(self, tmp_path):
+        # SpecError.field carries the path the message starts with, for a
+        # file, a code-built spec and a metric that is not symmetric.
+        payload = valid_payload()
+        payload["box"][0] = [1, -1]
+        with pytest.raises(SpecError) as exc:
+            load_spec(write_spec(tmp_path, payload))
+        assert (exc.value.field, str(exc.value)) == ("box[0]", "box[0]: must have lo < hi")
+        with pytest.raises(SpecError) as exc:
+            code_spec(coords=("x", "y", "x"))
+        assert (exc.value.field, str(exc.value)) == ("coords", "coords: names must be distinct")
+        with pytest.raises(SpecError) as exc:
+            code_spec(g=(("1", "x", "0"), ("0", "1", "0"), ("0", "0", "0"))).build()
+        assert (exc.value.field, str(exc.value)) == (
+            "g[0][1]", "g[0][1]: not symmetric with g[1][0]"
+        )
+
     def test_symmetry_compares_parsed_form(self, tmp_path):
         # equal up to whitespace and redundant parens is still symmetric
         payload = valid_payload()

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from contactconn.contact import screen_point
@@ -518,23 +519,21 @@ class TestPerPointState:
         usable = rep.requested_points - rep.skipped_points
         assert 0 < usable < rep.requested_points
         # One 15-output tape (theta, dtheta, g) per sample point, skipped or
-        # not; the rotation suite adds one angle per usable point, built as
-        # a tree, not parsed.
-        phis = usable if "rotation" in suites else 0
+        # not, and no other: the rotation suite builds its angles as jets,
+        # evaluating no expression.
         assert outputs.count(3 + 3 + 9) == rep.requested_points
-        assert outputs.count(1) == phis == counts["eval_jet"]
-        assert len(outputs) == rep.requested_points + phis
+        assert len(outputs) == rep.requested_points
+        assert counts["eval_jet"] == 0
         assert counts["parse_expr"] == 3 + 9
 
 
 def test_second_run_compiles_nothing(monkeypatch):
     # A spec compiles its structure once: a second run on the same spec
-    # object parses no expression, differentiates none and builds no tape.
-    # The rotation suite is left out because it evaluates each sampled
-    # angle through a tape of its own.
+    # object parses no expression, differentiates none and builds no tape,
+    # the rotation suite's angles included.
     from contactconn.jets import Tape
 
-    suites = ["contact", "canonical", "promotion", "tw-compare"]
+    suites = ["contact", "canonical", "promotion", "tw-compare", "rotation"]
     spec = dataclasses.replace(get_manifold("sphere-chart"))
     first = render_report(run_suites(spec, suites, points=3, seed=4))
     counts = count_calls(monkeypatch, ["expressions.parse_expr", "expressions.diff"])
@@ -625,19 +624,22 @@ def test_promotion_system_contracts_at_order_zero(monkeypatch):
     assert orders == [0] * 5 * usable
 
 
-def test_rotation_angles_are_the_trees_of_their_text(monkeypatch):
-    # The suite builds each angle as the tree parse_expr gives for
-    # "(c) + (c_1)*x_1 + ... + (c'_1)*x_1^2 + ...", each coefficient its
-    # repr, the next draws of the rotation stream in that order.
+def test_rotation_angles_are_the_jets_of_their_text(monkeypatch):
+    # The suite builds each angle as the jet at its point that eval_jet
+    # gives for "(c) + (c_1)*x_1 + ... + (c'_1)*x_1^2 + ...", each
+    # coefficient its repr, the next draws of the rotation stream in that
+    # order. Equal, not bit for bit: a negative literal parses under a
+    # negation, whose jet carries -0.0 derivative parts.
     import contactconn.suites as suites_mod
     from contactconn.expressions import parse_expr
+    from contactconn.jets import eval_jet
     from contactconn.sampling import SplitMix64
 
     angles = []
     real = suites_mod.check_rotation_covariance
 
     def spy(td, phi):
-        angles.append(phi)
+        angles.append((td.frame.p, phi))
         return real(td, phi)
 
     monkeypatch.setattr(suites_mod, "check_rotation_covariance", spy)
@@ -646,12 +648,14 @@ def test_rotation_angles_are_the_trees_of_their_text(monkeypatch):
     rng = SplitMix64(5 ^ suites_mod._ROTATION_STREAM)
     coeff = lambda: f"({2.0 * rng.next_double() - 1.0!r})"  # noqa: E731
     texts = []
-    for phi in angles:
+    for p, phi in angles:
         terms = [coeff()]
         terms.extend(f"{coeff()}*{name}" for name in spec.coords)
         terms.extend(f"{coeff()}*{name}^2" for name in spec.coords)
         texts.append(" + ".join(terms))
-        assert phi == parse_expr(texts[-1], spec.coords)
+        want = eval_jet(parse_expr(texts[-1], spec.coords), p, 2)
+        for part in ("value", "grad", "hess", "order"):
+            assert np.array_equal(getattr(phi, part), getattr(want, part)), part
     assert len(angles) == 3 and "(-" in "".join(texts)
 
 

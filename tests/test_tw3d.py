@@ -17,6 +17,7 @@ from contactconn.forms import FormField, apply_vector
 from contactconn.jets import JetArray, eval_jet
 from contactconn.registry import get_manifold
 from contactconn.sampling import sample_box
+from contactconn.suites import SUITES
 from contactconn.tw3d import (
     check_rotation_covariance,
     compare_full,
@@ -36,6 +37,15 @@ def tw_inputs(cs, p):
     connection on that frame: what the 3D comparisons take."""
     frame = tw_coframe(cs, p)
     return solve_structure_equations(frame), canonical_partial_connection(cs, p, frame=frame)
+
+
+def assert_below_gates(out, suite):
+    """Each residual of out that suite gates is below its gate there."""
+    gates = SUITES[suite].gates
+    gated = [key for key in out if gates.get(key) is not None]
+    assert gated
+    for key in gated:
+        assert out[key] < gates[key], key
 
 
 def max_coeff(fc):
@@ -126,7 +136,7 @@ class TestRotation:
             p = tuple(rng.uniform(-0.6, 0.6, size=3))
             td = solve_structure_equations(tw_coframe(cs, p))
             out = check_rotation_covariance(td, parse_expr(phi, coords))
-            assert out["passed"]
+            assert_below_gates(out, "rotation")
             assert out["omega_shift"] < 1e-9
             assert out["ab_rotation"] < 1e-9
             assert out["r_invariance"] < 1e-9
@@ -153,7 +163,7 @@ class TestComparisons:
         spec = get_manifold(model)
         p = tuple(0.4 * lo for lo, _ in spec.box)
         out = compare_partial(*tw_inputs(spec.build(), p))
-        assert out["passed"]
+        assert_below_gates(out, "tw-compare")
         assert out["e_agreement_residual"] < 1e-9
         assert out["theta_row_difference_residual"] < 1e-9
 
@@ -165,7 +175,7 @@ class TestComparisons:
         p = tuple(0.4 * hi for _, hi in spec.box)
         td, conn = tw_inputs(spec.build(), p)
         out = compare_full(td, promote(conn))
-        assert out["passed"]
+        assert_below_gates(out, "tw-compare")
         assert out["difference_tensor_residual"] < 1e-8
         assert out["torsion_e_rows_residual"] < 1e-8
         assert out["torsion_theta_row_vs_minus_levi"] < 1e-8
