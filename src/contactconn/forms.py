@@ -194,7 +194,7 @@ def wedge(a: JetArray, p: int, b: JetArray, q: int) -> JetArray:
     if p + q > a.dim:
         raise ValueError("degree overflow")
     ia, ib = _wedge_table(a.dim, p, q)
-    order = int(min(a.order.min(), b.order.min()))
+    order = min(a.low, b.low)
     return contract(_signed(a.restrict(order))[ia], b.restrict(order)[ib])
 
 
@@ -290,7 +290,7 @@ def d_from_jets(a: JetArray, degree: int) -> JetArray:
     _check_layout(a, degree)
     if degree == a.dim:
         raise ValueError("d of a top-degree form is not a form")
-    if np.any(a.order < 1):
+    if a.low < 1:
         raise ValueError("d_from_jets needs jets of order >= 1")
     coord, rest = _d_table(a.dim, degree)
     s = len(a.shape) - 1

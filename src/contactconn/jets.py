@@ -33,11 +33,19 @@ Design notes.
   layout or on BLAS; a test pins this against the Python loop of that
   running sum.
 - Orders. A JetArray computes all its entries at one common order, the
-  highest any entry carries, and tracks each entry's own order in an
-  integer array: mixed-order operands give each entry the lower of
-  their orders, and plain numbers lift to constant jets. Parts above an
-  entry's order are never read (value and gradient rules read no higher
-  part), so mixing orders in one array is exact.
+  highest any entry carries, and tracks each entry's own order:
+  mixed-order operands give each entry the lower of their orders, and
+  plain numbers lift to constant jets. Parts above an entry's order are
+  never read (value and gradient rules read no higher part), so mixing
+  orders in one array is exact. A uniform order needs no array: every
+  tape output and solve, and every restriction, partial, rule result or
+  contraction of operands whose entries all carry their top order,
+  carries that order in every entry and keeps no order array. Only
+  entries assigned into a container of a higher order, and what is
+  computed from them, carry an integer array of their orders.
+  JetArray.order reads either state as a read-only array. __setitem__ is
+  its only writer, and it replaces the array rather than writing into
+  it, so arrays that share one never see each other's writes.
 - Work at the order that is read. For the same reason, cutting an
   operand to the order its consumer reads (JetArray.restrict) before a
   kernel runs gives the same bits as cutting the result, without
@@ -143,7 +151,7 @@ def _mul_rule(k, av, ag, ah, bv, bg, bh):
 def _div_rule(k, av, ag, ah, bv, bg, bh):
     """q = a/b, q' = (a' - q b')/b, q'' = ((a'' - q b'') - (q' b'^T + b' q'^T))/b.
     A zero divisor raises ExprDomainError."""
-    if np.any(bv == 0.0):
+    if np.count_nonzero(bv == 0.0):
         raise ExprDomainError("division by zero", "<jet quotient>")
     q = av / bv
     g = h = None
@@ -165,9 +173,9 @@ def _sqrt_rule(k, v, g, h, order):
     rounded; order is f's entry order (an array, or one number for every
     entry). A negative value, or a zero one of order >= 1, raises
     ExprDomainError."""
-    if np.any(v < 0.0):
+    if np.count_nonzero(v < 0.0):
         raise ExprDomainError("sqrt of negative value", "<jet sqrt>")
-    if np.any((v == 0.0) & (order >= 1)):
+    if np.count_nonzero((v == 0.0) & (order >= 1)):
         raise ExprDomainError("sqrt not differentiable at zero", "<jet sqrt>")
     s = np.sqrt(v)
     gs = hs = None
@@ -199,7 +207,7 @@ def _powi(k: int):
 
 def _check_powi(v, k: int) -> None:
     """Raise ExprDomainError where a zero value meets a negative power."""
-    if k < 0 and np.any(v == 0.0):
+    if k < 0 and np.count_nonzero(v == 0.0):
         raise ExprDomainError("zero raised to a negative power", "<jet pow>")
 
 
@@ -239,21 +247,27 @@ class JetArray:
     derivative axes always stay last. Arithmetic broadcasts like numpy
     over the tensor axes, runs the rules at the lower top order of its
     operands and gives every entry the lower of its operands' orders.
+
+    A uniform order needs no array: the order given to the constructor
+    is an integer array of shape S, or None when every entry carries the
+    top order, and every kernel that knows its result is uniform gives
+    None. order reads either state as a read-only array; __setitem__ is
+    its only writer.
     """
 
-    __slots__ = ("dim", "value", "grad", "hess", "order")
+    __slots__ = ("dim", "value", "grad", "hess", "_order")
 
     # A single jet's value is a numpy scalar; with a numpy number on the
     # left of an operator, numpy defers to this class's reflected operator
     # instead of unpacking the array into an object array of jets.
     __array_ufunc__ = None
 
-    def __init__(self, dim: int, value, grad, hess, order):
+    def __init__(self, dim: int, value, grad, hess, order=None):
         self.dim = dim
         self.value = value
         self.grad = grad
         self.hess = hess
-        self.order = order
+        self._order = order
 
     # -- construction --------------------------------------------------------
 
@@ -264,14 +278,11 @@ class JetArray:
         shape = tuple(shape)
         value = np.empty(shape)
         value.fill(v)
-        orders = np.empty(shape, dtype=_ORDER_DTYPE)
-        orders.fill(order)
         return JetArray(
             dim,
             value,
             np.zeros(shape + (dim,)) if order >= 1 else None,
             np.zeros(shape + (dim, dim)) if order >= 2 else None,
-            orders,
         )
 
     @staticmethod
@@ -282,7 +293,7 @@ class JetArray:
             x.grad[i] = 1.0
         return x
 
-    # -- shape ---------------------------------------------------------------
+    # -- shape and orders ----------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -292,10 +303,29 @@ class JetArray:
     def top(self) -> int:
         return 0 if self.grad is None else 1 if self.hess is None else 2
 
+    @property
+    def order(self) -> np.ndarray:
+        """Each entry's own jet order, shape S, as a read-only array."""
+        o = self._order
+        return np.broadcast_to(_ORDER_DTYPE(self.top) if o is None else o, self.value.shape)
+
+    @property
+    def low(self) -> int:
+        """The lowest order any entry carries."""
+        o = self._order
+        return self.top if o is None else int(o.min())
+
+    def _orders(self):
+        """The entry orders as they broadcast: the order array, or the top
+        order as one number where every entry carries it."""
+        o = self._order
+        return self.top if o is None else o
+
     def __len__(self) -> int:
-        if not self.shape:
+        shape = self.value.shape
+        if not shape:
             raise TypeError("a single jet has no length")
-        return self.shape[0]
+        return shape[0]
 
     def __iter__(self):
         """The entries along the leading axis, as indexing gives them."""
@@ -305,20 +335,25 @@ class JetArray:
         """The entries at idx; a single entry comes cut to its own order,
         so arithmetic on it runs at that order."""
         value = self.value[idx]
-        order = self.order[idx]
-        k = self.top
-        if value.shape == () and order < k:
-            k = int(order)
+        g, h, o = self.grad, self.hess, self._order
+        if o is not None:
+            o = o[idx]
+            if value.shape == ():
+                k, o = int(o), None
+                g = g if k >= 1 else None
+                h = h if k >= 2 else None
         return JetArray(
             self.dim,
             value,
-            self.grad[idx] if k >= 1 else None,
-            self.hess[idx] if k >= 2 else None,
-            order,
+            None if g is None else g[idx],
+            None if h is None else h[idx],
+            o,
         )
 
     def __setitem__(self, idx, other) -> None:
-        """Assign entries; an entry gets at most this array's top order."""
+        """Assign entries; an entry gets at most this array's top order.
+        The orders go into a new order array, never into the old one, so
+        a view taken before the assignment keeps the orders it had."""
         other = self._coerce(other)
         k = self.top
         self.value[idx] = other.value
@@ -326,40 +361,46 @@ class JetArray:
             self.grad[idx] = other.grad
         if k >= 2 and other.hess is not None:
             self.hess[idx] = other.hess
-        self.order[idx] = np.minimum(other.order, k)
+        o = self._order
+        if o is None and other._order is None and other.top >= k:
+            return
+        order = np.full(self.value.shape, k, _ORDER_DTYPE) if o is None else np.array(o)
+        order[idx] = np.minimum(other._orders(), k)
+        self._order = order
 
     def transpose(self, *axes) -> "JetArray":
         s = len(axes)
-        g, h = self.grad, self.hess
+        g, h, o = self.grad, self.hess, self._order
         return JetArray(
             self.dim,
             self.value.transpose(axes),
             None if g is None else g.transpose(axes + (s,)),
             None if h is None else h.transpose(axes + (s, s + 1)),
-            self.order.transpose(axes),
+            None if o is None else o.transpose(axes),
         )
 
     def reshape(self, *shape) -> "JetArray":
         d = self.dim
-        g, h = self.grad, self.hess
+        g, h, o = self.grad, self.hess, self._order
         return JetArray(
             d,
             self.value.reshape(shape),
             None if g is None else g.reshape(shape + (d,)),
             None if h is None else h.reshape(shape + (d, d)),
-            self.order.reshape(shape),
+            None if o is None else o.reshape(shape),
         )
 
     def restrict(self, k: int) -> "JetArray":
         """The same entries cut to order at most k. Adding the result to a
         term of order at most k gives the same entries as adding the uncut
         array, without computing the parts above k."""
+        o = self._order
         return JetArray(
             self.dim,
             self.value,
             self.grad if k >= 1 else None,
             self.hess if k >= 2 else None,
-            np.minimum(self.order, k),
+            None if o is None else np.minimum(o, k) if k < self.top else o,
         )
 
     # -- arithmetic ----------------------------------------------------------
@@ -375,9 +416,12 @@ class JetArray:
     def _apply(rule, a, b) -> "JetArray":
         if a is NotImplemented or b is NotImplemented:
             return NotImplemented
-        k = min(a.top, b.top)
-        parts = rule(k, a.value, a.grad, a.hess, b.value, b.grad, b.hess)
-        return JetArray(a.dim, *parts, np.minimum(a.order, b.order))
+        ag, ah, bg, bh = a.grad, a.hess, b.grad, b.hess
+        k = 0 if ag is None or bg is None else 1 if ah is None or bh is None else 2
+        parts = rule(k, a.value, ag, ah, b.value, bg, bh)
+        if a._order is None and b._order is None:
+            return JetArray(a.dim, *parts)
+        return JetArray(a.dim, *parts, _lower(a, b, parts[0].shape))
 
     def __add__(self, other):
         return self._apply(_add_rule, self, self._coerce(other))
@@ -405,11 +449,11 @@ class JetArray:
 
     def __neg__(self):
         parts = _neg_rule(self.top, self.value, self.grad, self.hess)
-        return JetArray(self.dim, *parts, self.order)
+        return JetArray(self.dim, *parts, self._order)
 
     def sqrt(self) -> "JetArray":
-        parts = _sqrt_rule(self.top, self.value, self.grad, self.hess, self.order)
-        return JetArray(self.dim, *parts, self.order)
+        parts = _sqrt_rule(self.top, self.value, self.grad, self.hess, self._orders())
+        return JetArray(self.dim, *parts, self._order)
 
     def _chain(self, f) -> "JetArray":
         """f applied entry by entry through the chain rule, where f maps an
@@ -417,7 +461,7 @@ class JetArray:
         fs = [_elementary(f, v) for v in np.ravel(self.value).tolist()]
         fv, df, d2f = (np.array(c).reshape(self.shape) for c in zip(*fs))
         parts = _chain_rule(self.top, fv, df, d2f, self.grad, self.hess)
-        return JetArray(self.dim, *parts, self.order)
+        return JetArray(self.dim, *parts, self._order)
 
     def sin(self) -> "JetArray":
         return self._chain(_ELEMENTARY["sin"])
@@ -440,20 +484,31 @@ class JetArray:
         leading axis: entry [i, ...] is the i-th coordinate partial of
         entry [...]. The value comes from the gradient and the gradient from
         the Hessian row, so differentiating consumes exactly one order."""
-        if self.grad is None or np.any(self.order < 1):
+        if self.low < 1:
             raise ValueError("partial derivative needs a jet of order >= 1")
+        o = self._order
+        if o is not None:
+            o = np.subtract(o, 1, out=np.empty((self.dim,) + o.shape, _ORDER_DTYPE))
+        # The derivative axis, after the tensor axes, moved to the front.
+        s = self.value.ndim
+        axes = (s, *range(s))
         return JetArray(
             self.dim,
-            np.moveaxis(self.grad, -1, 0),
-            None if self.hess is None else np.moveaxis(self.hess, -2, 0),
+            self.grad.transpose(axes),
+            None if self.hess is None else self.hess.transpose(axes + (s + 1,)),
             None,
-            np.broadcast_to(self.order - 1, (self.dim,) + self.shape),
+            o,
         )
 
 
 # The name of the class where it holds a single jet: Jet.constant(v, dim)
 # and Jet.coordinate(p, i, order) build one.
 Jet = JetArray
+
+
+def _lower(a: JetArray, b: JetArray, shape) -> np.ndarray:
+    """The lower of a's and b's entry orders, broadcast to shape."""
+    return np.minimum(a._orders(), b._orders(), out=np.empty(shape, _ORDER_DTYPE))
 
 
 def concatenate(items) -> JetArray:
@@ -487,23 +542,27 @@ def contract(a: JetArray, b: JetArray) -> JetArray:
     the bits depend on the operands' values and shapes only. An entry
     gets the lowest order of any term it sums. E must be nonempty.
     """
-    if not a.shape or len(a.shape) != len(b.shape) or len(a) != len(b) or not len(a):
-        raise ValueError(f"shapes {a.shape}, {b.shape}: not one rank with a shared leading axis")
-    k = min(a.top, b.top)
+    sa, sb = a.value.shape, b.value.shape
+    if not sa or len(sa) != len(sb) or sa[0] != sb[0] or not sa[0]:
+        raise ValueError(f"shapes {sa}, {sb}: not one rank with a shared leading axis")
+    ag, ah, bg, bh = a.grad, a.hess, b.grad, b.hess
+    k = 0 if ag is None or bg is None else 1 if ah is None or bh is None else 2
     c = np.ascontiguousarray
     av, bv = c(a.value), c(b.value)
     value = np.add.accumulate(av * bv, axis=0)[-1] + 0.0
     grad = hess = None
     if k >= 1:
-        ag, bg = c(a.grad), c(b.grad)
+        ag, bg = c(ag), c(bg)
         grad = np.einsum("e...i,e...->...i", ag, bv)
         grad += np.einsum("e...,e...i->...i", av, bg)
     if k >= 2:
         cross = np.einsum("e...i,e...j->...ij", ag, bg)
-        hess = np.einsum("e...ij,e...->...ij", c(a.hess), bv)
-        hess += np.einsum("e...,e...ij->...ij", av, c(b.hess))
+        hess = np.einsum("e...ij,e...->...ij", c(ah), bv)
+        hess += np.einsum("e...,e...ij->...ij", av, c(bh))
         hess += cross + _tr(cross)
-    order = np.minimum.reduce(np.minimum(a.order, b.order), axis=0)
+    order = None
+    if a._order is not None or b._order is not None:
+        order = np.minimum.reduce(_lower(a, b, sa[:1] + value.shape), axis=0)
     return JetArray(a.dim, value, grad, hess, order)
 
 
@@ -624,7 +683,6 @@ class Tape:
             np.array([v for v, _, _ in out], dtype=float),
             np.array([g for _, g, _ in out]).reshape(n, d) if order >= 1 else None,
             np.array([h for _, _, h in out]).reshape(n, d, d) if order >= 2 else None,
-            np.full(n, order, dtype=_ORDER_DTYPE),
         )
         finite = np.isfinite(res.value)
         for part in (res.grad, res.hess)[:order]:
@@ -662,7 +720,7 @@ def jet_linear_solve(A: JetArray, b: JetArray) -> JetArray:
     m = len(b)
     if A.shape != (m, m) or len(b.shape) > 2:
         raise ValueError("A must be square and match b")
-    order = int(min(A.order.min(), b.order.min()))
+    order = min(A.low, b.low)
     dim = A.dim
     shape = b.shape
 
@@ -702,5 +760,4 @@ def jet_linear_solve(A: JetArray, b: JetArray) -> JetArray:
         x0.reshape(shape),
         None if xg is None else xg.reshape(shape + (dim,)),
         None if xh is None else xh.reshape(shape + (dim, dim)),
-        np.full(shape, order, dtype=_ORDER_DTYPE),
     )

@@ -21,7 +21,7 @@ from .contact import ContactStructure
 from .errors import ParseError, SpecError, UnknownManifoldError
 from .expressions import CONSTANTS, FUNCTIONS, is_identifier, parse_expr
 from .forms import FormField
-from .sampling import SEED_LIMIT
+from .sampling import run_bound_violation
 
 DEFAULT_POINTS = 100
 DEFAULT_SEED = 42
@@ -34,8 +34,9 @@ class ManifoldSpec:
     Every spec is checked when it is made, however it is made (in code,
     by dataclasses.replace or by load_spec): a field that build() or the
     sampler cannot use raises SpecError naming the field. The default
-    point count and seed are checked as integers here and as bounds by
-    run_suites, which checks a value passed to it the same way.
+    point count and seed are checked as integers here; their bounds are
+    one check, sampling.run_bound_violation, which load_spec makes on
+    them and run_suites on the values a run uses.
 
     The sequences are kept as tuples and the box bounds and parameter
     values as floats. params is a read-only view of the spec's own copy
@@ -323,8 +324,9 @@ def load_spec(path: str) -> ManifoldSpec:
     )
     if "dim" in raw:
         _require(raw["dim"] == spec.dim, "dim", f"does not match len(coords) = {spec.dim}")
-    _require(spec.points > 0, "points", "must be a positive integer")
-    _require(0 <= spec.seed < SEED_LIMIT, "seed", "must be an integer from 0 to 2^64 - 1")
+    bad = run_bound_violation(spec.points, spec.seed)
+    if bad:
+        raise SpecError(bad[1], bad[0])
 
     # This build is the spec's one structure, so run_suites reuses it.
     spec.build()

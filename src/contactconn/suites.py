@@ -65,7 +65,7 @@ from .forms import evaluate_forms
 from .jets import JetArray
 from .registry import ManifoldSpec
 from .report import PointRecord, Report, SuiteResult
-from .sampling import SEED_LIMIT, SplitMix64, sample_box
+from .sampling import SplitMix64, run_bound_violation, sample_box
 from .tw3d import (
     check_rotation_covariance,
     compare_full,
@@ -323,10 +323,9 @@ def run_suites(
         raise SuiteUnavailableError("no suites requested")
     n_points = spec.points if points is None else points
     run_seed = spec.seed if seed is None else seed
-    if n_points < 1:
-        raise ValueError(f"points must be at least 1, got {n_points}")
-    if not 0 <= run_seed < SEED_LIMIT:
-        raise ValueError(f"seed must be from 0 to 2^64 - 1, got {run_seed}")
+    bad = run_bound_violation(n_points, run_seed)
+    if bad:
+        raise ValueError(" ".join(bad))
 
     cs = spec.build(param_overrides)
     for name in requested:

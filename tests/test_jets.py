@@ -968,3 +968,78 @@ class TestTapeOracle:
 
         # The first drawn case that raises it, unshrunk.
         find(ORACLE_CASES, raises_it, settings=settings(max_examples=2000, phases=[Phase.generate]))
+
+
+class TestDomainChecksOnBothValueKinds:
+    # A tape slot's value is a Python float and a JetArray's a numpy array
+    # or scalar; each domain check raises on either, naming the tape's
+    # subexpression or the array rule's placeholder.
+    @pytest.mark.parametrize(
+        "text, p, order, message, subexpr",
+        [
+            ("y + 1/x", (0.0, 1.0, 1.0), 2, "division by zero", "1 / x"),
+            ("y + 1/x", (-0.0, 1.0, 1.0), 2, "division by zero", "1 / x"),
+            ("y + 1/x", (-0.0, 1.0, 1.0), 0, "division by zero", "1 / x"),
+            ("y * sqrt(x - 2)", (1.0, 1.0, 1.0), 0, "sqrt of negative value", "sqrt(x - 2)"),
+            ("y * sqrt(x)", (0.0, 1.0, 1.0), 1, "sqrt not differentiable at zero", "sqrt(x)"),
+            ("y * sqrt(x)", (0.0, 1.0, 1.0), 2, "sqrt not differentiable at zero", "sqrt(x)"),
+            ("1 + x^-2", (0.0, 1.0, 1.0), 2, "zero raised to a negative power", "x^-2"),
+            ("1 + x^-2", (-0.0, 1.0, 1.0), 0, "zero raised to a negative power", "x^-2"),
+        ],
+    )
+    def test_tape_slots(self, text, p, order, message, subexpr):
+        with pytest.raises(ExprDomainError) as exc:
+            Tape([parse_expr(text, XYZ)]).eval(p, order)
+        assert str(exc.value) == f"{message} in {subexpr!r}"
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
+    @pytest.mark.parametrize(
+        "op, v, order, message, placeholder",
+        [
+            ("1/", 0.0, 2, "division by zero", "<jet quotient>"),
+            ("1/", -0.0, 0, "division by zero", "<jet quotient>"),
+            ("sqrt", -1.0, 0, "sqrt of negative value", "<jet sqrt>"),
+            ("sqrt", 0.0, 1, "sqrt not differentiable at zero", "<jet sqrt>"),
+            ("sqrt", -0.0, 2, "sqrt not differentiable at zero", "<jet sqrt>"),
+            ("powi", 0.0, 2, "zero raised to a negative power", "<jet pow>"),
+        ],
+    )
+    def test_jet_arrays(self, shape, op, v, order, message, placeholder):
+        x = JetArray.constant(v, 3, shape, order)
+        with pytest.raises(ExprDomainError) as exc:
+            if op == "1/":
+                JetArray.constant(1.0, 3, shape) / x
+            elif op == "sqrt":
+                x.sqrt()
+            else:
+                x.powi(-1)
+        assert str(exc.value) == f"{message} in {placeholder!r}"
+
+    def test_one_bad_entry_is_enough(self):
+        den = JetArray.constant(2.0, 3, (2, 2))
+        den[1, 0] = -0.0
+        with pytest.raises(ExprDomainError, match="division by zero"):
+            JetArray.constant(1.0, 3, (2, 2)) / den
+
+    def test_zero_of_order_zero_has_a_square_root(self):
+        # Only a differentiated zero fails: an order-0 zero entry of an
+        # array of top order 2 takes its root.
+        x = JetArray.constant(1.0, 3, (2,))
+        x[0] = JetArray.constant(0.0, 3, (), 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = x.sqrt()  # entry 0's derivative parts are never read
+        assert root.value.tolist() == [0.0, 1.0]
+        assert root.order.tolist() == [0, 2]
+        for shape in [(), (2,)]:
+            root = JetArray.constant(0.0, 3, shape, 0).sqrt()
+            assert root.value.tolist() == np.zeros(shape).tolist()
+        assert Tape([parse_expr("sqrt(x)", XYZ)]).eval((0.0, 1.0, 1.0), 0).value.tolist() == [0.0]
+
+    def test_nan_divisor_is_not_a_zero_divisor(self):
+        # NaN compares unequal to zero: the array rule returns NaN, and the
+        # tape reports the non-finite output.
+        q = JetArray.constant(1.0, 3) / JetArray.constant(math.nan, 3)
+        assert math.isnan(q.value)
+        with pytest.raises(ExprDomainError) as exc:
+            Tape([parse_expr("1/x", XYZ)]).eval((math.nan, 1.0, 1.0), 2)
+        assert str(exc.value) == "value, gradient or Hessian is not finite in '1 / x'"

@@ -324,7 +324,7 @@ class TestLoadSpec:
         for seed in (0, 2**64 - 1):
             assert load_spec(write_spec(tmp_path, dict(valid_payload(), seed=seed))).seed == seed
         for seed in (2**64, 2**64 + 42):
-            with pytest.raises(SpecError, match=r"seed: must be an integer from 0 to 2\^64 - 1"):
+            with pytest.raises(SpecError, match=rf"seed: must be from 0 to 2\^64 - 1, got {seed}"):
                 load_spec(write_spec(tmp_path, dict(valid_payload(), seed=seed)))
 
     def test_rejects_bad_json(self, tmp_path):

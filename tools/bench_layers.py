@@ -10,8 +10,9 @@ does not span (ContactStructure.inputs_at, which runs the input tape)
 and without its jet-operation counter, for each layer's self time per
 usable point, and once more with jets.contract (every sum of products
 over an axis) and the product rule counted, the contractions and the
-products each split by the jet order they ran at. Prints one JSON
-object with the medians over passes.
+products each split by the jet order they ran at, and with the JetArrays
+built counted, in all and those given a per-entry order array. Prints
+one JSON object with the medians over passes.
 
     python3 tools/bench_layers.py [--src PATH] [--passes N]
 
@@ -101,8 +102,15 @@ def measure(src: Path, passes: int) -> dict:
 
         contracts = {f"order{k}": 0 for k in range(3)}
         products = {f"order{k}": 0 for k in range(3)}
+        arrays = {"all": 0, "with_orders": 0}
         real = jets.contract
         real_mul = jets._mul_rule
+        real_init = jets.JetArray.__init__
+
+        def counted_init(self, dim, value, grad, hess, order=None):
+            arrays["all"] += 1
+            arrays["with_orders"] += order is not None
+            real_init(self, dim, value, grad, hess, order)
 
         def counted_mul(k, *parts):
             products[f"order{k}"] += 1
@@ -122,12 +130,14 @@ def measure(src: Path, passes: int) -> dict:
         for mod, key in bound:
             setattr(mod, key, counted)
         jets._mul_rule = counted_mul
+        jets.JetArray.__init__ = counted_init
         try:
             usable = analyze(1)
         finally:
             for mod, key in bound:
                 setattr(mod, key, real)
             jets._mul_rule = real_mul
+            jets.JetArray.__init__ = real_init
 
         ms = lambda v: round(1e3 * statistics.median(v), 3)  # noqa: E731
         out[f"dim{dim}"] = {
@@ -138,6 +148,7 @@ def measure(src: Path, passes: int) -> dict:
             "contract_calls_per_point": sum(contracts.values()) / usable,
             "contracts_per_point": {k: v / usable for k, v in contracts.items()},
             "products_per_point": {k: v / usable for k, v in products.items()},
+            "jet_arrays_per_point": {k: v / usable for k, v in arrays.items()},
         }
     out["host"] = {
         "python": platform.python_version(),
