@@ -37,7 +37,7 @@ from .contact import (
     max_abs,
 )
 from .errors import SymmetryError
-from .forms import FormField, apply_vector
+from .forms import FormField, apply_vector, pair_table
 from .jets import JetArray, concatenate, contract
 
 
@@ -218,12 +218,11 @@ def _derivative(X: JetArray, kap: JetArray, t: JetArray) -> JetArray:
     off = full - t.shape[0] if rank else 0
     k = _derivative_order(t)
     kapE = kap.restrict(k)[:, off:, off:].transpose(1, 0, 2)  # [E, P, B]
-    low = t.restrict(k)
     out = apply_vector(X, t)
     every = slice(None)
     for s in range(rank):
         # Terms [E, P, I]: t with slot s moved first, times kap[P, E, I_s].
-        lead = low.transpose(s, *(j for j in range(rank) if j != s))
+        lead = t.transpose(s, *(j for j in range(rank) if j != s))
         lead = lead[(every, None) + (every,) * s + (None,)]
         coef = kapE[(every, every) + (None,) * s + (every,) + (None,) * (rank - 1 - s)]
         out = out + contract(lead, coef)
@@ -331,10 +330,10 @@ def _promotion_system(conn: PartialConnection):
     )
     K = apply_vector(X, kap) + corr
 
-    # One obstruction per pair u < v, stacked in triu order and
+    # One obstruction per pair u < v, stacked in pair_table order and
     # contracted over pairs with Omega_uv:
     # sum_e D[e, u, v] kappa[e] + K[u, v] - K[v, u].
-    uu, vv = np.triu_indices(m, 1)
+    uu, vv = pair_table(m)
     Omk = Om[uu, vv]
     cc = contract(D[:, uu, vv][:, :, None, None], kapk[:, None])
     ob = cc + K[uu, vv] - K[vv, uu]

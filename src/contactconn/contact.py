@@ -43,7 +43,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .expressions import Expr
-from .forms import FormField, d_from_jets, evaluate_forms, full_tensor, pair, wedge
+from .forms import FormField, d_from_jets, evaluate_forms, full_tensor, pair, pair_table, wedge
 from .jets import JetArray, Tape, concatenate, contract, jet_linear_solve
 
 CONTACT_REL_TOL = 1e-10
@@ -107,8 +107,7 @@ class ContactStructure:
         if len(p) != d:
             raise ValueError(f"point has {len(p)} coordinates, the chart has {d}")
         out = self.input_tape.eval(p, ORDER)
-        k = d + d * (d - 1) // 2
-        return PointInputs(theta=out[:d], dtheta=out[d:k], G=out[k:].reshape(d, d))
+        return PointInputs(theta=out[:d], dtheta=out[d : -d * d], G=out[-d * d :].reshape(d, d))
 
 
 @dataclass(frozen=True)
@@ -335,36 +334,26 @@ class AdaptedFrame:
     def d_pairs(self) -> JetArray:
         """d(theta_hat) and every d(e^b) on all frame pairs, stacked:
         entry [0, P, Q] pairs the P-th and Q-th frame vectors, index 0 the
-        Reeb direction, in d(theta_hat), entry [b + 1, P, Q] in d(e^b).
-
-        Reeb-H entries of d(theta_hat) are residual-level zeros by the
-        defining property of the Reeb field. H-H entries are Omega and the
-        order-1 structure values D; the mixed entries of d(e^b) assemble
-        d(f + c theta_hat) piecewise at order 0.
+        Reeb direction, in d(theta_hat), entry [b + 1, P, Q] in d(e^b):
+        the forms.full_tensor of each form's values on the pairs (T, X_a),
+        then on the H pairs. Reeb-H entries of d(theta_hat) are
+        residual-level zeros by the defining property of the Reeb field,
+        those of d(e^b) are d(f + c theta_hat) at order 0; H-H entries are
+        Omega and the order-1 structure values D.
         """
         m = 2 * self.n
-        i, j = np.triu_indices(self.dim, 1)
-        # dc ^ theta_hat on the increasing pairs (i, j): (0 + dc_i th_j) -
-        # dc_j th_i, as wedge sums.
-        dc = self.c.partials()
-        th = self.theta_hat
-        dc_th = ((0.0 + dc[i] * th[j][:, None]) - dc[j] * th[i][:, None]).transpose(1, 0)
         # d(theta_hat), every d(f^b) and every dc^b ^ theta_hat on (T, X_a),
         # one pairing; the order-0 dc ^ theta_hat rows keep their order.
+        dc_th = wedge(self.c.partials().transpose(1, 0), 1, self.theta_hat, 1)
         forms = concatenate([self.dtheta_hat[None], self.df, dc_th])
         on_TX = evaluate_forms(forms, self.T[None], self.X)[:, 0]
         dth = on_TX[0]
-        # Antisymmetric in (P, Q): the entries below the diagonal are the
-        # negatives of those above, the diagonal constant zeros.
-        out = JetArray.constant(0.0, self.dim, (m + 1, m + 1, m + 1))
-        out[0, 0, 1:] = dth
-        out[1:, 0, 1:] = on_TX[1 : m + 1] + on_TX[m + 1 :] + dth[None, :] * self.c[:, None]
-        out[:, 1:, 0] = -out[:, 0, 1:]
-        iu, ju = np.triu_indices(m, 1)
-        out[0, iu + 1, ju + 1] = self.Omega[iu, ju]
-        out[1:, iu + 1, ju + 1] = self.D[:, iu, ju]
-        out[:, ju + 1, iu + 1] = -out[:, iu + 1, ju + 1]
-        return out
+        de = on_TX[1 : m + 1] + on_TX[m + 1 :] + dth[None, :] * self.c[:, None]
+        u, v = pair_table(m)
+        on_T = concatenate([dth[None], de])
+        on_H = concatenate([self.Omega[u, v][None], self.D[:, u, v]])
+        on_pairs = concatenate([on_T.transpose(1, 0), on_H.transpose(1, 0)]).transpose(1, 0)
+        return full_tensor(on_pairs, 2)
 
 
 def adapted_frame(

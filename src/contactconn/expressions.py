@@ -66,7 +66,11 @@ Expr = Lit | Coord | Unary | Binary | Pow
 # literal, the tree its text parses to, never as a negative literal.
 
 def lit(v: float) -> Expr:
-    return signed_lit(v)
+    """The tree the text of a parenthesized repr(v) parses to: a literal,
+    under a negation when v's sign bit is set. Parameters parse to it, and
+    the smart constructors build every literal with it."""
+    v = float(v)
+    return Lit(v) if math.copysign(1.0, v) > 0.0 else Unary("neg", Lit(-v))
 
 
 # The literals structural differentiation builds most, shared: nodes are
@@ -211,14 +215,6 @@ def is_identifier(text: str) -> bool:
     return len(toks) == 2 and toks[0] == (_TOK_IDENT, text, 0)
 
 
-def signed_lit(v: float) -> Expr:
-    """The tree the text of a parenthesized repr(v) parses to: a literal,
-    under a negation when v's sign bit is set. Parameters parse to it, and
-    the smart constructors build every literal with it."""
-    v = float(v)
-    return Lit(v) if math.copysign(1.0, v) > 0.0 else Unary("neg", Lit(-v))
-
-
 class _Parser:
     def __init__(self, text: str, coords: tuple[str, ...], params):
         self.text = text
@@ -312,7 +308,7 @@ class _Parser:
             if val in self.coords:
                 return Coord(self.coords.index(val), val)
             if val in self.params:
-                return signed_lit(float(self.params[val]))
+                return lit(float(self.params[val]))
             raise UnknownIdentifierError(val, self.coords, off)
         if kind == _TOK_OP and val == "(":
             e = self.expr()

@@ -26,10 +26,10 @@ kernel, which evaluate_forms chains over a form's full tensor), graded
 products (wedge) and differentiating along vectors (apply_vector) are
 array kernels over whole stacks of forms, vectors and scalars.
 full_tensor expands k-form components into the full antisymmetric
-coefficient tensor, the one expansion evaluate_forms pairs through and
-the Reeb solve reads its d(theta) matrix from. The one 2-form still
-assembled by hand from the component layout is the order-0
-dc ^ theta_hat in contact.AdaptedFrame.d_pairs.
+coefficient tensor, the one expansion evaluate_forms pairs through, the
+Reeb solve reads its d(theta) matrix from and AdaptedFrame.d_pairs
+builds its tensor on frame pairs with. pair_table is the one table of
+the index pairs u < v a 2-form's components run over.
 """
 
 from __future__ import annotations
@@ -51,6 +51,15 @@ def increasing_indices(dim: int, k: int) -> tuple[tuple[int, ...], ...]:
     itertools.combinations order: what a k-form value's last axis runs
     over."""
     return tuple(itertools.combinations(range(dim), k))
+
+
+@lru_cache(maxsize=64)
+def pair_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """increasing_indices(dim, 2), a 2-form's pairs u < v, as two
+    read-only index arrays (u, v)."""
+    u, v = np.array(increasing_indices(dim, 2), dtype=np.intp).reshape(-1, 2).T
+    u.flags.writeable = v.flags.writeable = False
+    return u, v
 
 
 def _perm_sign(seq) -> int:
@@ -122,15 +131,14 @@ def pair(t: JetArray, axis: int, v: JetArray) -> JetArray:
     over i. The one pairing kernel: form pairings and metric pairings
     chain it one vector stack at a time.
 
-    Each term carries no part above t's top order, so the contraction
-    runs at that order only: v is cut to it first, which is exact (value
-    and gradient rules never read a higher part). Stacks of higher order
-    than t cost no more than stacks already cut.
+    The contraction runs at the lower top order of t and v and reads no
+    part above it, so stacks of higher order than t cost no more than
+    stacks already cut to t's order, and give the same bits.
     """
     n = len(t.shape)
     every = slice(None)
     a = t.transpose(axis, *range(axis), *range(axis + 1, n))[(every,) * n + (None,)]
-    b = v.restrict(t.top).transpose(1, 0)
+    b = v.transpose(1, 0)
     return contract(a, b[(every,) + (None,) * (n - 1) + (every,)])
 
 
@@ -179,13 +187,15 @@ def _wedge_table(dim: int, p: int, q: int):
 
 
 def wedge(a: JetArray, p: int, b: JetArray, q: int) -> JetArray:
-    """Graded product of the p-form a and the q-form b, one form each:
-    the components of the (p+q)-form.
+    """Graded product of the p-forms a and the q-forms b: the components
+    of the (p+q)-forms. Leading axes stack forms, and a's stack and b's
+    broadcast against each other as numpy arrays do.
 
     Each output component contracts its terms, in the order of a loop
     over a's multi-indices, then b's, skipping repeated indices: the
-    signed component of a times the component of b. Every component
-    carries the lowest order of any input component.
+    signed component of a times the component of b. Every component of
+    a product carries the lowest order of any component of its two
+    factors, so each stacked product gets the bits it gets alone.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
@@ -194,8 +204,23 @@ def wedge(a: JetArray, p: int, b: JetArray, q: int) -> JetArray:
     if p + q > a.dim:
         raise ValueError("degree overflow")
     ia, ib = _wedge_table(a.dim, p, q)
-    order = min(a.low, b.low)
-    return contract(_signed(a.restrict(order))[ia], b.restrict(order)[ib])
+    s = max(len(a.shape), len(b.shape)) - 1
+    out = contract(_terms(_signed(a), ia, s), _terms(b, ib, s))
+    if out.low == out.top:
+        return out
+    # A product's lowest component order is its factors' (each is in a term).
+    low = out.order.min(axis=-1, keepdims=True)
+    order = np.minimum(out.order, low)
+    return JetArray(out.dim, out.value, out.grad, out.hess, order).restrict(int(low.max()))
+
+
+def _terms(x: JetArray, table: np.ndarray, s: int) -> JetArray:
+    """x's last-axis entries at a (terms, keys) table, the terms' axis
+    first, then x's stack axes, widened to s axes in front, then keys."""
+    r = len(x.shape) - 1
+    every = slice(None)
+    t = x[(every,) * r + (table,)]
+    return t.transpose(r, *range(r), r + 1)[(every,) + (None,) * (s - r)] if s else t
 
 
 def apply_vector(v: JetArray, f: JetArray) -> JetArray:

@@ -50,8 +50,8 @@ from .contact import (
     max_abs,
 )
 from .errors import DegenerateFrameError, InconsistentStructureError
-from .forms import apply_vector
-from .jets import JetArray, eval_jet
+from .forms import apply_vector, pair_table
+from .jets import JetArray, concatenate, eval_jet
 
 STRUCTURE_RESIDUAL_TOL = 1e-9
 
@@ -111,7 +111,7 @@ def solve_structure_equations(frame: AdaptedFrame) -> TWData:
     # d(theta_hat), de1 and de2 on the frame pairs (T, X1), (T, X2),
     # (X1, X2); on (X1, X2) they are Omega_12 and the structure values
     # D^1_12 = c3, D^2_12 = c6.
-    pairs = frame.d_pairs[:, [0, 0, 1], [1, 2, 2]]
+    pairs = frame.d_pairs[(slice(None),) + pair_table(3)]
     (_, _, om12), (c1, c2, c3), (c4, c5, c6) = pairs
     # X_a(omega_b) for the H components (omega_1, omega_2) = (c3, c6).
     (_, x1_w2), (x2_w1, _) = apply_vector(frame.X, pairs[1:, 2])
@@ -119,11 +119,7 @@ def solve_structure_equations(frame: AdaptedFrame) -> TWData:
     A = (c1 - c5) * 0.5
     B = (c2 + c4) * 0.5
     w_theta = (c2 - c4) * 0.5
-    w1 = c3
-    w2 = c6
-    omega = JetArray.constant(0.0, frame.dim, (3,))
-    omega[0] = w_theta
-    omega[1:] = pairs[1:, 2]
+    omega = concatenate([w_theta[None], pairs[1:, 2]])
 
     residual = abs(float((c1 + c5).value)) / math.sqrt(2.0)
     if residual > STRUCTURE_RESIDUAL_TOL:
@@ -133,10 +129,8 @@ def solve_structure_equations(frame: AdaptedFrame) -> TWData:
         )
 
     # d(omega)(X1, X2) through the bracket: [X1, X2] has Reeb component
-    # -Omega_12 = -1 and H components -D^b_12.
-    bracket_omega = -(w_theta * om12) - sum(
-        (c3 * w1, c6 * w2), start=JetArray.constant(0.0, frame.dim)
-    )
+    # -Omega_12 = -1 and H components -D^b_12 = -omega_b, that is -c3, -c6.
+    bracket_omega = -(w_theta * om12) - ((0.0 + c3 * c3) + c6 * c6)
     R = x1_w2 - x2_w1 - bracket_omega
     return TWData(frame=frame, omega=omega, A=A, B=B, R=R, residual=residual)
 
@@ -317,17 +311,13 @@ def compare_full(td: TWData, fc: FullConnection) -> dict:
     # Values only: the torsion of the connection cut to order 0.
     tor = full_torsion(fc.restrict(0)).value
     Av, Bv = float(td.A.value), float(td.B.value)
-    # e-rows on the pairs (T, X1), (T, X2), (X1, X2).
-    e_rows = tor[1:, [0, 0, 1], [1, 2, 2]]
+    # Every row on the pairs (T, X1), (T, X2), (X1, X2).
+    on_pairs = tor[(slice(None),) + pair_table(3)]
     e_rows_expected = np.array([[Av, Bv + R, 0.0], [Bv - R, -Av, 0.0]])
-    torsion_e_residual = max_abs(e_rows - e_rows_expected)
+    torsion_e_residual = max_abs(on_pairs[1:] - e_rows_expected)
 
-    theta = tor[0].tolist()
-    theta_vs_minus_levi = max(
-        abs(theta[0][1]),
-        abs(theta[0][2]),
-        abs(theta[1][2] + float(omega[0, 1])),
-    )
+    theta_T1, theta_T2, theta_12 = on_pairs[0].tolist()
+    theta_vs_minus_levi = max(abs(theta_T1), abs(theta_T2), abs(theta_12 + float(omega[0, 1])))
 
     return {
         "difference_tensor_residual": max_abs(diff - expected),

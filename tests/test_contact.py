@@ -6,7 +6,9 @@ the derivations live in docs/oracles.md.
 """
 
 import dataclasses
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,11 +30,14 @@ from contactconn.errors import (
     NotContactError,
 )
 from contactconn.expressions import parse_expr
-from contactconn.forms import FormField, d_from_jets, evaluate_forms
+from contactconn.forms import FormField, d_from_jets, evaluate_forms, increasing_indices
 from contactconn.jets import JetArray, eval_jet
-from contactconn.registry import get_manifold
+from contactconn.registry import builtin_registry, get_manifold, load_spec
+from contactconn.sampling import sample_box
+from contactconn.tw3d import rotate_coframe
 from form_helpers import coframe, evaluate, frame_vectors
 
+CHARTS_DIR = Path(__file__).parent / "data" / "charts"
 P3 = (0.3, -0.4, 0.2)
 P5 = (0.1, -0.3, 0.2, 0.4, 0.0)
 
@@ -222,6 +227,53 @@ class TestAdaptedFrame:
                 (got.value, got.grad, got.order), (expected.value, expected.grad, expected.order)
             ):
                 assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("name", [spec.name for spec in builtin_registry()] + ["heis7.json"])
+    def test_d_pairs_matches_its_entries(self, name):
+        spec = load_spec(CHARTS_DIR / name) if name.endswith(".json") else get_manifold(name)
+        cs = spec.build()
+        frame = adapted_frame(cs, sample_box(cs.box, 1, 5)[0])
+        frames = [frame] + ([rotate_coframe(frame, 0.7)] if cs.dim == 3 else [])
+        for fr in frames:
+            want = d_pairs_by_entry(fr)
+            got = fr.d_pairs
+            assert got.shape == want.shape and np.array_equal(got.order, want.order)
+            for k, part in enumerate(("value", "grad", "hess")):
+                held = got.order >= k
+                x, y = getattr(got, part), getattr(want, part)
+                assert x[held].tobytes() == y[held].tobytes()
+
+
+def d_pairs_by_entry(frame):
+    """AdaptedFrame.d_pairs written entry by entry: on (T, X_a) the
+    pairings of d(theta_hat) and of d(e^b) = d(f^b) + dc^b ^ theta_hat +
+    c^b d(theta_hat), each form paired on its own; on (X_a, X_c), a < c,
+    Omega and D; their negatives below the diagonal and zeros on it."""
+    m, dim = 2 * frame.n, frame.dim
+    dc, th, c = frame.c.partials(), frame.theta_hat, frame.c
+    pairs = increasing_indices(dim, 2)
+    # dc^b ^ theta_hat on the coordinate pairs (i, j): (0 + dc_i th_j) - dc_j th_i.
+    dc_th = JetArray.constant(0.0, dim, (m, len(pairs)), 0)
+    for b in range(m):
+        for x, (i, j) in enumerate(pairs):
+            dc_th[b, x] = (0.0 + dc[i, b] * th[j]) - dc[j, b] * th[i]
+
+    def on_TX(form):
+        return evaluate_forms(form, frame.T[None], frame.X)[0]
+
+    dth = on_TX(frame.dtheta_hat)
+    out = JetArray.constant(0.0, dim, (m + 1,) * 3)
+    for a in range(m):
+        out[0, 0, a + 1], out[0, a + 1, 0] = dth[a], -dth[a]
+    for b in range(m):
+        df, dcth = on_TX(frame.df[b]), on_TX(dc_th[b])
+        for a in range(m):
+            e = (df[a] + dcth[a]) + dth[a] * c[b]
+            out[b + 1, 0, a + 1], out[b + 1, a + 1, 0] = e, -e
+    for a, q in itertools.combinations(range(m), 2):
+        for A, value in enumerate([frame.Omega[a, q]] + [frame.D[b, a, q] for b in range(m)]):
+            out[A, a + 1, q + 1], out[A, q + 1, a + 1] = value, -value
+    return out
 
 
 class TestLibraryInputValidation:

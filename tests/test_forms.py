@@ -7,10 +7,12 @@ from contactconn.forms import (
     d_from_jets,
     evaluate_forms,
     increasing_indices,
+    pair_table,
     wedge,
 )
 from contactconn.jets import JetArray, Tape
 from form_helpers import (
+    assert_same_bits,
     assert_within_rounding,
     comp,
     evaluate,
@@ -225,6 +227,16 @@ def test_increasing_indices_count():
     assert list(increasing_indices(3, 0)) == [()]
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pair_table_is_the_upper_triangle(n):
+    u, v = pair_table(n)
+    iu, ju = np.triu_indices(n, 1)
+    assert u.dtype == v.dtype == iu.dtype
+    assert np.array_equal(u, iu) and np.array_equal(v, ju)
+    assert list(zip(u.tolist(), v.tolist())) == list(increasing_indices(n, 2))
+    assert pair_table(n) is pair_table(n) and not u.flags.writeable
+
+
 # -- array kernels against loops over single jets ----------------------------
 
 
@@ -383,15 +395,26 @@ def same_bits(a, b):
     )
 
 
+def stack_entry(x, s):
+    """The form at stack index s of x, whose stack axes broadcast to s."""
+    lead = x.shape[:-1]
+    return x[tuple(i if n > 1 else 0 for i, n in zip(s[len(s) - len(lead) :], lead))]
+
+
 def assert_wedge_matches_loop(a, p, b, q):
     """forms.wedge against the loop over single jets: values bit for bit,
-    derivatives to rounding."""
-    got, want = wedge(a, p, b, q), scalar_wedge(a, p, b, q)
-    scale = scalar_wedge(a, p, b, q, absolute=True)
-    assert (got.dim, got.shape) == (want.dim, want.shape)
-    for x in range(len(want)):
-        assert_within_rounding(got[x], want[x], scale[x])
-        assert np.float64(got[x].value).tobytes() == np.float64(want[x].value).tobytes()
+    derivatives to rounding. Stacked operands broadcast, and every stacked
+    product holds the bits and orders of its own factors' wedge."""
+    got = wedge(a, p, b, q)
+    for s in np.ndindex(got.shape[:-1]):
+        fa, fb = stack_entry(a, s), stack_entry(b, s)
+        one, want = wedge(fa, p, fb, q), scalar_wedge(fa, p, fb, q)
+        scale = scalar_wedge(fa, p, fb, q, absolute=True)
+        assert (got.dim, got.shape[len(s) :]) == (want.dim, want.shape)
+        for x in range(len(want)):
+            assert_same_bits(got[s + (x,)], one[x])
+            assert_within_rounding(one[x], want[x], scale[x])
+            assert np.float64(one[x].value).tobytes() == np.float64(want[x].value).tobytes()
 
 
 class TestEvaluateFormsOrderCut:
@@ -456,3 +479,24 @@ class TestWedgeKernel:
                 a = random_form(rng, dim, da, (0, 1, 2) if trial % 2 else (1, 2))
                 b = random_form(rng, dim, db, (1, 2))
                 assert_wedge_matches_loop(a, da, b, db)
+
+    @pytest.mark.parametrize("dim", [3, 5, 7])
+    def test_stacked_forms_match_one_by_one(self, dim):
+        # Forms of mixed orders, whose lowest orders differ along the
+        # stack, in stacks that broadcast against each other and against
+        # a single form.
+        rng = np.random.default_rng([dim, 3])
+
+        def forms(degree, n):
+            orders = [(0, 1, 2), (1, 2), (2,)]
+            return stack([random_form(rng, dim, degree, orders[i % 3]) for i in range(n)])
+
+        for da, db in [(1, 1), (1, 2), (2, 1)]:
+            a = forms(da, 6)
+            assert a.low < a.top
+            a = a.reshape(2, 3, a.shape[-1])
+            assert_wedge_matches_loop(a, da, forms(db, 3), db)
+            b = forms(db, 2)
+            assert_wedge_matches_loop(a, da, b.reshape(2, 1, b.shape[-1]), db)
+            assert_wedge_matches_loop(forms(da, 3), da, random_form(rng, dim, db, (1, 2)), db)
+            assert_wedge_matches_loop(random_form(rng, dim, da, (2,)), da, forms(db, 3), db)

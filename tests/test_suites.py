@@ -441,12 +441,14 @@ class TestPerPointState:
     # promotion system over all frame pairs at once. The frame pairs g and
     # dtheta with its projected basis in one stack, whose first pairing
     # also gives Gram-Schmidt g . basis, and d_pairs pairs every form it
-    # reads with (T, X) at once. Before, the same runs folded full product
-    # jets through fold_chunks: 33 calls in 73 slices per usable point on
-    # heis7 and 35 in 35 on sphere-chart; with separate pairings they made
-    # 60 and 59 contract calls.
+    # reads with (T, X) at once, after one wedge for every dc ^ theta_hat
+    # (which it summed from two products, 48 calls on sphere-chart).
+    # Before, the same runs folded full product jets through fold_chunks:
+    # 33 calls in 73 slices per usable point on heis7 and 35 in 35 on
+    # sphere-chart; with separate pairings they made 60 and 59 contract
+    # calls.
     @pytest.mark.parametrize(
-        "name, suites, calls", [("heis7.json", CORE, 53), ("sphere-chart", ALL_3D, 48)]
+        "name, suites, calls", [("heis7.json", CORE, 53), ("sphere-chart", ALL_3D, 50)]
     )
     def test_contract_calls_per_usable_point(self, monkeypatch, name, suites, calls):
         from contactconn import jets
@@ -502,8 +504,11 @@ class TestPerPointState:
     # Gamma rows), and what is computed from them. When every JetArray
     # held one, the same runs built about 724 per usable point on
     # sphere-chart and 569 on heis7, each of them with an order array.
+    # While d_pairs wrote its entries into a zero container and the
+    # covariant derivative and the pairing cut their operands before
+    # contracting, 134 and 62.
     @pytest.mark.parametrize(
-        "name, suites, with_orders", [("heis7.json", CORE, 62), ("sphere-chart", ALL_3D, 134)]
+        "name, suites, with_orders", [("heis7.json", CORE, 60), ("sphere-chart", ALL_3D, 136)]
     )
     def test_order_arrays_per_usable_point(self, monkeypatch, name, suites, with_orders):
         from contactconn.jets import JetArray
