@@ -105,7 +105,7 @@ def _cmd_analyze(args) -> int:
     spec = load_spec(args.spec) if args.spec else get_manifold(args.manifold)
     params = _parse_params(args.param)
 
-    if args.suites:
+    if args.suites is not None:
         suites = [s.strip() for s in args.suites.split(",") if s.strip()]
     else:
         suites = suites_for_dim(spec.dim)

@@ -94,9 +94,8 @@ class ContactStructure:
     def input_tape(self) -> Tape:
         """theta's components, dtheta's components and g's entries, in that
         order, compiled once per structure into one tape."""
-        d = self.dim
-        exprs = self.theta.components() + self.dtheta.components()
-        return Tape(exprs + [self.g[i][j] for i in range(d) for j in range(d)])
+        g = tuple(e for row in self.g for e in row)
+        return Tape(self.theta.components + self.dtheta.components + g)
 
     def inputs_at(self, p) -> "PointInputs":
         """theta, dtheta and g at p as order-ORDER jets, one evaluation of
@@ -260,6 +259,11 @@ class AdaptedFrame:
     theta_hat and X carry order 2, dtheta_hat and T order 1, Omega order
     2 (it avoids dtheta_hat via the exact identity d(mu theta)(X, Y) =
     mu dtheta(X, Y) on H-vectors), f order 2, df, c and D order 1.
+    Omega's Hessian is for library callers of an uncut connection: it
+    gives kappa's 2-form row and the H pairs of d_pairs their order 2,
+    and TWData.classical keeps order 2 beside them, as
+    tests/test_connection.py::TestValueRoute::test_library_orders_are_kept
+    pins. A suite run reads all of these at order <= 1.
 
     The dual coframe element e^b is f[b] + c[b] * theta_hat; the split is
     kept because the H-part alone retains order 2.

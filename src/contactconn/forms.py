@@ -7,12 +7,13 @@ forms. A vector value is a JetArray (..., dim) of its coordinate
 components. Components follow the determinant convention,
 (dx^dy)(ddx, ddy) = 1. The kernels below take a form's degree and work
 out that layout themselves; nothing else in the package handles
-multi-indices. Fields carry expression coefficients and evaluate to
-values.
+multi-indices. A FormField holds one expression per component, in the
+same order, and evaluates to a value.
 
-Two exterior-derivative routes coexist on purpose:
+Two exterior-derivative routes coexist on purpose, and both read the
+terms of d from one table, _d_table:
 
-- ``FormField.d`` differentiates the coefficient expressions
+- ``FormField.d`` differentiates the component expressions
   structurally, so the derivative field evaluates to jets of the same
   order as the original. This is what the main pipeline uses.
 - ``d_from_jets`` differentiates a k-form *value* whose jets carry one
@@ -41,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expressions import Expr, diff, lit
+from .expressions import Expr, add, diff, lit, mul
 from .jets import JetArray, Tape, contract
 
 
@@ -75,11 +76,12 @@ def _perm_sign(seq) -> int:
     return sign
 
 
-def _check_layout(a: JetArray, degree: int) -> None:
-    """Raise ValueError unless a's last axis holds degree-form components."""
-    n = len(increasing_indices(a.dim, degree)) if 0 <= degree <= a.dim else None
-    if n is None or a.shape[-1:] != (n,):
-        raise ValueError(f"shape {a.shape} does not hold {degree}-forms in dimension {a.dim}")
+def _check_layout(dim: int, degree: int, shape: tuple[int, ...]) -> None:
+    """Raise ValueError unless shape's last axis holds the components of
+    degree-forms in dimension dim."""
+    n = len(increasing_indices(dim, degree)) if 0 <= degree <= dim else None
+    if n is None or shape[-1:] != (n,):
+        raise ValueError(f"shape {shape} does not hold {degree}-forms in dimension {dim}")
 
 
 def _signed(c: JetArray) -> JetArray:
@@ -116,7 +118,7 @@ def full_tensor(coeffs: JetArray, k: int) -> JetArray:
     for coeffs of shape S+(K,), shape S+(dim,)*k with entry [s, i_1, ...,
     i_k] = sign * c[s, sorted], sign that of the permutation sorting the
     indices, and a constant zero where indices repeat."""
-    _check_layout(coeffs, k)
+    _check_layout(coeffs.dim, k, coeffs.shape)
     if k == 1:
         # A 1-form's components already are its full tensor.
         return coeffs
@@ -199,8 +201,8 @@ def wedge(a: JetArray, p: int, b: JetArray, q: int) -> JetArray:
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    _check_layout(a, p)
-    _check_layout(b, q)
+    _check_layout(a.dim, p, a.shape)
+    _check_layout(b.dim, q, b.shape)
     if p + q > a.dim:
         raise ValueError("degree overflow")
     ia, ib = _wedge_table(a.dim, p, q)
@@ -244,50 +246,40 @@ def apply_vector(v: JetArray, f: JetArray) -> JetArray:
 
 @dataclass(frozen=True)
 class FormField:
-    """k-form field with expression coefficients on increasing indices."""
+    """k-form field: one expression per increasing multi-index, in the
+    order of a form value's last axis."""
 
     dim: int
     degree: int
-    coeffs: dict[tuple[int, ...], Expr]
+    components: tuple[Expr, ...]
+
+    def __post_init__(self):
+        _check_layout(self.dim, self.degree, (len(self.components),))
 
     @staticmethod
     def one_form(components: list[Expr]) -> "FormField":
-        return FormField(
-            len(components),
-            1,
-            {(i,): components[i] for i in range(len(components))},
-        )
-
-    def coeff(self, idx: tuple[int, ...]) -> Expr:
-        return self.coeffs.get(idx, lit(0.0))
-
-    def components(self) -> list[Expr]:
-        """The coefficient on every increasing multi-index, in the order
-        of a form value's last axis."""
-        return [self.coeff(idx) for idx in increasing_indices(self.dim, self.degree)]
+        return FormField(len(components), 1, tuple(components))
 
     def eval(self, p, order: int) -> JetArray:
-        """The form value at p, every coefficient a jet of the given
-        order, through one tape."""
-        return Tape(self.components()).eval(p, order)
+        """The form value at p, every component a jet of the given order,
+        through one tape."""
+        return Tape(self.components).eval(p, order)
 
     def d(self) -> "FormField":
-        """Exterior derivative as a field, via structural differentiation.
-
-        No jet order is lost: the result's coefficients are plain
-        expressions again.
+        """Exterior derivative as a field, via structural differentiation:
+        the terms of d_from_jets, from the same table, folded as
+        expressions. No jet order is lost: the result's components are
+        plain expressions again.
         """
-        from .expressions import add as eadd, mul as emul
-
-        out: dict[tuple[int, ...], Expr] = {}
-        for idx in increasing_indices(self.dim, self.degree + 1):
+        coord, rest = (t.tolist() for t in _d_table(self.dim, self.degree))
+        out = []
+        for o in range(len(coord[0])):
             total: Expr = lit(0.0)
-            for t, i in enumerate(idx):
-                rest = idx[:t] + idx[t + 1 :]
-                term = diff(self.coeff(rest), i)
-                total = eadd(total, emul(lit((-1.0) ** t), term))
-            out[idx] = total
-        return FormField(self.dim, self.degree + 1, out)
+            for t in range(len(coord)):
+                term = diff(self.components[rest[t][o]], coord[t][o])
+                total = add(total, mul(lit((-1.0) ** t), term))
+            out.append(total)
+        return FormField(self.dim, self.degree + 1, tuple(out))
 
 
 @lru_cache(maxsize=64)
@@ -312,7 +304,7 @@ def d_from_jets(a: JetArray, degree: int) -> JetArray:
     partials (-1)^t d_{o_t} a[o without o_t], from a constant 0.0 seed;
     a stack of forms (leading axes of a) is differentiated form by form.
     """
-    _check_layout(a, degree)
+    _check_layout(a.dim, degree, a.shape)
     if degree == a.dim:
         raise ValueError("d of a top-degree form is not a form")
     if a.low < 1:

@@ -137,6 +137,16 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise SpecError(message, path)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object, refused if it repeats a key: a file with
+    two values for one field must not silently keep the last."""
+    out = {}
+    for key, value in pairs:
+        _require(key not in out, key, "key appears more than once")
+        out[key] = value
+    return out
+
+
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -292,17 +302,18 @@ def load_spec(path: str) -> ManifoldSpec:
 
     The JSON is decoded into a ManifoldSpec, which checks its own fields;
     this adds only what belongs to the file: the schema version, the
-    optional dim, unknown fields, and the bounds of the default point
-    count and seed. Structural problems raise SpecError naming the
-    offending field path; expression syntax problems raise ParseError
-    carrying the field path and the parser's offset message. Validation
-    includes a full build, so a returned spec is known to parse and to
-    have a symmetric metric, and the structure that build made is the
-    one the spec's build() returns: a loaded chart compiles once.
+    optional dim, unknown fields, repeated keys, and the bounds of the
+    default point count and seed. Structural problems raise SpecError
+    naming the offending field path; expression syntax problems raise
+    ParseError carrying the field path and the parser's offset message.
+    Validation includes a full build, so a returned spec is known to
+    parse and to have a symmetric metric, and the structure that build
+    made is the one the spec's build() returns: a loaded chart compiles
+    once.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise SpecError(f"{path}: not valid JSON ({exc})") from exc
 

@@ -348,7 +348,7 @@ def test_criterion_11_jet_oracle():
         cs = spec.build()
         pts = sample_box(spec.box, 3, spec.seed)
         for i in range(cs.dim):
-            check(cs.theta.coeff((i,)), cs.coords, pts)
+            check(cs.theta.components[i], cs.coords, pts)
         for row in cs.g:
             for e in row:
                 check(e, cs.coords, pts)

@@ -241,6 +241,14 @@ class TestExitCodes:
         assert code == 2
         assert "unknown suite" in err
 
+    @pytest.mark.parametrize("suites", ["", ",", " "])
+    def test_empty_suite_list_exits_two(self, capsys, suites):
+        code, out, err = run(
+            capsys, "analyze", "--manifold", "heisenberg-aniso", "--suites", suites,
+        )
+        assert (code, out) == (2, "")
+        assert "no suites requested" in err
+
     def test_usage_error_exits_two(self, capsys):
         code, _, _ = run(capsys, "analyze")
         assert code == 2

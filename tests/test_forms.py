@@ -38,6 +38,19 @@ def jets_of(texts, p, order=2):
 one_form = vector = jets_of
 
 
+def random_coefficient(rng, dim: int) -> str:
+    """A smooth coefficient in the coordinates x0, ..., x{dim-1}: two
+    terms, each a constant times a coordinate times an elementary function
+    of a linear combination of two coordinates."""
+    terms = []
+    for _ in range(2):
+        i, j, k = rng.integers(dim, size=3)
+        fn = ("sin", "cos", "exp")[rng.integers(3)]
+        a, b, c = rng.uniform(-1.5, 1.5, size=3).round(3)
+        terms.append(f"{c}*x{k}*{fn}({a}*x{i} + {b}*x{j})")
+    return " + ".join(terms)
+
+
 def max_abs(a: JetArray) -> float:
     return float(np.max(np.abs(a.value)))
 
@@ -157,17 +170,32 @@ class TestExteriorDerivative:
         assert max_abs(ddf) < 1e-13
 
     def test_jet_route_matches_symbolic(self):
-        f = FormField(3, 1, {
-            (0,): parse_expr("sin(x*y)", XYZ),
-            (1,): parse_expr("z/(2+x)", XYZ),
-            (2,): parse_expr("sqrt(4+y*y)", XYZ),
-        })
-        p = (0.5, -0.3, 0.9)
-        sym = f.d().eval(p, 1)
-        jet = d_from_jets(f.eval(p, 2), 1)
-        for x in range(3):
-            assert sym[x].value == pytest.approx(jet[x].value, abs=1e-13)
-            assert np.allclose(sym[x].grad, jet[x].grad, atol=1e-12)
+        f = FormField(3, 1, tuple(
+            parse_expr(t, XYZ) for t in ("sin(x*y)", "z/(2+x)", "sqrt(4+y*y)")
+        ))
+        cases = [(f, (0.5, -0.3, 0.9))]
+        # Random fields of degrees 0, 1 and 2 in dimensions 3, 5 and 7.
+        rng = np.random.default_rng(20)
+        for dim in (3, 5, 7):
+            coords = tuple(f"x{i}" for i in range(dim))
+            for degree in (0, 1, 2):
+                texts = [random_coefficient(rng, dim) for _ in increasing_indices(dim, degree)]
+                field = FormField(dim, degree, tuple(parse_expr(t, coords) for t in texts))
+                cases.append((field, tuple(rng.uniform(-0.8, 0.8, size=dim))))
+        for field, p in cases:
+            sym = field.d().eval(p, 1)
+            jet = d_from_jets(field.eval(p, 2), field.degree)
+            assert sym.shape == jet.shape == (len(increasing_indices(field.dim, field.degree + 1)),)
+            for x in range(sym.shape[0]):
+                assert sym[x].value == pytest.approx(jet[x].value, abs=1e-13)
+                assert np.allclose(sym[x].grad, jet[x].grad, atol=1e-12)
+
+    def test_components_must_fit_the_degree(self):
+        x, y, z = (parse_expr(t, XYZ) for t in XYZ)
+        for degree, comps in ((1, (x, y)), (1, (x, y, z, x)), (2, (x,)), (0, ()), (4, ()), (-1, ())):
+            with pytest.raises(ValueError, match="does not hold"):
+                FormField(3, degree, comps)
+        assert FormField(3, 2, (x, y, z)).components == (x, y, z)
 
     def test_leibniz_rule(self):
         # d(a ^ b) = da ^ b - a ^ db for one-forms a, b

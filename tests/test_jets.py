@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from contactconn.errors import ExprDomainError, SingularMatrixError
 from contactconn.expressions import Binary, Coord, Lit, Pow, Unary, diff, parse_expr, pretty
-from contactconn.forms import increasing_indices
 from contactconn.jets import (
     Jet,
     JetArray,
@@ -710,8 +709,8 @@ def chart_inputs(cs):
     """theta's, dtheta's and g's expressions, in the tape's order."""
     d = cs.dim
     return (
-        [cs.theta.coeff((i,)) for i in range(d)]
-        + [cs.dtheta.coeff(idx) for idx in increasing_indices(d, 2)]
+        list(cs.theta.components)
+        + list(cs.dtheta.components)
         + [cs.g[i][j] for i in range(d) for j in range(d)]
     )
 

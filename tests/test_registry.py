@@ -333,6 +333,18 @@ class TestLoadSpec:
         with pytest.raises(SpecError, match="not valid JSON"):
             load_spec(str(path))
 
+    @pytest.mark.parametrize("extra, key", [
+        (', "theta": ["0", "-x", "1"]', "theta"),
+        (', "params": {"a": 1.5, "a": 2.5}', "a"),
+    ], ids=["top-level", "nested"])
+    def test_rejects_repeated_key(self, tmp_path, extra, key):
+        payload = valid_payload()
+        del payload["params"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload)[:-1] + extra + "}", encoding="utf-8")
+        with pytest.raises(SpecError, match=f"^{key}: key appears more than once$"):
+            load_spec(str(path))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_spec(str(tmp_path / "absent.json"))

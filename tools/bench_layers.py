@@ -16,9 +16,10 @@ one JSON object with the medians over passes.
 
     python3 tools/bench_layers.py [--src PATH] [--passes N]
 
---src names the source checkout to measure (default: this one), so two
-commits can be measured with the same script. BLAS should run on one
-thread (OPENBLAS_NUM_THREADS=1), as perfbench pins it.
+--src names the source checkout to measure, its 7D chart included
+(default: this one), so two commits can be measured with the same
+script and tracer. BLAS should run on one thread
+(OPENBLAS_NUM_THREADS=1), as perfbench pins it.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def measure(src: Path, passes: int) -> dict:
     out = {}
     for name, dim, suites in CHARTS:
         if name == "heis7":
-            spec = load_spec(ROOT / "perfbench" / "charts" / "heis7.json")
+            spec = load_spec(src / "perfbench" / "charts" / "heis7.json")
         else:
             spec = get_manifold(name)
 

@@ -7,9 +7,10 @@ in dimension 7): 24 reports, written as DIR/<chart>-seed<seed>.json.
 
     python3 tools/report_sweep.py [--src PATH] --out DIR
 
---src names the source checkout to run (default: this one), so two
-commits can render the same sweep; `diff -r` of their output directories
-then checks that a change keeps every report byte.
+--src names the source checkout to run, its 7D chart included
+(default: this one), so two commits can render the same sweep; `diff -r`
+of their output directories then checks that a change keeps every report
+byte.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def sweep(src: Path, out: Path) -> None:
     cases = [(spec, None, spec.name) for spec in builtin_registry()] + [
         (get_manifold("heisenberg-aniso"), {"b": 1e-4}, "heisenberg-aniso-b1e-4"),
         (get_manifold("n2-split"), {"c": 1.0}, "n2-split-c1"),
-        (load_spec(ROOT / "tests" / "data" / "charts" / "heis7.json"), None, "heis7"),
+        (load_spec(src / "tests" / "data" / "charts" / "heis7.json"), None, "heis7"),
     ]
     out.mkdir(parents=True, exist_ok=True)
     for spec, params, stem in cases:
