@@ -5,6 +5,14 @@ and metric as expression strings, a sampling box, and default sample
 count / seed. Parameters (like the anisotropy factor b) are bound by the
 parser: each use of a parameter name parses as a numeric literal of its
 value.
+
+A chart compiles once per process. build() without overrides looks its
+structure up in one small least-recently-used memo keyed on exactly what
+the compile reads: the coordinate names, the theta and g texts, and the
+bits of the box bounds and parameter values. Every spec with the same
+chart text, loaded, built in code, replaced or built in, shares that
+structure. A compile that raises is not kept, so a bad chart raises on
+every build().
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import math
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
 from types import MappingProxyType
 
 from .contact import ContactStructure
@@ -66,9 +74,8 @@ class ManifoldSpec:
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
-        # A mapping proxy cannot be pickled or deep-copied, and the
-        # compiled structure is rebuilt on demand, so a spec travels as
-        # its fields.
+        # A mapping proxy cannot be pickled or deep-copied, so a spec
+        # travels as its fields.
         return (
             type(self),
             (self.name, self.coords, self.theta, self.g, self.box, self.points, self.seed,
@@ -79,21 +86,25 @@ class ManifoldSpec:
     def dim(self) -> int:
         return len(self.coords)
 
-    @cached_property
-    def _structure(self) -> ContactStructure:
-        return self._compile(self.params)
-
     def build(self, param_overrides: dict[str, float] | None = None) -> ContactStructure:
         """The chart's ContactStructure with the declared parameters, each
         overridden by its entry in param_overrides.
 
-        Without overrides (None or {}) this is the spec's one structure,
-        compiled on the first call and returned by every later one, so its
-        parse, its structural d(theta) and its input tape are built once
-        per spec object. With overrides each call builds a fresh structure
-        that nothing keeps."""
+        Without overrides (None or {}) this is the one structure of the
+        spec's chart text in this process, with its d(theta) and input
+        tape: the first build() of that text parses its expressions, and
+        every later one, on this spec or any other with the same
+        coordinates, texts, box and parameter bits, returns that structure
+        while it is among the 16 most recently built. With overrides each
+        call builds a fresh structure that nothing keeps."""
         if not param_overrides:
-            return self._structure
+            return _compiled_chart(
+                self.coords,
+                self.theta,
+                self.g,
+                tuple((lo.hex(), hi.hex()) for lo, hi in self.box),
+                tuple((key, val.hex()) for key, val in self.params.items()),
+            )
         values = dict(self.params)
         for key, val in param_overrides.items():
             if key not in values:
@@ -103,33 +114,43 @@ class ManifoldSpec:
                     f"(declared parameters: {known})"
                 )
             values[key] = float(val)
-        return self._compile(values)
+        return _compile(self.coords, self.theta, self.g, self.box, values)
 
-    def _compile(self, values: Mapping[str, float]) -> ContactStructure:
-        for key, val in values.items():
-            if not math.isfinite(val):
-                raise SpecError(f"parameter {key!r} must be finite, got {val!r}")
 
-        def parse_field(text: str, where: str):
-            try:
-                return parse_expr(text, self.coords, values)
-            except ParseError as exc:
-                raise ParseError(f"{where}: {exc.message}", exc.offset) from exc
+@lru_cache(maxsize=16)
+def _compiled_chart(coords, theta, g, box_bits, param_bits) -> ContactStructure:
+    """The memo behind build(): _compile of the chart whose box bounds and
+    parameter values are given by their float.hex bits, so that 0.0 and
+    -0.0, which parse to different trees, stay apart. A compile that
+    raises is not kept."""
+    box = tuple((float.fromhex(lo), float.fromhex(hi)) for lo, hi in box_bits)
+    values = {key: float.fromhex(val) for key, val in param_bits}
+    return _compile(coords, theta, g, box, values)
 
-        theta = FormField.one_form(
-            [parse_field(self.theta[i], f"theta[{i}]") for i in range(self.dim)]
-        )
-        g = tuple(
-            tuple(parse_field(self.g[i][j], f"g[{i}][{j}]") for j in range(self.dim))
-            for i in range(self.dim)
-        )
-        # Symmetry as given: entries must be the same expression up to
-        # whitespace, compared structurally after parsing.
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if g[i][j] != g[j][i]:
-                    raise SpecError(f"not symmetric with g[{j}][{i}]", f"g[{i}][{j}]")
-        return ContactStructure(self.coords, theta, g, self.box)
+
+def _compile(coords, theta, g, box, values: Mapping[str, float]) -> ContactStructure:
+    for key, val in values.items():
+        if not math.isfinite(val):
+            raise SpecError(f"parameter {key!r} must be finite, got {val!r}")
+    dim = len(coords)
+
+    def parse_field(text: str, where: str):
+        try:
+            return parse_expr(text, coords, values)
+        except ParseError as exc:
+            raise ParseError(f"{where}: {exc.message}", exc.offset) from exc
+
+    theta_field = FormField.one_form([parse_field(theta[i], f"theta[{i}]") for i in range(dim)])
+    g_exprs = tuple(
+        tuple(parse_field(g[i][j], f"g[{i}][{j}]") for j in range(dim)) for i in range(dim)
+    )
+    # Symmetry as given: entries must be the same expression up to
+    # whitespace, compared structurally after parsing.
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if g_exprs[i][j] != g_exprs[j][i]:
+                raise SpecError(f"not symmetric with g[{j}][{i}]", f"g[{i}][{j}]")
+    return ContactStructure(coords, theta_field, g_exprs, box)
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -225,8 +246,7 @@ def _check_fields(spec: ManifoldSpec) -> None:
 _SQ = "(1 + u1^2 + u2^2 + u3^2)^2"
 
 # The built-in chart descriptions, in a stable order, built once at
-# import: every caller shares these spec objects, and with them each
-# spec's one compiled structure.
+# import: every caller shares these spec objects.
 _BUILTINS = (
     ManifoldSpec(
         name="heisenberg",
@@ -306,10 +326,13 @@ def load_spec(path: str) -> ManifoldSpec:
     default point count and seed. Structural problems raise SpecError
     naming the offending field path; expression syntax problems raise
     ParseError carrying the field path and the parser's offset message.
-    Validation includes a full build, so a returned spec is known to
-    parse and to have a symmetric metric, and the structure that build
-    made is the one the spec's build() returns: a loaded chart compiles
-    once.
+    Every call reads, decodes and checks the file again. Validation
+    includes build(), so a returned spec is known to parse and to have a
+    symmetric metric. That build() goes through the process's chart memo:
+    the first load of a chart text compiles it, and every later load of
+    the same text, from this file or any other, gets the structure already
+    compiled, which the returned spec's build() gives too. A file whose
+    chart fails to compile raises on every call.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -339,6 +362,6 @@ def load_spec(path: str) -> ManifoldSpec:
     if bad:
         raise SpecError(bad[1], bad[0])
 
-    # This build is the spec's one structure, so run_suites reuses it.
+    # This build is the chart's one structure, so run_suites reuses it.
     spec.build()
     return spec

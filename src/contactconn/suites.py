@@ -61,7 +61,7 @@ from .contact import (
     screen_point,
 )
 from .errors import AllPointsSkippedError, SuiteUnavailableError
-from .forms import evaluate_forms
+from .forms import evaluate_forms, full_tensor, pair
 from .jets import JetArray
 from .registry import ManifoldSpec
 from .report import PointRecord, Report, SuiteResult
@@ -120,10 +120,7 @@ class _Run(NamedTuple):
 
 def _suite_contact(run: _Run) -> list[dict]:
     # Every check reads values only, so each runs on order-0 jets.
-    dim = run.cs.dim
     n = run.cs.n
-    basis = JetArray.constant(0.0, dim, (dim, dim), 0)
-    np.fill_diagonal(basis.value, 1.0)
     rows = []
     for pt in run.usable:
         frame = pt.frame
@@ -131,7 +128,7 @@ def _suite_contact(run: _Run) -> list[dict]:
         dtheta0 = pt.inputs.dtheta.restrict(0)
         T = _reeb_from_values(theta0, dtheta0)[None]
         (theta_T,) = evaluate_forms(theta0, T).value.tolist()
-        dtheta_T = evaluate_forms(dtheta0, T, basis).value
+        dtheta_T = pair(full_tensor(dtheta0, 2), 0, T).value
         omega_sq = sum(v**2 for v in frame.Omega.value.ravel().tolist())
         lam = pt.spectrum
         pairs = frame.pair_coframe(frame.frame_array.restrict(0)).value

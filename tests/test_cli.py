@@ -108,10 +108,11 @@ class TestAnalyze:
         assert _tightest({"r": 5.0, "a": 1e-12}, {"r": None, "a": 1e-9}) == "a"
 
     def test_spec_is_parsed_once(self, capsys, tmp_path, monkeypatch):
-        # The spec checks its coordinate names without parsing, and
+        # The spec checks its coordinate names without parsing, and a cold
         # load_spec builds the structure once: 3 theta and 9 g expressions.
-        # run_suites reuses that structure. When load_spec checked each
-        # coordinate name with a parse of its own, this made 3 more calls.
+        # run_suites reuses that structure, and a second analyze of the
+        # same text parses none. When load_spec checked each coordinate
+        # name with a parse of its own, the first call made 3 more.
         import contactconn.registry as registry_mod
 
         calls = []
@@ -122,9 +123,13 @@ class TestAnalyze:
             return real(*args)
 
         monkeypatch.setattr(registry_mod, "parse_expr", counted)
+        registry_mod._compiled_chart.cache_clear()
         path = write_spec(tmp_path, GOOD_SPEC)
-        code, _, _ = run(capsys, "analyze", "--spec", path, "--suites", "contact")
-        assert code == 0
+        argv = ("analyze", "--spec", path, "--suites", "contact")
+        first = run(capsys, *argv)
+        assert first[0] == 0
+        assert len(calls) == 3 + 9
+        assert run(capsys, *argv) == first
         assert len(calls) == 3 + 9
 
     def test_spec_file_input(self, capsys, tmp_path):
@@ -310,6 +315,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "analyze", "--spec", str(tmp_path / "nope.json"))
         assert code == 2
         assert err.startswith("error:")
+
+    def test_bad_chart_exits_two_on_every_call(self, capsys, tmp_path):
+        # A compile that raises is not kept, so every call reports it.
+        from contactconn.registry import _compiled_chart
+
+        _compiled_chart.cache_clear()
+        path = write_spec(tmp_path, dict(GOOD_SPEC, theta=["-y", "0", "1 +"]))
+        for _ in range(2):
+            code, out, err = run(capsys, "analyze", "--spec", path, "--suites", "contact")
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and "theta[2]" in err
 
 
 class TestParserReuse:

@@ -24,6 +24,21 @@ def write_spec(tmp_path, payload, name="m.json"):
     return str(path)
 
 
+def count_parses(monkeypatch) -> list[str]:
+    """Record the text of every expression the registry parses."""
+    import contactconn.registry as registry_mod
+
+    calls = []
+    real = registry_mod.parse_expr
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(registry_mod, "parse_expr", counted)
+    return calls
+
+
 def valid_payload():
     return {
         "schema": 1,
@@ -78,17 +93,24 @@ class TestSharedSpecs:
         assert all(a is b for a, b in zip(specs, builtin_registry()))
         assert all(get_manifold(spec.name) is spec for spec in specs)
 
-    def test_build_without_overrides_is_the_one_structure(self):
+    def test_build_without_overrides_is_the_one_structure(self, monkeypatch):
+        import contactconn.registry as registry_mod
+
+        calls = count_parses(monkeypatch)
+        # A cold compile parses each field once: 3 theta and 9 g entries.
+        registry_mod._compiled_chart.cache_clear()
         spec = get_manifold("heisenberg-aniso")
         cs = spec.build()
+        assert len(calls) == 3 + 9
         assert spec.build() is cs and spec.build({}) is cs and spec.build(None) is cs
         assert cs.dtheta is spec.build().dtheta
         assert cs.input_tape is spec.build().input_tape
         # An override builds a fresh structure each time and keeps none.
         assert spec.build({"b": 3.0}) is not spec.build({"b": 3.0})
         assert spec.build() is cs
-        # A replaced spec is a new object with its own structure.
-        assert dataclasses.replace(spec).build() is not cs
+        # A replaced spec with the same chart shares it.
+        assert dataclasses.replace(spec).build() is cs
+        assert len(calls) == 3 * (3 + 9)
 
     def test_params_are_read_only(self):
         spec = get_manifold("heisenberg-aniso")
@@ -115,6 +137,95 @@ class TestSharedSpecs:
         monkeypatch.setattr(registry_mod, "parse_expr", lambda *a: calls.append(a))
         spec.build()
         assert calls == []
+
+
+class TestChartMemo:
+    """build() without overrides shares one structure per chart text in a
+    process, through registry._compiled_chart."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        import contactconn.registry as registry_mod
+
+        registry_mod._compiled_chart.cache_clear()
+
+    def test_same_text_is_one_structure(self, tmp_path):
+        path = write_spec(tmp_path, valid_payload())
+        cs = load_spec(path).build()
+        assert load_spec(path).build() is cs
+        # The same chart in another file, with its own name, points and
+        # seed, a spec built in code and a replaced spec share it too.
+        other = dict(valid_payload(), name="other", points=2, seed=9)
+        assert load_spec(write_spec(tmp_path, other, "other.json")).build() is cs
+        assert code_spec().build() is cs
+        assert dataclasses.replace(code_spec(), name="renamed").build() is cs
+
+    def test_second_load_parses_nothing(self, tmp_path, monkeypatch):
+        path = write_spec(tmp_path, valid_payload())
+        calls = count_parses(monkeypatch)
+        load_spec(path)
+        assert len(calls) == 3 + 9
+        load_spec(path).build()
+        code_spec().build()
+        assert len(calls) == 3 + 9
+
+    def test_chart_changes_give_other_structures(self):
+        cs = code_spec().build()
+        changed = [
+            code_spec(g=(("1", "0", "0"), ("0", "a + 0", "0"), ("0", "0", "0"))),
+            code_spec(box=box_with(2, (-0.5, 0.25))),
+            code_spec(params={"a": 2.5}),
+            code_spec(coords=("x", "y", "w")),
+            code_spec(theta=("-y", "0", "2")),
+        ]
+        built = [spec.build() for spec in changed]
+        assert all(other is not cs for other in built)
+        assert len({id(other) for other in built}) == len(built)
+
+    def test_zero_and_negative_zero_parameters_stay_apart(self):
+        plus = code_spec(params={"a": 0.0}).build()
+        minus = code_spec(params={"a": -0.0}).build()
+        assert plus is not minus
+        # They parse to different trees.
+        assert plus.g[1][1] == Lit(0.0) and minus.g[1][1] != plus.g[1][1]
+        assert code_spec(params={"a": -0.0}).build() is minus
+        # So do box bounds of either sign of zero.
+        lo = code_spec(box=box_with(0, (0.0, 0.5))).build()
+        assert code_spec(box=box_with(0, (-0.0, 0.5))).build() is not lo
+
+    def test_bad_chart_raises_on_every_call(self, tmp_path):
+        bad = dict(valid_payload(), theta=["-y", "0", "1 +"])
+        path = write_spec(tmp_path, bad)
+        for _ in range(2):
+            with pytest.raises(ParseError, match=r"^theta\[2\]"):
+                load_spec(path)
+        asym = code_spec(g=(("1", "x", "0"), ("0", "1", "0"), ("0", "0", "0")))
+        for _ in range(2):
+            with pytest.raises(SpecError, match="not symmetric"):
+                asym.build()
+
+    def test_overrides_build_fresh_structures(self, tmp_path):
+        spec = load_spec(write_spec(tmp_path, valid_payload()))
+        cs = spec.build()
+        one, two = spec.build({"a": 1.5}), spec.build({"a": 1.5})
+        assert one is not two and one is not cs and two is not cs
+        assert spec.build() is cs
+
+    def test_bound_evicts_the_least_recent_chart(self, monkeypatch):
+        import contactconn.registry as registry_mod
+
+        bound = registry_mod._compiled_chart.cache_info().maxsize
+        first = code_spec()
+        cs = first.build()
+        for k in range(bound - 1):
+            code_spec(params={"a": 2.0 + k}).build()
+        # Still among the most recent: served without a parse.
+        calls = count_parses(monkeypatch)
+        assert first.build() is cs and calls == []
+        for k in range(bound):
+            code_spec(params={"a": 100.0 + k}).build()
+        again = first.build()
+        assert again is not cs and len(calls) == bound * (3 + 9) + 3 + 9
 
 
 class TestBuildParams:

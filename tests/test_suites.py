@@ -446,9 +446,10 @@ class TestPerPointState:
     # Before, the same runs folded full product jets through fold_chunks:
     # 33 calls in 73 slices per usable point on heis7 and 35 in 35 on
     # sphere-chart; with separate pairings they made 60 and 59 contract
-    # calls.
+    # calls. While the contact suite paired dtheta(T, .) with an identity
+    # basis, one more each: 53 and 50.
     @pytest.mark.parametrize(
-        "name, suites, calls", [("heis7.json", CORE, 53), ("sphere-chart", ALL_3D, 50)]
+        "name, suites, calls", [("heis7.json", CORE, 52), ("sphere-chart", ALL_3D, 49)]
     )
     def test_contract_calls_per_usable_point(self, monkeypatch, name, suites, calls):
         from contactconn import jets
@@ -531,6 +532,7 @@ class TestPerPointState:
     def test_inputs_evaluated_once_per_sample_point(self, monkeypatch, suites):
         from contactconn.forms import FormField
         from contactconn.jets import Tape
+        from contactconn.registry import _compiled_chart
 
         outputs = []
         real_eval = Tape.eval
@@ -545,6 +547,8 @@ class TestPerPointState:
         monkeypatch.setattr(Tape, "eval", counted)
         monkeypatch.setattr(FormField, "eval", no_form_eval)
         counts = count_calls(monkeypatch, ["jets.eval_jet", "expressions.parse_expr"])
+        # A cold compile parses each field once.
+        _compiled_chart.cache_clear()
         spec = half_degenerate_spec()
         rep = run_suites(spec, suites)
         usable = rep.requested_points - rep.skipped_points
@@ -556,10 +560,13 @@ class TestPerPointState:
         assert len(outputs) == rep.requested_points
         assert counts["eval_jet"] == 0
         assert counts["parse_expr"] == 3 + 9
+        # A second spec of the same text parses none.
+        half_degenerate_spec().build()
+        assert counts["parse_expr"] == 3 + 9
 
 
 def test_second_run_compiles_nothing(monkeypatch):
-    # A spec compiles its structure once: a second run on the same spec
+    # A chart compiles its structure once: a second run on the same spec
     # object parses no expression, differentiates none and builds no tape,
     # the rotation suite's angles included.
     from contactconn.jets import Tape

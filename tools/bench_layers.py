@@ -11,15 +11,20 @@ and without its jet-operation counter, for each layer's self time per
 usable point, and once more with jets.contract (every sum of products
 over an axis) and the product rule counted, the contractions and the
 products each split by the jet order they ran at, and with the JetArrays
-built counted, in all and those given a per-entry order array. Prints
-one JSON object with the medians over passes.
+built counted, in all and those given a per-entry order array. Each
+chart also gets the per-call cost of compiling it from its description
+file, the call `analyze --spec` makes: load_spec, build() and the input
+tape, cold (the process's chart memo cleared first) and warm (the same
+call again right after). Prints one JSON object with the medians over
+passes.
 
-    python3 tools/bench_layers.py [--src PATH] [--passes N]
+    python3 tools/bench_layers.py [--src PATH] [--passes N] [--points N]
 
 --src names the source checkout to measure, its 7D chart included
 (default: this one), so two commits can be measured with the same
-script and tracer. BLAS should run on one thread
-(OPENBLAS_NUM_THREADS=1), as perfbench pins it.
+script and tracer. --points sets the points of each analyze (default
+4). BLAS should run on one thread (OPENBLAS_NUM_THREADS=1), as
+perfbench pins it.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import json
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -58,7 +64,43 @@ LAYERS = (
 )
 
 
-def measure(src: Path, passes: int) -> dict:
+def chart_file(spec, folder: Path) -> Path:
+    """spec written as a description file in folder."""
+    path = folder / f"{spec.name}.json"
+    fields = {
+        "schema": 1,
+        "name": spec.name,
+        "coords": list(spec.coords),
+        "theta": list(spec.theta),
+        "g": [list(row) for row in spec.g],
+        "box": [list(iv) for iv in spec.box],
+        "params": dict(spec.params),
+    }
+    path.write_text(json.dumps(fields), encoding="utf-8")
+    return path
+
+
+def compile_seconds(registry, path: Path, passes: int) -> dict:
+    """Seconds of one load_spec(path) + build() + input_tape, per pass:
+    cold, with the chart memo cleared first (a checkout without the memo
+    compiles on every call), and warm, the same call right after."""
+    memo = getattr(registry, "_compiled_chart", None)
+
+    def call():
+        t0 = time.perf_counter()
+        registry.load_spec(str(path)).build().input_tape
+        return time.perf_counter() - t0
+
+    times = {"cold": [], "warm": []}
+    for _ in range(passes):
+        if memo is not None:
+            memo.cache_clear()
+        times["cold"].append(call())
+        times["warm"].append(call())
+    return times
+
+
+def measure(src: Path, passes: int, points: int) -> dict:
     sys.path.insert(0, str(src / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import numpy as np
@@ -69,20 +111,20 @@ def measure(src: Path, passes: int) -> dict:
     # counting wrapper on every jet operation would weigh on the self
     # times of whichever commit routes more arithmetic through jets.Jet.
     tr.JET_OPS = ()
-    from contactconn import jets
-    from contactconn.registry import get_manifold, load_spec
+    from contactconn import jets, registry
     from contactconn.report import render_report
     from contactconn.suites import run_suites
 
-    out = {}
+    heis7 = src / "perfbench" / "charts" / "heis7.json"
+    out = {"points": points}
     for name, dim, suites in CHARTS:
         if name == "heis7":
-            spec = load_spec(src / "perfbench" / "charts" / "heis7.json")
+            spec = registry.load_spec(str(heis7))
         else:
-            spec = get_manifold(name)
+            spec = registry.get_manifold(name)
 
         def analyze(seed):
-            rep = run_suites(spec, list(suites), points=POINTS, seed=seed)
+            rep = run_suites(spec, list(suites), points=points, seed=seed)
             render_report(rep)
             return rep.requested_points - rep.skipped_points
 
@@ -139,12 +181,16 @@ def measure(src: Path, passes: int) -> dict:
                 setattr(mod, key, real)
             jets._mul_rule = real_mul
             jets.JetArray.__init__ = real_init
+        with tempfile.TemporaryDirectory() as folder:
+            path = heis7 if name == "heis7" else chart_file(spec, Path(folder))
+            compiles = compile_seconds(registry, path, passes)
 
         ms = lambda v: round(1e3 * statistics.median(v), 3)  # noqa: E731
         out[f"dim{dim}"] = {
             "chart": name,
             "suites": list(suites),
             "analyze_ms_per_point": ms(walls),
+            "compile_ms_per_call": {k: ms(v) for k, v in compiles.items()},
             "self_ms_per_point": {k: ms(v) for k, v in self_s.items() if any(v)},
             "contract_calls_per_point": sum(contracts.values()) / usable,
             "contracts_per_point": {k: v / usable for k, v in contracts.items()},
@@ -163,8 +209,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT)
     ap.add_argument("--passes", type=int, default=15)
+    ap.add_argument("--points", type=int, default=POINTS)
     args = ap.parse_args(argv)
-    print(json.dumps(measure(args.src.resolve(), args.passes), indent=1))
+    print(json.dumps(measure(args.src.resolve(), args.passes, args.points), indent=1))
     return 0
 
 
