@@ -28,6 +28,7 @@ from .contact import (
     classify,
     lambda_spectrum,
     reeb_field,
+    rotate_frame,
 )
 from .errors import (
     AllPointsSkippedError,
@@ -135,6 +136,7 @@ __all__ = [
     "promotion_residual",
     "render_report",
     "reeb_field",
+    "rotate_frame",
     "rotate_coframe",
     "run_suites",
     "sample_box",

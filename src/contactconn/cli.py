@@ -89,11 +89,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_params(pairs) -> dict[str, float]:
+    """The --param overrides by name; a name given twice is refused, as
+    a repeated key in a description file is, rather than keeping the
+    last value."""
     out: dict[str, float] = {}
     for pair in pairs:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise ValueError(f"--param expects NAME=VALUE, got {pair!r}")
+        if name in out:
+            raise ValueError(f"--param {name}: given more than once")
         try:
             out[name] = float(value)
         except ValueError:

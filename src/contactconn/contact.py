@@ -28,7 +28,7 @@ Conventions fixed here and relied on everywhere downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -180,25 +180,11 @@ def _reeb_from_values(theta: JetArray, dt: JetArray) -> JetArray:
     return sol
 
 
-def reeb_field(cs: ContactStructure, p, inputs: PointInputs | None = None) -> JetArray:
+def reeb_field(cs: ContactStructure, p) -> JetArray:
     """Unique vector with T . theta = 1, T . dtheta = 0, of the raw theta
-    with dtheta differentiated structurally, so at full order; inputs,
-    when given, are the structure's inputs at p."""
-    inputs = inputs or cs.inputs_at(p)
+    with dtheta differentiated structurally, so at full order."""
+    inputs = cs.inputs_at(p)
     return _reeb_from_values(inputs.theta, inputs.dtheta)
-
-
-def _select_h_indices(theta_values) -> tuple[tuple[int, ...], int]:
-    """Pick the 2n coordinate directions to project into H.
-
-    Keeps the directions with the smallest |theta| components (maximal
-    transversality margin for the dropped one), ties broken by index, and
-    returns them in index order plus the excluded index.
-    """
-    d = len(theta_values)
-    ranked = sorted(range(d), key=lambda i: (abs(theta_values[i]), i))
-    kept = tuple(sorted(ranked[:-1]))
-    return kept, ranked[-1]
 
 
 def _project_onto_h(theta: JetArray, m: int, rows) -> JetArray:
@@ -278,8 +264,6 @@ class AdaptedFrame:
     f: JetArray
     c: JetArray
     Omega: JetArray
-    h_indices: tuple[int, ...]
-    transversal_index: int
 
     @property
     def dim(self) -> int:
@@ -360,35 +344,21 @@ class AdaptedFrame:
         return full_tensor(on_pairs, 2)
 
 
-def adapted_frame(
-    cs: ContactStructure, p, h_choice=None, inputs: PointInputs | None = None
-) -> AdaptedFrame:
-    """Build the adapted orthonormal frame and dual coframe at p.
-
-    h_choice optionally overrides which 2n coordinate directions get
-    projected into H (any admissible set gives the same geometry in a
-    different frame; the default picks the most transversal split).
-    inputs, when given, are the structure's inputs at p; otherwise they
-    are evaluated here.
+def adapted_frame(cs: ContactStructure, p, inputs: PointInputs | None = None) -> AdaptedFrame:
+    """Build the adapted orthonormal frame and dual coframe at p, from
+    the most transversal split of the coordinate directions. Any other
+    adapted frame is rotate_frame of this one. inputs, when given, are
+    the structure's inputs at p; otherwise they are evaluated here.
     """
     d = cs.dim
     n = cs.n
     inputs = inputs or cs.inputs_at(p)
     theta, G = inputs.theta, inputs.G
-    if h_choice is None:
-        kept, m = _select_h_indices(theta.value)
-    else:
-        kept = tuple(sorted(h_choice))
-        if len(kept) != d - 1 or len(set(kept)) != d - 1 or not set(kept) <= set(range(d)):
-            raise ValueError(
-                f"h_choice {tuple(h_choice)} must name {d - 1} distinct coordinate "
-                f"indices in range({d})"
-            )
-        (m,) = set(range(d)) - set(kept)
-        if abs(theta.value[m]) <= 1e-10 * max(max_abs(theta.value), 1.0):
-            raise DegenerateFrameError(
-                "chosen transversal direction has a vanishing theta component"
-            )
+    # Project into H, along coordinate direction m, the 2n directions
+    # with the smallest |theta| components (the largest transversality
+    # margin for m), ties broken by index, kept in index order.
+    ranked = sorted(range(d), key=lambda i: (abs(theta.value[i]), i))
+    kept, m = sorted(ranked[:-1]), ranked[-1]
 
     # mu from g's and dtheta's matrices on the H-projected coordinate
     # basis (one vector per row), both paired in one stack, then
@@ -452,9 +422,46 @@ def adapted_frame(
         f=F,
         c=C,
         Omega=Omega,
-        h_indices=kept,
-        transversal_index=m,
     )
+
+
+def _turn(rows: JetArray, Q: JetArray) -> JetArray:
+    """Row b is the left fold over k of rows[k] Q[b, k], from term 0:
+    Q times the stack rows, whatever the shape of one row."""
+    col = (slice(None),)
+    tail = (None,) * (len(rows.shape) - 1)
+    out = rows[0] * Q[col + (0,) + tail]
+    for k in range(1, len(rows)):
+        out = out + rows[k] * Q[col + (k,) + tail]
+    return out
+
+
+def rotate_frame(frame: AdaptedFrame, Q: JetArray) -> AdaptedFrame:
+    """The adapted frame changed by an orthogonal jet matrix Q (2n, 2n):
+    X, the coframe H-parts f and the Reeb coefficients c become Q X, Q f
+    and Q c (an orthogonal change is its own dual), Omega becomes
+    Q Omega Q^T, and mu, theta_hat, dtheta_hat and T are kept. In
+    dimension 3 Q Omega Q^T = det(Q) Omega, so Omega is kept and Q must
+    be a rotation, which keeps the orientation. Raises ValueError naming
+    the problem for a Q of the wrong shape or chart dimension, with
+    values not orthogonal to 1e-12, or with det Q < 0 in dimension 3.
+    """
+    m = 2 * frame.n
+    if Q.shape != (m, m):
+        raise ValueError(f"Q must be a ({m}, {m}) matrix, got shape {Q.shape}")
+    if Q.dim != frame.dim:
+        raise ValueError(f"Q holds jets in dimension {Q.dim}, the frame in dimension {frame.dim}")
+    gap = max_abs(Q.value @ Q.value.T - np.eye(m))
+    if not gap <= 1e-12:
+        raise ValueError(f"Q is not orthogonal: |Q Q^T - I| = {gap:.3e}")
+    Omega = frame.Omega
+    if m == 2:
+        if not np.linalg.det(Q.value) > 0.0:
+            raise ValueError("Q must be a rotation in dimension 3, got det Q < 0")
+    else:
+        Omega = _turn(_turn(Omega, Q).transpose(1, 0), Q).transpose(1, 0)
+    X, f, c = (_turn(rows, Q) for rows in (frame.X, frame.f, frame.c))
+    return replace(frame, X=X, f=f, c=c, Omega=Omega)
 
 
 def lambda_spectrum(frame: AdaptedFrame) -> tuple[float, ...]:

@@ -341,7 +341,7 @@ def load_spec(path: str) -> ManifoldSpec:
             raise SpecError(f"{path}: not valid JSON ({exc})") from exc
 
     _require(isinstance(raw, dict), "$", "top level must be an object")
-    _require(raw.get("schema") == 1, "schema", "must be 1")
+    _require(_is_int(raw.get("schema")) and raw["schema"] == 1, "schema", "must be 1")
     known = {"schema", "name", "dim", "coords", "theta", "g", "box", "points", "seed", "params"}
     for key in raw:
         _require(key in known, key, "unknown field")
@@ -357,6 +357,7 @@ def load_spec(path: str) -> ManifoldSpec:
         params=raw.get("params", {}),
     )
     if "dim" in raw:
+        _require(_is_int(raw["dim"]), "dim", "must be an integer")
         _require(raw["dim"] == spec.dim, "dim", f"does not match len(coords) = {spec.dim}")
     bad = run_bound_violation(spec.points, spec.seed)
     if bad:

@@ -34,7 +34,6 @@ which the order-2 budget could not supply.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,6 +47,7 @@ from .contact import (
     ContactStructure,
     adapted_frame,
     max_abs,
+    rotate_frame,
 )
 from .errors import DegenerateFrameError, InconsistentStructureError
 from .forms import apply_vector, pair_table
@@ -186,27 +186,19 @@ def rotate_coframe(frame: AdaptedFrame, phi) -> AdaptedFrame:
 
         e1' = cos(phi) e1 - sin(phi) e2,  e2' = sin(phi) e1 + cos(phi) e2
 
-    and the frame vectors by the same matrix, which keeps duality and the
-    orientation pairing d(theta_hat)(X1', X2') = +1 (the matrix has
-    determinant one). Only the coframe fields f, c and X are replaced; the
-    rotated frame derives its df, D and d_pairs from them on first read.
-    phi is a single jet, a number or a parsed expression.
+    and the frame vectors by the same matrix: rotate_frame with the SO(2)
+    matrix of phi, which keeps duality and the orientation pairing
+    d(theta_hat)(X1', X2') = +1. phi is a single jet, a number or a
+    parsed expression.
     """
     _require_3d(frame.dim)
     ph = _phi_jet(frame, phi)
     co, si = ph.cos(), ph.sin()
-
     rot = JetArray.constant(0.0, frame.dim, (2, 2))  # [[co, -si], [si, co]]
     rot[[0, 1], [0, 1]] = co
     rot[0, 1] = -si
     rot[1, 0] = si
-
-    def turn(rows: JetArray) -> JetArray:
-        """Row b is rows[0] rot[b, 0] + rows[1] rot[b, 1]."""
-        return rows[0][None] * rot[:, 0, None] + rows[1][None] * rot[:, 1, None]
-
-    c = rot[:, 0] * frame.c[0] + rot[:, 1] * frame.c[1]
-    return dataclasses.replace(frame, f=turn(frame.f), c=c, X=turn(frame.X))
+    return rotate_frame(frame, rot)
 
 
 def check_rotation_covariance(td: TWData, phi) -> dict:

@@ -6,9 +6,11 @@ oracle of the input tape, which runs the same rules on raw parts), and
 they check the library's forms against independent routes: structural d
 evaluated at a point, interior products, the graded product and pairing
 as loops over single jets, the round trip through the wedge-monomial
-basis of a coframe, and a frame's coframe and frame vectors as lists of
-form and vector values. A k-form value is the JetArray of its components
-on the increasing multi-indices, in increasing_indices order.
+basis of a coframe, a frame's coframe and frame vectors as lists of
+form and vector values. cayley_rotation draws the orthogonal jet
+matrices the frame-change tests hand to rotate_frame. A k-form value is
+the JetArray of its components on the increasing multi-indices, in
+increasing_indices order.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from contactconn.forms import (
     increasing_indices,
     wedge,
 )
-from contactconn.jets import JetArray
+from contactconn.jets import JetArray, jet_linear_solve
 
 
 def sum_jets(terms):
@@ -216,6 +218,31 @@ def coframe(frame: AdaptedFrame) -> list[JetArray]:
 def frame_vectors(frame: AdaptedFrame) -> list[JetArray]:
     """The full frame (T, X_1, ..., X_2n) as vector values."""
     return [frame.T] + list(frame.X)
+
+
+def cayley_rotation(p, seed: int) -> JetArray:
+    """An orthogonal order-2 jet matrix (2n, 2n) at p, for a chart of
+    dimension len(p) = 2n + 1: the Cayley transform (I + S)^-1 (I - S),
+    solved with jet_linear_solve, of a skew S whose entries above the
+    diagonal are quadratic polynomials in the coordinates, coefficients
+    drawn uniform in [-1, 1] from seed. I + S is invertible for every
+    skew S, and the transform of a skew matrix field is orthogonal at
+    every point, so Q is orthogonal as a jet."""
+    dim = len(p)
+    m = dim - 1
+    rng = np.random.default_rng(seed)
+    x = [JetArray.coordinate(p, i, 2) for i in range(dim)]
+    monomials = x + [x[i] * x[j] for i, j in itertools.combinations_with_replacement(range(dim), 2)]
+    S = JetArray.constant(0.0, dim, (m, m))
+    for a, b in itertools.combinations(range(m), 2):
+        coeffs = rng.uniform(-1.0, 1.0, len(monomials) + 1)
+        s = JetArray.constant(float(coeffs[0]), dim)
+        for c, mono in zip(coeffs[1:], monomials):
+            s = s + mono * float(c)
+        S[a, b], S[b, a] = s, -s
+    eye = JetArray.constant(0.0, dim, (m, m))
+    np.fill_diagonal(eye.value, 1.0)
+    return jet_linear_solve(eye + S, eye - S)
 
 
 def zero_form(dim: int, degree: int, order: int) -> JetArray:

@@ -232,6 +232,20 @@ class TestExitCodes:
         assert code == 2
         assert "not a number" in err
 
+    def test_repeated_param_exits_two(self, capsys, monkeypatch):
+        import contactconn.suites
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled despite a repeated --param")
+
+        monkeypatch.setattr(contactconn.suites, "sample_box", refuse)
+        code, out, err = run(
+            capsys, "analyze", "--manifold", "heisenberg-aniso",
+            "--param", "b=1", "--param", "b=3",
+        )
+        assert (code, out) == (2, "")
+        assert "error: --param b: given more than once" in err
+
     def test_unavailable_suite_exits_two(self, capsys):
         code, _, err = run(
             capsys, "analyze", "--manifold", "n2-split", "--suites", "rotation",
@@ -415,6 +429,15 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "--spec", path)
         assert code == 2
         assert "box" in err
+
+    @pytest.mark.parametrize(
+        "field, value", [("schema", True), ("schema", 1.0), ("dim", 3.0)]
+    )
+    def test_non_integer_schema_or_dim_exits_two(self, capsys, tmp_path, field, value):
+        path = write_spec(tmp_path, dict(GOOD_SPEC, **{field: value}))
+        code, out, err = run(capsys, "validate", "--spec", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field}: ")
 
     @pytest.mark.parametrize(
         "theta_z, offset",

@@ -3,10 +3,12 @@ constructions, torsion, H-covariant derivatives, promotion.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from contactconn import connection
 from contactconn.connection import (
     FullConnection,
     base_partial_connection,
@@ -20,13 +22,16 @@ from contactconn.connection import (
     sigma,
     sigma_inv,
 )
-from contactconn.contact import ContactStructure, adapted_frame, max_abs
+from contactconn.contact import ContactStructure, adapted_frame, max_abs, rotate_frame
 from contactconn.errors import SymmetryError
 from contactconn.expressions import parse_expr
-from contactconn.forms import FormField
+from contactconn.forms import FormField, apply_vector
 from contactconn.jets import JetArray, Tape, eval_jet
+from contactconn.registry import builtin_registry, get_manifold, load_spec
+from contactconn.sampling import sample_box
 from form_helpers import (
     assert_within_rounding,
+    cayley_rotation,
     evaluate,
     frame_vectors,
     magnitude,
@@ -224,15 +229,83 @@ class TestUniqueness:
             canonical_partial_connection(perturbed, P3, base_perturbation=pert)
 
 
+FRAME_CHARTS = [spec.name for spec in builtin_registry()] + ["heis7.json"]
+
+
+def chart_spec(name):
+    """A built-in's spec, or that of a chart under tests/data/charts."""
+    if name.endswith(".json"):
+        return load_spec(Path(__file__).parent / "data" / "charts" / name)
+    return get_manifold(name)
+
+# Every compared quantity agrees to ~1.4e-14 under these frame changes.
+FRAME_CHANGE_TOL = 1e-12
+
+
+def frame_change_gaps(name: str) -> dict:
+    """How far the canonical connection and its promotion move when the
+    adapted frame is changed by rotate_frame with a Cayley rotation Q,
+    the largest over 4 sample points (seed 1) of a built-in or of a
+    chart under tests/data/charts:
+
+    - vector_action, oneform_action: the change of the partial
+      connection's coordinate_action_on_vector and of the promotion's
+      coordinate_action, coordinate tensors that must not move;
+    - coefficients: the promotion's coefficients in the new frame
+      against the law for a coframe change sigma' = R sigma, R = diag(1, Q):
+      coeffs'[P, A, E] = R[P, K] (F_K(R[A, B]) R[E, B]
+      + R[A, B] coeffs[K, B, C] R[E, C]), F the old frame.
+    """
+    cs = chart_spec(name).build()
+    c, d = cs.coords, cs.dim
+    alpha = FormField.one_form(
+        [parse_expr(f"{c[(i + 2) % d]}^2 - {i}*{c[i]}", c) for i in range(d)]
+    )
+    gaps = dict.fromkeys(("vector_action", "oneform_action", "coefficients"), 0.0)
+    for k, p in enumerate(sample_box(cs.box, 4, 1)):
+        v = vector_jets(cs, [f"{c[i]}*{c[(i + 1) % d]} + {i + 1}" for i in range(d)], p)
+        frame = adapted_frame(cs, p)
+        Q = cayley_rotation(p, k)
+        frames = (frame, rotate_frame(frame, Q))
+        conn, conn2 = (canonical_partial_connection(cs, p, frame=fr) for fr in frames)
+        full, full2 = promote(conn), promote(conn2)
+        R = np.eye(d)
+        R[1:, 1:] = Q.value
+        dR = np.zeros((d, d, d))  # [K, A, B] = F_K(R[A, B])
+        dR[:, 1:, 1:] = apply_vector(frame.frame_array, Q).value
+        law = np.einsum("PK,KAB,EB->PAE", R, dR, R)
+        law += np.einsum("PK,AB,KBC,EC->PAE", R, R, full.coeffs.value, R)
+        moved = {
+            "vector_action": conn.coordinate_action_on_vector(v)
+            - conn2.coordinate_action_on_vector(v),
+            "oneform_action": full.coordinate_action(alpha) - full2.coordinate_action(alpha),
+            "coefficients": full2.coeffs.value - law,
+        }
+        for key, gap in moved.items():
+            gaps[key] = max(gaps[key], max_abs(gap))
+    return gaps
+
+
 class TestFrameIndependence:
-    def test_h_choice_gives_same_action(self, perturbed):
-        v = vector_jets(perturbed, ("y*z", "x", "x - z^2"), P3)
-        conn1 = canonical_partial_connection(perturbed, P3)
-        frame2 = adapted_frame(perturbed, P3, h_choice=(1, 2))
-        conn2 = canonical_partial_connection(perturbed, P3, frame=frame2)
-        n1 = conn1.coordinate_action_on_vector(v)
-        n2 = conn2.coordinate_action_on_vector(v)
-        assert np.max(np.abs(n1 - n2)) < 1e-9
+    @pytest.mark.parametrize("name", FRAME_CHARTS)
+    def test_frame_change_keeps_the_connection(self, name):
+        gaps = frame_change_gaps(name)
+        assert all(gap < FRAME_CHANGE_TOL for gap in gaps.values()), gaps
+
+    @pytest.mark.parametrize("name", ["n2-split", "heis7.json"])
+    def test_frame_change_catches_a_scaled_promotion(self, name, monkeypatch):
+        # Every suite passes on these charts with the Reeb row scaled by
+        # 1.01; the promotion is then no longer frame-independent.
+        real = connection._promotion_system
+
+        def scaled(conn):
+            num, den = real(conn)
+            return num * 1.01, den
+
+        monkeypatch.setattr(connection, "_promotion_system", scaled)
+        gaps = frame_change_gaps(name)
+        assert gaps["oneform_action"] > FRAME_CHANGE_TOL, gaps
+        assert gaps["coefficients"] > FRAME_CHANGE_TOL, gaps
 
     def test_sign_flip_gives_same_action(self, heisenberg):
         neg = dataclasses.replace(
@@ -326,8 +399,6 @@ def scalar_promotion_system(conn, absolute=False):
     Omega cut to order 1, the order of the num it divides. With absolute,
     every input part is replaced by its absolute value and the difference
     by a sum, which gives the sum of |terms|."""
-    from contactconn.forms import apply_vector
-
     frame = conn.frame
     m = 2 * frame.n
     mag = magnitude if absolute else (lambda a: a)
@@ -481,15 +552,7 @@ VALUE_ROUTE_CHARTS = [
 def chart_connection(name):
     """The canonical connection at the first sample point of a built-in,
     or of a chart under tests/data/charts."""
-    from pathlib import Path
-
-    from contactconn.registry import get_manifold, load_spec
-    from contactconn.sampling import sample_box
-
-    if name.endswith(".json"):
-        spec = load_spec(Path(__file__).parent / "data" / "charts" / name)
-    else:
-        spec = get_manifold(name)
+    spec = chart_spec(name)
     cs = spec.build()
     return canonical_partial_connection(cs, sample_box(spec.box, 1, spec.seed)[0])
 

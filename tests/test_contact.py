@@ -21,10 +21,10 @@ from contactconn.contact import (
     classify,
     lambda_spectrum,
     reeb_field,
+    rotate_frame,
 )
 from contactconn.errors import (
     AllPointsSkippedError,
-    DegenerateFrameError,
     DegenerateMetricError,
     ExprDomainError,
     NotContactError,
@@ -35,11 +35,18 @@ from contactconn.jets import JetArray, eval_jet
 from contactconn.registry import builtin_registry, get_manifold, load_spec
 from contactconn.sampling import sample_box
 from contactconn.tw3d import rotate_coframe
-from form_helpers import coframe, evaluate, frame_vectors
+from form_helpers import cayley_rotation, coframe, evaluate, frame_vectors
 
 CHARTS_DIR = Path(__file__).parent / "data" / "charts"
+# Every built-in and the 7D chart.
+CHARTS = [spec.name for spec in builtin_registry()] + ["heis7.json"]
 P3 = (0.3, -0.4, 0.2)
 P5 = (0.1, -0.3, 0.2, 0.4, 0.0)
+
+
+def chart(name):
+    """A built-in's spec, or that of a chart file under CHARTS_DIR."""
+    return load_spec(CHARTS_DIR / name) if name.endswith(".json") else get_manifold(name)
 
 
 def structure(coords, theta, g_rows, box_half=0.9):
@@ -171,21 +178,17 @@ class TestAdaptedFrame:
         frame = adapted_frame(sphere, (0.3, 0.2, -0.5))
         assert frame.Omega[0][1].value == pytest.approx(1.0, abs=1e-12)
 
-    def test_h_choice_respected(self, heis):
-        frame = adapted_frame(heis, P3, h_choice=(1, 2))
-        assert frame.h_indices == (1, 2)
-        assert frame.transversal_index == 0
+    @pytest.mark.parametrize("name", CHARTS)
+    def test_rotated_frame_is_dual(self, name):
+        cs = chart(name).build()
+        p = sample_box(cs.box, 1, 5)[0]
+        frame = rotate_frame(adapted_frame(cs, p), cayley_rotation(p, 3))
         co = coframe(frame)
         vecs = frame_vectors(frame)
-        for A in range(3):
-            for B in range(3):
+        for A in range(cs.dim):
+            for B in range(cs.dim):
                 want = 1.0 if A == B else 0.0
                 assert abs(evaluate(co[A], vecs[B]).value - want) < 1e-11
-
-    def test_h_choice_needs_transversal(self, heis):
-        # excluding index 0 requires theta_x = -y != 0; fails on y = 0
-        with pytest.raises(DegenerateFrameError):
-            adapted_frame(heis, (0.3, 0.0, 0.2), h_choice=(1, 2))
 
     def test_degenerate_metric_raises(self):
         cs = structure(
@@ -228,12 +231,13 @@ class TestAdaptedFrame:
             ):
                 assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
-    @pytest.mark.parametrize("name", [spec.name for spec in builtin_registry()] + ["heis7.json"])
+    @pytest.mark.parametrize("name", CHARTS)
     def test_d_pairs_matches_its_entries(self, name):
-        spec = load_spec(CHARTS_DIR / name) if name.endswith(".json") else get_manifold(name)
-        cs = spec.build()
-        frame = adapted_frame(cs, sample_box(cs.box, 1, 5)[0])
-        frames = [frame] + ([rotate_coframe(frame, 0.7)] if cs.dim == 3 else [])
+        cs = chart(name).build()
+        p = sample_box(cs.box, 1, 5)[0]
+        frame = adapted_frame(cs, p)
+        frames = [frame, rotate_frame(frame, cayley_rotation(p, 2))]
+        frames += [rotate_coframe(frame, 0.7)] if cs.dim == 3 else []
         for fr in frames:
             want = d_pairs_by_entry(fr)
             got = fr.d_pairs
@@ -276,16 +280,34 @@ def d_pairs_by_entry(frame):
     return out
 
 
+def rotate(cs, shape, dim=None, diagonal=(1.0, 1.0)):
+    """rotate_frame of the adapted frame at P3 by a constant jet matrix
+    of the given shape and jet dimension (the chart's by default), zero
+    but for its leading diagonal."""
+    Q = JetArray.constant(0.0, dim or cs.dim, shape)
+    Q.value[range(len(diagonal)), range(len(diagonal))] = diagonal
+    return rotate_frame(adapted_frame(cs, P3), Q)
+
+
 class TestLibraryInputValidation:
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda cs: adapted_frame(cs, P3, h_choice=(0, 3)), r"h_choice \(0, 3\)"),
-            (lambda cs: adapted_frame(cs, P3, h_choice=(0, -1)), r"h_choice \(0, -1\)"),
+            (lambda cs: rotate(cs, (3, 3)), r"Q must be a \(2, 2\) matrix, got shape \(3, 3\)"),
+            (lambda cs: rotate(cs, (2, 2), dim=5), "Q holds jets in dimension 5"),
+            (lambda cs: rotate(cs, (2, 2), diagonal=(1.0, 1.0 + 1e-9)), "not orthogonal"),
+            (lambda cs: rotate(cs, (2, 2), diagonal=(1.0, -1.0)), "rotation in dimension 3"),
             (lambda cs: cs.inputs_at((0.3, -0.4)), "point has 2 coordinates, the chart has 3"),
             (lambda cs: cs.inputs_at(P3 + (0.1,)), "point has 4 coordinates, the chart has 3"),
         ],
-        ids=["h-index-too-large", "h-index-negative", "short-point", "long-point"],
+        ids=[
+            "frame-change-shape",
+            "frame-change-dimension",
+            "frame-change-not-orthogonal",
+            "frame-change-reflection",
+            "short-point",
+            "long-point",
+        ],
     )
     def test_rejected_with_a_named_problem(self, heis, call, message):
         with pytest.raises(ValueError, match=message):

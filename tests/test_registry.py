@@ -465,9 +465,13 @@ class TestLoadSpec:
         [
             (lambda d: d.pop("theta"), "theta"),
             (lambda d: d.update(schema=2), "schema"),
+            (lambda d: d.update(schema=True), "schema"),
+            (lambda d: d.update(schema=1.0), "schema"),
             (lambda d: d.update(coords=["x", "y"]), "coords"),
             (lambda d: d.update(coords=["x", "y", "x"]), "coords"),
             (lambda d: d.update(dim=5), "dim"),
+            (lambda d: d.update(dim=3.0), "dim: must be an integer"),
+            (lambda d: d.update(dim=True), "dim: must be an integer"),
             (lambda d: d.update(theta=["-y", "0"]), "theta"),
             (lambda d: d.update(g=[["1"]]), "g"),
             (lambda d: d["g"].__setitem__(1, ["0", "1"]), r"g\[1\]"),

@@ -51,6 +51,7 @@ LAYERS = (
     "contact.ContactStructure.inputs_at",
     "contact.check_contact",
     "contact.adapted_frame",
+    "contact.rotate_frame",
     "connection.canonical_partial_connection",
     "connection.promote",
     "connection.promotion_residual",
