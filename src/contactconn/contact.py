@@ -55,7 +55,7 @@ ORDER = 2
 
 @dataclass(frozen=True)
 class ContactStructure:
-    """Chart-level input data: coordinates, contact form, metric, box.
+    """Chart-level input data: coordinates, contact form and metric.
 
     g is a dim x dim symmetric matrix of expressions; only its restriction
     to H is ever used.
@@ -64,7 +64,6 @@ class ContactStructure:
     coords: tuple[str, ...]
     theta: FormField
     g: tuple[tuple[Expr, ...], ...]
-    box: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         d = len(self.coords)
@@ -74,8 +73,6 @@ class ContactStructure:
             raise ValueError("theta must be a 1-form in the chart dimension")
         if len(self.g) != d or any(len(row) != d for row in self.g):
             raise ValueError("g must be a dim x dim matrix")
-        if len(self.box) != d:
-            raise ValueError("box must give one interval per coordinate")
 
     @property
     def dim(self) -> int:
@@ -443,17 +440,30 @@ def rotate_frame(frame: AdaptedFrame, Q: JetArray) -> AdaptedFrame:
     Q Omega Q^T, and mu, theta_hat, dtheta_hat and T are kept. In
     dimension 3 Q Omega Q^T = det(Q) Omega, so Omega is kept and Q must
     be a rotation, which keeps the orientation. Raises ValueError naming
-    the problem for a Q of the wrong shape or chart dimension, with
-    values not orthogonal to 1e-12, or with det Q < 0 in dimension 3.
+    the problem for a Q of the wrong shape or chart dimension, with a part
+    of Q Q^T - I over 1e-12 times the terms that cancel in it (1, |Q'|,
+    |Q'|^2 + |Q''|), or with det Q < 0 in dimension 3.
     """
     m = 2 * frame.n
     if Q.shape != (m, m):
         raise ValueError(f"Q must be a ({m}, {m}) matrix, got shape {Q.shape}")
     if Q.dim != frame.dim:
         raise ValueError(f"Q holds jets in dimension {Q.dim}, the frame in dimension {frame.dim}")
-    gap = max_abs(Q.value @ Q.value.T - np.eye(m))
-    if not gap <= 1e-12:
-        raise ValueError(f"Q is not orthogonal: |Q Q^T - I| = {gap:.3e}")
+    Qt = Q.transpose(1, 0)
+    QQt = contract(Qt[:, :, None], Qt[:, None, :])  # [a, b] = sum_k Q_ak Q_bk
+    checks = [(0, QQt.value - np.eye(m), 1.0)]
+    if Q.top >= 1:
+        dQ = max_abs(Q.grad[Q.order >= 1])
+        checks.append((1, QQt.grad, dQ))
+    if Q.top >= 2:
+        checks.append((2, QQt.hess, dQ**2 + max_abs(Q.hess[Q.order >= 2])))
+    for k, part, scale in checks:
+        gap = max_abs(part[QQt.order >= k])
+        if not gap <= 1e-12 * scale:
+            raise ValueError(
+                f"Q is not orthogonal: the order-{k} part of Q Q^T - I is {gap:.3e}, "
+                f"against terms of size {scale:.3e}"
+            )
     Omega = frame.Omega
     if m == 2:
         if not np.linalg.det(Q.value) > 0.0:

@@ -6,13 +6,13 @@ count / seed. Parameters (like the anisotropy factor b) are bound by the
 parser: each use of a parameter name parses as a numeric literal of its
 value.
 
-A chart compiles once per process. build() without overrides looks its
-structure up in one small least-recently-used memo keyed on exactly what
-the compile reads: the coordinate names, the theta and g texts, and the
-bits of the box bounds and parameter values. Every spec with the same
-chart text, loaded, built in code, replaced or built in, shares that
-structure. A compile that raises is not kept, so a bad chart raises on
-every build().
+A chart compiles once per process. build() looks its structure up in one
+small least-recently-used memo keyed on exactly what the compile reads:
+the coordinate names, the theta and g texts, and the bits of the
+parameter values, overrides included. Every spec with the same chart
+text, loaded, built in code, replaced or built in, shares that structure,
+whatever its name, box, points and seed. A compile that raises is not
+kept, so a bad chart raises on every build().
 """
 
 from __future__ import annotations
@@ -88,25 +88,12 @@ class ManifoldSpec:
 
     def build(self, param_overrides: dict[str, float] | None = None) -> ContactStructure:
         """The chart's ContactStructure with the declared parameters, each
-        overridden by its entry in param_overrides.
-
-        Without overrides (None or {}) this is the one structure of the
-        spec's chart text in this process, with its d(theta) and input
-        tape: the first build() of that text parses its expressions, and
-        every later one, on this spec or any other with the same
-        coordinates, texts, box and parameter bits, returns that structure
-        while it is among the 16 most recently built. With overrides each
-        call builds a fresh structure that nothing keeps."""
-        if not param_overrides:
-            return _compiled_chart(
-                self.coords,
-                self.theta,
-                self.g,
-                tuple((lo.hex(), hi.hex()) for lo, hi in self.box),
-                tuple((key, val.hex()) for key, val in self.params.items()),
-            )
+        overridden by its entry in param_overrides: the one structure in
+        this process of the coordinates, theta and g texts and parameter
+        bits, which the first build() of those parses and every later one,
+        on any spec, returns while it is among the 16 most recently built."""
         values = dict(self.params)
-        for key, val in param_overrides.items():
+        for key, val in (param_overrides or {}).items():
             if key not in values:
                 known = ", ".join(sorted(values)) or "none"
                 raise SpecError(
@@ -114,21 +101,18 @@ class ManifoldSpec:
                     f"(declared parameters: {known})"
                 )
             values[key] = float(val)
-        return _compile(self.coords, self.theta, self.g, self.box, values)
+        return _compiled_chart(
+            self.coords, self.theta, self.g, tuple((key, val.hex()) for key, val in values.items())
+        )
 
 
 @lru_cache(maxsize=16)
-def _compiled_chart(coords, theta, g, box_bits, param_bits) -> ContactStructure:
-    """The memo behind build(): _compile of the chart whose box bounds and
+def _compiled_chart(coords, theta, g, param_bits) -> ContactStructure:
+    """The memo behind build(): the parsed structure of the chart whose
     parameter values are given by their float.hex bits, so that 0.0 and
     -0.0, which parse to different trees, stay apart. A compile that
     raises is not kept."""
-    box = tuple((float.fromhex(lo), float.fromhex(hi)) for lo, hi in box_bits)
     values = {key: float.fromhex(val) for key, val in param_bits}
-    return _compile(coords, theta, g, box, values)
-
-
-def _compile(coords, theta, g, box, values: Mapping[str, float]) -> ContactStructure:
     for key, val in values.items():
         if not math.isfinite(val):
             raise SpecError(f"parameter {key!r} must be finite, got {val!r}")
@@ -150,7 +134,7 @@ def _compile(coords, theta, g, box, values: Mapping[str, float]) -> ContactStruc
         for j in range(i + 1, dim):
             if g_exprs[i][j] != g_exprs[j][i]:
                 raise SpecError(f"not symmetric with g[{j}][{i}]", f"g[{i}][{j}]")
-    return ContactStructure(coords, theta_field, g_exprs, box)
+    return ContactStructure(coords, theta_field, g_exprs)
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -330,7 +314,8 @@ def load_spec(path: str) -> ManifoldSpec:
     includes build(), so a returned spec is known to parse and to have a
     symmetric metric. That build() goes through the process's chart memo:
     the first load of a chart text compiles it, and every later load of
-    the same text, from this file or any other, gets the structure already
+    the same coordinates, theta and g texts and parameter bits, from this
+    file or any other and whatever its box, gets the structure already
     compiled, which the returned spec's build() gives too. A file whose
     chart fails to compile raises on every call.
     """

@@ -9,7 +9,7 @@ therefore produce identical bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SCHEMA_ID = "contactconn-report/1"
 

@@ -71,7 +71,6 @@ from .tw3d import (
     compare_full,
     compare_partial,
     solve_structure_equations,
-    tw_coframe,
 )
 
 # Mixing constant for the rotation suite's angle-coefficient stream: the
@@ -106,7 +105,7 @@ class _PointState:
 
     @cached_property
     def tw_data(self):
-        return solve_structure_equations(tw_coframe(self.cs, self.p, frame=self.frame))
+        return solve_structure_equations(self.frame)
 
 
 class _Run(NamedTuple):

@@ -104,8 +104,8 @@ def solve_structure_equations(frame: AdaptedFrame) -> TWData:
     The six scalar equations pair de1, de2 against the basis 2-forms;
     their normal equations decouple into the closed form below. The lone
     redundancy |c1 + c5| / sqrt(2) is the least-squares residual and must
-    sit at rounding level. frame is an oriented 3-dimensional adapted
-    frame, as tw_coframe and rotate_coframe return.
+    sit at rounding level. frame is a 3-dimensional adapted frame; only
+    tw_coframe checks its d(theta_hat)(X1, X2) = 1, the suites gate it.
     """
     _require_3d(frame.dim)
     # d(theta_hat), de1 and de2 on the frame pairs (T, X1), (T, X2),

@@ -8,7 +8,6 @@ import json
 import statistics
 
 import numpy as np
-import pytest
 
 from contactconn.cli import main
 from contactconn.connection import (
@@ -21,7 +20,7 @@ from contactconn.contact import adapted_frame
 from contactconn.expressions import parse_expr
 from contactconn.forms import FormField
 from contactconn.jets import JetArray, Tape, eval_jet
-from contactconn.registry import builtin_registry, get_manifold
+from contactconn.registry import get_manifold
 from contactconn.sampling import sample_box
 from contactconn.suites import run_suites
 from contactconn.tw3d import (

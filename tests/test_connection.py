@@ -47,8 +47,7 @@ P3 = (0.3, -0.4, 0.2)
 def structure(coords, theta, g_rows):
     th = FormField.one_form([parse_expr(t, coords) for t in theta])
     g = tuple(tuple(parse_expr(e, coords) for e in row) for row in g_rows)
-    box = ((-0.9, 0.9),) * len(coords)
-    return ContactStructure(tuple(coords), th, g, box)
+    return ContactStructure(tuple(coords), th, g)
 
 
 def euclidean_heisenberg():
@@ -256,13 +255,14 @@ def frame_change_gaps(name: str) -> dict:
       coeffs'[P, A, E] = R[P, K] (F_K(R[A, B]) R[E, B]
       + R[A, B] coeffs[K, B, C] R[E, C]), F the old frame.
     """
-    cs = chart_spec(name).build()
+    spec = chart_spec(name)
+    cs = spec.build()
     c, d = cs.coords, cs.dim
     alpha = FormField.one_form(
         [parse_expr(f"{c[(i + 2) % d]}^2 - {i}*{c[i]}", c) for i in range(d)]
     )
     gaps = dict.fromkeys(("vector_action", "oneform_action", "coefficients"), 0.0)
-    for k, p in enumerate(sample_box(cs.box, 4, 1)):
+    for k, p in enumerate(sample_box(spec.box, 4, 1)):
         v = vector_jets(cs, [f"{c[i]}*{c[(i + 1) % d]} + {i + 1}" for i in range(d)], p)
         frame = adapted_frame(cs, p)
         Q = cayley_rotation(p, k)

@@ -49,11 +49,10 @@ def chart(name):
     return load_spec(CHARTS_DIR / name) if name.endswith(".json") else get_manifold(name)
 
 
-def structure(coords, theta, g_rows, box_half=0.9):
+def structure(coords, theta, g_rows):
     th = FormField.one_form([parse_expr(t, coords) for t in theta])
     g = tuple(tuple(parse_expr(e, coords) for e in row) for row in g_rows)
-    box = ((-box_half, box_half),) * len(coords)
-    return ContactStructure(tuple(coords), th, g, box)
+    return ContactStructure(tuple(coords), th, g)
 
 
 @pytest.fixture
@@ -180,8 +179,9 @@ class TestAdaptedFrame:
 
     @pytest.mark.parametrize("name", CHARTS)
     def test_rotated_frame_is_dual(self, name):
-        cs = chart(name).build()
-        p = sample_box(cs.box, 1, 5)[0]
+        spec = chart(name)
+        cs = spec.build()
+        p = sample_box(spec.box, 1, 5)[0]
         frame = rotate_frame(adapted_frame(cs, p), cayley_rotation(p, 3))
         co = coframe(frame)
         vecs = frame_vectors(frame)
@@ -233,8 +233,9 @@ class TestAdaptedFrame:
 
     @pytest.mark.parametrize("name", CHARTS)
     def test_d_pairs_matches_its_entries(self, name):
-        cs = chart(name).build()
-        p = sample_box(cs.box, 1, 5)[0]
+        spec = chart(name)
+        cs = spec.build()
+        p = sample_box(spec.box, 1, 5)[0]
         frame = adapted_frame(cs, p)
         frames = [frame, rotate_frame(frame, cayley_rotation(p, 2))]
         frames += [rotate_coframe(frame, 0.7)] if cs.dim == 3 else []
@@ -281,12 +282,24 @@ def d_pairs_by_entry(frame):
 
 
 def rotate(cs, shape, dim=None, diagonal=(1.0, 1.0)):
-    """rotate_frame of the adapted frame at P3 by a constant jet matrix
-    of the given shape and jet dimension (the chart's by default), zero
-    but for its leading diagonal."""
+    """rotate_frame of the adapted frame at P3 by a jet matrix of the
+    given shape and jet dimension (the chart's by default), zero but for
+    its leading diagonal, whose entries are numbers or single jets."""
     Q = JetArray.constant(0.0, dim or cs.dim, shape)
-    Q.value[range(len(diagonal)), range(len(diagonal))] = diagonal
+    for i, entry in enumerate(diagonal):
+        Q[i, i] = entry
     return rotate_frame(adapted_frame(cs, P3), Q)
+
+
+def perturbed():
+    return get_manifold("heisenberg-perturbed").build()
+
+
+def orthogonal_at_p3_only():
+    """(1 + x - 0.3) I at P3: the identity in value, whose Q Q^T has the
+    gradient 2 dx I."""
+    s = JetArray.coordinate(P3, 0, 2) + 0.7
+    return (s, s)
 
 
 class TestLibraryInputValidation:
@@ -296,6 +309,10 @@ class TestLibraryInputValidation:
             (lambda cs: rotate(cs, (3, 3)), r"Q must be a \(2, 2\) matrix, got shape \(3, 3\)"),
             (lambda cs: rotate(cs, (2, 2), dim=5), "Q holds jets in dimension 5"),
             (lambda cs: rotate(cs, (2, 2), diagonal=(1.0, 1.0 + 1e-9)), "not orthogonal"),
+            (
+                lambda cs: rotate(perturbed(), (2, 2), diagonal=orthogonal_at_p3_only()),
+                r"not orthogonal: the order-1 part of Q Q\^T - I is 2\.000e\+00",
+            ),
             (lambda cs: rotate(cs, (2, 2), diagonal=(1.0, -1.0)), "rotation in dimension 3"),
             (lambda cs: cs.inputs_at((0.3, -0.4)), "point has 2 coordinates, the chart has 3"),
             (lambda cs: cs.inputs_at(P3 + (0.1,)), "point has 4 coordinates, the chart has 3"),
@@ -304,6 +321,7 @@ class TestLibraryInputValidation:
             "frame-change-shape",
             "frame-change-dimension",
             "frame-change-not-orthogonal",
+            "frame-change-orthogonal-in-value-only",
             "frame-change-reflection",
             "short-point",
             "long-point",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contactconn.expressions import lit, parse_expr
+from contactconn.expressions import parse_expr
 from contactconn.forms import (
     FormField,
     d_from_jets,

@@ -105,12 +105,11 @@ class TestSharedSpecs:
         assert spec.build() is cs and spec.build({}) is cs and spec.build(None) is cs
         assert cs.dtheta is spec.build().dtheta
         assert cs.input_tape is spec.build().input_tape
-        # An override builds a fresh structure each time and keeps none.
-        assert spec.build({"b": 3.0}) is not spec.build({"b": 3.0})
-        assert spec.build() is cs
+        # An override equal to the declared value is the declared chart.
+        assert spec.build({"b": 2.0}) is cs and spec.build({"b": 2}) is cs
         # A replaced spec with the same chart shares it.
         assert dataclasses.replace(spec).build() is cs
-        assert len(calls) == 3 * (3 + 9)
+        assert len(calls) == 3 + 9
 
     def test_params_are_read_only(self):
         spec = get_manifold("heisenberg-aniso")
@@ -140,8 +139,8 @@ class TestSharedSpecs:
 
 
 class TestChartMemo:
-    """build() without overrides shares one structure per chart text in a
-    process, through registry._compiled_chart."""
+    """build() shares one structure per chart text and parameter bits in
+    a process, through registry._compiled_chart."""
 
     @pytest.fixture(autouse=True)
     def cold(self):
@@ -153,12 +152,16 @@ class TestChartMemo:
         path = write_spec(tmp_path, valid_payload())
         cs = load_spec(path).build()
         assert load_spec(path).build() is cs
-        # The same chart in another file, with its own name, points and
-        # seed, a spec built in code and a replaced spec share it too.
-        other = dict(valid_payload(), name="other", points=2, seed=9)
+        # The same chart in another file, with its own name, box, points
+        # and seed, a spec built in code and a replaced spec share it too.
+        other = dict(valid_payload(), name="other", box=[[-1, 1]] * 3, points=2, seed=9)
         assert load_spec(write_spec(tmp_path, other, "other.json")).build() is cs
         assert code_spec().build() is cs
         assert dataclasses.replace(code_spec(), name="renamed").build() is cs
+        # The box is not read by the compile, whatever the sign of its zeros.
+        assert code_spec(box=box_with(2, (-0.5, 0.25))).build() is cs
+        assert code_spec(box=box_with(0, (0.0, 0.5))).build() is cs
+        assert code_spec(box=box_with(0, (-0.0, 0.5))).build() is cs
 
     def test_second_load_parses_nothing(self, tmp_path, monkeypatch):
         path = write_spec(tmp_path, valid_payload())
@@ -173,7 +176,6 @@ class TestChartMemo:
         cs = code_spec().build()
         changed = [
             code_spec(g=(("1", "0", "0"), ("0", "a + 0", "0"), ("0", "0", "0"))),
-            code_spec(box=box_with(2, (-0.5, 0.25))),
             code_spec(params={"a": 2.5}),
             code_spec(coords=("x", "y", "w")),
             code_spec(theta=("-y", "0", "2")),
@@ -189,9 +191,9 @@ class TestChartMemo:
         # They parse to different trees.
         assert plus.g[1][1] == Lit(0.0) and minus.g[1][1] != plus.g[1][1]
         assert code_spec(params={"a": -0.0}).build() is minus
-        # So do box bounds of either sign of zero.
-        lo = code_spec(box=box_with(0, (0.0, 0.5))).build()
-        assert code_spec(box=box_with(0, (-0.0, 0.5))).build() is not lo
+        # So do overrides of either sign of zero, which reach those two.
+        assert code_spec().build({"a": 0.0}) is plus
+        assert code_spec().build({"a": -0.0}) is minus
 
     def test_bad_chart_raises_on_every_call(self, tmp_path):
         bad = dict(valid_payload(), theta=["-y", "0", "1 +"])
@@ -204,12 +206,21 @@ class TestChartMemo:
             with pytest.raises(SpecError, match="not symmetric"):
                 asym.build()
 
-    def test_overrides_build_fresh_structures(self, tmp_path):
+    def test_overrides_share_the_memo(self, tmp_path, monkeypatch):
         spec = load_spec(write_spec(tmp_path, valid_payload()))
         cs = spec.build()
-        one, two = spec.build({"a": 1.5}), spec.build({"a": 1.5})
-        assert one is not two and one is not cs and two is not cs
-        assert spec.build() is cs
+        calls = count_parses(monkeypatch)
+        one = spec.build({"a": 2.5})
+        assert one is not cs and len(calls) == 3 + 9
+        # The same override bits give the same structure, with no parse,
+        # and so does a spec that declares them.
+        assert spec.build({"a": 2.5}) is one
+        assert code_spec(params={"a": 2.5}).build() is one
+        # The declared value as an override gives the declared structure.
+        assert spec.build({"a": 1.5}) is cs
+        assert len(calls) == 3 + 9
+        with pytest.raises(SpecError, match=r"unknown parameter 'q'.*declared parameters: a\)"):
+            spec.build({"a": 2.5, "q": 1.0})
 
     def test_bound_evicts_the_least_recent_chart(self, monkeypatch):
         import contactconn.registry as registry_mod

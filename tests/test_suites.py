@@ -369,6 +369,23 @@ class TestFailurePropagation:
         assert rep.passed is False
         assert rep.suites[0].residuals["duality"] == 1.0
 
+    def test_orientation_defect_fails_the_report(self, monkeypatch):
+        # mu off by 1e-6 gives every screened frame Omega_12 = 1 + 1e-6.
+        # The 3D suites solve on the screened frame as it is, so the run
+        # reports the defect through the gates on Omega_12 = 1 rather than
+        # stopping on tw_coframe's orientation check.
+        import contactconn.contact as contact_mod
+
+        real = contact_mod._mu
+        monkeypatch.setattr(contact_mod, "_mu", lambda gram, omega: real(gram, omega) * (1 + 1e-6))
+        rep = run_suites(get_manifold("sphere-chart"), ALL_3D, points=6, seed=1)
+        assert rep.skipped_points == 0
+        verdicts = {suite.name: suite.passed for suite in rep.suites}
+        assert verdicts == dict(zip(ALL_3D, [False, True, True, False, True]))
+        contact, tw = rep.suites[0].residuals, rep.suites[3].residuals
+        assert contact["normalization"] == pytest.approx(4e-6, rel=1e-3)
+        assert tw["theta_row_difference_residual"] == pytest.approx(1e-6, rel=1e-3)
+
 
 @pytest.mark.xfail(
     strict=True,
@@ -447,9 +464,10 @@ class TestPerPointState:
     # 33 calls in 73 slices per usable point on heis7 and 35 in 35 on
     # sphere-chart; with separate pairings they made 60 and 59 contract
     # calls. While the contact suite paired dtheta(T, .) with an identity
-    # basis, one more each: 53 and 50.
+    # basis, one more each: 53 and 50. rotate_frame checks Q Q^T = I as
+    # one contract, once per point in the rotation suite: 49 before it.
     @pytest.mark.parametrize(
-        "name, suites, calls", [("heis7.json", CORE, 52), ("sphere-chart", ALL_3D, 49)]
+        "name, suites, calls", [("heis7.json", CORE, 52), ("sphere-chart", ALL_3D, 50)]
     )
     def test_contract_calls_per_usable_point(self, monkeypatch, name, suites, calls):
         from contactconn import jets

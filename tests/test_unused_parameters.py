@@ -1,9 +1,12 @@
-"""No function in the library takes a parameter that it never reads."""
+"""No function in the library takes a parameter that it never reads,
+and no module of the library or its tests imports a name it never
+reads."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "contactconn"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "contactconn"
 
 
 def unused_parameters(source: str, filename: str) -> list[str]:
@@ -46,3 +49,43 @@ def test_scan_sees_nested_reads_and_flags_the_rest():
         "    return g, kw\n"
     )
     assert unused_parameters(source, "m.py") == ["m.py:1 f(b)", "m.py:1 f(d)", "m.py:1 f(args)"]
+
+
+def unused_imports(source: str, filename: str) -> list[str]:
+    """`file:line name` for every name an import in source binds that the
+    module, nested scopes included, never reads. __future__ imports and
+    the names the module's __all__ lists are exempt."""
+    nodes = list(ast.walk(ast.parse(source, filename)))
+    read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in nodes:
+        targets = getattr(node, "targets", [])
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in targets):
+            read |= set(ast.literal_eval(node.value))
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            names = (a.asname or a.name.split(".")[0] for a in node.names)
+            found += [(node.lineno, name) for name in names if name != "*" and name not in read]
+    return [f"{filename}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_every_import_is_read():
+    found = []
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        found += unused_imports(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
+
+
+def test_import_scan_sees_every_binding_and_exempts_the_rest():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, sys as system\n"
+        "from json import dumps, loads as read\n"
+        "__all__ = ['dumps']\n"
+        "def f():\n"
+        "    import math\n"
+        "    return os.sep\n"
+    )
+    assert unused_imports(source, "m.py") == ["m.py:2 system", "m.py:3 read", "m.py:6 math"]
