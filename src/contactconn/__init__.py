@@ -8,7 +8,6 @@ verification CLI.
 from .connection import (
     FullConnection,
     PartialConnection,
-    base_partial_connection,
     canonical_partial_connection,
     full_torsion,
     nabla_H,
@@ -27,7 +26,6 @@ from .contact import (
     check_contact,
     classify,
     lambda_spectrum,
-    reeb_field,
     rotate_frame,
 )
 from .errors import (
@@ -73,7 +71,6 @@ from .tw3d import (
     rotate_coframe,
     solve_structure_equations,
     tw_coframe,
-    tw_connection,
 )
 
 __version__ = "0.1.0"
@@ -111,7 +108,6 @@ __all__ = [
     "UnknownManifoldError",
     "adapted_frame",
     "apply_vector",
-    "base_partial_connection",
     "builtin_registry",
     "canonical_partial_connection",
     "check_contact",
@@ -135,7 +131,6 @@ __all__ = [
     "promoted_from_invariants",
     "promotion_residual",
     "render_report",
-    "reeb_field",
     "rotate_frame",
     "rotate_coframe",
     "run_suites",
@@ -144,6 +139,5 @@ __all__ = [
     "sigma_inv",
     "solve_structure_equations",
     "tw_coframe",
-    "tw_connection",
     "wedge",
 ]

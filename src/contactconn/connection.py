@@ -8,10 +8,11 @@ form is the data Gamma[a][b][c] = Gamma^b_{ac} with the fixed actions
     nabla_{X_a} theta = Omega_{ac} e^c
     nabla_{X_a} T     = 0
 
-and the dual action on vectors. The canonical connection is obtained from
-the torsion-free base Gamma = -D/2 by the unique symmetric correction that
-kills the covariant derivative of the metric; sigma / sigma_inv implement
-the symmetrization isomorphism that makes the correction explicit.
+and the dual action on vectors. canonical_partial_connection obtains the
+canonical connection from the torsion-free base Gamma = -D/2 by the
+unique symmetric correction that kills the covariant derivative of the
+metric; sigma / sigma_inv implement the symmetrization isomorphism that
+makes the correction explicit.
 
 Promotion extends a partial connection to the Reeb direction: the
 coefficients along T are fixed by requiring the nondegenerate-2-form
@@ -133,15 +134,6 @@ class PartialConnection:
         return kap
 
 
-def base_partial_connection(frame: AdaptedFrame) -> PartialConnection:
-    """The torsion-free reference connection Gamma^b_{ac} = -D^b_{ac}/2.
-
-    Any symmetric-in-(a,c) modification is an equally valid base; the
-    canonical construction is provably independent of that choice.
-    """
-    return PartialConnection(frame, frame.D.transpose(1, 0, 2) * -0.5)
-
-
 def partial_torsion(conn: PartialConnection) -> JetArray:
     """Antisymmetrized connection action minus the H-restricted exterior
     derivative, per coframe element: entry [A, a, c] is the coefficient
@@ -172,15 +164,15 @@ def canonical_partial_connection(
 ) -> PartialConnection:
     """The unique torsion-free metric partial connection at p.
 
-    Starts from the torsion-free base (optionally shifted by
-    base_perturbation, an (m, m, m) JetArray symmetric in its first and
-    last slots, which provably cannot change the result), computes the
-    frame components of the covariant derivative of the metric, and adds
-    the sigma_inv-correction that cancels them while preserving zero
-    torsion.
+    Starts from the torsion-free base Gamma^b_{ac} = -D^b_{ac}/2,
+    optionally shifted by base_perturbation, an (m, m, m) JetArray
+    symmetric in its first and last slots: any base that is symmetric in
+    (a, c) gives the same result. Computes the frame components of the
+    covariant derivative of the metric, and adds the sigma_inv-correction
+    that cancels them while preserving zero torsion.
     """
     frame = frame or adapted_frame(cs, p)
-    Gamma = base_partial_connection(frame).Gamma
+    Gamma = frame.D.transpose(1, 0, 2) * -0.5
     if base_perturbation is not None:
         _check_sym(base_perturbation, (0, 2), "base perturbation (direction, argument)")
         Gamma = Gamma + base_perturbation

@@ -177,13 +177,6 @@ def _reeb_from_values(theta: JetArray, dt: JetArray) -> JetArray:
     return sol
 
 
-def reeb_field(cs: ContactStructure, p) -> JetArray:
-    """Unique vector with T . theta = 1, T . dtheta = 0, of the raw theta
-    with dtheta differentiated structurally, so at full order."""
-    inputs = cs.inputs_at(p)
-    return _reeb_from_values(inputs.theta, inputs.dtheta)
-
-
 def _project_onto_h(theta: JetArray, m: int, rows) -> JetArray:
     """Row r holds P(d_i) = d_i - (theta_i / theta_m) d_m for i = rows[r],
     a projection onto H."""
@@ -439,9 +432,10 @@ def rotate_frame(frame: AdaptedFrame, Q: JetArray) -> AdaptedFrame:
     and Q c (an orthogonal change is its own dual), Omega becomes
     Q Omega Q^T, and mu, theta_hat, dtheta_hat and T are kept. In
     dimension 3 Q Omega Q^T = det(Q) Omega, so Omega is kept and Q must
-    be a rotation, which keeps the orientation. Raises ValueError naming
-    the problem for a Q of the wrong shape or chart dimension, with a part
-    of Q Q^T - I over 1e-12 times the terms that cancel in it (1, |Q'|,
+    be a rotation, which keeps the orientation. Q is used at its lowest
+    entry order, Q.restrict(Q.low). Raises ValueError naming the problem
+    for a Q of the wrong shape or chart dimension, with a part of
+    Q Q^T - I over 1e-12 times the terms that cancel in it (1, |Q'|,
     |Q'|^2 + |Q''|), or with det Q < 0 in dimension 3.
     """
     m = 2 * frame.n
@@ -449,16 +443,19 @@ def rotate_frame(frame: AdaptedFrame, Q: JetArray) -> AdaptedFrame:
         raise ValueError(f"Q must be a ({m}, {m}) matrix, got shape {Q.shape}")
     if Q.dim != frame.dim:
         raise ValueError(f"Q holds jets in dimension {Q.dim}, the frame in dimension {frame.dim}")
+    # Cut to one order, so every part checked below is present in every entry
+    # and every part that reaches the rotated frame is checked.
+    Q = Q.restrict(Q.low)
     Qt = Q.transpose(1, 0)
     QQt = contract(Qt[:, :, None], Qt[:, None, :])  # [a, b] = sum_k Q_ak Q_bk
     checks = [(0, QQt.value - np.eye(m), 1.0)]
     if Q.top >= 1:
-        dQ = max_abs(Q.grad[Q.order >= 1])
+        dQ = max_abs(Q.grad)
         checks.append((1, QQt.grad, dQ))
     if Q.top >= 2:
-        checks.append((2, QQt.hess, dQ**2 + max_abs(Q.hess[Q.order >= 2])))
+        checks.append((2, QQt.hess, dQ**2 + max_abs(Q.hess)))
     for k, part, scale in checks:
-        gap = max_abs(part[QQt.order >= k])
+        gap = max_abs(part)
         if not gap <= 1e-12 * scale:
             raise ValueError(
                 f"Q is not orthogonal: the order-{k} part of Q Q^T - I is {gap:.3e}, "

@@ -91,7 +91,9 @@ class ManifoldSpec:
         overridden by its entry in param_overrides: the one structure in
         this process of the coordinates, theta and g texts and parameter
         bits, which the first build() of those parses and every later one,
-        on any spec, returns while it is among the 16 most recently built."""
+        on any spec, returns while it is among the 16 most recently built.
+        An override is checked as a declared parameter is: a bool or a
+        string raises SpecError."""
         values = dict(self.params)
         for key, val in (param_overrides or {}).items():
             if key not in values:
@@ -100,6 +102,7 @@ class ManifoldSpec:
                     f"unknown parameter {key!r} for manifold {self.name!r} "
                     f"(declared parameters: {known})"
                 )
+            _require(_is_number(val), f"params.{key}", "value must be a number")
             values[key] = float(val)
         return _compiled_chart(
             self.coords, self.theta, self.g, tuple((key, val.hex()) for key, val in values.items())

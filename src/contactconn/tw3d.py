@@ -64,7 +64,9 @@ class TWData:
     omega_1, omega_2); the Reeb component carries jet order 0, the rest
     order 1, which is exactly enough to differentiate omega once for R.
     A, B and R are single jets. classical, the classical connection on
-    frame, is built on first read and shared by every reader.
+    frame (nabla theta_hat = 0, nabla e1 = omega x e2, nabla e2 =
+    -omega x e1), a FullConnection over the coframe, is built on first
+    read and shared by every reader.
     """
 
     frame: AdaptedFrame
@@ -76,7 +78,7 @@ class TWData:
 
     @cached_property
     def classical(self) -> FullConnection:
-        return _rotation_connection(self.frame, self.omega[0], self.omega[1:], with_levi=False)
+        return _rotation_connection(self.frame, self.omega[0], self.omega[1:])
 
 
 def _require_3d(dim: int) -> None:
@@ -135,28 +137,16 @@ def solve_structure_equations(frame: AdaptedFrame) -> TWData:
     return TWData(frame=frame, omega=omega, A=A, B=B, R=R, residual=residual)
 
 
-def _rotation_connection(
-    frame: AdaptedFrame, w_theta: JetArray, w_h: JetArray, with_levi: bool
-) -> FullConnection:
-    """Coefficients over the full frame of nabla e1 = omega x e2,
-    nabla e2 = -omega x e1, and on H directions nabla theta_hat =
-    e1 x e2 - e2 x e1 when with_levi, else nabla theta_hat = 0; omega has
-    the Reeb component w_theta and the H components w_h (2,)."""
+def _rotation_connection(frame: AdaptedFrame, w_theta: JetArray, w_h: JetArray) -> FullConnection:
+    """Coefficients over the full frame of nabla theta_hat = 0,
+    nabla e1 = omega x e2 and nabla e2 = -omega x e1; omega has the Reeb
+    component w_theta and the H components w_h (2,)."""
     coeffs = JetArray.constant(0.0, frame.dim, (3, 3, 3))
-    if with_levi:
-        coeffs[1:, 0, 1:] = frame.Omega
     coeffs[0, 1, 2] = w_theta
     coeffs[0, 2, 1] = -w_theta
     coeffs[1:, 1, 2] = w_h
     coeffs[1:, 2, 1] = -w_h
     return FullConnection(frame=frame, coeffs=coeffs)
-
-
-def tw_connection(td: TWData) -> FullConnection:
-    """Connection with nabla theta_hat = 0, nabla e1 = omega x e2,
-    nabla e2 = -omega x e1, as coefficient data over td's coframe: built
-    once per td and shared by every caller."""
-    return td.classical
 
 
 def promoted_from_invariants(td: TWData) -> FullConnection:
@@ -165,10 +155,14 @@ def promoted_from_invariants(td: TWData) -> FullConnection:
     the Reeb-direction shift by R.
 
     nabla theta_hat = e1 x e2 - e2 x e1 on H directions,
-    nabla e1 = (omega - R theta_hat) x e2, nabla e2 the negative mirror.
+    nabla e1 = (omega - R theta_hat) x e2, nabla e2 the negative mirror:
+    the classical layout of omega - R theta_hat with Omega written into
+    the theta_hat entries on H directions, which that layout leaves zero.
     Used to cross-check the general promotion against its closed form.
     """
-    return _rotation_connection(td.frame, td.omega[0] - td.R, td.omega[1:], with_levi=True)
+    conn = _rotation_connection(td.frame, td.omega[0] - td.R, td.omega[1:])
+    conn.coeffs[1:, 0, 1:] = td.frame.Omega
+    return conn
 
 
 def _phi_jet(frame: AdaptedFrame, phi) -> JetArray:
@@ -261,7 +255,7 @@ def compare_partial(td: TWData, conn: PartialConnection) -> dict:
     against that fixed tensor. Returns the residuals e_agreement_residual
     and theta_row_difference_residual.
     """
-    diff = conn.kappa.value - tw_connection(td).coeffs.value[1:]  # [a, A, C]
+    diff = conn.kappa.value - td.classical.coeffs.value[1:]  # [a, A, C]
     levi = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return {
         "e_agreement_residual": max_abs(diff[:, 1:, 1:]),
@@ -288,7 +282,7 @@ def compare_full(td: TWData, fc: FullConnection) -> dict:
     torsion_theta_row_vs_minus_levi and r_drift.
     """
     omega = td.frame.Omega.value
-    tw = tw_connection(td)
+    tw = td.classical
 
     # J on the coframe H-part: J e1 = -e2, J e2 = e1 (matrix of the
     # orientation 2-form).

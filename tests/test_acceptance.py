@@ -31,7 +31,6 @@ from contactconn.tw3d import (
     rotate_coframe,
     solve_structure_equations,
     tw_coframe,
-    tw_connection,
 )
 
 ALL_BUILTINS = ["heisenberg", "heisenberg-aniso", "heisenberg-perturbed", "sphere-chart", "n2-split"]
@@ -182,7 +181,7 @@ def test_criterion_05_heisenberg_closed_forms():
         )
         fc = promote(conn)
         worst = max(worst, max(abs(fc.coeffs[0][A][C].value) for A in range(3) for C in range(3)))
-        tw = tw_connection(td)
+        tw = td.classical
         worst = max(
             worst,
             max(abs(tw.coeffs[P][A][C].value) for P in range(3) for A in range(3) for C in range(3)),
@@ -214,8 +213,8 @@ def test_criterion_06_rotation_covariance():
             out = check_rotation_covariance(solve_structure_equations(frame), phi)
             worst_cov = max(worst_cov, out["omega_shift"], out["ab_rotation"])
             rotated = rotate_coframe(frame, phi)
-            m1 = tw_connection(solve_structure_equations(frame)).coordinate_action(alpha)
-            m2 = tw_connection(solve_structure_equations(rotated)).coordinate_action(alpha)
+            m1 = solve_structure_equations(frame).classical.coordinate_action(alpha)
+            m2 = solve_structure_equations(rotated).classical.coordinate_action(alpha)
             worst_action = max(worst_action, float(np.max(np.abs(m1 - m2))))
     ok = worst_cov < 1e-9 and worst_action < 1e-9
     verdict(

@@ -232,6 +232,18 @@ class TestExitCodes:
         assert code == 2
         assert "not a number" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--param", "b", "error: --param expects NAME=VALUE, got 'b'"),
+            ("--points", "x", "argument --points: invalid int value: 'x'"),
+        ],
+    )
+    def test_malformed_flag_value_exits_two(self, capsys, flag, value, message):
+        code, out, err = run(capsys, "analyze", "--manifold", "heisenberg-aniso", flag, value)
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_repeated_param_exits_two(self, capsys, monkeypatch):
         import contactconn.suites
 
@@ -448,6 +460,18 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "--spec", path)
         assert code == 2
         assert err.startswith("error: theta[2]: ") and f"(at offset {offset})" in err
+
+    @pytest.mark.parametrize(
+        "theta_x, message",
+        [
+            ("-y )", "unexpected trailing input ')' (at offset 3)"),
+            ("x^y", "exponent must be an integer constant (at offset 1)"),
+        ],
+    )
+    def test_parse_error_exits_two_naming_it(self, capsys, tmp_path, theta_x, message):
+        path = write_spec(tmp_path, dict(GOOD_SPEC, theta=[theta_x, "0", "1"]))
+        code, out, err = run(capsys, "validate", "--spec", path)
+        assert (code, out, err) == (2, "", f"error: theta[0]: {message}\n")
 
     def test_validate_requires_spec(self, capsys):
         code, _, _ = run(capsys, "validate")

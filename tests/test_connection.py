@@ -11,7 +11,7 @@ import pytest
 from contactconn import connection
 from contactconn.connection import (
     FullConnection,
-    base_partial_connection,
+    PartialConnection,
     canonical_partial_connection,
     full_torsion,
     nabla_H,
@@ -111,25 +111,21 @@ class TestSigmaAlgebra:
             sigma_inv(basis_tensor(2, (0, 0, 1)))
 
 
-class TestBaseConnection:
-    def test_is_half_structure_values(self, heisenberg):
-        frame = adapted_frame(heisenberg, P3)
-        base = base_partial_connection(frame)
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    want = -0.5 * frame.D[b][a][c].value
-                    assert base.Gamma[a][b][c].value == pytest.approx(want, abs=1e-15)
+def base_connection(frame):
+    """The torsion-free base canonical_partial_connection starts from:
+    Gamma^b_{ac} = -D^b_{ac}/2."""
+    return PartialConnection(frame, frame.D.transpose(1, 0, 2) * -0.5)
 
+
+class TestBaseConnection:
     def test_base_is_torsion_free(self, perturbed):
         frame = adapted_frame(perturbed, P3)
-        base = base_partial_connection(frame)
-        tor = partial_torsion(base)
+        tor = partial_torsion(base_connection(frame))
         assert max_abs(tor.value[1:]) < 1e-12
 
     def test_theta_row_is_levi_form(self, perturbed):
         frame = adapted_frame(perturbed, P3)
-        tor = partial_torsion(base_partial_connection(frame))
+        tor = partial_torsion(base_connection(frame))
         for a in range(2):
             for c in range(2):
                 diff = tor[0][a][c] - frame.Omega[a][c]

@@ -20,7 +20,6 @@ from contactconn.contact import (
     check_contact,
     classify,
     lambda_spectrum,
-    reeb_field,
     rotate_frame,
 )
 from contactconn.errors import (
@@ -35,7 +34,7 @@ from contactconn.jets import JetArray, eval_jet
 from contactconn.registry import builtin_registry, get_manifold, load_spec
 from contactconn.sampling import sample_box
 from contactconn.tw3d import rotate_coframe
-from form_helpers import cayley_rotation, coframe, evaluate, frame_vectors
+from form_helpers import assert_same_bits, cayley_rotation, coframe, evaluate, frame_vectors
 
 CHARTS_DIR = Path(__file__).parent / "data" / "charts"
 # Every built-in and the 7D chart.
@@ -89,14 +88,20 @@ class TestCheckContact:
         assert check_contact(tiny, P3).passed
 
 
+def reeb(cs, p):
+    """The Reeb field of cs's raw theta at p, at full order."""
+    inputs = cs.inputs_at(p)
+    return _reeb_from_values(inputs.theta, inputs.dtheta)
+
+
 class TestReebField:
     def test_heisenberg_vertical(self, heis):
-        T = reeb_field(heis, P3)
+        T = reeb(heis, P3)
         assert np.allclose(T.value, [0.0, 0.0, 1.0], atol=1e-14)
 
     def test_defining_equations_sphere(self, sphere):
         for p in [(0.1, -0.2, 0.3), (0.5, 0.4, -0.6)]:
-            T = reeb_field(sphere, p)
+            T = reeb(sphere, p)
             theta = sphere.theta.eval(p, 1)
             dtheta = sphere.theta.d().eval(p, 1)
             assert abs(evaluate(theta, T).value - 1.0) < 1e-12
@@ -118,7 +123,7 @@ class TestReebField:
     def test_non_contact_raises(self):
         cs = structure(("x", "y", "z"), ("0", "0", "1"), [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]])
         with pytest.raises(NotContactError):
-            reeb_field(cs, P3)
+            reeb(cs, P3)
 
 
 class TestNormalizeTheta:
@@ -127,6 +132,12 @@ class TestNormalizeTheta:
         assert mu.value == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(mu.grad, 0.0, atol=1e-14)
         assert np.allclose(mu.hess, 0.0, atol=1e-13)
+
+    def test_dtheta_vanishing_on_h_raises(self):
+        # theta = dz is closed, so there is no mu to normalize it with.
+        cs = structure(("x", "y", "z"), ("0", "0", "1"), get_manifold("heisenberg").g)
+        with pytest.raises(NotContactError, match="dtheta vanishes on the distribution"):
+            adapted_frame(cs, P3)
 
     def test_aniso_scales_by_b(self):
         spec = get_manifold("heisenberg-aniso")
@@ -248,6 +259,20 @@ class TestAdaptedFrame:
                 x, y = getattr(got, part), getattr(want, part)
                 assert x[held].tobytes() == y[held].tobytes()
 
+    @pytest.mark.parametrize("name", CHARTS)
+    def test_mixed_order_rotation_is_its_cut(self, name):
+        # A Q whose entries carry orders 1 and 2 is used at order 1.
+        spec = chart(name)
+        cs = spec.build()
+        p = sample_box(spec.box, 1, 5)[0]
+        frame = adapted_frame(cs, p)
+        Q = cayley_rotation(p, 4)
+        Q[0, 1] = Q[0, 1].restrict(1)
+        assert (Q.low, Q.top) == (1, 2)
+        got, want = rotate_frame(frame, Q), rotate_frame(frame, Q.restrict(1))
+        for part in ("X", "f", "c", "Omega"):
+            assert_same_bits(getattr(got, part), getattr(want, part))
+
 
 def d_pairs_by_entry(frame):
     """AdaptedFrame.d_pairs written entry by entry: on (T, X_a) the
@@ -316,6 +341,15 @@ class TestLibraryInputValidation:
             (lambda cs: rotate(cs, (2, 2), diagonal=(1.0, -1.0)), "rotation in dimension 3"),
             (lambda cs: cs.inputs_at((0.3, -0.4)), "point has 2 coordinates, the chart has 3"),
             (lambda cs: cs.inputs_at(P3 + (0.1,)), "point has 4 coordinates, the chart has 3"),
+            (
+                lambda cs: ContactStructure(cs.coords[:2], cs.theta, cs.g),
+                "dimension must be odd and >= 3, got 2",
+            ),
+            (
+                lambda cs: ContactStructure(cs.coords, cs.dtheta, cs.g),
+                "theta must be a 1-form in the chart dimension",
+            ),
+            (lambda cs: ContactStructure(cs.coords, cs.theta, cs.g[:2]), "g must be a dim x dim matrix"),
         ],
         ids=[
             "frame-change-shape",
@@ -325,6 +359,9 @@ class TestLibraryInputValidation:
             "frame-change-reflection",
             "short-point",
             "long-point",
+            "structure-dimension",
+            "structure-theta",
+            "structure-metric",
         ],
     )
     def test_rejected_with_a_named_problem(self, heis, call, message):
@@ -411,6 +448,16 @@ class TestClassify:
         assert out["spectrum"]["count"] == 2
         assert out["spectrum"]["skipped"] == 1
         assert len(out["spectrum"]["lambda_min"]) == 1
+
+    def test_non_contact_point_clears_the_contact_flag(self):
+        # theta ^ dtheta = x^2 dx ^ dy ^ dz vanishes at x = 0: that point
+        # is skipped and clears the flag, the other one is classified.
+        cs = structure(("x", "y", "z"), ("-x*y", "0", "x"), get_manifold("heisenberg").g)
+        out = classify(cs, [(0.0, 0.1, 0.2), (0.3, 0.1, 0.2)])
+        assert out["contact"] is False
+        assert out["cr_compatible"] is False
+        assert out["spectrum"]["count"] == 2
+        assert out["spectrum"]["skipped"] == 1
 
     def test_split_not_cr(self):
         cs = get_manifold("n2-split").build()

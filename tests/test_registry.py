@@ -255,6 +255,12 @@ class TestBuildParams:
         with pytest.raises(SpecError, match="unknown parameter 'q'"):
             spec.build({"q": 1.0})
 
+    @pytest.mark.parametrize("value", [True, "3"], ids=["bool", "string"])
+    def test_override_must_be_a_number(self, value):
+        # checked as a declared parameter is, not coerced by float()
+        with pytest.raises(SpecError, match=r"^params\.b: value must be a number$"):
+            get_manifold("heisenberg-aniso").build({"b": value})
+
     def test_override_on_parameterless_manifold(self):
         with pytest.raises(SpecError, match="declared parameters: none"):
             get_manifold("heisenberg").build({"b": 2.0})

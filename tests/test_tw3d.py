@@ -11,7 +11,7 @@ import pytest
 
 from contactconn.connection import canonical_partial_connection, promote
 from contactconn.contact import adapted_frame
-from contactconn.errors import InconsistentStructureError
+from contactconn.errors import DegenerateFrameError, InconsistentStructureError
 from contactconn.expressions import parse_expr
 from contactconn.forms import FormField, apply_vector
 from contactconn.jets import JetArray, eval_jet
@@ -26,7 +26,6 @@ from contactconn.tw3d import (
     rotate_coframe,
     solve_structure_equations,
     tw_coframe,
-    tw_connection,
 )
 
 P3 = (0.3, -0.4, 0.2)
@@ -65,7 +64,7 @@ class TestStructureEquations:
 
     def test_heisenberg_connection_vanishes(self, heisenberg):
         td = solve_structure_equations(tw_coframe(heisenberg, P3))
-        assert max_coeff(tw_connection(td)) < 1e-12
+        assert max_coeff(td.classical) < 1e-12
 
     def test_residual_small_on_curved_model(self, perturbed):
         td = solve_structure_equations(tw_coframe(perturbed, P3))
@@ -81,6 +80,13 @@ class TestStructureEquations:
         bad = dataclasses.replace(frame, c=frame.c + shift)
         with pytest.raises(InconsistentStructureError):
             solve_structure_equations(bad)
+
+    def test_unoriented_frame_is_refused(self, heisenberg):
+        frame = adapted_frame(heisenberg, P3)
+        bad = dataclasses.replace(frame, Omega=frame.Omega * 1.01)
+        message = r"d\(theta_hat\)\(X1, X2\) = 1\.01, expected 1"
+        with pytest.raises(DegenerateFrameError, match=message):
+            tw_coframe(heisenberg, P3, frame=bad)
 
     def test_rejects_higher_dimension(self):
         cs = get_manifold("n2-split").build()
@@ -148,8 +154,8 @@ class TestRotation:
         )
         frame = tw_coframe(perturbed, P3)
         rotated = rotate_coframe(frame, parse_expr("x - y^2", perturbed.coords))
-        tw1 = tw_connection(solve_structure_equations(frame))
-        tw2 = tw_connection(solve_structure_equations(rotated))
+        tw1 = solve_structure_equations(frame).classical
+        tw2 = solve_structure_equations(rotated).classical
         m1 = tw1.coordinate_action(alpha)
         m2 = tw2.coordinate_action(alpha)
         assert np.max(np.abs(m1 - m2)) < 1e-9

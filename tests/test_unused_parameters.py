@@ -1,12 +1,16 @@
 """No function in the library takes a parameter that it never reads,
-and no module of the library or its tests imports a name it never
-reads."""
+no module of the library or its tests imports a name it never reads,
+and the package exports no name that only its tests use."""
 
 import ast
+import re
 from pathlib import Path
 
+import contactconn
+
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src" / "contactconn"
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "contactconn"
 
 
 def unused_parameters(source: str, filename: str) -> list[str]:
@@ -89,3 +93,31 @@ def test_import_scan_sees_every_binding_and_exempts_the_rest():
         "    return os.sep\n"
     )
     assert unused_imports(source, "m.py") == ["m.py:2 system", "m.py:3 read", "m.py:6 math"]
+
+
+def unread_exports(exports, sources, docs: str) -> list[str]:
+    """The names in exports that no module in sources loads, as a name or
+    as an attribute, and that the text docs does not hold as a word."""
+    read = set()
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    words = set(re.findall(r"\w+", docs))
+    return [name for name in exports if name not in read and name not in words]
+
+
+def test_every_export_is_read_or_documented():
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    docs = [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md"))
+    sources = [p.read_text(encoding="utf-8") for p in modules]
+    text = "\n".join(p.read_text(encoding="utf-8") for p in docs)
+    assert unread_exports(contactconn.__all__, sources, text) == []
+
+
+def test_export_scan_sees_names_attributes_and_doc_words():
+    sources = ["def f(x):\n    return g(x).h\n", "k = 1\nm.n = 2\n"]
+    exports = ["g", "h", "k", "n", "p", "q", "r"]
+    assert unread_exports(exports, sources, "call p(), not q_r") == ["k", "n", "q", "r"]
