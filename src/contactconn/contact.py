@@ -9,12 +9,13 @@ Conventions fixed here and relied on everywhere downstream:
   (as in the model structures) is fine as long as g restricted to H is
   positive definite; this is checked, not assumed.
 - The normalized form is theta_hat = mu * theta with mu > 0 chosen so that
-  the squared g-norm of d(theta_hat) restricted to H equals 2n, where the
-  norm contracts both index pairs with the inverse of the H-restricted
-  Gram matrix and runs over all ordered index pairs. The sign of
-  theta_hat follows the input theta.
-- Frames are built by projecting coordinate vectors onto H and running
-  Gram-Schmidt with g, all in jet arithmetic. The projection sends v to
+  the squared g-norm of d(theta_hat) restricted to H, the sum of its
+  squares on all ordered pairs of a g-orthonormal frame of H, equals 2n.
+  The sign of theta_hat follows the input theta.
+- Frames are built by projecting coordinate vectors onto H and
+  orthonormalizing them with g, all in jet arithmetic: Gram-Schmidt of
+  the projected basis B is X = L^-1 B, L the Cholesky factor of g(B, B),
+  with no per-row loop. The projection sends v to
   v - (theta_hat(v)/theta_hat_m) d_m where d_m is the coordinate direction
   with the largest |theta_hat| component: this keeps the full jet order of
   theta_hat (projecting along the Reeb field instead would cap every
@@ -35,7 +36,6 @@ import numpy as np
 
 from .errors import (
     AllPointsSkippedError,
-    DegenerateFrameError,
     DegenerateMetricError,
     ExprDomainError,
     LinearSolveResidualError,
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .expressions import Expr
 from .forms import FormField, d_from_jets, evaluate_forms, full_tensor, pair, pair_table, wedge
-from .jets import JetArray, Tape, concatenate, contract, jet_linear_solve
+from .jets import JetArray, Tape, concatenate, contract, jet_cholesky, jet_linear_solve
 
 CONTACT_REL_TOL = 1e-10
 
@@ -194,25 +194,13 @@ def _metric_pairs(G: JetArray, U: JetArray, V: JetArray) -> JetArray:
     return pair(pair(G, 0, U), 0, V)
 
 
-def _jet_matrix_inverse(M: JetArray) -> JetArray:
-    """The inverse of a square JetArray: one jet_linear_solve with the
-    identity as its right-hand side."""
-    m = len(M)
-    eye = JetArray.constant(0.0, M.dim, (m, m))
-    np.fill_diagonal(eye.value, 1.0)
-    return jet_linear_solve(M, eye)
-
-
-def _mu(gram: JetArray, omega: JetArray) -> JetArray:
-    """mu = sqrt(2n / |dtheta restricted to H|^2) as a 0-d array, the norm
-    contracting both index pairs of dtheta with the inverse H-Gram matrix
-    of g: tr(G^-1 Omega G^-1 Omega^T), summed as
-    sum_ce (sum_b (sum_a ginv_ac omega_ab) ginv_be) omega_ce."""
-    ginv = _jet_matrix_inverse(gram)
-    m = len(gram)
-    left = contract(ginv[:, :, None], omega[:, None, :])  # [c, b]
-    middle = contract(left.transpose(1, 0)[:, :, None], ginv[:, None, :])  # [c, e]
-    norm2 = contract(middle.reshape(m * m), omega.reshape(m * m))
+def _normalization_factor(omega: JetArray) -> JetArray:
+    """mu = sqrt(2n / |Omega_X|^2) as a 0-d array, where Omega_X =
+    dtheta(X, X) on a g-orthonormal frame X of H and |Omega_X|^2 sums its
+    squares over all ordered pairs: the squared g-norm of dtheta
+    restricted to H."""
+    m = len(omega)
+    norm2 = contract(omega.reshape(m * m), omega.reshape(m * m))
     if norm2.value <= 0.0:
         raise NotContactError("dtheta vanishes on the distribution at this point")
     return (float(m) / norm2).sqrt()
@@ -350,20 +338,21 @@ def adapted_frame(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
     ranked = sorted(range(d), key=lambda i: (abs(theta.value[i]), i))
     kept, m = sorted(ranked[:-1]), ranked[-1]
 
-    # mu from g's and dtheta's matrices on the H-projected coordinate
-    # basis (one vector per row), both paired in one stack, then
-    # theta_hat = mu theta. The stack's first pairing gives g . basis,
-    # Gram-Schmidt's too.
+    # Gram-Schmidt of the H-projected coordinate basis (one vector per
+    # row) with g is X = L^-1 basis, L the Cholesky factor of its Gram
+    # matrix. The basis already lies in ker theta = ker theta_hat.
     basis = _project_onto_h(theta, m, kept)
-    half = pair(concatenate([G[None], full_tensor(inputs.dtheta, 2)[None]]), 1, basis)
-    gram, omega = pair(half, 1, basis)
-    g_basis = half[0]  # [j, u] = sum_i g_ij basis_u^i
+    gram = _metric_pairs(G, basis, basis)
     eigs = np.linalg.eigvalsh(gram.value)
     if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
         raise DegenerateMetricError(
             "metric restricted to the contact distribution is not positive definite"
         )
-    mu = _mu(gram, omega)
+    X = jet_linear_solve(jet_cholesky(gram), basis)
+
+    # mu from dtheta on the orthonormal frame, then theta_hat = mu theta.
+    omega = evaluate_forms(inputs.dtheta, X, X)
+    mu = _normalization_factor(omega)
     theta_hat = mu * theta
 
     # d(theta_hat) = dmu ^ theta + mu dtheta, one order below mu.
@@ -371,27 +360,8 @@ def adapted_frame(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
 
     T = _reeb_from_values(theta_hat, dtheta_hat)
 
-    # Gram-Schmidt with g, entirely in jets, one frame vector per row. The
-    # projected basis already lies in ker theta = ker theta_hat. Each
-    # step's projections come in one product, subtracted in turn.
-    k = len(basis)
-    X = JetArray.constant(0.0, d, (k, d))
-    for r in range(k):
-        u = basis[r]
-        if r:
-            proj = pair(g_basis[:, r : r + 1], 0, X[:r])[0]
-            terms = X[:r] * proj[:, None]
-            for b in range(r):
-                u = u - terms[b]
-        nrm2 = _metric_pairs(G, u[None], u[None])[0, 0]
-        if nrm2.value <= 1e-12:
-            raise DegenerateFrameError(
-                "projected coordinate vectors are dependent; frame collapsed"
-            )
-        X[r] = u * (1.0 / nrm2.sqrt())
-
     # Exact on H-vectors: the dmu ^ theta part dies against theta(X)=0.
-    Omega = evaluate_forms(inputs.dtheta, X, X) * mu
+    Omega = omega * mu
     if n == 1 and Omega.value[0, 1] < 0.0:
         swap = [1, 0]
         X = X[swap]
@@ -485,7 +455,6 @@ SKIP_ERRORS = (
     ExprDomainError,
     NotContactError,
     DegenerateMetricError,
-    DegenerateFrameError,
     SingularMatrixError,
     LinearSolveResidualError,
 )

@@ -60,7 +60,7 @@ class DegenerateMetricError(ContactConnError):
 
 
 class DegenerateFrameError(ContactConnError):
-    """Projected coordinate vectors failed to span the contact distribution."""
+    """A 3D adapted frame is not oriented: d(theta_hat)(X1, X2) is not +1."""
 
 
 class SymmetryError(ContactConnError):

@@ -1,4 +1,5 @@
-"""Second-order forward-mode jets and the jet-valued linear solve.
+"""Second-order forward-mode jets, the jet-valued linear solve and the
+jet-valued Cholesky factor.
 
 A JetArray carries the value, gradient and Hessian of a tensor of
 scalar quantities at a point of a d-dimensional chart, part by part:
@@ -761,3 +762,34 @@ def jet_linear_solve(A: JetArray, b: JetArray) -> JetArray:
         None if xg is None else xg.reshape(shape + (dim,)),
         None if xh is None else xh.reshape(shape + (dim, dim)),
     )
+
+
+def jet_cholesky(G: JetArray) -> JetArray:
+    """The lower-triangular Cholesky factor L of a symmetric positive
+    definite JetArray G (m, m), at G's lowest entry order (S. P. Smith
+    1995; I. Murray, arXiv:1602.07527):
+
+        L = cholesky(G0),  dL = L0 Phi(L0^-1 dG L0^-T),
+        d2L = L0 Phi(L0^-1 (d2G - (C + C^T)) L0^-T),  C = dL dL^T,
+
+    Phi keeping the lower triangle and halving the diagonal, C^T swapping
+    C's two derivative axes. The products are einsum sums on contiguous
+    copies, so the bits do not depend on BLAS. G0 must be positive
+    definite; np.linalg.cholesky raises LinAlgError otherwise.
+    """
+    c = np.ascontiguousarray
+    L0 = np.linalg.cholesky(G.value)
+    Linv = c(np.linalg.inv(L0))
+    phi = np.tril(np.ones(L0.shape))
+    np.fill_diagonal(phi, 0.5)
+
+    def lift(S):  # L0 Phi(L0^-1 S L0^-T), one matrix per trailing index
+        P = np.einsum("ik...,lk->il...", np.einsum("ij,jk...->ik...", Linv, c(S)), Linv)
+        return np.einsum("ij,jk...->ik...", L0, P * phi[(...,) + (None,) * (S.ndim - 2)])
+
+    Lg = lift(G.grad) if G.low >= 1 else None
+    Lh = None
+    if G.low >= 2:
+        cross = np.einsum("ikp,jkq->ijpq", Lg, Lg)
+        Lh = lift(G.hess - (cross + _tr(cross)))
+    return JetArray(G.dim, L0, Lg, Lh)

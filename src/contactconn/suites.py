@@ -55,7 +55,6 @@ from .contact import (
     ContactStructure,
     PointInputs,
     _metric_pairs,
-    _reeb_from_values,
     lambda_spectrum,
     max_abs,
     screen_point,
@@ -123,11 +122,10 @@ def _suite_contact(run: _Run) -> list[dict]:
     rows = []
     for pt in run.usable:
         frame = pt.frame
-        theta0 = pt.inputs.theta.restrict(0)
-        dtheta0 = pt.inputs.dtheta.restrict(0)
-        T = _reeb_from_values(theta0, dtheta0)[None]
-        (theta_T,) = evaluate_forms(theta0, T).value.tolist()
-        dtheta_T = pair(full_tensor(dtheta0, 2), 0, T).value
+        # The frame's own Reeb field against the frame's theta_hat.
+        T = frame.T.restrict(0)[None]
+        (theta_T,) = evaluate_forms(frame.theta_hat.restrict(0), T).value.tolist()
+        dtheta_T = pair(full_tensor(frame.dtheta_hat.restrict(0), 2), 0, T).value
         omega_sq = sum(v**2 for v in frame.Omega.value.ravel().tolist())
         lam = pt.spectrum
         pairs = frame.pair_coframe(frame.frame_array.restrict(0)).value

@@ -20,7 +20,7 @@ import operator
 
 import numpy as np
 
-from contactconn.contact import AdaptedFrame, _jet_matrix_inverse
+from contactconn.contact import AdaptedFrame
 from contactconn.errors import ExprDomainError, SingularMatrixError
 from contactconn.expressions import Binary, Coord, Expr, Lit, Pow, Unary, pretty
 from contactconn.forms import (
@@ -281,8 +281,10 @@ def express_in_coframe(a: JetArray, degree: int, coframe: list[JetArray]):
     C = JetArray.constant(0.0, dim, (dim, dim), order)
     for r in range(dim):
         C[r] = coframe[r]
+    eye = JetArray.constant(0.0, dim, (dim, dim))
+    np.fill_diagonal(eye.value, 1.0)
     try:
-        inv = _jet_matrix_inverse(C)
+        inv = jet_linear_solve(C, eye)
     except SingularMatrixError:
         raise SingularMatrixError("coframe value parts are linearly dependent") from None
     duals = [inv[:, col] for col in range(dim)]

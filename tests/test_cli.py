@@ -85,6 +85,7 @@ class TestAnalyze:
     def test_verdict_names_the_tightest_gated_key(self, capsys):
         # r_invariance (2.2e-08 here) is reported and not gated; every
         # rotation gate is 1e-9 and omega_shift is the largest against it.
+        # contact's is reeb, the frame's T against its theta_hat.
         code, _, err = run(
             capsys, "analyze", "--manifold", "heisenberg-aniso", "--param", "b=1e-4",
             "--points", "6", "--seed", "1",
@@ -92,7 +93,7 @@ class TestAnalyze:
         assert code == 0
         lines = err.splitlines()
         assert "PASS rotation: 6 points, tightest omega_shift 3.638e-12 (gate 1e-09)" in lines
-        assert "PASS contact: 6 points, tightest duality 1.175e-38 (gate 1e-10)" in lines
+        assert "PASS contact: 6 points, tightest reeb 2.343e-21 (gate 1e-11)" in lines
         assert "r_invariance" not in err
 
     def test_zero_gate_is_tightest_only_when_its_value_is_positive(self):

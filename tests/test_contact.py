@@ -34,7 +34,14 @@ from contactconn.jets import JetArray, eval_jet
 from contactconn.registry import builtin_registry, get_manifold, load_spec
 from contactconn.sampling import sample_box
 from contactconn.tw3d import rotate_coframe
-from form_helpers import assert_same_bits, cayley_rotation, coframe, evaluate, frame_vectors
+from form_helpers import (
+    assert_same_bits,
+    cayley_rotation,
+    coframe,
+    evaluate,
+    frame_vectors,
+    sum_jets,
+)
 
 CHARTS_DIR = Path(__file__).parent / "data" / "charts"
 # Every built-in and the 7D chart.
@@ -183,6 +190,23 @@ class TestAdaptedFrame:
             for B in range(3):
                 want = 1.0 if A == B else 0.0
                 assert abs(evaluate(co[A], vecs[B]).value - want) < 1e-12
+
+    @pytest.mark.parametrize("name", CHARTS)
+    def test_frame_is_orthonormal_in_every_part(self, name):
+        # g(X_a, X_b) = delta_ab as a jet: value 1 or 0, gradient and
+        # Hessian 0, summed term by term from g's entries.
+        spec = chart(name)
+        cs = spec.build()
+        for p in sample_box(spec.box, 3, 7):
+            G = cs.inputs_at(p).G
+            X = adapted_frame(cs, p).X
+            assert X.top == 2
+            m, d = X.shape
+            for a, b in itertools.product(range(m), repeat=2):
+                gab = sum_jets(G[i, j] * X[a, i] * X[b, j] for i in range(d) for j in range(d))
+                assert abs(gab.value - (a == b)) < 1e-13
+                assert np.max(np.abs(gab.grad)) < 1e-12
+                assert np.max(np.abs(gab.hess)) < 1e-11
 
     def test_orientation(self, sphere):
         frame = adapted_frame(sphere, (0.3, 0.2, -0.5))

@@ -14,6 +14,7 @@ from contactconn.jets import (
     Tape,
     contract,
     eval_jet,
+    jet_cholesky,
     jet_linear_solve,
 )
 from contactconn.registry import builtin_registry, load_spec
@@ -280,6 +281,50 @@ class TestLinearSolve:
             jet_linear_solve(A, constants(np.ones((2, 2, 2))))
         with pytest.raises(ValueError):
             jet_linear_solve(A, constants(np.ones(3)))
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_cholesky_factor_reproduces_the_matrix(m):
+    # A random SPD value with random symmetric gradient and Hessian
+    # matrices, one per coordinate and coordinate pair: L L^T = G part by
+    # part through the product rule, and L is lower-triangular in every
+    # part, its Hessian symmetric to the bit, and its bits do not depend
+    # on the memory layout of G's parts.
+    rng = np.random.default_rng(100 + m)
+    a = rng.normal(size=(m, m))
+    g = rng.normal(size=(m, m, D_RAND))
+    h = rng.normal(size=(m, m, D_RAND, D_RAND))
+    h = h + h.transpose(1, 0, 2, 3)
+    G = JetArray(
+        D_RAND, a @ a.T + m * np.eye(m), g + g.transpose(1, 0, 2), h + h.transpose(0, 1, 3, 2)
+    )
+    L = jet_cholesky(G)
+    assert L.shape == (m, m) and L.top == 2
+    v, d, dd = L.value, L.grad, L.hess
+    LLt = (
+        v @ v.T,
+        np.einsum("ikp,jk->ijp", d, v) + np.einsum("ik,jkp->ijp", v, d),
+        np.einsum("ikpq,jk->ijpq", dd, v)
+        + np.einsum("ik,jkpq->ijpq", v, dd)
+        + np.einsum("ikp,jkq->ijpq", d, d)
+        + np.einsum("ikq,jkp->ijpq", d, d),
+    )
+    for got, want in zip(LLt, (G.value, G.grad, G.hess)):
+        assert np.max(np.abs(got - want)) < 1e-12 * (1.0 + np.max(np.abs(want)))
+    upper = np.triu_indices(m, 1)
+    for part in (v, d, dd):
+        assert not part[upper].any()
+    assert np.array_equal(dd, dd.swapaxes(-1, -2))
+    fortran = JetArray(D_RAND, *(np.asfortranarray(x) for x in (G.value, G.grad, G.hess)))
+    assert_same_bits(jet_cholesky(fortran), L)
+
+
+def test_cholesky_factor_has_the_lowest_entry_order():
+    G = random_jets(np.random.default_rng(5), 4, (2,), positive=True).reshape(2, 2)
+    G.value[...] = [[2.0, 0.5], [0.5, 3.0]]
+    G[1, 0] = G[1, 0].restrict(1)
+    L = jet_cholesky(G)
+    assert L.top == 1 and np.array_equal(L.order, np.ones((2, 2)))
 
 
 def test_jet_hessians_symmetric_after_solve():

@@ -18,7 +18,6 @@ from contactconn.contact import screen_point
 from contactconn.errors import (
     AllPointsSkippedError,
     LinearSolveResidualError,
-    NotContactError,
     SuiteUnavailableError,
 )
 from contactconn.registry import ManifoldSpec, get_manifold, load_spec
@@ -250,7 +249,9 @@ class TestPointIsolation:
             run_suites(sqrt_edge_spec(x_box=(-0.9, -0.1)), ["contact"])
 
     def test_singular_solve_skips_the_point(self):
-        # |theta| ~ 1e3 makes the H-Gram matrix too ill-conditioned to invert
+        # |theta| ~ 1e3 makes the Reeb system of theta_hat, whose
+        # theta_hat x theta_hat part outgrows its dtheta_hat part, read as
+        # singular.
         spec = ManifoldSpec(
             name="wide",
             coords=("x", "y", "z"),
@@ -261,9 +262,9 @@ class TestPointIsolation:
             seed=1,
         )
         rep = run_suites(spec, ["canonical"])
-        reasons = {r.reason for r in rep.points if r.skipped}
-        assert reasons and all(r.startswith("value part of system is singular") for r in reasons)
-        assert rep.skipped_points < rep.requested_points
+        skipped = {i: r.reason for i, r in enumerate(rep.points) if r.skipped}
+        assert sorted(skipped) == [2, 3, 5]
+        assert all(r.startswith("Reeb system is singular") for r in skipped.values())
 
     def test_solve_residual_failure_skips_the_point(self, monkeypatch):
         import contactconn.contact as contact_mod
@@ -376,8 +377,10 @@ class TestFailurePropagation:
         # stopping on tw_coframe's orientation check.
         import contactconn.contact as contact_mod
 
-        real = contact_mod._mu
-        monkeypatch.setattr(contact_mod, "_mu", lambda gram, omega: real(gram, omega) * (1 + 1e-6))
+        real = contact_mod._normalization_factor
+        monkeypatch.setattr(
+            contact_mod, "_normalization_factor", lambda omega: real(omega) * (1 + 1e-6)
+        )
         rep = run_suites(get_manifold("sphere-chart"), ALL_3D, points=6, seed=1)
         assert rep.skipped_points == 0
         verdicts = {suite.name: suite.passed for suite in rep.suites}
@@ -386,15 +389,34 @@ class TestFailurePropagation:
         assert contact["normalization"] == pytest.approx(4e-6, rel=1e-3)
         assert tw["theta_row_difference_residual"] == pytest.approx(1e-6, rel=1e-3)
 
+    @pytest.mark.parametrize("name", ["n2-split", "heis7.json"])
+    def test_horizontal_reeb_defect_fails_the_contact_suite(self, monkeypatch, name):
+        # Every frame's T gets 1e-6 P(d_i), a vector in H, where d_i is the
+        # first coordinate direction the frame does not project along.
+        # theta_hat(T) stays 1, but dtheta_hat(T, P(d_i)) is nonzero, and
+        # the contact suite reads it off the frame's own T and theta_hat.
+        import contactconn.contact as contact_mod
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=NotContactError,
-    reason="the contact suite re-solves the Reeb system of the raw contact form, "
-    "whose dtheta part scales like theta and its theta x theta part like theta squared, "
-    "so at size 1e100 the relative singular-value floor reads it as singular",
-)
+        real = contact_mod._reeb_from_values
+
+        def shifted(theta, dt):
+            T = real(theta, dt)
+            m = int(np.argmax(np.abs(theta.value)))
+            return T + contact_mod._project_onto_h(theta, m, [int(m == 0)])[0] * 1e-6
+
+        monkeypatch.setattr(contact_mod, "_reeb_from_values", shifted)
+        spec = load_spec(CHARTS_DIR / name) if name.endswith(".json") else get_manifold(name)
+        rep = run_suites(spec, CORE, points=2)
+        assert rep.skipped_points == 0
+        contact = rep.suites[0]
+        assert contact.passed is False
+        assert contact.residuals["reeb"] > 1e-7
+
+
 def test_contact_suite_runs_on_a_large_contact_form():
+    # The contact suite checks the frame's own Reeb field against
+    # theta_hat, whose size the normalization fixes, so a contact form of
+    # size 1e100 is checked at the size of any other.
     spec = dataclasses.replace(
         get_manifold("heisenberg-perturbed"), theta=("-1e100*y", "0", "1e100"), points=6, seed=3
     )
@@ -453,11 +475,11 @@ class TestPerPointState:
 
     # Every sum of products over an axis is one jets.contract call, which
     # sums each product-rule part on its own: the pairings contract one
-    # vector stack at a time, the metric pairings twice, mu three times
-    # (tr(G^-1 Omega G^-1 Omega^T)), each graded product once and the
-    # promotion system over all frame pairs at once. The frame pairs g and
-    # dtheta with its projected basis in one stack, whose first pairing
-    # also gives Gram-Schmidt g . basis, and d_pairs pairs every form it
+    # vector stack at a time, the metric pairings twice, mu once (the
+    # squares of dtheta on the orthonormal frame), each graded product
+    # once and the promotion system over all frame pairs at once. The
+    # frame gets X from one jet Cholesky factor of the H-Gram matrix and
+    # one jet solve, with no contract, and d_pairs pairs every form it
     # reads with (T, X) at once, after one wedge for every dc ^ theta_hat
     # (which it summed from two products, 48 calls on sphere-chart).
     # Before, the same runs folded full product jets through fold_chunks:
@@ -466,8 +488,11 @@ class TestPerPointState:
     # calls. While the contact suite paired dtheta(T, .) with an identity
     # basis, one more each: 53 and 50. rotate_frame checks Q Q^T = I as
     # one contract, once per point in the rotation suite: 49 before it.
+    # While the frame ran Gram-Schmidt and took mu from the inverse
+    # H-Gram matrix (tr(G^-1 Omega G^-1 Omega^T), three contracts), 52
+    # and 50.
     @pytest.mark.parametrize(
-        "name, suites, calls", [("heis7.json", CORE, 52), ("sphere-chart", ALL_3D, 50)]
+        "name, suites, calls", [("heis7.json", CORE, 33), ("sphere-chart", ALL_3D, 43)]
     )
     def test_contract_calls_per_usable_point(self, monkeypatch, name, suites, calls):
         from contactconn import jets
@@ -496,9 +521,11 @@ class TestPerPointState:
     # and den at order 2, 117 and 77; with every sum of products folded
     # from full product jets, 115 and 75; with one Gram-Schmidt product per
     # projection instead of one per step, 25 and 52; with the rotation
-    # suite's expected A' and B' built from order-2 angle jets, 15 and 52.
+    # suite's expected A' and B' built from order-2 angle jets, 15 and 52;
+    # while the frame ran Gram-Schmidt, one product per step and one per
+    # normalized row, 15 and 48.
     @pytest.mark.parametrize(
-        "name, suites, products", [("heis7.json", CORE, 15), ("sphere-chart", ALL_3D, 48)]
+        "name, suites, products", [("heis7.json", CORE, 4), ("sphere-chart", ALL_3D, 45)]
     )
     def test_order2_products_per_usable_point(self, monkeypatch, name, suites, products):
         from contactconn import jets

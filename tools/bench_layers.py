@@ -1,22 +1,22 @@
 """Per-layer cost of `analyze` in dimensions 3, 5 and 7.
 
-Runs the suite pipeline in-process on three charts: sphere-chart with all
-five suites (dim 3), n2-split (dim 5) and the 7D Heisenberg chart of
+Runs the suite pipeline in-process on three charts: sphere-chart with
+all five suites (dim 3), n2-split (dim 5) and the 7D Heisenberg chart of
 perfbench (dim 7), both with the core suites. Each pass is one `analyze`
 of POINTS points (run_suites plus render_report); the untraced passes
 give the wall time per usable point, then the same passes run under
 perfbench's tracer, extended to every layer in LAYERS that perfbench
-does not span (ContactStructure.inputs_at, which runs the input tape)
-and without its jet-operation counter, for each layer's self time per
-usable point, and once more with jets.contract (every sum of products
-over an axis) and the product rule counted, the contractions and the
-products each split by the jet order they ran at, and with the JetArrays
-built counted, in all and those given a per-entry order array. Each
-chart also gets the per-call cost of compiling it from its description
-file, the call `analyze --spec` makes: load_spec, build() and the input
-tape, cold (the process's chart memo cleared first) and warm (the same
-call again right after). Prints one JSON object with the medians over
-passes.
+does not span (ContactStructure.inputs_at, which runs the input tape,
+and jets.jet_cholesky, the frame's Cholesky factor) and without its
+jet-operation counter, for each layer's self time per usable point, and
+once more with jets.contract (every sum of products over an axis) and
+the product rule counted, the contractions and the products each split
+by the jet order they ran at, and with the JetArrays built counted, in
+all and those given a per-entry order array. Each chart also gets the
+per-call cost of compiling it from its description file, the call
+`analyze --spec` makes: load_spec, build() and the input tape, cold (the
+process's chart memo cleared first) and warm (the same call again right
+after). Prints one JSON object with the medians over passes.
 
     python3 tools/bench_layers.py [--src PATH] [--passes N] [--points N]
 
@@ -49,6 +49,7 @@ POINTS = 4
 
 LAYERS = (
     "contact.ContactStructure.inputs_at",
+    "jets.jet_cholesky",
     "contact.check_contact",
     "contact.adapted_frame",
     "contact.rotate_frame",
