@@ -145,14 +145,12 @@ def partial_torsion(conn: PartialConnection) -> JetArray:
     the e-rows vanish exactly when the connection is torsion-free.
     """
     frame = conn.frame
-    m = 2 * frame.n
     kap = conn.kappa
     # rows[A, a, c] = kappa[a, A, c + 1]; the wedge part is rows - rows^T.
     rows = kap[:, :, 1:].transpose(1, 0, 2)
     # The exterior derivative at kappa's order, the order the sum runs at.
-    d_part = JetArray.constant(0.0, frame.dim, (m + 1, m, m), kap.top)
-    d_part[0] = frame.Omega
-    d_part[1:] = frame.D
+    k = kap.top
+    d_part = concatenate([frame.Omega.restrict(k)[None], frame.D.restrict(k)])
     return rows - rows.transpose(0, 2, 1) - d_part
 
 

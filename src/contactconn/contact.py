@@ -16,12 +16,12 @@ Conventions fixed here and relied on everywhere downstream:
   orthonormalizing them with g, all in jet arithmetic: Gram-Schmidt of
   the projected basis B is X = L^-1 B, L the Cholesky factor of g(B, B),
   with no per-row loop. The projection sends v to
-  v - (theta_hat(v)/theta_hat_m) d_m where d_m is the coordinate direction
-  with the largest |theta_hat| component: this keeps the full jet order of
-  theta_hat (projecting along the Reeb field instead would cap every
-  frame vector at the Reeb field's lower order) and agrees with the Reeb
-  projection whenever the Reeb field is parallel to d_m, which covers the
-  model structures.
+  v - (theta(v)/theta_m) d_m where d_m is the coordinate direction with
+  the largest |theta| component, the same for theta_hat = mu theta: this
+  keeps the full jet order of theta (projecting along the Reeb field
+  instead would cap every frame vector at the Reeb field's lower order)
+  and agrees with the Reeb projection whenever the Reeb field is
+  parallel to d_m, which covers the model structures.
 - In dimension 3 the frame is oriented so d(theta_hat)(X1, X2) = +1.
 - Form and vector values (theta, dtheta, theta_hat, T) are the JetArrays
   of their components, laid out as forms.py describes.
@@ -177,14 +177,16 @@ def _reeb_from_values(theta: JetArray, dt: JetArray) -> JetArray:
     return sol
 
 
-def _project_onto_h(theta: JetArray, m: int, rows) -> JetArray:
-    """Row r holds P(d_i) = d_i - (theta_i / theta_m) d_m for i = rows[r],
-    a projection onto H."""
-    rows = np.asarray(rows, dtype=np.intp)
-    r = np.arange(len(rows))
-    P = JetArray.constant(0.0, theta.dim, (len(rows), len(theta)))
-    P[r, rows] = P[r, rows] + 1.0
-    P[r, m] = P[r, m] - theta[rows] / theta[m]
+def _project_onto_h(theta: JetArray, m: int) -> JetArray:
+    """The projection onto H along d_m, (dim, dim): row i holds
+    P(d_i) = d_i - (theta_i / theta_m) d_m, so row m vanishes. Only the
+    ratios of theta's components enter, and theta_hat = mu theta has the
+    same ones."""
+    d = theta.dim
+    r = np.arange(d)
+    P = JetArray.constant(0.0, d, (d, d))
+    P[r, r] = 1.0
+    P[r, m] = P[r, m] - theta / theta[m]
     return P
 
 
@@ -256,18 +258,12 @@ class AdaptedFrame:
         """Components of the full coframe (theta_hat, e^1, ..., e^2n), one
         1-form per row: shape (2n+1, dim)."""
         th = self.theta_hat
-        co = JetArray.constant(0.0, self.dim, (2 * self.n + 1, self.dim))
-        co[0] = th
-        co[1:] = self.f + th[None, :] * self.c[:, None]
-        return co
+        return concatenate([th[None], self.f + th[None, :] * self.c[:, None]])
 
     @cached_property
     def frame_array(self) -> JetArray:
         """The full frame (T, X_1, ..., X_2n), one vector per row."""
-        fa = JetArray.constant(0.0, self.dim, (2 * self.n + 1, self.dim))
-        fa[0] = self.T
-        fa[1:] = self.X
-        return fa
+        return concatenate([self.T[None], self.X])
 
     def express(self, a: JetArray) -> JetArray:
         """Coframe components of a 1-form value (dim,) by frame pairing:
@@ -341,7 +337,8 @@ def adapted_frame(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
     # Gram-Schmidt of the H-projected coordinate basis (one vector per
     # row) with g is X = L^-1 basis, L the Cholesky factor of its Gram
     # matrix. The basis already lies in ker theta = ker theta_hat.
-    basis = _project_onto_h(theta, m, kept)
+    P = _project_onto_h(theta, m)
+    basis = P[kept]
     gram = _metric_pairs(G, basis, basis)
     eigs = np.linalg.eigvalsh(gram.value)
     if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
@@ -368,8 +365,9 @@ def adapted_frame(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
         Omega = Omega[swap][:, swap]
 
     # Dual coframe split e^b = f^b + c^b theta_hat: the H-part pairs with
-    # g against X_b, the Reeb coefficient kills the value on T.
-    F = _metric_pairs(G, X, _project_onto_h(theta_hat, m, range(d)))
+    # g against X_b, the Reeb coefficient kills the value on T. H and its
+    # projection are the same for theta and theta_hat.
+    F = _metric_pairs(G, X, P)
     C = -evaluate_forms(F, T[None])[:, 0] / evaluate_forms(theta_hat, T[None])[0]
 
     return AdaptedFrame(
@@ -386,14 +384,10 @@ def adapted_frame(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
 
 
 def _turn(rows: JetArray, Q: JetArray) -> JetArray:
-    """Row b is the left fold over k of rows[k] Q[b, k], from term 0:
-    Q times the stack rows, whatever the shape of one row."""
-    col = (slice(None),)
+    """Q times the stack rows, whatever the shape of one row: row b is
+    sum_k Q[b, k] rows[k], one contract over k."""
     tail = (None,) * (len(rows.shape) - 1)
-    out = rows[0] * Q[col + (0,) + tail]
-    for k in range(1, len(rows)):
-        out = out + rows[k] * Q[col + (k,) + tail]
-    return out
+    return contract(Q.transpose(1, 0)[(slice(None),) * 2 + tail], rows[:, None])
 
 
 def rotate_frame(frame: AdaptedFrame, Q: JetArray) -> AdaptedFrame:

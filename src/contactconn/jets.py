@@ -24,15 +24,16 @@ Design notes.
 - Summation order. A sum of products over an axis is one call of
   contract, which sums each product-rule part on its own (the Hessian's
   cross terms as one outer-product sum) without building any term's
-  full product jet. Every part of every entry is a running sum over
-  the contracted axis from +0.0, term 0 first, each product rounded
-  before it is added: the value through np.add.accumulate, the
-  derivative parts through np.einsum on copies made C-contiguous with
-  the contracted axis first, so einsum's inner loop runs over the
-  derivative axes and adds one term at a time. The bits therefore
-  depend on the operands' values and shapes only, never on their memory
-  layout or on BLAS; a test pins this against the Python loop of that
-  running sum.
+  full product jet: the pairings, the frame's normalization and every
+  change of frame alike, with no Python loop of product jets. Every
+  part of every entry is a running sum over the contracted axis from
+  +0.0, term 0 first, each product rounded before it is added: the
+  value through np.add.accumulate, the derivative parts through
+  np.einsum on copies made C-contiguous with the contracted axis first,
+  so einsum's inner loop runs over the derivative axes and adds one term
+  at a time. The bits therefore depend on the operands' values and
+  shapes only, never on their memory layout or on BLAS; a test pins
+  this against the Python loop of that running sum.
 - Orders. A JetArray computes all its entries at one common order, the
   highest any entry carries, and tracks each entry's own order:
   mixed-order operands give each entry the lower of their orders, and

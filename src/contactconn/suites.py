@@ -60,7 +60,7 @@ from .contact import (
     screen_point,
 )
 from .errors import AllPointsSkippedError, SuiteUnavailableError
-from .forms import evaluate_forms, full_tensor, pair
+from .forms import evaluate_forms
 from .jets import JetArray
 from .registry import ManifoldSpec
 from .report import PointRecord, Report, SuiteResult
@@ -122,16 +122,16 @@ def _suite_contact(run: _Run) -> list[dict]:
     rows = []
     for pt in run.usable:
         frame = pt.frame
-        # The frame's own Reeb field against the frame's theta_hat.
-        T = frame.T.restrict(0)[None]
-        (theta_T,) = evaluate_forms(frame.theta_hat.restrict(0), T).value.tolist()
-        dtheta_T = pair(full_tensor(frame.dtheta_hat.restrict(0), 2), 0, T).value
         omega_sq = sum(v**2 for v in frame.Omega.value.ravel().tolist())
         lam = pt.spectrum
         pairs = frame.pair_coframe(frame.frame_array.restrict(0)).value
+        # The frame's own Reeb field against theta_hat and d(theta_hat), on
+        # the frame: theta_hat(T) and every dtheta_hat(T, X_a).
+        T, X = frame.T.restrict(0)[None], frame.X.restrict(0)
+        dtheta_T = evaluate_forms(frame.dtheta_hat.restrict(0), T, X).value
         rows.append(
             {
-                "reeb": max(abs(theta_T - 1.0), max_abs(dtheta_T)),
+                "reeb": max(abs(float(pairs[0, 0]) - 1.0), max_abs(dtheta_T)),
                 "normalization": abs(omega_sq - 2 * n),
                 "lambda_sum_sq": abs(sum(v * v for v in lam) - n),
                 # Below its gate 0.0 exactly when every lambda is positive.

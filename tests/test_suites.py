@@ -205,6 +205,20 @@ def sqrt_edge_spec(x_box=(-0.5, 0.9)):
     )
 
 
+def wide_spec():
+    """theta = (-y/2, x/2, 1) and g = diag(1 + x^2, 1, 0) on the box
+    +-1000, 6 points, seed 1: contact everywhere, with |theta| ~ 1e3."""
+    return ManifoldSpec(
+        name="wide",
+        coords=("x", "y", "z"),
+        theta=("-y/2", "x/2", "1"),
+        g=(("1 + x^2", "0", "0"), ("0", "1", "0"), ("0", "0", "0")),
+        box=((-1000.0, 1000.0),) * 3,
+        points=6,
+        seed=1,
+    )
+
+
 class TestPointIsolation:
     def test_undefined_input_skips_the_point(self):
         rep = run_suites(sqrt_edge_spec(), ALL_3D)
@@ -252,16 +266,7 @@ class TestPointIsolation:
         # |theta| ~ 1e3 makes the Reeb system of theta_hat, whose
         # theta_hat x theta_hat part outgrows its dtheta_hat part, read as
         # singular.
-        spec = ManifoldSpec(
-            name="wide",
-            coords=("x", "y", "z"),
-            theta=("-y/2", "x/2", "1"),
-            g=(("1 + x^2", "0", "0"), ("0", "1", "0"), ("0", "0", "0")),
-            box=((-1000.0, 1000.0),) * 3,
-            points=6,
-            seed=1,
-        )
-        rep = run_suites(spec, ["canonical"])
+        rep = run_suites(wide_spec(), ["canonical"])
         skipped = {i: r.reason for i, r in enumerate(rep.points) if r.skipped}
         assert sorted(skipped) == [2, 3, 5]
         assert all(r.startswith("Reeb system is singular") for r in skipped.values())
@@ -389,7 +394,7 @@ class TestFailurePropagation:
         assert contact["normalization"] == pytest.approx(4e-6, rel=1e-3)
         assert tw["theta_row_difference_residual"] == pytest.approx(1e-6, rel=1e-3)
 
-    @pytest.mark.parametrize("name", ["n2-split", "heis7.json"])
+    @pytest.mark.parametrize("name", ["n2-split", "heis7.json", "heisenberg"])
     def test_horizontal_reeb_defect_fails_the_contact_suite(self, monkeypatch, name):
         # Every frame's T gets 1e-6 P(d_i), a vector in H, where d_i is the
         # first coordinate direction the frame does not project along.
@@ -402,7 +407,7 @@ class TestFailurePropagation:
         def shifted(theta, dt):
             T = real(theta, dt)
             m = int(np.argmax(np.abs(theta.value)))
-            return T + contact_mod._project_onto_h(theta, m, [int(m == 0)])[0] * 1e-6
+            return T + contact_mod._project_onto_h(theta, m)[int(m == 0)] * 1e-6
 
         monkeypatch.setattr(contact_mod, "_reeb_from_values", shifted)
         spec = load_spec(CHARTS_DIR / name) if name.endswith(".json") else get_manifold(name)
@@ -423,6 +428,36 @@ def test_contact_suite_runs_on_a_large_contact_form():
     others = run_suites(spec, ["canonical", "promotion", "tw-compare", "rotation"])
     assert others.passed and others.skipped_points == 0
     assert run_suites(spec, ["contact"]).passed
+
+
+def units_spec(s):
+    """heisenberg-perturbed in the coordinates X = s x, Y = s y, Z = s^2 z:
+    theta = (-Y, 0, 1), s^2 times dz - y dx, and g = diag(1, 1 + X^2/(4 s^2),
+    0) / s^2, on the box scaled to match, 12 points, seed 3."""
+    s2 = s * s
+    return dataclasses.replace(
+        get_manifold("heisenberg-perturbed"),
+        g=(
+            (f"1/{s2!r}", "0", "0"),
+            ("0", f"(1 + x^2/(4*{s2!r}))/{s2!r}", "0"),
+            ("0", "0", "0"),
+        ),
+        box=((-0.9 * s, 0.9 * s), (-0.9 * s, 0.9 * s), (-0.9 * s2, 0.9 * s2)),
+        points=12,
+        seed=3,
+    )
+
+
+# The contact suite reads d(theta_hat)(T, .) on the g-orthonormal frame,
+# where its size is fixed by the normalization. Read in coordinate
+# components, it scaled with the chart's units: contact.reeb read 1.12e-8
+# on units_spec(1e-4) and 1.12e-11 on the wide box, against its gate of
+# 1e-11.
+@pytest.mark.parametrize("spec", [units_spec(1e-4), wide_spec()], ids=["units-1e-4", "wide"])
+def test_reeb_check_does_not_depend_on_units(spec):
+    rep = run_suites(spec, ALL_3D)
+    assert {suite.name: suite.passed for suite in rep.suites} == dict.fromkeys(ALL_3D, True)
+    assert rep.passed
 
 
 def patch_everywhere(monkeypatch, original, replacement):
@@ -490,9 +525,11 @@ class TestPerPointState:
     # one contract, once per point in the rotation suite: 49 before it.
     # While the frame ran Gram-Schmidt and took mu from the inverse
     # H-Gram matrix (tr(G^-1 Omega G^-1 Omega^T), three contracts), 52
-    # and 50.
+    # and 50. rotate_frame turns X, f and c by one contract each (and
+    # Omega by two in dimension >= 5); while it folded per-term products
+    # instead, sphere-chart made 43.
     @pytest.mark.parametrize(
-        "name, suites, calls", [("heis7.json", CORE, 33), ("sphere-chart", ALL_3D, 43)]
+        "name, suites, calls", [("heis7.json", CORE, 33), ("sphere-chart", ALL_3D, 46)]
     )
     def test_contract_calls_per_usable_point(self, monkeypatch, name, suites, calls):
         from contactconn import jets
@@ -523,9 +560,10 @@ class TestPerPointState:
     # projection instead of one per step, 25 and 52; with the rotation
     # suite's expected A' and B' built from order-2 angle jets, 15 and 52;
     # while the frame ran Gram-Schmidt, one product per step and one per
-    # normalized row, 15 and 48.
+    # normalized row, 15 and 48; while rotate_frame folded one product per
+    # term of Q X and Q f, 4 and 45.
     @pytest.mark.parametrize(
-        "name, suites, products", [("heis7.json", CORE, 4), ("sphere-chart", ALL_3D, 45)]
+        "name, suites, products", [("heis7.json", CORE, 4), ("sphere-chart", ALL_3D, 41)]
     )
     def test_order2_products_per_usable_point(self, monkeypatch, name, suites, products):
         from contactconn import jets

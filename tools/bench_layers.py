@@ -16,7 +16,10 @@ all and those given a per-entry order array. Each chart also gets the
 per-call cost of compiling it from its description file, the call
 `analyze --spec` makes: load_spec, build() and the input tape, cold (the
 process's chart memo cleared first) and warm (the same call again right
-after). Prints one JSON object with the medians over passes.
+after), and the per-call cost of one contact.rotate_frame by
+tests/form_helpers.cayley_rotation at the chart's first sample point
+(its own box, points and seed), timed over ROTATIONS calls per pass.
+Prints one JSON object with the medians over passes.
 
     python3 tools/bench_layers.py [--src PATH] [--passes N] [--points N]
 
@@ -46,6 +49,7 @@ CHARTS = (
     ("heis7", 7, ("contact", "canonical", "promotion")),
 )
 POINTS = 4
+ROTATIONS = 100
 
 LAYERS = (
     "contact.ContactStructure.inputs_at",
@@ -102,9 +106,31 @@ def compile_seconds(registry, path: Path, passes: int) -> dict:
     return times
 
 
+def rotate_seconds(spec, passes: int) -> list[float]:
+    """Seconds per rotate_frame call, one value per pass, on the frame at
+    the first point of spec's own sample and a Cayley Q of order 2."""
+    from contactconn.contact import rotate_frame, screen_point
+    from contactconn.sampling import sample_box
+    from form_helpers import cayley_rotation
+
+    cs = spec.build()
+    p = sample_box(spec.box, spec.points, spec.seed)[0]
+    _, frame = screen_point(cs, p)
+    Q = cayley_rotation(p, 0)
+    rotate_frame(frame, Q)  # warm-up
+    times = []
+    for _ in range(passes):
+        t0 = time.perf_counter()
+        for _ in range(ROTATIONS):
+            rotate_frame(frame, Q)
+        times.append((time.perf_counter() - t0) / ROTATIONS)
+    return times
+
+
 def measure(src: Path, passes: int, points: int) -> dict:
     sys.path.insert(0, str(src / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.path.insert(0, str(ROOT / "tests"))
     import numpy as np
     import tracer as tr
 
@@ -193,6 +219,7 @@ def measure(src: Path, passes: int, points: int) -> dict:
             "suites": list(suites),
             "analyze_ms_per_point": ms(walls),
             "compile_ms_per_call": {k: ms(v) for k, v in compiles.items()},
+            "rotate_frame_ms_per_call": ms(rotate_seconds(spec, passes)),
             "self_ms_per_point": {k: ms(v) for k, v in self_s.items() if any(v)},
             "contract_calls_per_point": sum(contracts.values()) / usable,
             "contracts_per_point": {k: v / usable for k, v in contracts.items()},
