@@ -90,20 +90,16 @@ class PartialConnection:
     def promotion_system(self) -> tuple[JetArray, JetArray]:
         """(num, den) of the promotion solve, computed once and shared by
         promote and promotion_residual. Both carry one order below kappa:
-        order 1 for a connection as built, order 0 for one cut to order 1,
-        the order a value-only reader needs."""
+        order 0 for a connection as built, the values a value-only reader
+        needs."""
         return _promotion_system(self)
 
     def restrict(self, k: int) -> "PartialConnection":
-        """The same connection with Gamma and kappa cut to order at most
-        k, as JetArray.restrict cuts an array: everything derived from it
-        has the bits the uncut connection gives, up to order k, without
-        computing the parts above."""
-        cut = PartialConnection(self.frame, self.Gamma.restrict(k))
-        # kappa's 2-form row is the frame's Omega, which is not cut, so the
-        # cut connection's kappa is this one's, cut.
-        cut.__dict__["kappa"] = self.kappa.restrict(k)
-        return cut
+        """The same connection with Gamma cut to order at most k, as
+        JetArray.restrict cuts an array, so its kappa has that order too:
+        everything derived from it has the bits the uncut connection
+        gives, up to order k, without computing the parts above."""
+        return PartialConnection(self.frame, self.Gamma.restrict(k))
 
     def coordinate_action_on_vector(self, vector: JetArray):
         """Value matrix of the H-derivative of a vector field given by its
@@ -124,11 +120,12 @@ class PartialConnection:
         (2n, 2n+1, 2n+1): entry [a, A, C] is the sigma^C-component of
         nabla_{X_a} sigma^A, index 0 being theta_hat. Row 0 is the 2-form
         row; no element ever produces a theta_hat component, which is what
-        'normal form' means.
+        'normal form' means. kappa has Gamma's order, order 1 as built, and
+        its 2-form row is Omega cut to that order.
         """
         frame = self.frame
         m = 2 * frame.n
-        kap = JetArray.constant(0.0, frame.dim, (m, m + 1, m + 1))
+        kap = JetArray.constant(0.0, frame.dim, (m, m + 1, m + 1), self.Gamma.top)
         kap[:, 0, 1:] = frame.Omega
         kap[:, 1:, 1:] = -self.Gamma
         return kap
@@ -297,8 +294,8 @@ def _promotion_system(conn: PartialConnection):
     and den the squared norm of the 2-form over index pairs; the extension
     coefficient that cancels the obstruction is -num/den. Both carry one
     order below conn's kappa: num meets a derivative of kappa, and den is
-    built at the order of the num it divides. A connection as built gives
-    order 1, one cut to order 1 gives the values alone.
+    built at the order of the num it divides. A connection as built,
+    whose kappa has order 1, gives the values alone.
     """
     frame = conn.frame
     m = 2 * frame.n
@@ -338,9 +335,9 @@ def promote(conn: PartialConnection) -> FullConnection:
     of the coefficients is the unique choice making it vanish, and the H
     rows are the partial connection's kappa. Costs one jet order (the
     coefficients get differentiated once): for a connection as built the
-    Reeb row carries order 1, and for one cut to order 1 (restrict) it is
-    the values alone. The coefficient tensor has the top order of its
-    rows, as jets.concatenate gives it.
+    Reeb row is the values alone. The coefficient tensor has the lower
+    order of its rows, as jets.concatenate gives it, so order 0 for a
+    connection as built.
     """
     num, den = conn.promotion_system
     coeffs = concatenate([-(num / den)[None], conn.kappa])

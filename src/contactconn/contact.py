@@ -178,13 +178,13 @@ def _reeb_from_values(theta: JetArray, dt: JetArray) -> JetArray:
 
 
 def _project_onto_h(theta: JetArray, m: int) -> JetArray:
-    """The projection onto H along d_m, (dim, dim): row i holds
-    P(d_i) = d_i - (theta_i / theta_m) d_m, so row m vanishes. Only the
-    ratios of theta's components enter, and theta_hat = mu theta has the
-    same ones."""
+    """The projection onto H along d_m, (dim, dim) at theta's order: row
+    i holds P(d_i) = d_i - (theta_i / theta_m) d_m, so row m vanishes.
+    Only the ratios of theta's components enter, and theta_hat = mu theta
+    has the same ones."""
     d = theta.dim
     r = np.arange(d)
-    P = JetArray.constant(0.0, d, (d, d))
+    P = JetArray.constant(0.0, d, (d, d), theta.top)
     P[r, r] = 1.0
     P[r, m] = P[r, m] - theta / theta[m]
     return P
@@ -224,10 +224,9 @@ class AdaptedFrame:
     Achieved jet orders, determined by what each piece consumes:
     theta_hat and X carry order 2, dtheta_hat and T order 1, Omega order
     2 (it avoids dtheta_hat via the exact identity d(mu theta)(X, Y) =
-    mu dtheta(X, Y) on H-vectors), f order 2, df, c and D order 1.
-    Omega's Hessian is for library callers of an uncut connection: it
-    gives kappa's 2-form row and the H pairs of d_pairs their order 2,
-    and TWData.classical keeps order 2 beside them, as
+    mu dtheta(X, Y) on H-vectors), f order 2, df, c and D order 1. A
+    stack has the lowest order of its parts: frame_array and
+    coframe_array order 1, d_pairs order 0, as
     tests/test_connection.py::TestValueRoute::test_library_orders_are_kept
     pins. A suite run reads all of these at order <= 1.
 
@@ -396,20 +395,16 @@ def rotate_frame(frame: AdaptedFrame, Q: JetArray) -> AdaptedFrame:
     and Q c (an orthogonal change is its own dual), Omega becomes
     Q Omega Q^T, and mu, theta_hat, dtheta_hat and T are kept. In
     dimension 3 Q Omega Q^T = det(Q) Omega, so Omega is kept and Q must
-    be a rotation, which keeps the orientation. Q is used at its lowest
-    entry order, Q.restrict(Q.low). Raises ValueError naming the problem
-    for a Q of the wrong shape or chart dimension, with a part of
-    Q Q^T - I over 1e-12 times the terms that cancel in it (1, |Q'|,
-    |Q'|^2 + |Q''|), or with det Q < 0 in dimension 3.
+    be a rotation, which keeps the orientation. Raises ValueError naming
+    the problem for a Q of the wrong shape or chart dimension, with a
+    part of Q Q^T - I over 1e-12 times the terms that cancel in it (1,
+    |Q'|, |Q'|^2 + |Q''|), or with det Q < 0 in dimension 3.
     """
     m = 2 * frame.n
     if Q.shape != (m, m):
         raise ValueError(f"Q must be a ({m}, {m}) matrix, got shape {Q.shape}")
     if Q.dim != frame.dim:
         raise ValueError(f"Q holds jets in dimension {Q.dim}, the frame in dimension {frame.dim}")
-    # Cut to one order, so every part checked below is present in every entry
-    # and every part that reaches the rotated frame is checked.
-    Q = Q.restrict(Q.low)
     Qt = Q.transpose(1, 0)
     QQt = contract(Qt[:, :, None], Qt[:, None, :])  # [a, b] = sum_k Q_ak Q_bk
     checks = [(0, QQt.value - np.eye(m), 1.0)]

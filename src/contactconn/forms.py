@@ -195,9 +195,9 @@ def wedge(a: JetArray, p: int, b: JetArray, q: int) -> JetArray:
 
     Each output component contracts its terms, in the order of a loop
     over a's multi-indices, then b's, skipping repeated indices: the
-    signed component of a times the component of b. Every component of
-    a product carries the lowest order of any component of its two
-    factors, so each stacked product gets the bits it gets alone.
+    signed component of a times the component of b, at the lower top
+    order of a and b, so each stacked product gets the bits it gets
+    alone.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
@@ -207,13 +207,7 @@ def wedge(a: JetArray, p: int, b: JetArray, q: int) -> JetArray:
         raise ValueError("degree overflow")
     ia, ib = _wedge_table(a.dim, p, q)
     s = max(len(a.shape), len(b.shape)) - 1
-    out = contract(_terms(_signed(a), ia, s), _terms(b, ib, s))
-    if out.low == out.top:
-        return out
-    # A product's lowest component order is its factors' (each is in a term).
-    low = out.order.min(axis=-1, keepdims=True)
-    order = np.minimum(out.order, low)
-    return JetArray(out.dim, out.value, out.grad, out.hess, order).restrict(int(low.max()))
+    return contract(_terms(_signed(a), ia, s), _terms(b, ib, s))
 
 
 def _terms(x: JetArray, table: np.ndarray, s: int) -> JetArray:
@@ -307,7 +301,7 @@ def d_from_jets(a: JetArray, degree: int) -> JetArray:
     _check_layout(a.dim, degree, a.shape)
     if degree == a.dim:
         raise ValueError("d of a top-degree form is not a form")
-    if a.low < 1:
+    if a.top < 1:
         raise ValueError("d_from_jets needs jets of order >= 1")
     coord, rest = _d_table(a.dim, degree)
     s = len(a.shape) - 1

@@ -34,20 +34,15 @@ Design notes.
   at a time. The bits therefore depend on the operands' values and
   shapes only, never on their memory layout or on BLAS; a test pins
   this against the Python loop of that running sum.
-- Orders. A JetArray computes all its entries at one common order, the
-  highest any entry carries, and tracks each entry's own order:
-  mixed-order operands give each entry the lower of their orders, and
-  plain numbers lift to constant jets. Parts above an entry's order are
-  never read (value and gradient rules read no higher part), so mixing
-  orders in one array is exact. A uniform order needs no array: every
-  tape output and solve, and every restriction, partial, rule result or
-  contraction of operands whose entries all carry their top order,
-  carries that order in every entry and keeps no order array. Only
-  entries assigned into a container of a higher order, and what is
-  computed from them, carry an integer array of their orders.
-  JetArray.order reads either state as a read-only array. __setitem__ is
-  its only writer, and it replaces the array rather than writing into
-  it, so arrays that share one never see each other's writes.
+- Orders. A JetArray carries one jet order for all its entries, its top:
+  grad is present from order 1 and hess at order 2. An operation runs at
+  the lower top order of its operands, and plain numbers lift to
+  constant jets of the top order. Value and gradient rules read no
+  higher part, so every entry has the bits its operation gives on
+  operands cut to that order. Every stack or container is built at the
+  lowest order of what goes into it: concatenate joins its items at
+  their lowest top, and __setitem__ refuses an entry of lower order than
+  the array it is written into.
 - Work at the order that is read. For the same reason, cutting an
   operand to the order its consumer reads (JetArray.restrict) before a
   kernel runs gives the same bits as cutting the result, without
@@ -170,14 +165,13 @@ def _div_rule(k, av, ag, ah, bv, bg, bh):
     return q, g, h
 
 
-def _sqrt_rule(k, v, g, h, order):
+def _sqrt_rule(k, v, g, h):
     """Parts of sqrt(f) from f's parts, its value's square root correctly
-    rounded; order is f's entry order (an array, or one number for every
-    entry). A negative value, or a zero one of order >= 1, raises
+    rounded. A negative value, or a zero one at order k >= 1, raises
     ExprDomainError."""
     if np.count_nonzero(v < 0.0):
         raise ExprDomainError("sqrt of negative value", "<jet sqrt>")
-    if np.count_nonzero((v == 0.0) & (order >= 1)):
+    if k >= 1 and np.count_nonzero(v == 0.0):
         raise ExprDomainError("sqrt not differentiable at zero", "<jet sqrt>")
     s = np.sqrt(v)
     gs = hs = None
@@ -234,42 +228,33 @@ def _chain_rule(k, fv, df, d2f, g, h):
     return fv, gs, hs
 
 
-_ORDER_DTYPE = np.int8
 _TOP_ORDER = 2
 
 
 class JetArray:
     """A tensor of jets at one chart point, stored part by part.
 
-    value has shape S and order (each entry's own jet order) shape S. The
-    array's top order k is the highest order any entry carries: grad, of
-    shape S+(d,), is present when k >= 1 and hess, S+(d,d), when k = 2;
-    absent parts are None. A 0-d array (S = ()) is a single jet. Indexing,
-    transpose and reshape act on the leading (tensor) axes only; the
-    derivative axes always stay last. Arithmetic broadcasts like numpy
-    over the tensor axes, runs the rules at the lower top order of its
-    operands and gives every entry the lower of its operands' orders.
-
-    A uniform order needs no array: the order given to the constructor
-    is an integer array of shape S, or None when every entry carries the
-    top order, and every kernel that knows its result is uniform gives
-    None. order reads either state as a read-only array; __setitem__ is
-    its only writer.
+    value has shape S. Every entry carries the array's one jet order, its
+    top k: grad, of shape S+(d,), is present when k >= 1 and hess,
+    S+(d,d), when k = 2; absent parts are None. A 0-d array (S = ()) is a
+    single jet. Indexing, transpose and reshape act on the leading
+    (tensor) axes only; the derivative axes always stay last. Arithmetic
+    broadcasts like numpy over the tensor axes and runs the rules at the
+    lower top order of its operands.
     """
 
-    __slots__ = ("dim", "value", "grad", "hess", "_order")
+    __slots__ = ("dim", "value", "grad", "hess")
 
     # A single jet's value is a numpy scalar; with a numpy number on the
     # left of an operator, numpy defers to this class's reflected operator
     # instead of unpacking the array into an object array of jets.
     __array_ufunc__ = None
 
-    def __init__(self, dim: int, value, grad, hess, order=None):
+    def __init__(self, dim: int, value, grad, hess):
         self.dim = dim
         self.value = value
         self.grad = grad
         self.hess = hess
-        self._order = order
 
     # -- construction --------------------------------------------------------
 
@@ -295,7 +280,7 @@ class JetArray:
             x.grad[i] = 1.0
         return x
 
-    # -- shape and orders ----------------------------------------------------
+    # -- shape and order -----------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -303,25 +288,8 @@ class JetArray:
 
     @property
     def top(self) -> int:
+        """The jet order of every entry."""
         return 0 if self.grad is None else 1 if self.hess is None else 2
-
-    @property
-    def order(self) -> np.ndarray:
-        """Each entry's own jet order, shape S, as a read-only array."""
-        o = self._order
-        return np.broadcast_to(_ORDER_DTYPE(self.top) if o is None else o, self.value.shape)
-
-    @property
-    def low(self) -> int:
-        """The lowest order any entry carries."""
-        o = self._order
-        return self.top if o is None else int(o.min())
-
-    def _orders(self):
-        """The entry orders as they broadcast: the order array, or the top
-        order as one number where every entry carries it."""
-        o = self._order
-        return self.top if o is None else o
 
     def __len__(self) -> int:
         shape = self.value.shape
@@ -334,75 +302,57 @@ class JetArray:
         return (self[i] for i in range(len(self)))
 
     def __getitem__(self, idx) -> "JetArray":
-        """The entries at idx; a single entry comes cut to its own order,
-        so arithmetic on it runs at that order."""
-        value = self.value[idx]
-        g, h, o = self.grad, self.hess, self._order
-        if o is not None:
-            o = o[idx]
-            if value.shape == ():
-                k, o = int(o), None
-                g = g if k >= 1 else None
-                h = h if k >= 2 else None
+        """The entries at idx, at this array's order."""
+        g, h = self.grad, self.hess
         return JetArray(
             self.dim,
-            value,
+            self.value[idx],
             None if g is None else g[idx],
             None if h is None else h[idx],
-            o,
         )
 
     def __setitem__(self, idx, other) -> None:
-        """Assign entries; an entry gets at most this array's top order.
-        The orders go into a new order array, never into the old one, so
-        a view taken before the assignment keeps the orders it had."""
+        """Assign entries, cut to this array's order. Raises ValueError
+        for entries of a lower order, which would leave parts unset."""
         other = self._coerce(other)
         k = self.top
+        if other.top < k:
+            raise ValueError(f"cannot assign order-{other.top} jets into an order-{k} array")
         self.value[idx] = other.value
-        if k >= 1 and other.grad is not None:
+        if k >= 1:
             self.grad[idx] = other.grad
-        if k >= 2 and other.hess is not None:
+        if k >= 2:
             self.hess[idx] = other.hess
-        o = self._order
-        if o is None and other._order is None and other.top >= k:
-            return
-        order = np.full(self.value.shape, k, _ORDER_DTYPE) if o is None else np.array(o)
-        order[idx] = np.minimum(other._orders(), k)
-        self._order = order
 
     def transpose(self, *axes) -> "JetArray":
         s = len(axes)
-        g, h, o = self.grad, self.hess, self._order
+        g, h = self.grad, self.hess
         return JetArray(
             self.dim,
             self.value.transpose(axes),
             None if g is None else g.transpose(axes + (s,)),
             None if h is None else h.transpose(axes + (s, s + 1)),
-            None if o is None else o.transpose(axes),
         )
 
     def reshape(self, *shape) -> "JetArray":
         d = self.dim
-        g, h, o = self.grad, self.hess, self._order
+        g, h = self.grad, self.hess
         return JetArray(
             d,
             self.value.reshape(shape),
             None if g is None else g.reshape(shape + (d,)),
             None if h is None else h.reshape(shape + (d, d)),
-            None if o is None else o.reshape(shape),
         )
 
     def restrict(self, k: int) -> "JetArray":
         """The same entries cut to order at most k. Adding the result to a
         term of order at most k gives the same entries as adding the uncut
         array, without computing the parts above k."""
-        o = self._order
         return JetArray(
             self.dim,
             self.value,
             self.grad if k >= 1 else None,
             self.hess if k >= 2 else None,
-            None if o is None else np.minimum(o, k) if k < self.top else o,
         )
 
     # -- arithmetic ----------------------------------------------------------
@@ -420,10 +370,7 @@ class JetArray:
             return NotImplemented
         ag, ah, bg, bh = a.grad, a.hess, b.grad, b.hess
         k = 0 if ag is None or bg is None else 1 if ah is None or bh is None else 2
-        parts = rule(k, a.value, ag, ah, b.value, bg, bh)
-        if a._order is None and b._order is None:
-            return JetArray(a.dim, *parts)
-        return JetArray(a.dim, *parts, _lower(a, b, parts[0].shape))
+        return JetArray(a.dim, *rule(k, a.value, ag, ah, b.value, bg, bh))
 
     def __add__(self, other):
         return self._apply(_add_rule, self, self._coerce(other))
@@ -447,23 +394,20 @@ class JetArray:
         return self._apply(_div_rule, self, self._coerce(other))
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return self._apply(_div_rule, self._coerce(other), self)
 
     def __neg__(self):
-        parts = _neg_rule(self.top, self.value, self.grad, self.hess)
-        return JetArray(self.dim, *parts, self._order)
+        return JetArray(self.dim, *_neg_rule(self.top, self.value, self.grad, self.hess))
 
     def sqrt(self) -> "JetArray":
-        parts = _sqrt_rule(self.top, self.value, self.grad, self.hess, self._orders())
-        return JetArray(self.dim, *parts, self._order)
+        return JetArray(self.dim, *_sqrt_rule(self.top, self.value, self.grad, self.hess))
 
     def _chain(self, f) -> "JetArray":
         """f applied entry by entry through the chain rule, where f maps an
         entry's value, as a Python float, to f, f' and f'' there."""
         fs = [_elementary(f, v) for v in np.ravel(self.value).tolist()]
         fv, df, d2f = (np.array(c).reshape(self.shape) for c in zip(*fs))
-        parts = _chain_rule(self.top, fv, df, d2f, self.grad, self.hess)
-        return JetArray(self.dim, *parts, self._order)
+        return JetArray(self.dim, *_chain_rule(self.top, fv, df, d2f, self.grad, self.hess))
 
     def sin(self) -> "JetArray":
         return self._chain(_ELEMENTARY["sin"])
@@ -486,11 +430,8 @@ class JetArray:
         leading axis: entry [i, ...] is the i-th coordinate partial of
         entry [...]. The value comes from the gradient and the gradient from
         the Hessian row, so differentiating consumes exactly one order."""
-        if self.low < 1:
+        if self.top < 1:
             raise ValueError("partial derivative needs a jet of order >= 1")
-        o = self._order
-        if o is not None:
-            o = np.subtract(o, 1, out=np.empty((self.dim,) + o.shape, _ORDER_DTYPE))
         # The derivative axis, after the tensor axes, moved to the front.
         s = self.value.ndim
         axes = (s, *range(s))
@@ -499,7 +440,6 @@ class JetArray:
             self.grad.transpose(axes),
             None if self.hess is None else self.hess.transpose(axes + (s + 1,)),
             None,
-            o,
         )
 
 
@@ -508,23 +448,16 @@ class JetArray:
 Jet = JetArray
 
 
-def _lower(a: JetArray, b: JetArray, shape) -> np.ndarray:
-    """The lower of a's and b's entry orders, broadcast to shape."""
-    return np.minimum(a._orders(), b._orders(), out=np.empty(shape, _ORDER_DTYPE))
-
-
 def concatenate(items) -> JetArray:
-    """JetArrays joined along their leading axis, at the highest top order
-    among them: every entry keeps its parts and its order, and the parts
-    an item lacks, all above its entries' orders, are zeros."""
-    first = items[0]
-    top = max(x.top for x in items)
-    out = JetArray.constant(0.0, first.dim, (sum(map(len, items)),) + first.shape[1:], top)
-    start = 0
-    for x in items:
-        out[start : start + len(x)] = x
-        start += len(x)
-    return out
+    """JetArrays joined along their leading axis, at the lowest top order
+    among them: every item is cut to that order."""
+    k = min(x.top for x in items)
+    return JetArray(
+        items[0].dim,
+        np.concatenate([x.value for x in items]),
+        np.concatenate([x.grad for x in items]) if k >= 1 else None,
+        np.concatenate([x.hess for x in items]) if k >= 2 else None,
+    )
 
 
 def contract(a: JetArray, b: JetArray) -> JetArray:
@@ -541,8 +474,8 @@ def contract(a: JetArray, b: JetArray) -> JetArray:
 
     Every sum is a running sum over E from +0.0, term 0 first, each
     product rounded before it is added (the module notes say how), so
-    the bits depend on the operands' values and shapes only. An entry
-    gets the lowest order of any term it sums. E must be nonempty.
+    the bits depend on the operands' values and shapes only. E must be
+    nonempty.
     """
     sa, sb = a.value.shape, b.value.shape
     if not sa or len(sa) != len(sb) or sa[0] != sb[0] or not sa[0]:
@@ -562,10 +495,7 @@ def contract(a: JetArray, b: JetArray) -> JetArray:
         hess = np.einsum("e...ij,e...->...ij", c(ah), bv)
         hess += np.einsum("e...,e...ij->...ij", av, c(bh))
         hess += cross + _tr(cross)
-    order = None
-    if a._order is not None or b._order is not None:
-        order = np.minimum.reduce(_lower(a, b, sa[:1] + value.shape), axis=0)
-    return JetArray(a.dim, value, grad, hess, order)
+    return JetArray(a.dim, value, grad, hess)
 
 
 class Tape:
@@ -670,7 +600,7 @@ class Tape:
                         _check_powi(v, b)
                         push(_chain_rule(k, *_elementary(_powi(b), v), g, h))
                     elif op == "sqrt":
-                        push(_sqrt_rule(k, *vals[a], k))
+                        push(_sqrt_rule(k, *vals[a]))
                     else:
                         v, g, h = vals[a]
                         push(_chain_rule(k, *_elementary(_ELEMENTARY[op], v), g, h))
@@ -722,7 +652,7 @@ def jet_linear_solve(A: JetArray, b: JetArray) -> JetArray:
     m = len(b)
     if A.shape != (m, m) or len(b.shape) > 2:
         raise ValueError("A must be square and match b")
-    order = min(A.low, b.low)
+    order = min(A.top, b.top)
     dim = A.dim
     shape = b.shape
 
@@ -767,8 +697,8 @@ def jet_linear_solve(A: JetArray, b: JetArray) -> JetArray:
 
 def jet_cholesky(G: JetArray) -> JetArray:
     """The lower-triangular Cholesky factor L of a symmetric positive
-    definite JetArray G (m, m), at G's lowest entry order (S. P. Smith
-    1995; I. Murray, arXiv:1602.07527):
+    definite JetArray G (m, m), at G's order (S. P. Smith 1995;
+    I. Murray, arXiv:1602.07527):
 
         L = cholesky(G0),  dL = L0 Phi(L0^-1 dG L0^-T),
         d2L = L0 Phi(L0^-1 (d2G - (C + C^T)) L0^-T),  C = dL dL^T,
@@ -788,9 +718,9 @@ def jet_cholesky(G: JetArray) -> JetArray:
         P = np.einsum("ik...,lk->il...", np.einsum("ij,jk...->ik...", Linv, c(S)), Linv)
         return np.einsum("ij,jk...->ik...", L0, P * phi[(...,) + (None,) * (S.ndim - 2)])
 
-    Lg = lift(G.grad) if G.low >= 1 else None
+    Lg = lift(G.grad) if G.top >= 1 else None
     Lh = None
-    if G.low >= 2:
+    if G.top >= 2:
         cross = np.einsum("ikp,jkq->ijpq", Lg, Lg)
         Lh = lift(G.hess - (cross + _tr(cross)))
     return JetArray(G.dim, L0, Lg, Lh)

@@ -26,10 +26,10 @@ Every residual reads values only, so each check runs on operands cut
 (restrict) to the order that value needs: order 0 for the contact
 checks, the Levi and torsion checks, the Reeb check's coefficients and
 the comparisons; order 1 for the Gram matrix the metric check
-differentiates and for the kappa the point's promotion differentiates,
-so its num, den and Reeb row are order-0 jets. Value rules read no
-higher part, so the cuts change no bit. The library calls behind the
-suites keep their documented orders when called directly.
+differentiates. The point's promotion differentiates kappa, which has
+order 1 as built, so its num, den and Reeb row are order-0 jets. Value
+rules read no higher part, so the cuts change no bit. The library calls
+behind the suites keep their documented orders when called directly.
 """
 
 from __future__ import annotations
@@ -98,9 +98,7 @@ class _PointState:
 
     @cached_property
     def promoted(self):
-        # The suites read its values only, so it is promoted from kappa cut
-        # to order 1, the order whose derivative gives those values.
-        return promote(self.conn.restrict(1))
+        return promote(self.conn)
 
     @cached_property
     def tw_data(self):

@@ -28,8 +28,9 @@ diagnostic for upstream bugs.
 d(omega) is evaluated on (X1, X2) through the frame bracket expansion
 X1(omega(X2)) - X2(omega(X1)) - omega([X1, X2]), with the bracket read
 off the structure values; this works entirely from the jets of omega's
-frame components and never needs a derivative of the Reeb coefficient,
-which the order-2 budget could not supply.
+H components, the order-1 structure values, and never needs a
+derivative of the Reeb coefficient, which the order-2 budget could not
+supply.
 """
 
 from __future__ import annotations
@@ -61,12 +62,13 @@ class TWData:
     """Structure-equation data solved on frame.
 
     omega, a JetArray (3,), holds the coframe components (omega_theta,
-    omega_1, omega_2); the Reeb component carries jet order 0, the rest
-    order 1, which is exactly enough to differentiate omega once for R.
-    A, B and R are single jets. classical, the classical connection on
-    frame (nabla theta_hat = 0, nabla e1 = omega x e2, nabla e2 =
-    -omega x e1), a FullConnection over the coframe, is built on first
-    read and shared by every reader.
+    omega_1, omega_2) as values, order 0: the H components are structure
+    values, which solve_structure_equations differentiates from the
+    order-1 D for R. A, B and R are single jets of order 0. classical,
+    the classical connection on frame (nabla theta_hat = 0, nabla e1 =
+    omega x e2, nabla e2 = -omega x e1), a FullConnection over the
+    coframe at omega's order, is built on first read and shared by every
+    reader.
     """
 
     frame: AdaptedFrame
@@ -115,13 +117,15 @@ def solve_structure_equations(frame: AdaptedFrame) -> TWData:
     # D^1_12 = c3, D^2_12 = c6.
     pairs = frame.d_pairs[(slice(None),) + pair_table(3)]
     (_, _, om12), (c1, c2, c3), (c4, c5, c6) = pairs
-    # X_a(omega_b) for the H components (omega_1, omega_2) = (c3, c6).
-    (_, x1_w2), (x2_w1, _) = apply_vector(frame.X, pairs[1:, 2])
+    # The H components (omega_1, omega_2) = (c3, c6), read from D at its
+    # order 1, and X_a(omega_b).
+    w_h = frame.D[:, 0, 1]
+    (_, x1_w2), (x2_w1, _) = apply_vector(frame.X, w_h)
 
     A = (c1 - c5) * 0.5
     B = (c2 + c4) * 0.5
     w_theta = (c2 - c4) * 0.5
-    omega = concatenate([w_theta[None], pairs[1:, 2]])
+    omega = concatenate([w_theta[None], w_h])
 
     residual = abs(float((c1 + c5).value)) / math.sqrt(2.0)
     if residual > STRUCTURE_RESIDUAL_TOL:
@@ -141,7 +145,7 @@ def _rotation_connection(frame: AdaptedFrame, w_theta: JetArray, w_h: JetArray) 
     """Coefficients over the full frame of nabla theta_hat = 0,
     nabla e1 = omega x e2 and nabla e2 = -omega x e1; omega has the Reeb
     component w_theta and the H components w_h (2,)."""
-    coeffs = JetArray.constant(0.0, frame.dim, (3, 3, 3))
+    coeffs = JetArray.constant(0.0, frame.dim, (3, 3, 3), min(w_theta.top, w_h.top))
     coeffs[0, 1, 2] = w_theta
     coeffs[0, 2, 1] = -w_theta
     coeffs[1:, 1, 2] = w_h
@@ -188,7 +192,7 @@ def rotate_coframe(frame: AdaptedFrame, phi) -> AdaptedFrame:
     _require_3d(frame.dim)
     ph = _phi_jet(frame, phi)
     co, si = ph.cos(), ph.sin()
-    rot = JetArray.constant(0.0, frame.dim, (2, 2))  # [[co, -si], [si, co]]
+    rot = JetArray.constant(0.0, frame.dim, (2, 2), ph.top)  # [[co, -si], [si, co]]
     rot[[0, 1], [0, 1]] = co
     rot[0, 1] = -si
     rot[1, 0] = si

@@ -43,10 +43,9 @@ def sum_jets(terms):
 
 def stack(items):
     """Jets of one shape stacked on a new leading axis, the way the
-    kernels hold them; parts an item lacks below the stack's top order
-    are zeros."""
+    kernels hold them, at the lowest order among them."""
     out = JetArray.constant(
-        0.0, items[0].dim, (len(items),) + items[0].shape, max(j.top for j in items)
+        0.0, items[0].dim, (len(items),) + items[0].shape, min(j.top for j in items)
     )
     for i, j in enumerate(items):
         out[i] = j
@@ -103,10 +102,9 @@ def tape_oracle(exprs, p, order: int) -> list[JetArray]:
 
 
 def assert_same_bits(got: JetArray, want: JetArray) -> None:
-    """Jets of one shape with equal orders and byte-equal parts (so signed
-    zeros and NaNs count); single jets or arrays of them."""
-    assert got.shape == want.shape
-    assert np.array_equal(got.order, want.order)
+    """Jets of one shape and order with byte-equal parts (so signed zeros
+    and NaNs count); single jets or arrays of them."""
+    assert got.shape == want.shape and got.top == want.top
     assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
     for part in ("grad", "hess"):
         g, w = getattr(got, part), getattr(want, part)
@@ -127,11 +125,6 @@ def evaluate(a: JetArray, *vectors: JetArray) -> JetArray:
     return evaluate_forms(a, *(v[None] for v in vectors)).reshape()
 
 
-def order_of(a: JetArray) -> int:
-    """The lowest order of any component of a form value."""
-    return int(a.order.min())
-
-
 def magnitude(a: JetArray) -> JetArray:
     """The same jets with every part replaced by its absolute value."""
     return JetArray(
@@ -139,7 +132,6 @@ def magnitude(a: JetArray) -> JetArray:
         np.abs(a.value),
         None if a.grad is None else np.abs(a.grad),
         None if a.hess is None else np.abs(a.hess),
-        a.order,
     )
 
 
@@ -151,11 +143,10 @@ ROUNDING_REL = 1e-14
 
 
 def assert_within_rounding(got: JetArray, want: JetArray, scale: JetArray) -> None:
-    """got and want, of one shape, carry equal orders and each of their
+    """got and want, of one shape, carry one order and each of their
     parts differs by at most ROUNDING_REL times scale's, where scale is
     the oracle run on absolute values (the sum of |terms|)."""
-    assert got.shape == want.shape
-    assert np.array_equal(got.order, want.order)
+    assert got.shape == want.shape and got.top == want.top
     for part in ("value", "grad", "hess"):
         g, w, m = (getattr(x, part) for x in (got, want, scale))
         assert (g is None) == (w is None), part
@@ -175,7 +166,7 @@ def scalar_wedge(
     if absolute:
         a, b = magnitude(a), magnitude(b)
     out_keys = increasing_indices(a.dim, p + q)
-    out = zero_form(a.dim, p + q, min(order_of(a), order_of(b)))
+    out = zero_form(a.dim, p + q, min(a.top, b.top))
     for x, ia in enumerate(increasing_indices(a.dim, p)):
         for y, ib in enumerate(increasing_indices(a.dim, q)):
             merged = ia + ib
@@ -261,7 +252,7 @@ def interior_product(v: JetArray, a: JetArray, degree: int) -> JetArray:
         raise ValueError("interior product needs degree >= 1")
     dim = a.dim
     out_keys = increasing_indices(dim, degree - 1)
-    out = zero_form(dim, degree - 1, min(order_of(a), order_of(v)))
+    out = zero_form(dim, degree - 1, min(a.top, v.top))
     for x, idx in enumerate(increasing_indices(dim, degree)):
         for t, i in enumerate(idx):
             r = out_keys.index(idx[:t] + idx[t + 1 :])
@@ -277,7 +268,7 @@ def express_in_coframe(a: JetArray, degree: int, coframe: list[JetArray]):
     dim = a.dim
     if len(coframe) != dim or any(c.shape != (dim,) for c in coframe):
         raise ValueError("coframe must be dim one-forms")
-    order = min(min(order_of(c) for c in coframe), order_of(a))
+    order = min(min(c.top for c in coframe), a.top)
     C = JetArray.constant(0.0, dim, (dim, dim), order)
     for r in range(dim):
         C[r] = coframe[r]
@@ -294,9 +285,9 @@ def express_in_coframe(a: JetArray, degree: int, coframe: list[JetArray]):
 def from_coframe(components, coframe: list[JetArray], degree: int) -> JetArray:
     """Inverse of express_in_coframe: rebuild the form from components."""
     dim = coframe[0].dim
-    order = min(order_of(c) for c in coframe)
+    order = min(c.top for c in coframe)
     if components:
-        order = min(order, min(int(j.order) for j in components.values()))
+        order = min(order, min(j.top for j in components.values()))
     total = zero_form(dim, degree, order)
     for idx, coeff in components.items():
         if not idx:
@@ -313,12 +304,12 @@ def scalar_frame_derivative(X: JetArray, t: JetArray) -> JetArray:
     """X_a(t_I) for every frame vector X_a and component I, each the left
     fold over coordinates i of X_a^i * d_i t_I on single jets: a JetArray
     indexed [a, I]."""
-    out = JetArray.constant(0.0, t.dim, (len(X),) + t.shape, max(t.top - 1, 0))
-    for a in range(len(X)):
-        for idx in itertools.product(*map(range, t.shape)):
-            parts = t[idx].partials()
-            out[(a,) + idx] = sum_jets(X[a][i] * parts[i] for i in range(t.dim))
-    return out
+    entries = [
+        sum_jets(X[a][i] * parts[i] for i in range(t.dim))
+        for a in range(len(X))
+        for parts in (t[idx].partials() for idx in itertools.product(*map(range, t.shape)))
+    ]
+    return stack(entries).reshape(len(X), *t.shape)
 
 
 def scalar_nabla_H(kappa: JetArray, X: JetArray, t: JetArray) -> JetArray:
@@ -328,17 +319,18 @@ def scalar_nabla_H(kappa: JetArray, X: JetArray, t: JetArray) -> JetArray:
     t[I with slot s set to E] * kappa[a, E + off, I_s + off], off 1 for
     H-only components (axes of size 2n) and 0 for full ones."""
     off = kappa.shape[1] - t.shape[0]
-    out = scalar_frame_derivative(X, t)
+    der = scalar_frame_derivative(X, t)
+    entries = []
     for a in range(len(X)):
         for idx in itertools.product(*map(range, t.shape)):
-            acc = out[(a,) + idx]
+            acc = der[(a,) + idx]
             for s, i_s in enumerate(idx):
                 acc = acc + sum_jets(
                     t[idx[:s] + (E,) + idx[s + 1 :]] * kappa[a, E + off, i_s + off]
                     for E in range(t.shape[0])
                 )
-            out[(a,) + idx] = acc
-    return out
+            entries.append(acc)
+    return stack(entries).reshape(len(X), *t.shape)
 
 
 def scalar_nabla_H_vector(
@@ -351,9 +343,10 @@ def scalar_nabla_H_vector(
     |terms|."""
     if absolute:
         kappa, X, v = magnitude(kappa), magnitude(X), magnitude(v)
-    out = scalar_frame_derivative(X, v)
+    der = scalar_frame_derivative(X, v)
+    entries = []
     for a in range(len(X)):
         for B in range(len(v)):
             corr = sum_jets(kappa[a, B, C] * v[C] for C in range(len(v)))
-            out[a, B] = out[a, B] + corr if absolute else out[a, B] - corr
-    return out
+            entries.append(der[a, B] + corr if absolute else der[a, B] - corr)
+    return stack(entries).reshape(len(X), len(v))

@@ -335,12 +335,33 @@ class TestPromotion:
         assert promotion_residual(fc) < 1e-12
 
     def test_partial_is_shared(self, perturbed):
+        import form_helpers
+
         conn = canonical_partial_connection(perturbed, P3)
         fc = promote(conn)
         assert fc.partial is conn
-        for part in ("value", "grad", "hess"):
-            np.testing.assert_array_equal(getattr(fc.coeffs, part)[1:], getattr(conn.kappa, part))
-        np.testing.assert_array_equal(fc.coeffs.order[1:], conn.kappa.order)
+        form_helpers.assert_same_bits(fc.coeffs[1:], conn.kappa.restrict(fc.coeffs.top))
+
+    @pytest.mark.parametrize("name", [s.name for s in builtin_registry()] + ["heis7.json"])
+    def test_reeb_row_is_in_normal_form(self, name):
+        # The promoted Reeb direction neither produces nor differentiates
+        # a theta_hat component: xi's theta_hat row and column are
+        # rounding-level zeros, which is why promote keeps no derivative
+        # of them.
+        from contactconn.contact import SKIP_ERRORS, screen_point
+
+        spec = chart_spec(name)
+        cs = spec.build()
+        used = 0
+        for p in sample_box(spec.box, 24, 3):
+            try:
+                _, frame = screen_point(cs, p)
+            except SKIP_ERRORS:
+                continue
+            xi = promote(canonical_partial_connection(cs, p, frame=frame)).coeffs.value[0]
+            assert max_abs(xi[0, :]) < 1e-14 and max_abs(xi[:, 0]) < 1e-14
+            used += 1
+        assert used >= 12
 
     def test_coordinate_action_rejects_two_form(self, perturbed):
         fc = promote(canonical_partial_connection(perturbed, P3))
@@ -392,9 +413,9 @@ class TestFullTorsion:
 def scalar_promotion_system(conn, absolute=False):
     """The promotion system as loops over single jets, kept as the
     reference the array kernel must match to rounding. den is built from
-    Omega cut to order 1, the order of the num it divides. With absolute,
-    every input part is replaced by its absolute value and the difference
-    by a sum, which gives the sum of |terms|."""
+    Omega cut to the order of the num it divides, one below kappa's.
+    With absolute, every input part is replaced by its absolute value and
+    the difference by a sum, which gives the sum of |terms|."""
     frame = conn.frame
     m = 2 * frame.n
     mag = magnitude if absolute else (lambda a: a)
@@ -402,7 +423,7 @@ def scalar_promotion_system(conn, absolute=False):
     X = mag(frame.X)
     D = mag(frame.D)
     Om = mag(frame.Omega)
-    Om1 = Om.restrict(1)
+    Omk = Om.restrict(kap.top - 1)
 
     def K(u, v, A, C):
         lead = apply_vector(X[u], kap[v][A][C])
@@ -414,7 +435,7 @@ def scalar_promotion_system(conn, absolute=False):
         return (cc + K(u, v, A, C) + (other if absolute else -other)) * Om[u][v]
 
     pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
-    den = sum_jets(Om1[u][v] * Om1[u][v] for u, v in pairs)
+    den = sum_jets(Omk[u][v] * Omk[u][v] for u, v in pairs)
     num = [
         [sum_jets(obstruction(u, v, A, C) for u, v in pairs) for C in range(m + 1)]
         for A in range(m + 1)
@@ -426,7 +447,7 @@ def assert_promotion_system_matches_loops(conn):
     num, den = conn.promotion_system
     want_num, want_den = scalar_promotion_system(conn)
     scale_num, scale_den = scalar_promotion_system(conn, absolute=True)
-    assert den.order == 1
+    assert num.top == den.top == conn.kappa.top - 1
     assert_within_rounding(den, want_den, scale_den)
     for A, (wrow, srow) in enumerate(zip(want_num, scale_num)):
         for C, (w, sc) in enumerate(zip(wrow, srow)):
@@ -472,8 +493,15 @@ def test_promotion_system_matches_scalar_loops_on_generic_chart():
 
     spec = generic_5d_spec()
     cs = spec.build()
+    rng = np.random.default_rng(5)
     for p in sample_box(spec.box, 2, spec.seed):
-        assert_promotion_system_matches_loops(canonical_partial_connection(cs, p))
+        conn = canonical_partial_connection(cs, p)
+        assert_promotion_system_matches_loops(conn)
+        # An order-2 Gamma gives kappa order 2, so the system's
+        # derivatives are checked too.
+        assert_promotion_system_matches_loops(
+            PartialConnection(conn.frame, random_jets(rng, cs.dim, conn.Gamma.shape))
+        )
 
 
 def random_jets(rng, dim, shape):
@@ -517,7 +545,7 @@ def test_nabla_H_matches_index_loop(name, rng):
     alpha = random_jets(rng, dim, (m + 1,))
     got = nabla_H(conn, alpha)
     assert_within_rounding(got, scalar_nabla_H(kap, X, alpha), scale(alpha))
-    assert_same_bits(promote(conn).derivative_of_oneform(alpha)[1:], got)
+    assert_same_bits(promote(conn).derivative_of_oneform(alpha)[1:], got.restrict(0))
     for size in (m, m + 1):
         t = random_jets(rng, dim, (size, size))
         assert_within_rounding(nabla_H(conn, t), scalar_nabla_H(kap, X, t), scale(t))
@@ -531,9 +559,10 @@ def test_nabla_H_matches_index_loop(name, rng):
 
 # -- the value-only route -----------------------------------------------------
 #
-# The suites read values only, so they promote a connection cut to order 1
-# and take its torsions at order 0. Value rules read no higher part, so
-# every quantity on that route must have the bits of the full-order one.
+# The suites read values only: they promote the connection as built, whose
+# kappa has order 1, and take its torsions at order 0. Value rules read no
+# higher part, so every quantity on that route must have the bits of a
+# higher-order one.
 
 VALUE_ROUTE_CHARTS = [
     "heisenberg",
@@ -543,6 +572,14 @@ VALUE_ROUTE_CHARTS = [
     "n2-split",
     "heis7.json",
 ]
+
+
+def lifted(conn):
+    """conn with Gamma lifted to order 2 by a zero Hessian, so its kappa
+    carries order 2 and its promotion system order 1."""
+    G = conn.Gamma
+    hess = np.zeros(G.grad.shape + (G.dim,))
+    return PartialConnection(conn.frame, JetArray(G.dim, G.value, G.grad, hess))
 
 
 def chart_connection(name):
@@ -559,18 +596,16 @@ class TestValueRoute:
         import form_helpers
 
         conn = chart_connection(name)
-        cut = conn.restrict(1)
-        num, den = conn.promotion_system
-        num0, den0 = cut.promotion_system
-        assert num0.top == den0.top == 0
+        full = lifted(conn)
+        num, den = full.promotion_system
+        num0, den0 = conn.promotion_system
+        assert num0.top == den0.top == 0 and num.top == den.top == 1
         form_helpers.assert_same_bits(num0, num.restrict(0))
         form_helpers.assert_same_bits(den0, den.restrict(0))
-        fc, fc0 = promote(conn), promote(cut)
-        assert fc0.coeffs.top == 1
-        assert not fc0.coeffs.order[0].any()
-        form_helpers.assert_same_bits(fc0.coeffs[0].restrict(0), fc.coeffs[0].restrict(0))
-        form_helpers.assert_same_bits(fc0.coeffs[1:], fc.coeffs[1:].restrict(1))
-        assert fc0.partial is cut
+        fc, fc0 = promote(full), promote(conn)
+        assert (fc0.coeffs.top, fc.coeffs.top) == (0, 1)
+        form_helpers.assert_same_bits(fc0.coeffs, fc.coeffs.restrict(0))
+        assert fc0.partial is conn
         assert promotion_residual(fc0) == promotion_residual(fc)
 
     def test_torsions_at_order_zero_have_the_full_route_values(self, name):
@@ -580,9 +615,9 @@ class TestValueRoute:
         tor0 = partial_torsion(conn.restrict(0))
         assert tor0.top == 0
         form_helpers.assert_same_bits(tor0, partial_torsion(conn).restrict(0))
-        full0 = full_torsion(promote(conn.restrict(1)).restrict(0))
+        full0 = full_torsion(promote(conn))
         assert full0.top == 0
-        form_helpers.assert_same_bits(full0, full_torsion(promote(conn)).restrict(0))
+        form_helpers.assert_same_bits(full0, full_torsion(promote(lifted(conn))))
 
     def test_nabla_H_vector_cuts_before_negating(self, name):
         import form_helpers
@@ -595,32 +630,38 @@ class TestValueRoute:
             form_helpers.assert_same_bits(nabla_H_vector(conn, v), want)
 
     def test_library_orders_are_kept(self, name):
-        # The orders every library call gives for a connection as built:
-        # kappa carries order 2 on its 2-form row and its theta_hat column
-        # and order 1 elsewhere; the promotion system one order less, den
-        # order 1; the promoted coefficients stack the Reeb row on kappa.
+        # The order every library call gives for a connection as built.
+        # Each array has the lowest order of what goes into it: kappa
+        # Gamma's, the promotion system one below kappa's, the frame and
+        # coframe arrays T's and the coframe's Reeb coefficients'.
         conn = chart_connection(name)
-        m = 2 * conn.frame.n
-        pattern = np.ones((m + 1, m + 1), dtype=int)
-        pattern[0, :] = pattern[:, 0] = 2
-        assert conn.kappa.top == 2
-        assert np.array_equal(conn.kappa.order, np.broadcast_to(pattern, (m, m + 1, m + 1)))
-        num, den = conn.promotion_system
-        assert (num.top, den.top, int(den.order)) == (1, 1, 1)
-        assert np.array_equal(num.order, pattern - 1)
+        frame = conn.frame
         fc = promote(conn)
-        assert fc.coeffs.top == 2
-        assert np.array_equal(fc.coeffs.order[0], pattern - 1)
-        assert np.array_equal(fc.coeffs.order[1:], conn.kappa.order)
-        assert partial_torsion(conn).top == full_torsion(fc).top == 2
-        if conn.frame.dim == 3:
+        orders = {
+            "theta_hat": (frame.theta_hat, 2),
+            "mu": (frame.mu, 2),
+            "X": (frame.X, 2),
+            "Omega": (frame.Omega, 2),
+            "T": (frame.T, 1),
+            "D": (frame.D, 1),
+            "kappa": (conn.kappa, 1),
+            "partial_torsion": (partial_torsion(conn), 1),
+            "frame_array": (frame.frame_array, 1),
+            "coframe_array": (frame.coframe_array, 1),
+            "num": (conn.promotion_system[0], 0),
+            "den": (conn.promotion_system[1], 0),
+            "promoted": (fc.coeffs, 0),
+            "full_torsion": (full_torsion(fc), 0),
+            "d_pairs": (frame.d_pairs, 0),
+        }
+        if frame.dim == 3:
             from contactconn.tw3d import solve_structure_equations
 
-            td = solve_structure_equations(conn.frame)
-            assert td.omega.top == 2
-            assert td.omega.order.tolist() == [0, 1, 1]
-            assert [(j.top, int(j.order)) for j in (td.A, td.B, td.R)] == [(0, 0)] * 3
-            assert td.classical.coeffs.top == 2
+            td = solve_structure_equations(frame)
+            orders["omega"] = (td.omega, 0)
+            orders["classical"] = (td.classical.coeffs, 0)
+            orders.update({k: (getattr(td, k), 0) for k in "ABR"})
+        assert {k: x.top for k, (x, _) in orders.items()} == {k: o for k, (_, o) in orders.items()}
 
 
 def test_restricted_connection_leaves_the_original_whole():
@@ -629,9 +670,9 @@ def test_restricted_connection_leaves_the_original_whole():
     cut = conn.restrict(0)
     assert cut.frame is conn.frame
     assert (cut.kappa.top, cut.Gamma.top) == (0, 0)
-    assert conn.kappa is kappa and kappa.top == 2
+    assert conn.kappa is kappa and kappa.top == 1
     assert np.array_equal(cut.kappa.value, kappa.value)
-    fc = promote(conn)
+    fc = promote(lifted(conn))
     fc0 = fc.restrict(0)
-    assert (fc0.coeffs.top, fc.coeffs.top) == (0, 2)
+    assert (fc0.coeffs.top, fc.coeffs.top) == (0, 1)
     assert fc0.partial is fc.partial and fc0.frame is fc.frame

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -270,7 +272,7 @@ def test_pair_table_is_the_upper_triangle(n):
 
 def same_jet(a, b):
     return (
-        a.order == b.order
+        a.top == b.top
         and a.value == b.value
         and (a.grad is None) == (b.grad is None)
         and (a.grad is None or np.array_equal(a.grad, b.grad))
@@ -360,8 +362,8 @@ class TestDFromJets:
     @pytest.mark.parametrize("dim", [3, 5, 7])
     def test_every_degree_matches_loop(self, dim):
         rng = np.random.default_rng(dim)
-        for degree in range(dim):
-            a = random_form(rng, dim, degree, (1, 2))
+        for degree, order in itertools.product(range(dim), (1, 2)):
+            a = random_form(rng, dim, degree, order)
             got = d_from_jets(a, degree)
             want = self.scalar_d(a, degree)
             assert got.shape == (len(want),)
@@ -370,13 +372,14 @@ class TestDFromJets:
 
     def test_stacked_forms_match_one_by_one(self):
         rng = np.random.default_rng(11)
-        rows = [random_form(rng, 5, 1, (1, 2)) for _ in range(4)]
-        got = d_from_jets(stack(rows), 1)
-        assert got.shape == (4, 10)
-        for b, row in enumerate(rows):
-            one = d_from_jets(row, 1)
-            for x in range(10):
-                assert same_bits(got[b, x], one[x])
+        for order in (1, 2):
+            rows = [random_form(rng, 5, 1, order) for _ in range(4)]
+            got = d_from_jets(stack(rows), 1)
+            assert got.shape == (4, 10)
+            for b, row in enumerate(rows):
+                one = d_from_jets(row, 1)
+                for x in range(10):
+                    assert same_bits(got[b, x], one[x])
 
     def test_needs_order_one(self):
         p = (0.1, 0.2, 0.3)
@@ -384,10 +387,10 @@ class TestDFromJets:
             d_from_jets(one_form(["x", "y", "z"], p, order=0), 1)
 
 
-def random_form(rng, dim, degree, orders):
-    """A form value with random component jets of orders drawn from
-    orders. About a fifth of the values and of the derivative entries are
-    signed zeros."""
+def random_form(rng, dim, degree, order):
+    """A form value with random component jets of the given order. About
+    a fifth of the values and of the derivative entries are signed
+    zeros."""
 
     def sprinkle(x):
         x = np.asarray(x, dtype=float)
@@ -396,24 +399,18 @@ def random_form(rng, dim, degree, orders):
 
     n = len(increasing_indices(dim, degree))
     value, grad, hess = np.zeros(n), np.zeros((n, dim)), np.zeros((n, dim, dim))
-    order = np.zeros(n, dtype=np.int8)
     for x in range(n):
-        k = int(rng.choice(orders))
         h = rng.normal(size=(dim, dim))
-        order[x] = k
         value[x] = sprinkle(rng.normal())
-        if k >= 1:
-            grad[x] = sprinkle(rng.normal(size=dim))
-        if k >= 2:
-            hess[x] = sprinkle(h + h.T)
-    top = max(orders)
-    return JetArray(dim, value, grad if top >= 1 else None, hess if top >= 2 else None, order)
+        grad[x] = sprinkle(rng.normal(size=dim))
+        hess[x] = sprinkle(h + h.T)
+    return JetArray(dim, value, grad, hess).restrict(order)
 
 
 def same_bits(a, b):
     """Single jets equal part by part, signed zeros told apart."""
     parts = [(a.value, b.value), (a.grad, b.grad), (a.hess, b.hess)]
-    return a.order == b.order and all(
+    return a.top == b.top and all(
         (x is None) == (y is None)
         and (
             x is None
@@ -450,28 +447,23 @@ class TestEvaluateFormsOrderCut:
     stacks of higher order give the bits of stacks cut to that order
     beforehand, and agree with the loop over single jets to rounding."""
 
-    @pytest.mark.parametrize("coeff_orders", [(0,), (1,), (0, 1)])
+    @pytest.mark.parametrize("coeff_order", [0, 1])
     @pytest.mark.parametrize("dim", [3, 5, 7])
-    def test_higher_order_vectors_match_cut_and_scalar(self, dim, coeff_orders):
-        rng = np.random.default_rng([dim, *coeff_orders])
-
-        def vector(orders):
-            return random_form(rng, dim, 1, orders)
-
+    def test_higher_order_vectors_match_cut_and_scalar(self, dim, coeff_order):
+        rng = np.random.default_rng([dim, coeff_order])
+        top = coeff_order
         for degree in (1, 2, 3):
-            a = random_form(rng, dim, degree, coeff_orders)
-            # Two vectors per stack; odd stacks mix orders 1 and 2.
+            a = random_form(rng, dim, degree, top)
+            # Two vectors per stack; odd stacks one order above a's.
             vecs = [
-                [vector((2,) if r % 2 == 0 else (1, 2)) for _ in range(2)]
+                [random_form(rng, dim, 1, 2 if r % 2 == 0 else top + 1) for _ in range(2)]
                 for r in range(degree)
             ]
             stacks = [stack(vs) for vs in vecs]
-            top = a.top
             assert all(s.top > top for s in stacks)
             got = evaluate_forms(a, *stacks)
             cut = evaluate_forms(a, *(s.restrict(top) for s in stacks))
             assert got.top == cut.top == top
-            assert np.array_equal(got.order, cut.order)
             for part in ("value", "grad", "hess"):
                 x, y = getattr(got, part), getattr(cut, part)
                 assert (x is None) == (y is None)
@@ -493,38 +485,23 @@ class TestWedgeKernel:
         rng = np.random.default_rng([dim, order])
         for da in range(dim + 1):
             for db in range(dim + 1 - da):
-                a = random_form(rng, dim, da, (order,))
-                b = random_form(rng, dim, db, (order,))
-                assert_wedge_matches_loop(a, da, b, db)
-
-    def test_mixed_order_components(self):
-        # Every component is cut to the lowest order of any input
-        # component before the products.
-        rng = np.random.default_rng(5)
-        dim = 5
-        for da, db in [(1, 1), (1, 2), (2, 2), (2, 3), (0, 3)]:
-            for trial in range(4):
-                a = random_form(rng, dim, da, (0, 1, 2) if trial % 2 else (1, 2))
-                b = random_form(rng, dim, db, (1, 2))
+                a = random_form(rng, dim, da, order)
+                b = random_form(rng, dim, db, order)
                 assert_wedge_matches_loop(a, da, b, db)
 
     @pytest.mark.parametrize("dim", [3, 5, 7])
     def test_stacked_forms_match_one_by_one(self, dim):
-        # Forms of mixed orders, whose lowest orders differ along the
-        # stack, in stacks that broadcast against each other and against
-        # a single form.
+        # Stacks of forms, of orders that differ from stack to stack, that
+        # broadcast against each other and against a single form.
         rng = np.random.default_rng([dim, 3])
 
-        def forms(degree, n):
-            orders = [(0, 1, 2), (1, 2), (2,)]
-            return stack([random_form(rng, dim, degree, orders[i % 3]) for i in range(n)])
+        def forms(degree, n, order):
+            return stack([random_form(rng, dim, degree, order) for _ in range(n)])
 
         for da, db in [(1, 1), (1, 2), (2, 1)]:
-            a = forms(da, 6)
-            assert a.low < a.top
-            a = a.reshape(2, 3, a.shape[-1])
-            assert_wedge_matches_loop(a, da, forms(db, 3), db)
-            b = forms(db, 2)
+            a = forms(da, 6, 2).reshape(2, 3, -1)
+            assert_wedge_matches_loop(a, da, forms(db, 3, 1), db)
+            b = forms(db, 2, 0)
             assert_wedge_matches_loop(a, da, b.reshape(2, 1, b.shape[-1]), db)
-            assert_wedge_matches_loop(forms(da, 3), da, random_form(rng, dim, db, (1, 2)), db)
-            assert_wedge_matches_loop(random_form(rng, dim, da, (2,)), da, forms(db, 3), db)
+            assert_wedge_matches_loop(forms(da, 3, 0), da, random_form(rng, dim, db, 1), db)
+            assert_wedge_matches_loop(random_form(rng, dim, da, 2), da, forms(db, 3, 2), db)

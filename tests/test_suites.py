@@ -582,35 +582,6 @@ class TestPerPointState:
         assert usable == 2
         assert counts == {"order2": products * usable}
 
-    # A JetArray holds a per-entry order array only when its entries may
-    # differ in order: containers assigned entries of a lower order (the
-    # connection's kappa, whose 2-form row is of a higher order than its
-    # Gamma rows), and what is computed from them. When every JetArray
-    # held one, the same runs built about 724 per usable point on
-    # sphere-chart and 569 on heis7, each of them with an order array.
-    # While d_pairs wrote its entries into a zero container and the
-    # covariant derivative and the pairing cut their operands before
-    # contracting, 134 and 62.
-    @pytest.mark.parametrize(
-        "name, suites, with_orders", [("heis7.json", CORE, 60), ("sphere-chart", ALL_3D, 136)]
-    )
-    def test_order_arrays_per_usable_point(self, monkeypatch, name, suites, with_orders):
-        from contactconn.jets import JetArray
-
-        counts = {"with_orders": 0}
-        real = JetArray.__init__
-
-        def counted(self, dim, value, grad, hess, order=None):
-            counts["with_orders"] += order is not None
-            real(self, dim, value, grad, hess, order)
-
-        monkeypatch.setattr(JetArray, "__init__", counted)
-        spec = load_spec(CHARTS_DIR / name) if name.endswith(".json") else get_manifold(name)
-        rep = run_suites(spec, suites, points=2)
-        usable = rep.requested_points - rep.skipped_points
-        assert usable == 2
-        assert counts == {"with_orders": with_orders * usable}
-
     @pytest.mark.parametrize("suites", [ALL_3D, CORE])
     def test_inputs_evaluated_once_per_sample_point(self, monkeypatch, suites):
         from contactconn.forms import FormField
@@ -713,9 +684,9 @@ def test_value_only_cuts_are_exact(monkeypatch, name):
 def test_promotion_system_contracts_at_order_zero(monkeypatch):
     # The promotion suite reads the values of num, den and xi, so the
     # promotion system of a point runs every contraction at order 0: it
-    # promotes kappa cut to order 1, whose derivative has order 0. At
-    # order 1, the kappa-kappa contraction alone summed 7 gradient terms
-    # per entry on heis7.
+    # promotes kappa, of order 1, whose derivative has order 0. At order
+    # 1, the kappa-kappa contraction alone summed 7 gradient terms per
+    # entry on heis7.
     from contactconn import connection, jets
 
     orders = []
@@ -775,7 +746,8 @@ def test_rotation_angles_are_the_jets_of_their_text(monkeypatch):
         terms.extend(f"{coeff()}*{name}^2" for name in spec.coords)
         texts.append(" + ".join(terms))
         want = eval_jet(parse_expr(texts[-1], spec.coords), p, 2)
-        for part in ("value", "grad", "hess", "order"):
+        assert phi.top == want.top
+        for part in ("value", "grad", "hess"):
             assert np.array_equal(getattr(phi, part), getattr(want, part)), part
     assert len(angles) == 3 and "(-" in "".join(texts)
 

@@ -11,10 +11,10 @@ and jets.jet_cholesky, the frame's Cholesky factor) and without its
 jet-operation counter, for each layer's self time per usable point, and
 once more with jets.contract (every sum of products over an axis) and
 the product rule counted, the contractions and the products each split
-by the jet order they ran at, and with the JetArrays built counted, in
-all and those given a per-entry order array. Each chart also gets the
-per-call cost of compiling it from its description file, the call
-`analyze --spec` makes: load_spec, build() and the input tape, cold (the
+by the jet order they ran at, and with the JetArrays built counted.
+Each chart also gets the per-call cost of compiling it from its
+description file, the call `analyze --spec` makes: load_spec, build()
+and the input tape, cold (the
 process's chart memo cleared first) and warm (the same call again right
 after), and the per-call cost of one contact.rotate_frame by
 tests/form_helpers.cayley_rotation at the chart's first sample point
@@ -173,15 +173,14 @@ def measure(src: Path, passes: int, points: int) -> dict:
 
         contracts = {f"order{k}": 0 for k in range(3)}
         products = {f"order{k}": 0 for k in range(3)}
-        arrays = {"all": 0, "with_orders": 0}
+        arrays = {"all": 0}
         real = jets.contract
         real_mul = jets._mul_rule
         real_init = jets.JetArray.__init__
 
-        def counted_init(self, dim, value, grad, hess, order=None):
+        def counted_init(self, *args):
             arrays["all"] += 1
-            arrays["with_orders"] += order is not None
-            real_init(self, dim, value, grad, hess, order)
+            real_init(self, *args)
 
         def counted_mul(k, *parts):
             products[f"order{k}"] += 1
