@@ -34,7 +34,7 @@ import numpy as np
 from .contact import (
     AdaptedFrame,
     ContactStructure,
-    adapted_frame,
+    _frame_at,
     max_abs,
 )
 from .errors import SymmetryError
@@ -120,12 +120,14 @@ class PartialConnection:
         (2n, 2n+1, 2n+1): entry [a, A, C] is the sigma^C-component of
         nabla_{X_a} sigma^A, index 0 being theta_hat. Row 0 is the 2-form
         row; no element ever produces a theta_hat component, which is what
-        'normal form' means. kappa has Gamma's order, order 1 as built, and
-        its 2-form row is Omega cut to that order.
+        'normal form' means. kappa has the lower order of Gamma and Omega,
+        the parts that go into it, order 1 as built.
         """
         frame = self.frame
         m = 2 * frame.n
-        kap = JetArray.constant(0.0, frame.dim, (m, m + 1, m + 1), self.Gamma.top)
+        kap = JetArray.constant(
+            0.0, frame.dim, (m, m + 1, m + 1), min(self.Gamma.top, frame.Omega.top)
+        )
         kap[:, 0, 1:] = frame.Omega
         kap[:, 1:, 1:] = -self.Gamma
         return kap
@@ -164,9 +166,11 @@ def canonical_partial_connection(
     symmetric in its first and last slots: any base that is symmetric in
     (a, c) gives the same result. Computes the frame components of the
     covariant derivative of the metric, and adds the sigma_inv-correction
-    that cancels them while preserving zero torsion.
+    that cancels them while preserving zero torsion. frame, when given,
+    is an adapted frame of cs at p, and ValueError names the mismatch for
+    a frame of another dimension or point; otherwise it is built here.
     """
-    frame = frame or adapted_frame(cs, p)
+    frame = _frame_at(cs, p, frame)
     Gamma = frame.D.transpose(1, 0, 2) * -0.5
     if base_perturbation is not None:
         _check_sym(base_perturbation, (0, 2), "base perturbation (direction, argument)")

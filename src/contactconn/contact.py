@@ -103,21 +103,40 @@ class ContactStructure:
         if len(p) != d:
             raise ValueError(f"point has {len(p)} coordinates, the chart has {d}")
         out = self.input_tape.eval(p, ORDER)
-        return PointInputs(theta=out[:d], dtheta=out[d : -d * d], G=out[-d * d :].reshape(d, d))
+        return PointInputs(
+            p=_point(p), theta=out[:d], dtheta=out[d : -d * d], G=out[-d * d :].reshape(d, d)
+        )
+
+
+def _point(p) -> tuple[float, ...]:
+    """p as a tuple of floats, the form every recorded point takes."""
+    return tuple(float(x) for x in p)
 
 
 @dataclass(frozen=True)
 class PointInputs:
-    """The chart's inputs at one point as order-ORDER jets: the form
+    """The chart's inputs at the point p as order-ORDER jets: the form
     values theta (dim,) and dtheta (K,) and the metric G (dim, dim).
-    Built once per point by ContactStructure.inputs_at and passed as
-    inputs= to everything that reads them; a reader needing a lower order
-    restricts the jets, which is exact (value and gradient rules read no
-    higher part)."""
+    Built once per point by ContactStructure.inputs_at, which records p
+    as floats, and passed as inputs= to everything that reads them; a
+    reader needing a lower order restricts the jets, which is exact
+    (value and gradient rules read no higher part)."""
 
+    p: tuple[float, ...]
     theta: JetArray
     dtheta: JetArray
     G: JetArray
+
+
+def _inputs_at(cs: ContactStructure, p, inputs: PointInputs | None) -> PointInputs:
+    """inputs, checked to be evaluated at p, or the structure's inputs at
+    p when they are None. Raises ValueError naming both points for inputs
+    evaluated at another point."""
+    if inputs is None:
+        return cs.inputs_at(p)
+    if inputs.p != _point(p):
+        raise ValueError(f"inputs were evaluated at {inputs.p}, not at the point {_point(p)}")
+    return inputs
 
 
 def max_abs(values: np.ndarray) -> float:
@@ -142,10 +161,11 @@ def check_contact(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
     scale stay finite. Rescaling theta by s scales both by s^(n+1), so a
     large enough theta overflows them to inf and fails every point; ROADMAP
     item 3 (verdicts that do not depend on units) tracks that limit.
-    inputs, when given, are the structure's inputs at p; otherwise they
-    are evaluated here.
+    inputs, when given, are the structure's inputs at p, and ValueError
+    names both points for inputs evaluated elsewhere; otherwise they are
+    evaluated here.
     """
-    inputs = inputs or cs.inputs_at(p)
+    inputs = _inputs_at(cs, p, inputs)
     t = inputs.theta.restrict(0)
     dt = inputs.dtheta.restrict(0)
     top = t
@@ -163,10 +183,9 @@ def _reeb_from_values(theta: JetArray, dt: JetArray) -> JetArray:
     Row j reads sum_i [dt(d_i, d_j) + theta_j theta_i] T^i = theta_j, dt's
     matrix its forms.full_tensor. Any solution satisfies
     theta(T) = 1 and T . dtheta = 0, and the matrix is invertible exactly
-    at contact points. The solution has the order of dt at most, so theta
-    is cut to it first.
+    at contact points. The solution has the lower order of theta and dt:
+    order 1 for the frame's theta_hat and dtheta_hat.
     """
-    theta = theta.restrict(dt.top)
     A = full_tensor(dt, 2).transpose(1, 0) + theta[:, None] * theta[None, :]
     try:
         sol = jet_linear_solve(A, theta)
@@ -221,12 +240,15 @@ class AdaptedFrame:
     frame pairs. df, D and d_pairs are derived from these on first read,
     so a frame with a replaced coframe derives them afresh.
 
-    Achieved jet orders, determined by what each piece consumes:
-    theta_hat and X carry order 2, dtheta_hat and T order 1, Omega order
-    2 (it avoids dtheta_hat via the exact identity d(mu theta)(X, Y) =
-    mu dtheta(X, Y) on H-vectors), f order 2, df, c and D order 1. A
-    stack has the lowest order of its parts: frame_array and
-    coframe_array order 1, d_pairs order 0, as
+    Jet orders, each the one its readers read: mu, X and f carry order 2,
+    since the gradient of the structure values D needs them (D
+    differentiates f, which pairs g with X, and its c comes from T and
+    dtheta_hat, which differentiates mu); theta_hat, dtheta_hat, T, c,
+    Omega, df and D carry order 1, theta_hat and Omega (which avoids
+    dtheta_hat via the exact identity d(mu theta)(X, Y) = mu dtheta(X, Y)
+    on H-vectors) built from mu cut to order 1. A stack has the lowest
+    order of its parts: frame_array and coframe_array order 1, d_pairs
+    order 0, as
     tests/test_connection.py::TestValueRoute::test_library_orders_are_kept
     pins. A suite run reads all of these at order <= 1.
 
@@ -321,11 +343,12 @@ def adapted_frame(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
     """Build the adapted orthonormal frame and dual coframe at p, from
     the most transversal split of the coordinate directions. Any other
     adapted frame is rotate_frame of this one. inputs, when given, are
-    the structure's inputs at p; otherwise they are evaluated here.
+    the structure's inputs at p, and ValueError names both points for
+    inputs evaluated elsewhere; otherwise they are evaluated here.
     """
     d = cs.dim
     n = cs.n
-    inputs = inputs or cs.inputs_at(p)
+    inputs = _inputs_at(cs, p, inputs)
     theta, G = inputs.theta, inputs.G
     # Project into H, along coordinate direction m, the 2n directions
     # with the smallest |theta| components (the largest transversality
@@ -346,18 +369,20 @@ def adapted_frame(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
         )
     X = jet_linear_solve(jet_cholesky(gram), basis)
 
-    # mu from dtheta on the orthonormal frame, then theta_hat = mu theta.
+    # mu from dtheta on the orthonormal frame. Only d(theta_hat) reads a
+    # derivative of mu, so everything else is built from mu at order 1.
     omega = evaluate_forms(inputs.dtheta, X, X)
     mu = _normalization_factor(omega)
-    theta_hat = mu * theta
+    mu1 = mu.restrict(1)
+    theta_hat = mu1 * theta
 
     # d(theta_hat) = dmu ^ theta + mu dtheta, one order below mu.
-    dtheta_hat = wedge(d_from_jets(mu.reshape(1), 0), 1, theta, 1) + inputs.dtheta * mu
+    dtheta_hat = wedge(d_from_jets(mu.reshape(1), 0), 1, theta, 1) + inputs.dtheta * mu1
 
     T = _reeb_from_values(theta_hat, dtheta_hat)
 
     # Exact on H-vectors: the dmu ^ theta part dies against theta(X)=0.
-    Omega = omega * mu
+    Omega = omega * mu1
     if n == 1 and Omega.value[0, 1] < 0.0:
         swap = [1, 0]
         X = X[swap]
@@ -370,7 +395,7 @@ def adapted_frame(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
     C = -evaluate_forms(F, T[None])[:, 0] / evaluate_forms(theta_hat, T[None])[0]
 
     return AdaptedFrame(
-        p=tuple(float(x) for x in p),
+        p=_point(p),
         mu=mu,
         theta_hat=theta_hat,
         dtheta_hat=dtheta_hat,
@@ -380,6 +405,19 @@ def adapted_frame(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
         c=C,
         Omega=Omega,
     )
+
+
+def _frame_at(cs: ContactStructure, p, frame: AdaptedFrame | None) -> AdaptedFrame:
+    """frame, checked to be built in cs's dimension at p, or the adapted
+    frame at p when it is None. Raises ValueError naming both dimensions
+    or both points for a frame of another chart or point."""
+    if frame is None:
+        return adapted_frame(cs, p)
+    if frame.dim != cs.dim:
+        raise ValueError(f"the frame has dimension {frame.dim}, the chart dimension {cs.dim}")
+    if frame.p != _point(p):
+        raise ValueError(f"the frame was built at {frame.p}, not at the point {_point(p)}")
+    return frame
 
 
 def _turn(rows: JetArray, Q: JetArray) -> JetArray:
@@ -396,15 +434,19 @@ def rotate_frame(frame: AdaptedFrame, Q: JetArray) -> AdaptedFrame:
     Q Omega Q^T, and mu, theta_hat, dtheta_hat and T are kept. In
     dimension 3 Q Omega Q^T = det(Q) Omega, so Omega is kept and Q must
     be a rotation, which keeps the orientation. Raises ValueError naming
-    the problem for a Q of the wrong shape or chart dimension, with a
-    part of Q Q^T - I over 1e-12 times the terms that cancel in it (1,
-    |Q'|, |Q'|^2 + |Q''|), or with det Q < 0 in dimension 3.
+    the problem for a Q of the wrong shape or chart dimension, of an order
+    below the frame's X (order 2 as built, which the structure values
+    differentiate), with a part of Q Q^T - I over 1e-12 times the terms
+    that cancel in it (1, |Q'|, |Q'|^2 + |Q''|), or with det Q < 0 in
+    dimension 3.
     """
     m = 2 * frame.n
     if Q.shape != (m, m):
         raise ValueError(f"Q must be a ({m}, {m}) matrix, got shape {Q.shape}")
     if Q.dim != frame.dim:
         raise ValueError(f"Q holds jets in dimension {Q.dim}, the frame in dimension {frame.dim}")
+    if Q.top < frame.X.top:
+        raise ValueError(f"Q has jet order {Q.top}, below the frame's order {frame.X.top}")
     Qt = Q.transpose(1, 0)
     QQt = contract(Qt[:, :, None], Qt[:, None, :])  # [a, b] = sum_k Q_ak Q_bk
     checks = [(0, QQt.value - np.eye(m), 1.0)]

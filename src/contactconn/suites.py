@@ -22,14 +22,17 @@ one function. _tightest, beside it, picks the key with the smallest
 margin for the CLI's verdict line. The library functions the suites
 call return residuals only and judge nothing.
 
-Every residual reads values only, so each check runs on operands cut
-(restrict) to the order that value needs: order 0 for the contact
-checks, the Levi and torsion checks, the Reeb check's coefficients and
-the comparisons; order 1 for the Gram matrix the metric check
-differentiates. The point's promotion differentiates kappa, which has
-order 1 as built, so its num, den and Reeb row are order-0 jets. Value
-rules read no higher part, so the cuts change no bit. The library calls
-behind the suites keep their documented orders when called directly.
+Every residual reads values only, so each check runs at the order that
+value needs: order 0 for the contact checks, the Levi and torsion
+checks, the Reeb check's coefficients and the comparisons; order 1 for
+the Gram matrix the metric check differentiates. A check cuts (restrict)
+the operands that would otherwise raise its kernel's order; one that the
+kernel reads at the lower order anyway, such as the frame vectors a cut
+form or a cut metric is paired with, goes in as it is. The point's
+promotion differentiates kappa, which has order 1 as built, so its num,
+den and Reeb row are order-0 jets. Value rules read no higher part, so
+the cuts change no bit. The library calls behind the suites keep their
+documented orders when called directly.
 """
 
 from __future__ import annotations
@@ -125,8 +128,7 @@ def _suite_contact(run: _Run) -> list[dict]:
         pairs = frame.pair_coframe(frame.frame_array.restrict(0)).value
         # The frame's own Reeb field against theta_hat and d(theta_hat), on
         # the frame: theta_hat(T) and every dtheta_hat(T, X_a).
-        T, X = frame.T.restrict(0)[None], frame.X.restrict(0)
-        dtheta_T = evaluate_forms(frame.dtheta_hat.restrict(0), T, X).value
+        dtheta_T = evaluate_forms(frame.dtheta_hat.restrict(0), frame.T[None], frame.X).value
         rows.append(
             {
                 "reeb": max(abs(float(pairs[0, 0]) - 1.0), max_abs(dtheta_T)),
@@ -153,8 +155,7 @@ def _suite_canonical(run: _Run) -> list[dict]:
         X = frame.X
         measured = evaluate_forms(frame.dtheta_hat.restrict(0), X, X).value
         tor = partial_torsion(conn.restrict(0)).value
-        X1 = X.restrict(1)
-        dg = nabla_H(conn, _metric_pairs(pt.inputs.G.restrict(1), X1, X1))
+        dg = nabla_H(conn, _metric_pairs(pt.inputs.G.restrict(1), X, X))
         rows.append(
             {
                 "reeb_parallel": max_abs(dT.value),

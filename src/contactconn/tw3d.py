@@ -46,7 +46,7 @@ from .contact import (
     ORDER,
     AdaptedFrame,
     ContactStructure,
-    adapted_frame,
+    _frame_at,
     max_abs,
     rotate_frame,
 )
@@ -90,10 +90,11 @@ def _require_3d(dim: int) -> None:
 
 def tw_coframe(cs: ContactStructure, p, frame: AdaptedFrame | None = None) -> AdaptedFrame:
     """The adapted frame of a 3-dimensional structure at p, checked to be
-    oriented: d(theta_hat)(X1, X2) = +1. Returns frame when given, else
-    builds it."""
+    oriented: d(theta_hat)(X1, X2) = +1. Returns frame when given, an
+    adapted frame of cs at p, else builds it; ValueError names the
+    mismatch for a frame of another dimension or point."""
     _require_3d(cs.dim)
-    frame = frame or adapted_frame(cs, p)
+    frame = _frame_at(cs, p, frame)
     pairing = float(frame.Omega.value[0, 1])
     if abs(pairing - 1.0) > 1e-10:
         raise DegenerateFrameError(
@@ -187,7 +188,8 @@ def rotate_coframe(frame: AdaptedFrame, phi) -> AdaptedFrame:
     and the frame vectors by the same matrix: rotate_frame with the SO(2)
     matrix of phi, which keeps duality and the orientation pairing
     d(theta_hat)(X1', X2') = +1. phi is a single jet, a number or a
-    parsed expression.
+    parsed expression; a jet below the frame's order makes rotate_frame
+    raise ValueError.
     """
     _require_3d(frame.dim)
     ph = _phi_jet(frame, phi)

@@ -316,6 +316,31 @@ class TestFrameIndependence:
         assert np.max(np.abs(n1 - n2)) < 1e-10
 
 
+class TestFrameFromAnotherPoint:
+    # A frame of another point or chart would give a connection labelled
+    # with p and cs but computed at the frame's own point and dimension.
+    def test_frame_from_another_point_is_refused(self, perturbed):
+        from contactconn.tw3d import tw_coframe
+
+        frame = adapted_frame(perturbed, P3)
+        message = (
+            r"the frame was built at \(0\.3, -0\.4, 0\.2\), "
+            r"not at the point \(0\.9, 0\.9, 0\.9\)"
+        )
+        for call in (canonical_partial_connection, tw_coframe):
+            with pytest.raises(ValueError, match=message):
+                call(perturbed, (0.9, 0.9, 0.9), frame=frame)
+        # The frame's own point, in any form, is taken.
+        assert canonical_partial_connection(perturbed, list(P3), frame=frame).frame is frame
+        assert tw_coframe(perturbed, np.array(P3), frame=frame) is frame
+
+    def test_frame_from_another_chart_is_refused(self, perturbed):
+        heis7 = chart_spec("heis7.json").build()
+        frame = adapted_frame(perturbed, P3)
+        with pytest.raises(ValueError, match="the frame has dimension 3, the chart dimension 7"):
+            canonical_partial_connection(heis7, (0.1,) * 7, frame=frame)
+
+
 class TestNablaH:
     def test_rejects_wrong_tensor_size(self, perturbed):
         # every axis must have size 2n + 1 or, for H-only components, 2n
@@ -575,11 +600,14 @@ VALUE_ROUTE_CHARTS = [
 
 
 def lifted(conn):
-    """conn with Gamma lifted to order 2 by a zero Hessian, so its kappa
-    carries order 2 and its promotion system order 1."""
-    G = conn.Gamma
-    hess = np.zeros(G.grad.shape + (G.dim,))
-    return PartialConnection(conn.frame, JetArray(G.dim, G.value, G.grad, hess))
+    """conn with Gamma and its frame's Omega lifted to order 2 by a zero
+    Hessian, so its kappa carries order 2 and its promotion system order 1."""
+
+    def lift(x):
+        return JetArray(x.dim, x.value, x.grad, np.zeros(x.grad.shape + (x.dim,)))
+
+    frame = dataclasses.replace(conn.frame, Omega=lift(conn.frame.Omega))
+    return PartialConnection(frame, lift(conn.Gamma))
 
 
 def chart_connection(name):
@@ -631,18 +659,25 @@ class TestValueRoute:
 
     def test_library_orders_are_kept(self, name):
         # The order every library call gives for a connection as built.
-        # Each array has the lowest order of what goes into it: kappa
-        # Gamma's, the promotion system one below kappa's, the frame and
-        # coframe arrays T's and the coframe's Reeb coefficients'.
+        # Only mu, X and f carry order 2, since the structure values D read
+        # their derivatives; every other frame quantity is built at order
+        # 1, the order its readers read. Each array has the lowest order
+        # of what goes into it: kappa Gamma's and Omega's, the promotion
+        # system one below kappa's, the frame and coframe arrays T's and
+        # the coframe's Reeb coefficients'.
         conn = chart_connection(name)
         frame = conn.frame
         fc = promote(conn)
         orders = {
-            "theta_hat": (frame.theta_hat, 2),
             "mu": (frame.mu, 2),
             "X": (frame.X, 2),
-            "Omega": (frame.Omega, 2),
+            "f": (frame.f, 2),
+            "theta_hat": (frame.theta_hat, 1),
+            "dtheta_hat": (frame.dtheta_hat, 1),
             "T": (frame.T, 1),
+            "c": (frame.c, 1),
+            "Omega": (frame.Omega, 1),
+            "df": (frame.df, 1),
             "D": (frame.D, 1),
             "kappa": (conn.kappa, 1),
             "partial_torsion": (partial_torsion(conn), 1),

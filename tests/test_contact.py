@@ -372,6 +372,37 @@ class TestLibraryInputValidation:
             call(heis)
 
 
+class TestMismatchedArguments:
+    # Inputs from another point would give a frame labelled p with the
+    # mu of that other point: 1.0594810050208545 in place of p's own.
+    def test_inputs_from_another_point_are_refused(self):
+        cs = perturbed()
+        p, q = (0.5, 0.1, 0.2), (-0.7, 0.3, 0.1)
+        message = (
+            r"inputs were evaluated at \(-0\.7, 0\.3, 0\.1\), "
+            r"not at the point \(0\.5, 0\.1, 0\.2\)"
+        )
+        for call in (adapted_frame, check_contact):
+            with pytest.raises(ValueError, match=message):
+                call(cs, p, inputs=cs.inputs_at(q))
+        # The same point in another form is the same point.
+        inputs = cs.inputs_at(list(p))
+        assert inputs.p == p
+        assert float(adapted_frame(cs, np.array(p), inputs=inputs).mu.value) == 1.0307764064044151
+        assert check_contact(cs, p, inputs=inputs).passed
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_a_rotation_below_the_frame_order_is_refused(self, order):
+        # Such a Q would give a frame whose X has Q's order, on which the
+        # connection or the structure solve raises, far from the cause.
+        for cs in (get_manifold("heisenberg").build(), perturbed()):
+            frame = adapted_frame(cs, P3)
+            Q = cayley_rotation(P3, 0).restrict(order)
+            message = f"Q has jet order {order}, below the frame's order 2"
+            with pytest.raises(ValueError, match=message):
+                rotate_frame(frame, Q)
+
+
 class TestNonFiniteInputs:
     # Each metric entry has no finite jet at x = 105 or x = 750: exp and
     # the integer power overflow in math, the product of two finite

@@ -550,9 +550,10 @@ class TestPerPointState:
 
     # Every kernel runs at the order its result is read: pairings contract
     # at the coefficients' order, the suites' value checks run on order-0
-    # jets, the Reeb solve cuts theta to the order of dtheta and the
-    # promotion's den is built at order 1. Sums of products go through
-    # jets.contract, which builds no product jet. With every pairing and
+    # jets, the frame builds theta_hat, Omega and mu dtheta from mu cut to
+    # order 1 and the promotion's den is built at the order of its num.
+    # Sums of products go through jets.contract, which builds no product
+    # jet. With every pairing and
     # check built at order 2, the same runs made 237 order-2 products per
     # usable point on heis7 and 101 on sphere-chart; with the Reeb theta
     # and den at order 2, 117 and 77; with every sum of products folded
@@ -561,9 +562,10 @@ class TestPerPointState:
     # suite's expected A' and B' built from order-2 angle jets, 15 and 52;
     # while the frame ran Gram-Schmidt, one product per step and one per
     # normalized row, 15 and 48; while rotate_frame folded one product per
-    # term of Q X and Q f, 4 and 45.
+    # term of Q X and Q f, 4 and 45; while the frame built those three
+    # products from mu at order 2, 4 and 41.
     @pytest.mark.parametrize(
-        "name, suites, products", [("heis7.json", CORE, 4), ("sphere-chart", ALL_3D, 41)]
+        "name, suites, products", [("heis7.json", CORE, 1), ("sphere-chart", ALL_3D, 38)]
     )
     def test_order2_products_per_usable_point(self, monkeypatch, name, suites, products):
         from contactconn import jets

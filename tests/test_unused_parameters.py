@@ -97,7 +97,10 @@ def test_import_scan_sees_every_binding_and_exempts_the_rest():
 
 def unread_exports(exports, sources, docs: str) -> list[str]:
     """The names in exports that no module in sources loads, as a name or
-    as an attribute, and that the text docs does not hold as a word."""
+    as an attribute, and that the text docs does not name as code: as
+    the exact code span `NAME`, as cc.NAME or contactconn.NAME, or as
+    NAME( . A bare word of prose, such as a symbol's name in a formula,
+    does not count."""
     read = set()
     for source in sources:
         for n in ast.walk(ast.parse(source)):
@@ -105,8 +108,10 @@ def unread_exports(exports, sources, docs: str) -> list[str]:
                 read.add(n.id)
             elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
                 read.add(n.attr)
-    words = set(re.findall(r"\w+", docs))
-    return [name for name in exports if name not in read and name not in words]
+    named = set(re.findall(r"`(\w+)`", docs))
+    named |= set(re.findall(r"\b(?:cc|contactconn)\.(\w+)", docs))
+    named |= set(re.findall(r"(\w+)\(", docs))
+    return [name for name in exports if name not in read and name not in named]
 
 
 def test_every_export_is_read_or_documented():
@@ -121,3 +126,8 @@ def test_export_scan_sees_names_attributes_and_doc_words():
     sources = ["def f(x):\n    return g(x).h\n", "k = 1\nm.n = 2\n"]
     exports = ["g", "h", "k", "n", "p", "q", "r"]
     assert unread_exports(exports, sources, "call p(), not q_r") == ["k", "n", "q", "r"]
+    # A bare word is prose, not the name of an export; a code span, a
+    # qualified name or a call names one.
+    docs = "the coframe s, then `t`, `u.v`, cc.w, contactconn.x and y (z)"
+    exports = ["s", "t", "u", "v", "w", "x", "y", "z"]
+    assert unread_exports(exports, [], docs) == ["s", "u", "v", "y", "z"]
