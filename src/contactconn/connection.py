@@ -167,8 +167,8 @@ def canonical_partial_connection(
     (a, c) gives the same result. Computes the frame components of the
     covariant derivative of the metric, and adds the sigma_inv-correction
     that cancels them while preserving zero torsion. frame, when given,
-    is an adapted frame of cs at p, and ValueError names the mismatch for
-    a frame of another dimension or point; otherwise it is built here.
+    is an adapted frame of cs at p, and ValueError names both charts or
+    both points for a frame built elsewhere; otherwise it is built here.
     """
     frame = _frame_at(cs, p, frame)
     Gamma = frame.D.transpose(1, 0, 2) * -0.5
@@ -207,8 +207,7 @@ def _derivative(X: JetArray, kap: JetArray, t: JetArray) -> JetArray:
             f"got shape {t.shape}"
         )
     off = full - t.shape[0] if rank else 0
-    k = _derivative_order(t)
-    kapE = kap.restrict(k)[:, off:, off:].transpose(1, 0, 2)  # [E, P, B]
+    kapE = kap.restrict(max(t.top - 1, 0))[:, off:, off:].transpose(1, 0, 2)  # [E, P, B]
     out = apply_vector(X, t)
     every = slice(None)
     for s in range(rank):
@@ -218,12 +217,6 @@ def _derivative(X: JetArray, kap: JetArray, t: JetArray) -> JetArray:
         coef = kapE[(every, every) + (None,) * s + (every,) + (None,) * (rank - 1 - s)]
         out = out + contract(lead, coef)
     return out
-
-
-def _derivative_order(t: JetArray) -> int:
-    """The order of a covariant derivative of components t, and so the
-    order its corrections read of the coefficients."""
-    return max(t.top - 1, 0)
 
 
 def nabla_H(conn: PartialConnection, t: JetArray) -> JetArray:
@@ -244,9 +237,8 @@ def nabla_H_vector(conn: PartialConnection, v: JetArray) -> JetArray:
     """Covariant derivative of a vector along each frame direction X_a,
     given its frame components v (2n+1,), slot 0 the Reeb one: entry
     [a, B] is X_a(v_B) minus the contraction over C of kappa[a, B, C] v[C],
-    _derivative with the dual coefficients, cut before they are negated."""
-    kap = conn.kappa.restrict(_derivative_order(v))
-    return _derivative(conn.frame.X, -kap.transpose(0, 2, 1), v)
+    _derivative with the dual coefficients."""
+    return _derivative(conn.frame.X, -conn.kappa.transpose(0, 2, 1), v)
 
 
 @dataclass(frozen=True)
@@ -263,11 +255,6 @@ class FullConnection:
     frame: AdaptedFrame
     coeffs: JetArray
     partial: PartialConnection | None = None
-
-    def restrict(self, k: int) -> "FullConnection":
-        """The same connection with its coefficients cut to order at most
-        k, as JetArray.restrict cuts an array; partial is kept as it is."""
-        return FullConnection(self.frame, self.coeffs.restrict(k), self.partial)
 
     def derivative_of_oneform(self, alpha: JetArray) -> JetArray:
         """Frame derivative of a 1-form along every frame direction, given

@@ -42,7 +42,7 @@ from .errors import (
     NotContactError,
     SingularMatrixError,
 )
-from .expressions import Expr
+from .expressions import Expr, pretty
 from .forms import FormField, d_from_jets, evaluate_forms, full_tensor, pair, pair_table, wedge
 from .jets import JetArray, Tape, concatenate, contract, jet_cholesky, jet_linear_solve
 
@@ -103,9 +103,7 @@ class ContactStructure:
         if len(p) != d:
             raise ValueError(f"point has {len(p)} coordinates, the chart has {d}")
         out = self.input_tape.eval(p, ORDER)
-        return PointInputs(
-            p=_point(p), theta=out[:d], dtheta=out[d : -d * d], G=out[-d * d :].reshape(d, d)
-        )
+        return PointInputs(self, _point(p), out[:d], out[d : -d * d], out[-d * d :].reshape(d, d))
 
 
 def _point(p) -> tuple[float, ...]:
@@ -115,27 +113,47 @@ def _point(p) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class PointInputs:
-    """The chart's inputs at the point p as order-ORDER jets: the form
-    values theta (dim,) and dtheta (K,) and the metric G (dim, dim).
-    Built once per point by ContactStructure.inputs_at, which records p
-    as floats, and passed as inputs= to everything that reads them; a
-    reader needing a lower order restricts the jets, which is exact
-    (value and gradient rules read no higher part)."""
+    """The inputs of the chart cs at the point p as order-ORDER jets: the
+    form values theta (dim,) and dtheta (K,) and the metric G (dim, dim).
+    Built once per point by ContactStructure.inputs_at, which records the
+    structure it ran on and p as floats, and passed as inputs= to
+    everything that reads them, or read off the frame built from them
+    (AdaptedFrame.inputs); a reader needing a lower order restricts the
+    jets, which is exact (value and gradient rules read no higher part)."""
 
+    cs: ContactStructure
     p: tuple[float, ...]
     theta: JetArray
     dtheta: JetArray
     G: JetArray
 
 
+def _chart_text(cs: ContactStructure) -> str:
+    """The chart's coordinates, theta and g (row by row) as text."""
+    theta = ", ".join(map(pretty, cs.theta.components))
+    g = "; ".join(", ".join(map(pretty, row)) for row in cs.g)
+    return f"coordinates ({', '.join(cs.coords)}), theta ({theta}), g ({g})"
+
+
+def _check_origin(inputs: PointInputs, cs: ContactStructure, p, what: str) -> None:
+    """Raise ValueError naming both charts or both points unless inputs
+    were evaluated on cs at p; O(1) when inputs.cs is cs, the one object
+    the chart memo gives every build of a chart text."""
+    if inputs.cs != cs:
+        raise ValueError(
+            f"{what} on the chart with {_chart_text(inputs.cs)}, "
+            f"not on the chart with {_chart_text(cs)}"
+        )
+    if inputs.p != _point(p):
+        raise ValueError(f"{what} at {inputs.p}, not at the point {_point(p)}")
+
+
 def _inputs_at(cs: ContactStructure, p, inputs: PointInputs | None) -> PointInputs:
-    """inputs, checked to be evaluated at p, or the structure's inputs at
-    p when they are None. Raises ValueError naming both points for inputs
-    evaluated at another point."""
+    """inputs, checked to be evaluated on cs at p, or the structure's
+    inputs at p when they are None."""
     if inputs is None:
         return cs.inputs_at(p)
-    if inputs.p != _point(p):
-        raise ValueError(f"inputs were evaluated at {inputs.p}, not at the point {_point(p)}")
+    _check_origin(inputs, cs, p, "inputs were evaluated")
     return inputs
 
 
@@ -162,8 +180,8 @@ def check_contact(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
     large enough theta overflows them to inf and fails every point; ROADMAP
     item 3 (verdicts that do not depend on units) tracks that limit.
     inputs, when given, are the structure's inputs at p, and ValueError
-    names both points for inputs evaluated elsewhere; otherwise they are
-    evaluated here.
+    names both charts or both points for inputs evaluated elsewhere;
+    otherwise they are evaluated here.
     """
     inputs = _inputs_at(cs, p, inputs)
     t = inputs.theta.restrict(0)
@@ -229,7 +247,9 @@ def _normalization_factor(omega: JetArray) -> JetArray:
 
 @dataclass(frozen=True)
 class AdaptedFrame:
-    """Everything frame-shaped at one point, jet-valued.
+    """Everything frame-shaped at one point, jet-valued, with the inputs
+    it was built from: inputs.cs is its chart and inputs.p (also frame.p)
+    its point, and rotate_frame keeps both.
 
     The scalar mu is a single jet (a 0-d JetArray); everything else is a
     JetArray too: the form value theta_hat (dim,) and its exterior
@@ -256,7 +276,7 @@ class AdaptedFrame:
     kept because the H-part alone retains order 2.
     """
 
-    p: tuple[float, ...]
+    inputs: PointInputs
     mu: JetArray
     theta_hat: JetArray
     dtheta_hat: JetArray
@@ -265,6 +285,10 @@ class AdaptedFrame:
     f: JetArray
     c: JetArray
     Omega: JetArray
+
+    @property
+    def p(self) -> tuple[float, ...]:
+        return self.inputs.p
 
     @property
     def dim(self) -> int:
@@ -343,8 +367,8 @@ def adapted_frame(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
     """Build the adapted orthonormal frame and dual coframe at p, from
     the most transversal split of the coordinate directions. Any other
     adapted frame is rotate_frame of this one. inputs, when given, are
-    the structure's inputs at p, and ValueError names both points for
-    inputs evaluated elsewhere; otherwise they are evaluated here.
+    the structure's inputs at p (ValueError names both charts or points
+    for inputs evaluated elsewhere); otherwise they are evaluated here.
     """
     d = cs.dim
     n = cs.n
@@ -395,7 +419,7 @@ def adapted_frame(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
     C = -evaluate_forms(F, T[None])[:, 0] / evaluate_forms(theta_hat, T[None])[0]
 
     return AdaptedFrame(
-        p=_point(p),
+        inputs=inputs,
         mu=mu,
         theta_hat=theta_hat,
         dtheta_hat=dtheta_hat,
@@ -408,15 +432,11 @@ def adapted_frame(cs: ContactStructure, p, inputs: PointInputs | None = None) ->
 
 
 def _frame_at(cs: ContactStructure, p, frame: AdaptedFrame | None) -> AdaptedFrame:
-    """frame, checked to be built in cs's dimension at p, or the adapted
-    frame at p when it is None. Raises ValueError naming both dimensions
-    or both points for a frame of another chart or point."""
+    """frame, checked to be built on cs at p, or the adapted frame at p
+    when it is None."""
     if frame is None:
         return adapted_frame(cs, p)
-    if frame.dim != cs.dim:
-        raise ValueError(f"the frame has dimension {frame.dim}, the chart dimension {cs.dim}")
-    if frame.p != _point(p):
-        raise ValueError(f"the frame was built at {frame.p}, not at the point {_point(p)}")
+    _check_origin(frame.inputs, cs, p, "the frame was built")
     return frame
 
 
@@ -491,17 +511,17 @@ SKIP_ERRORS = (
 )
 
 
-def screen_point(cs: ContactStructure, p) -> tuple[PointInputs, AdaptedFrame]:
-    """The inputs and the adapted frame at a usable point p: its inputs
-    evaluate, the contact check passes and the frame builds, in that
-    order. Otherwise raises one of SKIP_ERRORS naming the reason:
+def screen_point(cs: ContactStructure, p) -> AdaptedFrame:
+    """The adapted frame at a usable point p, which carries the point's
+    inputs: they evaluate, the contact check passes and the frame builds,
+    in that order. Otherwise raises one of SKIP_ERRORS naming the reason:
     ExprDomainError for inputs that cannot be evaluated, NotContactError
     "contact condition fails" for a failed check, the frame's own error
     for a frame that cannot be built."""
     inputs = cs.inputs_at(p)
     if not check_contact(cs, p, inputs).passed:
         raise NotContactError("contact condition fails")
-    return inputs, adapted_frame(cs, p, inputs=inputs)
+    return adapted_frame(cs, p, inputs=inputs)
 
 
 def classify(cs: ContactStructure, points) -> dict:
@@ -520,7 +540,7 @@ def classify(cs: ContactStructure, points) -> dict:
     reasons = []
     for p in points:
         try:
-            _, frame = screen_point(cs, p)
+            frame = screen_point(cs, p)
         except SKIP_ERRORS as exc:
             if isinstance(exc, NotContactError):
                 contact_ok = False

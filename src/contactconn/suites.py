@@ -9,9 +9,10 @@ dropped; if nothing survives, the run errors out rather than reporting a
 vacuous pass.
 
 Screening (contact.screen_point, which classify shares) evaluates the
-chart's inputs once per sample point and builds one _PointState per
-usable point. It holds those inputs and the adapted frame and caches
-what the suites derive from them (spectrum, canonical connection,
+chart's inputs once per sample point and builds the adapted frame of
+each usable point, which carries its chart, its point and those inputs.
+One _PointState per usable point is built from that frame alone. It
+caches what the suites derive from it (spectrum, canonical connection,
 promotion, 3D structure data), so each is built at most once per point
 and shared by every suite.
 
@@ -55,8 +56,6 @@ from .contact import (
     ORDER,
     SKIP_ERRORS,
     AdaptedFrame,
-    ContactStructure,
-    PointInputs,
     _metric_pairs,
     lambda_spectrum,
     max_abs,
@@ -82,13 +81,11 @@ _ROTATION_STREAM = 0x726F746174696F6E
 
 
 class _PointState:
-    """One usable sample point: its coordinates, inputs and adapted frame,
-    and everything derived from the frame, each built on first use."""
+    """One usable sample point: its adapted frame, which carries the
+    chart, the point and the inputs, and everything derived from the
+    frame, each built on first use."""
 
-    def __init__(self, cs: ContactStructure, p, inputs: PointInputs, frame: AdaptedFrame):
-        self.cs = cs
-        self.p = p
-        self.inputs = inputs
+    def __init__(self, frame: AdaptedFrame):
         self.frame = frame
 
     @cached_property
@@ -97,7 +94,7 @@ class _PointState:
 
     @cached_property
     def conn(self):
-        return canonical_partial_connection(self.cs, self.p, frame=self.frame)
+        return canonical_partial_connection(self.frame.inputs.cs, self.frame.p, frame=self.frame)
 
     @cached_property
     def promoted(self):
@@ -109,20 +106,19 @@ class _PointState:
 
 
 class _Run(NamedTuple):
-    """What the suites read of a run: the structure, its usable points in
-    index order and the run's seed."""
+    """What the suites read of a run: its usable points in index order
+    and the run's seed."""
 
-    cs: ContactStructure
     usable: list
     seed: int
 
 
 def _suite_contact(run: _Run) -> list[dict]:
     # Every check reads values only, so each runs on order-0 jets.
-    n = run.cs.n
     rows = []
     for pt in run.usable:
         frame = pt.frame
+        n = frame.n
         omega_sq = sum(v**2 for v in frame.Omega.value.ravel().tolist())
         lam = pt.spectrum
         pairs = frame.pair_coframe(frame.frame_array.restrict(0)).value
@@ -155,7 +151,7 @@ def _suite_canonical(run: _Run) -> list[dict]:
         X = frame.X
         measured = evaluate_forms(frame.dtheta_hat.restrict(0), X, X).value
         tor = partial_torsion(conn.restrict(0)).value
-        dg = nabla_H(conn, _metric_pairs(pt.inputs.G.restrict(1), X, X))
+        dg = nabla_H(conn, _metric_pairs(frame.inputs.G.restrict(1), X, X))
         rows.append(
             {
                 "reeb_parallel": max_abs(dT.value),
@@ -193,8 +189,8 @@ def _suite_rotation(run: _Run) -> list[dict]:
         # point, a fresh coefficient for each term in that order: the jet
         # eval_jet gives for the text "(c) + (c_1)*x_1 + ... + (c'_1)*x_1^2
         # + ...", each coefficient its repr.
-        xs = [JetArray.coordinate(pt.p, i, ORDER) for i in range(run.cs.dim)]
-        phi = JetArray.constant(coeff(), run.cs.dim)
+        xs = [JetArray.coordinate(pt.frame.p, i, ORDER) for i in range(pt.frame.dim)]
+        phi = JetArray.constant(coeff(), pt.frame.dim)
         for x in xs + [x.powi(2) for x in xs]:
             phi = phi + coeff() * x
         rows.append(check_rotation_covariance(pt.tw_data, phi))
@@ -331,11 +327,11 @@ def run_suites(
     usable = []
     for i, p in enumerate(samples):
         try:
-            inputs, frame = screen_point(cs, p)
+            frame = screen_point(cs, p)
         except SKIP_ERRORS as exc:
             records.append(PointRecord(i, p, skipped=True, reason=str(exc)))
             continue
-        pt = _PointState(cs, p, inputs, frame)
+        pt = _PointState(frame)
         mu = float(frame.mu.value)
         records.append(PointRecord(i, p, skipped=False, mu=mu, spectrum=pt.spectrum))
         usable.append(pt)
@@ -347,7 +343,7 @@ def run_suites(
             [r.reason for r in records],
         )
 
-    run = _Run(cs, usable, run_seed)
+    run = _Run(usable, run_seed)
     return Report(
         manifold=spec.name,
         dim=cs.dim,

@@ -91,8 +91,8 @@ def _require_3d(dim: int) -> None:
 def tw_coframe(cs: ContactStructure, p, frame: AdaptedFrame | None = None) -> AdaptedFrame:
     """The adapted frame of a 3-dimensional structure at p, checked to be
     oriented: d(theta_hat)(X1, X2) = +1. Returns frame when given, an
-    adapted frame of cs at p, else builds it; ValueError names the
-    mismatch for a frame of another dimension or point."""
+    adapted frame of cs at p, else builds it; ValueError names both
+    charts or both points for a frame built elsewhere."""
     _require_3d(cs.dim)
     frame = _frame_at(cs, p, frame)
     pairing = float(frame.Omega.value[0, 1])
@@ -278,14 +278,11 @@ def compare_full(td: TWData, fc: FullConnection) -> dict:
         coframe H-part and e1 x e2 - e2 x e1 on theta_hat;
       - the promoted connection's torsion has e-rows
         theta_hat ^ [[A, B + R], [B - R, -A]] and no e ^ e part;
-      - the torsion's theta_hat row, reported against both candidate
-        values 0 and minus the nondegenerate 2-form (the latter is what
-        the construction actually produces; the suite gates it).
+      - the torsion's theta_hat row equals minus the nondegenerate 2-form.
 
     Also reads R off the difference tensor and reports its drift from the
     structure-equation R. Returns the residuals difference_tensor_residual,
-    torsion_e_rows_residual, torsion_theta_row_vs_zero,
-    torsion_theta_row_vs_minus_levi and r_drift.
+    torsion_e_rows_residual, torsion_theta_row_vs_minus_levi and r_drift.
     """
     omega = td.frame.Omega.value
     tw = td.classical
@@ -300,8 +297,8 @@ def compare_full(td: TWData, fc: FullConnection) -> dict:
     diff = fc.coeffs.value - tw.coeffs.value
     r_extracted = -float(diff[0, 1, 2])
 
-    # Values only: the torsion of the connection cut to order 0.
-    tor = full_torsion(fc.restrict(0)).value
+    # d_pairs has order 0, so the torsion is values alone.
+    tor = full_torsion(fc).value
     Av, Bv = float(td.A.value), float(td.B.value)
     # Every row on the pairs (T, X1), (T, X2), (X1, X2).
     on_pairs = tor[(slice(None),) + pair_table(3)]
@@ -314,7 +311,6 @@ def compare_full(td: TWData, fc: FullConnection) -> dict:
     return {
         "difference_tensor_residual": max_abs(diff - expected),
         "torsion_e_rows_residual": torsion_e_residual,
-        "torsion_theta_row_vs_zero": max_abs(tor[0]),
         "torsion_theta_row_vs_minus_levi": theta_vs_minus_levi,
         "r_drift": abs(r_extracted - R),
     }

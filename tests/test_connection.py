@@ -335,10 +335,39 @@ class TestFrameFromAnotherPoint:
         assert tw_coframe(perturbed, np.array(P3), frame=frame) is frame
 
     def test_frame_from_another_chart_is_refused(self, perturbed):
+        # A chart of another dimension is another chart: the message names
+        # the frame's chart first.
         heis7 = chart_spec("heis7.json").build()
         frame = adapted_frame(perturbed, P3)
-        with pytest.raises(ValueError, match="the frame has dimension 3, the chart dimension 7"):
+        message = r"the frame was built on the chart with coordinates \(x, y, z\), "
+        with pytest.raises(ValueError, match=message) as info:
             canonical_partial_connection(heis7, (0.1,) * 7, frame=frame)
+        assert "not on the chart with coordinates (x1, " in str(info.value)
+
+    def test_frame_from_a_chart_of_the_same_dimension_is_refused(self, heisenberg, perturbed):
+        # heisenberg's frame at P3 would give perturbed a connection with
+        # heisenberg's zero Gamma in place of its own.
+        from contactconn.tw3d import tw_coframe
+
+        want = canonical_partial_connection(perturbed, P3)
+        assert max_abs(want.Gamma.value) == pytest.approx(0.14669926650366752, rel=1e-12)
+        frame = adapted_frame(heisenberg, P3)
+        message = (
+            r"the frame was built on the chart with .*g \(1, 0, 0; 0, 1, 0; 0, 0, 0\), "
+            r"not on the chart with .*g \(1, 0, 0; 0, 1 \+ x\^2 / 4, 0; 0, 0, 0\)"
+        )
+        for call in (canonical_partial_connection, tw_coframe):
+            with pytest.raises(ValueError, match=message):
+                call(perturbed, P3, frame=frame)
+
+    def test_a_rotated_frame_keeps_its_chart_and_point(self, perturbed):
+        from contactconn.tw3d import tw_coframe
+
+        base = adapted_frame(perturbed, P3)
+        frame = rotate_frame(base, cayley_rotation(P3, 0))
+        assert frame.inputs is base.inputs and frame.p == P3
+        assert canonical_partial_connection(perturbed, np.array(P3), frame=frame).frame is frame
+        assert tw_coframe(perturbed, list(P3), frame=frame) is frame
 
 
 class TestNablaH:
@@ -380,7 +409,7 @@ class TestPromotion:
         used = 0
         for p in sample_box(spec.box, 24, 3):
             try:
-                _, frame = screen_point(cs, p)
+                frame = screen_point(cs, p)
             except SKIP_ERRORS:
                 continue
             xi = promote(canonical_partial_connection(cs, p, frame=frame)).coeffs.value[0]
@@ -647,7 +676,7 @@ class TestValueRoute:
         assert full0.top == 0
         form_helpers.assert_same_bits(full0, full_torsion(promote(lifted(conn))))
 
-    def test_nabla_H_vector_cuts_before_negating(self, name):
+    def test_nabla_H_vector_is_derivative_with_dual_coefficients(self, name):
         import form_helpers
         from contactconn.connection import _derivative
 
@@ -707,7 +736,3 @@ def test_restricted_connection_leaves_the_original_whole():
     assert (cut.kappa.top, cut.Gamma.top) == (0, 0)
     assert conn.kappa is kappa and kappa.top == 1
     assert np.array_equal(cut.kappa.value, kappa.value)
-    fc = promote(lifted(conn))
-    fc0 = fc.restrict(0)
-    assert (fc0.coeffs.top, fc.coeffs.top) == (0, 1)
-    assert fc0.partial is fc.partial and fc0.frame is fc.frame

@@ -387,9 +387,23 @@ class TestMismatchedArguments:
                 call(cs, p, inputs=cs.inputs_at(q))
         # The same point in another form is the same point.
         inputs = cs.inputs_at(list(p))
-        assert inputs.p == p
+        assert inputs.p == p and inputs.cs is cs
         assert float(adapted_frame(cs, np.array(p), inputs=inputs).mu.value) == 1.0307764064044151
         assert check_contact(cs, p, inputs=inputs).passed
+
+    # heisenberg's inputs at P3 would give perturbed's frame heisenberg's
+    # mu = 1.0 in place of its own.
+    def test_inputs_from_another_chart_are_refused(self, heis):
+        cs = perturbed()
+        assert float(adapted_frame(cs, P3).mu.value) == pytest.approx(1.0111874208078342, rel=1e-12)
+        message = (
+            r"inputs were evaluated on the chart with coordinates \(x, y, z\), "
+            r"theta \(-y, 0, 1\), g \(1, 0, 0; 0, 1, 0; 0, 0, 0\), "
+            r"not on the chart with .*g \(1, 0, 0; 0, 1 \+ x\^2 / 4, 0; 0, 0, 0\)"
+        )
+        for call in (adapted_frame, check_contact):
+            with pytest.raises(ValueError, match=message):
+                call(cs, P3, inputs=heis.inputs_at(P3))
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_a_rotation_below_the_frame_order_is_refused(self, order):

@@ -351,8 +351,8 @@ class TestAggregate:
     def test_zero_lambda_fails_positivity_and_reports_zero(self):
         cs = get_manifold("heisenberg").build()
         p = (0.3, -0.4, 0.2)
-        pt = _PointState(cs, p, *screen_point(cs, p))
-        run = _Run(cs, [pt], 0)
+        pt = _PointState(screen_point(cs, p))
+        run = _Run([pt], 0)
         assert aggregate("contact", _suite_contact(run)).passed is True
         pt.spectrum = (0.0,)
         res = aggregate("contact", _suite_contact(run))

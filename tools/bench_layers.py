@@ -109,13 +109,13 @@ def compile_seconds(registry, path: Path, passes: int) -> dict:
 def rotate_seconds(spec, passes: int) -> list[float]:
     """Seconds per rotate_frame call, one value per pass, on the frame at
     the first point of spec's own sample and a Cayley Q of order 2."""
-    from contactconn.contact import rotate_frame, screen_point
+    from contactconn.contact import adapted_frame, rotate_frame
     from contactconn.sampling import sample_box
     from form_helpers import cayley_rotation
 
     cs = spec.build()
     p = sample_box(spec.box, spec.points, spec.seed)[0]
-    _, frame = screen_point(cs, p)
+    frame = adapted_frame(cs, p)
     Q = cayley_rotation(p, 0)
     rotate_frame(frame, Q)  # warm-up
     times = []
