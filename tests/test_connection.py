@@ -686,6 +686,21 @@ class TestValueRoute:
             want = _derivative(frame.X, -conn.kappa.transpose(0, 2, 1), v)
             form_helpers.assert_same_bits(nabla_H_vector(conn, v), want)
 
+    def test_nabla_H_vector_cuts_before_negating(self, name):
+        # Cutting kappa to the derivative's order before negating it, and
+        # so before _derivative's own cut, gives the same bits: the cut
+        # _derivative makes is the only one the vector route needs.
+        import form_helpers
+        from contactconn.connection import _derivative
+
+        conn = chart_connection(name)
+        frame = conn.frame
+        for v in (frame.express_vector(frame.T), frame.express_vector(frame.X[0])):
+            kap = conn.kappa.restrict(max(v.top - 1, 0))
+            assert kap.top == 0 < conn.kappa.top
+            want = _derivative(frame.X, -kap.transpose(0, 2, 1), v)
+            form_helpers.assert_same_bits(nabla_H_vector(conn, v), want)
+
     def test_library_orders_are_kept(self, name):
         # The order every library call gives for a connection as built.
         # Only mu, X and f carry order 2, since the structure values D read
