@@ -17,6 +17,7 @@ nodes).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError, UnknownIdentifierError
@@ -151,68 +152,42 @@ def pow_int(base: Expr, k: int) -> Expr:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_TOK_NUM = "num"
-_TOK_IDENT = "ident"
-_TOK_OP = "op"
-_TOK_END = "end"
+# The token rules of docs/grammar.md, once; each group name but `exp` is
+# the kind of token it reads, and the first characters of the
+# alternatives are disjoint. NUMBER takes ASCII digits only, and `exp`
+# is an e or E after a number that no exponent digits follow. [^\W\d] is
+# a word character other than a decimal digit: a letter, '_' or a
+# numeric symbol such as '²', which _starts_ident turns away. Any other
+# character but white space is `other`.
+_TOKEN = re.compile(
+    r"(?P<op>\*\*|[-+*/^()])"
+    r"|(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+|(?P<exp>[eE]))?)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<other>\S)"
+)
+
+
+def _starts_ident(text: str) -> bool:
+    return text[0].isalpha() or text[0] == "_"
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks: list[tuple[str, str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-                else:
-                    raise ParseError("malformed number literal", i)
-            toks.append((_TOK_NUM, text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append((_TOK_IDENT, text[i:j], i))
-            i = j
-            continue
-        if text.startswith("**", i):
-            toks.append((_TOK_OP, "^", i))
-            i += 2
-            continue
-        if ch in "+-*/^()":
-            toks.append((_TOK_OP, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    toks.append((_TOK_END, "", n))
+    toks = []
+    for m in _TOKEN.finditer(text):
+        kind, val, off = m.lastgroup, m[0], m.start()
+        if kind == "num" and m["exp"]:
+            raise ParseError("malformed number literal", off)
+        if kind == "other" or kind == "ident" and not _starts_ident(val):
+            raise ParseError(f"unexpected character {val[0]!r}", off)
+        toks.append((kind, "^" if val == "**" else val, off))
+    toks.append(("end", "", len(text)))
     return toks
 
 
 def is_identifier(text: str) -> bool:
     """Whether text is exactly one identifier token of the grammar."""
-    try:
-        toks = _tokenize(text)
-    except ParseError:
-        return False
-    return len(toks) == 2 and toks[0] == (_TOK_IDENT, text, 0)
+    m = _TOKEN.fullmatch(text)
+    return m is not None and m.lastgroup == "ident" and _starts_ident(text)
 
 
 class _Parser:
@@ -233,42 +208,34 @@ class _Parser:
 
     def expect_op(self, op: str):
         kind, val, off = self.peek()
-        if kind != _TOK_OP or val != op:
+        if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}", off)
         return self.advance()
 
     def parse(self) -> Expr:
         e = self.expr()
         kind, val, off = self.peek()
-        if kind != _TOK_END:
+        if kind != "end":
             raise ParseError(f"unexpected trailing input {val!r}", off)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
+    def expr(self, ops: str = "+-") -> Expr:
+        """Operands joined by operators in ops, folded to the left: terms
+        joined by '+' and '-', or, for ops "*/", the factors of a term
+        joined by '*' and '/'. Each level is one call, so nested
+        parentheses take one frame per grammar level."""
+        e, op = None, None
         while True:
-            kind, val, _ = self.peek()
-            if kind == _TOK_OP and val in "+-":
-                self.advance()
-                rhs = self.term()
-                e = Binary(val, e, rhs)
-            else:
+            rhs = self.expr("*/") if ops == "+-" else self.factor()
+            e = rhs if op is None else Binary(op, e, rhs)
+            kind, op, _ = self.peek()
+            if kind != "op" or op not in ops:
                 return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == _TOK_OP and val in "*/":
-                self.advance()
-                rhs = self.factor()
-                e = Binary(val, e, rhs)
-            else:
-                return e
+            self.advance()
 
     def factor(self) -> Expr:
         kind, val, _ = self.peek()
-        if kind == _TOK_OP and val == "-":
+        if kind == "op" and val == "-":
             self.advance()
             return Unary("neg", self.factor())
         return self.power()
@@ -276,7 +243,7 @@ class _Parser:
     def power(self) -> Expr:
         base = self.atom()
         kind, val, off = self.peek()
-        if kind == _TOK_OP and val == "^":
+        if kind == "op" and val == "^":
             self.advance()
             # Exponent is parsed at factor level (binds tighter than '*',
             # and a further '^' nests to the right), then must fold to an
@@ -293,11 +260,11 @@ class _Parser:
 
     def atom(self) -> Expr:
         kind, val, off = self.advance()
-        if kind == _TOK_NUM:
+        if kind == "num":
             if not math.isfinite(float(val)):
                 raise ParseError("number is out of the float range", off)
             return Lit(float(val))
-        if kind == _TOK_IDENT:
+        if kind == "ident":
             if val in FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr()
@@ -310,7 +277,7 @@ class _Parser:
             if val in self.params:
                 return lit(float(self.params[val]))
             raise UnknownIdentifierError(val, self.coords, off)
-        if kind == _TOK_OP and val == "(":
+        if kind == "op" and val == "(":
             e = self.expr()
             self.expect_op(")")
             return e

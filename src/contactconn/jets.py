@@ -516,6 +516,8 @@ class Tape:
     def __init__(self, exprs):
         self.code: list[tuple] = []
         self.nodes: list[Expr] = []
+        # The coordinate of highest index the expressions read, if any.
+        self.widest: Coord | None = None
         slots: dict[tuple, int] = {}
         seen: dict[int, int] = {}
 
@@ -533,6 +535,8 @@ class Tape:
             elif kind is Coord:
                 key = ("coord", node.index, node.name)
                 ins = ("coord", node.index, None)
+                if self.widest is None or node.index > self.widest.index:
+                    self.widest = node
             elif kind is Pow:
                 key = ins = ("pow", slot(node.base), node.exponent)
             elif kind is Unary:
@@ -563,9 +567,15 @@ class Tape:
         (division by zero, sqrt of a negative, a result beyond the float
         range) raise ExprDomainError naming the offending subexpression;
         an output whose value, gradient or Hessian is not finite raises it
-        naming the first such output.
+        naming the first such output. A point too short for a coordinate
+        the expressions read raises ValueError.
         """
         d = len(p)
+        if self.widest is not None and self.widest.index >= d:
+            raise ValueError(
+                f"the expressions read coordinate {self.widest.name!r} "
+                f"(index {self.widest.index}), but the point has {d} coordinates"
+            )
         lits = self._literals.get((d, order))
         if lits is None:
             zero_g = np.zeros(d) if order >= 1 else None

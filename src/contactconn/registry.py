@@ -220,7 +220,7 @@ def _check_fields(spec: ManifoldSpec) -> None:
 
     _require(isinstance(spec.params, Mapping), "params", "must be an object")
     for key, val in spec.params.items():
-        _require(isinstance(key, str) and key.isidentifier(), f"params.{key}", "name must be an identifier")
+        _require(isinstance(key, str) and is_identifier(key), f"params.{key}", "name must be an identifier")
         _require(_is_number(val), f"params.{key}", "value must be a number")
         _require(key not in coords, f"params.{key}", "shadows a coordinate name")
         _require(

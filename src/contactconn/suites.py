@@ -295,12 +295,15 @@ def run_suites(
 ) -> Report:
     """Sample, screen, run the requested suites, and assemble the report.
 
-    suites is an iterable of names from SUITES; duplicates collapse to the
-    first occurrence. 3D-only suites on a higher-dimensional manifold
-    raise SuiteUnavailableError up front, before any sampling. So do the
-    bounds the CLI and load_spec check: a point count below 1 or a seed
-    outside 0 <= seed < 2^64 raises ValueError.
+    suites is an iterable of names from SUITES, not one name as a string;
+    duplicates collapse to the first occurrence. 3D-only suites on a
+    higher-dimensional manifold raise SuiteUnavailableError up front,
+    before any sampling. So do the bounds the CLI and load_spec check: a
+    point count below 1 or a seed outside 0 <= seed < 2^64 raises
+    ValueError.
     """
+    if isinstance(suites, str):
+        raise SuiteUnavailableError(f"suites must be a list of names, not the string {suites!r}")
     requested = []
     for name in suites:
         if name not in SUITES:

@@ -8,7 +8,8 @@ evaluated at a point, interior products, the graded product and pairing
 as loops over single jets, the round trip through the wedge-monomial
 basis of a coframe, a frame's coframe and frame vectors as lists of
 form and vector values. cayley_rotation draws the orthogonal jet
-matrices the frame-change tests hand to rotate_frame. A k-form value is
+matrices the frame-change tests hand to rotate_frame, and chart_spec
+gives the spec of each chart in CHARTS. A k-form value is
 the JetArray of its components on the increasing multi-indices, in
 increasing_indices order.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +33,17 @@ from contactconn.forms import (
     wedge,
 )
 from contactconn.jets import JetArray, jet_linear_solve
+from contactconn.registry import builtin_registry, get_manifold, load_spec
+
+# Every built-in and the 7D chart under tests/data/charts.
+CHARTS = [spec.name for spec in builtin_registry()] + ["heis7.json"]
+
+
+def chart_spec(name):
+    """A built-in's spec, or that of a chart under tests/data/charts."""
+    if name.endswith(".json"):
+        return load_spec(Path(__file__).parent / "data" / "charts" / name)
+    return get_manifold(name)
 
 
 def sum_jets(terms):

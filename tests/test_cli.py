@@ -474,6 +474,13 @@ class TestValidate:
         code, out, err = run(capsys, "validate", "--spec", path)
         assert (code, out, err) == (2, "", f"error: theta[0]: {message}\n")
 
+    def test_non_ascii_digit_exits_two_at_its_offset(self, capsys, tmp_path):
+        path = write_spec(tmp_path, dict(GOOD_SPEC, theta=["-y", "0", "1 + \u00b2"]))
+        code, out, err = run(capsys, "validate", "--spec", path)
+        assert (code, out, err) == (
+            2, "", "error: theta[2]: unexpected character '\u00b2' (at offset 4)\n"
+        )
+
     def test_validate_requires_spec(self, capsys):
         code, _, _ = run(capsys, "validate")
         assert code == 2

@@ -3,7 +3,6 @@ constructions, torsion, H-covariant derivatives, promotion.
 """
 
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,11 +26,12 @@ from contactconn.errors import SymmetryError
 from contactconn.expressions import parse_expr
 from contactconn.forms import FormField, apply_vector
 from contactconn.jets import JetArray, Tape, eval_jet
-from contactconn.registry import builtin_registry, get_manifold, load_spec
 from contactconn.sampling import sample_box
 from form_helpers import (
+    CHARTS,
     assert_within_rounding,
     cayley_rotation,
+    chart_spec,
     evaluate,
     frame_vectors,
     magnitude,
@@ -224,15 +224,6 @@ class TestUniqueness:
             canonical_partial_connection(perturbed, P3, base_perturbation=pert)
 
 
-FRAME_CHARTS = [spec.name for spec in builtin_registry()] + ["heis7.json"]
-
-
-def chart_spec(name):
-    """A built-in's spec, or that of a chart under tests/data/charts."""
-    if name.endswith(".json"):
-        return load_spec(Path(__file__).parent / "data" / "charts" / name)
-    return get_manifold(name)
-
 # Every compared quantity agrees to ~1.4e-14 under these frame changes.
 FRAME_CHANGE_TOL = 1e-12
 
@@ -283,7 +274,7 @@ def frame_change_gaps(name: str) -> dict:
 
 
 class TestFrameIndependence:
-    @pytest.mark.parametrize("name", FRAME_CHARTS)
+    @pytest.mark.parametrize("name", CHARTS)
     def test_frame_change_keeps_the_connection(self, name):
         gaps = frame_change_gaps(name)
         assert all(gap < FRAME_CHANGE_TOL for gap in gaps.values()), gaps
@@ -396,7 +387,7 @@ class TestPromotion:
         assert fc.partial is conn
         form_helpers.assert_same_bits(fc.coeffs[1:], conn.kappa.restrict(fc.coeffs.top))
 
-    @pytest.mark.parametrize("name", [s.name for s in builtin_registry()] + ["heis7.json"])
+    @pytest.mark.parametrize("name", CHARTS)
     def test_reeb_row_is_in_normal_form(self, name):
         # The promoted Reeb direction neither produces nor differentiates
         # a theta_hat component: xi's theta_hat row and column are

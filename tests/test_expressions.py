@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from contactconn.errors import ParseError, UnknownIdentifierError
@@ -14,6 +14,7 @@ from contactconn.expressions import (
     add,
     div,
     diff,
+    is_identifier,
     mul,
     parse_expr,
     pretty,
@@ -81,6 +82,64 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse_expr("x ? y", XYZ)
         assert exc.value.offset == 2
+
+    def test_leading_dot_number(self):
+        assert parse_expr(".5", XYZ) == Lit(0.5)
+        assert parse_expr("x*.5", XYZ) == Binary("*", Coord(0, "x"), Lit(0.5))
+        assert parse_expr(".5e1", XYZ) == Lit(5.0)
+
+    @pytest.mark.parametrize("text, offset", [("1 + \u00b2", 4), ("\u0661 + x", 0), ("8\u0661", 1)])
+    def test_digits_are_ascii(self, text, offset):
+        # A superscript two or an Arabic-Indic digit is no NUMBER, and
+        # cannot start an IDENT.
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, XYZ)
+        assert exc.value.message == f"unexpected character {text[offset]!r}"
+        assert exc.value.offset == offset
+
+    def test_identifiers_go_on_with_any_digit(self):
+        coords = ("x", "y\u00b2", "z\u0661")
+        assert parse_expr("y\u00b2 * z\u0661", coords) == Binary(
+            "*", Coord(1, "y\u00b2"), Coord(2, "z\u0661")
+        )
+
+    @pytest.mark.parametrize("text", ["2e", "1.e+", "3ex", ".5E-"])
+    def test_exponent_without_digits_is_malformed_at_the_number(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_expr("x + " + text, XYZ)
+        assert (exc.value.message, exc.value.offset) == ("malformed number literal", 4)
+
+    def test_an_e_after_a_whole_exponent_is_the_next_token(self):
+        with pytest.raises(ParseError) as exc:
+            parse_expr("2e3e", XYZ)
+        assert (exc.value.message, exc.value.offset) == ("unexpected trailing input 'e'", 3)
+        assert parse_expr("2e3*e", XYZ) == Binary("*", Lit(2000.0), Lit(math.e))
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("x", True), ("_1", True), ("\u03b8", True), ("b\u00b2", True), ("\u00b2", False),
+         ("\u0661", False), ("1a", False), ("a\u00b7b", False), ("x ", False), ("", False)],
+    )
+    def test_is_identifier(self, text, expected):
+        assert is_identifier(text) is expected
+
+
+# The pieces of the differential fuzz recorded in CHANGES.md.
+PIECES = list("xyzab_0123456789.eE+-*/^()") + [
+    " ", "\t", "\n", "**", "sin(", "sqrt(", "pi", "\u03b8", "\u00b7", "?", "\u00b2", "\u0661",
+]
+
+
+# At most 30 pieces: 198 nested parentheses exceed Python's recursion
+# limit, a RecursionError. A superscript two once raised ValueError.
+@given(st.lists(st.sampled_from(PIECES), max_size=30).map("".join))
+@example("1 + \u00b2")
+def test_parse_gives_a_tree_or_a_parse_error(text):
+    try:
+        e = parse_expr(text, XYZ, {"a": 1.5})
+    except ParseError:
+        return
+    assert isinstance(e, (Lit, Coord, Unary, Binary, Pow))
 
 
 # A corpus in canonical printer style; pretty(parse(s)) must reproduce each

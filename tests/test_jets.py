@@ -1,5 +1,4 @@
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 
 from contactconn.errors import ExprDomainError, SingularMatrixError
 from contactconn.expressions import Binary, Coord, Lit, Pow, Unary, diff, parse_expr, pretty
+from contactconn.forms import FormField
 from contactconn.jets import (
     Jet,
     JetArray,
@@ -17,9 +17,17 @@ from contactconn.jets import (
     jet_cholesky,
     jet_linear_solve,
 )
-from contactconn.registry import builtin_registry, load_spec
 from contactconn.sampling import sample_box
-from form_helpers import assert_same_bits, magnitude, stack, sum_jets, tape_oracle, tree_walk_jet
+from form_helpers import (
+    CHARTS,
+    assert_same_bits,
+    chart_spec,
+    magnitude,
+    stack,
+    sum_jets,
+    tape_oracle,
+    tree_walk_jet,
+)
 
 XYZ = ("x", "y", "z")
 
@@ -746,15 +754,6 @@ class TestElementaryFunctions:
 # -- the input tape against a plain tree walk -------------------------------
 
 
-CHARTS = [spec.name for spec in builtin_registry()] + ["heis7.json"]
-
-
-def chart(name):
-    if name.endswith(".json"):
-        return load_spec(Path(__file__).parent / "data" / "charts" / name)
-    return next(s for s in builtin_registry() if s.name == name)
-
-
 def chart_inputs(cs):
     """theta's, dtheta's and g's expressions, in the tape's order."""
     d = cs.dim
@@ -782,9 +781,19 @@ def distinct_nodes(exprs):
 
 
 class TestTape:
+    def test_a_point_too_short_for_a_coordinate_is_refused(self):
+        message = r"read coordinate 'z' \(index 2\), but the point has 2 coordinates"
+        with pytest.raises(ValueError, match=message):
+            eval_jet(parse_expr("z", ("x", "y", "z")), (0.1, 0.2), 2)
+        form = FormField.one_form([parse_expr(t, ("x", "y", "z")) for t in ("x", "z*y", "y")])
+        with pytest.raises(ValueError, match=message):
+            form.eval((0.1, 0.2), 1)
+        # A longer point is a point of a higher-dimensional chart.
+        assert eval_jet(parse_expr("y", ("x", "y")), (0.1, 0.2, 0.3), 1).grad.tolist() == [0, 1, 0]
+
     @pytest.mark.parametrize("name", CHARTS)
     def test_inputs_match_tree_walk_bit_for_bit(self, name):
-        spec = chart(name)
+        spec = chart_spec(name)
         cs = spec.build()
         exprs = chart_inputs(cs)
         tape = cs.input_tape
@@ -815,7 +824,7 @@ class TestTape:
             assert_same_bits(j, tree_walk_jet(e, p, 2))
 
     def test_sphere_chart_tape_shares_most_nodes(self):
-        cs = chart("sphere-chart").build()
+        cs = chart_spec("sphere-chart").build()
         assert len(cs.input_tape.code) < distinct_nodes(chart_inputs(cs)) // 2
 
     def test_signed_zero_literals_get_distinct_slots(self):
@@ -838,9 +847,9 @@ class TestTape:
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_literal_slots_built_once_and_never_changed(self, order):
-        cs = chart("sphere-chart").build()
+        cs = chart_spec("sphere-chart").build()
         tape = Tape(chart_inputs(cs))
-        p, q = sample_box(chart("sphere-chart").box, 2, 5)
+        p, q = sample_box(chart_spec("sphere-chart").box, 2, 5)
         first = tape.eval(p, order)
         lits = tape._literals[(3, order)]
         assert lits and all(op == "lit" for op, _, _ in (tape.code[s] for s in lits))
@@ -987,7 +996,7 @@ def assert_tape_matches_oracle(tape, exprs, p, order):
 class TestTapeOracle:
     @pytest.mark.parametrize("name", CHARTS)
     def test_chart_tape_matches_oracle(self, name):
-        spec = chart(name)
+        spec = chart_spec(name)
         cs = spec.build()
         d = cs.dim
         # Sample points, then points where products or powers leave the

@@ -409,6 +409,16 @@ class TestSpecBuiltInCode:
         spec = code_spec(g=(("1", "x* y", "0"), ("(x)*y", "a", "0"), ("0", "0", "0")))
         assert spec.build().g[0][1] == spec.build().g[1][0]
 
+    def test_parameter_names_follow_the_identifier_token(self):
+        # A parameter is accepted exactly when an expression can name it.
+        spec = code_spec(
+            params={"b\u00b2": 1.5}, g=(("1", "0", "0"), ("0", "b\u00b2", "0"), ("0", "0", "0"))
+        )
+        assert spec.build().g[1][1] == Lit(1.5)
+        with pytest.raises(SpecError, match=r"^params\.a\u00b7b: name must be an identifier$") as info:
+            code_spec(params={"a\u00b7b": 2.0})
+        assert info.value.field == "params.a\u00b7b"
+
     @pytest.mark.parametrize("name", ["e", "sin"])
     def test_parameter_shadowing_a_builtin_rejected(self, name):
         with pytest.raises(SpecError, match=rf"params\.{name}: shadows a built-in"):

@@ -294,6 +294,12 @@ class TestAvailability:
         with pytest.raises(SuiteUnavailableError, match="unknown suite 'spectral'"):
             run_suites(get_manifold("heisenberg"), ["spectral"], points=1)
 
+    def test_one_name_as_a_string_is_refused(self):
+        # A string is an iterable of its characters, not a list of names.
+        message = "suites must be a list of names, not the string 'contact'"
+        with pytest.raises(SuiteUnavailableError, match=message):
+            run_suites(get_manifold("heisenberg"), "contact", points=1)
+
     def test_empty_request(self):
         with pytest.raises(SuiteUnavailableError, match="no suites requested"):
             run_suites(get_manifold("heisenberg"), [], points=1)

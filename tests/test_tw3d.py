@@ -101,6 +101,12 @@ class TestStructureEquations:
 
 
 class TestRotation:
+    def test_an_angle_of_a_wider_chart_is_refused(self, perturbed):
+        td = solve_structure_equations(tw_coframe(perturbed, P3))
+        phi = parse_expr("w", ("x", "y", "z", "w"))
+        with pytest.raises(ValueError, match=r"coordinate 'w' \(index 3\), but the point has 3"):
+            check_rotation_covariance(td, phi)
+
     def test_zero_angle_is_identity(self, perturbed):
         frame = tw_coframe(perturbed, P3)
         rotated = rotate_coframe(frame, 0.0)
