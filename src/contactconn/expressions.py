@@ -12,18 +12,24 @@ nodes).
     factor := '-' factor | power
     power  := atom (('^' | '**') factor)?
     atom   := NUMBER | 'pi' | 'e' | FUNC '(' expr ')' | COORD | PARAM | '(' expr ')'
+
+Parsing nests at most MAX_NESTING levels; every other walk of a tree is a loop.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ParseError, UnknownIdentifierError
+from .errors import ExprDomainError, ParseError, UnknownIdentifierError
 
 FUNCTIONS = ("sqrt", "sin", "cos", "exp")
 CONSTANTS = {"pi": math.pi, "e": math.e}
+# Parenthesized expressions, function arguments, unary minuses and
+# exponents open a level each; the parser takes at most five frames a level.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,36 @@ class Pow:
 
 
 Expr = Lit | Coord | Unary | Binary | Pow
+
+
+def _operands(node: Expr) -> tuple:
+    kind = type(node)
+    if kind is Binary:
+        return (node.lhs, node.rhs)
+    if kind is Unary or kind is Pow:
+        return (node.arg if kind is Unary else node.base,)
+    if kind is Lit or kind is Coord:
+        return ()
+    raise TypeError(f"not an Expr: {node!r}")
+
+
+def _postorder(roots) -> list[Expr]:
+    """Every distinct node object under roots once, operands first, in the
+    order a recursive walk of each root in turn finishes them, at any depth:
+    every consumer of a tree folds over this list, keyed by node id."""
+    order: list[Expr] = []
+    listed: dict[int, bool] = {}  # False while a node's operands are walked
+    stack = list(roots)[::-1]
+    while stack:
+        node = stack.pop()
+        state = listed.get(id(node))
+        if state is None and (operands := _operands(node)):
+            listed[id(node)] = False
+            stack += (node, *operands[::-1])
+        elif not state:
+            listed[id(node)] = True
+            order.append(node)
+    return order
 
 
 # Smart constructors. They fold the zeros and ones that structural
@@ -192,11 +228,11 @@ def is_identifier(text: str) -> bool:
 
 class _Parser:
     def __init__(self, text: str, coords: tuple[str, ...], params):
-        self.text = text
         self.coords = coords
         self.params = params
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # factors being parsed: one more than the open levels
 
     def peek(self):
         return self.toks[self.pos]
@@ -211,13 +247,6 @@ class _Parser:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}", off)
         return self.advance()
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, val, off = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", off)
-        return e
 
     def expr(self, ops: str = "+-") -> Expr:
         """Operands joined by operators in ops, folded to the left: terms
@@ -234,26 +263,36 @@ class _Parser:
             self.advance()
 
     def factor(self) -> Expr:
+        # Each level's operand is a factor parsed right after the token that
+        # opens the level, so the factors being parsed count the open levels.
+        if self.depth > MAX_NESTING:
+            opener = self.toks[self.pos - 1][2]
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", opener)
+        self.depth += 1
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return Unary("neg", self.factor())
-        return self.power()
+            e = Unary("neg", self.factor())
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
         kind, val, off = self.peek()
         if kind == "op" and val == "^":
+            from .jets import eval_jet  # jets imports this module
             self.advance()
             # Exponent is parsed at factor level (binds tighter than '*',
             # and a further '^' nests to the right), then must fold to an
-            # integer constant.
+            # integer constant: its value on the tape at the empty point.
             exponent = self.factor()
             try:
-                k = _const_eval(exponent)
-            except (ArithmeticError, ValueError):
+                k = float(eval_jet(exponent, (), 0).value)
+            except (ExprDomainError, ValueError):
                 k = None
-            if k is None or not math.isfinite(k) or k != int(k):
+            if k is None or k != int(k):
                 raise ParseError("exponent must be an integer constant", off)
             return Pow(base, int(k))
         return base
@@ -281,39 +320,7 @@ class _Parser:
             e = self.expr()
             self.expect_op(")")
             return e
-        raise ParseError(
-            "expected a number, identifier or parenthesized expression", off
-        )
-
-
-def _const_eval(e: Expr) -> float | None:
-    """Value of a coordinate-free subtree, or None if it has coordinates."""
-    match e:
-        case Lit(v):
-            return v
-        case Coord():
-            return None
-        case Unary("neg", a):
-            v = _const_eval(a)
-            return None if v is None else -v
-        case Unary(op, a):
-            v = _const_eval(a)
-            return None if v is None else getattr(math, op)(v)
-        case Binary(op, a, b):
-            va, vb = _const_eval(a), _const_eval(b)
-            if va is None or vb is None:
-                return None
-            if op == "+":
-                return va + vb
-            if op == "-":
-                return va - vb
-            if op == "*":
-                return va * vb
-            return va / vb
-        case Pow(a, k):
-            v = _const_eval(a)
-            return None if v is None else v**k
-    return None
+        raise ParseError("expected a number, identifier or parenthesized expression", off)
 
 
 def parse_expr(text: str, coords, params=None) -> Expr:
@@ -327,7 +334,12 @@ def parse_expr(text: str, coords, params=None) -> Expr:
     and UnknownIdentifierError naming the known coordinates when an
     identifier is not recognized.
     """
-    return _Parser(text, tuple(coords), params or {}).parse()
+    parser = _Parser(text, tuple(coords), params or {})
+    e = parser.expr()
+    kind, val, off = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {val!r}", off)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -347,67 +359,65 @@ def pretty(e: Expr) -> str:
     """Render with minimal parentheses; parse(pretty(e)) == e structurally
     for every tree the parser or the smart constructors build (a negative
     literal built by hand prints as a negation of a literal)."""
+    order = _postorder((e,))
+    # A text is dropped once its last reader has read it, so memory stays linear.
+    readers = Counter(id(a) for node in order for a in _operands(node))
+    done: dict[int, tuple[str, int]] = {}  # id -> (text, precedence)
 
-    def go(node: Expr, parent_prec: int) -> str:
-        match node:
-            case Lit(v):
-                s = _fmt_number(v)
-                # A negative literal behaves like a negation node.
-                return f"({s})" if v < 0 and parent_prec > _PREC["neg"] else s
-            case Coord(_, name):
-                return name
-            case Unary("neg", a):
-                s = "-" + go(a, _PREC["neg"])
-                return f"({s})" if parent_prec > _PREC["neg"] else s
-            case Unary(op, a):
-                return f"{op}({go(a, 0)})"
-            case Binary(op, a, b):
-                prec = _PREC[op]
-                s = f"{go(a, prec)} {op} {go(b, prec + 1)}"
-                return f"({s})" if parent_prec > prec else s
-            case Pow(a, k):
-                s = f"{go(a, _PREC['pow'] + 1)}^{k}"
-                return f"({s})" if parent_prec > _PREC["pow"] else s
-        raise TypeError(f"not an Expr: {node!r}")
+    def operand(node: Expr, parent_prec: int) -> str:
+        readers[id(node)] -= 1
+        s, prec = done[id(node)] if readers[id(node)] else done.pop(id(node))
+        return f"({s})" if parent_prec > prec else s
 
-    return go(e, 0)
+    for node in order:
+        kind = type(node)
+        if kind is Lit:
+            # A negative literal behaves like a negation node.
+            text = _fmt_number(node.value), _PREC["neg" if node.value < 0 else "atom"]
+        elif kind is Coord:
+            text = node.name, _PREC["atom"]
+        elif kind is Unary and node.op == "neg":
+            text = "-" + operand(node.arg, _PREC["neg"]), _PREC["neg"]
+        elif kind is Unary:
+            text = f"{node.op}({operand(node.arg, 0)})", _PREC["atom"]
+        elif kind is Binary:
+            p = _PREC[node.op]
+            text = f"{operand(node.lhs, p)} {node.op} {operand(node.rhs, p + 1)}", p
+        else:
+            text = f"{operand(node.base, _PREC['pow'] + 1)}^{node.exponent}", _PREC["pow"]
+        done[id(node)] = text
+    return done[id(e)][0]
 
 
 # ---------------------------------------------------------------------------
 # Differentiation
+
+# Per operator, a node's derivative from the node and its operands' derivatives.
+_DIFF_RULES = {
+    "+": lambda e, da, db: add(da, db),
+    "-": lambda e, da, db: sub(da, db),
+    "*": lambda e, da, db: add(mul(da, e.rhs), mul(e.lhs, db)),
+    "/": lambda e, da, db: div(sub(mul(da, e.rhs), mul(e.lhs, db)), mul(e.rhs, e.rhs)),
+    "neg": lambda e, da: neg(da),
+    "sqrt": lambda e, da: div(da, mul(lit(2.0), e)),
+    "sin": lambda e, da: mul(Unary("cos", e.arg), da),
+    "cos": lambda e, da: neg(mul(Unary("sin", e.arg), da)),
+    "exp": lambda e, da: mul(e, da),
+    "pow": lambda e, da: mul(mul(lit(float(e.exponent)), pow_int(e.base, e.exponent - 1)), da),
+}
+
 
 def diff(e: Expr, i: int) -> Expr:
     """Partial derivative with respect to coordinate index `i`.
 
     Purely structural; the result is another tree in the same grammar.
     """
-    kind = type(e)
-    if kind is Lit:
-        return _ZERO
-    if kind is Coord:
-        return _ONE if e.index == i else _ZERO
-    if kind is Binary:
-        op, a, b = e.op, e.lhs, e.rhs
-        if op == "*":
-            return add(mul(diff(a, i), b), mul(a, diff(b, i)))
-        if op == "+":
-            return add(diff(a, i), diff(b, i))
-        if op == "-":
-            return sub(diff(a, i), diff(b, i))
-        if op == "/":
-            return div(sub(mul(diff(a, i), b), mul(a, diff(b, i))), mul(b, b))
-    elif kind is Unary:
-        op, a = e.op, e.arg
-        if op == "neg":
-            return neg(diff(a, i))
-        if op == "sqrt":
-            return div(diff(a, i), mul(lit(2.0), Unary("sqrt", a)))
-        if op == "sin":
-            return mul(Unary("cos", a), diff(a, i))
-        if op == "cos":
-            return neg(mul(Unary("sin", a), diff(a, i)))
-        if op == "exp":
-            return mul(Unary("exp", a), diff(a, i))
-    elif kind is Pow:
-        return mul(mul(lit(float(e.exponent)), pow_int(e.base, e.exponent - 1)), diff(e.base, i))
-    raise TypeError(f"not an Expr: {e!r}")
+    d: dict[int, Expr] = {}
+    for node in _postorder((e,)):
+        kind = type(node)
+        if kind is Lit or kind is Coord:
+            d[id(node)] = _ONE if kind is Coord and node.index == i else _ZERO
+        else:
+            rule = _DIFF_RULES["pow" if kind is Pow else node.op]
+            d[id(node)] = rule(node, *[d[id(a)] for a in _operands(node)])
+    return d[id(e)]

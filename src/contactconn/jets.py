@@ -80,7 +80,7 @@ from .errors import (
     LinearSolveResidualError,
     SingularMatrixError,
 )
-from .expressions import Binary, Coord, Expr, Lit, Pow, Unary, pretty
+from .expressions import Binary, Coord, Expr, Lit, Pow, _postorder, pretty
 
 
 # -- propagation rules -------------------------------------------------------
@@ -191,13 +191,13 @@ _ELEMENTARY = {
 }
 
 
-def _powi(k: int):
+def _powi(k: int, order: int):
     """The integer power k as such a map, on Python floats as the **
-    operator gives it."""
+    operator gives it; a derivative above order is 0.0, not taken."""
     return lambda v: (
         v**k,
-        k * v ** (k - 1) if k != 0 else 0.0,
-        k * (k - 1) * v ** (k - 2) if k not in (0, 1) else 0.0,
+        k * v ** (k - 1) if k != 0 and order >= 1 else 0.0,
+        k * (k - 1) * v ** (k - 2) if k not in (0, 1) and order >= 2 else 0.0,
     )
 
 
@@ -421,7 +421,7 @@ class JetArray:
     def powi(self, k: int) -> "JetArray":
         """The integer power k, on Python floats as the ** operator gives it."""
         _check_powi(self.value, k)
-        return self._chain(_powi(k))
+        return self._chain(_powi(k, self.top))
 
     # -- calculus ------------------------------------------------------------
 
@@ -504,13 +504,13 @@ class Tape:
     Every distinct subexpression gets one slot, keyed on its node kind and
     its child slots (literals on float.hex, so 0.0 and -0.0 stay apart),
     and is evaluated once per call however often the trees repeat it.
-    Compiling memoizes on node identity, so it takes time linear in the
-    number of distinct node objects. Slots run in the post-order of their
-    first appearance across the expressions, the order a walk of each tree
-    in turn visits them, and every slot applies to single jets the rule
-    that walk would; so each output has the bits of evaluating its tree
-    alone, and the first domain error names the subexpression that walk
-    would.
+    Compiling is one loop over expressions._postorder of the trees, so it
+    takes time linear in the number of distinct node objects, at any
+    depth. Slots run in the post-order of their first appearance across
+    the expressions, the order a walk of each tree in turn visits them,
+    and every slot applies to single jets the rule that walk would; so
+    each output has the bits of evaluating its tree alone, and the first
+    domain error names the subexpression that walk would.
     """
 
     def __init__(self, exprs):
@@ -519,39 +519,29 @@ class Tape:
         # The coordinate of highest index the expressions read, if any.
         self.widest: Coord | None = None
         slots: dict[tuple, int] = {}
-        seen: dict[int, int] = {}
-
-        def slot(node: Expr) -> int:
-            s = seen.get(id(node))
-            if s is not None:
-                return s
+        slot_of: dict[int, int] = {}  # node id -> slot
+        for node in _postorder(exprs):
             kind = type(node)
             if kind is Binary:
-                key = ins = (node.op, slot(node.lhs), slot(node.rhs))
+                key = ins = (node.op, slot_of[id(node.lhs)], slot_of[id(node.rhs)])
             elif kind is Lit:
                 v = float(node.value)
-                key = ("lit", v.hex())
-                ins = ("lit", v, None)
+                key, ins = ("lit", v.hex()), ("lit", v, None)
             elif kind is Coord:
-                key = ("coord", node.index, node.name)
-                ins = ("coord", node.index, None)
+                key, ins = ("coord", node.index, node.name), ("coord", node.index, None)
                 if self.widest is None or node.index > self.widest.index:
                     self.widest = node
             elif kind is Pow:
-                key = ins = ("pow", slot(node.base), node.exponent)
-            elif kind is Unary:
-                key = ins = (node.op, slot(node.arg), None)
+                key = ins = ("pow", slot_of[id(node.base)], node.exponent)
             else:
-                raise TypeError(f"not an Expr: {node!r}")
+                key = ins = (node.op, slot_of[id(node.arg)], None)
             s = slots.get(key)
             if s is None:
                 s = slots[key] = len(self.code)
                 self.code.append(ins)
                 self.nodes.append(node)
-            seen[id(node)] = s
-            return s
-
-        self.outputs = [slot(e) for e in exprs]
+            slot_of[id(node)] = s
+        self.outputs = [slot_of[id(e)] for e in exprs]
         # The literal slots' parts (value, grad, hess) per (dim, order),
         # keyed by slot and built on first use; no rule writes to its
         # operands, so every call shares them.
@@ -608,7 +598,7 @@ class Tape:
                     elif op == "pow":
                         v, g, h = vals[a]
                         _check_powi(v, b)
-                        push(_chain_rule(k, *_elementary(_powi(b), v), g, h))
+                        push(_chain_rule(k, *_elementary(_powi(b, k), v), g, h))
                     elif op == "sqrt":
                         push(_sqrt_rule(k, *vals[a]))
                     else:

@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 from .contact import ContactStructure
 from .errors import ParseError, SpecError, UnknownManifoldError
-from .expressions import CONSTANTS, FUNCTIONS, is_identifier, parse_expr
+from .expressions import CONSTANTS, FUNCTIONS, is_identifier, parse_expr, pretty
 from .forms import FormField
 from .sampling import run_bound_violation
 
@@ -131,11 +131,11 @@ def _compiled_chart(coords, theta, g, param_bits) -> ContactStructure:
     g_exprs = tuple(
         tuple(parse_field(g[i][j], f"g[{i}][{j}]") for j in range(dim)) for i in range(dim)
     )
-    # Symmetry as given: entries must be the same expression up to
-    # whitespace, compared structurally after parsing.
+    # Symmetry as given: entries must print the same, which parsing gives
+    # back exactly (a dataclass == would recurse over deep trees).
     for i in range(dim):
         for j in range(i + 1, dim):
-            if g_exprs[i][j] != g_exprs[j][i]:
+            if pretty(g_exprs[i][j]) != pretty(g_exprs[j][i]):
                 raise SpecError(f"not symmetric with g[{j}][{i}]", f"g[{i}][{j}]")
     return ContactStructure(coords, theta_field, g_exprs)
 

@@ -8,8 +8,9 @@ evaluated at a point, interior products, the graded product and pairing
 as loops over single jets, the round trip through the wedge-monomial
 basis of a coframe, a frame's coframe and frame vectors as lists of
 form and vector values. cayley_rotation draws the orthogonal jet
-matrices the frame-change tests hand to rotate_frame, and chart_spec
-gives the spec of each chart in CHARTS. A k-form value is
+matrices the frame-change tests hand to rotate_frame, chart_spec gives
+the spec of each chart in CHARTS, and webster_kappa is the Koszul route
+to the canonical connection's kappa. A k-form value is
 the JetArray of its components on the increasing multi-indices, in
 increasing_indices order.
 """
@@ -363,3 +364,36 @@ def scalar_nabla_H_vector(
             corr = sum_jets(kappa[a, B, C] * v[C] for C in range(len(v)))
             entries.append(der[a, B] + corr if absolute else der[a, B] - corr)
     return stack(entries).reshape(len(X), len(v))
+
+
+def webster_kappa(frame: AdaptedFrame) -> np.ndarray:
+    """The H-rows of the canonical connection's kappa by the Koszul route
+    of docs/oracles.md section 12, from values and gradients alone: entry
+    [a, b, c] is -e^b(nabla_{X_a} X_c), nabla the Levi-Civita connection
+    of the Webster metric ghat = P^T g P + theta_hat theta_hat^T, with
+    P = I - T theta_hat^T, at frame's point. Its Christoffel symbols come
+    from the Koszul formula on ghat's gradient and the inverse of its
+    value. Reads frame's T, theta_hat, X and coframe and the input g;
+    none of D, sigma, sigma_inv or the kappa assembly."""
+    th, dth = frame.theta_hat.value, frame.theta_hat.grad  # dth[j, k] = d_k theta_hat_j
+    T, dT = frame.T.value, frame.T.grad
+    g, dg = frame.inputs.G.value, frame.inputs.G.grad  # dg[i, j, k] = d_k g_ij
+    P = np.eye(len(th)) - np.outer(T, th)
+    dP = -(T[:, None, None] * dth[None] + dT[:, None, :] * th[None, :, None])
+    gh = P.T @ g @ P + np.outer(th, th)
+    dgh = (
+        np.einsum("lik,lm,mj->ijk", dP, g, P)
+        + np.einsum("li,lmk,mj->ijk", P, dg, P)
+        + np.einsum("li,lm,mjk->ijk", P, g, dP)
+        + dth[:, None, :] * th[None, :, None]
+        + th[:, None, None] * dth[None]
+    )
+    # Gamma[k, i, j] = 1/2 ghat^kl (d_i ghat_jl + d_j ghat_il - d_l ghat_ij)
+    lowered = 0.5 * (
+        np.einsum("jli->lij", dgh) + np.einsum("ilj->lij", dgh) - np.einsum("ijl->lij", dgh)
+    )
+    Gamma = np.einsum("kl,lij->kij", np.linalg.inv(gh), lowered)
+    X, dX = frame.X.value, frame.X.grad  # dX[c, k, i] = d_i X_c^k
+    nabla = np.einsum("ai,cki->ack", X, dX) + np.einsum("kij,ai,cj->ack", Gamma, X, X)
+    e = frame.coframe_array.value[1:]
+    return -np.einsum("bk,ack->abc", e, nabla)

@@ -481,6 +481,52 @@ class TestValidate:
             2, "", "error: theta[2]: unexpected character '\u00b2' (at offset 4)\n"
         )
 
+    @pytest.mark.parametrize(
+        "theta_z", ["(" * 198 + "x" + ")" * 198, "-" * 990 + "x"], ids=["parens", "minuses"]
+    )
+    def test_nesting_past_the_bound_exits_two_at_its_offset(self, capsys, tmp_path, theta_z):
+        path = write_spec(tmp_path, dict(GOOD_SPEC, theta=["-y", "0", theta_z]))
+        code, out, err = run(capsys, "validate", "--spec", path)
+        assert (code, out, err) == (
+            2, "", "error: theta[2]: expression nests deeper than 100 levels (at offset 100)\n"
+        )
+
     def test_validate_requires_spec(self, capsys):
         code, _, _ = run(capsys, "validate")
         assert code == 2
+
+
+def long_sum(first, term, n):
+    """first followed by n - 1 copies of term, joined by ' + '."""
+    return " + ".join([first] + [term] * (n - 1))
+
+
+class TestLargeCharts:
+    """Charts whose trees are thousands of levels deep: every walk of a
+    tree but the bounded parser is a loop, so size is no limit."""
+
+    @pytest.mark.parametrize(
+        "theta_z, g01",
+        [
+            (long_sum("1", "0.0002*x", 5000), "0"),
+            ("*".join(["(1+0.0002*x)"] * 5000), "0"),
+            ("1", long_sum("0.00001*x", "0.00001*x", 5001)),
+        ],
+        ids=["sum", "product", "metric-entry"],
+    )
+    def test_validate_and_analyze_pass(self, capsys, tmp_path, theta_z, g01):
+        g = [["1", g01, "0"], [g01, "1", "0"], ["0", "0", "0"]]
+        path = write_spec(tmp_path, dict(GOOD_SPEC, theta=["-y", "0", theta_z], g=g, points=2))
+        assert run(capsys, "validate", "--spec", path)[0] == 0
+        code, out, _ = run(capsys, "analyze", "--spec", path, "--suites", "contact")
+        assert code == 0 and json.loads(out)["passed"] is True
+
+    def test_a_domain_error_in_a_long_metric_entry_is_a_typed_skip(self, capsys, tmp_path):
+        entry = "sqrt(" + " - ".join(["-1"] + ["0.001*x"] * 1000) + ")"
+        g = [["1", entry, "0"], [entry, "1", "0"], ["0", "0", "0"]]
+        path = write_spec(tmp_path, dict(GOOD_SPEC, g=g, points=2))
+        assert run(capsys, "validate", "--spec", path)[0] == 0
+        code, out, err = run(capsys, "analyze", "--spec", path, "--suites", "contact")
+        assert (code, out) == (2, "")
+        text = "sqrt(-1" + " - 0.001 * x" * 1000 + ")"
+        assert f"2 points: sqrt of negative value in {text!r}" in err

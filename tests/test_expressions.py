@@ -1,11 +1,13 @@
 import math
+import sys
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from contactconn.errors import ParseError, UnknownIdentifierError
+from contactconn.errors import ExprDomainError, ParseError, UnknownIdentifierError
 from contactconn.expressions import (
+    MAX_NESTING,
     Binary,
     Coord,
     Lit,
@@ -20,7 +22,7 @@ from contactconn.expressions import (
     pretty,
     sub,
 )
-from contactconn.jets import eval_jet
+from contactconn.jets import Tape, eval_jet
 
 XYZ = ("x", "y", "z")
 
@@ -65,6 +67,25 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_expr("x^pi", XYZ)
         assert ev("x^-2", (2.0, 0, 0)) == 0.25
+
+    @pytest.mark.parametrize(
+        "text", ["x^y", "x^0.5", "x^(1/0)", "x^sqrt(0-1)", "x^(1e200^2)", "x^exp(1000)", "x^(0^-1)"]
+    )
+    def test_every_failed_exponent_fold_is_refused_at_the_caret(self, text):
+        # A coordinate, a domain error, an overflow or a non-integer value.
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, XYZ)
+        assert (exc.value.message, exc.value.offset) == ("exponent must be an integer constant", 1)
+
+    @pytest.mark.parametrize(
+        "text, printed",
+        [("x^(0*0.5^-1023)", "x^0"), ("2^1^9^199", "2^1"), ("x^(1/(1e308*10))", "x^0"),
+         ("x^(2^1023/2^1022)", "x^2"), ("x^--3", "x^3")],
+    )
+    def test_exponents_fold_by_their_value_alone(self, text, printed):
+        # The fold is an order-0 evaluation, which takes no derivative of a
+        # power: those of 0.5^-1023 and 1^(9^199) leave the float range.
+        assert pretty(parse_expr(text, XYZ)) == printed
 
     def test_double_star_alias(self):
         assert ev("x**3", (2.0, 0, 0)) == 8.0
@@ -124,15 +145,44 @@ class TestParse:
         assert is_identifier(text) is expected
 
 
+class TestNestingBound:
+    @pytest.mark.parametrize(
+        "opener, closer, levels, offset",
+        [("(", ")", 1, 100), ("-", "", 1, 100), ("sin(", ")", 1, 403), ("1^", "", 1, 201),
+         ("-(", ")", 2, 100)],
+        ids=["parenthesis", "minus", "function", "exponent", "minus-parenthesis"],
+    )
+    def test_the_token_opening_level_101_is_refused_at_its_offset(
+        self, opener, closer, levels, offset
+    ):
+        # Each parenthesis, function argument, unary minus and exponent
+        # opens a level; every opener here opens `levels` of them.
+        assert MAX_NESTING == 100
+        n = MAX_NESTING // levels
+        assert pretty(parse_expr(opener * n + "1" + closer * n, XYZ)) != ""
+        deeper = opener * (n + 1) + "1" + closer * (n + 1)
+        with pytest.raises(ParseError) as exc:
+            parse_expr(deeper, XYZ)
+        assert (exc.value.message, exc.value.offset) == (
+            "expression nests deeper than 100 levels", offset
+        )
+
+    def test_levels_close_with_their_operand(self):
+        # 150 parenthesized terms side by side are one level each.
+        text = " + ".join(["(x)"] * 150) + " + " + "(" * 100 + "y" + ")" * 100
+        assert pretty(parse_expr(text, XYZ)) == " + ".join(["x"] * 150) + " + y"
+
+
 # The pieces of the differential fuzz recorded in CHANGES.md.
 PIECES = list("xyzab_0123456789.eE+-*/^()") + [
     " ", "\t", "\n", "**", "sin(", "sqrt(", "pi", "\u03b8", "\u00b7", "?", "\u00b2", "\u0661",
 ]
 
 
-# At most 30 pieces: 198 nested parentheses exceed Python's recursion
-# limit, a RecursionError. A superscript two once raised ValueError.
-@given(st.lists(st.sampled_from(PIECES), max_size=30).map("".join))
+# Up to 300 pieces, so strings that nest past MAX_NESTING are drawn too;
+# 198 nested parentheses once raised RecursionError, and a superscript two
+# ValueError.
+@given(st.lists(st.sampled_from(PIECES), max_size=300).map("".join))
 @example("1 + \u00b2")
 def test_parse_gives_a_tree_or_a_parse_error(text):
     try:
@@ -309,3 +359,88 @@ class TestDiff:
             if not np.isfinite(fd) or abs(fd) > 1e6:
                 return
             assert d_val == pytest.approx(fd, rel=1e-4, abs=1e-4)
+
+
+# -- trees deeper than Python's recursion limit ------------------------------
+
+DEPTH = 5000
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Python's default recursion limit, whatever the runner set."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def deep_sum(n):
+    """1 + 0.0002*x + ... with n terms, folded to the left as the parser
+    folds it, one term object shared by every level."""
+    term = Binary("*", Lit(0.0002), Coord(0, "x"))
+    e = Lit(1.0)
+    for _ in range(n - 1):
+        e = Binary("+", e, term)
+    return e
+
+
+def grad_of_sum(n):
+    """d/dx of deep_sum(n): 0.0002 added n - 1 times, in order."""
+    grad = 0.0
+    for _ in range(n - 1):
+        grad += 0.0002
+    return grad
+
+
+def deep_sine(n):
+    """sin(sin(...sin(x)...)), n calls deep."""
+    e = Coord(0, "x")
+    for _ in range(n):
+        e = Unary("sin", e)
+    return e
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestDeepTrees:
+    # Compared by printed text and by evaluation: the dataclass == of two
+    # such trees would itself recurse.
+    P = (0.5, 0.25, -0.25)
+
+    def test_pretty_and_parse(self):
+        text = "1" + " + 0.0002 * x" * (DEPTH - 1)
+        assert pretty(deep_sum(DEPTH)) == text
+        assert pretty(parse_expr(text, XYZ)) == text
+        assert pretty(deep_sine(DEPTH)) == "sin(" * DEPTH + "x" + ")" * DEPTH
+
+    def test_pretty_of_a_shared_deep_operand(self):
+        s = deep_sum(DEPTH)
+        text = pretty(s)
+        assert pretty(Binary("*", s, Unary("neg", s))) == f"({text}) * -({text})"
+
+    def test_tape_matches_a_fold_bit_for_bit(self):
+        value = 1.0
+        for _ in range(DEPTH - 1):
+            value += 0.0002 * self.P[0]
+        j = Tape([deep_sum(DEPTH)]).eval(self.P, 2)
+        assert j.value.tolist() == [value]
+        assert j.grad.tolist() == [[grad_of_sum(DEPTH), 0.0, 0.0]]
+        assert not j.hess.any()
+
+    def test_diff_evaluates_to_the_tape_gradient(self):
+        e = deep_sine(DEPTH)
+        value, grad = self.P[0], 1.0
+        for _ in range(DEPTH):
+            value, grad = math.sin(value), math.cos(value) * grad
+        j = eval_jet(e, self.P, 1)
+        assert (float(j.value), j.grad.tolist()) == (value, [grad, 0.0, 0.0])
+        assert eval_jet(diff(e, 0), self.P, 0).value == grad
+        assert pretty(diff(e, 1)) == "0"
+        # The sum's derivative folds to one literal, its terms summed in order.
+        assert diff(deep_sum(DEPTH), 0) == Lit(grad_of_sum(DEPTH))
+
+    def test_a_domain_error_names_its_deep_subexpression(self):
+        inner = deep_sum(DEPTH)
+        with pytest.raises(ExprDomainError) as exc:
+            eval_jet(Unary("sqrt", Unary("neg", inner)), self.P, 2)
+        assert exc.value.subexpr == "sqrt(-(" + pretty(inner) + "))"

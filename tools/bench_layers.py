@@ -14,9 +14,9 @@ the product rule counted, the contractions and the products each split
 by the jet order they ran at, and with the JetArrays built counted.
 Each chart also gets the per-call cost of compiling it from its
 description file, the call `analyze --spec` makes: load_spec, build()
-and the input tape, cold (the
-process's chart memo cleared first) and warm (the same call again right
-after), and the per-call cost of one contact.rotate_frame by
+and the input tape, cold (the process's chart memo cleared before the
+call) and warm (the same call again right after), timed over COMPILES
+pairs per pass, and the per-call cost of one contact.rotate_frame by
 tests/form_helpers.cayley_rotation at the chart's first sample point
 (its own box, points and seed), timed over ROTATIONS calls per pass.
 Prints one JSON object with the medians over passes.
@@ -50,6 +50,7 @@ CHARTS = (
 )
 POINTS = 4
 ROTATIONS = 100
+COMPILES = 100
 
 LAYERS = (
     "contact.ContactStructure.inputs_at",
@@ -87,9 +88,10 @@ def chart_file(spec, folder: Path) -> Path:
 
 
 def compile_seconds(registry, path: Path, passes: int) -> dict:
-    """Seconds of one load_spec(path) + build() + input_tape, per pass:
-    cold, with the chart memo cleared first (a checkout without the memo
-    compiles on every call), and warm, the same call right after."""
+    """Seconds per load_spec(path) + build() + input_tape, one value per
+    pass, each the mean of COMPILES calls: cold, with the chart memo
+    cleared before each call (a checkout without the memo compiles on
+    every call), and warm, the same call right after each cold one."""
     memo = getattr(registry, "_compiled_chart", None)
 
     def call():
@@ -99,10 +101,14 @@ def compile_seconds(registry, path: Path, passes: int) -> dict:
 
     times = {"cold": [], "warm": []}
     for _ in range(passes):
-        if memo is not None:
-            memo.cache_clear()
-        times["cold"].append(call())
-        times["warm"].append(call())
+        cold = warm = 0.0
+        for _ in range(COMPILES):
+            if memo is not None:
+                memo.cache_clear()
+            cold += call()
+            warm += call()
+        times["cold"].append(cold / COMPILES)
+        times["warm"].append(warm / COMPILES)
     return times
 
 
