@@ -19,27 +19,8 @@ from functools import cache
 from .errors import ContactConnError
 from .registry import builtin_registry, get_manifold, load_spec
 from .report import render_report
-from .sampling import SEED_LIMIT
+from .sampling import run_bound_violation
 from .suites import SUITES, _tightest, run_suites, suites_for_dim
-
-
-def _int_in_range(low: int, high: int | None = None):
-    """argparse type for an integer with low <= value < high (no upper
-    bound when high is None); out-of-range values are usage errors (exit
-    2) naming the flag, caught before any sampling."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        if high is not None and value >= high:
-            raise argparse.ArgumentTypeError(f"must be less than {high}, got {value}")
-        return value
-
-    return parse
 
 
 @cache
@@ -63,12 +44,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     an.add_argument(
         "--points",
-        type=_int_in_range(1),
+        type=int,
         help="sample count, at least 1 (default: from the manifold description)",
     )
     an.add_argument(
         "--seed",
-        type=_int_in_range(0, SEED_LIMIT),
+        type=int,
         help="sampling seed, at least 0 and below 2^64 "
         "(default: from the manifold description)",
     )
@@ -107,6 +88,10 @@ def _parse_params(pairs) -> dict[str, float]:
 
 
 def _cmd_analyze(args) -> int:
+    # The bounds of the run, checked on the flags given before any spec is read.
+    bad = run_bound_violation(args.points, args.seed)
+    if bad:
+        raise ValueError(f"--{bad[0]} {bad[1]}")
     spec = load_spec(args.spec) if args.spec else get_manifold(args.manifold)
     params = _parse_params(args.param)
 

@@ -53,12 +53,14 @@ CONTACT_REL_TOL = 1e-10
 ORDER = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactStructure:
     """Chart-level input data: coordinates, contact form and metric.
 
     g is a dim x dim symmetric matrix of expressions; only its restriction
-    to H is ever used.
+    to H is ever used. A structure equals only itself: a chart's identity
+    is its text (_chart_text), which _check_origin compares, since a
+    field-by-field == would recurse over the expression trees.
     """
 
     coords: tuple[str, ...]
@@ -137,13 +139,14 @@ def _chart_text(cs: ContactStructure) -> str:
 
 def _check_origin(inputs: PointInputs, cs: ContactStructure, p, what: str) -> None:
     """Raise ValueError naming both charts or both points unless inputs
-    were evaluated on cs at p; O(1) when inputs.cs is cs, the one object
-    the chart memo gives every build of a chart text."""
-    if inputs.cs != cs:
-        raise ValueError(
-            f"{what} on the chart with {_chart_text(inputs.cs)}, "
-            f"not on the chart with {_chart_text(cs)}"
-        )
+    were evaluated on cs at p. Two structures are one chart when their
+    texts agree, which is compared only when inputs.cs is not cs: the
+    chart memo gives every build of a chart text one object while it
+    keeps it."""
+    if inputs.cs is not cs:
+        given, own = _chart_text(inputs.cs), _chart_text(cs)
+        if given != own:
+            raise ValueError(f"{what} on the chart with {given}, not on the chart with {own}")
     if inputs.p != _point(p):
         raise ValueError(f"{what} at {inputs.p}, not at the point {_point(p)}")
 
@@ -484,7 +487,8 @@ def rotate_frame(frame: AdaptedFrame, Q: JetArray) -> AdaptedFrame:
             )
     Omega = frame.Omega
     if m == 2:
-        if not np.linalg.det(Q.value) > 0.0:
+        (q00, q01), (q10, q11) = Q.value
+        if not q00 * q11 - q01 * q10 > 0.0:
             raise ValueError("Q must be a rotation in dimension 3, got det Q < 0")
     else:
         Omega = _turn(_turn(Omega, Q).transpose(1, 0), Q).transpose(1, 0)

@@ -35,11 +35,13 @@ class ExprDomainError(ContactConnError):
     """Evaluation hit a point outside an operation's domain.
 
     Reports the offending subexpression so the user can locate the
-    division by zero or negative sqrt argument in their input.
+    division by zero or negative sqrt argument in their input; `message`
+    is what went wrong there.
     """
 
     def __init__(self, message: str, subexpr: str):
         super().__init__(f"{message} in {subexpr!r}")
+        self.message = message
         self.subexpr = subexpr
 
 

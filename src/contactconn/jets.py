@@ -59,9 +59,9 @@ Design notes.
   is a single jet held as its raw parts (value, grad, hess), the value a
   Python float, and runs the same rule on them that a 0-d JetArray
   would, without building one per slot, so its bits are those of the
-  JetArray operators. The literal slots' parts are built once per chart
-  dimension and order and shared by every call, since no rule writes to
-  its operands.
+  JetArray operators. The slots of one call share their zero parts (a
+  literal's gradient and Hessian, a coordinate's Hessian), since no rule
+  writes to its operands.
 - Symmetry. Hessians are exactly symmetric. Products, quotients and
   contractions assemble theirs as S + (c + c^T), S a sum of symmetric
   pieces and c the outer-product cross term, and c + c^T is symmetric to
@@ -87,9 +87,10 @@ from .expressions import Binary, Coord, Expr, Lit, Pow, _postorder, pretty
 #
 # Each rule takes the common order k and the (value, grad, hess) parts of
 # its operands and returns the parts of the result; parts above k are None.
-# Values are arrays (a JetArray's) or Python floats (a tape slot's). A rule
-# with a domain raises ExprDomainError at a placeholder subexpression,
-# which the tape replaces with the slot's.
+# Values are arrays (a JetArray's) or Python floats (a tape slot's). No
+# rule writes into its operands. A rule with a domain raises
+# ExprDomainError at a placeholder subexpression, which the tape replaces
+# with the slot's.
 
 
 def _up(v, k: int):
@@ -510,7 +511,8 @@ class Tape:
     the expressions, the order a walk of each tree in turn visits them,
     and every slot applies to single jets the rule that walk would; so
     each output has the bits of evaluating its tree alone, and the first
-    domain error names the subexpression that walk would.
+    domain error names the subexpression that walk would. A tape keeps
+    nothing between calls but its compiled slots.
     """
 
     def __init__(self, exprs):
@@ -542,10 +544,6 @@ class Tape:
                 self.nodes.append(node)
             slot_of[id(node)] = s
         self.outputs = [slot_of[id(e)] for e in exprs]
-        # The literal slots' parts (value, grad, hess) per (dim, order),
-        # keyed by slot and built on first use; no rule writes to its
-        # operands, so every call shares them.
-        self._literals: dict[tuple[int, int], dict[int, tuple]] = {}
 
     def eval(self, p, order: int) -> JetArray:
         """The outputs at p as one JetArray (K,) of jets of the requested
@@ -566,14 +564,10 @@ class Tape:
                 f"the expressions read coordinate {self.widest.name!r} "
                 f"(index {self.widest.index}), but the point has {d} coordinates"
             )
-        lits = self._literals.get((d, order))
-        if lits is None:
-            zero_g = np.zeros(d) if order >= 1 else None
-            zero_h = np.zeros((d, d)) if order >= 2 else None
-            lits = self._literals[(d, order)] = {
-                s: (a, zero_g, zero_h) for s, (op, a, _) in enumerate(self.code) if op == "lit"
-            }
+        # No rule writes to its operands, so the slots of a call share
+        # their zero parts.
         units = np.eye(d) if order >= 1 else [None] * d
+        zero_g = np.zeros(d) if order >= 1 else None
         zero_h = np.zeros((d, d)) if order >= 2 else None
         k = order
         # Looked up on every call, so a patched product rule sees the
@@ -590,7 +584,7 @@ class Tape:
                     if rule is not None:
                         push(rule(k, *vals[a], *vals[b]))
                     elif op == "lit":
-                        push(lits[i])
+                        push((a, zero_g, zero_h))
                     elif op == "coord":
                         push((float(p[a]), units[a], zero_h))
                     elif op == "neg":
@@ -606,8 +600,7 @@ class Tape:
                         push(_chain_rule(k, *_elementary(_ELEMENTARY[op], v), g, h))
         except ExprDomainError as exc:
             # The rule's message, placed at the subexpression of slot i.
-            message = str(exc).split(" in ")[0]
-            raise ExprDomainError(message, pretty(self.nodes[i])) from None
+            raise ExprDomainError(exc.message, pretty(self.nodes[i])) from None
         out = [vals[s] for s in self.outputs]
         n = len(out)
         res = JetArray(

@@ -25,13 +25,14 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def run_bound_violation(points: int, seed: int) -> tuple[str, str] | None:
+def run_bound_violation(points: int | None, seed: int | None) -> tuple[str, str] | None:
     """The first of a run's point count and seed that no run accepts, as
     (its name, what is wrong with it), or None when both are in bounds: a
-    run samples at least 1 point, from a seed from 0 to 2^64 - 1."""
-    if points < 1:
+    run samples at least 1 point, from a seed from 0 to 2^64 - 1. A None
+    one, a flag not given, is not checked."""
+    if points is not None and points < 1:
         return "points", f"must be at least 1, got {points}"
-    if not 0 <= seed < SEED_LIMIT:
+    if seed is not None and not 0 <= seed < SEED_LIMIT:
         return "seed", f"must be from 0 to 2^64 - 1, got {seed}"
     return None
 

@@ -302,8 +302,8 @@ class TestExitCodes:
         code, out, err = run(capsys, "analyze", "--manifold", "heisenberg", flag, value)
         assert code == 2
         assert out == ""
-        assert f"argument {flag}" in err
-        assert f"must be at least {1 if flag == '--points' else 0}" in err
+        bound = "at least 1" if flag == "--points" else "from 0 to 2^64 - 1"
+        assert f"error: {flag} must be {bound}, got {value}" in err
 
     @pytest.mark.parametrize("value", [str(2**64), str(2**64 + 42), str(10**30)])
     def test_seed_of_two_to_the_64_or_more_exits_two_before_sampling(
@@ -318,8 +318,25 @@ class TestExitCodes:
         code, out, err = run(capsys, "analyze", "--manifold", "heisenberg", "--seed", value)
         assert code == 2
         assert out == ""
-        assert "argument --seed" in err
-        assert f"must be less than {2**64}, got {value}" in err
+        assert f"error: --seed must be from 0 to 2^64 - 1, got {value}" in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--points", "0"), ("--seed", str(2**64))]
+    )
+    def test_out_of_range_flag_exits_two_before_the_spec_is_read(
+        self, capsys, monkeypatch, tmp_path, flag, value
+    ):
+        import contactconn.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("read a spec despite an out-of-range flag")
+
+        monkeypatch.setattr(contactconn.cli, "load_spec", refuse)
+        monkeypatch.setattr(contactconn.cli, "get_manifold", refuse)
+        for source in (("--spec", str(tmp_path / "nope.json")), ("--manifold", "heisenberg")):
+            code, out, err = run(capsys, "analyze", *source, flag, value)
+            assert (code, out) == (2, "")
+            assert f"error: {flag} must be " in err
 
     def test_largest_seed_accepted(self, capsys):
         code, out, _ = run(
@@ -520,6 +537,48 @@ class TestLargeCharts:
         assert run(capsys, "validate", "--spec", path)[0] == 0
         code, out, _ = run(capsys, "analyze", "--spec", path, "--suites", "contact")
         assert code == 0 and json.loads(out)["passed"] is True
+
+    def test_inputs_and_frames_pass_between_builds_of_one_deep_chart(self):
+        # Charts are compared by their text, so a chart 5,000 levels deep
+        # built twice is one chart, and a different one is refused.
+        from contactconn import registry
+        from contactconn.connection import canonical_partial_connection
+        from contactconn.contact import adapted_frame, check_contact
+        from contactconn.tw3d import tw_coframe
+
+        def build(term):
+            theta = ("-y", "0", long_sum("1", term, 5000))
+            return registry.ManifoldSpec(
+                "deep", ("x", "y", "z"), theta, GOOD_SPEC["g"], GOOD_SPEC["box"]
+            ).build()
+
+        cs1 = build("0.0002*x")
+        registry._compiled_chart.cache_clear()
+        cs2 = build("0.0002*x")
+        other = build("0.0003*x")
+        assert cs2 is not cs1
+        p = (0.1, -0.2, 0.3)
+        inputs = cs1.inputs_at(p)
+        frame = adapted_frame(cs1, p, inputs=inputs)
+        assert check_contact(cs2, p, inputs=inputs).passed
+        assert adapted_frame(cs2, p, inputs=inputs).mu.value == frame.mu.value
+        assert canonical_partial_connection(cs2, p, frame=frame).frame is frame
+        assert tw_coframe(cs2, p, frame=frame) is frame
+
+        def chart(term):
+            theta = "-y, 0, " + " + ".join(["1"] + [term] * 4999)
+            return f"coordinates (x, y, z), theta ({theta}), g (1, 0, 0; 0, 1, 0; 0, 0, 0)"
+
+        given, own = chart("0.0002 * x"), chart("0.0003 * x")
+        charts = f"on the chart with {given}, not on the chart with {own}"
+        for call in (check_contact, adapted_frame):
+            with pytest.raises(ValueError) as info:
+                call(other, p, inputs=inputs)
+            assert str(info.value) == f"inputs were evaluated {charts}"
+        for call in (canonical_partial_connection, tw_coframe):
+            with pytest.raises(ValueError) as info:
+                call(other, p, frame=frame)
+            assert str(info.value) == f"the frame was built {charts}"
 
     def test_a_domain_error_in_a_long_metric_entry_is_a_typed_skip(self, capsys, tmp_path):
         entry = "sqrt(" + " - ".join(["-1"] + ["0.001*x"] * 1000) + ")"

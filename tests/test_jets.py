@@ -846,24 +846,35 @@ class TestTape:
         assert tape.eval((1.0, 0.0, 0.0), 0)[0].value == 2.0**40
 
     @pytest.mark.parametrize("order", [0, 1, 2])
-    def test_literal_slots_built_once_and_never_changed(self, order):
+    def test_repeated_evaluation_gives_the_same_bits(self, order):
         cs = chart_spec("sphere-chart").build()
         tape = Tape(chart_inputs(cs))
         p, q = sample_box(chart_spec("sphere-chart").box, 2, 5)
-        first = tape.eval(p, order)
-        lits = tape._literals[(3, order)]
-        assert lits and all(op == "lit" for op, _, _ in (tape.code[s] for s in lits))
-        # Each literal slot holds its parts (value, grad, hess).
-        before = {s: [np.copy(x) for x in parts if x is not None] for s, parts in lits.items()}
+
+        def parts(out):
+            assert out.top == order
+            return [x for x in (out.value, out.grad, out.hess) if x is not None]
+
+        first = parts(tape.eval(p, order))
+        want = [x.tobytes() for x in first]
+        # The outputs are the caller's own: writing into them changes no
+        # later call.
+        for x in first:
+            x.fill(math.nan)
         tape.eval(q, order)
-        again = tape.eval(p, order)
-        assert tape._literals[(3, order)] is lits
-        for s, parts in lits.items():
-            now = [x for x in parts if x is not None]
-            assert all(np.array_equal(x, y) for x, y in zip(now, before[s]))
-            assert parts[0] == tape.code[s][1]
-        for x, y in zip(first, again):
-            assert_same_bits(x, y)
+        assert [x.tobytes() for x in parts(tape.eval(p, order))] == want
+
+    def test_a_rule_message_survives_whole(self, monkeypatch):
+        import contactconn.jets as jets
+
+        def refuse(*args):
+            raise ExprDomainError("quotient in no chart", "<jet quotient>")
+
+        monkeypatch.setattr(jets, "_div_rule", refuse)
+        with pytest.raises(ExprDomainError) as exc:
+            Tape([parse_expr("1 + x/y", XYZ)]).eval((0.3, 0.4, 0.0), 2)
+        assert (exc.value.message, exc.value.subexpr) == ("quotient in no chart", "x / y")
+        assert str(exc.value) == "quotient in no chart in 'x / y'"
 
     def test_eval_jet_is_the_one_expression_tape(self):
         e = parse_expr("sin(x*y) * exp(z) / (2 + cos(x))", XYZ)
@@ -991,6 +1002,38 @@ def assert_tape_matches_oracle(tape, exprs, p, order):
         assert len(got) == len(want)
         for j, w in zip(got, want):
             assert_same_bits(j, w)
+
+
+class TestRulesLeaveTheirOperands:
+    # The slots of one tape call share their zero parts, which is safe
+    # only while no rule writes into its operands: every rule runs here on
+    # read-only operands, of both value kinds (an array's entries and a
+    # tape slot's Python float), at every order.
+    @staticmethod
+    def frozen(k, shape, seed):
+        rng = np.random.default_rng(seed)
+
+        def part(tail):
+            a = 0.5 + rng.random(shape + tail)
+            a.flags.writeable = False
+            return a
+
+        value = part(()) if shape else 0.5 + float(rng.random())
+        return value, part((3,)) if k >= 1 else None, part((3, 3)) if k >= 2 else None
+
+    @pytest.mark.parametrize("shape", [(), (2,)])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_no_rule_writes_into_its_operands(self, k, shape):
+        from contactconn import jets
+
+        # A write into a read-only array raises ValueError.
+        a, b = self.frozen(k, shape, 1), self.frozen(k, shape, 2)
+        for rule in (jets._add_rule, jets._sub_rule, jets._mul_rule, jets._div_rule):
+            rule(k, *a, *b)
+        for rule in (jets._neg_rule, jets._sqrt_rule):
+            rule(k, *a)
+        jets._chain_rule(k, b[0], b[0], b[0], *a[1:])
+        jets._check_powi(a[0], -2)
 
 
 class TestTapeOracle:
